@@ -6,6 +6,7 @@ microcirculation closures, solvability condition checks, and an
 oracle-backed verification toolkit.
 """
 
+from .compiled import CompiledNetwork, compile_network
 from .constitutive import (
     CoefficientSet,
     EigenData,

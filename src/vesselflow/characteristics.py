@@ -1,7 +1,8 @@
 """Semi-Lagrangian characteristics kernel.
 
 One linear update advances the characteristic variables r and s one
-time level on a fixed uniform grid: trace each family's characteristic
+time level on the fixed uniform grids of every vessel at once (the
+grids laid end to end by `compile_network`): trace each family's characteristic
 backward from every grid node with a two-stage midpoint rule through
 the frozen speed field, interpolate the level-t value at the foot
 linearly, and add the trapezoidal integral of the source term along the
@@ -16,8 +17,10 @@ iterate: the directional derivatives of the eigenvector entries come
 from centered x-differences and one-sided t-differences across the two
 stored time levels.
 
-Grid nodes whose foot leaves the domain are left unresolved (NaN); the
-junction module closes them.
+Every foot lies within cfl_max cells of its target, so the foot values
+come from a two-point stencil inside the target's own vessel, clamped
+at the vessel's ends. Grid nodes whose foot leaves the vessel are left
+unresolved (NaN); the node closures complete them.
 """
 
 from __future__ import annotations
@@ -26,20 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compiled import CompiledNetwork
 from .constitutive import (
     CoefficientSet,
     EigenData,
     PrimitiveState,
     coefficients,
     eigen,
+    power_law_coefficients,
+    power_law_failure,
     to_riemann,
 )
 from .errors import CFLViolation
-from .network import Vessel
-
-OUT_LEFT = "out_left"
-OUT_RIGHT = "out_right"
-INTERIOR = "interior"
 
 
 @dataclass
@@ -66,16 +67,6 @@ class VesselField:
 
 
 @dataclass(frozen=True)
-class CharFoot:
-    """Where one traced characteristic meets the lower time level."""
-
-    x_foot: float
-    status: str  # INTERIOR | OUT_LEFT | OUT_RIGHT
-    value: float  # interpolated characteristic variable (NaN if out)
-    source_integral: float  # trapezoidal integral of F along the segment
-
-
-@dataclass(frozen=True)
 class DirectionalDerivatives:
     """Derivatives of the left-eigenvector entries along each family."""
 
@@ -87,25 +78,25 @@ class DirectionalDerivatives:
 
 @dataclass
 class LevelData:
-    """Frozen per-vessel data at one time level."""
+    """Frozen data of every grid point of the layout at one time level."""
 
     t: float
-    x: np.ndarray
-    coeffs: CoefficientSet  # array-valued
+    coeffs: CoefficientSet
     eig: EigenData
     P: np.ndarray
     Q: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    # level-intrinsic spatial derivatives, cached so a level reused
-    # across fixed-point iterations is not rebuilt
-    lamL_x: np.ndarray | None = None
-    lamR_x: np.ndarray | None = None
-    a_x: np.ndarray | None = None
-    # source terms split as F = base + gP * P + gQ * Q per family (the
-    # state-coupled part is solved implicitly at the new level)
-    F_R: np.ndarray | None = None  # filled once both levels exist
+    # level-intrinsic spatial derivatives, built with the level so a level
+    # reused across fixed-point iterations is not rebuilt
+    lamL_x: np.ndarray
+    lamR_x: np.ndarray
+    a_x: np.ndarray
+    # old level: the source terms F per family, read at the feet
+    F_R: np.ndarray | None = None
     F_L: np.ndarray | None = None
+    # new level: the source terms split as F = base + gP * P + gQ * Q per
+    # family (the state-coupled part is solved implicitly)
     base_F_R: np.ndarray | None = None
     gR_P: np.ndarray | None = None
     gR_Q: np.ndarray | None = None
@@ -116,28 +107,12 @@ class LevelData:
 
 @dataclass
 class FrozenStep:
-    """Both time levels of frozen coefficients for one vessel and step."""
+    """Both time levels of frozen coefficients for one step of a layout."""
 
-    vessel_id: str
+    layout: CompiledNetwork
     dt: float
-    dx: float
     old: LevelData
     new: LevelData
-
-    def endpoint_data(self, end: str) -> tuple[CoefficientSet, EigenData]:
-        """Scalar coefficient/eigen data at a vessel end, new level."""
-        idx = 0 if end == "x0" else -1
-        c, e = self.new.coeffs, self.new.eig
-        cs = CoefficientSet(
-            a=float(c.a[idx]), b=float(c.b[idx]), c=float(c.c[idx]),
-            f=float(c.f[idx]), g=float(c.g[idx]), A=float(c.A[idx]),
-        )
-        eig_pt = EigenData(
-            lambda_R=float(e.lambda_R[idx]),
-            lambda_L=float(e.lambda_L[idx]),
-            u=float(e.u[idx]),
-        )
-        return cs, eig_pt
 
 
 def source_terms(
@@ -158,32 +133,59 @@ def source_terms(
     return F_R, F_L
 
 
-def _ddx(arr: np.ndarray, dx: float) -> np.ndarray:
-    """Centered differences, second-order one-sided at the ends."""
-    out = np.empty_like(arr)
-    out[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * arr[0] + 4.0 * arr[1] - arr[2]) / (2.0 * dx)
-    out[-1] = (3.0 * arr[-1] - 4.0 * arr[-2] + arr[-3]) / (2.0 * dx)
-    return out
+def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
+    """Centered differences inside each segment, second-order one-sided
+    at its two ends."""
+    out = np.empty_like(f)
+    out[1:-1] = f[2:] - f[:-2]
+    i, k = layout.first, layout.last
+    out[i] = -3.0 * f[i] + 4.0 * f[i + 1] - f[i + 2]
+    out[k] = 3.0 * f[k] - 4.0 * f[k - 1] + f[k - 2]
+    return out * (0.5 * layout.cells)
 
 
-def _build_level(vessel: Vessel, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float) -> LevelData:
-    x = vessel.grid
-    cs = coefficients(vessel, x, t, PrimitiveState(P, Q), epsilon0=epsilon0)
+_FIELDS = ("a", "b", "c", "f", "g", "A")
+
+
+def _coefficients(layout: CompiledNetwork, t: float, P, Q, epsilon0: float) -> CoefficientSet:
+    """Coefficients on every grid point: one closed-form pass over the
+    power-law prefix, then one `coefficients` call per tabulated or
+    synthetic segment."""
+    n = layout.n_power
+    if n:
+        cs = power_law_coefficients(layout.power, P[:n], Q[:n])
+        err = power_law_failure(layout.power, P[:n], cs.A, epsilon0, layout.vessel_at)
+        if err is not None:
+            raise err
+        if not layout.fills:
+            return CoefficientSet(cs.a, cs.b, cs.c, layout.zeros, cs.g, cs.A)
+    out = {name: np.empty(layout.size) for name in _FIELDS}
+    if n:
+        for name in _FIELDS:
+            out[name][:n] = getattr(cs, name)
+    for vessel, sl in layout.fills:
+        seg = coefficients(
+            vessel, layout.x[sl], t, PrimitiveState(P[sl], Q[sl]), epsilon0=epsilon0
+        )
+        for name in _FIELDS:
+            out[name][sl] = getattr(seg, name)
+    return CoefficientSet(**out)
+
+
+def _build_level(layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float) -> LevelData:
+    cs = _coefficients(layout, t, P, Q, epsilon0)
     e = eigen(cs)
     rp = to_riemann(cs, e, PrimitiveState(P, Q))
-    dx = 1.0 / vessel.n_cells
     return LevelData(
-        t=t, x=x, coeffs=cs, eig=e, P=np.asarray(P, float),
-        Q=np.asarray(Q, float), r=rp.r, s=rp.s,
-        lamL_x=_ddx(np.asarray(e.lambda_L), dx),
-        lamR_x=_ddx(np.asarray(e.lambda_R), dx),
-        a_x=_ddx(np.asarray(cs.a), dx),
+        t=t, coeffs=cs, eig=e, P=P, Q=Q, r=rp.r, s=rp.s,
+        lamL_x=_ddx(layout, e.lambda_L),
+        lamR_x=_ddx(layout, e.lambda_R),
+        a_x=_ddx(layout, cs.a),
     )
 
 
 def freeze_step(
-    vessel: Vessel,
+    layout: CompiledNetwork,
     t_old: float,
     P_old: np.ndarray,
     Q_old: np.ndarray,
@@ -193,183 +195,143 @@ def freeze_step(
     epsilon0: float,
     old_level: LevelData | None = None,
 ) -> FrozenStep:
-    """Freeze the coefficient fields of one vessel at both time levels
-    and precompute the nodal characteristic source terms. Passing a
-    previously built old_level skips rebuilding it (it does not change
-    across fixed-point iterations within a step)."""
+    """Freeze the coefficient fields of every vessel of a layout at both
+    time levels (P and Q are flat arrays in layout order) and precompute
+    the characteristic source terms. Passing a previously built
+    old_level skips rebuilding it (it does not change across fixed-point
+    iterations within a step)."""
     dt = t_new - t_old
     if dt <= 0:
         raise ValueError("t_new must exceed t_old")
-    old = old_level if old_level is not None else _build_level(vessel, t_old, P_old, Q_old, epsilon0)
-    new = _build_level(vessel, t_new, P_new, Q_new, epsilon0)
-    dx = 1.0 / vessel.n_cells
+    P_old, Q_old, P_new, Q_new = (np.asarray(v, dtype=float) for v in (P_old, Q_old, P_new, Q_new))
+    old = old_level if old_level is not None else _build_level(layout, t_old, P_old, Q_old, epsilon0)
+    new = _build_level(layout, t_new, P_new, Q_new, epsilon0)
 
     lamL_t = (new.eig.lambda_L - old.eig.lambda_L) / dt
     lamR_t = (new.eig.lambda_R - old.eig.lambda_R) / dt
     a_t = (new.coeffs.a - old.coeffs.a) / dt
 
-    for lev in (old, new):
-        d = DirectionalDerivatives(
+    def along(lev):
+        return DirectionalDerivatives(
             dR_lambda_L=lamL_t + lev.eig.lambda_R * lev.lamL_x,
             dR_a=a_t + lev.eig.lambda_R * lev.a_x,
             dL_lambda_R=lamR_t + lev.eig.lambda_L * lev.lamR_x,
             dL_a=a_t + lev.eig.lambda_L * lev.a_x,
         )
-        F_R, F_L = source_terms(lev.coeffs, lev.eig, PrimitiveState(lev.P, lev.Q), d)
-        lev.F_R = np.asarray(F_R)
-        lev.F_L = np.asarray(F_L)
-        lev.gR_P = -np.asarray(d.dR_lambda_L)
-        lev.gR_Q = np.asarray(d.dR_a)
-        lev.gL_P = -np.asarray(d.dL_lambda_R)
-        lev.gL_Q = np.asarray(d.dL_a)
-        lev.base_F_R = -lev.eig.lambda_L * lev.coeffs.f + lev.coeffs.a * lev.coeffs.g
-        lev.base_F_L = -lev.eig.lambda_R * lev.coeffs.f + lev.coeffs.a * lev.coeffs.g
-    return FrozenStep(vessel_id=vessel.id, dt=dt, dx=dx, old=old, new=new)
+
+    old.F_R, old.F_L = source_terms(old.coeffs, old.eig, PrimitiveState(old.P, old.Q), along(old))
+    d = along(new)
+    new.gR_P, new.gR_Q = -d.dR_lambda_L, d.dR_a
+    new.gL_P, new.gL_Q = -d.dL_lambda_R, d.dL_a
+    ag = new.coeffs.a * new.coeffs.g
+    new.base_F_R = ag - new.eig.lambda_L * new.coeffs.f
+    new.base_F_L = ag - new.eig.lambda_R * new.coeffs.f
+    return FrozenStep(layout=layout, dt=dt, old=old, new=new)
 
 
 # --- tracing ------------------------------------------------------------
 
 
-def _lambda_arrays(frozen: FrozenStep, family: str) -> tuple[np.ndarray, np.ndarray]:
+def _stencil(layout: CompiledNetwork, xi: np.ndarray):
+    """Two-point linear-interpolation stencil at local positions xi (in
+    cells from each point's segment start), clamped to the segment as
+    np.interp clamps: a position at or beyond an end reads that end."""
+    xi = np.minimum(np.maximum(xi, 0.0), layout.cells)
+    k = xi.astype(np.intp)  # floor, xi >= 0
+    lo = layout.base + k
+    hi = np.minimum(lo + 1, layout.size - 1)
+    return lo, hi, xi - k
+
+
+def _at(f: np.ndarray, stencil) -> np.ndarray:
+    lo, hi, w = stencil
+    f_lo = f[lo]
+    return f_lo + w * (f[hi] - f_lo)
+
+
+def _trace(frozen: FrozenStep, family: str, cfl_max: float) -> np.ndarray:
+    """Feet of the family's characteristics through every grid node at
+    t+dt, by the explicit midpoint rule on the frozen speed field, as
+    local positions in cells (the foot of node j of a vessel with n
+    cells lies at x = xi/n; it left the vessel if xi < 0 or xi > n)."""
     if family == "R":
-        return np.asarray(frozen.old.eig.lambda_R), np.asarray(frozen.new.eig.lambda_R)
-    if family == "L":
-        return np.asarray(frozen.old.eig.lambda_L), np.asarray(frozen.new.eig.lambda_L)
-    raise ValueError(f"family must be 'R' or 'L', got {family!r}")
-
-
-def _trace(frozen: FrozenStep, x_targets: np.ndarray, family: str, cfl_max: float) -> np.ndarray:
-    """Feet of the family's characteristics through (x_targets, t+dt),
-    by the explicit midpoint rule on the frozen speed field."""
-    lam_old, lam_new = _lambda_arrays(frozen, family)
-    x = frozen.new.x
-    dt = frozen.dt
-    lam_at_target = np.interp(x_targets, x, lam_new)
-    x_half = x_targets - 0.5 * dt * lam_at_target
+        lam_old, lam_new = frozen.old.eig.lambda_R, frozen.new.eig.lambda_R
+    elif family == "L":
+        lam_old, lam_new = frozen.old.eig.lambda_L, frozen.new.eig.lambda_L
+    else:
+        raise ValueError(f"family must be 'R' or 'L', got {family!r}")
+    layout = frozen.layout
+    courant = frozen.dt * layout.cells  # dt/dx per point
+    half = _stencil(layout, layout.j - 0.5 * courant * lam_new)
     # interpolating the level average equals averaging the interpolants
-    lam_mid = np.interp(x_half, x, 0.5 * (lam_old + lam_new))
-    limit = cfl_max * frozen.dx
-    travel = np.abs(dt * lam_mid)
-    if np.any(travel > limit):
-        worst = float(np.max(travel))
+    lam_mid = _at(0.5 * (lam_old + lam_new), half)
+    travel = np.abs(courant * lam_mid)  # in cells
+    if np.any(travel > cfl_max):
+        k = int(np.argmax(travel))
         raise CFLViolation(
-            f"vessel {frozen.vessel_id!r} family {family}: characteristic travels "
-            f"{worst:.3e} > cfl_max*dx = {limit:.3e}; reduce dt"
+            f"vessel {layout.vessel_at(k)!r} family {family}: characteristic travels "
+            f"{abs(frozen.dt * lam_mid[k]):.3e} > cfl_max*dx = {cfl_max / layout.cells[k]:.3e}; "
+            "reduce dt"
         )
-    return x_targets - dt * lam_mid
-
-
-def _foot_at(frozen: FrozenStep, x_target: float, x_foot: float, family: str) -> CharFoot:
-    level = frozen.old
-    values = level.r if family == "R" else level.s
-    F_old = level.F_R if family == "R" else level.F_L
-    F_new = frozen.new.F_R if family == "R" else frozen.new.F_L
-    if x_foot < 0.0:
-        return CharFoot(x_foot, OUT_LEFT, np.nan, np.nan)
-    if x_foot > 1.0:
-        return CharFoot(x_foot, OUT_RIGHT, np.nan, np.nan)
-    val = float(np.interp(x_foot, level.x, values))
-    src = 0.5 * frozen.dt * (
-        float(np.interp(x_foot, level.x, F_old))
-        + float(np.interp(x_target, frozen.new.x, F_new))
-    )
-    return CharFoot(float(x_foot), INTERIOR, val, src)
-
-
-def trace_foot(frozen: FrozenStep, x_target: float, family: str, cfl_max: float = 0.9) -> CharFoot:
-    """Trace one characteristic foot backward one time level.
-
-    Returns the foot position, the interpolated characteristic variable
-    there, and the accumulated source integral; feet leaving through
-    x=0 or x=1 are marked out and carry no value.
-    """
-    x_foot = _trace(frozen, np.asarray([x_target], dtype=float), family, cfl_max)[0]
-    return _foot_at(frozen, float(x_target), float(x_foot), family)
-
-
-@dataclass
-class BoundaryFeet:
-    """The four endpoint characteristic traces of one vessel/step."""
-
-    left_r: CharFoot
-    left_s: CharFoot
-    right_r: CharFoot
-    right_s: CharFoot
+    return layout.j - courant * lam_mid
 
 
 @dataclass(frozen=True)
 class EndpointRow:
-    """The resolved characteristic value at a vessel end, split into its
-    known part and its linear coupling to the endpoint state:
+    """The resolved characteristic value at one end of every vessel (one
+    entry per segment), split into its known part and its linear
+    coupling to the endpoint state:
 
         char = known + kP * P_end + kQ * Q_end
 
     (the coupling comes from the new-level source evaluation of the
-    trapezoidal rule; zero for constant coefficients). Node closures may
-    refine char against the solved endpoint state at no extra cost."""
+    trapezoidal rule; zero for constant coefficients). Node closures fold
+    the coupling into their characteristic rows and solve it exactly."""
 
-    known: float
-    kP: float
-    kQ: float
+    known: np.ndarray
+    kP: np.ndarray
+    kQ: np.ndarray
 
-    def value(self, P: float, Q: float) -> float:
+    def value(self, P, Q):
         return self.known + self.kP * P + self.kQ * Q
 
 
 @dataclass
 class InteriorUpdate:
-    """New-level characteristic fields; NaN entries are unresolved feet
-    (they exited the domain) awaiting a node closure."""
+    """New-level characteristic fields in layout order; NaN entries are
+    unresolved feet (they exited the vessel) awaiting a node closure."""
 
     r: np.ndarray
     s: np.ndarray
-    feet: BoundaryFeet
     # resolved-family rows for the closures: s at x=0, r at x=1
-    left_row: EndpointRow | None = None
-    right_row: EndpointRow | None = None
-
-    @property
-    def s_left(self) -> float:
-        """Resolved s at x=0 (the interior-determined variable there),
-        with the source coupling evaluated at the frozen iterate."""
-        return float(self.s[0])
-
-    @property
-    def r_right(self) -> float:
-        """Resolved r at x=1, coupling at the frozen iterate."""
-        return float(self.r[-1])
+    left: EndpointRow
+    right: EndpointRow
 
 
 def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
-    """Advance r and s one time level.
+    """Advance r and s one time level on every vessel of the layout.
 
     The trapezoidal source integral evaluates the new-level source at
     the target node, where it is linear in the unknown state; that
     coupling is solved in closed form per node (a 2x2 system in r, s),
     so the update solves the frozen-coefficient linear problem exactly
-    at interior nodes. Nodes whose foot leaves the domain stay
+    at interior nodes. Nodes whose foot leaves the vessel stay
     unresolved for the node closures, which receive the resolved
     family's value split as known part + endpoint-state coupling.
     """
-    x = frozen.new.x
-    new = frozen.new
+    layout = frozen.layout
+    old, new = frozen.old, frozen.new
     half_dt = 0.5 * frozen.dt
-    known = {}
-    feet_arr = {}
-    foot_val = {}
-    for family in ("R", "L"):
-        feet = _trace(frozen, x, family, cfl_max)
-        level = frozen.old
-        values = level.r if family == "R" else level.s
-        F_old = level.F_R if family == "R" else level.F_L
-        base_new = new.base_F_R if family == "R" else new.base_F_L
-        inside = (feet >= 0.0) & (feet <= 1.0)
-        clipped = np.clip(feet, 0.0, 1.0)
-        vals = np.interp(clipped, x, values)
-        part = vals + half_dt * (np.interp(clipped, x, F_old) + base_new)
-        known[family] = np.where(inside, part, np.nan)
-        feet_arr[family] = feet
-        foot_val[family] = vals
+    known = []
+    for family, values, F_old, base_new in (
+        ("R", old.r, old.F_R, new.base_F_R),
+        ("L", old.s, old.F_L, new.base_F_L),
+    ):
+        xi = _trace(frozen, family, cfl_max)
+        foot = _stencil(layout, xi)
+        part = _at(values, foot) + half_dt * (_at(F_old, foot) + base_new)
+        known.append(np.where((xi >= 0.0) & (xi <= layout.cells), part, np.nan))
+    Ar, As = known
 
     # state coupling of the new-level source, mapped to (r, s) through
     # the inverse characteristic transform
@@ -380,50 +342,22 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     kLr = half_dt * (new.gL_P / u2 + new.gL_Q * new.eig.lambda_R / ua2)
     kLs = half_dt * (-new.gL_P / u2 - new.gL_Q * new.eig.lambda_L / ua2)
     det = (1.0 - kRr) * (1.0 - kLs) - kRs * kLr
-    if np.any(np.abs(det) < 0.5):
+    stiff = np.abs(det) < 0.5
+    if np.any(stiff):
         raise CFLViolation(
-            f"vessel {frozen.vessel_id!r}: source coupling too stiff for this dt"
+            f"vessel {layout.vessel_at(int(np.argmax(stiff)))!r}: "
+            "source coupling too stiff for this dt"
         )
-    Ar, As = known["R"], known["L"]
     with np.errstate(invalid="ignore"):
         r_new = ((1.0 - kLs) * Ar + kRs * As) / det
         s_new = (kLr * Ar + (1.0 - kRr) * As) / det
 
     # endpoint nodes: the companion family usually exited there, so the
-    # 2x2 entries are not usable. Evaluate the coupling at the frozen
-    # iterate for the field arrays and hand the exact split to the
-    # closures (which solve it against the endpoint state).
-    def endpoint_row(A, gP, gQ, idx):
-        if not np.isfinite(A[idx]):
-            return None, np.nan
-        row = EndpointRow(
-            known=float(A[idx]),
-            kP=float(half_dt * gP[idx]),
-            kQ=float(half_dt * gQ[idx]),
-        )
-        return row, row.value(float(new.P[idx]), float(new.Q[idx]))
-
-    left_row, s_new[0] = endpoint_row(As, new.gL_P, new.gL_Q, 0)
-    right_row, r_new[-1] = endpoint_row(Ar, new.gR_P, new.gR_Q, -1)
-    _, r_new[0] = endpoint_row(Ar, new.gR_P, new.gR_Q, 0)
-    _, s_new[-1] = endpoint_row(As, new.gL_P, new.gL_Q, -1)
-
-    def end_foot(family, idx):
-        xf = float(feet_arr[family][idx])
-        if xf < 0.0:
-            return CharFoot(xf, OUT_LEFT, np.nan, np.nan)
-        if xf > 1.0:
-            return CharFoot(xf, OUT_RIGHT, np.nan, np.nan)
-        arr = r_new if family == "R" else s_new
-        val = float(foot_val[family][idx])
-        return CharFoot(xf, INTERIOR, val, float(arr[idx]) - val)
-
-    boundary = BoundaryFeet(
-        left_r=end_foot("R", 0),
-        left_s=end_foot("L", 0),
-        right_r=end_foot("R", -1),
-        right_s=end_foot("L", -1),
-    )
-    return InteriorUpdate(
-        r=r_new, s=s_new, feet=boundary, left_row=left_row, right_row=right_row
-    )
+    # 2x2 entries are not usable. Hand the exact split to the closures,
+    # and evaluate the coupling at the frozen iterate for the fields.
+    i, k = layout.first, layout.last
+    left = EndpointRow(As[i], half_dt * new.gL_P[i], half_dt * new.gL_Q[i])
+    right = EndpointRow(Ar[k], half_dt * new.gR_P[k], half_dt * new.gR_Q[k])
+    s_new[i] = left.value(new.P[i], new.Q[i])
+    r_new[k] = right.value(new.P[k], new.Q[k])
+    return InteriorUpdate(r=r_new, s=s_new, left=left, right=right)

@@ -4,7 +4,8 @@
                         [--check-only] [--snapshot t1,t2,...]
 
 Exit codes: 0 success, 1 usage or config error, 2 solvability-condition
-failure, 3 solver failure.
+failure, 3 solver failure or any other unexpected error (reported in
+one line, without a traceback).
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _simulate(args) -> int:
+    try:
+        return _simulate_classified(args)
+    except Exception as exc:  # anything the steps below do not classify
+        message = " ".join(str(exc).split()) or "no message"
+        print(f"unexpected error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_SOLVER
+
+
+def _simulate_classified(args) -> int:
     try:
         loaded = load_config(args.config)
     except ConfigError as exc:

@@ -1,0 +1,145 @@
+"""Flat structure-of-arrays layout of a vessel network.
+
+`compile_network` lays every vessel grid end to end in one concatenated
+array, so the characteristics kernel runs once per fixed-point
+iteration on all grid points instead of once per vessel. Vessels with a
+power tube law come first (sorted by id) and share per-point parameter
+arrays; vessels with a tabulated law or synthetic coefficients follow
+(sorted by id) and are filled segment by segment through
+`coefficients`. The node part lists every vessel end attached to a node
+once, in node order and `endpoints_by_node` order within a node, with its
+grid point and node parameter.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .constitutive import PowerLawParams
+from .network import (
+    Network,
+    Node,
+    PowerLaw,
+    Vessel,
+    endpoints_by_node,
+    node_attachments,
+)
+
+
+@dataclass(frozen=True)
+class NodePlan:
+    """One node and the positions of its vessel ends in the end tables."""
+
+    node: Node
+    ends: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class CompiledNetwork:
+    vessel_ids: tuple[str, ...]  # layout order
+    vessels: tuple[Vessel, ...]
+    offsets: np.ndarray  # segment k holds points offsets[k] .. offsets[k+1]-1
+    slices: dict[str, slice]  # vessel id -> its points
+    first: np.ndarray  # x=0 point of each segment
+    last: np.ndarray  # x=1 point of each segment
+    # per point
+    x: np.ndarray  # position on the vessel's unit interval
+    j: np.ndarray  # local grid index (float)
+    cells: np.ndarray  # n_cells of the owning vessel (float)
+    base: np.ndarray  # offset of the owning segment
+    zeros: np.ndarray
+    power: PowerLawParams  # per-point arrays over the power prefix
+    n_power: int  # points with a power law: the prefix [0, n_power)
+    fills: tuple[tuple[Vessel, slice], ...]  # tabulated and synthetic segments
+    # per attached vessel end
+    end_vessel_id: tuple[str, ...]
+    end_name: tuple[str, ...]  # "x0" | "x1"
+    end_vessel: np.ndarray  # segment index
+    end_x1: np.ndarray  # True for x=1 ends
+    end_point: np.ndarray  # grid point
+    end_param: tuple[float | None, ...]  # rho_j or resistance; None at external ends
+    nodes: tuple[NodePlan, ...]
+
+    @property
+    def size(self) -> int:
+        return int(self.offsets[-1])
+
+    def vessel_at(self, point: int) -> str:
+        """Id of the vessel owning a grid point."""
+        return self.vessel_ids[int(np.searchsorted(self.offsets, point, side="right")) - 1]
+
+    def gather(self, fields, name: str) -> np.ndarray:
+        """Concatenate one per-vessel field ("P" or "Q") into layout order."""
+        return np.concatenate([getattr(fields[vid], name) for vid in self.vessel_ids])
+
+
+def compile_network(net: Network) -> CompiledNetwork:
+    """Build the flat layout of a (validated) network once per run."""
+    power = sorted(vid for vid, v in net.vessels.items() if isinstance(v.tube_law, PowerLaw))
+    others = sorted(vid for vid in net.vessels if vid not in set(power))
+    order = tuple(power + others)
+    vessels = tuple(net.vessels[vid] for vid in order)
+    counts = np.array([v.n_cells + 1 for v in vessels], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+    slices = {vid: slice(int(offsets[k]), int(offsets[k + 1])) for k, vid in enumerate(order)}
+    n_power = int(offsets[len(power)])
+
+    def per_point(values):
+        """Repeat one value per vessel over that vessel's grid points."""
+        return np.repeat(np.asarray(values, dtype=float), counts[: len(values)])
+
+    pw = vessels[: len(power)]
+    params = PowerLawParams.of(
+        C=per_point([v.tube_law.C for v in pw]),
+        R0=per_point([v.tube_law.R0 for v in pw]),
+        beta=per_point([v.tube_law.beta for v in pw]),
+        alpha=per_point([v.alpha for v in pw]),
+        nu=per_point([v.nu for v in pw]),
+        rho=per_point([v.rho_blood for v in pw]),
+    )
+
+    end_vid, end_name, end_vessel, end_param, plans = [], [], [], [], []
+    seg = {vid: k for k, vid in enumerate(order)}
+    ends_by_node = endpoints_by_node(net)
+    for nid in sorted(net.nodes):
+        node = net.nodes[nid]
+        node_params = {(vid, end): p for vid, end, p in node_attachments(node)}
+        ends = []
+        for vid, end, _orient in ends_by_node[nid]:
+            ends.append(len(end_vid))
+            end_vid.append(vid)
+            end_name.append(end)
+            end_vessel.append(seg[vid])
+            end_param.append(node_params.get((vid, end)))
+        plans.append(NodePlan(node, tuple(ends)))
+    end_vessel = np.array(end_vessel, dtype=np.intp)
+    end_x1 = np.array([e == "x1" for e in end_name], dtype=bool)
+    first, last = offsets[:-1], offsets[1:] - 1
+    zeros = np.zeros(int(offsets[-1]))
+    zeros.setflags(write=False)
+
+    return CompiledNetwork(
+        vessel_ids=order,
+        vessels=vessels,
+        offsets=offsets,
+        slices=slices,
+        first=first,
+        last=last,
+        x=np.concatenate([v.grid for v in vessels]) if vessels else np.zeros(0),
+        j=np.concatenate([np.arange(n, dtype=float) for n in counts]) if vessels else np.zeros(0),
+        cells=per_point([v.n_cells for v in vessels]),
+        base=np.repeat(offsets[:-1], counts),
+        zeros=zeros,
+        power=params,
+        n_power=n_power,
+        fills=tuple((net.vessels[vid], slices[vid]) for vid in others),
+        end_vessel_id=tuple(end_vid),
+        end_name=tuple(end_name),
+        end_vessel=end_vessel,
+        end_x1=end_x1,
+        end_point=np.where(end_x1, last[end_vessel], first[end_vessel]).astype(np.intp),
+        end_param=tuple(end_param),
+        nodes=tuple(plans),
+    )

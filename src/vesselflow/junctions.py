@@ -39,11 +39,15 @@ class EndpointClosureInput:
     end: str  # "x0" | "x1"
     coeffs: CoefficientSet  # endpoint scalars, frozen at the iterate
     eig: EigenData
-    char_value: float  # resolved r (x=1 ends) or s (x=0 ends)
+    # resolved r (x=1 ends) or s (x=0 ends): char_value + kP * P + kQ * Q
+    # at the endpoint state (P, Q) being solved for
+    char_value: float
     q_prev: float = 0.0  # endpoint Q at the previous time level
     c_off: float = 0.0  # linearization offset in the momentum ODE
     rho_j: float | None = None  # branching inertance
     resistance: float | None = None  # transitional leg resistance
+    kP: float = 0.0
+    kQ: float = 0.0
 
     @property
     def incoming(self) -> bool:
@@ -58,9 +62,6 @@ class JunctionSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     layout: tuple[tuple[str, str, str], ...]  # (role, vessel id or node id, end)
-
-    def unknown_index(self, role: str, subject: str = "", end: str = "") -> int:
-        return self.layout.index((role, subject, end))
 
 
 @dataclass
@@ -79,10 +80,12 @@ class JunctionSolution:
 
 def _char_row(inp: EndpointClosureInput) -> tuple[float, float, float]:
     """Coefficients (on P, on Q) and rhs of the resolved characteristic
-    relation at a vessel end."""
+    relation at a vessel end, with the resolved value's coupling to the
+    endpoint state moved to the left-hand side:
+    (cp - kP) P + (cq - kQ) Q = char_value."""
     if inp.incoming:  # r = -lambda_L P + a Q known at x=1
-        return -inp.eig.lambda_L, inp.coeffs.a, inp.char_value
-    return -inp.eig.lambda_R, inp.coeffs.a, inp.char_value  # s known at x=0
+        return -inp.eig.lambda_L - inp.kP, inp.coeffs.a - inp.kQ, inp.char_value
+    return -inp.eig.lambda_R - inp.kP, inp.coeffs.a - inp.kQ, inp.char_value  # s at x=0
 
 
 # --- external ends ------------------------------------------------------

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError
 from .signals import BoundarySignal
@@ -70,6 +69,10 @@ class TabulatedLaw:
             raise ConfigError("tabulated law stations must be strictly increasing")
         if not np.all(np.diff(self.pressures, axis=1) > 0):
             raise ConfigError("tabulated law must be strictly increasing in R")
+        # imported here: only tabulated laws need scipy.interpolate, and
+        # it is most of the package's import time
+        from scipy.interpolate import PchipInterpolator
+
         self._interp = [PchipInterpolator(self.radii, row) for row in self.pressures]
         self._dinterp = [ip.derivative() for ip in self._interp]
 
@@ -82,13 +85,12 @@ class TabulatedLaw:
         )
 
     def _station_weights(self, x):
-        """Bracketing station indices and interpolation weight at x."""
+        """Lower bracketing station index and interpolation weight toward
+        the next station, elementwise in x (only for >= 2 stations)."""
         xs = self.x_stations
-        if xs.size == 1:
-            return 0, 0, 0.0
-        i = int(np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2))
-        w = (x - xs[i]) / (xs[i + 1] - xs[i])
-        return i, i + 1, float(np.clip(w, 0.0, 1.0))
+        i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
+        w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
+        return i, w
 
 
 TubeLaw = Union[PowerLaw, TabulatedLaw]
@@ -255,7 +257,7 @@ def validate_network(net: Network) -> list[Diagnostic]:
     for nid, node in sorted(net.nodes.items()):
         if node.id != nid:
             diags.append(_err(nid, "node key does not match node id"))
-        atts = _node_attachments(node)
+        atts = node_attachments(node)
         if isinstance(node, (ExternalPressure, ExternalFlow)):
             refs = [(vid, end) for (vid, end), owner in end_owner.items() if owner == nid]
             if len(refs) != 1:
@@ -309,7 +311,7 @@ def validate_network(net: Network) -> list[Diagnostic]:
     return diags
 
 
-def _node_attachments(node: Node) -> list[tuple[str, str, float]]:
+def node_attachments(node: Node) -> list[tuple[str, str, float]]:
     """(vessel, end, parameter) triples a junction node claims."""
     if isinstance(node, Branching):
         return [(a.vessel, a.end, a.rho_j) for a in node.attachments]
@@ -339,15 +341,21 @@ def _connected(net: Network) -> bool:
     return len(seen_v) == len(net.vessels)
 
 
+def endpoints_by_node(net: Network) -> dict[str, list[tuple[str, str, str]]]:
+    """`endpoints_of` for every node at once, in one pass over the vessels."""
+    out: dict[str, list[tuple[str, str, str]]] = {nid: [] for nid in net.nodes}
+    for vid, v in sorted(net.vessels.items()):
+        for end in ("x0", "x1"):
+            ends = out.get(v.end_node(end))
+            if ends is not None:
+                ends.append((vid, end, "incoming" if end == "x1" else "outgoing"))
+    return out
+
+
 def endpoints_of(net: Network, node_id: str) -> list[tuple[str, str, str]]:
     """Vessel ends meeting a node, as (vessel id, end, orientation) with
     orientation "incoming" for x=1 ends and "outgoing" for x=0 ends.
     Deterministic: sorted by vessel id then end."""
     if node_id not in net.nodes:
         raise ValueError(f"unknown node id {node_id!r}")
-    out = []
-    for vid, v in sorted(net.vessels.items()):
-        for end in ("x0", "x1"):
-            if v.end_node(end) == node_id:
-                out.append((vid, end, "incoming" if end == "x1" else "outgoing"))
-    return out
+    return endpoints_by_node(net)[node_id]

@@ -17,13 +17,21 @@ bound or fails to converge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .characteristics import FrozenStep, LevelData, VesselField, freeze_step, interior_update
-from .constitutive import PrimitiveState, RiemannPair, coefficients, from_riemann
+from .characteristics import VesselField, freeze_step, interior_update
+from .compiled import CompiledNetwork, compile_network
+from .constitutive import (
+    CoefficientSet,
+    EigenData,
+    PrimitiveState,
+    RiemannPair,
+    coefficients,
+    from_riemann,
+)
 from .errors import (
     CFLViolation,
     PicardDivergence,
@@ -32,7 +40,6 @@ from .errors import (
 )
 from .junctions import (
     EndpointClosureInput,
-    JunctionSolution,
     TransitionalState,
     assemble_branching,
     assemble_transitional,
@@ -47,7 +54,7 @@ from .network import (
     ExternalPressure,
     Network,
     Transitional,
-    endpoints_of,
+    endpoints_by_node,
     validate_network,
 )
 from .output import ProbeSpec, emit_probes
@@ -99,17 +106,50 @@ class NetworkState:
 
 @dataclass
 class SimReport:
+    """Summary of a run. Every field is a running count or extreme, so
+    the report's size does not grow with the number of steps."""
+
     steps: int = 0
     picard_total: int = 0
-    picard_iterations: list[int] = field(default_factory=list)
-    contraction_histories: list[list[float]] = field(default_factory=list)
+    # accepted steps by the number of fixed-point iterations they took
+    iteration_histogram: dict[int, int] = field(default_factory=dict)
+    # successive deviation pairs (d_k, d_k+1) within a step, the pairs
+    # with d_k+1 >= d_k, and the largest ratio d_k+1 / d_k
+    contraction_pairs: int = 0
+    non_contracting_pairs: int = 0
+    worst_contraction_ratio: float = 0.0
     dt_adjustments: int = 0
-    condition_summaries: list[tuple[float, bool]] = field(default_factory=list)
+    full_checks: int = 0  # passed full condition sweeps, the t=0 one included
     final_state: NetworkState | None = None
 
     @property
     def t_final(self) -> float:
         return self.final_state.t if self.final_state is not None else 0.0
+
+    def record_step(self, iterations: int, history: Sequence[float]) -> None:
+        self.steps += 1
+        self.picard_total += iterations
+        self.iteration_histogram[iterations] = self.iteration_histogram.get(iterations, 0) + 1
+        for d1, d2 in zip(history, history[1:]):
+            self.contraction_pairs += 1
+            if d2 >= d1:
+                self.non_contracting_pairs += 1
+            ratio = d2 / d1 if d1 > 0 else float("inf")
+            self.worst_contraction_ratio = max(self.worst_contraction_ratio, ratio)
+
+    def median_iterations(self) -> float:
+        """Median of the per-step iteration counts (as numpy.median)."""
+        if not self.steps:
+            return float("nan")
+
+        def at(rank):
+            seen = 0
+            for iters in sorted(self.iteration_histogram):
+                seen += self.iteration_histogram[iters]
+                if rank < seen:
+                    return iters
+
+        return 0.5 * (at((self.steps - 1) // 2) + at(self.steps // 2))
 
 
 # --- initial state -------------------------------------------------------
@@ -170,9 +210,10 @@ def initial_state(
 
     transitional = {}
     diags: list[Diagnostic] = []
+    ends_by_node = endpoints_by_node(net)
     for nid in sorted(net.nodes):
         node = net.nodes[nid]
-        ends = endpoints_of(net, nid)
+        ends = ends_by_node[nid]
 
         def end_val(arr_name, vid, end):
             arr = getattr(fields[vid], arr_name)
@@ -248,13 +289,15 @@ def _end_area(net, fields, vid, end, epsilon0):
 # --- one time level ------------------------------------------------------
 
 
-def _deviation(P_new, Q_new, P_old, Q_old, trans_new, trans_old) -> float:
-    """Relative sup-norm distance between iterates, per field."""
+def _deviation(cn: CompiledNetwork, P_new, Q_new, P_old, Q_old, trans_new, trans_old) -> float:
+    """Relative sup-norm distance between iterates, per vessel and field:
+    max |new - old| / (1 + max |new|) over each segment."""
+    starts = cn.offsets[:-1]
     dev = 0.0
-    for vid in P_new:
-        for new, old in ((P_new[vid], P_old[vid]), (Q_new[vid], Q_old[vid])):
-            scale = 1.0 + float(np.max(np.abs(new)))
-            dev = max(dev, float(np.max(np.abs(new - old))) / scale)
+    for new, old in ((P_new, P_old), (Q_new, Q_old)):
+        scale = 1.0 + np.maximum.reduceat(np.abs(new), starts)
+        diff = np.maximum.reduceat(np.abs(new - old), starts)
+        dev = max(dev, float(np.max(diff / scale)))
     for nid in trans_new:
         for new, old in (
             (trans_new[nid].P_C1, trans_old[nid].P_C1),
@@ -265,87 +308,65 @@ def _deviation(P_new, Q_new, P_old, Q_old, trans_new, trans_old) -> float:
 
 
 def picard_step(
-    net: Network, state_prev: NetworkState, cfg: SimConfig, dt: float | None = None
+    net: Network | CompiledNetwork,
+    state_prev: NetworkState,
+    cfg: SimConfig,
+    dt: float | None = None,
 ) -> tuple[NetworkState, int, list[float]]:
     """Advance one time level by fixed-point iteration.
 
     Starting from the previous level (constant-in-time extrapolation),
     repeatedly freeze the coefficients at the iterate, run the linear
-    characteristics update on every vessel, close every node, and stop
-    when the relative sup deviation between iterates drops below
+    characteristics update on all vessels at once, close every node, and
+    stop when the relative sup deviation between iterates drops below
     cfg.picard_tol. Returns the converged state, the number of
-    iterations used, and the deviation history.
+    iterations used, and the deviation history. `net` may be compiled
+    already (`run` compiles it once).
     """
+    cn = net if isinstance(net, CompiledNetwork) else compile_network(net)
     dt = cfg.dt if dt is None else dt
     t_new = state_prev.t + dt
-    vessel_ids = sorted(net.vessels)
-    topology = {nid: endpoints_of(net, nid) for nid in sorted(net.nodes)}
 
-    old_level_cache: dict[str, LevelData] = {}
-    P_cur = {vid: state_prev.fields[vid].P.copy() for vid in vessel_ids}
-    Q_cur = {vid: state_prev.fields[vid].Q.copy() for vid in vessel_ids}
+    P_prev = cn.gather(state_prev.fields, "P")
+    Q_prev = cn.gather(state_prev.fields, "Q")
+    boundary = {
+        plan.node.id: eval_signal(plan.node.signal, t_new)
+        for plan in cn.nodes
+        if isinstance(plan.node, (ExternalPressure, ExternalFlow))
+    }
+    q_prev_ends = Q_prev[cn.end_point].tolist()
+    P_cur, Q_cur = P_prev, Q_prev
     trans_cur = {k: TransitionalState(v.P_C1, v.P_C2) for k, v in state_prev.transitional.items()}
 
     history: list[float] = []
-    junction_pressures: dict[str, float] = {}
-    char_cache: dict[tuple[str, str], float] = {}
-
+    old_level = None
     for iteration in range(1, cfg.picard_max_iters + 1):
-        frozen: dict[str, FrozenStep] = {}
-        for vid in vessel_ids:
-            prev_field = state_prev.fields[vid]
-            frozen[vid] = freeze_step(
-                net.vessels[vid],
-                state_prev.t,
-                prev_field.P,
-                prev_field.Q,
-                t_new,
-                P_cur[vid],
-                Q_cur[vid],
-                cfg.epsilon0,
-                old_level=old_level_cache.get(vid),
-            )
-            old_level_cache[vid] = frozen[vid].old
+        frozen = freeze_step(
+            cn, state_prev.t, P_prev, Q_prev, t_new, P_cur, Q_cur, cfg.epsilon0,
+            old_level=old_level,
+        )
+        old_level = frozen.old
+        upd = interior_update(frozen, cfg.cfl_max)
+        # NaN at unresolved endpoint entries propagates and is
+        # overwritten by the node closures below
+        with np.errstate(invalid="ignore"):
+            st = from_riemann(frozen.new.coeffs, frozen.new.eig, RiemannPair(r=upd.r, s=upd.s))
+        P_next = np.asarray(st.P, dtype=float)
+        Q_next = np.asarray(st.Q, dtype=float)
 
-        updates = {vid: interior_update(frozen[vid], cfg.cfl_max) for vid in vessel_ids}
+        junction_pressures, trans_next = _close_nodes(
+            cn, frozen, upd, q_prev_ends, boundary, state_prev.transitional,
+            t_new, dt, P_next, Q_next,
+        )
 
-        P_next, Q_next = {}, {}
-        for vid in vessel_ids:
-            lev = frozen[vid].new
-            upd = updates[vid]
-            # NaN at unresolved endpoint entries propagates and is
-            # overwritten by the node closures below
-            with np.errstate(invalid="ignore"):
-                st = from_riemann(lev.coeffs, lev.eig, RiemannPair(r=upd.r, s=upd.s))
-            P_next[vid] = np.asarray(st.P, dtype=float)
-            Q_next[vid] = np.asarray(st.Q, dtype=float)
-
-        trans_next: dict[str, TransitionalState] = {}
-        for nid in sorted(net.nodes):
-            node = net.nodes[nid]
-            solution = _close_node(
-                node, topology[nid], frozen, updates, state_prev,
-                trans_prev=state_prev.transitional, t_new=t_new, dt=dt,
-                char_cache=char_cache,
-            )
-            for (vid, end), st in solution.states.items():
-                idx = 0 if end == "x0" else -1
-                P_next[vid][idx] = st.P
-                Q_next[vid][idx] = st.Q
-            if isinstance(node, Branching):
-                junction_pressures[nid] = solution.internals["P_junc"]
-            elif isinstance(node, Transitional):
-                trans_next[nid] = TransitionalState(
-                    solution.internals["P_C1"], solution.internals["P_C2"]
-                )
-
-        dev = _deviation(P_next, Q_next, P_cur, Q_cur, trans_next or trans_cur, trans_cur)
+        dev = _deviation(cn, P_next, Q_next, P_cur, Q_cur, trans_next or trans_cur, trans_cur)
         history.append(dev)
         P_cur, Q_cur = P_next, Q_next
         trans_cur = trans_next if trans_next else trans_cur
         if dev <= cfg.picard_tol:
             fields = {
-                vid: VesselField(vid, t_new, P_cur[vid], Q_cur[vid]) for vid in vessel_ids
+                vid: VesselField(vid, t_new, P_cur[cn.slices[vid]], Q_cur[cn.slices[vid]])
+                for vid in sorted(cn.vessel_ids)
             }
             new_state = NetworkState(
                 t=t_new,
@@ -362,88 +383,73 @@ def picard_step(
     )
 
 
-_INNER_TOL = 1e-13
-_MAX_INNER = 20
+def _close_nodes(
+    cn: CompiledNetwork, frozen, upd, q_prev_ends, boundary, trans_prev, t_new, dt, P, Q,
+) -> tuple[dict[str, float], dict[str, TransitionalState]]:
+    """Close every node at the new time level, writing the endpoint
+    states into the flat P and Q.
 
-
-def _close_node(
-    node, ends, frozen, updates, state_prev, trans_prev, t_new, dt,
-    char_cache=None,
-) -> JunctionSolution:
-    """Solve one node's closure at the new time level.
-
-    The resolved characteristic value at each end carries a small linear
+    The resolved characteristic value at each end carries a linear
     coupling to the endpoint state (from the new-level source term of
-    the trapezoidal rule); the closure and that coupling are brought to
-    a joint fixed point by a cheap inner refinement loop, so the plain
-    characteristic relations hold exactly against the final values.
-    char_cache warm-starts the loop from the previous outer iteration.
+    the trapezoidal rule); each closure folds it into its characteristic
+    row, so one solve per node satisfies the closure and the coupling
+    exactly. Returns the junction pressures and the transitional states.
     """
-    inputs = []
-    rows = []
-    for vid, end, orient in ends:
-        upd = updates[vid]
-        row = upd.right_row if end == "x1" else upd.left_row
-        if char_cache is not None and (vid, end) in char_cache and row is not None:
-            char = row.known + char_cache[(vid, end)]
-        else:
-            char = upd.r_right if end == "x1" else upd.s_left
-        if row is None or not np.isfinite(char):
-            raise WellPosednessFailure(
-                f"vessel {vid!r} end {end}: the interior-determined characteristic "
-                "left the domain; endpoint split condition violated",
-                t=t_new,
-            )
-        cs, eig_pt = frozen[vid].endpoint_data(end)
-        prev_field = state_prev.fields[vid]
-        q_prev = float(prev_field.Q[0] if end == "x0" else prev_field.Q[-1])
-        rho_j = resistance = None
-        if isinstance(node, Branching):
-            rho_j = next(
-                a.rho_j for a in node.attachments if a.vessel == vid and a.end == end
-            )
-        elif isinstance(node, Transitional):
-            atts = node.arteries if end == "x1" else node.veins
-            resistance = next(a.resistance for a in atts if a.vessel == vid)
-        inputs.append(
-            EndpointClosureInput(
-                vessel_id=vid, end=end, coeffs=cs, eig=eig_pt, char_value=char,
-                q_prev=q_prev, rho_j=rho_j, resistance=resistance,
-            )
+    x1, seg = cn.end_x1, cn.end_vessel
+    known = np.where(x1, upd.right.known[seg], upd.left.known[seg])
+    if not np.all(np.isfinite(known)):
+        k = int(np.argmin(np.isfinite(known)))
+        raise WellPosednessFailure(
+            f"vessel {cn.end_vessel_id[k]!r} end {cn.end_name[k]}: the interior-determined "
+            "characteristic left the domain; endpoint split condition violated",
+            t=t_new,
         )
-        rows.append(row)
+    kP = np.where(x1, upd.right.kP[seg], upd.left.kP[seg]).tolist()
+    kQ = np.where(x1, upd.right.kQ[seg], upd.left.kQ[seg]).tolist()
+    points = cn.end_point
+    cs, eig = frozen.new.coeffs, frozen.new.eig
+    a, b, c, f, g, A = (getattr(cs, name)[points].tolist() for name in ("a", "b", "c", "f", "g", "A"))
+    lam_R, lam_L, u = (arr[points].tolist() for arr in (eig.lambda_R, eig.lambda_L, eig.u))
+    known = known.tolist()
 
-    def solve_once(current):
+    def closure_input(k, node):
+        return EndpointClosureInput(
+            vessel_id=cn.end_vessel_id[k], end=cn.end_name[k],
+            coeffs=CoefficientSet(a[k], b[k], c[k], f[k], g[k], A[k]),
+            eig=EigenData(lam_R[k], lam_L[k], u[k]),
+            char_value=known[k], q_prev=q_prev_ends[k],
+            rho_j=cn.end_param[k] if isinstance(node, Branching) else None,
+            resistance=cn.end_param[k] if isinstance(node, Transitional) else None,
+            kP=kP[k], kQ=kQ[k],
+        )
+
+    junction_pressures: dict[str, float] = {}
+    trans_next: dict[str, TransitionalState] = {}
+    for plan in cn.nodes:
+        node = plan.node
+        inputs = [closure_input(k, node) for k in plan.ends]
         if isinstance(node, ExternalPressure):
-            st = close_external_pressure(current[0], eval_signal(node.signal, t_new))
-            return JunctionSolution(states={(current[0].vessel_id, current[0].end): st})
-        if isinstance(node, ExternalFlow):
-            st = close_external_flow(current[0], eval_signal(node.signal, t_new))
-            return JunctionSolution(states={(current[0].vessel_id, current[0].end): st})
-        if isinstance(node, Branching):
-            return solve_junction(assemble_branching(node, current, dt))
-        if isinstance(node, Transitional):
-            return solve_junction(
-                assemble_transitional(node, current, trans_prev[node.id], dt)
-            )
-        raise TypeError(f"unknown node type: {node!r}")
-
-    for _ in range(_MAX_INNER):
-        solution = solve_once(inputs)
-        worst = 0.0
-        refreshed = []
-        for inp, row in zip(inputs, rows):
-            st = solution.states[(inp.vessel_id, inp.end)]
-            char = row.value(st.P, st.Q)
-            worst = max(worst, abs(char - inp.char_value) / (1.0 + abs(char)))
-            refreshed.append(replace(inp, char_value=char))
-        if worst <= _INNER_TOL:
-            break
-        inputs = refreshed
-    if char_cache is not None:
-        for inp, row in zip(refreshed, rows):
-            char_cache[(inp.vessel_id, inp.end)] = inp.char_value - row.known
-    return solution
+            states = [close_external_pressure(inputs[0], boundary[node.id])]
+        elif isinstance(node, ExternalFlow):
+            states = [close_external_flow(inputs[0], boundary[node.id])]
+        else:
+            if isinstance(node, Branching):
+                solution = solve_junction(assemble_branching(node, inputs, dt))
+                junction_pressures[node.id] = solution.internals["P_junc"]
+            elif isinstance(node, Transitional):
+                solution = solve_junction(
+                    assemble_transitional(node, inputs, trans_prev[node.id], dt)
+                )
+                trans_next[node.id] = TransitionalState(
+                    solution.internals["P_C1"], solution.internals["P_C2"]
+                )
+            else:
+                raise TypeError(f"unknown node type: {node!r}")
+            states = [solution.states[(inp.vessel_id, inp.end)] for inp in inputs]
+        for k, st in zip(plan.ends, states):
+            P[points[k]] = st.P
+            Q[points[k]] = st.Q
+    return junction_pressures, trans_next
 
 
 # --- outer time loop -----------------------------------------------------
@@ -475,11 +481,12 @@ def run(
     report = SimReport()
     state = init
     pre = check_state(net, state, cfg)
-    report.condition_summaries.append((state.t, pre.passed))
     if not pre.passed:
         raise WellPosednessFailure(
             "solvability check failed at t=0: " + "; ".join(pre.failures()), report=pre, t=state.t
         )
+    report.full_checks += 1
+    compiled = compile_network(net)
 
     base_dt = cfg.dt
     cur_dt = base_dt
@@ -490,7 +497,7 @@ def run(
     while state.t < cfg.t_end - tiny:
         dt_step = min(cur_dt, cfg.t_end - state.t)
         try:
-            state_new, iters, hist = picard_step(net, state, cfg, dt_step)
+            state_new, iters, hist = picard_step(compiled, state, cfg, dt_step)
         except (CFLViolation, PicardDivergence) as exc:
             if depth >= _MAX_HALVINGS:
                 raise SimulationError(
@@ -503,10 +510,7 @@ def run(
             continue
 
         state = state_new
-        report.steps += 1
-        report.picard_total += iters
-        report.picard_iterations.append(iters)
-        report.contraction_histories.append(hist)
+        report.record_step(iters, hist)
 
         if depth:
             clean_streak += 1
@@ -518,14 +522,13 @@ def run(
 
         full = report.steps % cfg.check_every == 0
         rep = check_state(net, state, cfg, endpoints_only=not full)
-        if full:
-            report.condition_summaries.append((state.t, rep.passed))
         if not rep.passed:
             raise WellPosednessFailure(
                 f"solvability check failed at t = {state.t:.6g}: " + "; ".join(rep.failures()),
                 report=rep,
                 t=state.t,
             )
+        report.full_checks += full
 
         if sink is not None and probes:
             emit_probes(sink, net, state, probes, epsilon0=cfg.epsilon0)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constitutive import PrimitiveState, coefficients
+from .constitutive import PrimitiveState, coefficients, eigen
 from .junctions import (
     EndpointClosureInput,
     TransitionalState,
@@ -27,7 +27,7 @@ from .junctions import (
     assemble_transitional,
     junction_condition_estimate,
 )
-from .network import Branching, Network, Transitional, Vessel, endpoints_of
+from .network import Branching, Network, Transitional, Vessel, endpoints_by_node, node_attachments
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import NetworkState, SimConfig
@@ -168,7 +168,8 @@ def check_state(
 
     Full sweeps check a > 0, the area floor, and hyperbolicity at every
     grid node plus the endpoint split at both ends of each vessel, and
-    assemble each junction system once to record its condition estimate.
+    assemble each junction system once, from the coefficients at its
+    vessel ends, to record its condition estimate.
     With endpoints_only=True only the (cheap) per-end checks run.
     """
     report = ConditionReport()
@@ -180,28 +181,30 @@ def check_state(
     if endpoints_only or not report.passed:
         return report
 
-    from .characteristics import freeze_step  # deferred: avoids import cycle
-
-    frozen = {}
-    for vid in sorted(net.vessels):
-        f = state.fields[vid]
-        frozen[vid] = freeze_step(
-            net.vessels[vid], state.t, f.P, f.Q, state.t + cfg.dt, f.P, f.Q, cfg.epsilon0
-        )
+    # junction condition estimates from the endpoint coefficients the
+    # first closure of the next step starts from: (x_end, t + dt, P, Q)
+    t_next = state.t + cfg.dt
+    ends_by_node = endpoints_by_node(net)
     for nid in sorted(net.nodes):
         node = net.nodes[nid]
         if not isinstance(node, (Branching, Transitional)):
             continue
+        params = {(vid, end): p for vid, end, p in node_attachments(node)}
         inputs = []
-        for vid, end, _orient in endpoints_of(net, nid):
-            cs, eig_pt = frozen[vid].endpoint_data(end)
-            param = _attachment_param(node, vid, end)
+        for vid, end, _orient in ends_by_node[nid]:
+            vessel, f = net.vessels[vid], state.fields[vid]
+            idx = 0 if end == "x0" else -1
+            cs = coefficients(
+                vessel, float(vessel.grid[idx]), t_next,
+                PrimitiveState(float(f.P[idx]), float(f.Q[idx])), epsilon0=cfg.epsilon0,
+            )
+            param = params[(vid, end)]
             inputs.append(
                 EndpointClosureInput(
                     vessel_id=vid,
                     end=end,
                     coeffs=cs,
-                    eig=eig_pt,
+                    eig=eigen(cs),
                     char_value=0.0,
                     q_prev=0.0,
                     rho_j=param if isinstance(node, Branching) else None,
@@ -217,19 +220,6 @@ def check_state(
             JunctionConditionCheck(node=nid, condition_estimate=est, passed=bool(est < _JUNCTION_COND_MAX))
         )
     return report
-
-
-def _attachment_param(node, vid, end):
-    if isinstance(node, Branching):
-        for att in node.attachments:
-            if att.vessel == vid and att.end == end:
-                return att.rho_j
-    else:
-        atts = node.arteries if end == "x1" else node.veins
-        for att in atts:
-            if att.vessel == vid:
-                return att.resistance
-    raise ValueError(f"vessel {vid!r} end {end} not attached to node {node.id!r}")
 
 
 def check_envelope(

@@ -253,7 +253,8 @@ def test_04_junction_mass_balance(y_junction_run):
     worst = 0.0
     for t, qs in by_step.items():
         resid = abs(qs["p"] - qs["c1"] - qs["c2"])
-        scale = max(1.0, abs(qs["p"]) + abs(qs["c1"]) + abs(qs["c2"]))
+        # relative to the flows at the node (they peak near 1e-8 m^3/s)
+        scale = max(1e-300, abs(qs["p"]) + abs(qs["c1"]) + abs(qs["c2"]))
         worst = max(worst, resid / scale)
     el = y_junction_run["elapsed"]
     _report(
@@ -382,14 +383,9 @@ def test_07_picard_contraction():
     init = InitSpec(default=VesselInit(P=lambda x: 8000.0 + 1500.0 * bump(x), Q=0.0))
     state0, _ = initial_state(net, init, cfg)
     report = run(net, state0, cfg)
-    pairs = 0
-    non_contracting = 0
-    for hist in report.contraction_histories:
-        for d1, d2 in zip(hist, hist[1:]):
-            pairs += 1
-            if d2 >= d1:
-                non_contracting += 1
-    med = float(np.median(report.picard_iterations))
+    pairs = report.contraction_pairs
+    non_contracting = report.non_contracting_pairs
+    med = report.median_iterations()
     el = time.perf_counter() - t0
     _report(
         7, "picard-contraction",

@@ -3,36 +3,43 @@
 import numpy as np
 import pytest
 
-from vesselflow import CFLViolation, SyntheticCoefficients, Vessel
+from vesselflow import CFLViolation, Network, PowerLaw, SyntheticCoefficients, Vessel
 from vesselflow.characteristics import (
-    INTERIOR,
-    OUT_LEFT,
-    OUT_RIGHT,
     DirectionalDerivatives,
+    _trace,
     freeze_step,
     interior_update,
     source_terms,
-    trace_foot,
 )
+from vesselflow.compiled import compile_network
 from vesselflow.constitutive import CoefficientSet, PrimitiveState, eigen
 
 EPS0 = 1e-10
 
 
-def synthetic_vessel(n_cells, a=1.0, b=1.0, c=0.0, f=0.0, g=0.0):
+def synthetic_vessel(n_cells, a=1.0, b=1.0, c=0.0, f=0.0, g=0.0, vid="v"):
     return Vessel(
-        id="v", n_cells=n_cells, x0_node="L", x1_node="R",
+        id=vid, n_cells=n_cells, x0_node="L", x1_node="R",
         synthetic=SyntheticCoefficients(a=a, b=b, c=c, f=f, g=g),
     )
+
+
+def layout_of(*vessels):
+    return compile_network(Network(vessels={v.id: v for v in vessels}))
 
 
 def frozen_for(vessel, P0, Q0, dt, P1=None, Q1=None, t0=0.0):
     P1 = P0 if P1 is None else P1
     Q1 = Q0 if Q1 is None else Q1
-    return freeze_step(vessel, t0, P0, Q0, t0 + dt, P1, Q1, EPS0)
+    return freeze_step(layout_of(vessel), t0, P0, Q0, t0 + dt, P1, Q1, EPS0)
 
 
-# --- trace_foot ----------------------------------------------------------
+def feet(frozen, family, cfl_max=0.9):
+    """Foot positions x of the characteristics through every grid node."""
+    return _trace(frozen, family, cfl_max) / frozen.layout.cells
+
+
+# --- the vector trace ------------------------------------------------------
 
 
 def test_trace_constant_speed():
@@ -40,26 +47,24 @@ def test_trace_constant_speed():
     v = synthetic_vessel(10)
     z = np.zeros(11)
     fr = frozen_for(v, z, z, dt=0.08)
-    foot = trace_foot(fr, 0.5, "R")
-    assert foot.status == INTERIOR
-    assert foot.x_foot == pytest.approx(0.42, abs=1e-15)
+    x_foot = feet(fr, "R")
+    assert 0.0 <= x_foot[5] <= 1.0
+    assert x_foot[5] == pytest.approx(0.42, abs=1e-15)
 
 
 def test_trace_exit_geometry():
-    # lambda_L = -1: tracing back moves right; near x=1 it exits
-    v = synthetic_vessel(5)
-    z = np.zeros(6)
-    fr = frozen_for(v, z, z, dt=0.1)
-    foot = trace_foot(fr, 0.05, "L")
-    assert foot.status == INTERIOR
-    assert foot.x_foot == pytest.approx(0.15, abs=1e-15)
-    foot = trace_foot(fr, 0.99, "L")
-    assert foot.status == OUT_RIGHT
-    assert foot.x_foot == pytest.approx(1.09, abs=1e-15)
-    assert np.isnan(foot.value)
+    # lambda_L = -1: tracing back moves right; from x=1 it exits
+    v = synthetic_vessel(20)  # dx = 0.05, travel 0.04 < 0.9 dx
+    z = np.zeros(21)
+    fr = frozen_for(v, z, z, dt=0.04)
+    x_left = feet(fr, "L")
+    assert x_left[1] == pytest.approx(0.09, abs=1e-15)  # from x = 0.05
+    assert x_left[20] == pytest.approx(1.04, abs=1e-15)
+    assert x_left[20] > 1.0  # exits right
     # and the mirror exit for the right-going family
-    foot = trace_foot(fr, 0.01, "R")
-    assert foot.status == OUT_LEFT
+    assert feet(fr, "R")[0] < 0.0
+    upd = interior_update(fr)
+    assert np.isnan(upd.s[-1]) and np.isnan(upd.r[0])
 
 
 def test_trace_linear_speed_matches_exponential():
@@ -77,27 +82,45 @@ def test_trace_linear_speed_matches_exponential():
     z = np.zeros(n + 1)
     fr = frozen_for(v, z, z, dt)
     x0 = 0.5
-    foot = trace_foot(fr, x0, "R", cfl_max=20.0)  # accuracy test, not a CFL test
+    x_foot = feet(fr, "R", cfl_max=20.0)[100]  # accuracy test, not a CFL test
     exact = (1.0 + x0) * np.exp(-0.5 * dt) - 1.0
-    assert foot.status == INTERIOR
-    assert abs(foot.x_foot - exact) <= dt**3
+    assert 0.0 <= x_foot <= 1.0
+    assert abs(x_foot - exact) <= dt**3
 
 
 def test_trace_cfl_violation():
-    v = synthetic_vessel(50)  # dx = 0.02, lambda = 1
-    z = np.zeros(51)
-    fr = frozen_for(v, z, z, dt=0.05)  # travel 0.05 > 0.9*0.02
-    with pytest.raises(CFLViolation):
-        trace_foot(fr, 0.5, "R")
+    slow = synthetic_vessel(10, vid="slow")  # dx = 0.1, travel 0.05 < 0.09
+    fast = synthetic_vessel(50, vid="fast")  # dx = 0.02, travel 0.05 > 0.018
+    layout = layout_of(slow, fast)
+    z = np.zeros(layout.size)
+    fr = freeze_step(layout, 0.0, z, z, 0.05, z, z, EPS0)
+    with pytest.raises(CFLViolation, match="'fast'"):
+        _trace(fr, "R", 0.9)
+
+
+def test_trace_clamps_at_segment_ends_like_interp():
+    # the midpoint stage reads the speed at a position beyond the vessel
+    # end; it must read the end value, as np.interp does, so the feet
+    # match an np.interp trace of the same speed field
+    n, dt = 16, 0.04
+    v = Vessel(
+        id="v", n_cells=n, x0_node="L", x1_node="R",
+        synthetic=SyntheticCoefficients(a=1.0, b=lambda x, t: 1.0 + np.asarray(x) ** 2, c=0.3),
+    )
+    z = np.zeros(n + 1)
+    fr = frozen_for(v, z, z, dt)
+    x = v.grid
+    for family, lam in (("R", fr.new.eig.lambda_R), ("L", fr.new.eig.lambda_L)):
+        x_half = x - 0.5 * dt * lam
+        expected = x - dt * np.interp(x_half, x, lam)
+        assert np.max(np.abs(feet(fr, family, cfl_max=2.0) - expected)) <= 1e-15
 
 
 def test_foot_monotone_in_target():
     # same-family feet cannot cross
-    rng = np.random.default_rng(2)
     n = 64
     P = 2.0 + 0.3 * np.sin(2 * np.pi * np.linspace(0, 1, n + 1))
     Q = 0.2 * np.cos(2 * np.pi * np.linspace(0, 1, n + 1))
-    v = synthetic_vessel(n)
 
     def b_fun(x, t):
         return 1.0 + 0.2 * np.sin(2 * np.pi * np.asarray(x))
@@ -107,10 +130,8 @@ def test_foot_monotone_in_target():
         synthetic=SyntheticCoefficients(a=1.0, b=b_fun, c=0.1),
     )
     fr = frozen_for(v, P, Q, dt=0.01)
-    targets = np.sort(rng.uniform(0, 1, 200))
     for family in ("R", "L"):
-        feet = [trace_foot(fr, x, family).x_foot for x in targets]
-        assert np.all(np.diff(feet) >= 0)
+        assert np.all(np.diff(feet(fr, family)) >= 0)
 
 
 # --- source terms --------------------------------------------------------
@@ -155,7 +176,7 @@ def test_source_terms_manufactured_field():
     )
     P = 1.0 + 0.5 * np.sin(2 * np.pi * x)
     Q = 0.3 * np.cos(2 * np.pi * x)
-    fr = freeze_step(v, 0.0, P, Q, dt, P, Q, EPS0)
+    fr = freeze_step(layout_of(v), 0.0, P, Q, dt, P, Q, EPS0)
 
     # analytic directional derivatives at t = 0 (old level)
     a = a_fun(x, 0.0)
@@ -213,7 +234,7 @@ def test_interior_translation_one_step():
     err = np.max(np.abs(upd.r[interior] - exact[interior]))
     assert err <= 1e-3
     assert np.isnan(upd.r[0])  # foot exited left, closure pending
-    assert np.isfinite(upd.r_right) and np.isfinite(upd.s_left)
+    assert np.isfinite(upd.right.known[0]) and np.isfinite(upd.left.known[0])
 
 
 def test_interior_zero_state_fixed():
@@ -264,3 +285,47 @@ def test_one_step_convergence_order():
         errs.append(np.max(np.abs(upd.r[1:n] - exact[1:n])))
     order = np.log2(errs[0] / errs[1])
     assert order >= 0.9
+
+
+# --- the compiled layout ----------------------------------------------------
+
+
+def test_segments_are_isolated_in_the_compiled_kernel():
+    # three vessels of different sizes, power-law and synthetic mixed:
+    # advancing them in one layout must give each vessel the r, s and
+    # feet (also those beyond its ends) it gets when compiled alone
+    def b_fun(x, t):
+        return 1.0 + 0.3 * np.asarray(x) + 0.1 * t
+
+    vessels = [
+        Vessel(id="p1", n_cells=12, x0_node="A", x1_node="B", alpha=1.1,
+               tube_law=PowerLaw(C=4e4, R0=1e-3, beta=2.0)),
+        Vessel(id="s", n_cells=7, x0_node="B", x1_node="C",
+               synthetic=SyntheticCoefficients(a=2.0, b=b_fun, c=0.2, g=0.5)),
+        Vessel(id="p2", n_cells=20, x0_node="C", x1_node="D", alpha=1.2,
+               tube_law=PowerLaw(C=2e4, R0=2e-3, beta=1.5)),
+    ]
+
+    def fields(v, t):
+        x = v.grid
+        base = 13000.0 if v.tube_law is not None else 1.0
+        P = base * (1.0 + 0.05 * np.sin(2 * np.pi * x + t))
+        Q = 1e-6 * np.cos(np.pi * x) if v.tube_law is not None else 0.3 * x
+        return P, Q
+
+    def advance(layout, dt=2e-4):
+        P0 = np.concatenate([fields(layout.vessels[k], 0.0)[0] for k in range(len(layout.vessels))])
+        Q0 = np.concatenate([fields(layout.vessels[k], 0.0)[1] for k in range(len(layout.vessels))])
+        P1 = np.concatenate([fields(layout.vessels[k], 0.3)[0] for k in range(len(layout.vessels))])
+        Q1 = np.concatenate([fields(layout.vessels[k], 0.3)[1] for k in range(len(layout.vessels))])
+        fr = freeze_step(layout, 0.0, P0, Q0, dt, P1, Q1, EPS0)
+        upd = interior_update(fr)
+        out = (upd.r, upd.s, _trace(fr, "R", 0.9), _trace(fr, "L", 0.9))
+        return {vid: [arr[layout.slices[vid]] for arr in out] for vid in layout.vessel_ids}
+
+    together = advance(layout_of(*vessels))
+    for v in vessels:
+        alone = advance(layout_of(v))[v.id]
+        for got, want in zip(together[v.id], alone):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, equal_nan=True)
+        assert np.isfinite(together[v.id][0][-1]) and np.isfinite(together[v.id][1][0])

@@ -269,3 +269,49 @@ def test_round_trip_property():
         st = from_riemann(cs, e, to_riemann(cs, e, PrimitiveState(P=P, Q=Q)))
         assert abs(st.P - P) <= 1e-12 * max(1.0, abs(P))
         assert abs(st.Q - Q) <= 1e-12 * max(1.0, abs(Q))
+
+
+# --- tabulated laws on arrays ------------------------------------------------
+
+
+def two_station_law():
+    radii = np.array([1e-3, 2e-3, 3e-3])
+    return TabulatedLaw(
+        radii=radii,
+        pressures=[[0.0, 5000.0, 9000.0], [0.0, 7000.0, 12000.0]],
+        x_stations=[0.0, 1.0],
+    )
+
+
+def test_tabulated_station_weights_per_point():
+    law = two_station_law()
+    out = pressure_from_radius(law, np.array([0.0, 1.0, 0.5]), np.full(3, 2e-3))
+    np.testing.assert_allclose(out, [5000.0, 7000.0, 6000.0], rtol=1e-14)
+    # and agrees with scalar evaluation point by point
+    for x, p in zip((0.0, 1.0, 0.5), out):
+        assert pressure_from_radius(law, x, 2e-3) == p
+
+
+def test_tabulated_inverse_and_area_gradient_on_arrays():
+    law = two_station_law()
+    x = np.array([0.0, 0.25, 1.0])
+    P = np.array([5000.0, 5500.0, 7000.0])
+    R = radius_from_pressure(law, x, P)
+    np.testing.assert_allclose(R, 2e-3, rtol=1e-12)
+    np.testing.assert_allclose(pressure_from_radius(law, x, R), P, rtol=1e-12)
+    from vesselflow.constitutive import _dA_dx_fixed_P
+
+    # at fixed P the stiffer x=1 station holds a smaller area
+    dAdx = _dA_dx_fixed_P(law, x, np.full(3, 5000.0))
+    R1 = radius_from_pressure(law, 1.0, 5000.0)
+    expected = np.pi * (R1**2 - 2e-3**2)
+    np.testing.assert_allclose(dAdx, expected, rtol=1e-10)
+    assert np.all(dAdx < 0)
+
+
+def test_tabulated_coefficients_on_a_grid():
+    v = make_vessel(law=two_station_law())
+    x = np.linspace(0.0, 1.0, 11)
+    cs = coefficients(v, x, 0.0, PrimitiveState(P=np.full(11, 5000.0), Q=np.full(11, 1e-6)))
+    assert np.all(np.isfinite(cs.a)) and np.all(cs.a > 0)
+    assert np.all(np.diff(cs.A) < 0)  # stiffer along x at fixed P

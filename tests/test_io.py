@@ -280,3 +280,52 @@ def test_cli_overrides(tmp_path):
     csv_path = tmp_path / "ovr" / "timeseries.csv"
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) - 1 == 2 * 5
+
+
+def test_cli_unexpected_error_exit_3_one_line(tmp_path, capsys, monkeypatch):
+    import vesselflow.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel\nexploded")
+
+    monkeypatch.setattr(cli, "run", broken)
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["output"] = {"directory": str(tmp_path / "o")}
+    code = main(["simulate", write_json(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "unexpected error: RuntimeError: kernel exploded\n"
+
+
+def test_cli_runs_a_tabulated_vessel(tmp_path):
+    radii = [1.2e-3 + k * 2.4e-5 for k in range(26)]  # P from 4.4 to 22.4 kPa
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["vessels"][0]["tube_law"] = {
+        "kind": "tabulated",
+        "radii": radii,
+        "pressures": [[1e4 * ((r / 1e-3) ** 2 - 1.0) for r in radii]],
+    }
+    doc["output"] = {"directory": str(tmp_path / "tab")}
+    assert main(["simulate", write_json(tmp_path, doc), "--t-end", "5e-4"]) == 0
+    lines = (tmp_path / "tab" / "timeseries.csv").read_text().strip().split("\n")
+    assert len(lines) - 1 == 2 * 5
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # only tabulated tube laws need scipy.interpolate; it is imported
+    # when the first one is built
+    import os
+    import subprocess
+    import sys
+
+    import vesselflow
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vesselflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, vesselflow, vesselflow.cli; "
+        "assert 'scipy.interpolate' not in sys.modules, 'loaded at import'; "
+        "vesselflow.TabulatedLaw(radii=[1.0, 2.0], pressures=[[0.0, 1.0]]); "
+        "assert 'scipy.interpolate' in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

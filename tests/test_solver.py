@@ -326,3 +326,116 @@ def test_transitional_network_end_to_end():
     report = run(net, state0, cfg)
     assert report.dt_adjustments >= 1
     assert report.final_state.t == pytest.approx(0.4, abs=1e-12)
+
+
+def test_one_junction_solve_per_node_per_iteration(monkeypatch):
+    # the shipped bifurcation: one branching and one transitional node.
+    # Each closure folds the resolved characteristic's coupling to the
+    # endpoint state into its matrix, so one solve per node and
+    # iteration is exact.
+    import dataclasses
+    from pathlib import Path
+
+    import vesselflow.solver as solver_mod
+    from vesselflow.config import load_config
+
+    loaded = load_config(Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json")
+    cfg = dataclasses.replace(loaded.sim, t_end=10 * loaded.sim.dt)
+    calls = []
+    real = solver_mod.solve_junction
+
+    def counting(sys):
+        calls.append(sys.node_id)
+        return real(sys)
+
+    monkeypatch.setattr(solver_mod, "solve_junction", counting)
+    state0, _ = initial_state(loaded.net, loaded.init, cfg)
+    report = run(loaded.net, state0, cfg)
+    junctions = [nid for nid, n in loaded.net.nodes.items() if not hasattr(n, "signal")]
+    assert report.steps == 10 and len(junctions) == 2
+    assert report.picard_total > report.steps  # the physical model iterates
+    for nid in junctions:
+        assert calls.count(nid) == report.picard_total
+    assert len(calls) == 2 * report.picard_total
+
+
+def test_report_summaries_stay_bounded():
+    v = Vessel(id="v", n_cells=16, x0_node="in", x1_node="out", tube_law=LAW, alpha=1.1)
+    net = single_net(
+        v,
+        inlet=ExternalPressure("in", SineSignal(mean=13000.0, amplitude=400.0, frequency=5.0)),
+        outlet=ExternalPressure("out", ConstantSignal(13000.0)),
+    )
+    cfg = SimConfig(dt=2e-3, t_end=0.2, check_every=5)
+    state0, _ = initial_state(net, InitSpec(default=VesselInit(P=13000.0, Q=0.0)), cfg)
+    report = run(net, state0, cfg)
+    assert report.steps == 100
+    assert sum(report.iteration_histogram.values()) == report.steps
+    assert sum(k * n for k, n in report.iteration_histogram.items()) == report.picard_total
+    assert report.full_checks == 1 + report.steps // 5
+    assert report.non_contracting_pairs == 0 and 0.0 < report.worst_contraction_ratio < 1.0
+    # nothing grows with the step count: scalars plus a histogram keyed
+    # by iteration count (at most picard_max_iters keys)
+    rest = {k: v for k, v in vars(report).items() if k not in ("final_state", "iteration_histogram")}
+    assert all(isinstance(v, (int, float)) for v in rest.values())
+    assert max(report.iteration_histogram) <= cfg.picard_max_iters
+
+
+# --- tabulated tube laws ------------------------------------------------------
+
+
+def tabulated_from_power(law, radii, stations=(0.0,)):
+    from vesselflow import TabulatedLaw
+
+    row = law.C * ((np.asarray(radii) / law.R0) ** law.beta - 1.0)
+    return TabulatedLaw(radii=radii, pressures=[row] * len(stations), x_stations=stations)
+
+
+def pulse_run(law, n=40, t_end=0.01, P0=8000.0):
+    v = Vessel(id="v", n_cells=n, x0_node="in", x1_node="out", tube_law=law, alpha=1.1)
+    net = single_net(
+        v,
+        inlet=ExternalPressure("in", ConstantSignal(P0)),
+        outlet=ExternalPressure("out", ConstantSignal(P0)),
+    )
+    cfg = SimConfig(dt=0.5 / (n * 7.2), t_end=t_end, check_every=10)  # CFL 0.5
+
+    def bump(x):
+        return np.where((x > 0.2) & (x < 0.6), np.sin(np.pi * (x - 0.2) / 0.4) ** 2, 0.0)
+
+    init = InitSpec(default=VesselInit(P=lambda x: P0 + 1500.0 * bump(x), Q=0.0))
+    state0, diags = initial_state(net, init, cfg)
+    assert not [d for d in diags if d.severity == "error"]
+    return run(net, state0, cfg)
+
+
+@pytest.mark.parametrize("stations", [(0.0,), (0.0, 1.0)])
+def test_tabulated_vessel_runs(stations):
+    stiff = PowerLaw(C=4e4, R0=1e-3, beta=2.0)
+    radii = np.linspace(0.9e-3, 1.4e-3, 26)
+    law = tabulated_from_power(stiff, radii, stations)
+    if len(stations) == 2:
+        # stiffer toward x=1, so the dA/dx term of g is not zero
+        law = type(law)(radii=radii, pressures=[law.pressures[0], 1.2 * law.pressures[0]],
+                        x_stations=stations)
+    report = pulse_run(law)
+    f = report.final_state.fields["v"]
+    assert report.steps > 0 and report.dt_adjustments == 0
+    assert np.all(np.isfinite(f.P)) and np.all(np.isfinite(f.Q))
+    assert f.P[0] == 8000.0 and f.P[-1] == 8000.0
+    assert np.max(np.abs(f.Q)) > 0.0
+
+
+def test_tabulated_law_reproduces_power_law_run():
+    # oracle: a tabulated law sampled densely from a power law follows
+    # the power-law run to interpolation accuracy
+    stiff = PowerLaw(C=4e4, R0=1e-3, beta=2.0)
+    exact = pulse_run(stiff).final_state.fields["v"]
+    errors = []
+    for k in (51, 201):
+        law = tabulated_from_power(stiff, np.linspace(0.9e-3, 1.4e-3, k))
+        f = pulse_run(law).final_state.fields["v"]
+        errors.append(np.max(np.abs(f.P - exact.P)) / 1500.0)
+        assert np.max(np.abs(f.Q - exact.Q)) <= 1e-4 * np.max(np.abs(exact.Q))
+    assert errors[1] <= 5e-6
+    assert errors[1] < 0.25 * errors[0]  # and it shrinks as the samples refine
