@@ -8,7 +8,9 @@ arrays; vessels with a tabulated law or synthetic coefficients follow
 (sorted by id) and are filled segment by segment through
 `coefficients`. The node part lists every vessel end attached to a node
 once, in node order and `endpoints_by_node` order within a node, with its
-grid point and node parameter.
+grid point; external nodes keep their single end, and junction nodes
+are grouped by kind and size into the stacked-solve tables of
+`junctions.junction_layout`.
 """
 
 from __future__ import annotations
@@ -18,22 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import PowerLawParams
+from .junctions import JunctionLayout, junction_layout
 from .network import (
+    ExternalFlow,
+    ExternalPressure,
     Network,
-    Node,
     PowerLaw,
     Vessel,
     endpoints_by_node,
     node_attachments,
 )
-
-
-@dataclass(frozen=True)
-class NodePlan:
-    """One node and the positions of its vessel ends in the end tables."""
-
-    node: Node
-    ends: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -59,8 +55,9 @@ class CompiledNetwork:
     end_vessel: np.ndarray  # segment index
     end_x1: np.ndarray  # True for x=1 ends
     end_point: np.ndarray  # grid point
-    end_param: tuple[float | None, ...]  # rho_j or resistance; None at external ends
-    nodes: tuple[NodePlan, ...]
+    externals: tuple[ExternalPressure | ExternalFlow, ...]
+    external_ends: np.ndarray  # the single vessel end of each external node
+    junctions: JunctionLayout
 
     @property
     def size(self) -> int:
@@ -113,10 +110,12 @@ def compile_network(net: Network) -> CompiledNetwork:
             end_name.append(end)
             end_vessel.append(seg[vid])
             end_param.append(node_params.get((vid, end)))
-        plans.append(NodePlan(node, tuple(ends)))
+        plans.append((node, tuple(ends)))
     end_vessel = np.array(end_vessel, dtype=np.intp)
     end_x1 = np.array([e == "x1" for e in end_name], dtype=bool)
     first, last = offsets[:-1], offsets[1:] - 1
+    outer = [(node, ends[0]) for node, ends in plans
+             if isinstance(node, (ExternalPressure, ExternalFlow))]
     zeros = np.zeros(int(offsets[-1]))
     zeros.setflags(write=False)
 
@@ -140,6 +139,7 @@ def compile_network(net: Network) -> CompiledNetwork:
         end_vessel=end_vessel,
         end_x1=end_x1,
         end_point=np.where(end_x1, last[end_vessel], first[end_vessel]).astype(np.intp),
-        end_param=tuple(end_param),
-        nodes=tuple(plans),
+        externals=tuple(node for node, _ in outer),
+        external_ends=np.array([k for _, k in outer], dtype=np.intp),
+        junctions=junction_layout(plans, end_x1, end_param),
     )

@@ -24,14 +24,7 @@ import numpy as np
 
 from .characteristics import VesselField, freeze_step, interior_update
 from .compiled import CompiledNetwork, compile_network
-from .constitutive import (
-    CoefficientSet,
-    EigenData,
-    PrimitiveState,
-    RiemannPair,
-    coefficients,
-    from_riemann,
-)
+from .constitutive import PrimitiveState, RiemannPair, coefficients, from_riemann
 from .errors import (
     CFLViolation,
     PicardDivergence,
@@ -39,13 +32,10 @@ from .errors import (
     WellPosednessFailure,
 )
 from .junctions import (
-    EndpointClosureInput,
     TransitionalState,
-    assemble_branching,
-    assemble_transitional,
-    close_external_flow,
-    close_external_pressure,
-    solve_junction,
+    flow_at_pressure_end,
+    pressure_at_flow_end,
+    solve_systems,
 )
 from .network import (
     Branching,
@@ -59,7 +49,7 @@ from .network import (
 )
 from .output import ProbeSpec, emit_probes
 from .signals import eval_signal
-from .wellposedness import check_state
+from .wellposedness import ConditionReport, check_state
 
 _MAX_HALVINGS = 10
 _RESTORE_AFTER = 10
@@ -120,6 +110,12 @@ class SimReport:
     worst_contraction_ratio: float = 0.0
     dt_adjustments: int = 0
     full_checks: int = 0  # passed full condition sweeps, the t=0 one included
+    # largest junction-solve residual over its gate scale (the gate is
+    # 1e-10), over every node closure of the run
+    worst_closure_residual: float = 0.0
+    # largest junction condition estimate of any full sweep, and its node
+    worst_junction_condition: float = 0.0
+    worst_junction_node: str = ""
     final_state: NetworkState | None = None
 
     @property
@@ -136,6 +132,12 @@ class SimReport:
                 self.non_contracting_pairs += 1
             ratio = d2 / d1 if d1 > 0 else float("inf")
             self.worst_contraction_ratio = max(self.worst_contraction_ratio, ratio)
+
+    def record_junctions(self, rep: ConditionReport) -> None:
+        for j in rep.junction_checks:
+            if j.condition_estimate > self.worst_junction_condition:
+                self.worst_junction_condition = j.condition_estimate
+                self.worst_junction_node = j.node
 
     def median_iterations(self) -> float:
         """Median of the per-step iteration counts (as numpy.median)."""
@@ -312,6 +314,7 @@ def picard_step(
     state_prev: NetworkState,
     cfg: SimConfig,
     dt: float | None = None,
+    report: SimReport | None = None,
 ) -> tuple[NetworkState, int, list[float]]:
     """Advance one time level by fixed-point iteration.
 
@@ -321,7 +324,8 @@ def picard_step(
     stop when the relative sup deviation between iterates drops below
     cfg.picard_tol. Returns the converged state, the number of
     iterations used, and the deviation history. `net` may be compiled
-    already (`run` compiles it once).
+    already (`run` compiles it once). A given report collects the
+    closure residuals.
     """
     cn = net if isinstance(net, CompiledNetwork) else compile_network(net)
     dt = cfg.dt if dt is None else dt
@@ -329,12 +333,14 @@ def picard_step(
 
     P_prev = cn.gather(state_prev.fields, "P")
     Q_prev = cn.gather(state_prev.fields, "Q")
-    boundary = {
-        plan.node.id: eval_signal(plan.node.signal, t_new)
-        for plan in cn.nodes
-        if isinstance(plan.node, (ExternalPressure, ExternalFlow))
-    }
-    q_prev_ends = Q_prev[cn.end_point].tolist()
+    boundary = [eval_signal(node.signal, t_new) for node in cn.externals]
+    trans_prev = [state_prev.transitional[nid] for nid in cn.junctions.transitional]
+    step_values = cn.junctions.step_values(
+        dt,
+        Q_prev[cn.end_point],
+        np.array([ts.P_C1 for ts in trans_prev]),
+        np.array([ts.P_C2 for ts in trans_prev]),
+    )
     P_cur, Q_cur = P_prev, Q_prev
     trans_cur = {k: TransitionalState(v.P_C1, v.P_C2) for k, v in state_prev.transitional.items()}
 
@@ -354,10 +360,11 @@ def picard_step(
         P_next = np.asarray(st.P, dtype=float)
         Q_next = np.asarray(st.Q, dtype=float)
 
-        junction_pressures, trans_next = _close_nodes(
-            cn, frozen, upd, q_prev_ends, boundary, state_prev.transitional,
-            t_new, dt, P_next, Q_next,
+        junction_pressures, trans_next, residual = _close_nodes(
+            cn, frozen, upd, boundary, step_values, t_new, P_next, Q_next
         )
+        if report is not None:
+            report.worst_closure_residual = max(report.worst_closure_residual, residual)
 
         dev = _deviation(cn, P_next, Q_next, P_cur, Q_cur, trans_next or trans_cur, trans_cur)
         history.append(dev)
@@ -384,72 +391,75 @@ def picard_step(
 
 
 def _close_nodes(
-    cn: CompiledNetwork, frozen, upd, q_prev_ends, boundary, trans_prev, t_new, dt, P, Q,
-) -> tuple[dict[str, float], dict[str, TransitionalState]]:
+    cn: CompiledNetwork, frozen, upd, boundary, step_values, t_new, P, Q,
+) -> tuple[dict[str, float], dict[str, TransitionalState], float]:
     """Close every node at the new time level, writing the endpoint
     states into the flat P and Q.
 
     The resolved characteristic value at each end carries a linear
     coupling to the endpoint state (from the new-level source term of
     the trapezoidal rule); each closure folds it into its characteristic
-    row, so one solve per node satisfies the closure and the coupling
-    exactly. Returns the junction pressures and the transitional states.
+    row cp P + cq Q = char, so one solve satisfies the closure and the
+    coupling exactly. External ends are solved in closed form; the
+    junction nodes of each kind and size are solved as one stack.
+    Returns the junction pressures, the transitional states and the
+    largest junction residual over its gate scale.
     """
-    x1, seg = cn.end_x1, cn.end_vessel
-    known = np.where(x1, upd.right.known[seg], upd.left.known[seg])
-    if not np.all(np.isfinite(known)):
-        k = int(np.argmin(np.isfinite(known)))
+    x1, seg, points = cn.end_x1, cn.end_vessel, cn.end_point
+    char = np.where(x1, upd.right.known[seg], upd.left.known[seg])
+    if not np.all(np.isfinite(char)):
+        k = int(np.argmin(np.isfinite(char)))
         raise WellPosednessFailure(
             f"vessel {cn.end_vessel_id[k]!r} end {cn.end_name[k]}: the interior-determined "
             "characteristic left the domain; endpoint split condition violated",
             t=t_new,
         )
-    kP = np.where(x1, upd.right.kP[seg], upd.left.kP[seg]).tolist()
-    kQ = np.where(x1, upd.right.kQ[seg], upd.left.kQ[seg]).tolist()
-    points = cn.end_point
     cs, eig = frozen.new.coeffs, frozen.new.eig
-    a, b, c, f, g, A = (getattr(cs, name)[points].tolist() for name in ("a", "b", "c", "f", "g", "A"))
-    lam_R, lam_L, u = (arr[points].tolist() for arr in (eig.lambda_R, eig.lambda_L, eig.u))
-    known = known.tolist()
+    lam = np.where(x1, eig.lambda_L[points], eig.lambda_R[points])
+    a = cs.a[points]
+    cp = -lam - np.where(x1, upd.right.kP[seg], upd.left.kP[seg])
+    cq = a - np.where(x1, upd.right.kQ[seg], upd.left.kQ[seg])
 
-    def closure_input(k, node):
-        return EndpointClosureInput(
-            vessel_id=cn.end_vessel_id[k], end=cn.end_name[k],
-            coeffs=CoefficientSet(a[k], b[k], c[k], f[k], g[k], A[k]),
-            eig=EigenData(lam_R[k], lam_L[k], u[k]),
-            char_value=known[k], q_prev=q_prev_ends[k],
-            rho_j=cn.end_param[k] if isinstance(node, Branching) else None,
-            resistance=cn.end_param[k] if isinstance(node, Transitional) else None,
-            kP=kP[k], kQ=kQ[k],
+    ext = cn.external_ends
+    if ext.size:
+        at = points[ext]
+        ends = zip(
+            cn.externals, ext.tolist(), boundary,
+            *(v.tolist() for v in (a[ext], lam[ext], eig.u[at], cp[ext], cq[ext], char[ext])),
         )
+        P_ext, Q_ext = [], []
+        for node, k, value, a_k, lam_k, u_k, cp_k, cq_k, char_k in ends:
+            vid = cn.end_vessel_id[k]
+            if isinstance(node, ExternalPressure):
+                P_ext.append(value)
+                Q_ext.append(flow_at_pressure_end(vid, a_k, cp_k, cq_k, char_k, value))
+            else:
+                end = cn.end_name[k]
+                P_ext.append(pressure_at_flow_end(vid, end, lam_k, u_k, cp_k, cq_k, char_k, value))
+                Q_ext.append(value)
+        P[at] = P_ext
+        Q[at] = Q_ext
 
     junction_pressures: dict[str, float] = {}
     trans_next: dict[str, TransitionalState] = {}
-    for plan in cn.nodes:
-        node = plan.node
-        inputs = [closure_input(k, node) for k in plan.ends]
-        if isinstance(node, ExternalPressure):
-            states = [close_external_pressure(inputs[0], boundary[node.id])]
-        elif isinstance(node, ExternalFlow):
-            states = [close_external_flow(inputs[0], boundary[node.id])]
+    residual = 0.0
+    layout = cn.junctions
+    if layout.groups:
+        values = layout.values(cp, cq, char, cs.A[points], step_values)
+    for group in layout.groups:
+        M, b = group.systems(values)
+        x, ratio = solve_systems(M, b, group.node_ids)
+        residual = max(residual, float(np.max(ratio)))
+        at = points[group.ends]
+        mu = at.shape[1]
+        P[at] = x[:, 0 : 2 * mu : 2]
+        Q[at] = x[:, 1 : 2 * mu : 2]
+        if group.kind is Branching:
+            junction_pressures.update(zip(group.node_ids, x[:, -1].tolist()))
         else:
-            if isinstance(node, Branching):
-                solution = solve_junction(assemble_branching(node, inputs, dt))
-                junction_pressures[node.id] = solution.internals["P_junc"]
-            elif isinstance(node, Transitional):
-                solution = solve_junction(
-                    assemble_transitional(node, inputs, trans_prev[node.id], dt)
-                )
-                trans_next[node.id] = TransitionalState(
-                    solution.internals["P_C1"], solution.internals["P_C2"]
-                )
-            else:
-                raise TypeError(f"unknown node type: {node!r}")
-            states = [solution.states[(inp.vessel_id, inp.end)] for inp in inputs]
-        for k, st in zip(plan.ends, states):
-            P[points[k]] = st.P
-            Q[points[k]] = st.Q
-    return junction_pressures, trans_next
+            for nid, p1, p2 in zip(group.node_ids, x[:, -2].tolist(), x[:, -1].tolist()):
+                trans_next[nid] = TransitionalState(p1, p2)
+    return junction_pressures, trans_next, residual
 
 
 # --- outer time loop -----------------------------------------------------
@@ -480,13 +490,14 @@ def run(
 
     report = SimReport()
     state = init
-    pre = check_state(net, state, cfg)
+    compiled = compile_network(net)
+    pre = check_state(compiled, state, cfg)
     if not pre.passed:
         raise WellPosednessFailure(
             "solvability check failed at t=0: " + "; ".join(pre.failures()), report=pre, t=state.t
         )
     report.full_checks += 1
-    compiled = compile_network(net)
+    report.record_junctions(pre)
 
     base_dt = cfg.dt
     cur_dt = base_dt
@@ -497,7 +508,7 @@ def run(
     while state.t < cfg.t_end - tiny:
         dt_step = min(cur_dt, cfg.t_end - state.t)
         try:
-            state_new, iters, hist = picard_step(compiled, state, cfg, dt_step)
+            state_new, iters, hist = picard_step(compiled, state, cfg, dt_step, report=report)
         except (CFLViolation, PicardDivergence) as exc:
             if depth >= _MAX_HALVINGS:
                 raise SimulationError(
@@ -521,7 +532,7 @@ def run(
                 clean_streak = 0
 
         full = report.steps % cfg.check_every == 0
-        rep = check_state(net, state, cfg, endpoints_only=not full)
+        rep = check_state(compiled, state, cfg, endpoints_only=not full)
         if not rep.passed:
             raise WellPosednessFailure(
                 f"solvability check failed at t = {state.t:.6g}: " + "; ".join(rep.failures()),
@@ -529,6 +540,7 @@ def run(
                 t=state.t,
             )
         report.full_checks += full
+        report.record_junctions(rep)
 
         if sink is not None and probes:
             emit_probes(sink, net, state, probes, epsilon0=cfg.epsilon0)

@@ -14,20 +14,22 @@ The checker only reports; callers decide whether to abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constitutive import PrimitiveState, coefficients, eigen
-from .junctions import (
-    EndpointClosureInput,
-    TransitionalState,
-    assemble_branching,
-    assemble_transitional,
-    junction_condition_estimate,
+from .compiled import CompiledNetwork, compile_network
+from .constitutive import (
+    CoefficientSet,
+    PrimitiveState,
+    PowerLawParams,
+    coefficients,
+    eigen,
+    power_law_coefficients,
 )
-from .network import Branching, Network, Transitional, Vessel, endpoints_by_node, node_attachments
+from .junctions import condition_estimates
+from .network import Network
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import NetworkState, SimConfig
@@ -88,7 +90,7 @@ class ConditionReport:
         return out
 
 
-def _endpoint_classification(end_index: int, n: int) -> str:
+def _endpoint_classification(end_index: int) -> str:
     # An x=0 end is the vessel's source: losing the split there leaves
     # the closure short of an equation (under-determined). At x=1 the
     # terminal end collects an extra incoming characteristic
@@ -96,70 +98,45 @@ def _endpoint_classification(end_index: int, n: int) -> str:
     return "under-determined (source end)" if end_index == 0 else "over-determined (terminal end)"
 
 
-def _vessel_checks(
-    vessel: Vessel,
-    t: float,
-    P: np.ndarray,
-    Q: np.ndarray,
-    epsilon0: float,
-    endpoints_only: bool,
-    report: ConditionReport,
-):
-    if endpoints_only:
-        # fast per-step path: only the two ends are needed
-        x = vessel.grid[[0, -1]]
-        P = P[[0, -1]]
-        Q = Q[[0, -1]]
-        idx_map = np.array([0, vessel.n_cells])
-    else:
-        x = vessel.grid
-        idx_map = np.arange(P.size)
-    cs = coefficients(vessel, x, t, PrimitiveState(P, Q), epsilon0=epsilon0, checked=False)
-    a = np.asarray(cs.a, dtype=float)
-    A = np.asarray(cs.A, dtype=float)
-    disc = np.asarray(cs.c, dtype=float) ** 2 + a * np.asarray(cs.b, dtype=float)
-    ab = a * np.asarray(cs.b, dtype=float)
+def _segment_min(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """Minimum of each segment and the flat position of its first
+    occurrence (a NaN counts as the minimum, as in np.argmin)."""
+    mins = np.minimum.reduceat(values, starts)
+    hit = (values == np.repeat(mins, counts)) | np.isnan(values)
+    first = np.minimum.reduceat(np.where(hit, np.arange(values.size), values.size), starts)
+    return mins, first
 
-    bad = ~np.isfinite(a)
-    if np.any(bad):
-        idxs = np.flatnonzero(bad)
-        report.unevaluable.append(
-            f"{vessel.id}: tube law unevaluable at {idxs.size} grid point(s), "
-            f"first at x-index {int(idx_map[idxs[0]])}"
+
+def _layout_coefficients(cn: CompiledNetwork, points, t, P, Q, epsilon0):
+    """Unchecked coefficients a, b, c, A at the given grid points of the
+    layout (sorted; None for all): the closed form on the power-law
+    prefix, one `coefficients` call per tabulated or synthetic segment.
+    Points outside a law's range come back as NaN."""
+    m = cn.size if points is None else points.size
+    n = cn.n_power if points is None else int(np.searchsorted(points, cn.n_power))
+    params = cn.power
+    if points is not None:
+        sub = points[:n]
+        params = PowerLawParams(**{f.name: getattr(params, f.name)[sub] for f in fields(params)})
+        P, Q = P[points], Q[points]
+    cs = power_law_coefficients(params, P[:n], Q[:n])
+    if not cn.fills:
+        return cs.a, cs.b, cs.c, cs.A
+    out = np.empty((4, m))
+    out[:, :n] = (cs.a, cs.b, cs.c, cs.A)
+    k0 = len(cn.vessel_ids) - len(cn.fills)
+    for k, (vessel, sl) in enumerate(cn.fills, start=k0):
+        at = sl if points is None else slice(2 * k, 2 * k + 2)
+        x = cn.x[sl] if points is None else cn.x[[sl.start, sl.stop - 1]]
+        seg = coefficients(
+            vessel, x, t, PrimitiveState(P[at], Q[at]), epsilon0=epsilon0, checked=False
         )
-        return
-
-    def add(condition, values, indices, margin_shift=0.0, classify=False):
-        vals = values[indices]
-        k = int(np.argmin(vals))
-        worst = float(vals[k])
-        margin = worst - margin_shift
-        grid_index = int(idx_map[indices[k]])
-        check = ConditionCheck(
-            subject=vessel.id,
-            condition=condition,
-            passed=bool(margin > 0),
-            margin=margin,
-            x_index=grid_index,
-            value=worst,
-            classification=(
-                _endpoint_classification(grid_index, vessel.n_cells)
-                if classify and margin <= 0
-                else ""
-            ),
-        )
-        report.checks.append(check)
-
-    ends = np.array([0, P.size - 1])
-    everywhere = ends if endpoints_only else np.arange(P.size)
-    add(COND_A_POSITIVE, a, everywhere)
-    add(COND_AREA_FLOOR, A, everywhere, margin_shift=epsilon0)
-    add(COND_HYPERBOLIC, disc, everywhere)
-    add(COND_ENDPOINT, ab, ends, classify=True)
+        out[:, at] = (seg.a, seg.b, seg.c, seg.A)
+    return tuple(out)
 
 
 def check_state(
-    net: Network,
+    net: Network | CompiledNetwork,
     state: "NetworkState",
     cfg: "SimConfig",
     endpoints_only: bool = False,
@@ -168,58 +145,101 @@ def check_state(
 
     Full sweeps check a > 0, the area floor, and hyperbolicity at every
     grid node plus the endpoint split at both ends of each vessel, and
-    assemble each junction system once, from the coefficients at its
+    build every junction system once, from the coefficients at its
     vessel ends, to record its condition estimate.
     With endpoints_only=True only the (cheap) per-end checks run.
+    All vessels are evaluated together on the compiled layout (`net`
+    may be compiled already); checks come out in vessel id order.
     """
-    report = ConditionReport()
-    for vid in sorted(net.vessels):
-        f = state.fields[vid]
-        _vessel_checks(
-            net.vessels[vid], state.t, f.P, f.Q, cfg.epsilon0, endpoints_only, report
-        )
-    if endpoints_only or not report.passed:
-        return report
+    cn = net if isinstance(net, CompiledNetwork) else compile_network(net)
+    P = cn.gather(state.fields, "P")
+    Q = cn.gather(state.fields, "Q")
+    K = len(cn.vessel_ids)
+    n_cells = np.diff(cn.offsets) - 1
+    if endpoints_only:
+        # fast per-step path: only the two ends of each vessel
+        points = np.stack((cn.first, cn.last), axis=1).ravel()
+        starts, counts = np.arange(0, 2 * K, 2), np.full(K, 2)
+        local = np.stack((np.zeros(K, dtype=np.intp), n_cells), axis=1).ravel()
+    else:
+        points = None
+        starts, counts = cn.offsets[:-1], n_cells + 1
+        local = np.arange(cn.size) - np.repeat(starts, counts)
+    a, b, c, A = _layout_coefficients(cn, points, state.t, P, Q, cfg.epsilon0)
+    ab = a * b
+    ends = np.stack((starts, starts + counts - 1), axis=1).ravel()
+    rows = []
+    for condition, values, at, n, shift in (
+        (COND_A_POSITIVE, a, starts, counts, 0.0),
+        (COND_AREA_FLOOR, A, starts, counts, cfg.epsilon0),
+        (COND_HYPERBOLIC, c**2 + ab, starts, counts, 0.0),
+        (COND_ENDPOINT, ab[ends], 2 * np.arange(K), np.full(K, 2), 0.0),
+    ):
+        worst, first = _segment_min(values, at, n)
+        x_index = local[first] if condition != COND_ENDPOINT else local[ends[first]]
+        rows.append((condition, worst.tolist(), (worst - shift).tolist(), x_index.tolist()))
 
-    # junction condition estimates from the endpoint coefficients the
-    # first closure of the next step starts from: (x_end, t + dt, P, Q)
-    t_next = state.t + cfg.dt
-    ends_by_node = endpoints_by_node(net)
-    for nid in sorted(net.nodes):
-        node = net.nodes[nid]
-        if not isinstance(node, (Branching, Transitional)):
-            continue
-        params = {(vid, end): p for vid, end, p in node_attachments(node)}
-        inputs = []
-        for vid, end, _orient in ends_by_node[nid]:
-            vessel, f = net.vessels[vid], state.fields[vid]
-            idx = 0 if end == "x0" else -1
-            cs = coefficients(
-                vessel, float(vessel.grid[idx]), t_next,
-                PrimitiveState(float(f.P[idx]), float(f.Q[idx])), epsilon0=cfg.epsilon0,
+    bad = ~np.isfinite(a)
+    skip = np.add.reduceat(bad, starts, dtype=np.intp) if np.any(bad) else np.zeros(K, np.intp)
+    report = ConditionReport()
+    for k in sorted(range(K), key=cn.vessel_ids.__getitem__):
+        vid = cn.vessel_ids[k]
+        if skip[k]:
+            first = int(local[starts[k] + np.argmax(bad[starts[k] : starts[k] + counts[k]])])
+            report.unevaluable.append(
+                f"{vid}: tube law unevaluable at {int(skip[k])} grid point(s), "
+                f"first at x-index {first}"
             )
-            param = params[(vid, end)]
-            inputs.append(
-                EndpointClosureInput(
-                    vessel_id=vid,
-                    end=end,
-                    coeffs=cs,
-                    eig=eigen(cs),
-                    char_value=0.0,
-                    q_prev=0.0,
-                    rho_j=param if isinstance(node, Branching) else None,
-                    resistance=param if isinstance(node, Transitional) else None,
+            continue
+        for condition, worst, margin, x_index in rows:
+            failed_end = condition == COND_ENDPOINT and not margin[k] > 0
+            report.checks.append(
+                ConditionCheck(
+                    subject=vid,
+                    condition=condition,
+                    passed=margin[k] > 0,
+                    margin=margin[k],
+                    x_index=x_index[k],
+                    value=worst[k],
+                    classification=_endpoint_classification(x_index[k]) if failed_end else "",
                 )
             )
-        if isinstance(node, Branching):
-            sysm = assemble_branching(node, inputs, cfg.dt)
-        else:
-            sysm = assemble_transitional(node, inputs, TransitionalState(0.0, 0.0), cfg.dt)
-        est = junction_condition_estimate(sysm)
-        report.junction_checks.append(
-            JunctionConditionCheck(node=nid, condition_estimate=est, passed=bool(est < _JUNCTION_COND_MAX))
-        )
+    if endpoints_only or not report.passed or not cn.junctions.groups:
+        return report
+    report.junction_checks = _junction_checks(cn, state, cfg, P, Q, a, b, c, A)
     return report
+
+
+def _junction_checks(cn: CompiledNetwork, state, cfg, P, Q, a, b, c, A):
+    """Condition estimates of every junction system, built from the
+    endpoint coefficients the first closure of the next step starts
+    from: (x_end, t + dt, P, Q); only synthetic coefficients depend on
+    t, so only their ends are evaluated again."""
+    pts = cn.end_point
+    a, b, c, A = a[pts], b[pts], c[pts], A[pts]
+    k0 = len(cn.vessel_ids) - len(cn.fills)
+    for k, (vessel, _sl) in enumerate(cn.fills, start=k0):
+        at = np.flatnonzero(cn.end_vessel == k)
+        if vessel.synthetic is None or not at.size:
+            continue
+        p = pts[at]
+        seg = coefficients(
+            vessel, cn.x[p], state.t + cfg.dt, PrimitiveState(P[p], Q[p]), epsilon0=cfg.epsilon0
+        )
+        a[at], b[at], c[at], A[at] = seg.a, seg.b, seg.c, seg.A
+    eig = eigen(CoefficientSet(a, b, c, 0.0, 0.0, A))
+    lam = np.where(cn.end_x1, eig.lambda_L, eig.lambda_R)
+    layout = cn.junctions
+    zeros = np.zeros(pts.size)
+    none = np.zeros(len(layout.transitional))
+    values = layout.values(-lam, a, zeros, A, layout.step_values(cfg.dt, zeros, none, none))
+    checks = []
+    for group in layout.groups:
+        M, _ = group.systems(values)
+        for nid, est in zip(group.node_ids, condition_estimates(M, group.node_ids).tolist()):
+            passed = est < _JUNCTION_COND_MAX
+            checks.append(JunctionConditionCheck(node=nid, condition_estimate=est, passed=passed))
+    return sorted(checks, key=lambda j: j.node)
 
 
 def check_envelope(
@@ -287,7 +307,7 @@ def check_envelope(
                     margin=val,
                     x_index=xi,
                     value=val,
-                    classification=_endpoint_classification(xi, vessel.n_cells) if classify else "",
+                    classification=_endpoint_classification(xi) if classify else "",
                 )
             )
     return report

@@ -413,3 +413,61 @@ def test_singular_junction_detected():
     )
     with pytest.raises(SingularJunction):
         solve_junction(sysm)
+
+
+def _branching_stack(rng, count=6, mu=3):
+    systems = []
+    for k in range(count):
+        inputs = random_branching_inputs(rng, mu=mu)
+        node = Branching(
+            f"n{k}", tuple(BranchAttachment(i.vessel_id, i.end, i.rho_j) for i in inputs)
+        )
+        systems.append(assemble_branching(node, inputs, dt=1e-3))
+    M = np.stack([s.matrix for s in systems])
+    b = np.stack([s.rhs for s in systems])
+    return M, b, tuple(s.node_id for s in systems), systems
+
+
+def per_matrix_solve(A, b):
+    """Reference: equilibration, solve and one refinement pass on one
+    2D matrix with plain numpy calls."""
+    row = np.max(np.abs(A), axis=1)
+    As = (1.0 / row)[:, None] * A
+    dc = 1.0 / np.max(np.abs(As), axis=0)
+    As = As * dc[None, :]
+    dr = 1.0 / row
+    x = dc * np.linalg.solve(As, dr * b)
+    return x + dc * np.linalg.solve(As, dr * (b - A @ x))
+
+
+def test_stacked_solve_equals_per_matrix_arithmetic():
+    from vesselflow.junctions import solve_systems
+
+    for seed, mu in ((8, 3), (10, 5)):
+        M, b, ids, systems = _branching_stack(np.random.default_rng(seed), mu=mu)
+        x, ratio = solve_systems(M, b, ids)
+        assert np.all((ratio >= 0) & (ratio <= 1e-10))
+        for k, sysm in enumerate(systems):
+            assert per_matrix_solve(sysm.matrix, sysm.rhs).tobytes() == x[k].tobytes()
+            xk, _ = solve_systems(sysm.matrix[None], sysm.rhs[None], (sysm.node_id,))
+            assert xk[0].tobytes() == x[k].tobytes()
+
+
+@pytest.mark.parametrize("defect", ["zero row", "nan entry", "repeated row"])
+def test_singular_node_inside_a_batch_is_named(defect):
+    from vesselflow.junctions import solve_systems
+
+    M, b, ids, _ = _branching_stack(np.random.default_rng(9))
+    bad = 3
+    if defect == "zero row":
+        M[bad, 2, :] = 0.0
+    elif defect == "nan entry":
+        M[bad, 0, 1] = np.nan
+    else:  # exactly singular without a zero row or column
+        M[bad, 2, :] = M[bad, 0, :]
+    with pytest.raises(SingularJunction) as err:
+        solve_systems(M, b, ids)
+    assert err.value.node_id == ids[bad]
+    assert err.value.condition_estimate is not None
+    assert err.value.condition_estimate > 1e12 or not np.isfinite(err.value.condition_estimate)
+    assert repr(ids[bad]) in str(err.value)

@@ -328,35 +328,171 @@ def test_transitional_network_end_to_end():
     assert report.final_state.t == pytest.approx(0.4, abs=1e-12)
 
 
-def test_one_junction_solve_per_node_per_iteration(monkeypatch):
-    # the shipped bifurcation: one branching and one transitional node.
-    # Each closure folds the resolved characteristic's coupling to the
-    # endpoint state into its matrix, so one solve per node and
-    # iteration is exact.
+def bifurcation_case(steps=10):
     import dataclasses
     from pathlib import Path
 
-    import vesselflow.solver as solver_mod
     from vesselflow.config import load_config
 
     loaded = load_config(Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json")
-    cfg = dataclasses.replace(loaded.sim, t_end=10 * loaded.sim.dt)
-    calls = []
-    real = solver_mod.solve_junction
+    return loaded.net, loaded.init, dataclasses.replace(loaded.sim, t_end=steps * loaded.sim.dt)
 
-    def counting(sys):
-        calls.append(sys.node_id)
-        return real(sys)
 
-    monkeypatch.setattr(solver_mod, "solve_junction", counting)
-    state0, _ = initial_state(loaded.net, loaded.init, cfg)
-    report = run(loaded.net, state0, cfg)
-    junctions = [nid for nid, n in loaded.net.nodes.items() if not hasattr(n, "signal")]
-    assert report.steps == 10 and len(junctions) == 2
+def mixed_junction_case():
+    """Three- and four-way branching nodes and transitional nodes with
+    one and two arteries: four junction groups, one holding two nodes."""
+    from vesselflow import TransAttachment, Transitional
+
+    law = PowerLaw(C=4e4, R0=3e-3, beta=2.0)
+    wiring = {
+        "A": ("in", "j1"), "B": ("j1", "j2"), "C": ("j1", "j3"), "D": ("j2", "t1"),
+        "E": ("j2", "t2"), "F": ("j2", "t2"), "G": ("j3", "oG"), "H": ("j3", "oH"),
+        "V1": ("t1", "o1"), "V2": ("t2", "o2"),
+    }
+    vessels = {
+        vid: Vessel(id=vid, n_cells=12, x0_node=x0, x1_node=x1, tube_law=law, alpha=1.1)
+        for vid, (x0, x1) in wiring.items()
+    }
+
+    def branching(nid, parent, *children):
+        return Branching(nid, (BranchAttachment(parent, "x1", 1e-4),)
+                         + tuple(BranchAttachment(c, "x0", 1e-4) for c in children))
+
+    def transitional(nid, arteries, vein):
+        return Transitional(nid, tuple(TransAttachment(a, 2e7) for a in arteries),
+                            (TransAttachment(vein, 2e7),), R_C=4e7, C1=2e-10, C2=2e-10,
+                            P_C1_init=12000.0, P_C2_init=9000.0)
+
+    nodes = {
+        "in": ExternalPressure("in", SineSignal(mean=12000.0, amplitude=800.0, frequency=5.0)),
+        "j1": branching("j1", "A", "B", "C"),
+        "j2": branching("j2", "B", "D", "E", "F"),
+        "j3": branching("j3", "C", "G", "H"),
+        "t1": transitional("t1", ("D",), "V1"),
+        "t2": transitional("t2", ("E", "F"), "V2"),
+        "oG": ExternalPressure("oG", ConstantSignal(12000.0)),
+        "oH": ExternalFlow("oH", ConstantSignal(0.0)),
+        "o1": ExternalPressure("o1", ConstantSignal(9000.0)),
+        "o2": ExternalPressure("o2", ConstantSignal(9000.0)),
+    }
+
+    def pulse(x):
+        return 12000.0 + 1500.0 * np.where((x > 0.2) & (x < 0.6), np.sin(np.pi * (x - 0.2) / 0.4) ** 2, 0.0)
+
+    init = InitSpec(
+        default=VesselInit(P=pulse, Q=0.0),
+        per_vessel={v: VesselInit(P=9000.0, Q=0.0) for v in ("V1", "V2")},
+    )
+    return Network(vessels=vessels, nodes=nodes), init, SimConfig(dt=2e-3, t_end=0.03, check_every=5)
+
+
+def run_against_closure_oracle(monkeypatch, net, init, cfg):
+    """Run, checking every closure pass against the per-node oracle
+    solve_junction(assemble_*(...)) built from the same frozen data.
+    Returns the report and the closure passes, nodes and values checked."""
+    import vesselflow.solver as solver_mod
+    from vesselflow.constitutive import CoefficientSet, EigenData
+    from vesselflow.junctions import (
+        EndpointClosureInput,
+        assemble_branching,
+        assemble_transitional,
+        solve_junction,
+    )
+    from vesselflow.network import Transitional, endpoints_by_node, node_attachments
+
+    real_step, real_close = solver_mod.picard_step, solver_mod._close_nodes
+    junctions = {nid: n for nid, n in net.nodes.items() if isinstance(n, (Branching, Transitional))}
+    ends_by_node = endpoints_by_node(net)
+    step, seen, batched, oracle = {}, {"passes": 0, "nodes": 0}, [], []
+
+    def recording_step(cn, state_prev, cfg, dt, **kw):
+        step.update(prev=state_prev, dt=dt)
+        return real_step(cn, state_prev, cfg, dt, **kw)
+
+    def checked_close(cn, frozen, upd, *args):
+        P, Q = args[-2], args[-1]
+        pressures, trans, residual = real_close(cn, frozen, upd, *args)
+        prev, dt = step["prev"], step["dt"]
+        cs, eig = frozen.new.coeffs, frozen.new.eig
+        for nid, node in junctions.items():
+            params = {(vid, end): p for vid, end, p in node_attachments(node)}
+            inputs, points = [], []
+            for vid, end, _ in ends_by_node[nid]:
+                k = cn.vessel_ids.index(vid)
+                pt = int(cn.last[k] if end == "x1" else cn.first[k])
+                row = upd.right if end == "x1" else upd.left
+                at = {name: float(np.asarray(getattr(cs, name))[pt]) for name in "abcfgA"}
+                inputs.append(EndpointClosureInput(
+                    vessel_id=vid, end=end, coeffs=CoefficientSet(**at),
+                    eig=EigenData(float(eig.lambda_R[pt]), float(eig.lambda_L[pt]), float(eig.u[pt])),
+                    char_value=float(row.known[k]),
+                    q_prev=float(prev.fields[vid].Q[-1 if end == "x1" else 0]),
+                    rho_j=params[(vid, end)] if isinstance(node, Branching) else None,
+                    resistance=None if isinstance(node, Branching) else params[(vid, end)],
+                    kP=float(row.kP[k]), kQ=float(row.kQ[k]),
+                ))
+                points.append((vid, end, pt))
+            if isinstance(node, Branching):
+                sol = solve_junction(assemble_branching(node, inputs, dt))
+                batched.append(pressures[nid])
+                oracle.append(sol.internals["P_junc"])
+            else:
+                sol = solve_junction(assemble_transitional(node, inputs, prev.transitional[nid], dt))
+                batched.extend((trans[nid].P_C1, trans[nid].P_C2))
+                oracle.extend((sol.internals["P_C1"], sol.internals["P_C2"]))
+            for vid, end, pt in points:
+                batched.extend((P[pt], Q[pt]))
+                oracle.extend((sol.states[(vid, end)].P, sol.states[(vid, end)].Q))
+            seen["nodes"] += 1
+        seen["passes"] += 1
+        return pressures, trans, residual
+
+    monkeypatch.setattr(solver_mod, "picard_step", recording_step)
+    monkeypatch.setattr(solver_mod, "_close_nodes", checked_close)
+    state0, _ = initial_state(net, init, cfg)
+    report = run(net, state0, cfg)
+    # bit for bit, signed zeros included
+    same = np.array(batched).view(np.int64) == np.array(oracle).view(np.int64)
+    assert same.all(), f"{np.count_nonzero(~same)} of {same.size} values differ"
+    return report, seen, len(batched)
+
+
+def test_batched_closures_equal_per_node_oracle_on_bifurcation(monkeypatch):
+    # the shipped bifurcation: one branching and one transitional node
+    report, seen, values = run_against_closure_oracle(monkeypatch, *bifurcation_case())
+    assert report.steps == 10 and report.dt_adjustments == 0
     assert report.picard_total > report.steps  # the physical model iterates
-    for nid in junctions:
-        assert calls.count(nid) == report.picard_total
-    assert len(calls) == 2 * report.picard_total
+    assert seen["passes"] == report.picard_total
+    assert seen["nodes"] == 2 * report.picard_total
+    assert values == (7 + 6) * report.picard_total
+
+
+def test_batched_closures_equal_per_node_oracle_on_mixed_groups(monkeypatch):
+    from vesselflow.compiled import compile_network
+
+    net, init, cfg = mixed_junction_case()
+    groups = compile_network(net).junctions.groups
+    assert sorted((g.kind.__name__, len(g.node_ids), g.ends.shape[1]) for g in groups) == [
+        ("Branching", 1, 4), ("Branching", 2, 3), ("Transitional", 1, 2), ("Transitional", 1, 3),
+    ]
+    report, seen, _ = run_against_closure_oracle(monkeypatch, net, init, cfg)
+    assert report.steps == 15 and report.picard_total > report.steps
+    assert seen["passes"] == report.picard_total
+    assert seen["nodes"] == 5 * report.picard_total
+    # flow runs through every junction (pulse flows are about 1e-6 m^3/s)
+    final = report.final_state.fields
+    assert all(abs(final[v].Q[0]) > 1e-8 for v in ("B", "C", "D", "E", "G", "H", "V1", "V2"))
+
+
+def test_report_records_closure_residual_and_junction_condition():
+    net, init, cfg = bifurcation_case()
+    state0, _ = initial_state(net, init, cfg)
+    report = run(net, state0, cfg)
+    assert report.steps == 10
+    assert 0.0 <= report.worst_closure_residual <= 1e-10
+    assert np.isfinite(report.worst_junction_condition)
+    assert 1.0 <= report.worst_junction_condition < 1e12
+    assert report.worst_junction_node in ("fork", "micro")
 
 
 def test_report_summaries_stay_bounded():
@@ -377,7 +513,7 @@ def test_report_summaries_stay_bounded():
     # nothing grows with the step count: scalars plus a histogram keyed
     # by iteration count (at most picard_max_iters keys)
     rest = {k: v for k, v in vars(report).items() if k not in ("final_state", "iteration_histogram")}
-    assert all(isinstance(v, (int, float)) for v in rest.values())
+    assert all(isinstance(v, (int, float, str)) for v in rest.values())
     assert max(report.iteration_histogram) <= cfg.picard_max_iters
 
 

@@ -195,3 +195,189 @@ def test_envelope_requires_two_samples():
     v = Vessel(id="v", n_cells=4, x0_node="in", x1_node="out", tube_law=LAW, alpha=1.1)
     with pytest.raises(ValueError):
         check_envelope(single_net(v), (0.0, 1.0), (0.0, 1.0), samples=1)
+
+
+# --- the layout sweep against a per-vessel reference --------------------------
+
+
+def reference_vessel_checks(net, state, cfg, endpoints_only):
+    """Per-vessel reference: `coefficients` on each vessel's own points
+    and np.argmin, in vessel id order; vessels with an unevaluable point
+    are listed and skipped."""
+    from vesselflow.constitutive import PrimitiveState, coefficients
+
+    rows, unevaluable = [], []
+    for vid in sorted(net.vessels):
+        v, f = net.vessels[vid], state.fields[vid]
+        idx = np.array([0, v.n_cells]) if endpoints_only else np.arange(v.n_cells + 1)
+        cs = coefficients(v, v.grid[idx], state.t, PrimitiveState(f.P[idx], f.Q[idx]),
+                          epsilon0=cfg.epsilon0, checked=False)
+        a, b, c, A = (np.asarray(q, dtype=float) for q in (cs.a, cs.b, cs.c, cs.A))
+        if not np.all(np.isfinite(a)):
+            unevaluable.append(vid)
+            continue
+        ends = np.array([0, idx.size - 1])
+        everywhere = np.arange(idx.size)
+        for cond, values, sel, shift in (
+            ("a_positive", a, everywhere, 0.0),
+            ("area_floor", A, everywhere, cfg.epsilon0),
+            (COND_HYPERBOLIC, c**2 + a * b, everywhere, 0.0),
+            (COND_ENDPOINT, a * b, ends, 0.0),
+        ):
+            k = int(np.argmin(values[sel]))
+            margin = float(values[sel][k]) - shift
+            x_index = int(idx[sel][k])
+            classification = ""
+            if cond == COND_ENDPOINT and margin <= 0:
+                classification = "under-determined" if x_index == 0 else "over-determined"
+            rows.append((vid, cond, margin > 0, x_index, classification, np.float64(margin).tobytes()))
+    return rows, unevaluable
+
+
+def observed_vessel_checks(report):
+    rows = [
+        (c.subject, c.condition, c.passed, c.x_index, c.classification.split(" (")[0],
+         np.float64(c.margin).tobytes())
+        for c in report.checks
+    ]
+    return rows, [u.split(":")[0] for u in report.unevaluable]
+
+
+def mixed_failing_case():
+    """Power-law, tabulated and synthetic vessels whose ids sort apart
+    from the layout order (power-law vessels first): one interior
+    hyperbolicity failure, endpoint failures worst at x=0 and at x=1,
+    unevaluable tabulated points, and tied minima."""
+    from vesselflow import TabulatedLaw
+
+    radii = np.linspace(0.9e-3, 1.4e-3, 26)
+    row = 4e4 * ((radii / 1e-3) ** 2 - 1.0)
+    table = TabulatedLaw(radii=radii, pressures=[row, 1.2 * row], x_stations=(0.0, 1.0))
+    one_station = TabulatedLaw(radii=radii, pressures=[row], x_stations=(0.0,))
+
+    def syn(**kw):
+        return dict(synthetic=SyntheticCoefficients(**kw))
+
+    specs = {
+        "z_power": dict(tube_law=LAW, alpha=1.1),  # at rest: every minimum tied
+        "m_power": dict(tube_law=LAW, alpha=1.1),
+        "b_tab_ok": dict(tube_law=table, alpha=1.1),
+        "c_tab_bad": dict(tube_law=one_station, alpha=1.1),
+        "a_syn_hyp": syn(a=1.0, c=0.5, b=lambda x, t: 1.0 - 2.0 * np.exp(-(((x - 0.55) / 0.1) ** 2))),
+        "d_syn_x0": syn(a=1.0, c=1.0, b=lambda x, t: x - 0.5),
+        "e_syn_x1": syn(a=1.0, c=1.0, b=lambda x, t: 0.5 - x),
+        "f_syn_tie": syn(a=2.0, b=0.5, c=0.1),
+    }
+    vessels, nodes, fields = {}, {}, {}
+    for k, (vid, kw) in enumerate(specs.items()):
+        n = 8 + k
+        vessels[vid] = Vessel(id=vid, n_cells=n, x0_node=f"{vid}_in", x1_node=f"{vid}_out", **kw)
+        nodes[f"{vid}_in"] = ExternalPressure(f"{vid}_in", ConstantSignal(0.0))
+        nodes[f"{vid}_out"] = ExternalFlow(f"{vid}_out", ConstantSignal(0.0))
+        x = vessels[vid].grid
+        P = np.full(n + 1, 13000.0) if vid.endswith("power") else 2000.0 + 3000.0 * x
+        if vid == "m_power":
+            P = 13000.0 + 2000.0 * np.cos(3.0 * x)
+        if vid == "c_tab_bad":
+            P[3:5] = 5e4  # above the table
+        fields[vid] = VesselField(vid, 0.2, P, 1e-7 * np.sin(5.0 * x))
+    return Network(vessels=vessels, nodes=nodes), NetworkState(t=0.2, fields=fields)
+
+
+@pytest.mark.parametrize("endpoints_only", [False, True])
+def test_layout_sweep_equals_per_vessel_reference(endpoints_only):
+    from vesselflow.compiled import compile_network
+
+    net, state = mixed_failing_case()
+    report = check_state(net, state, CFG, endpoints_only=endpoints_only)
+    assert observed_vessel_checks(report) == reference_vessel_checks(net, state, CFG, endpoints_only)
+    again = check_state(compile_network(net), state, CFG, endpoints_only=endpoints_only)
+    assert observed_vessel_checks(again) == observed_vessel_checks(report)
+
+    by = {(c.subject, c.condition): c for c in report.checks}
+    # the bad points are interior, so the endpoint sweep cannot see them
+    expected = [] if endpoints_only else ["c_tab_bad: tube law unevaluable at 2 grid point(s), first at x-index 3"]
+    assert report.unevaluable == expected
+    assert by[("d_syn_x0", COND_ENDPOINT)].x_index == 0
+    assert "under-determined" in by[("d_syn_x0", COND_ENDPOINT)].classification
+    assert by[("e_syn_x1", COND_ENDPOINT)].x_index == net.vessels["e_syn_x1"].n_cells
+    assert "over-determined" in by[("e_syn_x1", COND_ENDPOINT)].classification
+    assert by[("f_syn_tie", COND_HYPERBOLIC)].x_index == 0  # tie: first occurrence
+    assert by[("f_syn_tie", COND_ENDPOINT)].x_index == 0
+    assert by[("z_power", "a_positive")].x_index == 0
+    hyp = by[("a_syn_hyp", COND_HYPERBOLIC)]
+    if not endpoints_only:
+        assert not hyp.passed and 0 < hyp.x_index < 8
+    assert [c.subject for c in report.checks] == sorted(c.subject for c in report.checks)
+
+
+def test_junction_estimates_equal_per_node_reference():
+    from vesselflow import BranchAttachment, Branching, TabulatedLaw, TransAttachment, Transitional
+    from vesselflow.constitutive import PrimitiveState, coefficients, eigen
+    from vesselflow.junctions import (
+        EndpointClosureInput,
+        TransitionalState,
+        assemble_branching,
+        assemble_transitional,
+        junction_condition_estimate,
+    )
+    from vesselflow.network import endpoints_by_node, node_attachments
+
+    radii = np.linspace(0.9e-3, 1.4e-3, 26)
+    table = TabulatedLaw(radii=radii, pressures=[4e4 * ((radii / 1e-3) ** 2 - 1.0)],
+                         x_stations=(0.0,))
+    syn = SyntheticCoefficients(a=lambda x, t: 2.0 + 50.0 * t + x, b=1e-6, c=0.01, area=2e-6)
+    wiring = {"p": ("in", "j"), "tab": ("j", "t"), "syn": ("j", "k"), "q": ("k", "o1"),
+              "r": ("k", "o2"), "vein": ("t", "out")}
+    kinds = {"tab": dict(tube_law=table, alpha=1.1), "syn": dict(synthetic=syn)}
+    vessels = {
+        vid: Vessel(id=vid, n_cells=10, x0_node=x0, x1_node=x1,
+                    **kinds.get(vid, dict(tube_law=LAW, alpha=1.1)))
+        for vid, (x0, x1) in wiring.items()
+    }
+    nodes = {
+        "in": ExternalPressure("in", ConstantSignal(13000.0)),
+        "j": Branching("j", (BranchAttachment("p", "x1", 1e-4), BranchAttachment("tab", "x0", 2e-4),
+                             BranchAttachment("syn", "x0", 3e-4))),
+        "k": Branching("k", (BranchAttachment("syn", "x1", 1e-4), BranchAttachment("q", "x0", 1e-4),
+                             BranchAttachment("r", "x0", 5e-4))),
+        "t": Transitional("t", (TransAttachment("tab", 2e7),), (TransAttachment("vein", 3e7),),
+                          R_C=4e7, C1=2e-10, C2=3e-10),
+        "o1": ExternalPressure("o1", ConstantSignal(13000.0)),
+        "o2": ExternalPressure("o2", ConstantSignal(13000.0)),
+        "out": ExternalPressure("out", ConstantSignal(9000.0)),
+    }
+    net = Network(vessels=vessels, nodes=nodes)
+    rng = np.random.default_rng(12)
+    state = NetworkState(t=0.1, fields={
+        vid: VesselField(vid, 0.1, 11000.0 + 3000.0 * rng.random(11), 1e-6 * rng.standard_normal(11))
+        for vid in vessels
+    })
+    report = check_state(net, state, CFG)
+    assert report.passed
+    assert observed_vessel_checks(report) == reference_vessel_checks(net, state, CFG, False)
+
+    ends_by_node = endpoints_by_node(net)
+    reference = {}
+    for nid in ("j", "k", "t"):
+        node = nodes[nid]
+        params = {(vid, end): p for vid, end, p in node_attachments(node)}
+        inputs = []
+        for vid, end, _ in ends_by_node[nid]:
+            i = 0 if end == "x0" else -1
+            f = state.fields[vid]
+            cs = coefficients(vessels[vid], float(vessels[vid].grid[i]), state.t + CFG.dt,
+                              PrimitiveState(float(f.P[i]), float(f.Q[i])))
+            branching = isinstance(node, Branching)
+            inputs.append(EndpointClosureInput(
+                vessel_id=vid, end=end, coeffs=cs, eig=eigen(cs), char_value=0.0,
+                rho_j=params[(vid, end)] if branching else None,
+                resistance=None if branching else params[(vid, end)],
+            ))
+        sysm = (assemble_branching(node, inputs, CFG.dt) if isinstance(node, Branching)
+                else assemble_transitional(node, inputs, TransitionalState(0.0, 0.0), CFG.dt))
+        reference[nid] = junction_condition_estimate(sysm)
+    assert [j.node for j in report.junction_checks] == ["j", "k", "t"]
+    for j in report.junction_checks:
+        assert j.passed
+        assert j.condition_estimate == pytest.approx(reference[j.node], rel=1e-8)
