@@ -29,15 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiled import CompiledNetwork
+from .compiled import CompiledNetwork, layout_coefficients
 from .constitutive import (
     CoefficientSet,
     EigenData,
     PrimitiveState,
-    coefficients,
     eigen,
-    power_law_coefficients,
-    power_law_failure,
     to_riemann,
 )
 from .errors import CFLViolation
@@ -144,36 +141,8 @@ def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
     return out * (0.5 * layout.cells)
 
 
-_FIELDS = ("a", "b", "c", "f", "g", "A")
-
-
-def _coefficients(layout: CompiledNetwork, t: float, P, Q, epsilon0: float) -> CoefficientSet:
-    """Coefficients on every grid point: one closed-form pass over the
-    power-law prefix, then one `coefficients` call per tabulated or
-    synthetic segment."""
-    n = layout.n_power
-    if n:
-        cs = power_law_coefficients(layout.power, P[:n], Q[:n])
-        err = power_law_failure(layout.power, P[:n], cs.A, epsilon0, layout.vessel_at)
-        if err is not None:
-            raise err
-        if not layout.fills:
-            return CoefficientSet(cs.a, cs.b, cs.c, layout.zeros, cs.g, cs.A)
-    out = {name: np.empty(layout.size) for name in _FIELDS}
-    if n:
-        for name in _FIELDS:
-            out[name][:n] = getattr(cs, name)
-    for vessel, sl in layout.fills:
-        seg = coefficients(
-            vessel, layout.x[sl], t, PrimitiveState(P[sl], Q[sl]), epsilon0=epsilon0
-        )
-        for name in _FIELDS:
-            out[name][sl] = getattr(seg, name)
-    return CoefficientSet(**out)
-
-
 def _build_level(layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float) -> LevelData:
-    cs = _coefficients(layout, t, P, Q, epsilon0)
+    cs = layout_coefficients(layout, t, P, Q, epsilon0)
     e = eigen(cs)
     rp = to_riemann(cs, e, PrimitiveState(P, Q))
     return LevelData(

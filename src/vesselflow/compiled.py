@@ -5,8 +5,9 @@ array, so the characteristics kernel runs once per fixed-point
 iteration on all grid points instead of once per vessel. Vessels with a
 power tube law come first (sorted by id) and share per-point parameter
 arrays; vessels with a tabulated law or synthetic coefficients follow
-(sorted by id) and are filled segment by segment through
-`coefficients`. The node part lists every vessel end attached to a node
+(sorted by id); `layout_coefficients` evaluates the coefficients of
+every point, or of every vessel end, for the solver and the checker
+alike. The node part lists every vessel end attached to a node
 once, in node order and `endpoints_by_node` order within a node, with its
 grid point; external nodes keep their single end, and junction nodes
 are grouped by kind and size into the stacked-solve tables of
@@ -15,11 +16,18 @@ are grouped by kind and size into the stacked-solve tables of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constitutive import PowerLawParams
+from .constitutive import (
+    CoefficientSet,
+    PowerLawParams,
+    PrimitiveState,
+    coefficient_failure,
+    coefficients,
+    power_law_coefficients,
+)
 from .junctions import JunctionLayout, junction_layout
 from .network import (
     ExternalFlow,
@@ -40,6 +48,7 @@ class CompiledNetwork:
     slices: dict[str, slice]  # vessel id -> its points
     first: np.ndarray  # x=0 point of each segment
     last: np.ndarray  # x=1 point of each segment
+    ends: np.ndarray  # first and last point of each segment, interleaved
     # per point
     x: np.ndarray  # position on the vessel's unit interval
     j: np.ndarray  # local grid index (float)
@@ -126,6 +135,7 @@ def compile_network(net: Network) -> CompiledNetwork:
         slices=slices,
         first=first,
         last=last,
+        ends=np.stack((first, last), axis=1).ravel(),
         x=np.concatenate([v.grid for v in vessels]) if vessels else np.zeros(0),
         j=np.concatenate([np.arange(n, dtype=float) for n in counts]) if vessels else np.zeros(0),
         cells=per_point([v.n_cells for v in vessels]),
@@ -143,3 +153,54 @@ def compile_network(net: Network) -> CompiledNetwork:
         external_ends=np.array([k for _, k in outer], dtype=np.intp),
         junctions=junction_layout(plans, end_x1, end_param),
     )
+
+
+_FIELDS = ("a", "b", "c", "f", "g", "A")
+
+
+def layout_coefficients(
+    cn: CompiledNetwork,
+    t: float,
+    P: np.ndarray,
+    Q: np.ndarray,
+    epsilon0: float,
+    checked: bool = True,
+    ends: bool = False,
+) -> CoefficientSet:
+    """Coefficients at every grid point of the layout (P and Q in layout
+    order), or with ends=True at the entries of `cn.ends`: one closed
+    form over the power-law prefix, one `coefficients` call per
+    tabulated or synthetic segment. Unevaluable points come back as NaN;
+    with checked=True the first failing point in layout order raises,
+    naming its vessel (synthetic segments stay unchecked)."""
+    k0 = len(cn.vessels) - len(cn.fills)  # the first fill segment
+    x, params, n, owner = cn.x, cn.power, cn.n_power, cn.vessel_at
+    if ends:
+        x, P, Q = x[cn.ends], P[cn.ends], Q[cn.ends]
+        n = 2 * k0
+        sub = cn.ends[:n]
+        params = PowerLawParams(**{f.name: getattr(params, f.name)[sub] for f in fields(params)})
+
+        def owner(k):
+            return cn.vessel_ids[k // 2]
+    if n:
+        cs = power_law_coefficients(params, P[:n], Q[:n])
+        if checked:
+            err = coefficient_failure(P[:n], cs.A, cs.a, epsilon0, owner)
+            if err is not None:
+                raise err
+        if not cn.fills:
+            f = np.zeros(n) if ends else cn.zeros
+            return CoefficientSet(cs.a, cs.b, cs.c, f, cs.g, cs.A)
+    out = {name: np.empty(P.size) for name in _FIELDS}
+    if n:
+        for name in _FIELDS:
+            out[name][:n] = getattr(cs, name)
+    for k, (vessel, sl) in enumerate(cn.fills, start=k0):
+        at = slice(2 * k, 2 * k + 2) if ends else sl
+        seg = coefficients(
+            vessel, x[at], t, PrimitiveState(P[at], Q[at]), epsilon0=epsilon0, checked=checked
+        )
+        for name in _FIELDS:
+            out[name][at] = getattr(seg, name)
+    return CoefficientSet(**out)

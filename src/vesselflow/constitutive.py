@@ -121,7 +121,7 @@ def radius_from_pressure(law: TubeLaw, x, P):
     The power law inverts in closed form. Tabulated laws use a Newton
     iteration with a bisection safeguard on the bracketing radius range,
     converging the pressure residual to 1e-14 relative, elementwise on
-    aligned arrays of x and P.
+    aligned arrays of x and P. A pressure outside the law's range raises.
     """
     if isinstance(law, PowerLaw):
         P = np.asarray(P, dtype=float)
@@ -129,25 +129,24 @@ def radius_from_pressure(law: TubeLaw, x, P):
             raise TubeLawError(f"pressure below power-law range (need P > {-law.C})")
         return _scalar_or_array(law.R0 * np.exp(np.log1p(P / law.C) / law.beta))
     if isinstance(law, TabulatedLaw):
-        return _scalar_or_array(_invert_tabulated(law, x, P))
+        R = _invert_tabulated(law, x, P)
+        if np.any(np.isnan(R)):
+            raise TubeLawError("pressure outside tabulated range")
+        return _scalar_or_array(R)
     raise TypeError(f"not a tube law: {law!r}")
 
 
 def _invert_tabulated(law: TabulatedLaw, x, P) -> np.ndarray:
+    """Radius at (x, P) under a tabulated law; NaN where P lies outside
+    the table's pressure range at x (or is NaN)."""
     x, P = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(P, dtype=float))
     lo = np.full(P.shape, law.radii[0])
     hi = np.full(P.shape, law.radii[-1])
     p_lo = pressure_from_radius(law, x, lo)
     p_hi = pressure_from_radius(law, x, hi)
-    outside = (P < p_lo) | (P > p_hi)
-    if np.any(outside):
-        k = np.flatnonzero(outside)[0]
-        raise TubeLawError(
-            f"pressure {P.flat[k]} outside tabulated range "
-            f"[{np.ravel(p_lo)[k]}, {np.ravel(p_hi)[k]}] at x={x.flat[k]}"
-        )
     tol = 1e-14 * np.maximum(1.0, np.abs(P))
-    R = 0.5 * (lo + hi)
+    # a NaN radius keeps its residual NaN, so it never turns active
+    R = np.where((P >= p_lo) & (P <= p_hi), 0.5 * (lo + hi), np.nan)
     for _ in range(_NEWTON_MAX_ITERS):
         res = pressure_from_radius(law, x, R) - P
         # converged, or the bracket is exhausted at float resolution
@@ -171,7 +170,8 @@ def _invert_tabulated(law: TabulatedLaw, x, P) -> np.ndarray:
 
 def _dA_dx_fixed_P(law: TabulatedLaw, x, P):
     """x-derivative of area at fixed pressure under a tabulated law:
-    finite differences across stations, zero for a single station."""
+    finite differences across stations, zero for a single station; NaN
+    where P lies outside the table at a station of the difference."""
     if law.x_stations.size == 1:
         return np.zeros_like(np.asarray(P, dtype=float)) if np.ndim(P) else 0.0
     xs = law.x_stations
@@ -180,8 +180,8 @@ def _dA_dx_fixed_P(law: TabulatedLaw, x, P):
     centered = np.isclose(x, xs[i]) & (i > 0)
     x_lo = np.where(centered, xs[np.maximum(i - 1, 0)], xs[i])
     x_hi = xs[i + 1]
-    R_lo = np.asarray(radius_from_pressure(law, x_lo, P))
-    R_hi = np.asarray(radius_from_pressure(law, x_hi, P))
+    R_lo = _invert_tabulated(law, x_lo, P)
+    R_hi = _invert_tabulated(law, x_hi, P)
     return _scalar_or_array(np.pi * (R_hi**2 - R_lo**2) / (x_hi - x_lo))
 
 
@@ -230,7 +230,7 @@ def power_law_coefficients(p: PowerLawParams, P, Q) -> CoefficientSet:
         A = A0 (1 + P/C)^(2/beta),  a = dP/dA = beta (C + P) / (2A).
 
     The law is x-independent, so g has only its viscous part. Unchecked:
-    P <= -C gives NaN (or zero area); see `power_law_failure`. f is the
+    P <= -C gives NaN (or zero area); see `coefficient_failure`. f is the
     scalar 0.0.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -243,22 +243,23 @@ def power_law_coefficients(p: PowerLawParams, P, Q) -> CoefficientSet:
     return CoefficientSet(a, b, c, 0.0, g, A)
 
 
-def power_law_failure(p: PowerLawParams, P, A, epsilon0: float, owner) -> SimulationError | None:
+def coefficient_failure(P, A, a, epsilon0: float, owner) -> SimulationError | None:
     """The error for the first point whose area is not at or above the
-    floor (NaN included), or None. owner maps a flat point index to the
-    id of its vessel."""
-    A = np.asarray(A)
-    if np.min(A) >= epsilon0:
+    floor or whose slope a is not positive (NaN fails both), or None.
+    A point without positive area lies outside its law's range. owner
+    maps a flat point index to the id of its vessel."""
+    # the ufunc reduction: np.min's dispatch costs as much on small layouts
+    if np.minimum.reduce(A, axis=None) >= epsilon0 and np.minimum.reduce(a, axis=None) > 0:
         return None
-    k = int(np.flatnonzero(~(A >= epsilon0))[0])
-    C = float(np.ravel(p.C)[k] if np.ndim(p.C) else p.C)
-    if not float(np.ravel(P)[k]) / C > -1.0:
-        return TubeLawError(
-            f"vessel {owner(k)!r}: pressure below power-law range (need P > {-C})"
+    P, A, a = (np.ravel(v) for v in np.broadcast_arrays(P, A, a))
+    k = int(np.flatnonzero(~((A >= epsilon0) & (a > 0)))[0])
+    if not A[k] > 0:
+        return TubeLawError(f"vessel {owner(k)!r}: pressure {P[k]} outside the tube law's range")
+    if A[k] < epsilon0:
+        return CollapsedVesselError(
+            f"vessel {owner(k)!r}: area {A[k]:.3e} m^2 below floor {epsilon0:.3e}"
         )
-    return CollapsedVesselError(
-        f"vessel {owner(k)!r}: area {float(A.flat[k]):.3e} m^2 below floor {epsilon0:.3e}"
-    )
+    return TubeLawError(f"vessel {owner(k)!r}: nonpositive slope dP/dA")
 
 
 def coefficients(
@@ -272,12 +273,17 @@ def coefficients(
     """Coefficients (a, b, c, f, g, A) of the wave system at (x, t, P, Q).
 
     For physical vessels the state's pressure is inverted through the
-    tube law to recover area. With checked=True (the solver path) a
-    collapsed area (A < epsilon0) or a nonpositive slope a raises; with
-    checked=False out-of-range points come back as NaN so callers can
-    report them (the condition-checker path).
+    tube law to recover area. Points where the law cannot be evaluated
+    (pressure outside its range, or outside a tabulated law's table at a
+    station of dA/dx) come back as NaN in every field but f. With
+    checked=True (the solver path) `coefficient_failure` raises for the
+    first such point, a collapsed area (A < epsilon0) or a nonpositive
+    slope a; with checked=False callers report them (the
+    condition-checker path). Synthetic coefficients are returned as
+    given, unchecked.
 
-    x and the state fields may be aligned arrays.
+    x and the state fields may be aligned arrays; scalars in give
+    scalars out.
     """
     syn = vessel.synthetic
     if syn is not None:
@@ -295,54 +301,28 @@ def coefficients(
     law = vessel.tube_law
     P = np.asarray(state.P, dtype=float)
     Q = np.asarray(state.Q, dtype=float)
-    scalar = P.ndim == 0 and np.ndim(x) == 0
 
     if isinstance(law, PowerLaw):
-        params = PowerLawParams.for_vessel(vessel)
-        cs = power_law_coefficients(params, P, Q)
-        if checked:
-            err = power_law_failure(params, P, cs.A, epsilon0, lambda k: vessel.id)
-            if err is not None:
-                raise err
+        cs = power_law_coefficients(PowerLawParams.for_vessel(vessel), P, Q)
         a, b, c, g, A = cs.a, cs.b, cs.c, cs.g, cs.A
     else:
-        if checked:
-            R = radius_from_pressure(law, x, P)
-        else:
-            try:
-                R = radius_from_pressure(law, x, P)
-            except TubeLawError:
-                if P.ndim == 0:
-                    nan = float("nan")
-                    return CoefficientSet(nan, nan, nan, nan, nan, nan)
-                R = np.full(P.shape, np.nan)
-                for k, p in enumerate(P):
-                    try:
-                        R[k] = radius_from_pressure(
-                            law, x[k] if np.ndim(x) else x, float(p)
-                        )
-                    except TubeLawError:
-                        pass
-        R = np.asarray(R, dtype=float)
+        dAdx = _dA_dx_fixed_P(law, x, P)
+        R = np.where(np.isnan(dAdx), np.nan, _invert_tabulated(law, x, P))
         A = np.pi * R**2
-        if checked and np.any(A < epsilon0):
-            raise CollapsedVesselError(
-                f"vessel {vessel.id!r}: area {np.min(A):.3e} m^2 below floor {epsilon0:.3e}"
-            )
-
-        dPdR = np.asarray(_dP_dR(law, x, R), dtype=float)
+        dPdR = _dP_dR(law, x, R)
         with np.errstate(invalid="ignore", divide="ignore"):
             a = dPdR / (2.0 * np.pi * R)
-            if checked and np.any(a <= 0):
-                raise TubeLawError(f"vessel {vessel.id!r}: nonpositive slope dP/dA")
             alpha = vessel.alpha
             b = A / vessel.rho_blood - alpha * Q**2 / (A**2 * a)
             c = alpha * Q / A
-            dAdx = np.asarray(_dA_dx_fixed_P(law, x, P), dtype=float)
             g = alpha * Q**2 / A**2 * dAdx - (
                 4.0 * np.pi * vessel.nu * alpha / (alpha - 1.0)
             ) * Q / A
-    if scalar:
+    if checked:
+        err = coefficient_failure(P, A, a, epsilon0, lambda k: vessel.id)
+        if err is not None:
+            raise err
+    if P.ndim == 0 and np.ndim(x) == 0:
         return CoefficientSet(float(a), float(b), float(c), 0.0, float(g), float(A))
     return CoefficientSet(a, b, c, np.zeros_like(a), g, A)
 

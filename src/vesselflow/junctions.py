@@ -7,7 +7,7 @@ small dense linear system for the endpoint (P, Q) values plus the
 node-internal unknowns:
 
 - branching: per-end characteristic relation, per-end backward-Euler
-  momentum ODE  rho_j dQ/dt = +-A (P - P_junc) + C_off, and exact flow
+  momentum ODE  rho_j dQ/dt = +-A (P - P_junc), and exact flow
   balance  sum_in Q = sum_out Q;  unknowns (P, Q) per end plus P_junc.
 - transitional: per-end characteristic relation, per-end resistive
   relation R_j Q = +-(P - P_C), and backward-Euler capacitor ODEs
@@ -51,7 +51,6 @@ class EndpointClosureInput:
     # at the endpoint state (P, Q) being solved for
     char_value: float
     q_prev: float = 0.0  # endpoint Q at the previous time level
-    c_off: float = 0.0  # linearization offset in the momentum ODE
     rho_j: float | None = None  # branching inertance
     resistance: float | None = None  # transitional leg resistance
     kP: float = 0.0
@@ -172,7 +171,7 @@ def assemble_branching(
         M[2 * i + 1, iQ] = inp.rho_j / dt
         M[2 * i + 1, iP] = -sgn * A
         M[2 * i + 1, ip_junc] = sgn * A
-        b[2 * i + 1] = inp.rho_j / dt * inp.q_prev + inp.c_off
+        b[2 * i + 1] = inp.rho_j / dt * inp.q_prev
     for i, inp in enumerate(inputs):
         M[n - 1, 2 * i + 1] = 1.0 if inp.incoming else -1.0
     return JunctionSystem(node.id, M, b, tuple(layout))

@@ -14,20 +14,13 @@ The checker only reports; callers decide whether to abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .compiled import CompiledNetwork, compile_network
-from .constitutive import (
-    CoefficientSet,
-    PrimitiveState,
-    PowerLawParams,
-    coefficients,
-    eigen,
-    power_law_coefficients,
-)
+from .compiled import CompiledNetwork, compile_network, layout_coefficients
+from .constitutive import CoefficientSet, PrimitiveState, coefficients, eigen
 from .junctions import condition_estimates
 from .network import Network
 
@@ -107,34 +100,6 @@ def _segment_min(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
     return mins, first
 
 
-def _layout_coefficients(cn: CompiledNetwork, points, t, P, Q, epsilon0):
-    """Unchecked coefficients a, b, c, A at the given grid points of the
-    layout (sorted; None for all): the closed form on the power-law
-    prefix, one `coefficients` call per tabulated or synthetic segment.
-    Points outside a law's range come back as NaN."""
-    m = cn.size if points is None else points.size
-    n = cn.n_power if points is None else int(np.searchsorted(points, cn.n_power))
-    params = cn.power
-    if points is not None:
-        sub = points[:n]
-        params = PowerLawParams(**{f.name: getattr(params, f.name)[sub] for f in fields(params)})
-        P, Q = P[points], Q[points]
-    cs = power_law_coefficients(params, P[:n], Q[:n])
-    if not cn.fills:
-        return cs.a, cs.b, cs.c, cs.A
-    out = np.empty((4, m))
-    out[:, :n] = (cs.a, cs.b, cs.c, cs.A)
-    k0 = len(cn.vessel_ids) - len(cn.fills)
-    for k, (vessel, sl) in enumerate(cn.fills, start=k0):
-        at = sl if points is None else slice(2 * k, 2 * k + 2)
-        x = cn.x[sl] if points is None else cn.x[[sl.start, sl.stop - 1]]
-        seg = coefficients(
-            vessel, x, t, PrimitiveState(P[at], Q[at]), epsilon0=epsilon0, checked=False
-        )
-        out[:, at] = (seg.a, seg.b, seg.c, seg.A)
-    return tuple(out)
-
-
 def check_state(
     net: Network | CompiledNetwork,
     state: "NetworkState",
@@ -158,14 +123,15 @@ def check_state(
     n_cells = np.diff(cn.offsets) - 1
     if endpoints_only:
         # fast per-step path: only the two ends of each vessel
-        points = np.stack((cn.first, cn.last), axis=1).ravel()
         starts, counts = np.arange(0, 2 * K, 2), np.full(K, 2)
         local = np.stack((np.zeros(K, dtype=np.intp), n_cells), axis=1).ravel()
     else:
-        points = None
         starts, counts = cn.offsets[:-1], n_cells + 1
         local = np.arange(cn.size) - np.repeat(starts, counts)
-    a, b, c, A = _layout_coefficients(cn, points, state.t, P, Q, cfg.epsilon0)
+    cs = layout_coefficients(
+        cn, state.t, P, Q, cfg.epsilon0, checked=False, ends=endpoints_only
+    )
+    a, b, c, A = cs.a, cs.b, cs.c, cs.A
     ab = a * b
     ends = np.stack((starts, starts + counts - 1), axis=1).ravel()
     rows = []
@@ -258,46 +224,40 @@ def check_envelope(
         raise ValueError("envelope ranges must be finite")
     P_grid = np.linspace(P_range[0], P_range[1], samples)
     Q_grid = np.linspace(Q_range[0], Q_range[1], samples)
+    # one row per grid station, P fastest within each Q sample
+    P_row, Q_row = np.tile(P_grid, samples), np.repeat(Q_grid, samples)
     report = ConditionReport()
     for vid in sorted(net.vessels):
         vessel = net.vessels[vid]
-        worst = {}
-        n_bad = 0
-        for xi, xv in enumerate(vessel.grid):
-            for qv in Q_grid:
-                cs = coefficients(
-                    vessel,
-                    np.full(P_grid.shape, xv),
-                    0.0,
-                    PrimitiveState(P_grid, np.full(P_grid.shape, qv)),
-                    checked=False,
-                )
-                a = np.asarray(cs.a, dtype=float)
-                ok = np.isfinite(a)
-                n_bad += int(np.sum(~ok))
-                if not np.any(ok):
-                    continue
-                disc = np.asarray(cs.c) ** 2 + a * np.asarray(cs.b)
-                ab = a * np.asarray(cs.b)
-                at_end = xi in (0, vessel.n_cells)
-                quantities = {
-                    COND_A_POSITIVE: a,
-                    COND_AREA_FLOOR: np.asarray(cs.A) - 0.0,
-                    COND_HYPERBOLIC: disc,
-                }
-                if at_end:
-                    quantities[COND_ENDPOINT] = ab
-                for cond, vals in quantities.items():
-                    v = vals[ok]
-                    k = int(np.argmin(v))
-                    cur = worst.get(cond)
-                    if cur is None or v[k] < cur[0]:
-                        worst[cond] = (float(v[k]), xi)
+        m = vessel.grid.size
+        cs = coefficients(
+            vessel,
+            np.repeat(vessel.grid, P_row.size),
+            0.0,
+            PrimitiveState(np.tile(P_row, m), np.tile(Q_row, m)),
+            checked=False,
+        )
+        a, b, c, A = (v.reshape(m, -1) for v in (cs.a, cs.b, cs.c, cs.A))
+        ok = np.isfinite(a)
+        n_bad = int(np.count_nonzero(~ok))
         if n_bad:
             report.unevaluable.append(
                 f"{vid}: {n_bad} envelope point(s) outside the tube law's range"
             )
-        for cond, (val, xi) in sorted(worst.items()):
+        everywhere, ends = np.arange(m), np.array([0, m - 1])
+        # in condition-name order
+        for cond, values, stations in (
+            (COND_A_POSITIVE, a, everywhere),
+            (COND_AREA_FLOOR, A, everywhere),
+            (COND_ENDPOINT, a * b, ends),
+            (COND_HYPERBOLIC, c**2 + a * b, everywhere),
+        ):
+            if not ok[stations].any():
+                continue
+            # station-major, so ties resolve to the first station
+            v = np.where(ok[stations], values[stations], np.inf)
+            k = int(np.argmin(v))
+            val, xi = float(v.flat[k]), int(stations[k // v.shape[1]])
             classify = cond == COND_ENDPOINT and val <= 0
             report.checks.append(
                 ConditionCheck(

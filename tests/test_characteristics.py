@@ -329,3 +329,68 @@ def test_segments_are_isolated_in_the_compiled_kernel():
         for got, want in zip(together[v.id], alone):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, equal_nan=True)
         assert np.isfinite(together[v.id][0][-1]) and np.isfinite(together[v.id][1][0])
+
+
+def mixed_layout():
+    """Power-law, tabulated (one and two stations) and synthetic vessels
+    with a smooth in-range state, in layout order."""
+    from vesselflow import TabulatedLaw
+
+    radii = np.linspace(0.9e-3, 1.4e-3, 26)
+    row = 4e4 * ((radii / 1e-3) ** 2 - 1.0)
+    kinds = {
+        "p1": dict(tube_law=PowerLaw(C=4e4, R0=1e-3, beta=2.0), alpha=1.1),
+        "p2": dict(tube_law=PowerLaw(C=2e4, R0=2e-3, beta=1.5), alpha=1.2),
+        "t1": dict(tube_law=TabulatedLaw(radii=radii, pressures=[row]), alpha=1.1),
+        "t2": dict(tube_law=TabulatedLaw(radii=radii, pressures=[row, 1.2 * row],
+                                         x_stations=(0.0, 1.0)), alpha=1.1),
+        "s": dict(synthetic=SyntheticCoefficients(
+            a=2.0, b=lambda x, t: 1.0 + x + t, c=0.2, f=lambda x, t: x * t, g=0.5)),
+    }
+    vessels = [Vessel(id=vid, n_cells=6 + k, x0_node=f"{vid}0", x1_node=f"{vid}1", **kw)
+               for k, (vid, kw) in enumerate(kinds.items())]
+    layout = layout_of(*vessels)
+    P = np.concatenate([13000.0 + 2000.0 * np.sin(3.0 * v.grid) for v in layout.vessels])
+    Q = np.concatenate([1e-7 * np.cos(5.0 * v.grid) for v in layout.vessels])
+    return layout, P, Q
+
+
+def test_layout_coefficients_equal_per_vessel_coefficients():
+    from vesselflow.compiled import layout_coefficients
+    from vesselflow.constitutive import coefficients
+
+    layout, P, Q = mixed_layout()
+    assert layout.vessel_ids == ("p1", "p2", "s", "t1", "t2")
+    t = 0.3
+    every = layout_coefficients(layout, t, P, Q, EPS0)
+    ends = layout_coefficients(layout, t, P, Q, EPS0, ends=True)
+    for k, v in enumerate(layout.vessels):
+        sl = layout.slices[v.id]
+        want = coefficients(v, v.grid, t, PrimitiveState(P[sl], Q[sl]), epsilon0=EPS0)
+        for name in ("a", "b", "c", "f", "g", "A"):
+            got = getattr(every, name)[sl]
+            assert np.broadcast_to(getattr(want, name), got.shape).tobytes() == got.tobytes()
+            at_ends = np.broadcast_to(getattr(want, name), got.shape)[[0, -1]]
+            assert getattr(ends, name)[2 * k : 2 * k + 2].tobytes() == at_ends.tobytes()
+
+
+@pytest.mark.parametrize("vid, point, value, error", [
+    ("p2", 0, -2e4 * (1.0 - 1e-9), "CollapsedVesselError"),  # area far below the floor
+    ("p2", -1, -2e4, "TubeLawError"),  # P = -C: zero area, outside the law
+    ("t2", 2, 5e4, "TubeLawError"),  # above the table at both stations
+])
+def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, value, error):
+    import vesselflow
+    from vesselflow.compiled import layout_coefficients
+
+    layout, P, Q = mixed_layout()
+    sl = layout.slices[vid]
+    at = (sl.start if point >= 0 else sl.stop) + point
+    P[at] = value
+    # a later failing point must not decide the error
+    P[layout.slices["t2"].stop - 1] = 5e4
+    for ends in (False, True):
+        with pytest.raises(getattr(vesselflow, error), match=f"vessel '{vid}'"):
+            layout_coefficients(layout, 0.0, P, Q, EPS0, ends=ends)
+    unchecked = layout_coefficients(layout, 0.0, P, Q, EPS0, checked=False)
+    assert not unchecked.A[at] >= EPS0

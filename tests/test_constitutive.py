@@ -183,6 +183,22 @@ def test_unchecked_mode_returns_nan():
     )
     assert np.isnan(cs.a[0]) and np.isfinite(cs.a[1])
 
+    # two stations: the table spans up to 3e4 Pa at x=0 and 6e4 Pa at x=1
+    radii = np.linspace(0.5e-3, 2e-3, 7)
+    row = 1e4 * ((radii / 1e-3) ** 2 - 1.0)
+    v = make_vessel(law=TabulatedLaw(radii=radii, pressures=[row, 2.0 * row], x_stations=(0.0, 1.0)))
+    x = np.linspace(0.0, 1.0, 5)
+    # above the table at x=0.25; above it everywhere; inside at x=0.5 but
+    # above the x=0 station that dA/dx differences against
+    P = np.array([0.0, 5e4, 1e4, 7e4, 4e4])
+    cs = coefficients(v, x, 0.0, PrimitiveState(P=P, Q=np.full(5, 1e-7)), checked=False)
+    bad = np.array([False, True, False, True, True])
+    for name in ("a", "b", "c", "g", "A"):
+        values = getattr(cs, name)
+        assert np.all(np.isnan(values[bad])) and np.all(np.isfinite(values[~bad])), name
+    with pytest.raises(TubeLawError, match="vessel 'v'"):
+        coefficients(v, x, 0.0, PrimitiveState(P=P, Q=np.full(5, 1e-7)))
+
 
 # --- eigenstructure ------------------------------------------------------
 

@@ -233,28 +233,6 @@ def test_branching_characteristic_consistency():
             assert abs(got - inp.char_value) <= 1e-10 * max(1.0, abs(inp.char_value))
 
 
-def test_branching_momentum_offset():
-    # a nonzero linearization offset shifts the backward-Euler momentum
-    # balance: rho (Q - Q_prev)/dt = +-A (P - P_junc) + c_off
-    P, Q, rho_j, dt = 4.0, 1.5, 1e-2, 1e-3
-    node = Branching(
-        "j", (BranchAttachment("u", "x1", rho_j), BranchAttachment("d", "x0", rho_j))
-    )
-    inputs = [
-        steady_input("x1", P, Q, vid="u", rho_j=rho_j, c_off=0.25),
-        steady_input("x0", P, Q, vid="d", rho_j=rho_j, c_off=-0.1),
-    ]
-    sol = solve_junction(assemble_branching(node, inputs, dt))
-    pj = sol.internals["P_junc"]
-    for inp in inputs:
-        st = sol.states[(inp.vessel_id, inp.end)]
-        sgn = 1.0 if inp.incoming else -1.0
-        resid = rho_j * (st.Q - inp.q_prev) / dt - (
-            sgn * inp.coeffs.A * (st.P - pj) + inp.c_off
-        )
-        assert abs(resid) <= 1e-10 * max(1.0, abs(inp.c_off))
-
-
 def test_rho_to_zero_pressure_continuity():
     # the junction pressure gap closes monotonically as inertance shrinks
     gaps = []

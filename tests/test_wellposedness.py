@@ -191,6 +191,23 @@ def test_envelope_monotone_in_range():
         assert m >= wide_m[cond] - 1e-12
 
 
+def test_envelope_partly_outside_a_two_station_table():
+    from vesselflow import TabulatedLaw, radius_from_pressure
+
+    radii = np.linspace(0.9e-3, 1.4e-3, 26)
+    row = 4e4 * ((radii / 1e-3) ** 2 - 1.0)  # up to 38.4 kPa at x=0, 46.08 kPa at x=1
+    law = TabulatedLaw(radii=radii, pressures=[row, 1.2 * row], x_stations=(0.0, 1.0))
+    v = Vessel(id="v", n_cells=4, x0_node="in", x1_node="out", tube_law=law, alpha=1.1)
+    # the top P sample, 45 kPa, is above the x=0 station at every grid
+    # station (dA/dx differences across both stations)
+    report = check_envelope(single_net(v), (-5e3, 4.5e4), (-1e-6, 1e-6), samples=6)
+    assert report.unevaluable == ["v: 30 envelope point(s) outside the tube law's range"]
+    assert [c.condition for c in report.checks] == ["a_positive", "area_floor", COND_ENDPOINT, COND_HYPERBOLIC]
+    floor = [c for c in report.checks if c.condition == "area_floor"][0]
+    assert floor.x_index == 0
+    assert floor.margin == pytest.approx(np.pi * radius_from_pressure(law, 0.0, -5e3) ** 2, rel=1e-12)
+
+
 def test_envelope_requires_two_samples():
     v = Vessel(id="v", n_cells=4, x0_node="in", x1_node="out", tube_law=LAW, alpha=1.1)
     with pytest.raises(ValueError):
@@ -243,11 +260,12 @@ def observed_vessel_checks(report):
     return rows, [u.split(":")[0] for u in report.unevaluable]
 
 
-def mixed_failing_case():
+def mixed_failing_case(bad_stations=1):
     """Power-law, tabulated and synthetic vessels whose ids sort apart
     from the layout order (power-law vessels first): one interior
     hyperbolicity failure, endpoint failures worst at x=0 and at x=1,
-    unevaluable tabulated points, and tied minima."""
+    unevaluable points on a tabulated law of 1 or 2 stations, and tied
+    minima."""
     from vesselflow import TabulatedLaw
 
     radii = np.linspace(0.9e-3, 1.4e-3, 26)
@@ -262,7 +280,7 @@ def mixed_failing_case():
         "z_power": dict(tube_law=LAW, alpha=1.1),  # at rest: every minimum tied
         "m_power": dict(tube_law=LAW, alpha=1.1),
         "b_tab_ok": dict(tube_law=table, alpha=1.1),
-        "c_tab_bad": dict(tube_law=one_station, alpha=1.1),
+        "c_tab_bad": dict(tube_law=one_station if bad_stations == 1 else table, alpha=1.1),
         "a_syn_hyp": syn(a=1.0, c=0.5, b=lambda x, t: 1.0 - 2.0 * np.exp(-(((x - 0.55) / 0.1) ** 2))),
         "d_syn_x0": syn(a=1.0, c=1.0, b=lambda x, t: x - 0.5),
         "e_syn_x1": syn(a=1.0, c=1.0, b=lambda x, t: 0.5 - x),
@@ -284,11 +302,15 @@ def mixed_failing_case():
     return Network(vessels=vessels, nodes=nodes), NetworkState(t=0.2, fields=fields)
 
 
-@pytest.mark.parametrize("endpoints_only", [False, True])
-def test_layout_sweep_equals_per_vessel_reference(endpoints_only):
+@pytest.mark.parametrize(
+    "endpoints_only, bad_stations",
+    [(False, 1), (True, 1), (False, 2), (True, 2)],
+    ids=["False", "True", "False-2-station", "True-2-station"],
+)
+def test_layout_sweep_equals_per_vessel_reference(endpoints_only, bad_stations):
     from vesselflow.compiled import compile_network
 
-    net, state = mixed_failing_case()
+    net, state = mixed_failing_case(bad_stations)
     report = check_state(net, state, CFG, endpoints_only=endpoints_only)
     assert observed_vessel_checks(report) == reference_vessel_checks(net, state, CFG, endpoints_only)
     again = check_state(compile_network(net), state, CFG, endpoints_only=endpoints_only)
