@@ -158,7 +158,9 @@ def _simulate_classified(args) -> int:
     print(
         f"done: {report.steps} steps to t={report.t_final!r}, "
         f"{report.picard_total} fixed-point iterations, "
-        f"{report.dt_adjustments} dt adjustments"
+        f"{report.dt_adjustments} dt adjustments, "
+        f"{report.extrapolated_steps} extrapolated starts, "
+        f"{report.extrapolation_retries} extrapolation retries"
     )
     print(f"timeseries -> {csv_path}")
     return EXIT_OK

@@ -144,25 +144,19 @@ def validate_probes(net: Network, probes) -> None:
                     raise ConfigError(f"{q} probe needs a transitional node, got {p.node!r}")
 
 
-def vessel_quantity(net: Network, state, vid: str, idx: int, quantity: str, epsilon0: float) -> float:
-    """One derived quantity at a vessel grid station."""
-    v = net.vessels[vid]
+def station_values(net: Network, state, vid: str, idx: int, quantities, epsilon0: float) -> list[float]:
+    """The given vessel quantities at one grid station, from at most one
+    coefficient evaluation."""
     f = state.fields[vid]
     P = float(f.P[idx])
     Q = float(f.Q[idx])
-    if quantity == "P":
-        return P
-    if quantity == "Q":
-        return Q
-    x = float(v.grid[idx])
-    cs = coefficients(v, x, state.t, PrimitiveState(P, Q), epsilon0=epsilon0)
-    if quantity == "A":
-        return float(cs.A)
-    if quantity == "R":
-        return float(np.sqrt(cs.A / np.pi))
-    if quantity == "V":
-        return Q / float(cs.A)
-    raise ConfigError(f"unknown vessel quantity {quantity!r}")
+    values = {"P": P, "Q": Q}
+    if not values.keys() >= set(quantities):
+        v = net.vessels[vid]
+        x = float(v.grid[idx])
+        cs = coefficients(v, x, state.t, PrimitiveState(P, Q), epsilon0=epsilon0)
+        values.update(A=float(cs.A), R=float(np.sqrt(cs.A / np.pi)), V=Q / float(cs.A))
+    return [values[q] for q in quantities]
 
 
 def emit_probes(sink, net: Network, state, probes, epsilon0: float) -> None:
@@ -171,12 +165,10 @@ def emit_probes(sink, net: Network, state, probes, epsilon0: float) -> None:
         if p.vessel is not None:
             idx = resolve_probe_index(p, net.vessels[p.vessel].n_cells)
             x = float(net.vessels[p.vessel].grid[idx])
-            for q in p.quantities:
+            values = station_values(net, state, p.vessel, idx, p.quantities, epsilon0)
+            for q, value in zip(p.quantities, values):
                 sink.emit(
-                    ProbeRecord(
-                        t=state.t, kind="vessel", id=p.vessel, x=x, quantity=q,
-                        value=vessel_quantity(net, state, p.vessel, idx, q, epsilon0),
-                    )
+                    ProbeRecord(t=state.t, kind="vessel", id=p.vessel, x=x, quantity=q, value=value)
                 )
         else:
             node = net.nodes[p.node]
@@ -199,10 +191,6 @@ def emit_snapshot(sink, net: Network, state, epsilon0: float) -> None:
         v = net.vessels[vid]
         for idx in range(v.n_cells + 1):
             x = float(v.grid[idx])
-            for q in VESSEL_QUANTITIES:
-                sink.emit(
-                    ProbeRecord(
-                        t=state.t, kind="vessel", id=vid, x=x, quantity=q,
-                        value=vessel_quantity(net, state, vid, idx, q, epsilon0),
-                    )
-                )
+            values = station_values(net, state, vid, idx, VESSEL_QUANTITIES, epsilon0)
+            for q, value in zip(VESSEL_QUANTITIES, values):
+                sink.emit(ProbeRecord(t=state.t, kind="vessel", id=vid, x=x, quantity=q, value=value))

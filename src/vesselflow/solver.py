@@ -12,13 +12,19 @@ enough dt.
 The outer loop advances these steps over [0, t_end], runs the
 solvability checks on the configured cadence, emits probe records, and
 adapts dt (halve, retry, restore) when a step fails on the Courant
-bound or fails to converge.
+bound or fails to converge. It starts each fixed-point loop from a
+polynomial extrapolation in time through the last accepted levels that
+share the step's dt: constant from one level, linear from two,
+quadratic from three. Any dt change restarts that history from the
+current level, and a step that fails from an extrapolated start is
+retried once from the constant start before dt is halved, so the start
+decides how many iterations a step takes, never whether it succeeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,15 +89,26 @@ class NetworkState:
     transitional: dict[str, TransitionalState] = field(default_factory=dict)
     junction_pressures: dict[str, float] = field(default_factory=dict)
 
-    def copy(self) -> "NetworkState":
-        return NetworkState(
-            t=self.t,
-            fields={k: v.copy() for k, v in self.fields.items()},
-            transitional={
-                k: TransitionalState(v.P_C1, v.P_C2) for k, v in self.transitional.items()
-            },
-            junction_pressures=dict(self.junction_pressures),
-        )
+
+class FlatLevel(NamedTuple):
+    """One time level in layout order: P and Q over every grid point,
+    the capacitor pressures over the transitional nodes."""
+
+    P: np.ndarray
+    Q: np.ndarray
+    P_C1: np.ndarray
+    P_C2: np.ndarray
+
+
+def flatten_state(cn: CompiledNetwork, state: NetworkState) -> FlatLevel:
+    """A state's level in the layout order of cn."""
+    trans = [state.transitional[nid] for nid in cn.junctions.transitional]
+    return FlatLevel(
+        cn.gather(state.fields, "P"),
+        cn.gather(state.fields, "Q"),
+        np.array([ts.P_C1 for ts in trans]),
+        np.array([ts.P_C2 for ts in trans]),
+    )
 
 
 @dataclass
@@ -109,6 +126,11 @@ class SimReport:
     non_contracting_pairs: int = 0
     worst_contraction_ratio: float = 0.0
     dt_adjustments: int = 0
+    # accepted steps started from a linear or quadratic extrapolation, and
+    # steps whose extrapolated start failed and were retried from the
+    # previous level
+    extrapolated_steps: int = 0
+    extrapolation_retries: int = 0
     full_checks: int = 0  # passed full condition sweeps, the t=0 one included
     # largest junction-solve residual over its gate scale (the gate is
     # 1e-10), over every node closure of the run
@@ -315,34 +337,36 @@ def picard_step(
     cfg: SimConfig,
     dt: float | None = None,
     report: SimReport | None = None,
+    start: FlatLevel | None = None,
+    flat_prev: FlatLevel | None = None,
 ) -> tuple[NetworkState, int, list[float]]:
     """Advance one time level by fixed-point iteration.
 
-    Starting from the previous level (constant-in-time extrapolation),
-    repeatedly freeze the coefficients at the iterate, run the linear
-    characteristics update on all vessels at once, close every node, and
-    stop when the relative sup deviation between iterates drops below
-    cfg.picard_tol. Returns the converged state, the number of
-    iterations used, and the deviation history. `net` may be compiled
-    already (`run` compiles it once). A given report collects the
+    Starting from `start` (the first iterate of the new level, in layout
+    order) or, without one, from the previous level (constant-in-time
+    extrapolation), repeatedly freeze the coefficients at the iterate,
+    run the linear characteristics update on all vessels at once, close
+    every node, and stop when the relative sup deviation between
+    iterates drops below cfg.picard_tol. Returns the converged state,
+    the number of iterations used, and the deviation history. `net` may
+    be compiled already and `flat_prev` may hold state_prev in layout
+    order already (`run` passes both). A given report collects the
     closure residuals.
     """
     cn = net if isinstance(net, CompiledNetwork) else compile_network(net)
     dt = cfg.dt if dt is None else dt
     t_new = state_prev.t + dt
 
-    P_prev = cn.gather(state_prev.fields, "P")
-    Q_prev = cn.gather(state_prev.fields, "Q")
+    prev = flat_prev if flat_prev is not None else flatten_state(cn, state_prev)
+    P_prev, Q_prev = prev.P, prev.Q
     boundary = [eval_signal(node.signal, t_new) for node in cn.externals]
-    trans_prev = [state_prev.transitional[nid] for nid in cn.junctions.transitional]
-    step_values = cn.junctions.step_values(
-        dt,
-        Q_prev[cn.end_point],
-        np.array([ts.P_C1 for ts in trans_prev]),
-        np.array([ts.P_C2 for ts in trans_prev]),
-    )
-    P_cur, Q_cur = P_prev, Q_prev
-    trans_cur = {k: TransitionalState(v.P_C1, v.P_C2) for k, v in state_prev.transitional.items()}
+    step_values = cn.junctions.step_values(dt, Q_prev[cn.end_point], prev.P_C1, prev.P_C2)
+    start = prev if start is None else start
+    P_cur, Q_cur = start.P, start.Q
+    trans_cur = {
+        nid: TransitionalState(p1, p2)
+        for nid, p1, p2 in zip(cn.junctions.transitional, start.P_C1.tolist(), start.P_C2.tolist())
+    }
 
     history: list[float] = []
     old_level = None
@@ -465,6 +489,20 @@ def _close_nodes(
 # --- outer time loop -----------------------------------------------------
 
 
+def _extrapolate(levels: Sequence[FlatLevel]) -> FlatLevel | None:
+    """First iterate of the next level from the last accepted levels at
+    equal spacing, oldest first: None (start from the last level) for
+    one level, linear 2 X1 - X0 for two, quadratic 3 X2 - 3 X1 + X0 for
+    three."""
+    if len(levels) == 2:
+        x0, x1 = levels
+        return FlatLevel(*(2.0 * b - a for a, b in zip(x0, x1)))
+    if len(levels) == 3:
+        x0, x1, x2 = levels
+        return FlatLevel(*(3.0 * (c - b) + a for a, b, c in zip(x0, x1, x2)))
+    return None
+
+
 def run(
     net: Network,
     init: NetworkState,
@@ -479,8 +517,11 @@ def run(
     the condition checks on the configured cadence (full sweep every
     cfg.check_every steps, endpoint checks every step), and halves dt
     on Courant or convergence failures, restoring the base step after
-    ten clean steps. Raises if a condition check fails or dt would drop
-    below dt / 2**10.
+    ten clean steps. Each step starts from the extrapolation of the last
+    accepted levels at its dt (see `_extrapolate`); a step that raises
+    from an extrapolated start is retried once from the previous level,
+    and only that retry counts. Raises if a condition check fails or dt
+    would drop below dt / 2**10.
     """
     errors = [d for d in validate_network(net) if d.severity == "error"]
     if errors:
@@ -505,10 +546,27 @@ def run(
     clean_streak = 0
     tiny = 1e-12 * max(1.0, cfg.t_end)
 
+    # accepted levels spaced by `spacing`, oldest first, the current one last
+    levels, spacing = [flatten_state(compiled, state)], None
     while state.t < cfg.t_end - tiny:
         dt_step = min(cur_dt, cfg.t_end - state.t)
+        if dt_step != spacing:
+            levels, spacing = levels[-1:], dt_step
+        start = _extrapolate(levels)
         try:
-            state_new, iters, hist = picard_step(compiled, state, cfg, dt_step, report=report)
+            try:
+                state_new, iters, hist = picard_step(
+                    compiled, state, cfg, dt_step, report=report, start=start, flat_prev=levels[-1]
+                )
+            except SimulationError:
+                if start is None:
+                    raise
+                # only the retry from the previous level counts
+                report.extrapolation_retries += 1
+                start = None
+                state_new, iters, hist = picard_step(
+                    compiled, state, cfg, dt_step, report=report, flat_prev=levels[-1]
+                )
         except (CFLViolation, PicardDivergence) as exc:
             if depth >= _MAX_HALVINGS:
                 raise SimulationError(
@@ -522,6 +580,8 @@ def run(
 
         state = state_new
         report.record_step(iters, hist)
+        report.extrapolated_steps += start is not None
+        levels = levels[-2:] + [flatten_state(compiled, state)]
 
         if depth:
             clean_streak += 1

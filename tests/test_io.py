@@ -329,3 +329,43 @@ def test_import_leaves_scipy_interpolate_unloaded():
         "assert 'scipy.interpolate' in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_output_evaluates_coefficients_once_per_station(monkeypatch):
+    import numpy as np
+
+    import vesselflow.output as output
+    from vesselflow.constitutive import PrimitiveState, coefficients
+    from vesselflow.solver import initial_state
+
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["initial"] = {"default": {"P": 13000.0, "Q": 2e-6}}
+    loaded = parse_config(doc)
+    net, sim = loaded.net, loaded.sim
+    state, _ = initial_state(net, loaded.init, sim)
+    v = net.vessels["v1"]
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[1])
+        return coefficients(*args, **kw)
+
+    monkeypatch.setattr(output, "coefficients", counted)
+    snap = ListSink()
+    output.emit_snapshot(snap, net, state, sim.epsilon0)
+    assert len(calls) == v.n_cells + 1 and len(snap.records) == 5 * (v.n_cells + 1)
+    for rec in snap.records[:5]:
+        cs = coefficients(v, 0.0, state.t, PrimitiveState(13000.0, 2e-6), epsilon0=sim.epsilon0)
+        expected = {"P": 13000.0, "Q": 2e-6, "A": float(cs.A),
+                    "R": float(np.sqrt(cs.A / np.pi)), "V": 2e-6 / float(cs.A)}
+        assert rec.value == expected[rec.quantity]
+
+    calls.clear()
+    probes = [ProbeSpec(quantities=("P", "Q"), vessel="v1", x_index=2),
+              ProbeSpec(quantities=("V", "A", "R", "P"), vessel="v1", x_index=4)]
+    sink = ListSink()
+    output.emit_probes(sink, net, state, probes, sim.epsilon0)
+    assert calls == [0.5]
+    assert [r.quantity for r in sink.records] == ["P", "Q", "V", "A", "R", "P"]
+    by_q = {r.quantity: r.value for r in snap.records if r.x == 0.5}
+    assert [r.value for r in sink.records[2:]] == [by_q[q] for q in ("V", "A", "R", "P")]

@@ -575,3 +575,141 @@ def test_tabulated_law_reproduces_power_law_run():
         assert np.max(np.abs(f.Q - exact.Q)) <= 1e-4 * np.max(np.abs(exact.Q))
     assert errors[1] <= 5e-6
     assert errors[1] < 0.25 * errors[0]  # and it shrinks as the samples refine
+
+
+# --- extrapolated start ---------------------------------------------------
+
+
+def constant_start_run(monkeypatch, net, init, cfg):
+    """`run` with every step started from the previous level."""
+    import vesselflow.solver as solver_mod
+
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "_extrapolate", lambda levels: None)
+        return run(net, initial_state(net, init, cfg)[0], cfg)
+
+
+def flat_fields(state):
+    return {vid: np.concatenate((f.P, f.Q)) for vid, f in state.fields.items()}
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def test_extrapolated_start_cuts_iterations(monkeypatch):
+    # the shipped 1000 steps; over the first 200 from rest, under an
+    # inlet sine whose time derivative jumps at t = 0, the ratio is only
+    # about 0.8
+    net, init, cfg = bifurcation_case(steps=1000)
+    shipped = run(net, initial_state(net, init, cfg)[0], cfg)
+    constant = constant_start_run(monkeypatch, net, init, cfg)
+    assert shipped.steps == constant.steps == 1000
+    assert shipped.dt_adjustments == constant.dt_adjustments == 0
+    assert shipped.picard_total <= 0.75 * constant.picard_total
+    assert shipped.picard_total <= 2.6 * shipped.steps
+    # every step but the first (one level) and the last, shorter one
+    assert shipped.extrapolated_steps == shipped.steps - 2
+    assert shipped.extrapolation_retries == 0
+    assert constant.extrapolated_steps == constant.extrapolation_retries == 0
+    assert shipped.non_contracting_pairs == 0 and shipped.median_iterations() <= 5
+    new, old = flat_fields(shipped.final_state), flat_fields(constant.final_state)
+    for vid in old:
+        scale = np.max(np.abs(old[vid]).reshape(2, -1), axis=1, keepdims=True)
+        assert np.all(np.abs(new[vid] - old[vid]).reshape(2, -1) <= 1e-8 * scale), vid
+    for nid, ts in constant.final_state.transitional.items():
+        got = shipped.final_state.transitional[nid]
+        assert abs(got.P_C1 - ts.P_C1) <= 1e-8 * abs(ts.P_C1)
+        assert abs(got.P_C2 - ts.P_C2) <= 1e-8 * abs(ts.P_C2)
+
+
+def test_constant_start_run_equals_picard_step_without_start(monkeypatch):
+    # the step-by-step path with no initial iterate, as `run` takes it
+    net, init, cfg = bifurcation_case(steps=200)
+    constant = constant_start_run(monkeypatch, net, init, cfg)
+    state, total = initial_state(net, init, cfg)[0], 0
+    while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
+        state, iters, _ = picard_step(net, state, cfg, min(cfg.dt, cfg.t_end - state.t))
+        total += iters
+    assert constant.steps == 200 and total == constant.picard_total
+    final = constant.final_state
+    assert state.t == final.t
+    new, old = flat_fields(final), flat_fields(state)
+    assert all(same_bits(new[vid], old[vid]) for vid in old)
+    assert final.transitional == state.transitional
+    assert final.junction_pressures == state.junction_pressures
+
+
+def test_picard_step_start_at_previous_level_is_the_default():
+    from vesselflow.compiled import compile_network
+    from vesselflow.solver import flatten_state
+
+    net, init, cfg = bifurcation_case()
+    state0 = initial_state(net, init, cfg)[0]
+    state1, _, _ = picard_step(net, state0, cfg)
+    cn = compile_network(net)
+    base, iters, hist = picard_step(net, state1, cfg)
+    flat = flatten_state(cn, state1)
+    for kw in ({"start": flat}, {"flat_prev": flat}, {"start": flat, "flat_prev": flat}):
+        got, got_iters, got_hist = picard_step(cn, state1, cfg, **kw)
+        assert (got_iters, got_hist) == (iters, hist)
+        assert all(same_bits(flat_fields(got)[v], flat_fields(base)[v]) for v in cn.vessel_ids)
+        assert got.transitional == base.transitional
+
+
+def test_extrapolation_outside_the_tube_law_is_retried_from_the_constant_start(monkeypatch):
+    import vesselflow.solver as solver_mod
+
+    net, init, cfg = bifurcation_case(steps=50)
+    constant = constant_start_run(monkeypatch, net, init, cfg)
+
+    def outside(levels):
+        # below P = -C the power law has no radius
+        return levels[-1]._replace(P=np.full_like(levels[-1].P, -1e6))
+
+    monkeypatch.setattr(solver_mod, "_extrapolate", outside)
+    report = run(net, initial_state(net, init, cfg)[0], cfg)
+    assert report.steps == constant.steps == 50
+    assert report.extrapolation_retries == report.steps
+    assert report.extrapolated_steps == 0
+    assert report.picard_total == constant.picard_total
+    assert report.iteration_histogram == constant.iteration_histogram
+    assert report.worst_closure_residual == constant.worst_closure_residual
+    new, old = flat_fields(report.final_state), flat_fields(constant.final_state)
+    assert all(same_bits(new[vid], old[vid]) for vid in old)
+    assert report.final_state.transitional == constant.final_state.transitional
+
+
+def test_constant_start_after_every_dt_change(monkeypatch):
+    import vesselflow.solver as solver_mod
+    from vesselflow import CFLViolation
+
+    net, init, cfg = bifurcation_case(steps=30)
+    real_step, real_extrapolate = solver_mod.picard_step, solver_mod._extrapolate
+    calls, levels_used = [], []
+
+    def failing_once_at_base_dt(cn, state_prev, cfg_, dt, **kw):
+        calls.append((dt, kw.get("start") is not None))
+        if abs(state_prev.t - 5 * cfg.dt) < 1e-9 and dt == cfg.dt:
+            raise CFLViolation("forced")
+        return real_step(cn, state_prev, cfg_, dt, **kw)
+
+    def counting_extrapolate(levels):
+        levels_used.append(len(levels))
+        return real_extrapolate(levels)
+
+    monkeypatch.setattr(solver_mod, "picard_step", failing_once_at_base_dt)
+    monkeypatch.setattr(solver_mod, "_extrapolate", counting_extrapolate)
+    report = run(net, initial_state(net, init, cfg)[0], cfg)
+    h = cfg.dt / 2
+    assert report.dt_adjustments == 1 and report.extrapolation_retries == 1
+    # constant, linear, then quadratic after every dt change
+    assert levels_used[:8] == [1, 2, 3, 3, 3, 3, 1, 2]
+    assert levels_used[8:19] == [3] * 8 + [1, 2, 3]
+    assert calls[:5] == [(cfg.dt, False), (cfg.dt, True), (cfg.dt, True), (cfg.dt, True), (cfg.dt, True)]
+    # the failing step from its quadratic start, its retry from the
+    # constant start, then ten clean steps at dt/2 and the restored dt
+    assert calls[5:8] == [(cfg.dt, True), (cfg.dt, False), (h, False)]
+    assert calls[8:17] == [(h, True)] * 9
+    assert calls[17:19] == [(cfg.dt, False), (cfg.dt, True)]
+    assert report.extrapolated_steps == sum(started for _, started in calls) - 1
