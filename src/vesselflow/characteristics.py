@@ -59,9 +59,6 @@ class VesselField:
     def n_cells(self) -> int:
         return self.P.size - 1
 
-    def copy(self) -> "VesselField":
-        return VesselField(self.vessel_id, self.t, self.P.copy(), self.Q.copy())
-
 
 @dataclass(frozen=True)
 class DirectionalDerivatives:

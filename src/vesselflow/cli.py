@@ -93,7 +93,7 @@ def _simulate_classified(args) -> int:
         print(f"{d.severity}: {d.subject}: {d.message}")
 
     if args.check_only:
-        report = check_state(loaded.net, state0, sim)
+        report = check_state(state0, sim)
         for c in report.checks:
             status = "pass" if c.passed else "FAIL"
             extra = f" [{c.classification}]" if c.classification else ""

@@ -6,12 +6,12 @@ iteration on all grid points instead of once per vessel. Vessels with a
 power tube law come first (sorted by id) and share per-point parameter
 arrays; vessels with a tabulated law or synthetic coefficients follow
 (sorted by id); `layout_coefficients` evaluates the coefficients of
-every point, or of every vessel end, for the solver and the checker
-alike. The node part lists every vessel end attached to a node
-once, in node order and `endpoints_by_node` order within a node, with its
-grid point; external nodes keep their single end, and junction nodes
-are grouped by kind and size into the stacked-solve tables of
-`junctions.junction_layout`.
+every point, or of a sorted subset of points, for the solver, the
+checker and the output alike. The node part lists every vessel end
+attached to a node once, in node order and `endpoints_by_node` order
+within a node, with its grid point; external nodes keep their single
+end, and junction nodes are grouped by kind and size into the
+stacked-solve tables of `junctions.junction_layout`.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .network import (
 
 @dataclass(frozen=True)
 class CompiledNetwork:
+    network: Network  # the network this layout was compiled from
     vessel_ids: tuple[str, ...]  # layout order
     vessels: tuple[Vessel, ...]
     offsets: np.ndarray  # segment k holds points offsets[k] .. offsets[k+1]-1
@@ -57,7 +58,7 @@ class CompiledNetwork:
     zeros: np.ndarray
     power: PowerLawParams  # per-point arrays over the power prefix
     n_power: int  # points with a power law: the prefix [0, n_power)
-    fills: tuple[tuple[Vessel, slice], ...]  # tabulated and synthetic segments
+    fills: tuple[Vessel, ...]  # tabulated and synthetic segments, after the power prefix
     # per attached vessel end
     end_vessel_id: tuple[str, ...]
     end_name: tuple[str, ...]  # "x0" | "x1"
@@ -75,10 +76,6 @@ class CompiledNetwork:
     def vessel_at(self, point: int) -> str:
         """Id of the vessel owning a grid point."""
         return self.vessel_ids[int(np.searchsorted(self.offsets, point, side="right")) - 1]
-
-    def gather(self, fields, name: str) -> np.ndarray:
-        """Concatenate one per-vessel field ("P" or "Q") into layout order."""
-        return np.concatenate([getattr(fields[vid], name) for vid in self.vessel_ids])
 
 
 def compile_network(net: Network) -> CompiledNetwork:
@@ -129,6 +126,7 @@ def compile_network(net: Network) -> CompiledNetwork:
     zeros.setflags(write=False)
 
     return CompiledNetwork(
+        network=net,
         vessel_ids=order,
         vessels=vessels,
         offsets=offsets,
@@ -143,7 +141,7 @@ def compile_network(net: Network) -> CompiledNetwork:
         zeros=zeros,
         power=params,
         n_power=n_power,
-        fills=tuple((net.vessels[vid], slices[vid]) for vid in others),
+        fills=tuple(net.vessels[vid] for vid in others),
         end_vessel_id=tuple(end_vid),
         end_name=tuple(end_name),
         end_vessel=end_vessel,
@@ -165,24 +163,27 @@ def layout_coefficients(
     Q: np.ndarray,
     epsilon0: float,
     checked: bool = True,
-    ends: bool = False,
+    points: np.ndarray | None = None,
 ) -> CoefficientSet:
     """Coefficients at every grid point of the layout (P and Q in layout
-    order), or with ends=True at the entries of `cn.ends`: one closed
+    order), or only at `points` (ascending point indices): one closed
     form over the power-law prefix, one `coefficients` call per
     tabulated or synthetic segment. Unevaluable points come back as NaN;
     with checked=True the first failing point in layout order raises,
     naming its vessel (synthetic segments stay unchecked)."""
     k0 = len(cn.vessels) - len(cn.fills)  # the first fill segment
-    x, params, n, owner = cn.x, cn.power, cn.n_power, cn.vessel_at
-    if ends:
-        x, P, Q = x[cn.ends], P[cn.ends], Q[cn.ends]
-        n = 2 * k0
-        sub = cn.ends[:n]
-        params = PowerLawParams(**{f.name: getattr(params, f.name)[sub] for f in fields(params)})
+    x, params, f, cuts = cn.x, cn.power, cn.zeros, cn.offsets
+    if points is not None:
+        x, P, Q, f = x[points], P[points], Q[points], np.zeros(points.size)
+        cuts = np.searchsorted(points, cn.offsets)
+        params = PowerLawParams(
+            **{fd.name: getattr(params, fd.name)[points[: cuts[k0]]] for fd in fields(params)}
+        )
 
-        def owner(k):
-            return cn.vessel_ids[k // 2]
+    def owner(k):
+        return cn.vessel_at(k if points is None else points[k])
+
+    n = int(cuts[k0])
     if n:
         cs = power_law_coefficients(params, P[:n], Q[:n])
         if checked:
@@ -190,14 +191,15 @@ def layout_coefficients(
             if err is not None:
                 raise err
         if not cn.fills:
-            f = np.zeros(n) if ends else cn.zeros
             return CoefficientSet(cs.a, cs.b, cs.c, f, cs.g, cs.A)
     out = {name: np.empty(P.size) for name in _FIELDS}
     if n:
         for name in _FIELDS:
             out[name][:n] = getattr(cs, name)
-    for k, (vessel, sl) in enumerate(cn.fills, start=k0):
-        at = slice(2 * k, 2 * k + 2) if ends else sl
+    for k, vessel in enumerate(cn.fills, start=k0):
+        at = slice(int(cuts[k]), int(cuts[k + 1]))
+        if at.start == at.stop:
+            continue
         seg = coefficients(
             vessel, x[at], t, PrimitiveState(P[at], Q[at]), epsilon0=epsilon0, checked=checked
         )

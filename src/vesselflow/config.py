@@ -378,9 +378,3 @@ def dump_config(cfg: LoadedConfig) -> dict:
             for vid, vi in sorted(cfg.init.per_vessel.items())
         }
     return doc
-
-
-def save_config(cfg: LoadedConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dump_config(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

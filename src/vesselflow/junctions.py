@@ -411,6 +411,9 @@ class JunctionGroup:
 
     kind: type  # Branching | Transitional
     node_ids: tuple[str, ...]
+    # (N,) positions of the nodes in the layout's arrays over nodes of
+    # their kind: P_junc over `branching`, P_C1/P_C2 over `transitional`
+    slots: np.ndarray
     ends: np.ndarray  # (N, mu) vessel end indices, in each node's end order
     template: np.ndarray  # (N, n, n) static entries: +-1, R, -1/R_C
     matrix_at: np.ndarray  # flat stack positions of the per-pass entries
@@ -434,6 +437,7 @@ class JunctionLayout:
 
     sign: np.ndarray  # per vessel end: +1 at x=1 (incoming) ends, -1 at x=0
     rho: np.ndarray  # per vessel end: rho_j at branching ends, 0 elsewhere
+    branching: tuple[str, ...]  # branching node ids, in node order
     transitional: tuple[str, ...]  # transitional node ids, node-section order
     C1: np.ndarray
     C2: np.ndarray
@@ -465,7 +469,9 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
     sign = np.where(incoming, 1.0, -1.0)
     rho = np.zeros(E)
     trans = [node for node, _ in plans if isinstance(node, Transitional)]
-    node_section = {node.id: 7 * E + t for t, node in enumerate(trans)}
+    branch = [node for node, _ in plans if isinstance(node, Branching)]
+    slot = {node.id: k for nodes in (branch, trans) for k, node in enumerate(nodes)}
+    node_section = {node.id: 7 * E + slot[node.id] for node in trans}
     T = len(trans)
     keyed: dict[tuple[type, int], list] = {}
     for node, ends in plans:
@@ -522,6 +528,7 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
             JunctionGroup(
                 kind=kind,
                 node_ids=tuple(node.id for node, _ in members),
+                slots=np.array([slot[node.id] for node, _ in members], dtype=np.intp),
                 ends=np.array([ends for _, ends in members], dtype=np.intp),
                 template=template,
                 matrix_at=np.array(mat_at, dtype=np.intp),
@@ -533,6 +540,7 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
     return JunctionLayout(
         sign=sign,
         rho=rho,
+        branching=tuple(node.id for node in branch),
         transitional=tuple(node.id for node in trans),
         C1=np.array([node.C1 for node in trans], dtype=float),
         C2=np.array([node.C2 for node in trans], dtype=float),

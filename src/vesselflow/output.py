@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .constitutive import PrimitiveState, coefficients
+from .compiled import layout_coefficients
 from .errors import ConfigError
 from .network import Branching, Network, Transitional
 
@@ -144,53 +144,58 @@ def validate_probes(net: Network, probes) -> None:
                     raise ConfigError(f"{q} probe needs a transitional node, got {p.node!r}")
 
 
-def station_values(net: Network, state, vid: str, idx: int, quantities, epsilon0: float) -> list[float]:
-    """The given vessel quantities at one grid station, from at most one
-    coefficient evaluation."""
-    f = state.fields[vid]
-    P = float(f.P[idx])
-    Q = float(f.Q[idx])
-    values = {"P": P, "Q": Q}
-    if not values.keys() >= set(quantities):
-        v = net.vessels[vid]
-        x = float(v.grid[idx])
-        cs = coefficients(v, x, state.t, PrimitiveState(P, Q), epsilon0=epsilon0)
-        values.update(A=float(cs.A), R=float(np.sqrt(cs.A / np.pi)), V=Q / float(cs.A))
-    return [values[q] for q in quantities]
+def _station_values(P: float, Q: float, A: float | None) -> dict[str, float]:
+    """The vessel quantities at one grid station; A, R and V need the
+    station's area A."""
+    if A is None:
+        return {"P": P, "Q": Q}
+    return {"P": P, "Q": Q, "A": A, "R": float(np.sqrt(A / np.pi)), "V": Q / A}
 
 
 def emit_probes(sink, net: Network, state, probes, epsilon0: float) -> None:
-    """Emit one record per probe quantity for the current state."""
-    for p in probes:
+    """Emit one record per probe quantity for the current state. Areas
+    come from one coefficient evaluation at the points of the probes
+    that ask for A, R or V, and none if no probe does."""
+    cn = state.layout
+    points = [
+        None if p.vessel is None
+        else cn.slices[p.vessel].start + resolve_probe_index(p, net.vessels[p.vessel].n_cells)
+        for p in probes
+    ]
+    need = sorted({
+        k for p, k in zip(probes, points) if k is not None and not {"P", "Q"} >= set(p.quantities)
+    })
+    area = {}
+    if need:
+        cs = layout_coefficients(cn, state.t, state.P, state.Q, epsilon0, points=np.array(need))
+        area = dict(zip(need, cs.A.tolist()))
+    junction, transitional = state.junction_pressures, state.transitional
+    for p, k in zip(probes, points):
         if p.vessel is not None:
-            idx = resolve_probe_index(p, net.vessels[p.vessel].n_cells)
-            x = float(net.vessels[p.vessel].grid[idx])
-            values = station_values(net, state, p.vessel, idx, p.quantities, epsilon0)
-            for q, value in zip(p.quantities, values):
-                sink.emit(
-                    ProbeRecord(t=state.t, kind="vessel", id=p.vessel, x=x, quantity=q, value=value)
-                )
+            kind, pid, x = "vessel", p.vessel, float(cn.x[k])
+            values = _station_values(float(state.P[k]), float(state.Q[k]), area.get(k))
+        elif isinstance(net.nodes[p.node], Branching):
+            kind, pid, x, values = "node", p.node, None, {"P_junc": junction[p.node]}
         else:
-            node = net.nodes[p.node]
-            for q in p.quantities:
-                if q == "P_junc":
-                    val = state.junction_pressures[p.node]
-                elif q == "Q_C":
-                    ts = state.transitional[p.node]
-                    val = (ts.P_C1 - ts.P_C2) / node.R_C
-                else:
-                    ts = state.transitional[p.node]
-                    val = ts.P_C1 if q == "P_C1" else ts.P_C2
-                sink.emit(ProbeRecord(t=state.t, kind="node", id=p.node, x=None, quantity=q, value=val))
+            kind, pid, x = "node", p.node, None
+            ts = transitional[p.node]
+            Q_C = (ts.P_C1 - ts.P_C2) / net.nodes[p.node].R_C
+            values = {"P_C1": ts.P_C1, "P_C2": ts.P_C2, "Q_C": Q_C}
+        for q in p.quantities:
+            sink.emit(ProbeRecord(t=state.t, kind=kind, id=pid, x=x, quantity=q, value=values[q]))
 
 
 def emit_snapshot(sink, net: Network, state, epsilon0: float) -> None:
     """Emit the full field of every vessel (all stations, all vessel
-    quantities) at the current time level."""
+    quantities) at the current time level, from one coefficient
+    evaluation over the layout."""
+    cn = state.layout
+    A = layout_coefficients(cn, state.t, state.P, state.Q, epsilon0).A.tolist()
+    P, Q, x = state.P.tolist(), state.Q.tolist(), cn.x.tolist()
     for vid in sorted(net.vessels):
-        v = net.vessels[vid]
-        for idx in range(v.n_cells + 1):
-            x = float(v.grid[idx])
-            values = station_values(net, state, vid, idx, VESSEL_QUANTITIES, epsilon0)
-            for q, value in zip(VESSEL_QUANTITIES, values):
-                sink.emit(ProbeRecord(t=state.t, kind="vessel", id=vid, x=x, quantity=q, value=value))
+        sl = cn.slices[vid]
+        for k in range(sl.start, sl.stop):
+            values = _station_values(P[k], Q[k], A[k])
+            for q in VESSEL_QUANTITIES:
+                rec = ProbeRecord(t=state.t, kind="vessel", id=vid, x=x[k], quantity=q, value=values[q])
+                sink.emit(rec)

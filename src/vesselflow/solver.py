@@ -19,18 +19,22 @@ quadratic from three. Any dt change restarts that history from the
 current level, and a step that fails from an extrapolated start is
 retried once from the constant start before dt is halved, so the start
 decides how many iterations a step takes, never whether it succeeds.
+
+A `NetworkState` holds a time level as flat arrays in the layout order
+of its compiled network, so levels pass between the kernels, the
+condition checks, the extrapolation and the output without conversion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .characteristics import VesselField, freeze_step, interior_update
-from .compiled import CompiledNetwork, compile_network
-from .constitutive import PrimitiveState, RiemannPair, coefficients, from_riemann
+from .compiled import CompiledNetwork, compile_network, layout_coefficients
+from .constitutive import RiemannPair, from_riemann
 from .errors import (
     CFLViolation,
     PicardDivergence,
@@ -80,35 +84,74 @@ class SimConfig:
             raise ValueError("epsilon0 must be positive, check_every >= 1")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NetworkState:
-    """All vessel fields plus node-internal states at one time level."""
+    """One time level on a compiled layout: P and Q at every grid point
+    in layout order, the capacitor pressures over
+    `layout.junctions.transitional` and the junction pressures over
+    `layout.junctions.branching` (NaN until a step closes the nodes).
+    Build one from per-vessel arrays with `from_fields`."""
 
     t: float
-    fields: dict[str, VesselField]
-    transitional: dict[str, TransitionalState] = field(default_factory=dict)
-    junction_pressures: dict[str, float] = field(default_factory=dict)
-
-
-class FlatLevel(NamedTuple):
-    """One time level in layout order: P and Q over every grid point,
-    the capacitor pressures over the transitional nodes."""
-
+    layout: CompiledNetwork
     P: np.ndarray
     Q: np.ndarray
     P_C1: np.ndarray
     P_C2: np.ndarray
+    P_junc: np.ndarray
 
+    @classmethod
+    def from_fields(
+        cls,
+        net: Network,
+        t: float,
+        fields: Mapping[str, VesselField],
+        transitional: Mapping[str, TransitionalState] | None = None,
+    ) -> "NetworkState":
+        """The state of net at time t from one field (P and Q on the
+        vessel grid) per vessel and one capacitor state per transitional
+        node. Raises ValueError naming the vessel or node whose entry is
+        missing, unknown or of the wrong length."""
+        layout = compile_network(net)
+        transitional = {} if transitional is None else transitional
+        for what, kind, given, expected in (
+            ("field", "vessel", fields, net.vessels),
+            ("transitional state", "node", transitional, layout.junctions.transitional),
+        ):
+            mismatch = sorted(set(given).symmetric_difference(expected))
+            if mismatch and mismatch[0] in given:
+                raise ValueError(f"{what} for unknown {kind} {mismatch[0]!r}")
+            if mismatch:
+                raise ValueError(f"no {what} for {kind} {mismatch[0]!r}")
+        for vid in layout.vessel_ids:
+            n, size = net.vessels[vid].n_cells + 1, fields[vid].P.size
+            if size != n:
+                raise ValueError(f"vessel {vid!r}: field of {size} points, expected n_cells + 1 = {n}")
+        trans = [transitional[nid] for nid in layout.junctions.transitional]
+        return cls(
+            t=t,
+            layout=layout,
+            P=np.concatenate([fields[vid].P for vid in layout.vessel_ids], dtype=float),
+            Q=np.concatenate([fields[vid].Q for vid in layout.vessel_ids], dtype=float),
+            P_C1=np.array([ts.P_C1 for ts in trans], dtype=float),
+            P_C2=np.array([ts.P_C2 for ts in trans], dtype=float),
+            P_junc=np.full(len(layout.junctions.branching), np.nan),
+        )
 
-def flatten_state(cn: CompiledNetwork, state: NetworkState) -> FlatLevel:
-    """A state's level in the layout order of cn."""
-    trans = [state.transitional[nid] for nid in cn.junctions.transitional]
-    return FlatLevel(
-        cn.gather(state.fields, "P"),
-        cn.gather(state.fields, "Q"),
-        np.array([ts.P_C1 for ts in trans]),
-        np.array([ts.P_C2 for ts in trans]),
-    )
+    @property
+    def fields(self) -> dict[str, VesselField]:
+        """Per-vessel views into P and Q, in vessel id order."""
+        items = sorted(self.layout.slices.items())
+        return {vid: VesselField(vid, self.t, self.P[sl], self.Q[sl]) for vid, sl in items}
+
+    @property
+    def transitional(self) -> dict[str, TransitionalState]:
+        pairs = zip(self.P_C1.tolist(), self.P_C2.tolist())
+        return {nid: TransitionalState(*p) for nid, p in zip(self.layout.junctions.transitional, pairs)}
+
+    @property
+    def junction_pressures(self) -> dict[str, float]:
+        return dict(zip(self.layout.junctions.branching, self.P_junc.tolist()))
 
 
 @dataclass
@@ -223,55 +266,54 @@ def initial_state(
     residuals (warning above 1e-6 relative, error above 1e-2)."""
     fields = {}
     for vid in sorted(net.vessels):
-        v = net.vessels[vid]
-        x = v.grid
+        x = net.vessels[vid].grid
         spec = init.for_vessel(vid)
-        P = _sample(spec.P, x, f"{vid}.P")
-        Q = _sample(spec.Q, x, f"{vid}.Q")
-        # raises CollapsedVesselError if the area floor is violated
-        coefficients(v, x, 0.0, PrimitiveState(P, Q), epsilon0=cfg.epsilon0)
-        fields[vid] = VesselField(vid, 0.0, P, Q)
+        fields[vid] = VesselField(
+            vid, 0.0, _sample(spec.P, x, f"{vid}.P"), _sample(spec.Q, x, f"{vid}.Q")
+        )
 
-    transitional = {}
+    def end_val(arr_name, vid, end):
+        arr = getattr(fields[vid], arr_name)
+        return float(arr[0] if end == "x0" else arr[-1])
+
+    nodes = sorted(net.nodes.items())
+    transitional = {
+        nid: TransitionalState(
+            node.P_C1_init if node.P_C1_init is not None
+            else float(np.mean([end_val("P", a.vessel, "x1") for a in node.arteries])),
+            node.P_C2_init if node.P_C2_init is not None
+            else float(np.mean([end_val("P", a.vessel, "x0") for a in node.veins])),
+        )
+        for nid, node in nodes
+        if isinstance(node, Transitional)
+    }
+    state = NetworkState.from_fields(net, 0.0, fields, transitional)
+    cn = state.layout
+    # raises CollapsedVesselError if the area floor is violated
+    A = layout_coefficients(cn, 0.0, state.P, state.Q, cfg.epsilon0).A[cn.end_point]
+    end_area = dict(zip(zip(cn.end_vessel_id, cn.end_name), A.tolist()))
+
     diags: list[Diagnostic] = []
     ends_by_node = endpoints_by_node(net)
-    for nid in sorted(net.nodes):
-        node = net.nodes[nid]
+    for nid, node in nodes:
         ends = ends_by_node[nid]
-
-        def end_val(arr_name, vid, end):
-            arr = getattr(fields[vid], arr_name)
-            return float(arr[0] if end == "x0" else arr[-1])
-
         if isinstance(node, Transitional):
-            art_P = [end_val("P", a.vessel, "x1") for a in node.arteries]
-            vein_P = [end_val("P", a.vessel, "x0") for a in node.veins]
-            p1 = node.P_C1_init if node.P_C1_init is not None else float(np.mean(art_P))
-            p2 = node.P_C2_init if node.P_C2_init is not None else float(np.mean(vein_P))
-            transitional[nid] = TransitionalState(p1, p2)
-            for att in node.arteries:
-                res = att.resistance * end_val("Q", att.vessel, "x1") - (
-                    end_val("P", att.vessel, "x1") - p1
-                )
-                _residual_diag(diags, nid, f"artery {att.vessel} resistive relation", res,
-                               scale=max(1.0, abs(end_val("P", att.vessel, "x1"))))
-            for att in node.veins:
-                res = att.resistance * end_val("Q", att.vessel, "x0") - (
-                    p2 - end_val("P", att.vessel, "x0")
-                )
-                _residual_diag(diags, nid, f"vein {att.vessel} resistive relation", res,
-                               scale=max(1.0, abs(end_val("P", att.vessel, "x0"))))
+            ts = transitional[nid]
+            # artery: R Q = P - P_C1 at x=1; vein: R Q = P_C2 - P at x=0
+            for leg, end, sign, p_c, atts in (("artery", "x1", 1.0, ts.P_C1, node.arteries),
+                                              ("vein", "x0", -1.0, ts.P_C2, node.veins)):
+                for att in atts:
+                    P, Q = end_val("P", att.vessel, end), end_val("Q", att.vessel, end)
+                    _residual_diag(diags, nid, f"{leg} {att.vessel} resistive relation",
+                                   att.resistance * Q - sign * (P - p_c), scale=max(1.0, abs(P)))
         elif isinstance(node, Branching):
             q_in = sum(end_val("Q", vid, end) for vid, end, o in ends if o == "incoming")
             q_out = sum(end_val("Q", vid, end) for vid, end, o in ends if o == "outgoing")
             q_scale = max(1.0, sum(abs(end_val("Q", vid, end)) for vid, end, _ in ends))
             _residual_diag(diags, nid, "flow balance", q_in - q_out, scale=q_scale)
             # implied node pressure minimizing the initial momentum residuals
-            weights, pressures = [], []
-            for att in node.attachments:
-                A = _end_area(net, fields, att.vessel, att.end, cfg.epsilon0)
-                weights.append(A / att.rho_j)
-                pressures.append(end_val("P", att.vessel, att.end))
+            weights = [end_area[(att.vessel, att.end)] / att.rho_j for att in node.attachments]
+            pressures = [end_val("P", att.vessel, att.end) for att in node.attachments]
             pj = float(np.dot(weights, pressures) / np.sum(weights))
             spread = max(abs(p - pj) for p in pressures)
             _residual_diag(diags, nid, "pressure continuity", spread,
@@ -279,15 +321,10 @@ def initial_state(
         elif isinstance(node, (ExternalPressure, ExternalFlow)) and len(ends) == 1:
             vid, end, _ = ends[0]
             sig0 = eval_signal(node.signal, 0.0)
-            if isinstance(node, ExternalPressure):
-                res = end_val("P", vid, end) - sig0
-                what = "boundary pressure"
-            else:
-                res = end_val("Q", vid, end) - sig0
-                what = "boundary flow"
-            _residual_diag(diags, nid, what, res, scale=max(1.0, abs(sig0)))
+            q, what = ("P", "pressure") if isinstance(node, ExternalPressure) else ("Q", "flow")
+            _residual_diag(diags, nid, f"boundary {what}", end_val(q, vid, end) - sig0,
+                           scale=max(1.0, abs(sig0)))
 
-    state = NetworkState(t=0.0, fields=fields, transitional=transitional)
     return state, diags
 
 
@@ -299,80 +336,62 @@ def _residual_diag(diags, nid, what, res, scale):
         diags.append(Diagnostic("warning", nid, f"initial {what} residual {rel:.3e}"))
 
 
-def _end_area(net, fields, vid, end, epsilon0):
-    v = net.vessels[vid]
-    idx = 0 if end == "x0" else -1
-    x = v.grid[idx]
-    f = fields[vid]
-    cs = coefficients(
-        v, x, 0.0, PrimitiveState(float(f.P[idx]), float(f.Q[idx])), epsilon0=epsilon0
-    )
-    return cs.A
-
-
 # --- one time level ------------------------------------------------------
 
 
-def _deviation(cn: CompiledNetwork, P_new, Q_new, P_old, Q_old, trans_new, trans_old) -> float:
-    """Relative sup-norm distance between iterates, per vessel and field:
-    max |new - old| / (1 + max |new|) over each segment."""
+def _deviation(cn: CompiledNetwork, new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> float:
+    """Relative sup-norm distance between iterates (P, Q, P_C1, P_C2):
+    max |new - old| / (1 + max |new|) over each vessel segment of P and
+    Q, and |new - old| / (1 + |new|) at each capacitor."""
     starts = cn.offsets[:-1]
     dev = 0.0
-    for new, old in ((P_new, P_old), (Q_new, Q_old)):
-        scale = 1.0 + np.maximum.reduceat(np.abs(new), starts)
-        diff = np.maximum.reduceat(np.abs(new - old), starts)
+    for x_new, x_old in zip(new[:2], old[:2]):
+        scale = 1.0 + np.maximum.reduceat(np.abs(x_new), starts)
+        diff = np.maximum.reduceat(np.abs(x_new - x_old), starts)
         dev = max(dev, float(np.max(diff / scale)))
-    for nid in trans_new:
-        for new, old in (
-            (trans_new[nid].P_C1, trans_old[nid].P_C1),
-            (trans_new[nid].P_C2, trans_old[nid].P_C2),
-        ):
-            dev = max(dev, abs(new - old) / (1.0 + abs(new)))
+    if cn.junctions.transitional:
+        for x_new, x_old in zip(new[2:], old[2:]):
+            dev = max(dev, float(np.max(np.abs(x_new - x_old) / (1.0 + np.abs(x_new)))))
     return dev
 
 
 def picard_step(
-    net: Network | CompiledNetwork,
     state_prev: NetworkState,
     cfg: SimConfig,
     dt: float | None = None,
     report: SimReport | None = None,
-    start: FlatLevel | None = None,
-    flat_prev: FlatLevel | None = None,
+    start: NetworkState | None = None,
 ) -> tuple[NetworkState, int, list[float]]:
-    """Advance one time level by fixed-point iteration.
+    """Advance one time level of the state's layout by fixed-point
+    iteration.
 
-    Starting from `start` (the first iterate of the new level, in layout
-    order) or, without one, from the previous level (constant-in-time
+    Starting from the arrays of `start` (the first iterate of the new
+    level) or, without one, from the previous level (constant-in-time
     extrapolation), repeatedly freeze the coefficients at the iterate,
     run the linear characteristics update on all vessels at once, close
     every node, and stop when the relative sup deviation between
     iterates drops below cfg.picard_tol. Returns the converged state,
-    the number of iterations used, and the deviation history. `net` may
-    be compiled already and `flat_prev` may hold state_prev in layout
-    order already (`run` passes both). A given report collects the
-    closure residuals.
+    the number of iterations used, and the deviation history. A given
+    report collects the closure residuals.
     """
-    cn = net if isinstance(net, CompiledNetwork) else compile_network(net)
+    cn = state_prev.layout
     dt = cfg.dt if dt is None else dt
     t_new = state_prev.t + dt
 
-    prev = flat_prev if flat_prev is not None else flatten_state(cn, state_prev)
-    P_prev, Q_prev = prev.P, prev.Q
+    P_prev, Q_prev = state_prev.P, state_prev.Q
     boundary = [eval_signal(node.signal, t_new) for node in cn.externals]
-    step_values = cn.junctions.step_values(dt, Q_prev[cn.end_point], prev.P_C1, prev.P_C2)
-    start = prev if start is None else start
-    P_cur, Q_cur = start.P, start.Q
-    trans_cur = {
-        nid: TransitionalState(p1, p2)
-        for nid, p1, p2 in zip(cn.junctions.transitional, start.P_C1.tolist(), start.P_C2.tolist())
-    }
+    step_values = cn.junctions.step_values(
+        dt, Q_prev[cn.end_point], state_prev.P_C1, state_prev.P_C2
+    )
+    start = state_prev if start is None else start
+    cur = (start.P, start.Q, start.P_C1, start.P_C2)
+    P_junc = np.empty(len(cn.junctions.branching))
 
     history: list[float] = []
     old_level = None
     for iteration in range(1, cfg.picard_max_iters + 1):
         frozen = freeze_step(
-            cn, state_prev.t, P_prev, Q_prev, t_new, P_cur, Q_cur, cfg.epsilon0,
+            cn, state_prev.t, P_prev, Q_prev, t_new, cur[0], cur[1], cfg.epsilon0,
             old_level=old_level,
         )
         old_level = frozen.old
@@ -381,31 +400,16 @@ def picard_step(
         # overwritten by the node closures below
         with np.errstate(invalid="ignore"):
             st = from_riemann(frozen.new.coeffs, frozen.new.eig, RiemannPair(r=upd.r, s=upd.s))
-        P_next = np.asarray(st.P, dtype=float)
-        Q_next = np.asarray(st.Q, dtype=float)
-
-        junction_pressures, trans_next, residual = _close_nodes(
-            cn, frozen, upd, boundary, step_values, t_new, P_next, Q_next
-        )
+        nxt = (st.P, st.Q, np.empty_like(cur[2]), np.empty_like(cur[3]))
+        residual = _close_nodes(cn, frozen, upd, boundary, step_values, t_new, *nxt, P_junc)
         if report is not None:
             report.worst_closure_residual = max(report.worst_closure_residual, residual)
 
-        dev = _deviation(cn, P_next, Q_next, P_cur, Q_cur, trans_next or trans_cur, trans_cur)
+        dev = _deviation(cn, nxt, cur)
         history.append(dev)
-        P_cur, Q_cur = P_next, Q_next
-        trans_cur = trans_next if trans_next else trans_cur
+        cur = nxt
         if dev <= cfg.picard_tol:
-            fields = {
-                vid: VesselField(vid, t_new, P_cur[cn.slices[vid]], Q_cur[cn.slices[vid]])
-                for vid in sorted(cn.vessel_ids)
-            }
-            new_state = NetworkState(
-                t=t_new,
-                fields=fields,
-                transitional=trans_cur,
-                junction_pressures=junction_pressures,
-            )
-            return new_state, iteration, history
+            return NetworkState(t_new, cn, *cur, P_junc), iteration, history
 
     raise PicardDivergence(
         f"fixed-point iteration did not converge in {cfg.picard_max_iters} iterations "
@@ -415,10 +419,11 @@ def picard_step(
 
 
 def _close_nodes(
-    cn: CompiledNetwork, frozen, upd, boundary, step_values, t_new, P, Q,
-) -> tuple[dict[str, float], dict[str, TransitionalState], float]:
+    cn: CompiledNetwork, frozen, upd, boundary, step_values, t_new, P, Q, P_C1, P_C2, P_junc,
+) -> float:
     """Close every node at the new time level, writing the endpoint
-    states into the flat P and Q.
+    states into the flat P and Q, the capacitor pressures into P_C1 and
+    P_C2 and the junction pressures into P_junc.
 
     The resolved characteristic value at each end carries a linear
     coupling to the endpoint state (from the new-level source term of
@@ -426,8 +431,7 @@ def _close_nodes(
     row cp P + cq Q = char, so one solve satisfies the closure and the
     coupling exactly. External ends are solved in closed form; the
     junction nodes of each kind and size are solved as one stack.
-    Returns the junction pressures, the transitional states and the
-    largest junction residual over its gate scale.
+    Returns the largest junction residual over its gate scale.
     """
     x1, seg, points = cn.end_x1, cn.end_vessel, cn.end_point
     char = np.where(x1, upd.right.known[seg], upd.left.known[seg])
@@ -464,8 +468,6 @@ def _close_nodes(
         P[at] = P_ext
         Q[at] = Q_ext
 
-    junction_pressures: dict[str, float] = {}
-    trans_next: dict[str, TransitionalState] = {}
     residual = 0.0
     layout = cn.junctions
     if layout.groups:
@@ -479,27 +481,32 @@ def _close_nodes(
         P[at] = x[:, 0 : 2 * mu : 2]
         Q[at] = x[:, 1 : 2 * mu : 2]
         if group.kind is Branching:
-            junction_pressures.update(zip(group.node_ids, x[:, -1].tolist()))
+            P_junc[group.slots] = x[:, -1]
         else:
-            for nid, p1, p2 in zip(group.node_ids, x[:, -2].tolist(), x[:, -1].tolist()):
-                trans_next[nid] = TransitionalState(p1, p2)
-    return junction_pressures, trans_next, residual
+            P_C1[group.slots] = x[:, -2]
+            P_C2[group.slots] = x[:, -1]
+    return residual
 
 
 # --- outer time loop -----------------------------------------------------
 
 
-def _extrapolate(levels: Sequence[FlatLevel]) -> FlatLevel | None:
-    """First iterate of the next level from the last accepted levels at
-    equal spacing, oldest first: None (start from the last level) for
-    one level, linear 2 X1 - X0 for two, quadratic 3 X2 - 3 X1 + X0 for
-    three."""
+_EXTRAPOLATED = ("P", "Q", "P_C1", "P_C2")
+
+
+def _extrapolate(levels: Sequence[NetworkState]) -> NetworkState | None:
+    """First iterate of the next level (its P, Q, P_C1 and P_C2) from
+    the last accepted levels at equal spacing, oldest first: None (start
+    from the last level) for one level, linear 2 X1 - X0 for two,
+    quadratic 3 X2 - 3 X1 + X0 for three."""
     if len(levels) == 2:
         x0, x1 = levels
-        return FlatLevel(*(2.0 * b - a for a, b in zip(x0, x1)))
+        return replace(x1, **{k: 2.0 * getattr(x1, k) - getattr(x0, k) for k in _EXTRAPOLATED})
     if len(levels) == 3:
         x0, x1, x2 = levels
-        return FlatLevel(*(3.0 * (c - b) + a for a, b, c in zip(x0, x1, x2)))
+        return replace(x2, **{
+            k: 3.0 * (getattr(x2, k) - getattr(x1, k)) + getattr(x0, k) for k in _EXTRAPOLATED
+        })
     return None
 
 
@@ -511,7 +518,9 @@ def run(
     sink=None,
     on_step: Callable[[NetworkState], None] | None = None,
 ) -> SimReport:
-    """Advance the network from the initial state to cfg.t_end.
+    """Advance the network from the initial state to cfg.t_end, on the
+    layout `init` was built on (`initial_state` or
+    `NetworkState.from_fields` with the same `net`; ValueError if not).
 
     Emits one probe record per probe quantity per completed step, runs
     the condition checks on the configured cadence (full sweep every
@@ -529,10 +538,12 @@ def run(
             "network validation failed: " + "; ".join(f"{d.subject}: {d.message}" for d in errors)
         )
 
+    if init.layout.network is not net:
+        raise ValueError("the initial state was not built on this network")
+
     report = SimReport()
     state = init
-    compiled = compile_network(net)
-    pre = check_state(compiled, state, cfg)
+    pre = check_state(state, cfg)
     if not pre.passed:
         raise WellPosednessFailure(
             "solvability check failed at t=0: " + "; ".join(pre.failures()), report=pre, t=state.t
@@ -547,7 +558,7 @@ def run(
     tiny = 1e-12 * max(1.0, cfg.t_end)
 
     # accepted levels spaced by `spacing`, oldest first, the current one last
-    levels, spacing = [flatten_state(compiled, state)], None
+    levels, spacing = [state], None
     while state.t < cfg.t_end - tiny:
         dt_step = min(cur_dt, cfg.t_end - state.t)
         if dt_step != spacing:
@@ -555,18 +566,14 @@ def run(
         start = _extrapolate(levels)
         try:
             try:
-                state_new, iters, hist = picard_step(
-                    compiled, state, cfg, dt_step, report=report, start=start, flat_prev=levels[-1]
-                )
+                state_new, iters, hist = picard_step(state, cfg, dt_step, report=report, start=start)
             except SimulationError:
                 if start is None:
                     raise
                 # only the retry from the previous level counts
                 report.extrapolation_retries += 1
                 start = None
-                state_new, iters, hist = picard_step(
-                    compiled, state, cfg, dt_step, report=report, flat_prev=levels[-1]
-                )
+                state_new, iters, hist = picard_step(state, cfg, dt_step, report=report)
         except (CFLViolation, PicardDivergence) as exc:
             if depth >= _MAX_HALVINGS:
                 raise SimulationError(
@@ -581,7 +588,7 @@ def run(
         state = state_new
         report.record_step(iters, hist)
         report.extrapolated_steps += start is not None
-        levels = levels[-2:] + [flatten_state(compiled, state)]
+        levels = levels[-2:] + [state]
 
         if depth:
             clean_streak += 1
@@ -592,7 +599,7 @@ def run(
                 clean_streak = 0
 
         full = report.steps % cfg.check_every == 0
-        rep = check_state(compiled, state, cfg, endpoints_only=not full)
+        rep = check_state(state, cfg, endpoints_only=not full)
         if not rep.passed:
             raise WellPosednessFailure(
                 f"solvability check failed at t = {state.t:.6g}: " + "; ".join(rep.failures()),

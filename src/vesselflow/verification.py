@@ -185,32 +185,18 @@ def run_scenario(s: Scenario) -> NetworkState:
     return report.final_state
 
 
-def _field_scales(state: NetworkState) -> dict[str, tuple[float, float]]:
-    return {
-        vid: (
-            max(float(np.max(np.abs(f.P))), 1e-300),
-            max(float(np.max(np.abs(f.Q))), 1e-300),
-        )
-        for vid, f in state.fields.items()
-    }
-
-
 def _sup_deviation(base: NetworkState, other: NetworkState, gradient: bool) -> float:
-    """Relative sup-norm distance between two final states; with
-    gradient=True, between their centered-difference x-derivatives."""
-    scales = _field_scales(base)
+    """Relative sup-norm distance between two final states, per vessel
+    and field; with gradient=True, between their centered-difference
+    x-derivatives."""
     dev = 0.0
+    others = other.fields
     for vid, fb in base.fields.items():
-        fo = other.fields[vid]
-        dx = 1.0 / fb.n_cells
-        for arr_b, arr_o, scale in (
-            (fb.P, fo.P, scales[vid][0]),
-            (fb.Q, fo.Q, scales[vid][1]),
-        ):
+        fo = others[vid]
+        for arr_b, arr_o in ((fb.P, fo.P), (fb.Q, fo.Q)):
             if gradient:
-                arr_b = np.gradient(arr_b, dx)
-                arr_o = np.gradient(arr_o, dx)
-                scale = max(float(np.max(np.abs(arr_b))), 1e-300)
+                arr_b, arr_o = (np.gradient(arr, 1.0 / fb.n_cells) for arr in (arr_b, arr_o))
+            scale = max(float(np.max(np.abs(arr_b))), 1e-300)
             dev = max(dev, float(np.max(np.abs(arr_b - arr_o))) / scale)
     return dev
 

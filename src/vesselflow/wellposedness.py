@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .compiled import CompiledNetwork, compile_network, layout_coefficients
+from .compiled import layout_coefficients
 from .constitutive import CoefficientSet, PrimitiveState, coefficients, eigen
 from .junctions import condition_estimates
 from .network import Network
@@ -101,24 +101,22 @@ def _segment_min(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
 
 
 def check_state(
-    net: Network | CompiledNetwork,
     state: "NetworkState",
     cfg: "SimConfig",
     endpoints_only: bool = False,
 ) -> ConditionReport:
-    """Evaluate every solvability condition on a network state.
+    """Evaluate every solvability condition on a network state, on the
+    compiled layout it holds.
 
     Full sweeps check a > 0, the area floor, and hyperbolicity at every
     grid node plus the endpoint split at both ends of each vessel, and
     build every junction system once, from the coefficients at its
     vessel ends, to record its condition estimate.
     With endpoints_only=True only the (cheap) per-end checks run.
-    All vessels are evaluated together on the compiled layout (`net`
-    may be compiled already); checks come out in vessel id order.
+    All vessels are evaluated together; checks come out in vessel id
+    order.
     """
-    cn = net if isinstance(net, CompiledNetwork) else compile_network(net)
-    P = cn.gather(state.fields, "P")
-    Q = cn.gather(state.fields, "Q")
+    cn, P, Q = state.layout, state.P, state.Q
     K = len(cn.vessel_ids)
     n_cells = np.diff(cn.offsets) - 1
     if endpoints_only:
@@ -129,7 +127,7 @@ def check_state(
         starts, counts = cn.offsets[:-1], n_cells + 1
         local = np.arange(cn.size) - np.repeat(starts, counts)
     cs = layout_coefficients(
-        cn, state.t, P, Q, cfg.epsilon0, checked=False, ends=endpoints_only
+        cn, state.t, P, Q, cfg.epsilon0, checked=False, points=cn.ends if endpoints_only else None
     )
     a, b, c, A = cs.a, cs.b, cs.c, cs.A
     ab = a * b
@@ -172,19 +170,19 @@ def check_state(
             )
     if endpoints_only or not report.passed or not cn.junctions.groups:
         return report
-    report.junction_checks = _junction_checks(cn, state, cfg, P, Q, a, b, c, A)
+    report.junction_checks = _junction_checks(state, cfg, a, b, c, A)
     return report
 
 
-def _junction_checks(cn: CompiledNetwork, state, cfg, P, Q, a, b, c, A):
+def _junction_checks(state, cfg, a, b, c, A):
     """Condition estimates of every junction system, built from the
     endpoint coefficients the first closure of the next step starts
     from: (x_end, t + dt, P, Q); only synthetic coefficients depend on
     t, so only their ends are evaluated again."""
-    pts = cn.end_point
+    cn, P, Q, pts = state.layout, state.P, state.Q, state.layout.end_point
     a, b, c, A = a[pts], b[pts], c[pts], A[pts]
     k0 = len(cn.vessel_ids) - len(cn.fills)
-    for k, (vessel, _sl) in enumerate(cn.fills, start=k0):
+    for k, vessel in enumerate(cn.fills, start=k0):
         at = np.flatnonzero(cn.end_vessel == k)
         if vessel.synthetic is None or not at.size:
             continue

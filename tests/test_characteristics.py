@@ -363,7 +363,13 @@ def test_layout_coefficients_equal_per_vessel_coefficients():
     assert layout.vessel_ids == ("p1", "p2", "s", "t1", "t2")
     t = 0.3
     every = layout_coefficients(layout, t, P, Q, EPS0)
-    ends = layout_coefficients(layout, t, P, Q, EPS0, ends=True)
+    ends = layout_coefficients(layout, t, P, Q, EPS0, points=layout.ends)
+    # a subset that skips whole segments (p2, t1) and takes one point of s
+    subset = np.array([1, 3, layout.slices["s"].start + 2, layout.slices["t2"].start,
+                       layout.size - 1])
+    some = layout_coefficients(layout, t, P, Q, EPS0, points=subset)
+    for name in ("a", "b", "c", "f", "g", "A"):
+        assert getattr(some, name).tobytes() == getattr(every, name)[subset].tobytes()
     for k, v in enumerate(layout.vessels):
         sl = layout.slices[v.id]
         want = coefficients(v, v.grid, t, PrimitiveState(P[sl], Q[sl]), epsilon0=EPS0)
@@ -389,8 +395,8 @@ def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, valu
     P[at] = value
     # a later failing point must not decide the error
     P[layout.slices["t2"].stop - 1] = 5e4
-    for ends in (False, True):
+    for points in (None, layout.ends):
         with pytest.raises(getattr(vesselflow, error), match=f"vessel '{vid}'"):
-            layout_coefficients(layout, 0.0, P, Q, EPS0, ends=ends)
+            layout_coefficients(layout, 0.0, P, Q, EPS0, points=points)
     unchecked = layout_coefficients(layout, 0.0, P, Q, EPS0, checked=False)
     assert not unchecked.A[at] >= EPS0

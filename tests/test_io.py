@@ -331,41 +331,57 @@ def test_import_leaves_scipy_interpolate_unloaded():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_output_evaluates_coefficients_once_per_station(monkeypatch):
+def test_output_evaluates_coefficients_once_per_call(monkeypatch):
     import numpy as np
 
     import vesselflow.output as output
     from vesselflow.constitutive import PrimitiveState, coefficients
-    from vesselflow.solver import initial_state
+    from vesselflow.solver import InitSpec, VesselInit, initial_state
 
-    doc = json.loads(json.dumps(MINIMAL))
-    doc["initial"] = {"default": {"P": 13000.0, "Q": 2e-6}}
-    loaded = parse_config(doc)
+    loaded = parse_config(MINIMAL)
     net, sim = loaded.net, loaded.sim
-    state, _ = initial_state(net, loaded.init, sim)
-    v = net.vessels["v1"]
-    calls = []
+    init = InitSpec(default=VesselInit(P=lambda x: 13000.0 + 500.0 * x, Q=2e-6))
+    state, _ = initial_state(net, init, sim)
+    v, f = net.vessels["v1"], state.fields["v1"]
+    # the per-vessel fields are views into the flat state
+    assert np.shares_memory(f.P, state.P) and np.shares_memory(f.Q, state.Q)
+    real, calls = output.layout_coefficients, []
 
     def counted(*args, **kw):
-        calls.append(args[1])
-        return coefficients(*args, **kw)
+        calls.append(kw.get("points"))
+        return real(*args, **kw)
 
-    monkeypatch.setattr(output, "coefficients", counted)
+    monkeypatch.setattr(output, "layout_coefficients", counted)
     snap = ListSink()
     output.emit_snapshot(snap, net, state, sim.epsilon0)
-    assert len(calls) == v.n_cells + 1 and len(snap.records) == 5 * (v.n_cells + 1)
-    for rec in snap.records[:5]:
-        cs = coefficients(v, 0.0, state.t, PrimitiveState(13000.0, 2e-6), epsilon0=sim.epsilon0)
-        expected = {"P": 13000.0, "Q": 2e-6, "A": float(cs.A),
-                    "R": float(np.sqrt(cs.A / np.pi)), "V": 2e-6 / float(cs.A)}
-        assert rec.value == expected[rec.quantity]
+    assert len(calls) == 1 and calls[0] is None  # one evaluation over the layout
+    assert len(snap.records) == 5 * (v.n_cells + 1)
+    for idx, x in enumerate(v.grid):
+        P, Q = float(f.P[idx]), float(f.Q[idx])
+        cs = coefficients(v, x, state.t, PrimitiveState(P, Q), epsilon0=sim.epsilon0)
+        expected = {"P": P, "Q": Q, "A": float(cs.A),
+                    "R": float(np.sqrt(cs.A / np.pi)), "V": Q / float(cs.A)}
+        got = {r.quantity: r.value for r in snap.records[5 * idx : 5 * idx + 5]}
+        assert {r.x for r in snap.records[5 * idx : 5 * idx + 5]} == {x}
+        assert got == expected
 
     calls.clear()
     probes = [ProbeSpec(quantities=("P", "Q"), vessel="v1", x_index=2),
-              ProbeSpec(quantities=("V", "A", "R", "P"), vessel="v1", x_index=4)]
+              ProbeSpec(quantities=("V", "A", "R", "P"), vessel="v1", x_index=4),
+              ProbeSpec(quantities=("Q", "A"), vessel="v1", x_index=6)]
     sink = ListSink()
     output.emit_probes(sink, net, state, probes, sim.epsilon0)
-    assert calls == [0.5]
-    assert [r.quantity for r in sink.records] == ["P", "Q", "V", "A", "R", "P"]
-    by_q = {r.quantity: r.value for r in snap.records if r.x == 0.5}
-    assert [r.value for r in sink.records[2:]] == [by_q[q] for q in ("V", "A", "R", "P")]
+    # one evaluation, restricted to the points that ask for A, R or V
+    assert len(calls) == 1 and calls[0].tolist() == [4, 6]
+    assert [r.quantity for r in sink.records] == ["P", "Q", "V", "A", "R", "P", "Q", "A"]
+    by_x = {}
+    for r in snap.records:
+        by_x.setdefault(r.x, {})[r.quantity] = r.value
+    assert [(r.x, r.quantity, r.value) for r in sink.records] == [
+        (r.x, r.quantity, by_x[r.x][r.quantity]) for r in sink.records
+    ]
+    assert [r.x for r in sink.records] == [0.25] * 2 + [0.5] * 4 + [0.75] * 2
+
+    calls.clear()
+    output.emit_probes(ListSink(), net, state, probes[:1], sim.epsilon0)
+    assert calls == []  # P and Q only: no evaluation

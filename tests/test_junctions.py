@@ -309,11 +309,10 @@ def test_capillary_flow_from_capacitor_gap():
             "out": ExternalPressure("out", ConstantSignal(0.0)),
         },
     )
-    state = NetworkState(
-        t=0.0,
-        fields={
-            vid: VesselField(vid, 0.0, np.zeros(3), np.zeros(3)) for vid in ("a", "v")
-        },
+    state = NetworkState.from_fields(
+        net,
+        0.0,
+        {vid: VesselField(vid, 0.0, np.zeros(3), np.zeros(3)) for vid in ("a", "v")},
         transitional={"t": TransitionalState(10.0, 4.0)},
     )
     sink = ListSink()

@@ -1,5 +1,7 @@
 """Driver tests: fixed-point stepping, time loop, initial state."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ def test_steady_state_converges_in_one_iteration():
     state0, diags = initial_state(
         net, InitSpec(default=VesselInit(P=P0, Q=Q0)), cfg
     )
-    state1, iters, hist = picard_step(net, state0, cfg)
+    state1, iters, hist = picard_step(state0, cfg)
     assert iters == 1
     assert hist[0] <= 1e-12
     assert np.max(np.abs(state1.fields["v"].P - P0)) <= 1e-12
@@ -71,7 +73,7 @@ def test_linear_problem_two_iterations():
     net = single_net(v)
     cfg = SimConfig(dt=1e-3, t_end=1.0)
     state0, _ = initial_state(net, InitSpec(default=VesselInit()), cfg)
-    state1, iters, hist = picard_step(net, state0, cfg)
+    state1, iters, hist = picard_step(state0, cfg)
     assert iters == 2
     assert hist[0] > 0  # first pass actually moved the state
     assert hist[1] <= cfg.picard_tol
@@ -329,7 +331,6 @@ def test_transitional_network_end_to_end():
 
 
 def bifurcation_case(steps=10):
-    import dataclasses
     from pathlib import Path
 
     from vesselflow.config import load_config
@@ -405,13 +406,15 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
     ends_by_node = endpoints_by_node(net)
     step, seen, batched, oracle = {}, {"passes": 0, "nodes": 0}, [], []
 
-    def recording_step(cn, state_prev, cfg, dt, **kw):
+    def recording_step(state_prev, cfg, dt, **kw):
         step.update(prev=state_prev, dt=dt)
-        return real_step(cn, state_prev, cfg, dt, **kw)
+        return real_step(state_prev, cfg, dt, **kw)
 
     def checked_close(cn, frozen, upd, *args):
-        P, Q = args[-2], args[-1]
-        pressures, trans, residual = real_close(cn, frozen, upd, *args)
+        P, Q, P_C1, P_C2, P_junc = args[-5:]
+        residual = real_close(cn, frozen, upd, *args)
+        pressures = dict(zip(cn.junctions.branching, P_junc))
+        trans = {nid: (p1, p2) for nid, p1, p2 in zip(cn.junctions.transitional, P_C1, P_C2)}
         prev, dt = step["prev"], step["dt"]
         cs, eig = frozen.new.coeffs, frozen.new.eig
         for nid, node in junctions.items():
@@ -438,14 +441,14 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
                 oracle.append(sol.internals["P_junc"])
             else:
                 sol = solve_junction(assemble_transitional(node, inputs, prev.transitional[nid], dt))
-                batched.extend((trans[nid].P_C1, trans[nid].P_C2))
+                batched.extend(trans[nid])
                 oracle.extend((sol.internals["P_C1"], sol.internals["P_C2"]))
             for vid, end, pt in points:
                 batched.extend((P[pt], Q[pt]))
                 oracle.extend((sol.states[(vid, end)].P, sol.states[(vid, end)].Q))
             seen["nodes"] += 1
         seen["passes"] += 1
-        return pressures, trans, residual
+        return residual
 
     monkeypatch.setattr(solver_mod, "picard_step", recording_step)
     monkeypatch.setattr(solver_mod, "_close_nodes", checked_close)
@@ -629,7 +632,7 @@ def test_constant_start_run_equals_picard_step_without_start(monkeypatch):
     constant = constant_start_run(monkeypatch, net, init, cfg)
     state, total = initial_state(net, init, cfg)[0], 0
     while state.t < cfg.t_end - 1e-12 * max(1.0, cfg.t_end):
-        state, iters, _ = picard_step(net, state, cfg, min(cfg.dt, cfg.t_end - state.t))
+        state, iters, _ = picard_step(state, cfg, min(cfg.dt, cfg.t_end - state.t))
         total += iters
     assert constant.steps == 200 and total == constant.picard_total
     final = constant.final_state
@@ -641,20 +644,58 @@ def test_constant_start_run_equals_picard_step_without_start(monkeypatch):
 
 
 def test_picard_step_start_at_previous_level_is_the_default():
-    from vesselflow.compiled import compile_network
-    from vesselflow.solver import flatten_state
-
     net, init, cfg = bifurcation_case()
     state0 = initial_state(net, init, cfg)[0]
-    state1, _, _ = picard_step(net, state0, cfg)
-    cn = compile_network(net)
-    base, iters, hist = picard_step(net, state1, cfg)
-    flat = flatten_state(cn, state1)
-    for kw in ({"start": flat}, {"flat_prev": flat}, {"start": flat, "flat_prev": flat}):
-        got, got_iters, got_hist = picard_step(cn, state1, cfg, **kw)
-        assert (got_iters, got_hist) == (iters, hist)
-        assert all(same_bits(flat_fields(got)[v], flat_fields(base)[v]) for v in cn.vessel_ids)
-        assert got.transitional == base.transitional
+    state1, _, _ = picard_step(state0, cfg)
+    base, iters, hist = picard_step(state1, cfg)
+    got, got_iters, got_hist = picard_step(state1, cfg, start=state1)
+    assert (got_iters, got_hist) == (iters, hist)
+    assert all(same_bits(flat_fields(got)[v], flat_fields(base)[v]) for v in net.vessels)
+    assert got.transitional == base.transitional
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing vessel", "no field for vessel 'parent'"),
+        ("unknown vessel", "field for unknown vessel 'extra'"),
+        ("short field", r"vessel 'parent': field of 40 points, expected n_cells \+ 1 = 41"),
+        ("missing node", "no transitional state for node 'micro'"),
+        ("unknown node", "transitional state for unknown node 'fork'"),
+    ],
+)
+def test_from_fields_rejects_malformed_states(case, message):
+    from vesselflow import NetworkState
+    from vesselflow.characteristics import VesselField
+    from vesselflow.junctions import TransitionalState
+
+    net, init, cfg = bifurcation_case()
+    state = initial_state(net, init, cfg)[0]
+    fields, transitional = state.fields, state.transitional
+    again = NetworkState.from_fields(net, state.t, fields, transitional)
+    assert same_bits(again.P, state.P) and same_bits(again.Q, state.Q)
+    assert again.transitional == transitional
+    if case == "missing vessel":
+        del fields["parent"]
+    elif case == "unknown vessel":
+        fields["extra"] = fields["parent"]
+    elif case == "short field":
+        f = fields["parent"]
+        fields["parent"] = VesselField("parent", f.t, f.P[:-1], f.Q[:-1])
+    elif case == "missing node":
+        del transitional["micro"]
+    else:
+        transitional["fork"] = TransitionalState(0.0, 0.0)
+    with pytest.raises(ValueError, match=message):
+        NetworkState.from_fields(net, state.t, fields, transitional)
+
+
+def test_run_rejects_a_state_built_on_another_network():
+    net, init, cfg = bifurcation_case()
+    state = initial_state(net, init, cfg)[0]
+    other, _, _ = bifurcation_case()
+    with pytest.raises(ValueError, match="not built on this network"):
+        run(other, state, cfg)
 
 
 def test_extrapolation_outside_the_tube_law_is_retried_from_the_constant_start(monkeypatch):
@@ -665,7 +706,7 @@ def test_extrapolation_outside_the_tube_law_is_retried_from_the_constant_start(m
 
     def outside(levels):
         # below P = -C the power law has no radius
-        return levels[-1]._replace(P=np.full_like(levels[-1].P, -1e6))
+        return dataclasses.replace(levels[-1], P=np.full_like(levels[-1].P, -1e6))
 
     monkeypatch.setattr(solver_mod, "_extrapolate", outside)
     report = run(net, initial_state(net, init, cfg)[0], cfg)
@@ -688,11 +729,11 @@ def test_constant_start_after_every_dt_change(monkeypatch):
     real_step, real_extrapolate = solver_mod.picard_step, solver_mod._extrapolate
     calls, levels_used = [], []
 
-    def failing_once_at_base_dt(cn, state_prev, cfg_, dt, **kw):
+    def failing_once_at_base_dt(state_prev, cfg_, dt, **kw):
         calls.append((dt, kw.get("start") is not None))
         if abs(state_prev.t - 5 * cfg.dt) < 1e-9 and dt == cfg.dt:
             raise CFLViolation("forced")
-        return real_step(cn, state_prev, cfg_, dt, **kw)
+        return real_step(state_prev, cfg_, dt, **kw)
 
     def counting_extrapolate(levels):
         levels_used.append(len(levels))

@@ -35,11 +35,12 @@ def single_net(vessel):
     )
 
 
-def state_for(vessel, P, Q):
+def state_for(net, P, Q):
+    """A constant state of a one-vessel network."""
+    (vessel,) = net.vessels.values()
     n = vessel.n_cells
-    return NetworkState(
-        t=0.0,
-        fields={vessel.id: VesselField(vessel.id, 0.0, np.full(n + 1, P), np.full(n + 1, Q))},
+    return NetworkState.from_fields(
+        net, 0.0, {vessel.id: VesselField(vessel.id, 0.0, np.full(n + 1, P), np.full(n + 1, Q))}
     )
 
 
@@ -49,7 +50,7 @@ CFG = SimConfig(dt=1e-4, t_end=1.0)
 def test_rest_state_passes_everywhere():
     v = Vessel(id="v", n_cells=16, x0_node="in", x1_node="out", tube_law=LAW, alpha=1.1)
     net = single_net(v)
-    report = check_state(net, state_for(v, 13000.0, 0.0), CFG)
+    report = check_state(state_for(net, 13000.0, 0.0), CFG)
     assert report.passed
     hyp = [c for c in report.checks if c.condition == COND_HYPERBOLIC]
     # at rest the hyperbolicity slack equals a*b = a*A/rho > 0
@@ -61,7 +62,7 @@ def test_interior_hyperbolicity_failure_margin():
         id="v", n_cells=8, x0_node="in", x1_node="out",
         synthetic=SyntheticCoefficients(a=1.0, b=-2.0, c=1.0),
     )
-    report = check_state(single_net(v), state_for(v, 0.0, 0.0), CFG)
+    report = check_state(state_for(single_net(v), 0.0, 0.0), CFG)
     hyp = [c for c in report.checks if c.condition == COND_HYPERBOLIC][0]
     assert not hyp.passed
     assert hyp.margin == pytest.approx(-1.0)
@@ -75,7 +76,7 @@ def test_interior_only_hyperbolic_diagnosis():
         id="v", n_cells=8, x0_node="in", x1_node="out",
         synthetic=SyntheticCoefficients(a=1.0, b=-0.5, c=1.0),
     )
-    report = check_state(single_net(v), state_for(v, 0.0, 0.0), CFG)
+    report = check_state(state_for(single_net(v), 0.0, 0.0), CFG)
     by_cond = {c.condition: c for c in report.checks}
     assert by_cond[COND_HYPERBOLIC].passed
     assert not by_cond[COND_ENDPOINT].passed
@@ -103,7 +104,7 @@ def test_under_over_determined_classification():
         id="v", n_cells=8, x0_node="in", x1_node="out",
         synthetic=SyntheticCoefficients(a=1.0, b=-0.5, c=1.0),
     )
-    report = check_state(single_net(v), state_for(v, 0.0, 0.0), CFG)
+    report = check_state(state_for(single_net(v), 0.0, 0.0), CFG)
     ep = [c for c in report.checks if c.condition == COND_ENDPOINT][0]
     # worst endpoint reported; with symmetric coefficients it is x=0
     assert ep.x_index in (0, 8)
@@ -135,14 +136,10 @@ def test_junction_condition_estimates_present():
         "o2": ExternalPressure("o2", ConstantSignal(13000.0)),
     }
     net = Network(vessels=vessels, nodes=nodes)
-    state = NetworkState(
-        t=0.0,
-        fields={
-            vid: VesselField(vid, 0.0, np.full(9, 13000.0), np.zeros(9))
-            for vid in vessels
-        },
+    state = NetworkState.from_fields(
+        net, 0.0, {vid: VesselField(vid, 0.0, np.full(9, 13000.0), np.zeros(9)) for vid in vessels}
     )
-    report = check_state(net, state, CFG)
+    report = check_state(state, CFG)
     assert report.passed
     assert len(report.junction_checks) == 1
     jc = report.junction_checks[0]
@@ -153,7 +150,7 @@ def test_envelope_degenerate_matches_state_check():
     v = Vessel(id="v", n_cells=8, x0_node="in", x1_node="out", tube_law=LAW, alpha=1.1)
     net = single_net(v)
     rep_env = check_envelope(net, (13000.0, 13000.0), (0.0, 0.0), samples=2)
-    rep_state = check_state(net, state_for(v, 13000.0, 0.0), CFG)
+    rep_state = check_state(state_for(net, 13000.0, 0.0), CFG)
     env = {c.condition: c.margin for c in rep_env.checks}
     state_margins = {}
     for c in rep_state.checks:
@@ -299,7 +296,8 @@ def mixed_failing_case(bad_stations=1):
         if vid == "c_tab_bad":
             P[3:5] = 5e4  # above the table
         fields[vid] = VesselField(vid, 0.2, P, 1e-7 * np.sin(5.0 * x))
-    return Network(vessels=vessels, nodes=nodes), NetworkState(t=0.2, fields=fields)
+    net = Network(vessels=vessels, nodes=nodes)
+    return net, NetworkState.from_fields(net, 0.2, fields)
 
 
 @pytest.mark.parametrize(
@@ -308,12 +306,12 @@ def mixed_failing_case(bad_stations=1):
     ids=["False", "True", "False-2-station", "True-2-station"],
 )
 def test_layout_sweep_equals_per_vessel_reference(endpoints_only, bad_stations):
-    from vesselflow.compiled import compile_network
-
     net, state = mixed_failing_case(bad_stations)
-    report = check_state(net, state, CFG, endpoints_only=endpoints_only)
+    report = check_state(state, CFG, endpoints_only=endpoints_only)
     assert observed_vessel_checks(report) == reference_vessel_checks(net, state, CFG, endpoints_only)
-    again = check_state(compile_network(net), state, CFG, endpoints_only=endpoints_only)
+    # the per-vessel views rebuild the same state
+    rebuilt = NetworkState.from_fields(net, state.t, state.fields)
+    again = check_state(rebuilt, CFG, endpoints_only=endpoints_only)
     assert observed_vessel_checks(again) == observed_vessel_checks(report)
 
     by = {(c.subject, c.condition): c for c in report.checks}
@@ -371,11 +369,11 @@ def test_junction_estimates_equal_per_node_reference():
     }
     net = Network(vessels=vessels, nodes=nodes)
     rng = np.random.default_rng(12)
-    state = NetworkState(t=0.1, fields={
+    state = NetworkState.from_fields(net, 0.1, {
         vid: VesselField(vid, 0.1, 11000.0 + 3000.0 * rng.random(11), 1e-6 * rng.standard_normal(11))
         for vid in vessels
-    })
-    report = check_state(net, state, CFG)
+    }, transitional={"t": TransitionalState(0.0, 0.0)})
+    report = check_state(state, CFG)
     assert report.passed
     assert observed_vessel_checks(report) == reference_vessel_checks(net, state, CFG, False)
 
