@@ -71,7 +71,11 @@ def _simulate_classified(args) -> int:
     if args.dt is not None:
         overrides["dt"] = args.dt
     if overrides:
-        sim = dataclasses.replace(sim, **overrides)
+        try:
+            sim = dataclasses.replace(sim, **overrides)
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     out_dir = args.output if args.output is not None else loaded.output_dir
 
     for w in loaded.warnings:

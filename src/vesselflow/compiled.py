@@ -41,6 +41,17 @@ from .network import (
 
 
 @dataclass(frozen=True)
+class ExternalEnds:
+    """External nodes of one kind, in node order, and the single vessel
+    end each one closes."""
+
+    nodes: tuple[ExternalPressure | ExternalFlow, ...]
+    ends: np.ndarray  # vessel end indices
+    vessel_ids: tuple[str, ...]
+    end_names: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class CompiledNetwork:
     network: Network  # the network this layout was compiled from
     vessel_ids: tuple[str, ...]  # layout order
@@ -49,10 +60,14 @@ class CompiledNetwork:
     slices: dict[str, slice]  # vessel id -> its points
     first: np.ndarray  # x=0 point of each segment
     last: np.ndarray  # x=1 point of each segment
+    counts: np.ndarray  # points of each segment
     ends: np.ndarray  # first and last point of each segment, interleaved
+    ends_local: np.ndarray  # local grid index of each entry of ends: 0, n_cells, ...
+    pair_starts: np.ndarray  # position of each segment's pair in ends: 0, 2, 4, ...
     # per point
     x: np.ndarray  # position on the vessel's unit interval
     j: np.ndarray  # local grid index (float)
+    local: np.ndarray  # local grid index
     cells: np.ndarray  # n_cells of the owning vessel (float)
     base: np.ndarray  # offset of the owning segment
     zeros: np.ndarray
@@ -65,8 +80,8 @@ class CompiledNetwork:
     end_vessel: np.ndarray  # segment index
     end_x1: np.ndarray  # True for x=1 ends
     end_point: np.ndarray  # grid point
-    externals: tuple[ExternalPressure | ExternalFlow, ...]
-    external_ends: np.ndarray  # the single vessel end of each external node
+    pressure_ends: ExternalEnds  # the ExternalPressure nodes
+    flow_ends: ExternalEnds  # the ExternalFlow nodes
     junctions: JunctionLayout
 
     @property
@@ -120,8 +135,18 @@ def compile_network(net: Network) -> CompiledNetwork:
     end_vessel = np.array(end_vessel, dtype=np.intp)
     end_x1 = np.array([e == "x1" for e in end_name], dtype=bool)
     first, last = offsets[:-1], offsets[1:] - 1
-    outer = [(node, ends[0]) for node, ends in plans
-             if isinstance(node, (ExternalPressure, ExternalFlow))]
+
+    def external(kind):
+        outer = [(node, ends[0]) for node, ends in plans if isinstance(node, kind)]
+        return ExternalEnds(
+            nodes=tuple(node for node, _ in outer),
+            ends=np.array([k for _, k in outer], dtype=np.intp),
+            vessel_ids=tuple(end_vid[k] for _, k in outer),
+            end_names=tuple(end_name[k] for _, k in outer),
+        )
+
+    base = np.repeat(first, counts)
+    local = np.arange(base.size) - base
     zeros = np.zeros(int(offsets[-1]))
     zeros.setflags(write=False)
 
@@ -133,11 +158,15 @@ def compile_network(net: Network) -> CompiledNetwork:
         slices=slices,
         first=first,
         last=last,
+        counts=counts,
         ends=np.stack((first, last), axis=1).ravel(),
+        ends_local=np.stack((np.zeros_like(counts), counts - 1), axis=1).ravel(),
+        pair_starts=np.arange(0, 2 * len(counts), 2),
         x=np.concatenate([v.grid for v in vessels]) if vessels else np.zeros(0),
-        j=np.concatenate([np.arange(n, dtype=float) for n in counts]) if vessels else np.zeros(0),
+        j=local.astype(float),
+        local=local,
         cells=per_point([v.n_cells for v in vessels]),
-        base=np.repeat(offsets[:-1], counts),
+        base=base,
         zeros=zeros,
         power=params,
         n_power=n_power,
@@ -147,8 +176,8 @@ def compile_network(net: Network) -> CompiledNetwork:
         end_vessel=end_vessel,
         end_x1=end_x1,
         end_point=np.where(end_x1, last[end_vessel], first[end_vessel]).astype(np.intp),
-        externals=tuple(node for node, _ in outer),
-        external_ends=np.array([k for _, k in outer], dtype=np.intp),
+        pressure_ends=external(ExternalPressure),
+        flow_ends=external(ExternalFlow),
         junctions=junction_layout(plans, end_x1, end_param),
     )
 

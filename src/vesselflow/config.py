@@ -305,15 +305,19 @@ def parse_config(doc: dict) -> LoadedConfig:
         )
 
     s = _require(doc, "solver", "config", dict)
-    sim = SimConfig(
-        dt=float(_require(s, "dt", "solver")),
-        t_end=float(_require(s, "t_end", "solver")),
-        cfl_max=float(s.get("cfl_max", 0.9)),
-        picard_tol=float(s.get("picard_tol", 1e-10)),
-        picard_max_iters=int(s.get("picard_max_iters", 50)),
-        epsilon0=float(s.get("epsilon0", 1e-10)),
-        check_every=int(s.get("check_every", 1)),
-    )
+    dt, t_end = _require(s, "dt", "solver"), _require(s, "t_end", "solver")
+    try:
+        sim = SimConfig(
+            dt=float(dt),
+            t_end=float(t_end),
+            cfl_max=float(s.get("cfl_max", 0.9)),
+            picard_tol=float(s.get("picard_tol", 1e-10)),
+            picard_max_iters=int(s.get("picard_max_iters", 50)),
+            epsilon0=float(s.get("epsilon0", 1e-10)),
+            check_every=int(s.get("check_every", 1)),
+        )
+    except (TypeError, ValueError) as exc:  # a malformed or rejected setting
+        raise ConfigError(f"solver: {exc}") from exc
 
     init_doc = doc.get("initial", {})
     dd = init_doc.get("default", {})

@@ -15,7 +15,9 @@ node-internal unknowns:
   with Q_C = (P_C1 - P_C2)/R_C;  unknowns (P, Q) per end plus P_C1, P_C2.
 
 External ends reduce to a single linear equation and are solved in
-closed form.
+closed form, elementwise over every end of one kind
+(`flow_at_pressure_end`, `pressure_at_flow_end`); the per-node
+`close_external_*` run the same functions on one end.
 
 The solver closes all junction nodes of one kind and size together:
 `junction_layout` compiles, per group, a static matrix template and
@@ -98,45 +100,55 @@ def _char_row(inp: EndpointClosureInput) -> tuple[float, float, float]:
 # --- external ends ------------------------------------------------------
 
 
-def flow_at_pressure_end(
-    vessel_id: str, a: float, cp: float, cq: float, char: float, P_B: float
-) -> float:
-    """Q at an end whose pressure is prescribed (P = P_B), from the
-    characteristic row cp P + cq Q = char. Requires a > 0 at the end."""
-    if a <= 0:
+def flow_at_pressure_end(vessel_ids, a, cp, cq, char, P_B) -> np.ndarray:
+    """Q at ends whose pressure is prescribed (P = P_B), from the
+    characteristic rows cp P + cq Q = char, elementwise over arrays
+    indexed like vessel_ids. Requires a > 0 at every end; raises
+    SingularJunction naming the first end where it fails."""
+    bad = a <= 0
+    if bad.any():
         raise SingularJunction(
-            f"vessel {vessel_id!r}: coefficient a must be positive at the boundary"
+            f"vessel {vessel_ids[int(bad.argmax())]!r}: coefficient a must be positive at the boundary"
         )
     return (char - cp * P_B) / cq
 
 
-def pressure_at_flow_end(
-    vessel_id: str, end: str, lam: float, u: float, cp: float, cq: float, char: float, Q_B: float
-) -> float:
-    """P at an end whose flow is prescribed (Q = Q_B), from the
-    characteristic row cp P + cq Q = char. Requires a nonzero speed lam
-    of the incoming family at the end."""
-    if abs(lam) <= 1e-14 * max(1.0, abs(u)):
+def pressure_at_flow_end(vessel_ids, ends, lam, u, cp, cq, char, Q_B) -> np.ndarray:
+    """P at ends whose flow is prescribed (Q = Q_B), from the
+    characteristic rows cp P + cq Q = char, elementwise over arrays
+    indexed like vessel_ids and ends ("x0" | "x1"). Requires a nonzero
+    speed lam of the incoming family at every end; raises
+    SingularJunction naming the first end where it vanishes."""
+    bad = np.abs(lam) <= 1e-14 * np.fmax(1.0, np.abs(u))
+    if bad.any():
+        k = int(bad.argmax())
         raise SingularJunction(
-            f"vessel {vessel_id!r} end {end}: characteristic speed vanishes "
+            f"vessel {vessel_ids[k]!r} end {ends[k]}: characteristic speed vanishes "
             "at the boundary; the end cannot be closed",
         )
     return (char - cq * Q_B) / cp
 
 
+def _one_end(*values) -> np.ndarray:
+    """Arrays of length one, so that one end runs the elementwise
+    closures above."""
+    return np.array(values, dtype=float)[:, None]
+
+
 def close_external_pressure(inp: EndpointClosureInput, P_B: float) -> PrimitiveState:
     """Endpoint state when the pressure is prescribed: P = P_B and Q
     follows from the resolved characteristic relation."""
-    Q = flow_at_pressure_end(inp.vessel_id, inp.coeffs.a, *_char_row(inp), P_B)
-    return PrimitiveState(P=P_B, Q=Q)
+    Q = flow_at_pressure_end((inp.vessel_id,), *_one_end(inp.coeffs.a, *_char_row(inp), P_B))
+    return PrimitiveState(P=P_B, Q=float(Q[0]))
 
 
 def close_external_flow(inp: EndpointClosureInput, Q_B: float) -> PrimitiveState:
     """Endpoint state when the flow is prescribed: Q = Q_B and P follows
     from the resolved characteristic relation."""
     lam = inp.eig.lambda_R if not inp.incoming else inp.eig.lambda_L
-    P = pressure_at_flow_end(inp.vessel_id, inp.end, lam, inp.eig.u, *_char_row(inp), Q_B)
-    return PrimitiveState(P=P, Q=Q_B)
+    values = _one_end(lam, inp.eig.u, *_char_row(inp), Q_B)
+    P = pressure_at_flow_end((inp.vessel_id,), (inp.end,), *values)
+    return PrimitiveState(P=float(P[0]), Q=Q_B)
 
 
 # --- branching junctions ------------------------------------------------
@@ -411,6 +423,7 @@ class JunctionGroup:
 
     kind: type  # Branching | Transitional
     node_ids: tuple[str, ...]
+    ranks: np.ndarray  # (N,) positions of the nodes in `JunctionLayout.nodes`
     # (N,) positions of the nodes in the layout's arrays over nodes of
     # their kind: P_junc over `branching`, P_C1/P_C2 over `transitional`
     slots: np.ndarray
@@ -437,6 +450,7 @@ class JunctionLayout:
 
     sign: np.ndarray  # per vessel end: +1 at x=1 (incoming) ends, -1 at x=0
     rho: np.ndarray  # per vessel end: rho_j at branching ends, 0 elsewhere
+    nodes: tuple[str, ...]  # every junction node id, in node id order
     branching: tuple[str, ...]  # branching node ids, in node order
     transitional: tuple[str, ...]  # transitional node ids, node-section order
     C1: np.ndarray
@@ -470,6 +484,8 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
     rho = np.zeros(E)
     trans = [node for node, _ in plans if isinstance(node, Transitional)]
     branch = [node for node, _ in plans if isinstance(node, Branching)]
+    nodes = tuple(sorted(node.id for node in branch + trans))
+    rank = {nid: k for k, nid in enumerate(nodes)}
     slot = {node.id: k for nodes in (branch, trans) for k, node in enumerate(nodes)}
     node_section = {node.id: 7 * E + slot[node.id] for node in trans}
     T = len(trans)
@@ -528,6 +544,7 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
             JunctionGroup(
                 kind=kind,
                 node_ids=tuple(node.id for node, _ in members),
+                ranks=np.array([rank[node.id] for node, _ in members], dtype=np.intp),
                 slots=np.array([slot[node.id] for node, _ in members], dtype=np.intp),
                 ends=np.array([ends for _, ends in members], dtype=np.intp),
                 template=template,
@@ -540,6 +557,7 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
     return JunctionLayout(
         sign=sign,
         rho=rho,
+        nodes=nodes,
         branching=tuple(node.id for node in branch),
         transitional=tuple(node.id for node in trans),
         C1=np.array([node.C1 for node in trans], dtype=float),

@@ -27,6 +27,7 @@ condition checks, the extrapolation and the output without conversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -76,6 +77,9 @@ class SimConfig:
     check_every: int = 1  # steps between full condition sweeps
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "cfl_max", "picard_tol", "epsilon0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.t_end < 0 or self.cfl_max <= 0:
             raise ValueError("dt, cfl_max must be positive and t_end nonnegative")
         if self.picard_tol <= 0 or self.picard_max_iters < 1:
@@ -199,10 +203,16 @@ class SimReport:
             self.worst_contraction_ratio = max(self.worst_contraction_ratio, ratio)
 
     def record_junctions(self, rep: ConditionReport) -> None:
-        for j in rep.junction_checks:
-            if j.condition_estimate > self.worst_junction_condition:
-                self.worst_junction_condition = j.condition_estimate
-                self.worst_junction_node = j.node
+        """Keep the largest junction condition estimate of a sweep if it
+        exceeds the worst so far; ties keep the first node in node id
+        order, and NaN estimates are never kept."""
+        est = rep.junction_estimates
+        if not est.size:
+            return
+        k = int(np.argmax(np.where(np.isnan(est), -np.inf, est)))
+        if est[k] > self.worst_junction_condition:
+            self.worst_junction_condition = float(est[k])
+            self.worst_junction_node = rep.junction_nodes[k]
 
     def median_iterations(self) -> float:
         """Median of the per-step iteration counts (as numpy.median)."""
@@ -379,7 +389,10 @@ def picard_step(
     t_new = state_prev.t + dt
 
     P_prev, Q_prev = state_prev.P, state_prev.Q
-    boundary = [eval_signal(node.signal, t_new) for node in cn.externals]
+    boundary = tuple(
+        np.array([eval_signal(node.signal, t_new) for node in bc.nodes])
+        for bc in (cn.pressure_ends, cn.flow_ends)
+    )
     step_values = cn.junctions.step_values(
         dt, Q_prev[cn.end_point], state_prev.P_C1, state_prev.P_C2
     )
@@ -429,8 +442,9 @@ def _close_nodes(
     coupling to the endpoint state (from the new-level source term of
     the trapezoidal rule); each closure folds it into its characteristic
     row cp P + cq Q = char, so one solve satisfies the closure and the
-    coupling exactly. External ends are solved in closed form; the
-    junction nodes of each kind and size are solved as one stack.
+    coupling exactly. The external ends of each kind are solved in
+    closed form, elementwise; the junction nodes of each kind and size
+    are solved as one stack.
     Returns the largest junction residual over its gate scale.
     """
     x1, seg, points = cn.end_x1, cn.end_vessel, cn.end_point
@@ -448,25 +462,21 @@ def _close_nodes(
     cp = -lam - np.where(x1, upd.right.kP[seg], upd.left.kP[seg])
     cq = a - np.where(x1, upd.right.kQ[seg], upd.left.kQ[seg])
 
-    ext = cn.external_ends
-    if ext.size:
-        at = points[ext]
-        ends = zip(
-            cn.externals, ext.tolist(), boundary,
-            *(v.tolist() for v in (a[ext], lam[ext], eig.u[at], cp[ext], cq[ext], char[ext])),
+    # prescribed pressures, then prescribed flows, each raising for its
+    # first failing end
+    P_B, Q_B = boundary
+    bc = cn.pressure_ends
+    if bc.ends.size:
+        k, at = bc.ends, points[bc.ends]
+        P[at] = P_B
+        Q[at] = flow_at_pressure_end(bc.vessel_ids, a[k], cp[k], cq[k], char[k], P_B)
+    bc = cn.flow_ends
+    if bc.ends.size:
+        k, at = bc.ends, points[bc.ends]
+        P[at] = pressure_at_flow_end(
+            bc.vessel_ids, bc.end_names, lam[k], eig.u[at], cp[k], cq[k], char[k], Q_B
         )
-        P_ext, Q_ext = [], []
-        for node, k, value, a_k, lam_k, u_k, cp_k, cq_k, char_k in ends:
-            vid = cn.end_vessel_id[k]
-            if isinstance(node, ExternalPressure):
-                P_ext.append(value)
-                Q_ext.append(flow_at_pressure_end(vid, a_k, cp_k, cq_k, char_k, value))
-            else:
-                end = cn.end_name[k]
-                P_ext.append(pressure_at_flow_end(vid, end, lam_k, u_k, cp_k, cq_k, char_k, value))
-                Q_ext.append(value)
-        P[at] = P_ext
-        Q[at] = Q_ext
+        Q[at] = Q_B
 
     residual = 0.0
     layout = cn.junctions

@@ -14,7 +14,8 @@ The checker only reports; callers decide whether to abort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,21 +54,91 @@ class JunctionConditionCheck:
     passed: bool
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
-    checks: list[ConditionCheck] = field(default_factory=list)
-    junction_checks: list[JunctionConditionCheck] = field(default_factory=list)
-    unevaluable: list[str] = field(default_factory=list)
+    """Outcome of a condition sweep, held as arrays.
 
-    @property
+    Row i of `value`, `margin` and `x_index` belongs to `conditions[i]`,
+    column k to `vessel_ids[k]`: the worst value of that condition over
+    the vessel's checked points, its slack (a check passes when the
+    margin is > 0) and the vessel-local grid index of the worst point,
+    -1 where the condition was not evaluated. Per vessel,
+    `unevaluable_count` counts the points where the coefficients could
+    not be evaluated and `unevaluable_first` is the x-index of the first
+    one (0 from `check_envelope`, whose unevaluable points are samples,
+    not grid points). `junction_estimates` holds the equilibrated
+    condition estimate of each node in `junction_nodes` (node id order);
+    a node passes below 1e12. `passed` is one test over these arrays.
+
+    `checks`, `junction_checks`, `unevaluable` and `failures()` are built
+    from the arrays when first read, in vessel id order, and kept.
+    """
+
+    vessel_ids: tuple[str, ...]
+    conditions: tuple[str, ...]
+    value: np.ndarray
+    margin: np.ndarray
+    x_index: np.ndarray
+    unevaluable_count: np.ndarray
+    unevaluable_first: np.ndarray
+    junction_nodes: tuple[str, ...] = ()
+    junction_estimates: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # message for a vessel with unevaluable points (format fields:
+    # vessel, count, first)
+    unevaluable_format: str = (
+        "{vessel}: tube law unevaluable at {count} grid point(s), first at x-index {first}"
+    )
+
+    @cached_property
     def passed(self) -> bool:
-        return (
-            all(c.passed for c in self.checks)
-            and all(j.passed for j in self.junction_checks)
-            and not self.unevaluable
+        return bool(
+            (self.margin > 0).all()
+            and not self.unevaluable_count.any()
+            and (self.junction_estimates < _JUNCTION_COND_MAX).all()
         )
 
+    @cached_property
+    def checks(self) -> list[ConditionCheck]:
+        value, margin, x_index = (v.tolist() for v in (self.value, self.margin, self.x_index))
+        out = []
+        for k in sorted(range(len(self.vessel_ids)), key=self.vessel_ids.__getitem__):
+            for i, condition in enumerate(self.conditions):
+                x, m = x_index[i][k], margin[i][k]
+                if x < 0:
+                    continue
+                failed_end = condition == COND_ENDPOINT and not m > 0
+                out.append(
+                    ConditionCheck(
+                        subject=self.vessel_ids[k],
+                        condition=condition,
+                        passed=m > 0,
+                        margin=m,
+                        x_index=x,
+                        value=value[i][k],
+                        classification=_endpoint_classification(x) if failed_end else "",
+                    )
+                )
+        return out
+
+    @cached_property
+    def junction_checks(self) -> list[JunctionConditionCheck]:
+        return [
+            JunctionConditionCheck(node=nid, condition_estimate=est, passed=est < _JUNCTION_COND_MAX)
+            for nid, est in zip(self.junction_nodes, self.junction_estimates.tolist())
+        ]
+
+    @cached_property
+    def unevaluable(self) -> list[str]:
+        counts, first = self.unevaluable_count.tolist(), self.unevaluable_first.tolist()
+        return [
+            self.unevaluable_format.format(vessel=self.vessel_ids[k], count=counts[k], first=first[k])
+            for k in sorted(range(len(self.vessel_ids)), key=self.vessel_ids.__getitem__)
+            if counts[k]
+        ]
+
     def failures(self) -> list[str]:
+        if self.passed:
+            return []
         out = [
             f"{c.subject}: {c.condition} fails at x-index {c.x_index} "
             f"(margin {c.margin:.6e}){': ' + c.classification if c.classification else ''}"
@@ -91,13 +162,21 @@ def _endpoint_classification(end_index: int) -> str:
     return "under-determined (source end)" if end_index == 0 else "over-determined (terminal end)"
 
 
-def _segment_min(values: np.ndarray, starts: np.ndarray, counts: np.ndarray):
-    """Minimum of each segment and the flat position of its first
-    occurrence (a NaN counts as the minimum, as in np.argmin)."""
-    mins = np.minimum.reduceat(values, starts)
-    hit = (values == np.repeat(mins, counts)) | np.isnan(values)
-    first = np.minimum.reduceat(np.where(hit, np.arange(values.size), values.size), starts)
+def _segment_min(values: np.ndarray, starts: np.ndarray, counts):
+    """Minimum of each segment of each row of values (segments start at
+    `starts` and hold `counts` points, an array or one count for all)
+    and the position of its first occurrence in the row (a NaN counts as
+    the minimum, as in np.argmin)."""
+    mins = np.minimum.reduceat(values, starts, axis=-1)
+    hit = (values == np.repeat(mins, counts, axis=-1)) | np.isnan(values)
+    n = values.shape[-1]
+    first = np.minimum.reduceat(np.where(hit, np.arange(n), n), starts, axis=-1)
     return mins, first
+
+
+_STATE_CONDITIONS = (COND_A_POSITIVE, COND_AREA_FLOOR, COND_HYPERBOLIC, COND_ENDPOINT)
+# in condition-name order
+_ENVELOPE_CONDITIONS = (COND_A_POSITIVE, COND_AREA_FLOOR, COND_ENDPOINT, COND_HYPERBOLIC)
 
 
 def check_state(
@@ -113,72 +192,60 @@ def check_state(
     build every junction system once, from the coefficients at its
     vessel ends, to record its condition estimate.
     With endpoints_only=True only the (cheap) per-end checks run.
-    All vessels are evaluated together; checks come out in vessel id
-    order.
+    All vessels are evaluated together, into the report's arrays over
+    the layout's vessels; a vessel with an unevaluable point reports no
+    condition rows.
     """
     cn, P, Q = state.layout, state.P, state.Q
     K = len(cn.vessel_ids)
-    n_cells = np.diff(cn.offsets) - 1
-    if endpoints_only:
-        # fast per-step path: only the two ends of each vessel
-        starts, counts = np.arange(0, 2 * K, 2), np.full(K, 2)
-        local = np.stack((np.zeros(K, dtype=np.intp), n_cells), axis=1).ravel()
-    else:
-        starts, counts = cn.offsets[:-1], n_cells + 1
-        local = np.arange(cn.size) - np.repeat(starts, counts)
     cs = layout_coefficients(
         cn, state.t, P, Q, cfg.epsilon0, checked=False, points=cn.ends if endpoints_only else None
     )
     a, b, c, A = cs.a, cs.b, cs.c, cs.A
     ab = a * b
-    ends = np.stack((starts, starts + counts - 1), axis=1).ravel()
-    rows = []
-    for condition, values, at, n, shift in (
-        (COND_A_POSITIVE, a, starts, counts, 0.0),
-        (COND_AREA_FLOOR, A, starts, counts, cfg.epsilon0),
-        (COND_HYPERBOLIC, c**2 + ab, starts, counts, 0.0),
-        (COND_ENDPOINT, ab[ends], 2 * np.arange(K), np.full(K, 2), 0.0),
-    ):
-        worst, first = _segment_min(values, at, n)
-        x_index = local[first] if condition != COND_ENDPOINT else local[ends[first]]
-        rows.append((condition, worst.tolist(), (worst - shift).tolist(), x_index.tolist()))
+    if endpoints_only:
+        # the two ends of each vessel, interleaved: all four conditions
+        # share the segments
+        starts, local = cn.pair_starts, cn.ends_local
+        worst, first = _segment_min(np.stack((a, A, c**2 + ab, ab)), starts, 2)
+        x_index = local[first]
+    else:
+        starts, local = cn.first, cn.local
+        worst, first = _segment_min(np.stack((a, A, c**2 + ab)), starts, cn.counts)
+        end_worst, end_first = _segment_min(ab[cn.ends], cn.pair_starts, 2)
+        worst = np.concatenate((worst, end_worst[None]))
+        x_index = np.concatenate((local[first], cn.ends_local[end_first][None]))
+    margin = worst.copy()
+    margin[1] -= cfg.epsilon0
 
     bad = ~np.isfinite(a)
-    skip = np.add.reduceat(bad, starts, dtype=np.intp) if np.any(bad) else np.zeros(K, np.intp)
-    report = ConditionReport()
-    for k in sorted(range(K), key=cn.vessel_ids.__getitem__):
-        vid = cn.vessel_ids[k]
-        if skip[k]:
-            first = int(local[starts[k] + np.argmax(bad[starts[k] : starts[k] + counts[k]])])
-            report.unevaluable.append(
-                f"{vid}: tube law unevaluable at {int(skip[k])} grid point(s), "
-                f"first at x-index {first}"
-            )
-            continue
-        for condition, worst, margin, x_index in rows:
-            failed_end = condition == COND_ENDPOINT and not margin[k] > 0
-            report.checks.append(
-                ConditionCheck(
-                    subject=vid,
-                    condition=condition,
-                    passed=margin[k] > 0,
-                    margin=margin[k],
-                    x_index=x_index[k],
-                    value=worst[k],
-                    classification=_endpoint_classification(x_index[k]) if failed_end else "",
-                )
-            )
+    if np.any(bad):
+        skip = np.add.reduceat(bad, starts, dtype=np.intp)
+        at = np.minimum.reduceat(np.where(bad, np.arange(a.size), a.size), starts)
+        first_bad = np.where(skip > 0, local[np.minimum(at, a.size - 1)], 0)
+        x_index[:, skip > 0] = -1
+    else:
+        skip = first_bad = np.zeros(K, dtype=np.intp)
+    report = ConditionReport(
+        vessel_ids=cn.vessel_ids,
+        conditions=_STATE_CONDITIONS,
+        value=worst,
+        margin=margin,
+        x_index=x_index,
+        unevaluable_count=skip,
+        unevaluable_first=first_bad,
+    )
     if endpoints_only or not report.passed or not cn.junctions.groups:
         return report
-    report.junction_checks = _junction_checks(state, cfg, a, b, c, A)
-    return report
+    estimates = _junction_estimates(state, cfg, a, b, c, A)
+    return replace(report, junction_nodes=cn.junctions.nodes, junction_estimates=estimates)
 
 
-def _junction_checks(state, cfg, a, b, c, A):
-    """Condition estimates of every junction system, built from the
-    endpoint coefficients the first closure of the next step starts
-    from: (x_end, t + dt, P, Q); only synthetic coefficients depend on
-    t, so only their ends are evaluated again."""
+def _junction_estimates(state, cfg, a, b, c, A):
+    """Condition estimates of every junction system, in node id order,
+    built from the endpoint coefficients the first closure of the next
+    step starts from: (x_end, t + dt, P, Q); only synthetic coefficients
+    depend on t, so only their ends are evaluated again."""
     cn, P, Q, pts = state.layout, state.P, state.Q, state.layout.end_point
     a, b, c, A = a[pts], b[pts], c[pts], A[pts]
     k0 = len(cn.vessel_ids) - len(cn.fills)
@@ -197,13 +264,11 @@ def _junction_checks(state, cfg, a, b, c, A):
     zeros = np.zeros(pts.size)
     none = np.zeros(len(layout.transitional))
     values = layout.values(-lam, a, zeros, A, layout.step_values(cfg.dt, zeros, none, none))
-    checks = []
+    estimates = np.empty(len(layout.nodes))
     for group in layout.groups:
         M, _ = group.systems(values)
-        for nid, est in zip(group.node_ids, condition_estimates(M, group.node_ids).tolist()):
-            passed = est < _JUNCTION_COND_MAX
-            checks.append(JunctionConditionCheck(node=nid, condition_estimate=est, passed=passed))
-    return sorted(checks, key=lambda j: j.node)
+        estimates[group.ranks] = condition_estimates(M, group.node_ids)
+    return estimates
 
 
 def check_envelope(
@@ -215,7 +280,8 @@ def check_envelope(
     """Static pre-flight sweep: sample a (P, Q) tensor grid at every
     grid station of every vessel and report the worst margin of each
     condition over the envelope. Unevaluable points (outside a law's
-    range) are flagged but excluded from the margins."""
+    range) are counted but excluded from the margins; a condition with
+    no evaluable station is not reported."""
     if samples < 2:
         raise ValueError("need at least 2 samples per axis")
     if not (np.isfinite(P_range).all() and np.isfinite(Q_range).all()):
@@ -224,8 +290,12 @@ def check_envelope(
     Q_grid = np.linspace(Q_range[0], Q_range[1], samples)
     # one row per grid station, P fastest within each Q sample
     P_row, Q_row = np.tile(P_grid, samples), np.repeat(Q_grid, samples)
-    report = ConditionReport()
-    for vid in sorted(net.vessels):
+    vessel_ids = tuple(sorted(net.vessels))
+    shape = (len(_ENVELOPE_CONDITIONS), len(vessel_ids))
+    value = np.full(shape, np.inf)
+    x_index = np.full(shape, -1, dtype=np.intp)
+    unevaluable = np.zeros(len(vessel_ids), dtype=np.intp)
+    for k, vid in enumerate(vessel_ids):
         vessel = net.vessels[vid]
         m = vessel.grid.size
         cs = coefficients(
@@ -237,35 +307,24 @@ def check_envelope(
         )
         a, b, c, A = (v.reshape(m, -1) for v in (cs.a, cs.b, cs.c, cs.A))
         ok = np.isfinite(a)
-        n_bad = int(np.count_nonzero(~ok))
-        if n_bad:
-            report.unevaluable.append(
-                f"{vid}: {n_bad} envelope point(s) outside the tube law's range"
-            )
+        unevaluable[k] = np.count_nonzero(~ok)
         everywhere, ends = np.arange(m), np.array([0, m - 1])
-        # in condition-name order
-        for cond, values, stations in (
-            (COND_A_POSITIVE, a, everywhere),
-            (COND_AREA_FLOOR, A, everywhere),
-            (COND_ENDPOINT, a * b, ends),
-            (COND_HYPERBOLIC, c**2 + a * b, everywhere),
+        for i, (values, stations) in enumerate(
+            ((a, everywhere), (A, everywhere), (a * b, ends), (c**2 + a * b, everywhere))
         ):
             if not ok[stations].any():
                 continue
             # station-major, so ties resolve to the first station
             v = np.where(ok[stations], values[stations], np.inf)
-            k = int(np.argmin(v))
-            val, xi = float(v.flat[k]), int(stations[k // v.shape[1]])
-            classify = cond == COND_ENDPOINT and val <= 0
-            report.checks.append(
-                ConditionCheck(
-                    subject=vid,
-                    condition=cond,
-                    passed=bool(val > 0),
-                    margin=val,
-                    x_index=xi,
-                    value=val,
-                    classification=_endpoint_classification(xi) if classify else "",
-                )
-            )
-    return report
+            j = int(np.argmin(v))
+            value[i, k], x_index[i, k] = v.flat[j], stations[j // v.shape[1]]
+    return ConditionReport(
+        vessel_ids=vessel_ids,
+        conditions=_ENVELOPE_CONDITIONS,
+        value=value,
+        margin=value,
+        x_index=x_index,
+        unevaluable_count=unevaluable,
+        unevaluable_first=np.zeros(len(vessel_ids), dtype=np.intp),
+        unevaluable_format="{vessel}: {count} envelope point(s) outside the tube law's range",
+    )

@@ -252,6 +252,36 @@ def test_cli_check_only_cond3_failure(tmp_path, capsys):
     assert "under-determined" in out
 
 
+@pytest.mark.parametrize(
+    "solver, args, message",
+    [
+        ({}, ["--t-end", "inf"], "config error: t_end must be finite, got inf"),
+        ({}, ["--t-end", "nan"], "config error: t_end must be finite, got nan"),
+        ({}, ["--dt", "-1"], "config error: dt, cfl_max must be positive"),
+        ({"dt": float("nan")}, [], "config error: solver: dt must be finite, got nan"),
+        ({"dt": -1}, [], "config error: solver: dt, cfl_max must be positive"),
+        ({"cfl_max": float("inf")}, [], "config error: solver: cfl_max must be finite"),
+        ({"picard_tol": float("nan")}, [], "config error: solver: picard_tol must be finite"),
+        ({"epsilon0": float("inf")}, [], "config error: solver: epsilon0 must be finite"),
+    ],
+    ids=["t-end-inf", "t-end-nan", "dt-override-negative", "dt-nan", "dt-negative",
+         "cfl-inf", "tol-nan", "epsilon0-inf"],
+)
+def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, solver, args, message):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["solver"].update(solver)
+    doc["output"] = {"directory": str(tmp_path / "o")}
+    path = write_json(tmp_path, doc)
+    code = main(["simulate", path, *args])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    if not args:
+        with pytest.raises(ConfigError, match="^solver: "):
+            load_config(path)
+
+
 def test_cli_solver_failure_exit_3(tmp_path):
     # a dt so large the Courant bound is still violated after the ten
     # permitted halvings aborts the run

@@ -22,6 +22,8 @@ from vesselflow.junctions import (
     branching_derivative_matrix,
     close_external_flow,
     close_external_pressure,
+    flow_at_pressure_end,
+    pressure_at_flow_end,
     solve_junction,
     transitional_reduced_diagonals,
 )
@@ -114,6 +116,40 @@ def test_close_flow_degenerate_speed():
     inp = EndpointClosureInput(vessel_id="v", end="x0", coeffs=cs, eig=e, char_value=0.0)
     with pytest.raises(SingularJunction):
         close_external_flow(inp, 1.0)
+
+
+def test_pressure_ends_name_the_first_end_with_nonpositive_a():
+    ones = np.ones(3)
+    with pytest.raises(SingularJunction, match="^vessel 'q': coefficient a must be positive"):
+        flow_at_pressure_end(("p", "q", "r"), np.array([1.0, 0.0, -1.0]), ones, ones, ones, ones)
+    # the per-node closure runs the same function on one end
+    inp = make_input("x0", a=-1.0, b=-1.0, vid="w")
+    with pytest.raises(SingularJunction, match="^vessel 'w': coefficient a must be positive"):
+        close_external_pressure(inp, 1.0)
+
+
+def test_flow_ends_name_the_first_end_with_vanishing_speed():
+    ones = np.ones(3)
+    lam = np.array([0.5, 1e-15, 0.0])
+    with pytest.raises(SingularJunction, match="^vessel 'q' end x1: characteristic speed vanishes"):
+        pressure_at_flow_end(("p", "q", "r"), ("x0", "x1", "x0"), lam, ones, ones, ones, ones, ones)
+    cs = CoefficientSet(a=1.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0)
+    e = EigenData(lambda_R=1.0, lambda_L=0.0, u=0.5)
+    inp = EndpointClosureInput(vessel_id="w", end="x1", coeffs=cs, eig=e, char_value=0.0)
+    with pytest.raises(SingularJunction, match="^vessel 'w' end x1: characteristic speed vanishes"):
+        close_external_flow(inp, 1.0)
+
+
+def test_external_closures_are_elementwise():
+    # many ends at once give, bit for bit, the Python-float closed forms
+    rng = np.random.default_rng(5)
+    a, lam, cp, cq, char, value = rng.uniform(0.5, 2.0, (6, 6))
+    ids = tuple("abcdef")
+    Q = flow_at_pressure_end(ids, a, cp, cq, char, value).tolist()
+    P = pressure_at_flow_end(ids, ("x0",) * 6, lam, a, cp, cq, char, value).tolist()
+    a, lam, cp, cq, char, value = (v.tolist() for v in (a, lam, cp, cq, char, value))
+    assert Q == [(char[k] - cp[k] * value[k]) / cq[k] for k in range(6)]
+    assert P == [(char[k] - cq[k] * value[k]) / cp[k] for k in range(6)]
 
 
 # --- branching ------------------------------------------------------------

@@ -498,6 +498,26 @@ def test_report_records_closure_residual_and_junction_condition():
     assert report.worst_junction_node in ("fork", "micro")
 
 
+def test_record_junctions_keeps_the_first_of_equal_estimates():
+    from vesselflow.solver import SimReport
+    from vesselflow.wellposedness import check_state
+
+    net, init, cfg = bifurcation_case()
+    base = check_state(initial_state(net, init, cfg)[0], cfg)
+    report = SimReport()
+    for nodes, estimates in (
+        (("a", "b", "c"), [2.0, 5.0, 5.0]),
+        (("d", "e", "f"), [5.0, 1.0, 5.0]),  # equal to the worst so far: kept
+        (("g", "h", "i"), [np.nan, 3.0, 3.0]),
+    ):
+        rep = dataclasses.replace(base, junction_nodes=nodes, junction_estimates=np.array(estimates))
+        report.record_junctions(rep)
+        assert (report.worst_junction_node, report.worst_junction_condition) == ("b", 5.0)
+    rep = dataclasses.replace(base, junction_nodes=("j", "k"), junction_estimates=np.array([np.nan, 6.0]))
+    report.record_junctions(rep)
+    assert (report.worst_junction_node, report.worst_junction_condition) == ("k", 6.0)
+
+
 def test_report_summaries_stay_bounded():
     v = Vessel(id="v", n_cells=16, x0_node="in", x1_node="out", tube_law=LAW, alpha=1.1)
     net = single_net(

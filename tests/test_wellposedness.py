@@ -401,3 +401,82 @@ def test_junction_estimates_equal_per_node_reference():
     for j in report.junction_checks:
         assert j.passed
         assert j.condition_estimate == pytest.approx(reference[j.node], rel=1e-8)
+
+
+@pytest.mark.parametrize("endpoints_only", [False, True])
+def test_report_lists_follow_the_arrays(endpoints_only):
+    from vesselflow.wellposedness import ConditionCheck
+
+    net, state = mixed_failing_case()
+    report = check_state(state, CFG, endpoints_only=endpoints_only)
+    K = len(net.vessels)
+    assert report.value.shape == report.margin.shape == report.x_index.shape == (4, K)
+    assert report.conditions == ("a_positive", "area_floor", COND_HYPERBOLIC, COND_ENDPOINT)
+    assert report.passed == bool(
+        (report.margin > 0).all() and not report.unevaluable_count.any()
+    )
+    assert not report.passed
+
+    expected, unevaluable = [], []
+    for vid in sorted(net.vessels):
+        k = report.vessel_ids.index(vid)
+        count = int(report.unevaluable_count[k])
+        if count:
+            assert (report.x_index[:, k] == -1).all()
+            unevaluable.append(f"{vid}: tube law unevaluable at {count} grid point(s), "
+                               f"first at x-index {report.unevaluable_first[k]}")
+            continue
+        for i, cond in enumerate(report.conditions):
+            margin, x = float(report.margin[i, k]), int(report.x_index[i, k])
+            classification = ""
+            if cond == COND_ENDPOINT and not margin > 0:
+                classification = ("under-determined (source end)" if x == 0
+                                  else "over-determined (terminal end)")
+            expected.append(ConditionCheck(vid, cond, margin > 0, margin, x,
+                                           float(report.value[i, k]), classification))
+    assert report.checks == expected
+    assert report.unevaluable == unevaluable
+    assert report.junction_checks == []
+    assert report.failures() == [
+        f"{c.subject}: {c.condition} fails at x-index {c.x_index} (margin {c.margin:.6e})"
+        + (f": {c.classification}" if c.classification else "")
+        for c in expected if not c.passed
+    ] + unevaluable
+    # built once, then kept
+    assert report.checks is report.checks
+
+
+def test_tree_run_builds_no_check_objects(tmp_path, monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    import vesselflow.wellposedness as wp
+    from vesselflow import run
+    from vesselflow.config import parse_config
+    from vesselflow.solver import initial_state
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc, _ = workloads.tree_doc(workloads.draw(0), "smoke", str(tmp_path))
+    loaded = parse_config(doc)
+
+    built = []
+    for name in ("ConditionCheck", "JunctionConditionCheck"):
+        cls = getattr(wp, name)
+
+        def counted(*args, _cls=cls, **kwargs):
+            built.append(_cls.__name__)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(wp, name, counted)
+    state0, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+    report = run(loaded.net, state0, loaded.sim)
+    assert report.steps == 3 and report.full_checks == 4
+    assert report.worst_junction_node
+    assert built == []
+    # the count sees objects when a report's lists are read
+    rep = check_state(report.final_state, loaded.sim)
+    assert len(rep.checks) == 4 * 63 and len(rep.junction_checks) == 31
+    assert len(built) == 4 * 63 + 31
