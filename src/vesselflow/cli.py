@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -120,13 +121,14 @@ def _simulate_classified(args) -> int:
         print("aborting: initial state violates node compatibility", file=sys.stderr)
         return EXIT_SOLVER
 
-    snapshot_times = []
-    if args.snapshot:
-        try:
-            snapshot_times = sorted(float(s) for s in args.snapshot.split(","))
-        except ValueError:
-            print(f"invalid --snapshot list: {args.snapshot!r}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        snapshot_times = sorted(float(s) for s in args.snapshot.split(",")) if args.snapshot else []
+        valid = all(map(math.isfinite, snapshot_times))
+    except ValueError:
+        valid = False
+    if not valid:
+        print(f"invalid --snapshot list: {args.snapshot!r}", file=sys.stderr)
+        return EXIT_USAGE
 
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, loaded.timeseries)

@@ -46,8 +46,18 @@ class LoadedConfig:
     warnings: list = field(default_factory=list)
 
 
-def _require(mapping, key, path, types=None):
+_REQUIRED = object()
+
+
+def _require(mapping, key, path, types=None, default=_REQUIRED):
+    """mapping[key], or default where the key is absent and a default is
+    given. Raises ConfigError naming the field path when mapping is not
+    an object or the field is missing or not of types."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(mapping).__name__}")
     if key not in mapping:
+        if default is not _REQUIRED:
+            return default
         raise ConfigError(f"{path}: missing required field {key!r}")
     val = mapping[key]
     if types is not None and not isinstance(val, types):
@@ -55,26 +65,45 @@ def _require(mapping, key, path, types=None):
     return val
 
 
+def _as_number(val, path, integer=False):
+    """val as a float, or with integer=True as an int (whole numbers
+    only); raises ConfigError naming the field path otherwise."""
+    ok = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if ok and integer:
+        ok = isinstance(val, int) or val.is_integer()
+    if not ok:
+        raise ConfigError(f"{path}: expected {'an integer' if integer else 'a number'}, got {val!r}")
+    return int(val) if integer else float(val)
+
+
+def _number(mapping, key, path, default=_REQUIRED, integer=False):
+    """The numeric field mapping[key] (see _as_number); an absent
+    optional field gives default unchanged."""
+    val = _require(mapping, key, path, default=default)
+    return _as_number(val, f"{path}.{key}", integer) if key in mapping else val
+
+
 def _parse_signal(d, path) -> BoundarySignal:
     kind = _require(d, "kind", path, str)
-    try:
-        if kind == "constant":
-            return ConstantSignal(float(_require(d, "value", path)))
-        if kind == "sine":
-            return SineSignal(
-                mean=float(_require(d, "mean", path)),
-                amplitude=float(_require(d, "amplitude", path)),
-                frequency=float(_require(d, "frequency", path)),
-                phase=float(d.get("phase", 0.0)),
-            )
-        if kind == "table":
-            pts = _require(d, "points", path, list)
-            return TableSignal(
-                times=tuple(float(p[0]) for p in pts),
-                values=tuple(float(p[1]) for p in pts),
-            )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    if kind == "constant":
+        return ConstantSignal(_number(d, "value", path))
+    if kind == "sine":
+        return SineSignal(
+            mean=_number(d, "mean", path),
+            amplitude=_number(d, "amplitude", path),
+            frequency=_number(d, "frequency", path),
+            phase=_number(d, "phase", path, 0.0),
+        )
+    if kind == "table":
+        pts = _require(d, "points", path, list)
+        if not all(isinstance(p, list) and len(p) == 2 for p in pts):
+            raise ConfigError(f"{path}.points: expected [time, value] pairs")
+        times = tuple(_as_number(p[0], f"{path}.points[{k}]") for k, p in enumerate(pts))
+        values = tuple(_as_number(p[1], f"{path}.points[{k}]") for k, p in enumerate(pts))
+        try:
+            return TableSignal(times=times, values=values)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: unknown signal kind {kind!r}")
 
 
@@ -93,43 +122,44 @@ def _parse_vessel(d, path) -> Vessel:
     vid = _require(d, "id", path, str)
     kwargs = dict(
         id=vid,
-        n_cells=int(_require(d, "n_cells", path)),
+        n_cells=_number(d, "n_cells", path, integer=True),
         x0_node=str(_require(d, "x0", path)),
         x1_node=str(_require(d, "x1", path)),
     )
     for name, key in (("alpha", "alpha"), ("nu", "nu"), ("rho_blood", "rho")):
         if key in d:
-            kwargs[name] = float(d[key])
+            kwargs[name] = _number(d, key, path)
     has_law = "tube_law" in d
     has_syn = "coefficients" in d
     if has_law == has_syn:
         raise ConfigError(f"{path}: vessel needs exactly one of tube_law or coefficients")
     if has_law:
-        law = d["tube_law"]
-        lk = _require(law, "kind", f"{path}.tube_law", str)
+        law, law_path = d["tube_law"], f"{path}.tube_law"
+        lk = _require(law, "kind", law_path, str)
         if lk == "power":
             kwargs["tube_law"] = PowerLaw(
-                C=float(_require(law, "C", f"{path}.tube_law")),
-                R0=float(_require(law, "R0", f"{path}.tube_law")),
-                beta=float(_require(law, "beta", f"{path}.tube_law")),
+                C=_number(law, "C", law_path),
+                R0=_number(law, "R0", law_path),
+                beta=_number(law, "beta", law_path),
             )
         elif lk == "tabulated":
-            kwargs["tube_law"] = TabulatedLaw(
-                radii=_require(law, "radii", f"{path}.tube_law", list),
-                pressures=_require(law, "pressures", f"{path}.tube_law", list),
-                x_stations=law.get("x_stations", (0.0,)),
-            )
+            radii = _require(law, "radii", law_path, list)
+            pressures = _require(law, "pressures", law_path, list)
+            try:
+                kwargs["tube_law"] = TabulatedLaw(radii, pressures, law.get("x_stations", (0.0,)))
+            except (TypeError, ValueError) as exc:  # a malformed or rejected table
+                raise ConfigError(f"{law_path}: {exc}") from exc
         else:
             raise ConfigError(f"{path}.tube_law.kind: unknown law kind {lk!r}")
     else:
-        syn = d["coefficients"]
+        syn, syn_path = d["coefficients"], f"{path}.coefficients"
         kwargs["synthetic"] = SyntheticCoefficients(
-            a=float(syn.get("a", 1.0)),
-            b=float(syn.get("b", 1.0)),
-            c=float(syn.get("c", 0.0)),
-            f=float(syn.get("f", 0.0)),
-            g=float(syn.get("g", 0.0)),
-            area=float(syn.get("area", 1.0)),
+            a=_number(syn, "a", syn_path, 1.0),
+            b=_number(syn, "b", syn_path, 1.0),
+            c=_number(syn, "c", syn_path, 0.0),
+            f=_number(syn, "f", syn_path, 0.0),
+            g=_number(syn, "g", syn_path, 0.0),
+            area=_number(syn, "area", syn_path, 1.0),
         )
     return Vessel(**kwargs)
 
@@ -178,7 +208,7 @@ def _parse_node(d, vessels, path) -> Node:
         for k, a in enumerate(_require(d, "attachments", path, list)):
             vid = str(_require(a, "vessel", f"{path}.attachments[{k}]"))
             end = _infer_end(vessels, vid, nid, f"{path}.attachments[{k}]")
-            atts.append(BranchAttachment(vid, end, float(_require(a, "rho_j", f"{path}.attachments[{k}]"))))
+            atts.append(BranchAttachment(vid, end, _number(a, "rho_j", f"{path}.attachments[{k}]")))
         return Branching(nid, tuple(atts))
     if kind == "transitional":
         arts, veins = [], []
@@ -191,14 +221,14 @@ def _parse_node(d, vessels, path) -> Node:
                         f"{path}.{group}[{k}]: vessel {vid!r} must attach at "
                         f"{'x=1' if want_end == 'x1' else 'x=0'}"
                     )
-                out.append(TransAttachment(vid, float(_require(a, "resistance", f"{path}.{group}[{k}]"))))
+                out.append(TransAttachment(vid, _number(a, "resistance", f"{path}.{group}[{k}]")))
         return Transitional(
             nid, tuple(arts), tuple(veins),
-            R_C=float(_require(d, "R_C", path)),
-            C1=float(_require(d, "C1", path)),
-            C2=float(_require(d, "C2", path)),
-            P_C1_init=float(d["P_C1"]) if "P_C1" in d else None,
-            P_C2_init=float(d["P_C2"]) if "P_C2" in d else None,
+            R_C=_number(d, "R_C", path),
+            C1=_number(d, "C1", path),
+            C2=_number(d, "C2", path),
+            P_C1_init=_number(d, "P_C1", path, None),
+            P_C2_init=_number(d, "P_C2", path, None),
         )
     raise ConfigError(f"{path}.kind: unknown node kind {kind!r}")
 
@@ -227,22 +257,21 @@ def _node_dict(n: Node) -> dict:
 
 
 def _parse_init_field(v, path):
-    if isinstance(v, (int, float)):
-        return float(v)
     if isinstance(v, list):
-        return tuple(float(x) for x in v)
+        return tuple(_as_number(x, f"{path}[{k}]") for k, x in enumerate(v))
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
     raise ConfigError(f"{path}: initial field must be a number or an array")
 
 
 def _parse_probe(d, path) -> ProbeSpec:
     quantities = tuple(str(q) for q in _require(d, "quantities", path, list))
+    x_index = _number(d, "x_index", path, None, integer=True)
+    x_fraction = _number(d, "x_fraction", path, None)
     try:
         if "vessel" in d:
             return ProbeSpec(
-                quantities=quantities,
-                vessel=str(d["vessel"]),
-                x_index=int(d["x_index"]) if "x_index" in d else None,
-                x_fraction=float(d["x_fraction"]) if "x_fraction" in d else None,
+                quantities=quantities, vessel=str(d["vessel"]), x_index=x_index, x_fraction=x_fraction
             )
         if "node" in d:
             return ProbeSpec(quantities=quantities, node=str(d["node"]))
@@ -305,40 +334,41 @@ def parse_config(doc: dict) -> LoadedConfig:
         )
 
     s = _require(doc, "solver", "config", dict)
-    dt, t_end = _require(s, "dt", "solver"), _require(s, "t_end", "solver")
+    settings = dict(
+        dt=_number(s, "dt", "solver"),
+        t_end=_number(s, "t_end", "solver"),
+        cfl_max=_number(s, "cfl_max", "solver", 0.9),
+        picard_tol=_number(s, "picard_tol", "solver", 1e-10),
+        picard_max_iters=_number(s, "picard_max_iters", "solver", 50, integer=True),
+        epsilon0=_number(s, "epsilon0", "solver", 1e-10),
+        check_every=_number(s, "check_every", "solver", 1, integer=True),
+    )
     try:
-        sim = SimConfig(
-            dt=float(dt),
-            t_end=float(t_end),
-            cfl_max=float(s.get("cfl_max", 0.9)),
-            picard_tol=float(s.get("picard_tol", 1e-10)),
-            picard_max_iters=int(s.get("picard_max_iters", 50)),
-            epsilon0=float(s.get("epsilon0", 1e-10)),
-            check_every=int(s.get("check_every", 1)),
-        )
-    except (TypeError, ValueError) as exc:  # a malformed or rejected setting
+        sim = SimConfig(**settings)
+    except ValueError as exc:  # a rejected setting
         raise ConfigError(f"solver: {exc}") from exc
 
-    init_doc = doc.get("initial", {})
-    dd = init_doc.get("default", {})
+    init_doc = _require(doc, "initial", "config", dict, {})
+    dd = _require(init_doc, "default", "initial", dict, {})
     default = VesselInit(
         P=_parse_init_field(dd.get("P", 0.0), "initial.default.P"),
         Q=_parse_init_field(dd.get("Q", 0.0), "initial.default.Q"),
     )
     per_vessel = {}
-    for vid, vd in init_doc.get("vessels", {}).items():
+    for vid, vd in _require(init_doc, "vessels", "initial", dict, {}).items():
         if vid not in vessels:
             raise ConfigError(f"initial.vessels: unknown vessel {vid!r}")
+        vpath = f"initial.vessels.{vid}"
         per_vessel[vid] = VesselInit(
-            P=_parse_init_field(vd.get("P", 0.0), f"initial.vessels.{vid}.P"),
-            Q=_parse_init_field(vd.get("Q", 0.0), f"initial.vessels.{vid}.Q"),
+            P=_parse_init_field(_require(vd, "P", vpath, default=0.0), f"{vpath}.P"),
+            Q=_parse_init_field(_require(vd, "Q", vpath, default=0.0), f"{vpath}.Q"),
         )
     init = InitSpec(default=default, per_vessel=per_vessel)
 
-    probes = [_parse_probe(p, f"probes[{k}]") for k, p in enumerate(doc.get("probes", []))]
+    probes = [_parse_probe(p, f"probes[{k}]") for k, p in enumerate(_require(doc, "probes", "config", list, []))]
     validate_probes(net, probes)
 
-    out = doc.get("output", {})
+    out = _require(doc, "output", "config", dict, {})
     return LoadedConfig(
         net=net,
         sim=sim,

@@ -16,61 +16,29 @@ node-internal unknowns:
 
 External ends reduce to a single linear equation and are solved in
 closed form, elementwise over every end of one kind
-(`flow_at_pressure_end`, `pressure_at_flow_end`); the per-node
-`close_external_*` run the same functions on one end.
+(`flow_at_pressure_end`, `pressure_at_flow_end`).
 
 The solver closes all junction nodes of one kind and size together:
 `junction_layout` compiles, per group, a static matrix template and
 scatter tables that place one per-pass value vector into an (N, n, n)
-stack, and `solve_systems` solves the stack with the arithmetic of the
-one-node `solve_junction`. `assemble_branching` and
-`assemble_transitional` build the same systems node by node and serve
-as the independent oracle.
+stack, and `solve_systems` solves the stack. This is the only assembly
+the program runs. The node-by-node assembly in `vesselflow.verification`
+builds the same systems without these tables and serves as their
+oracle; it solves them with `solve_systems` too, so the two paths can
+be compared bit for bit. The step-response harness there drives this
+layout on purpose, to test the solver's own transitional closure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import CoefficientSet, EigenData, PrimitiveState
 from .errors import SingularJunction
 from .network import Branching, Transitional
 
 _RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EndpointClosureInput:
-    """Frozen data for one vessel end entering a node closure."""
-
-    vessel_id: str
-    end: str  # "x0" | "x1"
-    coeffs: CoefficientSet  # endpoint scalars, frozen at the iterate
-    eig: EigenData
-    # resolved r (x=1 ends) or s (x=0 ends): char_value + kP * P + kQ * Q
-    # at the endpoint state (P, Q) being solved for
-    char_value: float
-    q_prev: float = 0.0  # endpoint Q at the previous time level
-    rho_j: float | None = None  # branching inertance
-    resistance: float | None = None  # transitional leg resistance
-    kP: float = 0.0
-    kQ: float = 0.0
-
-    @property
-    def incoming(self) -> bool:
-        return self.end == "x1"
-
-
-@dataclass
-class JunctionSystem:
-    """One node's assembled linear system at one time level."""
-
-    node_id: str
-    matrix: np.ndarray
-    rhs: np.ndarray
-    layout: tuple[tuple[str, str, str], ...]  # (role, vessel id or node id, end)
 
 
 @dataclass
@@ -79,22 +47,6 @@ class TransitionalState:
 
     P_C1: float
     P_C2: float
-
-
-@dataclass
-class JunctionSolution:
-    states: dict[tuple[str, str], PrimitiveState]  # (vessel id, end) -> state
-    internals: dict[str, float] = field(default_factory=dict)
-
-
-def _char_row(inp: EndpointClosureInput) -> tuple[float, float, float]:
-    """Coefficients (on P, on Q) and rhs of the resolved characteristic
-    relation at a vessel end, with the resolved value's coupling to the
-    endpoint state moved to the left-hand side:
-    (cp - kP) P + (cq - kQ) Q = char_value."""
-    if inp.incoming:  # r = -lambda_L P + a Q known at x=1
-        return -inp.eig.lambda_L - inp.kP, inp.coeffs.a - inp.kQ, inp.char_value
-    return -inp.eig.lambda_R - inp.kP, inp.coeffs.a - inp.kQ, inp.char_value  # s at x=0
 
 
 # --- external ends ------------------------------------------------------
@@ -127,168 +79,6 @@ def pressure_at_flow_end(vessel_ids, ends, lam, u, cp, cq, char, Q_B) -> np.ndar
             "at the boundary; the end cannot be closed",
         )
     return (char - cq * Q_B) / cp
-
-
-def _one_end(*values) -> np.ndarray:
-    """Arrays of length one, so that one end runs the elementwise
-    closures above."""
-    return np.array(values, dtype=float)[:, None]
-
-
-def close_external_pressure(inp: EndpointClosureInput, P_B: float) -> PrimitiveState:
-    """Endpoint state when the pressure is prescribed: P = P_B and Q
-    follows from the resolved characteristic relation."""
-    Q = flow_at_pressure_end((inp.vessel_id,), *_one_end(inp.coeffs.a, *_char_row(inp), P_B))
-    return PrimitiveState(P=P_B, Q=float(Q[0]))
-
-
-def close_external_flow(inp: EndpointClosureInput, Q_B: float) -> PrimitiveState:
-    """Endpoint state when the flow is prescribed: Q = Q_B and P follows
-    from the resolved characteristic relation."""
-    lam = inp.eig.lambda_R if not inp.incoming else inp.eig.lambda_L
-    values = _one_end(lam, inp.eig.u, *_char_row(inp), Q_B)
-    P = pressure_at_flow_end((inp.vessel_id,), (inp.end,), *values)
-    return PrimitiveState(P=float(P[0]), Q=Q_B)
-
-
-# --- branching junctions ------------------------------------------------
-
-
-def assemble_branching(
-    node: Branching, inputs: list[EndpointClosureInput], dt: float
-) -> JunctionSystem:
-    """Linear system for a branching node: 2*mu+1 unknowns
-    (P_i, Q_i per end, then P_junc)."""
-    mu = len(inputs)
-    n = 2 * mu + 1
-    M = np.zeros((n, n))
-    b = np.zeros(n)
-    layout = []
-    for i, inp in enumerate(inputs):
-        layout.append(("P", inp.vessel_id, inp.end))
-        layout.append(("Q", inp.vessel_id, inp.end))
-    layout.append(("P_junc", node.id, ""))
-    ip_junc = n - 1
-
-    for i, inp in enumerate(inputs):
-        iP, iQ = 2 * i, 2 * i + 1
-        cp, cq, rhs = _char_row(inp)
-        M[2 * i, iP] = cp
-        M[2 * i, iQ] = cq
-        b[2 * i] = rhs
-        # backward-Euler momentum ODE; sign of the pressure drop flips
-        # with orientation
-        sgn = 1.0 if inp.incoming else -1.0
-        A = inp.coeffs.A
-        M[2 * i + 1, iQ] = inp.rho_j / dt
-        M[2 * i + 1, iP] = -sgn * A
-        M[2 * i + 1, ip_junc] = sgn * A
-        b[2 * i + 1] = inp.rho_j / dt * inp.q_prev
-    for i, inp in enumerate(inputs):
-        M[n - 1, 2 * i + 1] = 1.0 if inp.incoming else -1.0
-    return JunctionSystem(node.id, M, b, tuple(layout))
-
-
-def branching_derivative_matrix(inputs: list[EndpointClosureInput]) -> np.ndarray:
-    """The mu x mu coefficient block multiplying (ds_i/dt at x=1 ends,
-    dr_i/dt at x=0 ends) when the junction relations are reduced to an
-    ODE system for the unresolved characteristic variables, with the
-    node pressure eliminated against the first incoming end. Nonsingular
-    exactly when the node closure is solvable; its determinant equals
-
-        (-1/2)^mu  prod_in [rho lambda_L / (u a A)](1)
-                   prod_out [rho lambda_R / (u a A)](0)  sum A/rho.
-
-    Ends are reordered incoming-first internally.
-    """
-    ordered = [i for i in inputs if i.incoming] + [i for i in inputs if not i.incoming]
-    if not ordered or not ordered[0].incoming:
-        raise ValueError("branching node needs at least one incoming end")
-    mu = len(ordered)
-    M = np.zeros((mu, mu))
-
-    def dcoef(inp):
-        lam = inp.eig.lambda_L if inp.incoming else inp.eig.lambda_R
-        sgn = -1.0 if inp.incoming else 1.0
-        return sgn * inp.rho_j * lam / (2.0 * inp.eig.u * inp.coeffs.a * inp.coeffs.A)
-
-    d0 = dcoef(ordered[0])
-    for row, inp in enumerate(ordered[1:]):
-        M[row, 0] = d0
-        M[row, row + 1] = -dcoef(inp) if inp.incoming else dcoef(inp)
-    for col, inp in enumerate(ordered):
-        lam = inp.eig.lambda_L if inp.incoming else inp.eig.lambda_R
-        M[mu - 1, col] = -lam / (2.0 * inp.eig.u * inp.coeffs.a)
-    return M
-
-
-# --- transitional junctions ---------------------------------------------
-
-
-def assemble_transitional(
-    node: Transitional,
-    inputs: list[EndpointClosureInput],
-    state_prev: TransitionalState,
-    dt: float,
-) -> JunctionSystem:
-    """Linear system for a transitional node: 2*mu+2 unknowns
-    (P_i, Q_i per end, then P_C1, P_C2)."""
-    mu = len(inputs)
-    n = 2 * mu + 2
-    M = np.zeros((n, n))
-    b = np.zeros(n)
-    layout = []
-    for inp in inputs:
-        layout.append(("P", inp.vessel_id, inp.end))
-        layout.append(("Q", inp.vessel_id, inp.end))
-    layout.append(("P_C1", node.id, ""))
-    layout.append(("P_C2", node.id, ""))
-    iC1, iC2 = n - 2, n - 1
-
-    for i, inp in enumerate(inputs):
-        iP, iQ = 2 * i, 2 * i + 1
-        cp, cq, rhs = _char_row(inp)
-        M[2 * i, iP] = cp
-        M[2 * i, iQ] = cq
-        b[2 * i] = rhs
-        if inp.incoming:  # artery: R Q = P - P_C1
-            M[2 * i + 1, iQ] = inp.resistance
-            M[2 * i + 1, iP] = -1.0
-            M[2 * i + 1, iC1] = 1.0
-        else:  # vein: R Q = P_C2 - P
-            M[2 * i + 1, iQ] = inp.resistance
-            M[2 * i + 1, iP] = 1.0
-            M[2 * i + 1, iC2] = -1.0
-    g_c = 1.0 / node.R_C
-    row1, row2 = n - 2, n - 1
-    M[row1, iC1] = node.C1 / dt + g_c
-    M[row1, iC2] = -g_c
-    M[row2, iC1] = -g_c
-    M[row2, iC2] = node.C2 / dt + g_c
-    for i, inp in enumerate(inputs):
-        if inp.incoming:
-            M[row1, 2 * i + 1] = -1.0
-        else:
-            M[row2, 2 * i + 1] = 1.0
-    b[row1] = node.C1 / dt * state_prev.P_C1
-    b[row2] = node.C2 / dt * state_prev.P_C2
-    return JunctionSystem(node.id, M, b, tuple(layout))
-
-
-def transitional_reduced_diagonals(inputs: list[EndpointClosureInput]) -> np.ndarray:
-    """Diagonal entries of the reduced unresolved-characteristic blocks
-    of a transitional node:  -R lambda_L/(2ua) + 1/(2u) per artery and
-    R lambda_R/(2ua) + 1/(2u) per vein. All strictly positive whenever
-    R > 0, u > 0, and the endpoint condition lambda_L < 0 < lambda_R
-    holds, which is what makes the closure uniquely solvable."""
-    out = []
-    for inp in inputs:
-        u, a = inp.eig.u, inp.coeffs.a
-        if inp.incoming:
-            out.append(-inp.resistance * inp.eig.lambda_L / (2 * u * a) + 1.0 / (2 * u))
-        else:
-            out.append(inp.resistance * inp.eig.lambda_R / (2 * u * a) + 1.0 / (2 * u))
-    return np.asarray(out)
 
 
 # --- solving -------------------------------------------------------------
@@ -385,27 +175,6 @@ def condition_estimates(M: np.ndarray, node_ids) -> np.ndarray:
     return _condition(_equilibrate(M, node_ids)[0])
 
 
-def junction_condition_estimate(sys: JunctionSystem) -> float:
-    """Condition number of one node's equilibrated matrix."""
-    return float(condition_estimates(sys.matrix[None], (sys.node_id,))[0])
-
-
-def solve_junction(sys: JunctionSystem) -> JunctionSolution:
-    """Solve one node system with the stacked kernel (`solve_systems`)."""
-    x, _ = solve_systems(sys.matrix[None], sys.rhs[None], (sys.node_id,))
-    states: dict[tuple[str, str], PrimitiveState] = {}
-    internals: dict[str, float] = {}
-    pending: dict[tuple[str, str], dict[str, float]] = {}
-    for (role, subject, end), val in zip(sys.layout, x[0].tolist()):
-        if role in ("P", "Q"):
-            pending.setdefault((subject, end), {})[role] = val
-        else:
-            internals[role] = val
-    for key, d in pending.items():
-        states[key] = PrimitiveState(P=d["P"], Q=d["Q"])
-    return JunctionSolution(states=states, internals=internals)
-
-
 # --- batched closures ----------------------------------------------------
 
 # Sections of the value vector a closure pass scatters into the node
@@ -418,8 +187,8 @@ _C1_DIAG, _C2_DIAG, _C1_RHS, _C2_RHS = range(4)
 @dataclass(frozen=True)
 class JunctionGroup:
     """Junction nodes of one kind and system size, solved as one stack.
-    Each system has the unknown and row order of `assemble_branching` or
-    `assemble_transitional`."""
+    Each system's unknowns are (P, Q) per end in the node's end order,
+    then P_junc (branching) or P_C1, P_C2 (transitional)."""
 
     kind: type  # Branching | Transitional
     node_ids: tuple[str, ...]

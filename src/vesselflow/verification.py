@@ -1,14 +1,23 @@
 """Independent oracles and experiment drivers for validating the solver.
 
-Everything here is implemented without the solver's numerical kernels
+The oracles are implemented without the solver's numerical kernels
 (no shared tracing, interpolation, or assembly code), so agreement
 between an oracle and the solver is evidence rather than tautology:
 
 - exact traveling-wave solutions of the constant-coefficient system,
 - the matrix-exponential solution of the two-capacitor lumped circuit,
-- a decoupled step-response harness for the transitional closure,
+- the node-by-node assembly of the junction systems from per-end
+  closure inputs (`assemble_branching`, `assemble_transitional`), the
+  reference for the solver's batched `junctions.junction_layout`
+  tables. It shares only the stacked solve `junctions.solve_systems`
+  with the solver, so both assemblies can be compared bit for bit,
 - the empirical continuity-of-dependence experiment (how much the final
   state moves per unit of initial/boundary/forcing perturbation).
+
+The transitional step-response harness is the exception, on purpose:
+it closes the node through the solver's own `junction_layout` and
+`solve_systems`, so its agreement with the lumped-circuit oracle tests
+the closure the solver runs.
 """
 
 from __future__ import annotations
@@ -21,13 +30,8 @@ from scipy.linalg import expm
 
 from .constitutive import CoefficientSet, EigenData
 from .errors import SimulationError
-from .junctions import (
-    EndpointClosureInput,
-    TransitionalState,
-    assemble_transitional,
-    solve_junction,
-)
-from .network import Network, Transitional
+from .junctions import TransitionalState, junction_layout, solve_systems
+from .network import Branching, Network, Transitional
 from .solver import InitSpec, NetworkState, SimConfig, initial_state, run
 
 
@@ -117,6 +121,164 @@ def oracle_rc_transitional(
     return float(z[0]), float(z[1])
 
 
+# --- reference junction assembly -----------------------------------------
+
+
+@dataclass(frozen=True)
+class EndpointClosureInput:
+    """Frozen data for one vessel end entering a node closure."""
+
+    vessel_id: str
+    end: str  # "x0" | "x1"
+    coeffs: CoefficientSet  # endpoint scalars, frozen at the iterate
+    eig: EigenData
+    # resolved r (x=1 ends) or s (x=0 ends): char_value + kP * P + kQ * Q
+    # at the endpoint state (P, Q) being solved for
+    char_value: float
+    q_prev: float = 0.0  # endpoint Q at the previous time level
+    rho_j: float | None = None  # branching inertance
+    resistance: float | None = None  # transitional leg resistance
+    kP: float = 0.0
+    kQ: float = 0.0
+
+    @property
+    def incoming(self) -> bool:
+        return self.end == "x1"
+
+
+def _char_row(inp: EndpointClosureInput) -> tuple[float, float, float]:
+    """Coefficients (on P, on Q) and rhs of the resolved characteristic
+    relation at a vessel end, with the resolved value's coupling to the
+    endpoint state moved to the left-hand side:
+    (cp - kP) P + (cq - kQ) Q = char_value."""
+    if inp.incoming:  # r = -lambda_L P + a Q known at x=1
+        return -inp.eig.lambda_L - inp.kP, inp.coeffs.a - inp.kQ, inp.char_value
+    return -inp.eig.lambda_R - inp.kP, inp.coeffs.a - inp.kQ, inp.char_value  # s at x=0
+
+
+def assemble_branching(
+    node: Branching, inputs: list[EndpointClosureInput], dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of a branching node: 2*mu+1 unknowns
+    (P_i, Q_i per end, then P_junc)."""
+    mu = len(inputs)
+    n = 2 * mu + 1
+    M = np.zeros((n, n))
+    b = np.zeros(n)
+    ip_junc = n - 1
+
+    for i, inp in enumerate(inputs):
+        iP, iQ = 2 * i, 2 * i + 1
+        cp, cq, rhs = _char_row(inp)
+        M[2 * i, iP] = cp
+        M[2 * i, iQ] = cq
+        b[2 * i] = rhs
+        # backward-Euler momentum ODE; sign of the pressure drop flips
+        # with orientation
+        sgn = 1.0 if inp.incoming else -1.0
+        A = inp.coeffs.A
+        M[2 * i + 1, iQ] = inp.rho_j / dt
+        M[2 * i + 1, iP] = -sgn * A
+        M[2 * i + 1, ip_junc] = sgn * A
+        b[2 * i + 1] = inp.rho_j / dt * inp.q_prev
+    for i, inp in enumerate(inputs):
+        M[n - 1, 2 * i + 1] = 1.0 if inp.incoming else -1.0
+    return M, b
+
+
+def branching_derivative_matrix(inputs: list[EndpointClosureInput]) -> np.ndarray:
+    """The mu x mu coefficient block multiplying (ds_i/dt at x=1 ends,
+    dr_i/dt at x=0 ends) when the junction relations are reduced to an
+    ODE system for the unresolved characteristic variables, with the
+    node pressure eliminated against the first incoming end. Nonsingular
+    exactly when the node closure is solvable; its determinant equals
+
+        (-1/2)^mu  prod_in [rho lambda_L / (u a A)](1)
+                   prod_out [rho lambda_R / (u a A)](0)  sum A/rho.
+
+    Ends are reordered incoming-first internally.
+    """
+    ordered = [i for i in inputs if i.incoming] + [i for i in inputs if not i.incoming]
+    if not ordered or not ordered[0].incoming:
+        raise ValueError("branching node needs at least one incoming end")
+    mu = len(ordered)
+    M = np.zeros((mu, mu))
+
+    def dcoef(inp):
+        lam = inp.eig.lambda_L if inp.incoming else inp.eig.lambda_R
+        sgn = -1.0 if inp.incoming else 1.0
+        return sgn * inp.rho_j * lam / (2.0 * inp.eig.u * inp.coeffs.a * inp.coeffs.A)
+
+    d0 = dcoef(ordered[0])
+    for row, inp in enumerate(ordered[1:]):
+        M[row, 0] = d0
+        M[row, row + 1] = -dcoef(inp) if inp.incoming else dcoef(inp)
+    for col, inp in enumerate(ordered):
+        lam = inp.eig.lambda_L if inp.incoming else inp.eig.lambda_R
+        M[mu - 1, col] = -lam / (2.0 * inp.eig.u * inp.coeffs.a)
+    return M
+
+
+def assemble_transitional(
+    node: Transitional,
+    inputs: list[EndpointClosureInput],
+    state_prev: TransitionalState,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of a transitional node: 2*mu+2
+    unknowns (P_i, Q_i per end, then P_C1, P_C2)."""
+    mu = len(inputs)
+    n = 2 * mu + 2
+    M = np.zeros((n, n))
+    b = np.zeros(n)
+    iC1, iC2 = n - 2, n - 1
+
+    for i, inp in enumerate(inputs):
+        iP, iQ = 2 * i, 2 * i + 1
+        cp, cq, rhs = _char_row(inp)
+        M[2 * i, iP] = cp
+        M[2 * i, iQ] = cq
+        b[2 * i] = rhs
+        if inp.incoming:  # artery: R Q = P - P_C1
+            M[2 * i + 1, iQ] = inp.resistance
+            M[2 * i + 1, iP] = -1.0
+            M[2 * i + 1, iC1] = 1.0
+        else:  # vein: R Q = P_C2 - P
+            M[2 * i + 1, iQ] = inp.resistance
+            M[2 * i + 1, iP] = 1.0
+            M[2 * i + 1, iC2] = -1.0
+    g_c = 1.0 / node.R_C
+    row1, row2 = n - 2, n - 1
+    M[row1, iC1] = node.C1 / dt + g_c
+    M[row1, iC2] = -g_c
+    M[row2, iC1] = -g_c
+    M[row2, iC2] = node.C2 / dt + g_c
+    for i, inp in enumerate(inputs):
+        if inp.incoming:
+            M[row1, 2 * i + 1] = -1.0
+        else:
+            M[row2, 2 * i + 1] = 1.0
+    b[row1] = node.C1 / dt * state_prev.P_C1
+    b[row2] = node.C2 / dt * state_prev.P_C2
+    return M, b
+
+
+def transitional_reduced_diagonals(inputs: list[EndpointClosureInput]) -> np.ndarray:
+    """Diagonal entries of the reduced unresolved-characteristic blocks
+    of a transitional node:  -R lambda_L/(2ua) + 1/(2u) per artery and
+    R lambda_R/(2ua) + 1/(2u) per vein. All strictly positive whenever
+    R > 0, u > 0, and the endpoint condition lambda_L < 0 < lambda_R
+    holds, which is what makes the closure uniquely solvable."""
+    out = []
+    for inp in inputs:
+        u, a = inp.eig.u, inp.coeffs.a
+        if inp.incoming:
+            out.append(-inp.resistance * inp.eig.lambda_L / (2 * u * a) + 1.0 / (2 * u))
+        else:
+            out.append(inp.resistance * inp.eig.lambda_R / (2 * u * a) + 1.0 / (2 * u))
+    return np.asarray(out)
+
+
 def transitional_step_response(
     node: Transitional,
     q_step: float,
@@ -127,33 +289,26 @@ def transitional_step_response(
 ) -> list[TransitionalState]:
     """Drive one transitional node with ideal endpoint sources: the
     artery delivers exactly q_step and the vein sees the fixed venous
-    pressure. Each step assembles and solves the node closure, so the
-    trajectory is the backward-Euler integration of the lumped circuit
-    as the production code performs it."""
+    pressure. Each step closes the node through the solver's junction
+    layout and `solve_systems`, so the trajectory is the backward-Euler
+    integration of the lumped circuit as the production code performs
+    it."""
     if len(node.arteries) != 1 or len(node.veins) != 1:
         raise ValueError("step-response harness expects one artery and one vein")
-    # Degenerate characteristic rows turn the relations into Q = q_step
-    # (artery) and P = p_vein (vein).
-    art = EndpointClosureInput(
-        vessel_id=node.arteries[0].vessel, end="x1",
-        coeffs=CoefficientSet(a=1.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0),
-        eig=EigenData(lambda_R=1.0, lambda_L=0.0, u=1.0),
-        char_value=q_step,
-        resistance=node.arteries[0].resistance,
-    )
-    vein = EndpointClosureInput(
-        vessel_id=node.veins[0].vessel, end="x0",
-        coeffs=CoefficientSet(a=0.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0),
-        eig=EigenData(lambda_R=-1.0, lambda_L=-2.0, u=0.5),
-        char_value=p_vein,
-        resistance=node.veins[0].resistance,
-    )
+    resistances = (node.arteries[0].resistance, node.veins[0].resistance)
+    layout = junction_layout([(node, (0, 1))], np.array([True, False]), resistances)
+    (group,) = layout.groups
+    # Degenerate characteristic rows cp P + cq Q = char at the artery
+    # (end 0) and the vein (end 1) turn the relations into Q = q_step and
+    # P = p_vein.
+    cp, cq, char, A = np.array([[0.0, 1.0], [1.0, 0.0], [q_step, p_vein], [1.0, 1.0]])
     out = []
     state = state0
     for _ in range(n_steps):
-        sysm = assemble_transitional(node, [art, vein], state, dt)
-        sol = solve_junction(sysm)
-        state = TransitionalState(sol.internals["P_C1"], sol.internals["P_C2"])
+        step = layout.step_values(dt, np.zeros(2), np.array([state.P_C1]), np.array([state.P_C2]))
+        M, b = group.systems(layout.values(cp, cq, char, A, step))
+        x = solve_systems(M, b, group.node_ids)[0][0]
+        state = TransitionalState(float(x[-2]), float(x[-1]))
         out.append(state)
     return out
 

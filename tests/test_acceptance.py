@@ -35,11 +35,13 @@ from vesselflow import (
     to_riemann,
 )
 from vesselflow.cli import main
-from vesselflow.junctions import TransitionalState, branching_derivative_matrix
+from vesselflow.junctions import TransitionalState
 from vesselflow.output import CsvSink, ListSink, ProbeSpec
 from vesselflow.verification import (
+    EndpointClosureInput,
     RCParams,
     Scenario,
+    branching_derivative_matrix,
     dependence_experiment,
     oracle_linear_translation,
     oracle_rc_transitional,
@@ -282,8 +284,6 @@ def test_11_determinism_byte_identical(y_junction_run, tmp_path):
 
 
 def test_05_branching_determinant_formula():
-    from vesselflow.junctions import EndpointClosureInput
-
     t0 = time.perf_counter()
     rng = np.random.default_rng(131)
     worst = 0.0

@@ -1,6 +1,8 @@
 """Signal evaluation, config parsing/round-trip, CSV output, CLI tests."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -263,9 +265,12 @@ def test_cli_check_only_cond3_failure(tmp_path, capsys):
         ({"cfl_max": float("inf")}, [], "config error: solver: cfl_max must be finite"),
         ({"picard_tol": float("nan")}, [], "config error: solver: picard_tol must be finite"),
         ({"epsilon0": float("inf")}, [], "config error: solver: epsilon0 must be finite"),
+        ({}, ["--snapshot", "nan"], "invalid --snapshot list: 'nan'"),
+        ({}, ["--snapshot", "inf"], "invalid --snapshot list: 'inf'"),
+        ({}, ["--snapshot", "0.0005,-inf"], "invalid --snapshot list: '0.0005,-inf'"),
     ],
     ids=["t-end-inf", "t-end-nan", "dt-override-negative", "dt-nan", "dt-negative",
-         "cfl-inf", "tol-nan", "epsilon0-inf"],
+         "cfl-inf", "tol-nan", "epsilon0-inf", "snapshot-nan", "snapshot-inf", "snapshot-minus-inf"],
 )
 def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, solver, args, message):
     doc = json.loads(json.dumps(MINIMAL))
@@ -280,6 +285,46 @@ def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, solver, args, mes
     if not args:
         with pytest.raises(ConfigError, match="^solver: "):
             load_config(path)
+
+
+BIFURCATION = Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json"
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("vessels", 0, "n_cells"), "abc", "vessels[0].n_cells: expected an integer, got 'abc'"),
+        (("vessels", 0, "n_cells"), 2.7, "vessels[0].n_cells: expected an integer, got 2.7"),
+        (("vessels", 0, "alpha"), "x", "vessels[0].alpha: expected a number, got 'x'"),
+        (("vessels", 0, "tube_law", "C"), [1], "vessels[0].tube_law.C: expected a number, got [1]"),
+        (("vessels", 0, "tube_law"), {"kind": "tabulated", "radii": [1e-3, 2e-3], "pressures": [[0.0, "x"]]},
+         "vessels[0].tube_law: could not convert string to float: 'x'"),
+        (("nodes", 1, "attachments", 0, "rho_j"), None,
+         "nodes[1].attachments[0].rho_j: expected a number, got None"),
+        (("nodes", 2, "signal", "value"), "x", "nodes[2].signal.value: expected a number, got 'x'"),
+        (("probes", 1, "x_index"), "q", "probes[1].x_index: expected an integer, got 'q'"),
+        (("initial",), "x", "config.initial: expected <class 'dict'>, got str"),
+        (("output",), "x", "config.output: expected <class 'dict'>, got str"),
+    ],
+    ids=["n_cells-string", "n_cells-fraction", "alpha-string", "tube-law-C-list", "table-string", "rho_j-null",
+         "signal-value-string", "probe-x_index-string", "initial-string", "output-string"],
+)
+def test_cli_rejects_malformed_config_values(tmp_path, capsys, keys, value, message):
+    # the shipped bifurcation config with one field replaced
+    doc = json.loads(BIFURCATION.read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = write_json(tmp_path, doc)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(path)
+    for extra in ([], ["--check-only"]):
+        code = main(["simulate", path, "--output", str(tmp_path / "o"), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_solver_failure_exit_3(tmp_path):

@@ -15,16 +15,18 @@ from vesselflow import (
 )
 from vesselflow.constitutive import CoefficientSet, EigenData
 from vesselflow.junctions import (
-    EndpointClosureInput,
     TransitionalState,
+    flow_at_pressure_end,
+    junction_layout,
+    pressure_at_flow_end,
+    solve_systems,
+)
+from vesselflow.verification import (
+    EndpointClosureInput,
+    _char_row,
     assemble_branching,
     assemble_transitional,
     branching_derivative_matrix,
-    close_external_flow,
-    close_external_pressure,
-    flow_at_pressure_end,
-    pressure_at_flow_end,
-    solve_junction,
     transitional_reduced_diagonals,
 )
 
@@ -50,19 +52,67 @@ def steady_input(end, P, Q, a=1.0, b=1.0, c=0.0, A=1.0, **kw):
     )
 
 
+def close_pressure_end(inp, P_B):
+    """One prescribed-pressure end through the elementwise closure."""
+    cp, cq, char = _char_row(inp)
+    Q = flow_at_pressure_end((inp.vessel_id,), *np.array([[inp.coeffs.a], [cp], [cq], [char], [P_B]]))
+    return PrimitiveState(P=P_B, Q=float(Q[0]))
+
+
+def close_flow_end(inp, Q_B):
+    """One prescribed-flow end through the elementwise closure."""
+    cp, cq, char = _char_row(inp)
+    lam = inp.eig.lambda_L if inp.incoming else inp.eig.lambda_R
+    values = np.array([[lam], [inp.eig.u], [cp], [cq], [char], [Q_B]])
+    P = pressure_at_flow_end((inp.vessel_id,), (inp.end,), *values)
+    return PrimitiveState(P=float(P[0]), Q=Q_B)
+
+
+def solve(M, b, node_id="n"):
+    """Solution vector of one node system, through the stacked solve."""
+    return solve_systems(M[None], b[None], (node_id,))[0][0]
+
+
+def layout_systems(node, inputs, dt, state_prev=None):
+    """Matrix and right-hand side of one junction node as the solver
+    assembles them: a one-node `junction_layout`, its value vector and
+    `JunctionGroup.systems`, in the unknown order of `assemble_*`."""
+    if isinstance(node, Branching):
+        params, P_C1, P_C2 = [inp.rho_j for inp in inputs], [], []
+    else:
+        params = [inp.resistance for inp in inputs]
+        P_C1, P_C2 = [state_prev.P_C1], [state_prev.P_C2]
+    incoming = np.array([inp.incoming for inp in inputs])
+    layout = junction_layout([(node, tuple(range(len(inputs))))], incoming, params)
+    q_prev = np.array([inp.q_prev for inp in inputs])
+    step = layout.step_values(dt, q_prev, np.array(P_C1, float), np.array(P_C2, float))
+    cp, cq, char = np.array([_char_row(inp) for inp in inputs]).T
+    A = np.array([inp.coeffs.A for inp in inputs])
+    (group,) = layout.groups
+    M, b = group.systems(layout.values(cp, cq, char, A, step))
+    return M[0], b[0]
+
+
+# The closure properties below must hold for the reference assembly and
+# for the solver's junction layout alike; both take (node, inputs, dt=,
+# state_prev=) by keyword.
+BRANCHING_ASSEMBLIES = (assemble_branching, layout_systems)
+TRANSITIONAL_ASSEMBLIES = (assemble_transitional, layout_systems)
+
+
 # --- external closures ----------------------------------------------------
 
 
 def test_close_pressure_example():
     inp = make_input("x0", char_value=1.0)  # a=1, lambda_R=1, s=1
-    st = close_external_pressure(inp, P_B=2.0)
+    st = close_pressure_end(inp, P_B=2.0)
     assert st.P == 2.0
     assert st.Q == pytest.approx(3.0, rel=1e-15)
 
 
 def test_close_pressure_consistency_with_steady_state():
     inp = steady_input("x0", P=5.0, Q=2.0, a=2.0, b=0.5, c=0.3)
-    st = close_external_pressure(inp, P_B=5.0)
+    st = close_pressure_end(inp, P_B=5.0)
     assert st.P == pytest.approx(5.0, rel=1e-14)
     assert st.Q == pytest.approx(2.0, rel=1e-14)
 
@@ -77,7 +127,7 @@ def test_close_pressure_reproduces_characteristic():
         s_known = rng.uniform(-10, 10)
         P_B = rng.uniform(-10, 10)
         inp = make_input(end, a=a, b=b, c=c, char_value=s_known)
-        st = close_external_pressure(inp, P_B)
+        st = close_pressure_end(inp, P_B)
         rp = to_riemann(inp.coeffs, inp.eig, PrimitiveState(P=st.P, Q=st.Q))
         got = rp.s if end == "x0" else rp.r
         assert got == pytest.approx(s_known, rel=1e-12, abs=1e-12)
@@ -85,14 +135,14 @@ def test_close_pressure_reproduces_characteristic():
 
 def test_close_flow_example():
     inp = make_input("x0", char_value=1.0)
-    st = close_external_flow(inp, Q_B=3.0)
+    st = close_flow_end(inp, Q_B=3.0)
     assert st.Q == 3.0
     assert st.P == pytest.approx(2.0, rel=1e-15)
 
 
 def test_close_flow_zero():
     inp = make_input("x0", char_value=0.0)
-    st = close_external_flow(inp, Q_B=0.0)
+    st = close_flow_end(inp, Q_B=0.0)
     assert st.P == 0.0 and st.Q == 0.0
 
 
@@ -105,8 +155,8 @@ def test_closure_cross_round_trip():
             c=rng.uniform(-1, 1), char_value=rng.uniform(-5, 5),
         )
         q = rng.uniform(-5, 5)
-        st1 = close_external_flow(inp, q)
-        st2 = close_external_pressure(inp, st1.P)
+        st1 = close_flow_end(inp, q)
+        st2 = close_pressure_end(inp, st1.P)
         assert st2.Q == pytest.approx(q, rel=1e-12, abs=1e-12)
 
 
@@ -115,17 +165,13 @@ def test_close_flow_degenerate_speed():
     e = EigenData(lambda_R=0.0, lambda_L=-1.0, u=0.5)
     inp = EndpointClosureInput(vessel_id="v", end="x0", coeffs=cs, eig=e, char_value=0.0)
     with pytest.raises(SingularJunction):
-        close_external_flow(inp, 1.0)
+        close_flow_end(inp, 1.0)
 
 
 def test_pressure_ends_name_the_first_end_with_nonpositive_a():
     ones = np.ones(3)
     with pytest.raises(SingularJunction, match="^vessel 'q': coefficient a must be positive"):
         flow_at_pressure_end(("p", "q", "r"), np.array([1.0, 0.0, -1.0]), ones, ones, ones, ones)
-    # the per-node closure runs the same function on one end
-    inp = make_input("x0", a=-1.0, b=-1.0, vid="w")
-    with pytest.raises(SingularJunction, match="^vessel 'w': coefficient a must be positive"):
-        close_external_pressure(inp, 1.0)
 
 
 def test_flow_ends_name_the_first_end_with_vanishing_speed():
@@ -133,11 +179,6 @@ def test_flow_ends_name_the_first_end_with_vanishing_speed():
     lam = np.array([0.5, 1e-15, 0.0])
     with pytest.raises(SingularJunction, match="^vessel 'q' end x1: characteristic speed vanishes"):
         pressure_at_flow_end(("p", "q", "r"), ("x0", "x1", "x0"), lam, ones, ones, ones, ones, ones)
-    cs = CoefficientSet(a=1.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0)
-    e = EigenData(lambda_R=1.0, lambda_L=0.0, u=0.5)
-    inp = EndpointClosureInput(vessel_id="w", end="x1", coeffs=cs, eig=e, char_value=0.0)
-    with pytest.raises(SingularJunction, match="^vessel 'w' end x1: characteristic speed vanishes"):
-        close_external_flow(inp, 1.0)
 
 
 def test_external_closures_are_elementwise():
@@ -169,12 +210,11 @@ def two_vessel_connector(P, Q, rho_j=1e-3):
 def test_branching_steady_state_is_fixed_point():
     P, Q = 4.0, 1.5
     node, inputs = two_vessel_connector(P, Q)
-    sysm = assemble_branching(node, inputs, dt=1e-3)
-    sol = solve_junction(sysm)
-    for st in sol.states.values():
-        assert st.P == pytest.approx(P, rel=1e-12)
-        assert st.Q == pytest.approx(Q, rel=1e-12)
-    assert sol.internals["P_junc"] == pytest.approx(P, rel=1e-12)
+    for assemble in BRANCHING_ASSEMBLIES:
+        x = solve(*assemble(node, inputs, dt=1e-3))
+        assert x[0:-1:2] == pytest.approx([P, P], rel=1e-12)
+        assert x[1:-1:2] == pytest.approx([Q, Q], rel=1e-12)
+        assert x[-1] == pytest.approx(P, rel=1e-12)
 
 
 def test_branching_system_size():
@@ -191,9 +231,9 @@ def test_branching_system_size():
         steady_input("x0", 1.0, 0.25, vid="c1", rho_j=1e-3),
         steady_input("x0", 1.0, 0.25, vid="c2", rho_j=1e-3),
     ]
-    sysm = assemble_branching(node, inputs, dt=1e-3)
-    assert sysm.matrix.shape == (7, 7)
-    assert len(sysm.layout) == 7
+    M, b = assemble_branching(node, inputs, dt=1e-3)
+    assert M.shape == (7, 7)
+    assert b.shape == (7,)
 
 
 def random_branching_inputs(rng, mu=None):
@@ -247,11 +287,12 @@ def test_branching_mass_balance_exact():
         node = Branching(
             "j", tuple(BranchAttachment(i.vessel_id, i.end, i.rho_j) for i in inputs)
         )
-        sol = solve_junction(assemble_branching(node, inputs, dt=1e-3))
-        q_in = sum(st.Q for (v, e), st in sol.states.items() if e == "x1")
-        q_out = sum(st.Q for (v, e), st in sol.states.items() if e == "x0")
-        q_tot = sum(abs(st.Q) for st in sol.states.values())
-        assert abs(q_in - q_out) <= 1e-10 * max(1.0, q_tot)
+        for assemble in BRANCHING_ASSEMBLIES:
+            Q = solve(*assemble(node, inputs, dt=1e-3))[1:-1:2].tolist()
+            q_in = sum(q for q, i in zip(Q, inputs) if i.end == "x1")
+            q_out = sum(q for q, i in zip(Q, inputs) if i.end == "x0")
+            q_tot = sum(abs(q) for q in Q)
+            assert abs(q_in - q_out) <= 1e-10 * max(1.0, q_tot)
 
 
 def test_branching_characteristic_consistency():
@@ -261,33 +302,33 @@ def test_branching_characteristic_consistency():
         node = Branching(
             "j", tuple(BranchAttachment(i.vessel_id, i.end, i.rho_j) for i in inputs)
         )
-        sol = solve_junction(assemble_branching(node, inputs, dt=1e-3))
-        for inp in inputs:
-            st = sol.states[(inp.vessel_id, inp.end)]
-            rp = to_riemann(inp.coeffs, inp.eig, st)
-            got = rp.r if inp.incoming else rp.s
-            assert abs(got - inp.char_value) <= 1e-10 * max(1.0, abs(inp.char_value))
+        for assemble in BRANCHING_ASSEMBLIES:
+            x = solve(*assemble(node, inputs, dt=1e-3)).tolist()
+            for k, inp in enumerate(inputs):
+                st = PrimitiveState(P=x[2 * k], Q=x[2 * k + 1])
+                rp = to_riemann(inp.coeffs, inp.eig, st)
+                got = rp.r if inp.incoming else rp.s
+                assert abs(got - inp.char_value) <= 1e-10 * max(1.0, abs(inp.char_value))
 
 
 def test_rho_to_zero_pressure_continuity():
     # the junction pressure gap closes monotonically as inertance shrinks
-    gaps = []
-    for rho_j in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        node = Branching(
-            "j", (BranchAttachment("u", "x1", rho_j), BranchAttachment("d", "x0", rho_j))
-        )
-        inputs = [
-            steady_input("x1", 4.0, 1.0, vid="u", rho_j=rho_j),
-            # downstream sees a different incoming state: transient jump
-            steady_input("x0", 3.0, 1.0, vid="d", rho_j=rho_j),
-        ]
-        sol = solve_junction(assemble_branching(node, inputs, dt=1e-3))
-        P_u = sol.states[("u", "x1")].P
-        P_d = sol.states[("d", "x0")].P
-        gaps.append(abs(P_u - P_d))
-    assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
-    # gap scales like rho/dt once out of the large-inertance regime
-    assert gaps[-1] < 2e-3 * gaps[0]
+    for assemble in BRANCHING_ASSEMBLIES:
+        gaps = []
+        for rho_j in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            node = Branching(
+                "j", (BranchAttachment("u", "x1", rho_j), BranchAttachment("d", "x0", rho_j))
+            )
+            inputs = [
+                steady_input("x1", 4.0, 1.0, vid="u", rho_j=rho_j),
+                # downstream sees a different incoming state: transient jump
+                steady_input("x0", 3.0, 1.0, vid="d", rho_j=rho_j),
+            ]
+            P_u, _, P_d = solve(*assemble(node, inputs, dt=1e-3))[:3]
+            gaps.append(abs(P_u - P_d))
+        assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+        # gap scales like rho/dt once out of the large-inertance regime
+        assert gaps[-1] < 2e-3 * gaps[0]
 
 
 # --- transitional -----------------------------------------------------------
@@ -314,11 +355,12 @@ def test_transitional_equilibrium_reduces_to_identity():
         steady_input("x0", P_v, Q, vid="v", resistance=node.veins[0].resistance),
     ]
     prev = TransitionalState(P_C1, P_C2)
-    sol = solve_junction(assemble_transitional(node, inputs, prev, dt=1e-2))
-    assert sol.internals["P_C1"] == pytest.approx(P_C1, rel=1e-12)
-    assert sol.internals["P_C2"] == pytest.approx(P_C2, rel=1e-12)
-    assert sol.states[("a", "x1")].Q == pytest.approx(Q, rel=1e-12)
-    assert sol.states[("v", "x0")].Q == pytest.approx(Q, rel=1e-12)
+    for assemble in TRANSITIONAL_ASSEMBLIES:
+        x = solve(*assemble(node, inputs, dt=1e-2, state_prev=prev))
+        assert x[-2] == pytest.approx(P_C1, rel=1e-12)
+        assert x[-1] == pytest.approx(P_C2, rel=1e-12)
+        assert x[1] == pytest.approx(Q, rel=1e-12)  # artery ("a", "x1")
+        assert x[3] == pytest.approx(Q, rel=1e-12)  # vein ("v", "x0")
 
 
 def test_capillary_flow_from_capacitor_gap():
@@ -362,8 +404,8 @@ def test_transitional_system_size():
         steady_input("x1", 1.0, 0.1, vid="a", resistance=2.0),
         steady_input("x0", 0.5, 0.1, vid="v", resistance=3.0),
     ]
-    sysm = assemble_transitional(node, inputs, TransitionalState(1.0, 0.5), dt=1e-2)
-    assert sysm.matrix.shape == (6, 6)
+    M, _ = assemble_transitional(node, inputs, TransitionalState(1.0, 0.5), dt=1e-2)
+    assert M.shape == (6, 6)
 
 
 def test_transitional_reduced_diagonals_positive():
@@ -378,21 +420,12 @@ def test_transitional_reduced_diagonals_positive():
         assert np.all(transitional_reduced_diagonals(inputs) > 0)
 
 
-# --- solve_junction ---------------------------------------------------------
+# --- solve_systems ----------------------------------------------------------
 
 
 def test_solve_identity_system():
-    from vesselflow.junctions import JunctionSystem
-
     rhs = np.array([1.0, 2.0, 3.0])
-    sysm = JunctionSystem(
-        "n", np.eye(3), rhs.copy(),
-        (("P", "v", "x0"), ("Q", "v", "x0"), ("P_junc", "n", "")),
-    )
-    sol = solve_junction(sysm)
-    st = sol.states[("v", "x0")]
-    assert (st.P, st.Q) == (1.0, 2.0)
-    assert sol.internals["P_junc"] == 3.0
+    assert solve(np.eye(3), rhs.copy()).tolist() == [1.0, 2.0, 3.0]
 
 
 def test_solve_residual_property_random():
@@ -402,30 +435,16 @@ def test_solve_residual_property_random():
         node = Branching(
             "j", tuple(BranchAttachment(i.vessel_id, i.end, i.rho_j) for i in inputs)
         )
-        sysm = assemble_branching(node, inputs, dt=1e-3)
-        sol = solve_junction(sysm)
-        x = np.empty(len(sysm.layout))
-        for k, (role, subject, end) in enumerate(sysm.layout):
-            if role == "P":
-                x[k] = sol.states[(subject, end)].P
-            elif role == "Q":
-                x[k] = sol.states[(subject, end)].Q
-            else:
-                x[k] = sol.internals[role]
-        resid = np.linalg.norm(sysm.rhs - sysm.matrix @ x, np.inf)
-        scale = np.linalg.norm(sysm.matrix, np.inf) * np.linalg.norm(x, np.inf)
+        M, b = assemble_branching(node, inputs, dt=1e-3)
+        x = solve(M, b)
+        resid = np.linalg.norm(b - M @ x, np.inf)
+        scale = np.linalg.norm(M, np.inf) * np.linalg.norm(x, np.inf)
         assert resid <= 1e-10 * max(scale, 1e-300)
 
 
 def test_singular_junction_detected():
-    from vesselflow.junctions import JunctionSystem
-
-    sysm = JunctionSystem(
-        "n", np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]),
-        (("P", "v", "x0"), ("Q", "v", "x0")),
-    )
     with pytest.raises(SingularJunction):
-        solve_junction(sysm)
+        solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
 
 def _branching_stack(rng, count=6, mu=3):
@@ -436,9 +455,9 @@ def _branching_stack(rng, count=6, mu=3):
             f"n{k}", tuple(BranchAttachment(i.vessel_id, i.end, i.rho_j) for i in inputs)
         )
         systems.append(assemble_branching(node, inputs, dt=1e-3))
-    M = np.stack([s.matrix for s in systems])
-    b = np.stack([s.rhs for s in systems])
-    return M, b, tuple(s.node_id for s in systems), systems
+    M = np.stack([Mk for Mk, _ in systems])
+    b = np.stack([bk for _, bk in systems])
+    return M, b, tuple(f"n{k}" for k in range(count)), systems
 
 
 def per_matrix_solve(A, b):
@@ -454,22 +473,17 @@ def per_matrix_solve(A, b):
 
 
 def test_stacked_solve_equals_per_matrix_arithmetic():
-    from vesselflow.junctions import solve_systems
-
     for seed, mu in ((8, 3), (10, 5)):
         M, b, ids, systems = _branching_stack(np.random.default_rng(seed), mu=mu)
         x, ratio = solve_systems(M, b, ids)
         assert np.all((ratio >= 0) & (ratio <= 1e-10))
-        for k, sysm in enumerate(systems):
-            assert per_matrix_solve(sysm.matrix, sysm.rhs).tobytes() == x[k].tobytes()
-            xk, _ = solve_systems(sysm.matrix[None], sysm.rhs[None], (sysm.node_id,))
-            assert xk[0].tobytes() == x[k].tobytes()
+        for k, (Mk, bk) in enumerate(systems):
+            assert per_matrix_solve(Mk, bk).tobytes() == x[k].tobytes()
+            assert solve(Mk, bk, ids[k]).tobytes() == x[k].tobytes()
 
 
 @pytest.mark.parametrize("defect", ["zero row", "nan entry", "repeated row"])
 def test_singular_node_inside_a_batch_is_named(defect):
-    from vesselflow.junctions import solve_systems
-
     M, b, ids, _ = _branching_stack(np.random.default_rng(9))
     bad = 3
     if defect == "zero row":

@@ -389,15 +389,15 @@ def mixed_junction_case():
 
 def run_against_closure_oracle(monkeypatch, net, init, cfg):
     """Run, checking every closure pass against the per-node oracle
-    solve_junction(assemble_*(...)) built from the same frozen data.
+    solve_systems(assemble_*(...)) built from the same frozen data.
     Returns the report and the closure passes, nodes and values checked."""
     import vesselflow.solver as solver_mod
     from vesselflow.constitutive import CoefficientSet, EigenData
-    from vesselflow.junctions import (
+    from vesselflow.junctions import solve_systems
+    from vesselflow.verification import (
         EndpointClosureInput,
         assemble_branching,
         assemble_transitional,
-        solve_junction,
     )
     from vesselflow.network import Transitional, endpoints_by_node, node_attachments
 
@@ -436,16 +436,16 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
                 ))
                 points.append((vid, end, pt))
             if isinstance(node, Branching):
-                sol = solve_junction(assemble_branching(node, inputs, dt))
+                M, b = assemble_branching(node, inputs, dt)
                 batched.append(pressures[nid])
-                oracle.append(sol.internals["P_junc"])
             else:
-                sol = solve_junction(assemble_transitional(node, inputs, prev.transitional[nid], dt))
+                M, b = assemble_transitional(node, inputs, prev.transitional[nid], dt)
                 batched.extend(trans[nid])
-                oracle.extend((sol.internals["P_C1"], sol.internals["P_C2"]))
-            for vid, end, pt in points:
+            x = solve_systems(M[None], b[None], (nid,))[0][0].tolist()
+            oracle.extend(x[2 * len(points):])  # P_junc, or P_C1 and P_C2
+            for k, (vid, end, pt) in enumerate(points):
                 batched.extend((P[pt], Q[pt]))
-                oracle.extend((sol.states[(vid, end)].P, sol.states[(vid, end)].Q))
+                oracle.extend(x[2 * k : 2 * k + 2])
             seen["nodes"] += 1
         seen["passes"] += 1
         return residual

@@ -16,10 +16,13 @@ from vesselflow import (
     Vessel,
     VesselInit,
 )
-from vesselflow.junctions import TransitionalState
+from vesselflow.constitutive import CoefficientSet, EigenData
+from vesselflow.junctions import TransitionalState, solve_systems
 from vesselflow.verification import (
+    EndpointClosureInput,
     RCParams,
     Scenario,
+    assemble_transitional,
     dependence_experiment,
     oracle_linear_translation,
     oracle_rc_transitional,
@@ -157,6 +160,36 @@ def test_step_response_steady_gap():
     traj = transitional_step_response(node, q, 0.0, dt, 800, TransitionalState(0.0, 0.0))
     gap = traj[-1].P_C1 - traj[-1].P_C2
     assert abs(gap - node.R_C * q) <= 1e-3 * abs(node.R_C * q)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.025, 0.0125])
+def test_step_response_equals_the_reference_assembly(dt):
+    # the harness closes the node through the solver's junction layout;
+    # the node-by-node reference assembly of the same ideal sources (a
+    # degenerate characteristic row per end: Q = q at the artery, P =
+    # p_vein at the vein) gives the same trajectory bit for bit
+    node = trans_node()
+    q, p_vein, state = 0.25, 1.5, TransitionalState(0.5, 0.25)
+    inputs = [
+        EndpointClosureInput(
+            vessel_id="a", end="x1", coeffs=CoefficientSet(a=1.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0),
+            eig=EigenData(lambda_R=1.0, lambda_L=0.0, u=1.0), char_value=q, resistance=2.0,
+        ),
+        EndpointClosureInput(
+            vessel_id="v", end="x0", coeffs=CoefficientSet(a=0.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0),
+            eig=EigenData(lambda_R=-1.0, lambda_L=-2.0, u=0.5), char_value=p_vein, resistance=3.0,
+        ),
+    ]
+    traj = transitional_step_response(node, q, p_vein, dt, 60, state)
+    expected = []
+    for _ in range(60):
+        M, b = assemble_transitional(node, inputs, state, dt)
+        x = solve_systems(M[None], b[None], (node.id,))[0][0]
+        state = TransitionalState(float(x[-2]), float(x[-1]))
+        expected.append(state)
+    got = np.array([(s.P_C1, s.P_C2) for s in traj])
+    want = np.array([(s.P_C1, s.P_C2) for s in expected])
+    assert got.tobytes() == want.tobytes()
 
 
 # --- dependence experiment ------------------------------------------------------

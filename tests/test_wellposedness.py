@@ -114,7 +114,7 @@ def test_under_over_determined_classification():
         assert "over-determined" in ep.classification
 
 
-def test_junction_condition_estimates_present():
+def test_junction_estimates_present():
     from vesselflow import BranchAttachment, Branching
 
     vessels = {
@@ -334,12 +334,11 @@ def test_layout_sweep_equals_per_vessel_reference(endpoints_only, bad_stations):
 def test_junction_estimates_equal_per_node_reference():
     from vesselflow import BranchAttachment, Branching, TabulatedLaw, TransAttachment, Transitional
     from vesselflow.constitutive import PrimitiveState, coefficients, eigen
-    from vesselflow.junctions import (
+    from vesselflow.junctions import TransitionalState, condition_estimates
+    from vesselflow.verification import (
         EndpointClosureInput,
-        TransitionalState,
         assemble_branching,
         assemble_transitional,
-        junction_condition_estimate,
     )
     from vesselflow.network import endpoints_by_node, node_attachments
 
@@ -394,9 +393,9 @@ def test_junction_estimates_equal_per_node_reference():
                 rho_j=params[(vid, end)] if branching else None,
                 resistance=None if branching else params[(vid, end)],
             ))
-        sysm = (assemble_branching(node, inputs, CFG.dt) if isinstance(node, Branching)
+        M, _ = (assemble_branching(node, inputs, CFG.dt) if isinstance(node, Branching)
                 else assemble_transitional(node, inputs, TransitionalState(0.0, 0.0), CFG.dt))
-        reference[nid] = junction_condition_estimate(sysm)
+        reference[nid] = float(condition_estimates(M[None], (nid,))[0])
     assert [j.node for j in report.junction_checks] == ["j", "k", "t"]
     for j in report.junction_checks:
         assert j.passed
