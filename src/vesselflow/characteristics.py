@@ -26,17 +26,12 @@ unresolved (NaN); the node closures complete them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .compiled import CompiledNetwork, layout_coefficients
-from .constitutive import (
-    CoefficientSet,
-    EigenData,
-    PrimitiveState,
-    eigen,
-    to_riemann,
-)
+from .constitutive import CoefficientSet, EigenData, eigen
 from .errors import CFLViolation
 
 
@@ -61,93 +56,86 @@ class VesselField:
 
 
 @dataclass(frozen=True)
-class DirectionalDerivatives:
-    """Derivatives of the left-eigenvector entries along each family."""
-
-    dR_lambda_L: float | np.ndarray
-    dR_a: float | np.ndarray
-    dL_lambda_R: float | np.ndarray
-    dL_a: float | np.ndarray
-
-
-@dataclass
 class LevelData:
-    """Frozen data of every grid point of the layout at one time level."""
+    """Frozen data of every grid point of the layout at one time level,
+    with the parts of the source terms that depend on this level alone."""
 
     t: float
     coeffs: CoefficientSet
     eig: EigenData
     P: np.ndarray
     Q: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
-    # level-intrinsic spatial derivatives, built with the level so a level
-    # reused across fixed-point iterations is not rebuilt
-    lamL_x: np.ndarray
-    lamR_x: np.ndarray
-    a_x: np.ndarray
-    # old level: the source terms F per family, read at the feet
-    F_R: np.ndarray | None = None
-    F_L: np.ndarray | None = None
-    # new level: the source terms split as F = base + gP * P + gQ * Q per
-    # family (the state-coupled part is solved implicitly)
-    base_F_R: np.ndarray | None = None
-    gR_P: np.ndarray | None = None
-    gR_Q: np.ndarray | None = None
-    base_F_L: np.ndarray | None = None
-    gL_P: np.ndarray | None = None
-    gL_Q: np.ndarray | None = None
+    # a g - lambda_L f and a g - lambda_R f
+    base_R: np.ndarray
+    base_L: np.ndarray
+    # the advective parts of the directional derivatives:
+    # lambda_R d_x lambda_L, lambda_R d_x a, lambda_L d_x lambda_R, lambda_L d_x a
+    adv_R_lamL: np.ndarray
+    adv_R_a: np.ndarray
+    adv_L_lamR: np.ndarray
+    adv_L_a: np.ndarray
+
+    # the characteristic variables, computed on first use (the old level's only)
+    @cached_property
+    def r(self) -> np.ndarray:
+        return -self.eig.lambda_L * self.P + self.coeffs.a * self.Q
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        return -self.eig.lambda_R * self.P + self.coeffs.a * self.Q
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrozenStep:
-    """Both time levels of frozen coefficients for one step of a layout."""
+    """Both time levels of one step of a layout, with the source terms
+    F_R = a g - lambda_L f + gR_P P + gR_Q Q (gR_P = -d_R lambda_L,
+    gR_Q = d_R a) and F_L likewise (gL_P = -d_L lambda_R, gL_Q = d_L a):
+    the old level's F, read at the feet, and the new level's state
+    couplings, solved implicitly at the targets."""
 
     layout: CompiledNetwork
     dt: float
     old: LevelData
     new: LevelData
-
-
-def source_terms(
-    cs: CoefficientSet,
-    e: EigenData,
-    st: PrimitiveState,
-    d: DirectionalDerivatives,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Source terms of the characteristic equations:
-
-    F_R = -lambda_L f + a g - (d_R lambda_L) P + (d_R a) Q
-    F_L = -lambda_R f + a g - (d_L lambda_R) P + (d_L a) Q
-
-    Works elementwise on aligned arrays.
-    """
-    F_R = -e.lambda_L * cs.f + cs.a * cs.g - d.dR_lambda_L * st.P + d.dR_a * st.Q
-    F_L = -e.lambda_R * cs.f + cs.a * cs.g - d.dL_lambda_R * st.P + d.dL_a * st.Q
-    return F_R, F_L
+    F_R: np.ndarray
+    F_L: np.ndarray
+    gR_P: np.ndarray
+    gR_Q: np.ndarray
+    gL_P: np.ndarray
+    gL_Q: np.ndarray
 
 
 def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
     """Centered differences inside each segment, second-order one-sided
-    at its two ends."""
+    at its two ends, along the last axis."""
     out = np.empty_like(f)
-    out[1:-1] = f[2:] - f[:-2]
+    out[..., 1:-1] = f[..., 2:] - f[..., :-2]
     i, k = layout.first, layout.last
-    out[i] = -3.0 * f[i] + 4.0 * f[i + 1] - f[i + 2]
-    out[k] = 3.0 * f[k] - 4.0 * f[k - 1] + f[k - 2]
+    out[..., i] = -3.0 * f[..., i] + 4.0 * f[..., i + 1] - f[..., i + 2]
+    out[..., k] = 3.0 * f[..., k] - 4.0 * f[..., k - 1] + f[..., k - 2]
     return out * (0.5 * layout.cells)
 
 
 def _build_level(layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float) -> LevelData:
     cs = layout_coefficients(layout, t, P, Q, epsilon0)
     e = eigen(cs)
-    rp = to_riemann(cs, e, PrimitiveState(P, Q))
+    lamL_x, lamR_x, a_x = _ddx(layout, np.stack((e.lambda_L, e.lambda_R, cs.a)))
+    ag = cs.a * cs.g
     return LevelData(
-        t=t, coeffs=cs, eig=e, P=P, Q=Q, r=rp.r, s=rp.s,
-        lamL_x=_ddx(layout, e.lambda_L),
-        lamR_x=_ddx(layout, e.lambda_R),
-        a_x=_ddx(layout, cs.a),
+        t=t, coeffs=cs, eig=e, P=P, Q=Q,
+        base_R=ag - e.lambda_L * cs.f,
+        base_L=ag - e.lambda_R * cs.f,
+        adv_R_lamL=e.lambda_R * lamL_x,
+        adv_R_a=e.lambda_R * a_x,
+        adv_L_lamR=e.lambda_L * lamR_x,
+        adv_L_a=e.lambda_L * a_x,
     )
+
+
+def _couplings(level: LevelData, lamL_t, lamR_t, a_t):
+    """A level's gR_P, gR_Q, gL_P and gL_Q from the step's time differences."""
+    return (-(lamL_t + level.adv_R_lamL), a_t + level.adv_R_a,
+            -(lamR_t + level.adv_L_lamR), a_t + level.adv_L_a)
 
 
 def freeze_step(
@@ -176,23 +164,10 @@ def freeze_step(
     lamL_t = (new.eig.lambda_L - old.eig.lambda_L) / dt
     lamR_t = (new.eig.lambda_R - old.eig.lambda_R) / dt
     a_t = (new.coeffs.a - old.coeffs.a) / dt
-
-    def along(lev):
-        return DirectionalDerivatives(
-            dR_lambda_L=lamL_t + lev.eig.lambda_R * lev.lamL_x,
-            dR_a=a_t + lev.eig.lambda_R * lev.a_x,
-            dL_lambda_R=lamR_t + lev.eig.lambda_L * lev.lamR_x,
-            dL_a=a_t + lev.eig.lambda_L * lev.a_x,
-        )
-
-    old.F_R, old.F_L = source_terms(old.coeffs, old.eig, PrimitiveState(old.P, old.Q), along(old))
-    d = along(new)
-    new.gR_P, new.gR_Q = -d.dR_lambda_L, d.dR_a
-    new.gL_P, new.gL_Q = -d.dL_lambda_R, d.dL_a
-    ag = new.coeffs.a * new.coeffs.g
-    new.base_F_R = ag - new.eig.lambda_L * new.coeffs.f
-    new.base_F_L = ag - new.eig.lambda_R * new.coeffs.f
-    return FrozenStep(layout=layout, dt=dt, old=old, new=new)
+    gR_P, gR_Q, gL_P, gL_Q = _couplings(old, lamL_t, lamR_t, a_t)
+    F_R = old.base_R + gR_P * old.P + gR_Q * old.Q
+    F_L = old.base_L + gL_P * old.P + gL_Q * old.Q
+    return FrozenStep(layout, dt, old, new, F_R, F_L, *_couplings(new, lamL_t, lamR_t, a_t))
 
 
 # --- tracing ------------------------------------------------------------
@@ -290,8 +265,8 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     half_dt = 0.5 * frozen.dt
     known = []
     for family, values, F_old, base_new in (
-        ("R", old.r, old.F_R, new.base_F_R),
-        ("L", old.s, old.F_L, new.base_F_L),
+        ("R", old.r, frozen.F_R, new.base_R),
+        ("L", old.s, frozen.F_L, new.base_L),
     ):
         xi = _trace(frozen, family, cfl_max)
         foot = _stencil(layout, xi)
@@ -303,10 +278,10 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     # the inverse characteristic transform
     u2 = 2.0 * new.eig.u
     ua2 = u2 * new.coeffs.a
-    kRr = half_dt * (new.gR_P / u2 + new.gR_Q * new.eig.lambda_R / ua2)
-    kRs = half_dt * (-new.gR_P / u2 - new.gR_Q * new.eig.lambda_L / ua2)
-    kLr = half_dt * (new.gL_P / u2 + new.gL_Q * new.eig.lambda_R / ua2)
-    kLs = half_dt * (-new.gL_P / u2 - new.gL_Q * new.eig.lambda_L / ua2)
+    kRr = half_dt * (frozen.gR_P / u2 + frozen.gR_Q * new.eig.lambda_R / ua2)
+    kRs = half_dt * (-frozen.gR_P / u2 - frozen.gR_Q * new.eig.lambda_L / ua2)
+    kLr = half_dt * (frozen.gL_P / u2 + frozen.gL_Q * new.eig.lambda_R / ua2)
+    kLs = half_dt * (-frozen.gL_P / u2 - frozen.gL_Q * new.eig.lambda_L / ua2)
     det = (1.0 - kRr) * (1.0 - kLs) - kRs * kLr
     stiff = np.abs(det) < 0.5
     if np.any(stiff):
@@ -322,8 +297,8 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     # 2x2 entries are not usable. Hand the exact split to the closures,
     # and evaluate the coupling at the frozen iterate for the fields.
     i, k = layout.first, layout.last
-    left = EndpointRow(As[i], half_dt * new.gL_P[i], half_dt * new.gL_Q[i])
-    right = EndpointRow(Ar[k], half_dt * new.gR_P[k], half_dt * new.gR_Q[k])
+    left = EndpointRow(As[i], half_dt * frozen.gL_P[i], half_dt * frozen.gL_Q[i])
+    right = EndpointRow(Ar[k], half_dt * frozen.gR_P[k], half_dt * frozen.gR_Q[k])
     s_new[i] = left.value(new.P[i], new.Q[i])
     r_new[k] = right.value(new.P[k], new.Q[k])
     return InteriorUpdate(r=r_new, s=s_new, left=left, right=right)

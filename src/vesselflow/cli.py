@@ -123,14 +123,17 @@ def _simulate_classified(args) -> int:
 
     try:
         snapshot_times = sorted(float(s) for s in args.snapshot.split(",")) if args.snapshot else []
-        valid = all(map(math.isfinite, snapshot_times))
+        valid = all(math.isfinite(t) and t <= sim.t_end for t in snapshot_times)
     except ValueError:
         valid = False
     if not valid:
-        print(f"invalid --snapshot list: {args.snapshot!r}", file=sys.stderr)
+        print(
+            f"invalid --snapshot list: {args.snapshot!r} "
+            f"(times must be finite and at most t_end = {sim.t_end!r})",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, loaded.timeseries)
     pending = list(snapshot_times)
     snap_count = [0]
@@ -145,6 +148,7 @@ def _simulate_classified(args) -> int:
             snap_count[0] += 1
 
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with CsvSink(csv_path) as sink:
             report = run(
                 loaded.net, state0, sim,

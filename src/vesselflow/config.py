@@ -11,6 +11,7 @@ is the identity on the parsed objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -65,22 +66,25 @@ def _require(mapping, key, path, types=None, default=_REQUIRED):
     return val
 
 
-def _as_number(val, path, integer=False):
+def _as_number(val, path, integer=False, finite=True):
     """val as a float, or with integer=True as an int (whole numbers
-    only); raises ConfigError naming the field path otherwise."""
+    only); raises ConfigError naming the field path otherwise, and for
+    NaN or an infinity unless finite=False."""
     ok = isinstance(val, (int, float)) and not isinstance(val, bool)
     if ok and integer:
         ok = isinstance(val, int) or val.is_integer()
     if not ok:
         raise ConfigError(f"{path}: expected {'an integer' if integer else 'a number'}, got {val!r}")
+    if finite and not math.isfinite(val):
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
     return int(val) if integer else float(val)
 
 
-def _number(mapping, key, path, default=_REQUIRED, integer=False):
+def _number(mapping, key, path, default=_REQUIRED, integer=False, finite=True):
     """The numeric field mapping[key] (see _as_number); an absent
     optional field gives default unchanged."""
     val = _require(mapping, key, path, default=default)
-    return _as_number(val, f"{path}.{key}", integer) if key in mapping else val
+    return _as_number(val, f"{path}.{key}", integer, finite) if key in mapping else val
 
 
 def _parse_signal(d, path) -> BoundarySignal:
@@ -260,7 +264,7 @@ def _parse_init_field(v, path):
     if isinstance(v, list):
         return tuple(_as_number(x, f"{path}[{k}]") for k, x in enumerate(v))
     if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
+        return _as_number(v, path)
     raise ConfigError(f"{path}: initial field must be a number or an array")
 
 
@@ -333,14 +337,15 @@ def parse_config(doc: dict) -> LoadedConfig:
             "invalid network: " + "; ".join(f"{d.subject}: {d.message}" for d in errors)
         )
 
+    # non-finite solver settings are left to SimConfig, which names them
     s = _require(doc, "solver", "config", dict)
     settings = dict(
-        dt=_number(s, "dt", "solver"),
-        t_end=_number(s, "t_end", "solver"),
-        cfl_max=_number(s, "cfl_max", "solver", 0.9),
-        picard_tol=_number(s, "picard_tol", "solver", 1e-10),
+        dt=_number(s, "dt", "solver", finite=False),
+        t_end=_number(s, "t_end", "solver", finite=False),
+        cfl_max=_number(s, "cfl_max", "solver", 0.9, finite=False),
+        picard_tol=_number(s, "picard_tol", "solver", 1e-10, finite=False),
         picard_max_iters=_number(s, "picard_max_iters", "solver", 50, integer=True),
-        epsilon0=_number(s, "epsilon0", "solver", 1e-10),
+        epsilon0=_number(s, "epsilon0", "solver", 1e-10, finite=False),
         check_every=_number(s, "check_every", "solver", 1, integer=True),
     )
     try:

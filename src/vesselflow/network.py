@@ -38,7 +38,7 @@ class PowerLaw:
     beta: float  # exponent
 
     def __post_init__(self):
-        if self.C <= 0 or self.R0 <= 0 or self.beta <= 0:
+        if not (self.C > 0 and self.R0 > 0 and self.beta > 0):
             raise ConfigError("power law requires C > 0, R0 > 0, beta > 0")
 
 
@@ -235,11 +235,12 @@ def validate_network(net: Network) -> list[Diagnostic]:
         if v.n_cells < 2:
             diags.append(_err(vid, f"n_cells must be >= 2, got {v.n_cells}"))
         if v.synthetic is None:
-            if v.alpha <= 1:
+            # `not x > 0` so that NaN parameters fail too
+            if not v.alpha > 1:
                 diags.append(_err(vid, f"alpha must be > 1, got {v.alpha}"))
-            if v.nu <= 0:
+            if not v.nu > 0:
                 diags.append(_err(vid, f"nu must be > 0, got {v.nu}"))
-            if v.rho_blood <= 0:
+            if not v.rho_blood > 0:
                 diags.append(_err(vid, f"rho_blood must be > 0, got {v.rho_blood}"))
         if v.x0_node == v.x1_node:
             diags.append(_err(vid, "self-loop (both ends on one node) rejected"))
@@ -275,16 +276,16 @@ def validate_network(net: Network) -> list[Diagnostic]:
                     _err(nid, "branching node needs at least one incoming (x1) and one outgoing (x0) vessel")
                 )
             for vid, end, rho_j in atts:
-                if rho_j <= 0:
+                if not rho_j > 0:
                     diags.append(_err(nid, f"inertance rho_j for vessel {vid!r} must be > 0"))
         if isinstance(node, Transitional):
             if len(node.arteries) < 1 or len(node.veins) < 1:
                 diags.append(_err(nid, "transitional node needs >= 1 artery and >= 1 vein"))
             for att in node.arteries + node.veins:
-                if att.resistance <= 0:
+                if not att.resistance > 0:
                     diags.append(_err(nid, f"resistance for vessel {att.vessel!r} must be > 0"))
             for name in ("R_C", "C1", "C2"):
-                if getattr(node, name) <= 0:
+                if not getattr(node, name) > 0:
                     diags.append(_err(nid, f"{name} must be > 0"))
         # attachment/vessel-end bijection
         for vid, end, _ in atts:

@@ -1,18 +1,14 @@
 """Characteristics kernel tests: tracing, source terms, interior update."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vesselflow import CFLViolation, Network, PowerLaw, SyntheticCoefficients, Vessel
-from vesselflow.characteristics import (
-    DirectionalDerivatives,
-    _trace,
-    freeze_step,
-    interior_update,
-    source_terms,
-)
+from vesselflow.characteristics import _trace, freeze_step, interior_update
 from vesselflow.compiled import compile_network
-from vesselflow.constitutive import CoefficientSet, PrimitiveState, eigen
+from vesselflow.constitutive import PrimitiveState
 
 EPS0 = 1e-10
 
@@ -138,19 +134,17 @@ def test_foot_monotone_in_target():
 
 
 def test_source_terms_vanish_for_constant_unforced():
-    cs = CoefficientSet(a=1.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0)
-    e = eigen(cs)
-    d = DirectionalDerivatives(0.0, 0.0, 0.0, 0.0)
-    F_R, F_L = source_terms(cs, e, PrimitiveState(P=3.0, Q=-2.0), d)
-    assert F_R == 0.0 and F_L == 0.0
+    v = synthetic_vessel(10)
+    P, Q = np.full(11, 3.0), np.full(11, -2.0)
+    fr = frozen_for(v, P, Q, dt=0.01)
+    assert np.all(fr.F_R == 0.0) and np.all(fr.F_L == 0.0)
 
 
 def test_source_terms_constant_forcing():
-    cs = CoefficientSet(a=1.0, b=1.0, c=0.0, f=0.0, g=1.0, A=1.0)
-    e = eigen(cs)
-    d = DirectionalDerivatives(0.0, 0.0, 0.0, 0.0)
-    F_R, F_L = source_terms(cs, e, PrimitiveState(P=0.0, Q=0.0), d)
-    assert F_R == 1.0 and F_L == 1.0
+    v = synthetic_vessel(10, g=1.0)
+    z = np.zeros(11)
+    fr = frozen_for(v, z, z, dt=0.01)
+    assert np.all(fr.F_R == 1.0) and np.all(fr.F_L == 1.0)
 
 
 def test_source_terms_manufactured_field():
@@ -200,8 +194,19 @@ def test_source_terms_manufactured_field():
     F_L_exact = -lamR * 0.1 + a * 0.2 - dL_lamR * P + dL_a * Q
 
     scale = np.max(np.abs(F_R_exact))
-    assert np.max(np.abs(fr.old.F_R - F_R_exact)) <= 1e-6 * scale
-    assert np.max(np.abs(fr.old.F_L - F_L_exact)) <= 1e-6 * scale
+    assert np.max(np.abs(fr.F_R - F_R_exact)) <= 1e-6 * scale
+    assert np.max(np.abs(fr.F_L - F_L_exact)) <= 1e-6 * scale
+
+
+def test_levels_are_frozen_and_the_new_level_riemann_values_unread():
+    v = synthetic_vessel(20, c=0.2, g=0.5)
+    fr = frozen_for(v, np.full(21, 1.5), np.full(21, 0.3), dt=0.01)
+    interior_update(fr)
+    assert "r" in vars(fr.old) and "s" in vars(fr.old)
+    assert "r" not in vars(fr.new) and "s" not in vars(fr.new)
+    for obj, name in ((fr, "F_R"), (fr.old, "base_R"), (fr.new, "P")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
 
 
 # --- interior update -----------------------------------------------------

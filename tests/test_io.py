@@ -268,9 +268,12 @@ def test_cli_check_only_cond3_failure(tmp_path, capsys):
         ({}, ["--snapshot", "nan"], "invalid --snapshot list: 'nan'"),
         ({}, ["--snapshot", "inf"], "invalid --snapshot list: 'inf'"),
         ({}, ["--snapshot", "0.0005,-inf"], "invalid --snapshot list: '0.0005,-inf'"),
+        ({}, ["--snapshot", "0.0005,0.0011"],
+         "invalid --snapshot list: '0.0005,0.0011' (times must be finite and at most t_end = 0.001)"),
     ],
     ids=["t-end-inf", "t-end-nan", "dt-override-negative", "dt-nan", "dt-negative",
-         "cfl-inf", "tol-nan", "epsilon0-inf", "snapshot-nan", "snapshot-inf", "snapshot-minus-inf"],
+         "cfl-inf", "tol-nan", "epsilon0-inf", "snapshot-nan", "snapshot-inf", "snapshot-minus-inf",
+         "snapshot-after-t-end"],
 )
 def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, solver, args, message):
     doc = json.loads(json.dumps(MINIMAL))
@@ -310,7 +313,29 @@ BIFURCATION = Path(__file__).resolve().parents[1] / "configs" / "bifurcation.jso
          "signal-value-string", "probe-x_index-string", "initial-string", "output-string"],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, keys, value, message):
-    # the shipped bifurcation config with one field replaced
+    assert_config_error(tmp_path, capsys, keys, value, message)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "keys",
+    [
+        ("vessels", 0, "nu"),
+        ("nodes", 1, "attachments", 0, "rho_j"),
+        ("nodes", 3, "P_C1"),
+        ("nodes", 0, "signal", "mean"),
+        ("nodes", 3, "R_C"),
+    ],
+    ids=["nu", "rho_j", "P_C1", "signal-mean", "R_C"],
+)
+def test_cli_rejects_non_finite_config_values(tmp_path, capsys, keys, value):
+    path = keys[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys[1:])
+    assert_config_error(tmp_path, capsys, keys, value, f"{path}: expected a finite number, got {value!r}")
+
+
+def assert_config_error(tmp_path, capsys, keys, value, message):
+    """The shipped bifurcation config with one field replaced is a
+    config error with this message, from load_config and the CLI."""
     doc = json.loads(BIFURCATION.read_text())
     target = doc
     for key in keys[:-1]:
@@ -345,6 +370,22 @@ def test_cli_snapshot_mode(tmp_path):
     assert snap.exists()
     lines = snap.read_text().strip().split("\n")
     assert len(lines) - 1 == 9 * 5  # 9 stations x 5 quantities
+
+
+def test_cli_writes_a_snapshot_at_t_end(tmp_path):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["output"] = {"directory": str(tmp_path / "o")}
+    assert main(["simulate", write_json(tmp_path, doc), "--snapshot", "0.001"]) == 0
+    assert (tmp_path / "o" / "snapshot_000.csv").exists()
+
+
+def test_cli_reports_an_output_directory_that_cannot_be_made(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["simulate", write_json(tmp_path, MINIMAL), "--output", str(blocker / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("output error: ") and "Not a directory" in err and err.count("\n") == 1
 
 
 def test_cli_overrides(tmp_path):

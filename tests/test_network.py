@@ -1,5 +1,7 @@
 """Network structure and validation tests."""
 
+import dataclasses
+
 import pytest
 
 from vesselflow import (
@@ -229,3 +231,56 @@ def test_tabulated_law_monotonicity_enforced():
         TabulatedLaw(radii=[1e-3, 2e-3, 3e-3], pressures=[[0.0, 5.0, 4.0]])
     law = TabulatedLaw(radii=[1e-3, 2e-3, 3e-3], pressures=[[0.0, 5.0, 9.0]])
     assert law.x_stations.size == 1
+
+
+def branching_and_transitional_net():
+    """in -> a -> j (branching) -> b -> t (transitional) -> v -> out,
+    and j -> c -> oc."""
+    vessels = {vid: make_vessel(vid, x0, x1) for vid, x0, x1 in (
+        ("a", "in", "j"), ("b", "j", "t"), ("c", "j", "oc"), ("v", "t", "out"))}
+    nodes = {
+        "in": ExternalPressure("in", ConstantSignal(0.0)),
+        "j": Branching("j", (BranchAttachment("a", "x1", 1e-3), BranchAttachment("b", "x0", 1e-3),
+                             BranchAttachment("c", "x0", 1e-3))),
+        "t": Transitional("t", arteries=(TransAttachment("b", 1e8),),
+                          veins=(TransAttachment("v", 1e8),), R_C=1e9, C1=1e-10, C2=1e-10),
+        "oc": ExternalPressure("oc", ConstantSignal(0.0)),
+        "out": ExternalPressure("out", ConstantSignal(0.0)),
+    }
+    return Network(vessels=vessels, nodes=nodes)
+
+
+@pytest.mark.parametrize("param", ["alpha", "nu", "rho_blood", "rho_j", "artery_resistance",
+                                   "vein_resistance", "R_C", "C1", "C2"])
+def test_nan_parameter_is_an_error(param):
+    net = branching_and_transitional_net()
+    assert validate_network(net) == []
+    nan = float("nan")
+    if param in ("alpha", "nu", "rho_blood"):
+        net.vessels["a"] = dataclasses.replace(net.vessels["a"], **{param: nan})
+        subject, word = "a", param
+    elif param == "rho_j":
+        j = net.nodes["j"]
+        atts = (dataclasses.replace(j.attachments[0], rho_j=nan),) + j.attachments[1:]
+        net.nodes["j"] = dataclasses.replace(j, attachments=atts)
+        subject, word = "j", "rho_j"
+    elif param.endswith("resistance"):
+        group = "arteries" if param.startswith("artery") else "veins"
+        t = net.nodes["t"]
+        bad = (dataclasses.replace(getattr(t, group)[0], resistance=nan),)
+        net.nodes["t"] = dataclasses.replace(t, **{group: bad})
+        subject, word = "t", "resistance"
+    else:
+        net.nodes["t"] = dataclasses.replace(net.nodes["t"], **{param: nan})
+        subject, word = "t", param
+    errors = [d for d in validate_network(net) if d.severity == "error"]
+    assert len(errors) == 1
+    assert errors[0].subject == subject and word in errors[0].message
+
+
+@pytest.mark.parametrize("name", ["C", "R0", "beta"])
+def test_power_law_rejects_nan(name):
+    params = {"C": 1e4, "R0": 1e-3, "beta": 2.0}
+    params[name] = float("nan")
+    with pytest.raises(ConfigError, match="power law requires"):
+        PowerLaw(**params)
