@@ -2,20 +2,23 @@
 
 One linear update advances the characteristic variables r and s one
 time level on the fixed uniform grids of every vessel at once (the
-grids laid end to end by `compile_network`): trace each family's characteristic
-backward from every grid node with a two-stage midpoint rule through
-the frozen speed field, interpolate the level-t value at the foot
-linearly, and add the trapezoidal integral of the source term along the
-traced segment:
+grids laid end to end by `compile_network`). The two families are held
+as (2, N) stacks over the N layout points, row 0 the right-going family
+(r = -lambda_L P + a Q, speed lambda_R) and row 1 the left-going family
+(s = -lambda_R P + a Q, speed lambda_L), so every step below runs once
+for both: trace each characteristic backward from every grid node with
+a two-stage midpoint rule through the frozen speed field, interpolate
+the level-t value at the foot linearly, and add the trapezoidal
+integral of the source term along the traced segment:
 
-    r(x, t+dt) = r(foot, t) + dt/2 * (F_R(foot, t) + F_R(x, t+dt))
+    r(x, t+dt) = r(foot, t) + dt/2 * (F(foot, t) + F(x, t+dt))
 
-with F_R = l_R . (f, g) + (d_R l_R) . (P, Q), l_R = (-lambda_L, a), and
-d_R the derivative along the right-going characteristic (and the mirror
-expressions for s). Coefficients are frozen at the outer fixed-point
-iterate: the directional derivatives of the eigenvector entries come
-from centered x-differences and one-sided t-differences across the two
-stored time levels.
+with F = l . (f, g) + (d l) . (P, Q) for the family's left eigenvector
+l = (-lambda_L, a) (for r; (-lambda_R, a) for s) and d the derivative
+along the family's own speed. Coefficients are frozen at the outer
+fixed-point iterate: the directional derivatives of the eigenvector
+entries come from centered x-differences and one-sided t-differences
+across the two stored time levels.
 
 Every foot lies within cfl_max cells of its target, so the foot values
 come from a two-point stencil inside the target's own vessel, clamped
@@ -58,51 +61,44 @@ class VesselField:
 @dataclass(frozen=True)
 class LevelData:
     """Frozen data of every grid point of the layout at one time level,
-    with the parts of the source terms that depend on this level alone."""
+    with the parts of the source terms that depend on this level alone.
+    The family fields are (2, N) stacks: row 0 right-going, row 1
+    left-going."""
 
     t: float
     coeffs: CoefficientSet
     eig: EigenData
     P: np.ndarray
     Q: np.ndarray
-    # a g - lambda_L f and a g - lambda_R f
-    base_R: np.ndarray
-    base_L: np.ndarray
-    # the advective parts of the directional derivatives:
-    # lambda_R d_x lambda_L, lambda_R d_x a, lambda_L d_x lambda_R, lambda_L d_x a
-    adv_R_lamL: np.ndarray
-    adv_R_a: np.ndarray
-    adv_L_lamR: np.ndarray
-    adv_L_a: np.ndarray
+    lam: np.ndarray  # each family's speed: lambda_R, lambda_L
+    base: np.ndarray  # a g - lambda_L f, a g - lambda_R f
+    # the advective parts of the directional derivatives along each
+    # family's speed: lambda_R d_x lambda_L, lambda_L d_x lambda_R ...
+    adv_lam: np.ndarray
+    adv_a: np.ndarray  # ... and lambda_R d_x a, lambda_L d_x a
 
-    # the characteristic variables, computed on first use (the old level's only)
+    # the characteristic variables r, s, computed on first use (the old level's only)
     @cached_property
-    def r(self) -> np.ndarray:
-        return -self.eig.lambda_L * self.P + self.coeffs.a * self.Q
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return -self.eig.lambda_R * self.P + self.coeffs.a * self.Q
+    def rs(self) -> np.ndarray:
+        return -self.lam[::-1] * self.P + self.coeffs.a * self.Q
 
 
 @dataclass(frozen=True)
 class FrozenStep:
-    """Both time levels of one step of a layout, with the source terms
-    F_R = a g - lambda_L f + gR_P P + gR_Q Q (gR_P = -d_R lambda_L,
-    gR_Q = d_R a) and F_L likewise (gL_P = -d_L lambda_R, gL_Q = d_L a):
-    the old level's F, read at the feet, and the new level's state
-    couplings, solved implicitly at the targets."""
+    """Both time levels of one step of a layout, with each family's
+    source term F = base + g_P P + g_Q Q as (2, N) stacks (for r:
+    g_P = -d_R lambda_L and g_Q = d_R a, with d_R the derivative along
+    lambda_R; for s the mirror): the old level's F, read at the feet,
+    and the new level's state couplings, solved implicitly at the
+    targets."""
 
     layout: CompiledNetwork
     dt: float
     old: LevelData
     new: LevelData
-    F_R: np.ndarray
-    F_L: np.ndarray
-    gR_P: np.ndarray
-    gR_Q: np.ndarray
-    gL_P: np.ndarray
-    gL_Q: np.ndarray
+    F: np.ndarray
+    g_P: np.ndarray
+    g_Q: np.ndarray
 
 
 def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
@@ -119,23 +115,15 @@ def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
 def _build_level(layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float) -> LevelData:
     cs = layout_coefficients(layout, t, P, Q, epsilon0)
     e = eigen(cs)
-    lamL_x, lamR_x, a_x = _ddx(layout, np.stack((e.lambda_L, e.lambda_R, cs.a)))
-    ag = cs.a * cs.g
+    lam = np.array((e.lambda_R, e.lambda_L))
+    # d_x of lambda_L, lambda_R and a
+    d_x = _ddx(layout, np.array((e.lambda_L, e.lambda_R, cs.a)))
     return LevelData(
-        t=t, coeffs=cs, eig=e, P=P, Q=Q,
-        base_R=ag - e.lambda_L * cs.f,
-        base_L=ag - e.lambda_R * cs.f,
-        adv_R_lamL=e.lambda_R * lamL_x,
-        adv_R_a=e.lambda_R * a_x,
-        adv_L_lamR=e.lambda_L * lamR_x,
-        adv_L_a=e.lambda_L * a_x,
+        t=t, coeffs=cs, eig=e, P=P, Q=Q, lam=lam,
+        base=cs.a * cs.g - lam[::-1] * cs.f,
+        adv_lam=lam * d_x[:2],
+        adv_a=lam * d_x[2],
     )
-
-
-def _couplings(level: LevelData, lamL_t, lamR_t, a_t):
-    """A level's gR_P, gR_Q, gL_P and gL_Q from the step's time differences."""
-    return (-(lamL_t + level.adv_R_lamL), a_t + level.adv_R_a,
-            -(lamR_t + level.adv_L_lamR), a_t + level.adv_L_a)
 
 
 def freeze_step(
@@ -161,57 +149,55 @@ def freeze_step(
     old = old_level if old_level is not None else _build_level(layout, t_old, P_old, Q_old, epsilon0)
     new = _build_level(layout, t_new, P_new, Q_new, epsilon0)
 
-    lamL_t = (new.eig.lambda_L - old.eig.lambda_L) / dt
-    lamR_t = (new.eig.lambda_R - old.eig.lambda_R) / dt
+    # g_P = -(lam_t + adv_lam) and g_Q = a_t + adv_a at either level
+    lam_t = (new.lam[::-1] - old.lam[::-1]) / dt  # d_t lambda_L, d_t lambda_R
     a_t = (new.coeffs.a - old.coeffs.a) / dt
-    gR_P, gR_Q, gL_P, gL_Q = _couplings(old, lamL_t, lamR_t, a_t)
-    F_R = old.base_R + gR_P * old.P + gR_Q * old.Q
-    F_L = old.base_L + gL_P * old.P + gL_Q * old.Q
-    return FrozenStep(layout, dt, old, new, F_R, F_L, *_couplings(new, lamL_t, lamR_t, a_t))
+    F = old.base - (lam_t + old.adv_lam) * old.P + (a_t + old.adv_a) * old.Q
+    return FrozenStep(layout, dt, old, new, F, -(lam_t + new.adv_lam), a_t + new.adv_a)
 
 
 # --- tracing ------------------------------------------------------------
 
 
 def _stencil(layout: CompiledNetwork, xi: np.ndarray):
-    """Two-point linear-interpolation stencil at local positions xi (in
-    cells from each point's segment start), clamped to the segment as
-    np.interp clamps: a position at or beyond an end reads that end."""
+    """Two-point linear-interpolation stencil at the (2, N) local
+    positions xi (in cells from each point's segment start), clamped to
+    the segment as np.interp clamps: a position at or beyond an end
+    reads that end. The indices are flat into a (2, N) stack."""
     xi = np.minimum(np.maximum(xi, 0.0), layout.cells)
     k = xi.astype(np.intp)  # floor, xi >= 0
     lo = layout.base + k
     hi = np.minimum(lo + 1, layout.size - 1)
+    lo[1] += layout.size
+    hi[1] += layout.size
     return lo, hi, xi - k
 
 
 def _at(f: np.ndarray, stencil) -> np.ndarray:
     lo, hi, w = stencil
-    f_lo = f[lo]
-    return f_lo + w * (f[hi] - f_lo)
+    f_lo = f.take(lo)
+    return f_lo + w * (f.take(hi) - f_lo)
 
 
-def _trace(frozen: FrozenStep, family: str, cfl_max: float) -> np.ndarray:
-    """Feet of the family's characteristics through every grid node at
-    t+dt, by the explicit midpoint rule on the frozen speed field, as
-    local positions in cells (the foot of node j of a vessel with n
-    cells lies at x = xi/n; it left the vessel if xi < 0 or xi > n)."""
-    if family == "R":
-        lam_old, lam_new = frozen.old.eig.lambda_R, frozen.new.eig.lambda_R
-    elif family == "L":
-        lam_old, lam_new = frozen.old.eig.lambda_L, frozen.new.eig.lambda_L
-    else:
-        raise ValueError(f"family must be 'R' or 'L', got {family!r}")
+def _trace(frozen: FrozenStep, cfl_max: float) -> np.ndarray:
+    """Feet of both families' characteristics through every grid node
+    at t+dt, by the explicit midpoint rule on the frozen speed fields,
+    as a (2, N) stack of local positions in cells (the foot of node j
+    of a vessel with n cells lies at x = xi/n; it left the vessel if
+    xi < 0 or xi > n). Raises CFLViolation naming the vessel and family
+    of the longest (or a non-finite) travel beyond cfl_max cells."""
     layout = frozen.layout
     courant = frozen.dt * layout.cells  # dt/dx per point
-    half = _stencil(layout, layout.j - 0.5 * courant * lam_new)
+    half = _stencil(layout, layout.j - 0.5 * courant * frozen.new.lam)
     # interpolating the level average equals averaging the interpolants
-    lam_mid = _at(0.5 * (lam_old + lam_new), half)
+    lam_mid = _at(0.5 * (frozen.old.lam + frozen.new.lam), half)
     travel = np.abs(courant * lam_mid)  # in cells
-    if np.any(travel > cfl_max):
-        k = int(np.argmax(travel))
+    # a NaN travel fails this comparison, and argmax finds it first
+    if not np.all(travel <= cfl_max):
+        family, k = divmod(int(np.argmax(travel)), layout.size)
         raise CFLViolation(
-            f"vessel {layout.vessel_at(k)!r} family {family}: characteristic travels "
-            f"{abs(frozen.dt * lam_mid[k]):.3e} > cfl_max*dx = {cfl_max / layout.cells[k]:.3e}; "
+            f"vessel {layout.vessel_at(k)!r} family {'RL'[family]}: characteristic travels "
+            f"{abs(frozen.dt * lam_mid[family, k]):.3e} > cfl_max*dx = {cfl_max / layout.cells[k]:.3e}; "
             "reduce dt"
         )
     return layout.j - courant * lam_mid
@@ -219,9 +205,10 @@ def _trace(frozen: FrozenStep, family: str, cfl_max: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EndpointRow:
-    """The resolved characteristic value at one end of every vessel (one
-    entry per segment), split into its known part and its linear
-    coupling to the endpoint state:
+    """The resolved characteristic value at both ends of every vessel,
+    in `layout.ends` order (x=0 then x=1 per segment: s at x=0, r at
+    x=1), split into its known part and its linear coupling to the
+    endpoint state:
 
         char = known + kP * P_end + kQ * Q_end
 
@@ -239,14 +226,12 @@ class EndpointRow:
 
 @dataclass
 class InteriorUpdate:
-    """New-level characteristic fields in layout order; NaN entries are
-    unresolved feet (they exited the vessel) awaiting a node closure."""
+    """New-level characteristic fields (r, s) as a (2, N) stack in
+    layout order; NaN entries are unresolved feet (they exited the
+    vessel) awaiting a node closure, which reads `ends`."""
 
-    r: np.ndarray
-    s: np.ndarray
-    # resolved-family rows for the closures: s at x=0, r at x=1
-    left: EndpointRow
-    right: EndpointRow
+    rs: np.ndarray
+    ends: EndpointRow
 
 
 def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
@@ -263,42 +248,35 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     layout = frozen.layout
     old, new = frozen.old, frozen.new
     half_dt = 0.5 * frozen.dt
-    known = []
-    for family, values, F_old, base_new in (
-        ("R", old.r, frozen.F_R, new.base_R),
-        ("L", old.s, frozen.F_L, new.base_L),
-    ):
-        xi = _trace(frozen, family, cfl_max)
-        foot = _stencil(layout, xi)
-        part = _at(values, foot) + half_dt * (_at(F_old, foot) + base_new)
-        known.append(np.where((xi >= 0.0) & (xi <= layout.cells), part, np.nan))
-    Ar, As = known
+    xi = _trace(frozen, cfl_max)
+    foot = _stencil(layout, xi)
+    part = _at(old.rs, foot) + half_dt * (_at(frozen.F, foot) + new.base)
+    known = np.where((xi >= 0.0) & (xi <= layout.cells), part, np.nan)
 
     # state coupling of the new-level source, mapped to (r, s) through
-    # the inverse characteristic transform
+    # the inverse characteristic transform: each family's new value is
+    # its known part + kr r + ks s, a 2x2 system per node solved by
+    # Cramer's rule
     u2 = 2.0 * new.eig.u
     ua2 = u2 * new.coeffs.a
-    kRr = half_dt * (frozen.gR_P / u2 + frozen.gR_Q * new.eig.lambda_R / ua2)
-    kRs = half_dt * (-frozen.gR_P / u2 - frozen.gR_Q * new.eig.lambda_L / ua2)
-    kLr = half_dt * (frozen.gL_P / u2 + frozen.gL_Q * new.eig.lambda_R / ua2)
-    kLs = half_dt * (-frozen.gL_P / u2 - frozen.gL_Q * new.eig.lambda_L / ua2)
-    det = (1.0 - kRr) * (1.0 - kLs) - kRs * kLr
-    stiff = np.abs(det) < 0.5
-    if np.any(stiff):
+    kr = half_dt * (frozen.g_P / u2 + frozen.g_Q * new.eig.lambda_R / ua2)
+    ks = half_dt * (-frozen.g_P / u2 - frozen.g_Q * new.eig.lambda_L / ua2)
+    d_r, d_s = 1.0 - kr[0], 1.0 - ks[1]
+    det = d_r * d_s - ks[0] * kr[1]
+    # a NaN determinant fails this comparison too
+    solvable = np.abs(det) >= 0.5
+    if not np.all(solvable):
         raise CFLViolation(
-            f"vessel {layout.vessel_at(int(np.argmax(stiff)))!r}: "
+            f"vessel {layout.vessel_at(int(np.argmin(solvable)))!r}: "
             "source coupling too stiff for this dt"
         )
     with np.errstate(invalid="ignore"):
-        r_new = ((1.0 - kLs) * Ar + kRs * As) / det
-        s_new = (kLr * Ar + (1.0 - kRr) * As) / det
+        rs = np.array((d_s * known[0] + ks[0] * known[1], kr[1] * known[0] + d_r * known[1])) / det
 
     # endpoint nodes: the companion family usually exited there, so the
     # 2x2 entries are not usable. Hand the exact split to the closures,
     # and evaluate the coupling at the frozen iterate for the fields.
-    i, k = layout.first, layout.last
-    left = EndpointRow(As[i], half_dt * frozen.gL_P[i], half_dt * frozen.gL_Q[i])
-    right = EndpointRow(Ar[k], half_dt * frozen.gR_P[k], half_dt * frozen.gR_Q[k])
-    s_new[i] = left.value(new.P[i], new.Q[i])
-    r_new[k] = right.value(new.P[k], new.Q[k])
-    return InteriorUpdate(r=r_new, s=s_new, left=left, right=right)
+    at = layout.ends + layout.size * (layout.ends_local == 0)  # s at x=0, r at x=1
+    ends = EndpointRow(known.take(at), half_dt * frozen.g_P.take(at), half_dt * frozen.g_Q.take(at))
+    rs.put(at, ends.value(new.P[layout.ends], new.Q[layout.ends]))
+    return InteriorUpdate(rs=rs, ends=ends)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -123,13 +122,14 @@ def _simulate_classified(args) -> int:
 
     try:
         snapshot_times = sorted(float(s) for s in args.snapshot.split(",")) if args.snapshot else []
-        valid = all(math.isfinite(t) and t <= sim.t_end for t in snapshot_times)
+        # NaN and the infinities fail the range check too (t_end is finite)
+        valid = all(0.0 <= t <= sim.t_end for t in snapshot_times)
     except ValueError:
         valid = False
     if not valid:
         print(
             f"invalid --snapshot list: {args.snapshot!r} "
-            f"(times must be finite and at most t_end = {sim.t_end!r})",
+            f"(times must be finite, at least 0 and at most t_end = {sim.t_end!r})",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -149,6 +149,7 @@ def _simulate_classified(args) -> int:
 
     try:
         os.makedirs(out_dir, exist_ok=True)
+        on_step(state0)  # times at 0 take the initial state
         with CsvSink(csv_path) as sink:
             report = run(
                 loaded.net, state0, sim,

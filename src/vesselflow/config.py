@@ -379,8 +379,8 @@ def parse_config(doc: dict) -> LoadedConfig:
         sim=sim,
         init=init,
         probes=probes,
-        output_dir=str(out.get("directory", ".")),
-        timeseries=str(out.get("timeseries", "timeseries.csv")),
+        output_dir=_require(out, "directory", "output", str, "."),
+        timeseries=_require(out, "timeseries", "output", str, "timeseries.csv"),
         warnings=[d for d in diags if d.severity == "warning"],
     )
 

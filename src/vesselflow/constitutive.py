@@ -331,12 +331,15 @@ def coefficients(
 
 
 def eigen(cs: CoefficientSet) -> EigenData:
-    """Characteristic speeds of the wave system; requires c^2 + a b > 0."""
-    disc = cs.c * cs.c + cs.a * cs.b
-    # a NaN minimum also fails this comparison
-    if not np.min(disc) > 0:
+    """Characteristic speeds of the wave system; requires c^2 + a b > 0
+    and finite (an overflow would give infinite or NaN speeds)."""
+    with np.errstate(over="ignore"):
+        disc = cs.c * cs.c + cs.a * cs.b
+    lo, hi = np.min(disc), np.max(disc)
+    # a NaN also fails these comparisons
+    if not (lo > 0 and hi < np.inf):
         raise HyperbolicityViolation(
-            f"c^2 + a*b must be positive, worst value {float(np.min(disc)):.6e}"
+            f"c^2 + a*b must be positive and finite, worst value {float(hi if lo > 0 else lo):.6e}"
         )
     u = np.sqrt(disc)
     return EigenData(lambda_R=cs.c + u, lambda_L=cs.c - u, u=u)

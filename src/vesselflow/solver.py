@@ -412,7 +412,7 @@ def picard_step(
         # NaN at unresolved endpoint entries propagates and is
         # overwritten by the node closures below
         with np.errstate(invalid="ignore"):
-            st = from_riemann(frozen.new.coeffs, frozen.new.eig, RiemannPair(r=upd.r, s=upd.s))
+            st = from_riemann(frozen.new.coeffs, frozen.new.eig, RiemannPair(*upd.rs))
         nxt = (st.P, st.Q, np.empty_like(cur[2]), np.empty_like(cur[3]))
         residual = _close_nodes(cn, frozen, upd, boundary, step_values, t_new, *nxt, P_junc)
         if report is not None:
@@ -447,8 +447,9 @@ def _close_nodes(
     are solved as one stack.
     Returns the largest junction residual over its gate scale.
     """
-    x1, seg, points = cn.end_x1, cn.end_vessel, cn.end_point
-    char = np.where(x1, upd.right.known[seg], upd.left.known[seg])
+    x1, points = cn.end_x1, cn.end_point
+    row = 2 * cn.end_vessel + x1  # each end's entry of upd.ends
+    char = upd.ends.known[row]
     if not np.all(np.isfinite(char)):
         k = int(np.argmin(np.isfinite(char)))
         raise WellPosednessFailure(
@@ -459,8 +460,8 @@ def _close_nodes(
     cs, eig = frozen.new.coeffs, frozen.new.eig
     lam = np.where(x1, eig.lambda_L[points], eig.lambda_R[points])
     a = cs.a[points]
-    cp = -lam - np.where(x1, upd.right.kP[seg], upd.left.kP[seg])
-    cq = a - np.where(x1, upd.right.kQ[seg], upd.left.kQ[seg])
+    cp = -lam - upd.ends.kP[row]
+    cq = a - upd.ends.kQ[row]
 
     # prescribed pressures, then prescribed flows, each raising for its
     # first failing end

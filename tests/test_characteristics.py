@@ -30,9 +30,10 @@ def frozen_for(vessel, P0, Q0, dt, P1=None, Q1=None, t0=0.0):
     return freeze_step(layout_of(vessel), t0, P0, Q0, t0 + dt, P1, Q1, EPS0)
 
 
-def feet(frozen, family, cfl_max=0.9):
-    """Foot positions x of the characteristics through every grid node."""
-    return _trace(frozen, family, cfl_max) / frozen.layout.cells
+def feet(frozen, cfl_max=0.9):
+    """Foot positions x of the characteristics through every grid node,
+    row 0 the right-going family and row 1 the left-going one."""
+    return _trace(frozen, cfl_max) / frozen.layout.cells
 
 
 # --- the vector trace ------------------------------------------------------
@@ -43,7 +44,7 @@ def test_trace_constant_speed():
     v = synthetic_vessel(10)
     z = np.zeros(11)
     fr = frozen_for(v, z, z, dt=0.08)
-    x_foot = feet(fr, "R")
+    x_foot = feet(fr)[0]
     assert 0.0 <= x_foot[5] <= 1.0
     assert x_foot[5] == pytest.approx(0.42, abs=1e-15)
 
@@ -53,14 +54,14 @@ def test_trace_exit_geometry():
     v = synthetic_vessel(20)  # dx = 0.05, travel 0.04 < 0.9 dx
     z = np.zeros(21)
     fr = frozen_for(v, z, z, dt=0.04)
-    x_left = feet(fr, "L")
+    x_left = feet(fr)[1]
     assert x_left[1] == pytest.approx(0.09, abs=1e-15)  # from x = 0.05
     assert x_left[20] == pytest.approx(1.04, abs=1e-15)
     assert x_left[20] > 1.0  # exits right
     # and the mirror exit for the right-going family
-    assert feet(fr, "R")[0] < 0.0
+    assert feet(fr)[0, 0] < 0.0
     upd = interior_update(fr)
-    assert np.isnan(upd.s[-1]) and np.isnan(upd.r[0])
+    assert np.isnan(upd.rs[1, -1]) and np.isnan(upd.rs[0, 0])
 
 
 def test_trace_linear_speed_matches_exponential():
@@ -78,7 +79,7 @@ def test_trace_linear_speed_matches_exponential():
     z = np.zeros(n + 1)
     fr = frozen_for(v, z, z, dt)
     x0 = 0.5
-    x_foot = feet(fr, "R", cfl_max=20.0)[100]  # accuracy test, not a CFL test
+    x_foot = feet(fr, cfl_max=20.0)[0, 100]  # accuracy test, not a CFL test
     exact = (1.0 + x0) * np.exp(-0.5 * dt) - 1.0
     assert 0.0 <= x_foot <= 1.0
     assert abs(x_foot - exact) <= dt**3
@@ -90,8 +91,38 @@ def test_trace_cfl_violation():
     layout = layout_of(slow, fast)
     z = np.zeros(layout.size)
     fr = freeze_step(layout, 0.0, z, z, 0.05, z, z, EPS0)
-    with pytest.raises(CFLViolation, match="'fast'"):
-        _trace(fr, "R", 0.9)
+    with pytest.raises(CFLViolation, match="'fast' family R"):
+        _trace(fr, 0.9)
+
+
+def test_trace_cfl_violation_in_the_left_going_family_alone():
+    # c = -0.5 gives lambda_R = 0.618 and lambda_L = -1.618 on 'left':
+    # at dt = 0.04 only its left-going travel (0.065) exceeds 0.9 dx = 0.045
+    calm = synthetic_vessel(10, vid="calm")  # travel 0.04 < 0.09 both ways
+    left = synthetic_vessel(20, c=-0.5, vid="left")
+    layout = layout_of(calm, left)
+    z = np.zeros(layout.size)
+    fr = freeze_step(layout, 0.0, z, z, 0.04, z, z, EPS0)
+    assert np.all(np.abs(0.04 * fr.new.lam[0] * layout.cells) <= 0.9)
+    with pytest.raises(CFLViolation, match="^vessel 'left' family L: characteristic travels 6.472e-02"):
+        _trace(fr, 0.9)
+
+
+def test_kernel_guards_reject_nan():
+    # a NaN speed or coupling fails every comparison: the Courant and
+    # stiffness guards must still raise, naming the vessel, rather than
+    # pass NaN on to the stencil
+    v = synthetic_vessel(10, vid="v")
+    z = np.zeros(11)
+    fr = frozen_for(v, z, z, dt=0.05)
+    lam = fr.old.lam.copy()
+    lam[1, 4] = np.nan
+    with pytest.raises(CFLViolation, match="^vessel 'v' family L: characteristic travels nan"):
+        _trace(dataclasses.replace(fr, old=dataclasses.replace(fr.old, lam=lam)), 0.9)
+    g_P = fr.g_P.copy()
+    g_P[0, 4] = np.nan
+    with pytest.raises(CFLViolation, match="^vessel 'v': source coupling too stiff"):
+        interior_update(dataclasses.replace(fr, g_P=g_P))
 
 
 def test_trace_clamps_at_segment_ends_like_interp():
@@ -106,10 +137,10 @@ def test_trace_clamps_at_segment_ends_like_interp():
     z = np.zeros(n + 1)
     fr = frozen_for(v, z, z, dt)
     x = v.grid
-    for family, lam in (("R", fr.new.eig.lambda_R), ("L", fr.new.eig.lambda_L)):
+    for row, lam in enumerate((fr.new.eig.lambda_R, fr.new.eig.lambda_L)):
         x_half = x - 0.5 * dt * lam
         expected = x - dt * np.interp(x_half, x, lam)
-        assert np.max(np.abs(feet(fr, family, cfl_max=2.0) - expected)) <= 1e-15
+        assert np.max(np.abs(feet(fr, cfl_max=2.0)[row] - expected)) <= 1e-15
 
 
 def test_foot_monotone_in_target():
@@ -126,8 +157,8 @@ def test_foot_monotone_in_target():
         synthetic=SyntheticCoefficients(a=1.0, b=b_fun, c=0.1),
     )
     fr = frozen_for(v, P, Q, dt=0.01)
-    for family in ("R", "L"):
-        assert np.all(np.diff(feet(fr, family)) >= 0)
+    for x_foot in feet(fr):  # the right-going family, then the left-going one
+        assert np.all(np.diff(x_foot) >= 0)
 
 
 # --- source terms --------------------------------------------------------
@@ -137,14 +168,14 @@ def test_source_terms_vanish_for_constant_unforced():
     v = synthetic_vessel(10)
     P, Q = np.full(11, 3.0), np.full(11, -2.0)
     fr = frozen_for(v, P, Q, dt=0.01)
-    assert np.all(fr.F_R == 0.0) and np.all(fr.F_L == 0.0)
+    assert np.all(fr.F[0] == 0.0) and np.all(fr.F[1] == 0.0)
 
 
 def test_source_terms_constant_forcing():
     v = synthetic_vessel(10, g=1.0)
     z = np.zeros(11)
     fr = frozen_for(v, z, z, dt=0.01)
-    assert np.all(fr.F_R == 1.0) and np.all(fr.F_L == 1.0)
+    assert np.all(fr.F[0] == 1.0) and np.all(fr.F[1] == 1.0)
 
 
 def test_source_terms_manufactured_field():
@@ -194,17 +225,17 @@ def test_source_terms_manufactured_field():
     F_L_exact = -lamR * 0.1 + a * 0.2 - dL_lamR * P + dL_a * Q
 
     scale = np.max(np.abs(F_R_exact))
-    assert np.max(np.abs(fr.F_R - F_R_exact)) <= 1e-6 * scale
-    assert np.max(np.abs(fr.F_L - F_L_exact)) <= 1e-6 * scale
+    assert np.max(np.abs(fr.F[0] - F_R_exact)) <= 1e-6 * scale
+    assert np.max(np.abs(fr.F[1] - F_L_exact)) <= 1e-6 * scale
 
 
 def test_levels_are_frozen_and_the_new_level_riemann_values_unread():
     v = synthetic_vessel(20, c=0.2, g=0.5)
     fr = frozen_for(v, np.full(21, 1.5), np.full(21, 0.3), dt=0.01)
     interior_update(fr)
-    assert "r" in vars(fr.old) and "s" in vars(fr.old)
-    assert "r" not in vars(fr.new) and "s" not in vars(fr.new)
-    for obj, name in ((fr, "F_R"), (fr.old, "base_R"), (fr.new, "P")):
+    assert "rs" in vars(fr.old)
+    assert "rs" not in vars(fr.new)
+    for obj, name in ((fr, "F"), (fr.old, "base"), (fr.new, "P")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, None)
 
@@ -236,10 +267,10 @@ def test_interior_translation_one_step():
     x = v.grid
     interior = slice(1, n)
     exact = np.sin(2 * np.pi * (x - dt))
-    err = np.max(np.abs(upd.r[interior] - exact[interior]))
+    err = np.max(np.abs(upd.rs[0, interior] - exact[interior]))
     assert err <= 1e-3
-    assert np.isnan(upd.r[0])  # foot exited left, closure pending
-    assert np.isfinite(upd.right.known[0]) and np.isfinite(upd.left.known[0])
+    assert np.isnan(upd.rs[0, 0])  # foot exited left, closure pending
+    assert np.isfinite(upd.ends.known[1]) and np.isfinite(upd.ends.known[0])  # r at x=1, s at x=0
 
 
 def test_interior_zero_state_fixed():
@@ -247,8 +278,8 @@ def test_interior_zero_state_fixed():
     z = np.zeros(21)
     fr = frozen_for(v, z, z, dt=0.01)
     upd = interior_update(fr)
-    assert np.all(upd.r[1:] == 0.0)
-    assert np.all(upd.s[:-1] == 0.0)
+    assert np.all(upd.rs[0, 1:] == 0.0)
+    assert np.all(upd.rs[1, :-1] == 0.0)
 
 
 def test_interior_pure_source_integration():
@@ -258,8 +289,8 @@ def test_interior_pure_source_integration():
     dt = 0.01
     fr = frozen_for(v, z, z, dt)
     upd = interior_update(fr)
-    assert np.allclose(upd.r[1:], dt, rtol=0, atol=0)
-    assert np.allclose(upd.s[:-1], dt, rtol=0, atol=0)
+    assert np.allclose(upd.rs[0, 1:], dt, rtol=0, atol=0)
+    assert np.allclose(upd.rs[1, :-1], dt, rtol=0, atol=0)
 
 
 def test_exactness_on_constants_bit_for_bit():
@@ -268,10 +299,10 @@ def test_exactness_on_constants_bit_for_bit():
     Q = np.full(34, -1.2)
     fr = frozen_for(v, P, Q, dt=0.005)
     upd = interior_update(fr)
-    r0 = float(fr.old.r[0])
-    s0 = float(fr.old.s[0])
-    assert np.all(upd.r[1:] == r0)
-    assert np.all(upd.s[:-1] == s0)
+    r0 = float(fr.old.rs[0, 0])
+    s0 = float(fr.old.rs[1, 0])
+    assert np.all(upd.rs[0, 1:] == r0)
+    assert np.all(upd.rs[1, :-1] == s0)
 
 
 def test_one_step_convergence_order():
@@ -287,7 +318,7 @@ def test_one_step_convergence_order():
         upd = interior_update(fr)
         x = v.grid
         exact = np.sin(2 * np.pi * (x - dt))
-        errs.append(np.max(np.abs(upd.r[1:n] - exact[1:n])))
+        errs.append(np.max(np.abs(upd.rs[0, 1:n] - exact[1:n])))
     order = np.log2(errs[0] / errs[1])
     assert order >= 0.9
 
@@ -325,7 +356,7 @@ def test_segments_are_isolated_in_the_compiled_kernel():
         Q1 = np.concatenate([fields(layout.vessels[k], 0.3)[1] for k in range(len(layout.vessels))])
         fr = freeze_step(layout, 0.0, P0, Q0, dt, P1, Q1, EPS0)
         upd = interior_update(fr)
-        out = (upd.r, upd.s, _trace(fr, "R", 0.9), _trace(fr, "L", 0.9))
+        out = (*upd.rs, *_trace(fr, 0.9))  # r, s and the feet of both families
         return {vid: [arr[layout.slices[vid]] for arr in out] for vid in layout.vessel_ids}
 
     together = advance(layout_of(*vessels))

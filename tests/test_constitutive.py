@@ -221,6 +221,14 @@ def test_eigen_violation():
         eigen(CoefficientSet(a=1.0, b=-1.0, c=0.0, f=0.0, g=0.0, A=1.0))
 
 
+@pytest.mark.parametrize("c", [1e200, np.inf, np.nan], ids=["overflow", "inf", "nan"])
+def test_eigen_rejects_non_finite_speeds(c):
+    # c^2 overflows to inf for c = 1e200, which would give infinite or NaN speeds
+    cs = CoefficientSet(a=np.ones(3), b=np.ones(3), c=np.array([0.0, c, 0.0]), f=0.0, g=0.0, A=1.0)
+    with pytest.raises(HyperbolicityViolation, match="must be positive and finite"):
+        eigen(cs)
+
+
 def test_eigen_ordering_random():
     rng = np.random.default_rng(5)
     for _ in range(500):

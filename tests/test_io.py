@@ -14,6 +14,7 @@ from vesselflow import (
     SineSignal,
     TableSignal,
     eval_signal,
+    initial_state,
     write_records,
 )
 from vesselflow.cli import main
@@ -269,11 +270,13 @@ def test_cli_check_only_cond3_failure(tmp_path, capsys):
         ({}, ["--snapshot", "inf"], "invalid --snapshot list: 'inf'"),
         ({}, ["--snapshot", "0.0005,-inf"], "invalid --snapshot list: '0.0005,-inf'"),
         ({}, ["--snapshot", "0.0005,0.0011"],
-         "invalid --snapshot list: '0.0005,0.0011' (times must be finite and at most t_end = 0.001)"),
+         "invalid --snapshot list: '0.0005,0.0011' (times must be finite, at least 0 and at most t_end = 0.001)"),
+        ({}, ["--snapshot", "0.0005,-1"],
+         "invalid --snapshot list: '0.0005,-1' (times must be finite, at least 0 and at most t_end = 0.001)"),
     ],
     ids=["t-end-inf", "t-end-nan", "dt-override-negative", "dt-nan", "dt-negative",
          "cfl-inf", "tol-nan", "epsilon0-inf", "snapshot-nan", "snapshot-inf", "snapshot-minus-inf",
-         "snapshot-after-t-end"],
+         "snapshot-after-t-end", "snapshot-negative"],
 )
 def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, solver, args, message):
     doc = json.loads(json.dumps(MINIMAL))
@@ -308,9 +311,12 @@ BIFURCATION = Path(__file__).resolve().parents[1] / "configs" / "bifurcation.jso
         (("probes", 1, "x_index"), "q", "probes[1].x_index: expected an integer, got 'q'"),
         (("initial",), "x", "config.initial: expected <class 'dict'>, got str"),
         (("output",), "x", "config.output: expected <class 'dict'>, got str"),
+        (("output", "timeseries"), [], "output.timeseries: expected <class 'str'>, got list"),
+        (("output", "directory"), None, "output.directory: expected <class 'str'>, got NoneType"),
     ],
     ids=["n_cells-string", "n_cells-fraction", "alpha-string", "tube-law-C-list", "table-string", "rho_j-null",
-         "signal-value-string", "probe-x_index-string", "initial-string", "output-string"],
+         "signal-value-string", "probe-x_index-string", "initial-string", "output-string",
+         "timeseries-list", "directory-null"],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, keys, value, message):
     assert_config_error(tmp_path, capsys, keys, value, message)
@@ -361,6 +367,18 @@ def test_cli_solver_failure_exit_3(tmp_path):
     assert code == 3
 
 
+def test_cli_overflowing_speeds_are_a_solver_failure(tmp_path, capsys):
+    # alpha = 1e300 makes c^2 overflow once the flow is nonzero: the run
+    # must end as a classified solver failure, not an unexpected error
+    doc = json.loads(BIFURCATION.read_text())
+    doc["vessels"][1]["alpha"] = 1e300
+    code = main(["simulate", write_json(tmp_path, doc), "--t-end", "0.01", "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("solver failure: ") and err.count("\n") == 1
+    assert "unexpected error" not in err
+
+
 def test_cli_snapshot_mode(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["output"] = {"directory": str(tmp_path / "snap")}
@@ -377,6 +395,21 @@ def test_cli_writes_a_snapshot_at_t_end(tmp_path):
     doc["output"] = {"directory": str(tmp_path / "o")}
     assert main(["simulate", write_json(tmp_path, doc), "--snapshot", "0.001"]) == 0
     assert (tmp_path / "o" / "snapshot_000.csv").exists()
+
+
+def test_cli_writes_the_initial_state_as_a_snapshot_at_t_0(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["simulate", str(BIFURCATION), "--t-end", "0.003", "--snapshot", "0", "--output", str(out)])
+    assert code == 0
+    assert f"snapshot at t=0.0 -> {out / 'snapshot_000.csv'}" in capsys.readouterr().out
+    rows = [line.split(",") for line in (out / "snapshot_000.csv").read_text().splitlines()[1:]]
+    assert {row[0] for row in rows} == {"0.0"}
+    loaded = load_config(str(BIFURCATION))
+    state0, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+    for vid, field in state0.fields.items():
+        for name in ("P", "Q"):
+            got = [float(row[5]) for row in rows if row[2] == vid and row[4] == name]
+            assert got == getattr(field, name).tolist()
 
 
 def test_cli_reports_an_output_directory_that_cannot_be_made(tmp_path, capsys):

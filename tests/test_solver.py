@@ -423,16 +423,16 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
             for vid, end, _ in ends_by_node[nid]:
                 k = cn.vessel_ids.index(vid)
                 pt = int(cn.last[k] if end == "x1" else cn.first[k])
-                row = upd.right if end == "x1" else upd.left
+                row = 2 * k + (end == "x1")  # the end's entry of upd.ends
                 at = {name: float(np.asarray(getattr(cs, name))[pt]) for name in "abcfgA"}
                 inputs.append(EndpointClosureInput(
                     vessel_id=vid, end=end, coeffs=CoefficientSet(**at),
                     eig=EigenData(float(eig.lambda_R[pt]), float(eig.lambda_L[pt]), float(eig.u[pt])),
-                    char_value=float(row.known[k]),
+                    char_value=float(upd.ends.known[row]),
                     q_prev=float(prev.fields[vid].Q[-1 if end == "x1" else 0]),
                     rho_j=params[(vid, end)] if isinstance(node, Branching) else None,
                     resistance=None if isinstance(node, Branching) else params[(vid, end)],
-                    kP=float(row.kP[k]), kQ=float(row.kQ[k]),
+                    kP=float(upd.ends.kP[row]), kQ=float(upd.ends.kQ[row]),
                 ))
                 points.append((vid, end, pt))
             if isinstance(node, Branching):
