@@ -35,7 +35,7 @@ import numpy as np
 
 from .compiled import CompiledNetwork, layout_coefficients
 from .constitutive import CoefficientSet, EigenData, eigen
-from .errors import CFLViolation
+from .errors import CFLViolation, HyperbolicityViolation
 
 
 @dataclass
@@ -114,7 +114,13 @@ def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
 
 def _build_level(layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float) -> LevelData:
     cs = layout_coefficients(layout, t, P, Q, epsilon0)
-    e = eigen(cs)
+    try:
+        e = eigen(cs)
+    except HyperbolicityViolation as exc:
+        with np.errstate(over="ignore"):
+            disc = cs.c * cs.c + cs.a * cs.b
+        first = int(np.argmin((disc > 0) & (disc < np.inf)))
+        raise HyperbolicityViolation(f"vessel {layout.vessel_at(first)!r}: {exc}") from exc
     lam = np.array((e.lambda_R, e.lambda_L))
     # d_x of lambda_L, lambda_R and a
     d_x = _ddx(layout, np.array((e.lambda_L, e.lambda_R, cs.a)))

@@ -11,7 +11,8 @@ checker and the output alike. The node part lists every vessel end
 attached to a node once, in node order and `endpoints_by_node` order
 within a node, with its grid point; external nodes keep their single
 end, and junction nodes are grouped by kind and size into the
-stacked-solve tables of `junctions.junction_layout`.
+`junctions.junction_layout` groups, each holding its nodes' end
+indices and parameters for the stacked solve.
 """
 
 from __future__ import annotations

@@ -19,14 +19,17 @@ closed form, elementwise over every end of one kind
 (`flow_at_pressure_end`, `pressure_at_flow_end`).
 
 The solver closes all junction nodes of one kind and size together:
-`junction_layout` compiles, per group, a static matrix template and
-scatter tables that place one per-pass value vector into an (N, n, n)
-stack, and `solve_systems` solves the stack. This is the only assembly
+`junction_layout` groups them, and each `JunctionGroup` keeps its own
+per-node arrays (end indices, signs, rho_j or C1, C2, 1/R_C) and a
+static matrix template. `JunctionGroup.step` builds the group's
+(N, n, n) stack with every entry fixed within a time step,
+`JunctionGroup.fill` writes each closure pass's entries into it in
+place, and `solve_systems` solves the stack. This is the only assembly
 the program runs. The node-by-node assembly in `vesselflow.verification`
-builds the same systems without these tables and serves as their
+builds the same systems without these groups and serves as their
 oracle; it solves them with `solve_systems` too, so the two paths can
-be compared bit for bit. The step-response harness there drives this
-layout on purpose, to test the solver's own transitional closure.
+be compared bit for bit. The step-response harness there drives a
+group on purpose, to test the solver's own transitional closure.
 """
 
 from __future__ import annotations
@@ -177,18 +180,22 @@ def condition_estimates(M: np.ndarray, node_ids) -> np.ndarray:
 
 # --- batched closures ----------------------------------------------------
 
-# Sections of the value vector a closure pass scatters into the node
-# matrices (`JunctionLayout.values`): seven of one entry per vessel end,
-# then four of one entry per transitional node.
-_CP, _CQ, _CHAR, _SIGNED_A, _NEG_SIGNED_A, _RHO_DT, _MOMENTUM = range(7)
-_C1_DIAG, _C2_DIAG, _C1_RHS, _C2_RHS = range(4)
+
+def _bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Writable views of the main, upper and lower diagonals of a
+    C-contiguous stack of matrices (N, n, n): (N, n), (N, n-1), (N, n-1)."""
+    N, n, _ = M.shape
+    flat = M.reshape(N, n * n)
+    return flat[:, :: n + 1], flat[:, 1 :: n + 1], flat[:, n :: n + 1]
 
 
 @dataclass(frozen=True)
 class JunctionGroup:
-    """Junction nodes of one kind and system size, solved as one stack.
+    """Junction nodes of one kind and end count mu, solved as one stack.
     Each system's unknowns are (P, Q) per end in the node's end order,
-    then P_junc (branching) or P_C1, P_C2 (transitional)."""
+    then P_junc (branching) or P_C1, P_C2 (transitional); end i owns
+    rows 2i (its characteristic row) and 2i + 1 (its momentum ODE or
+    resistive leg), the last rows are flow balance or the capacitors."""
 
     kind: type  # Branching | Transitional
     node_ids: tuple[str, ...]
@@ -197,67 +204,70 @@ class JunctionGroup:
     # their kind: P_junc over `branching`, P_C1/P_C2 over `transitional`
     slots: np.ndarray
     ends: np.ndarray  # (N, mu) vessel end indices, in each node's end order
+    sign: np.ndarray  # (N, mu) +1 at x=1 (incoming) ends, -1 at x=0
     template: np.ndarray  # (N, n, n) static entries: +-1, R, -1/R_C
-    matrix_at: np.ndarray  # flat stack positions of the per-pass entries
-    matrix_from: np.ndarray  # their positions in the value vector
-    rhs_at: np.ndarray
-    rhs_from: np.ndarray
+    rho: np.ndarray | None  # (N, mu) rho_j in branching groups
+    C1: np.ndarray | None  # (N,) in transitional groups
+    C2: np.ndarray | None
+    g_C: np.ndarray | None  # 1 / R_C
 
-    def systems(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (N, n, n) matrices and (N, n) right-hand sides."""
-        N, n, _ = self.template.shape
+    def step(self, dt: float, q_prev, P_C1, P_C2) -> tuple[np.ndarray, np.ndarray]:
+        """The (N, n, n) matrices and (N, n) right-hand sides with every
+        entry fixed within a time step: the template, then rho_j/dt and
+        the momentum right-hand side rho_j q_prev/dt per branching end,
+        or C/dt + 1/R_C and C P_C/dt per capacitor. q_prev is indexed by
+        vessel end, P_C1 and P_C2 over the layout's transitional nodes."""
         M = self.template.copy()
-        M.reshape(-1)[self.matrix_at] = values[self.matrix_from]
-        b = np.zeros(N * n)
-        b[self.rhs_at] = values[self.rhs_from]
-        return M, b.reshape(N, n)
+        b = np.zeros(M.shape[:2])
+        if self.kind is Branching:
+            rho_dt = self.rho / dt
+            _bands(M)[0][:, 1::2] = rho_dt  # the Q rows
+            b[:, 1::2] = rho_dt * q_prev[self.ends]
+        else:
+            c1, c2 = self.C1 / dt, self.C2 / dt
+            M[:, -2, -2] = c1 + self.g_C
+            M[:, -1, -1] = c2 + self.g_C
+            b[:, -2] = c1 * P_C1[self.slots]
+            b[:, -1] = c2 * P_C2[self.slots]
+        return M, b
+
+    def fill(self, M: np.ndarray, b: np.ndarray, cp, cq, char, A) -> None:
+        """Write the entries of one closure pass into a step's M and b in
+        place, from the characteristic rows cp P + cq Q = char and the
+        areas A (all indexed by vessel end): the characteristic row of
+        every end, and +-A of the momentum ODE at branching ends. Every
+        pass overwrites all of them."""
+        ends = self.ends
+        P_rows = slice(0, 2 * ends.shape[1], 2)
+        diag, upper, lower = _bands(M)
+        diag[:, P_rows] = cp[ends]
+        upper[:, P_rows] = cq[ends]
+        b[:, P_rows] = char[ends]
+        if self.kind is Branching:
+            signed_A = self.sign * A[ends]
+            lower[:, P_rows] = -signed_A
+            M[:, 1::2, -1] = signed_A
 
 
 @dataclass(frozen=True)
 class JunctionLayout:
     """Every junction node of a network, grouped by kind and size."""
 
-    sign: np.ndarray  # per vessel end: +1 at x=1 (incoming) ends, -1 at x=0
-    rho: np.ndarray  # per vessel end: rho_j at branching ends, 0 elsewhere
     nodes: tuple[str, ...]  # every junction node id, in node id order
     branching: tuple[str, ...]  # branching node ids, in node order
-    transitional: tuple[str, ...]  # transitional node ids, node-section order
-    C1: np.ndarray
-    C2: np.ndarray
-    g_C: np.ndarray  # 1 / R_C
+    transitional: tuple[str, ...]  # transitional node ids, in node order
     groups: tuple[JunctionGroup, ...]
-
-    def step_values(self, dt: float, q_prev: np.ndarray, P_C1: np.ndarray, P_C2: np.ndarray):
-        """The value-vector tail fixed within a time step: rho_j/dt and
-        the momentum right-hand side per end, then the capacitor entries
-        per transitional node."""
-        rho_dt = self.rho / dt
-        c1, c2 = self.C1 / dt, self.C2 / dt
-        return np.concatenate(
-            (rho_dt, rho_dt * q_prev, c1 + self.g_C, c2 + self.g_C, c1 * P_C1, c2 * P_C2)
-        )
-
-    def values(self, cp, cq, char, A, step: np.ndarray) -> np.ndarray:
-        """The full value vector from the characteristic rows
-        cp P + cq Q = char and the areas A at every vessel end."""
-        signed_A = self.sign * A
-        return np.concatenate((cp, cq, char, signed_A, -signed_A, step))
 
 
 def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
-    """Group tables for the junction nodes among plans, a sequence of
-    (node, end indices); incoming and params (rho_j or resistance, None
-    at external ends) are indexed by vessel end."""
-    E = len(incoming)
-    sign = np.where(incoming, 1.0, -1.0)
-    rho = np.zeros(E)
+    """Group the junction nodes among plans, a sequence of (node, end
+    indices); incoming and params (rho_j or resistance, None at external
+    ends) are indexed by vessel end."""
     trans = [node for node, _ in plans if isinstance(node, Transitional)]
     branch = [node for node, _ in plans if isinstance(node, Branching)]
     nodes = tuple(sorted(node.id for node in branch + trans))
     rank = {nid: k for k, nid in enumerate(nodes)}
     slot = {node.id: k for nodes in (branch, trans) for k, node in enumerate(nodes)}
-    node_section = {node.id: 7 * E + slot[node.id] for node in trans}
-    T = len(trans)
     keyed: dict[tuple[type, int], list] = {}
     for node, ends in plans:
         if isinstance(node, (Branching, Transitional)):
@@ -265,49 +275,29 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
 
     groups = []
     for (kind, mu), members in keyed.items():
+        ends = np.array([e for _, e in members], dtype=np.intp)
+        inflow = incoming[ends]
+        sign = np.where(inflow, 1.0, -1.0)
+        param = np.array([[params[e] for e in row] for row in ends], dtype=float)
         n = 2 * mu + (1 if kind is Branching else 2)
         template = np.zeros((len(members), n, n))
-        mat_at, mat_from, rhs_at, rhs_from = [], [], [], []
-        for q, (node, ends) in enumerate(members):
-
-            def entry(r, c, source):
-                mat_at.append((q * n + r) * n + c)
-                mat_from.append(source)
-
-            def rhs(r, source):
-                rhs_at.append(q * n + r)
-                rhs_from.append(source)
-
-            for i, e in enumerate(ends):
-                iP, iQ = 2 * i, 2 * i + 1
-                entry(iP, iP, _CP * E + e)
-                entry(iP, iQ, _CQ * E + e)
-                rhs(iP, _CHAR * E + e)
-                if kind is Branching:
-                    rho[e] = params[e]
-                    entry(iQ, iQ, _RHO_DT * E + e)
-                    entry(iQ, iP, _NEG_SIGNED_A * E + e)
-                    entry(iQ, n - 1, _SIGNED_A * E + e)
-                    rhs(iQ, _MOMENTUM * E + e)
-                    template[q, n - 1, iQ] = sign[e]
-                else:  # artery: R Q = P - P_C1; vein: R Q = P_C2 - P
-                    template[q, iQ, iQ] = params[e]
-                    template[q, iQ, iP] = -sign[e]
-                    if incoming[e]:
-                        template[q, iQ, n - 2] = 1.0
-                        template[q, n - 2, iQ] = -1.0
-                    else:
-                        template[q, iQ, n - 1] = -1.0
-                        template[q, n - 1, iQ] = 1.0
-            if kind is Transitional:
-                t = node_section[node.id]
-                g_C = 1.0 / node.R_C
-                entry(n - 2, n - 2, t + _C1_DIAG * T)
-                entry(n - 1, n - 1, t + _C2_DIAG * T)
-                template[q, n - 2, n - 1] = -g_C
-                template[q, n - 1, n - 2] = -g_C
-                rhs(n - 2, t + _C1_RHS * T)
-                rhs(n - 1, t + _C2_RHS * T)
+        Q_rows = slice(1, 2 * mu, 2)
+        rho = C1 = C2 = g_C = None
+        if kind is Branching:  # flow balance: sum_in Q - sum_out Q = 0
+            template[:, -1, Q_rows] = sign
+            rho = param
+        else:  # artery: R Q = P - P_C1; vein: R Q = P_C2 - P
+            diag, _, lower = _bands(template)
+            diag[:, Q_rows] = param
+            lower[:, 0 : 2 * mu : 2] = -sign
+            template[:, Q_rows, -2] = np.where(inflow, 1.0, 0.0)
+            template[:, Q_rows, -1] = np.where(inflow, 0.0, -1.0)
+            template[:, -2, Q_rows] = np.where(inflow, -1.0, 0.0)
+            template[:, -1, Q_rows] = np.where(inflow, 0.0, 1.0)
+            g_C = np.array([1.0 / node.R_C for node, _ in members])
+            template[:, -2, -1] = template[:, -1, -2] = -g_C
+            C1 = np.array([node.C1 for node, _ in members], dtype=float)
+            C2 = np.array([node.C2 for node, _ in members], dtype=float)
         template.setflags(write=False)
         groups.append(
             JunctionGroup(
@@ -315,22 +305,18 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
                 node_ids=tuple(node.id for node, _ in members),
                 ranks=np.array([rank[node.id] for node, _ in members], dtype=np.intp),
                 slots=np.array([slot[node.id] for node, _ in members], dtype=np.intp),
-                ends=np.array([ends for _, ends in members], dtype=np.intp),
+                ends=ends,
+                sign=sign,
                 template=template,
-                matrix_at=np.array(mat_at, dtype=np.intp),
-                matrix_from=np.array(mat_from, dtype=np.intp),
-                rhs_at=np.array(rhs_at, dtype=np.intp),
-                rhs_from=np.array(rhs_from, dtype=np.intp),
+                rho=rho,
+                C1=C1,
+                C2=C2,
+                g_C=g_C,
             )
         )
     return JunctionLayout(
-        sign=sign,
-        rho=rho,
         nodes=nodes,
         branching=tuple(node.id for node in branch),
         transitional=tuple(node.id for node in trans),
-        C1=np.array([node.C1 for node in trans], dtype=float),
-        C2=np.array([node.C2 for node in trans], dtype=float),
-        g_C=np.array([1.0 / node.R_C for node in trans], dtype=float),
         groups=tuple(groups),
     )

@@ -108,11 +108,9 @@ def _format_row(rec: ProbeRecord):
 
 def write_records(path, records: Iterable[ProbeRecord]) -> None:
     """Write records to a CSV file, header included."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+    with CsvSink(path) as sink:
         for rec in records:
-            writer.writerow(_format_row(rec))
+            sink.emit(rec)
 
 
 def resolve_probe_index(probe: ProbeSpec, n_cells: int) -> int:

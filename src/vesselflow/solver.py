@@ -393,9 +393,10 @@ def picard_step(
         np.array([eval_signal(node.signal, t_new) for node in bc.nodes])
         for bc in (cn.pressure_ends, cn.flow_ends)
     )
-    step_values = cn.junctions.step_values(
-        dt, Q_prev[cn.end_point], state_prev.P_C1, state_prev.P_C2
-    )
+    q_prev = Q_prev[cn.end_point]
+    systems = [
+        group.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2) for group in cn.junctions.groups
+    ]
     start = state_prev if start is None else start
     cur = (start.P, start.Q, start.P_C1, start.P_C2)
     P_junc = np.empty(len(cn.junctions.branching))
@@ -414,7 +415,7 @@ def picard_step(
         with np.errstate(invalid="ignore"):
             st = from_riemann(frozen.new.coeffs, frozen.new.eig, RiemannPair(*upd.rs))
         nxt = (st.P, st.Q, np.empty_like(cur[2]), np.empty_like(cur[3]))
-        residual = _close_nodes(cn, frozen, upd, boundary, step_values, t_new, *nxt, P_junc)
+        residual = _close_nodes(cn, frozen, upd, boundary, systems, t_new, *nxt, P_junc)
         if report is not None:
             report.worst_closure_residual = max(report.worst_closure_residual, residual)
 
@@ -432,7 +433,7 @@ def picard_step(
 
 
 def _close_nodes(
-    cn: CompiledNetwork, frozen, upd, boundary, step_values, t_new, P, Q, P_C1, P_C2, P_junc,
+    cn: CompiledNetwork, frozen, upd, boundary, systems, t_new, P, Q, P_C1, P_C2, P_junc,
 ) -> float:
     """Close every node at the new time level, writing the endpoint
     states into the flat P and Q, the capacitor pressures into P_C1 and
@@ -444,7 +445,8 @@ def _close_nodes(
     row cp P + cq Q = char, so one solve satisfies the closure and the
     coupling exactly. The external ends of each kind are solved in
     closed form, elementwise; the junction nodes of each kind and size
-    are solved as one stack.
+    are solved as one stack, in the group's systems of this step
+    (`JunctionGroup.step`), which each pass fills in place.
     Returns the largest junction residual over its gate scale.
     """
     x1, points = cn.end_x1, cn.end_point
@@ -480,11 +482,9 @@ def _close_nodes(
         Q[at] = Q_B
 
     residual = 0.0
-    layout = cn.junctions
-    if layout.groups:
-        values = layout.values(cp, cq, char, cs.A[points], step_values)
-    for group in layout.groups:
-        M, b = group.systems(values)
+    A = cs.A[points]
+    for group, (M, b) in zip(cn.junctions.groups, systems):
+        group.fill(M, b, cp, cq, char, A)
         x, ratio = solve_systems(M, b, group.node_ids)
         residual = max(residual, float(np.max(ratio)))
         at = points[group.ends]

@@ -8,15 +8,16 @@ between an oracle and the solver is evidence rather than tautology:
 - the matrix-exponential solution of the two-capacitor lumped circuit,
 - the node-by-node assembly of the junction systems from per-end
   closure inputs (`assemble_branching`, `assemble_transitional`), the
-  reference for the solver's batched `junctions.junction_layout`
-  tables. It shares only the stacked solve `junctions.solve_systems`
-  with the solver, so both assemblies can be compared bit for bit,
+  reference for the solver's batched junction groups
+  (`junctions.junction_layout`, `JunctionGroup.step` and `fill`). It
+  shares only the stacked solve `junctions.solve_systems` with the
+  solver, so both assemblies can be compared bit for bit,
 - the empirical continuity-of-dependence experiment (how much the final
   state moves per unit of initial/boundary/forcing perturbation).
 
 The transitional step-response harness is the exception, on purpose:
-it closes the node through the solver's own `junction_layout` and
-`solve_systems`, so its agreement with the lumped-circuit oracle tests
+it closes the node through the solver's own junction group (its
+`step` and `fill`) and `solve_systems`, so its agreement with the lumped-circuit oracle tests
 the closure the solver runs.
 """
 
@@ -290,14 +291,13 @@ def transitional_step_response(
     """Drive one transitional node with ideal endpoint sources: the
     artery delivers exactly q_step and the vein sees the fixed venous
     pressure. Each step closes the node through the solver's junction
-    layout and `solve_systems`, so the trajectory is the backward-Euler
+    group and `solve_systems`, so the trajectory is the backward-Euler
     integration of the lumped circuit as the production code performs
     it."""
     if len(node.arteries) != 1 or len(node.veins) != 1:
         raise ValueError("step-response harness expects one artery and one vein")
     resistances = (node.arteries[0].resistance, node.veins[0].resistance)
-    layout = junction_layout([(node, (0, 1))], np.array([True, False]), resistances)
-    (group,) = layout.groups
+    (group,) = junction_layout([(node, (0, 1))], np.array([True, False]), resistances).groups
     # Degenerate characteristic rows cp P + cq Q = char at the artery
     # (end 0) and the vein (end 1) turn the relations into Q = q_step and
     # P = p_vein.
@@ -305,8 +305,8 @@ def transitional_step_response(
     out = []
     state = state0
     for _ in range(n_steps):
-        step = layout.step_values(dt, np.zeros(2), np.array([state.P_C1]), np.array([state.P_C2]))
-        M, b = group.systems(layout.values(cp, cq, char, A, step))
+        M, b = group.step(dt, np.zeros(2), np.array([state.P_C1]), np.array([state.P_C2]))
+        group.fill(M, b, cp, cq, char, A)
         x = solve_systems(M, b, group.node_ids)[0][0]
         state = TransitionalState(float(x[-2]), float(x[-1]))
         out.append(state)

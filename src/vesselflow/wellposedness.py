@@ -261,12 +261,11 @@ def _junction_estimates(state, cfg, a, b, c, A):
     eig = eigen(CoefficientSet(a, b, c, 0.0, 0.0, A))
     lam = np.where(cn.end_x1, eig.lambda_L, eig.lambda_R)
     layout = cn.junctions
-    zeros = np.zeros(pts.size)
-    none = np.zeros(len(layout.transitional))
-    values = layout.values(-lam, a, zeros, A, layout.step_values(cfg.dt, zeros, none, none))
+    zeros = np.zeros(pts.size)  # the right-hand sides are not needed
     estimates = np.empty(len(layout.nodes))
     for group in layout.groups:
-        M, _ = group.systems(values)
+        M, b = group.step(cfg.dt, zeros, state.P_C1, state.P_C2)
+        group.fill(M, b, -lam, a, zeros, A)
         estimates[group.ranks] = condition_estimates(M, group.node_ids)
     return estimates
 

@@ -1,7 +1,9 @@
 """Signal evaluation, config parsing/round-trip, CSV output, CLI tests."""
 
 import json
+import random
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -379,6 +381,17 @@ def test_cli_overflowing_speeds_are_a_solver_failure(tmp_path, capsys):
     assert "unexpected error" not in err
 
 
+@pytest.mark.parametrize("index, vessel", [(1, "branch_a"), (3, "vein")])
+def test_cli_overflowing_speeds_name_the_vessel(tmp_path, capsys, index, vessel):
+    # branch_a is the first vessel of the layout and the vein the last
+    doc = json.loads(BIFURCATION.read_text())
+    doc["vessels"][index]["alpha"] = 1e300
+    code = main(["simulate", write_json(tmp_path, doc), "--t-end", "0.01", "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"solver failure: vessel {vessel!r}: c^2 + a*b must be positive")
+
+
 def test_cli_snapshot_mode(tmp_path):
     doc = json.loads(json.dumps(MINIMAL))
     doc["output"] = {"directory": str(tmp_path / "snap")}
@@ -534,3 +547,73 @@ def test_output_evaluates_coefficients_once_per_call(monkeypatch):
     calls.clear()
     output.emit_probes(ListSink(), net, state, probes[:1], sim.epsilon0)
     assert calls == []  # P and Q only: no evaluation
+
+
+# --- mutation corpus -------------------------------------------------------
+
+CORPUS_VALUES = (0, -1, 1e300, -1e300, 1e-300, 0.5, "x", None, [], {}, True)
+DELETED = object()
+CLASSIFIED_EXIT_3 = (
+    "solver failure: ", "initial state error: ", "output error: ",
+    "aborting: initial state violates node compatibility",
+)
+
+
+def corpus_cases(doc):
+    """Every value of a JSON document, container or leaf, replaced by
+    each of CORPUS_VALUES or deleted, as (path, value) pairs."""
+    cases = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            cases.extend((path + (key,), value) for value in CORPUS_VALUES + (DELETED,))
+            if isinstance(child, (dict, list)):
+                walk(child, path + (key,))
+
+    walk(doc, ())
+    return cases
+
+
+def mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is DELETED:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def test_cli_classifies_a_seeded_mutation_corpus(tmp_path, capsys):
+    # 60 fixed-seed mutations of the shipped bifurcation, each run for two
+    # steps of its own dt: every one ends with a documented exit code and,
+    # for exit 3, a classified last line, never an unexpected error. Values
+    # such as 1e300 overflow numpy arithmetic on purpose; the CLI runs here
+    # with Python's default warning action, as it does when installed, so
+    # a RuntimeWarning is printed to stderr instead of raised.
+    doc = json.loads(BIFURCATION.read_text())
+    cases = corpus_cases(doc)
+    assert len(cases) > 1000
+    codes = []
+    for k, (path, value) in enumerate(random.Random(20261018).sample(cases, 60)):
+        config = write_json(tmp_path, mutated(doc, path, value))
+        argv = ["simulate", config, "--output", str(tmp_path / f"out{k}")]
+        try:
+            argv += ["--t-end", repr(2 * load_config(config).sim.dt)]
+        except ConfigError:
+            pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)
+            code = main(argv)
+        err = capsys.readouterr().err
+        case = f"{path} -> {value if value is not DELETED else 'deleted'}: {err!r}"
+        assert code in (0, 1, 2, 3), case
+        assert "unexpected error" not in err and "Traceback" not in err, case
+        if code == 3:
+            assert err.splitlines()[-1].startswith(CLASSIFIED_EXIT_3), case
+        codes.append(code)
+    assert {0, 1, 3} <= set(codes)

@@ -339,42 +339,27 @@ def bifurcation_case(steps=10):
     return loaded.net, loaded.init, dataclasses.replace(loaded.sim, t_end=steps * loaded.sim.dt)
 
 
-def mixed_junction_case():
-    """Three- and four-way branching nodes and transitional nodes with
-    one and two arteries: four junction groups, one holding two nodes."""
+def branching_node(nid, parent, *children):
+    return Branching(nid, (BranchAttachment(parent, "x1", 1e-4),)
+                     + tuple(BranchAttachment(c, "x0", 1e-4) for c in children))
+
+
+def transitional_node(nid, arteries, veins):
     from vesselflow import TransAttachment, Transitional
 
+    return Transitional(nid, tuple(TransAttachment(a, 2e7) for a in arteries),
+                        tuple(TransAttachment(v, 2e7) for v in veins), R_C=4e7, C1=2e-10, C2=2e-10,
+                        P_C1_init=12000.0, P_C2_init=9000.0)
+
+
+def junction_case(wiring, nodes, veins):
+    """A network of 12-cell power-law vessels wired {id: (x0 node, x1
+    node)}, a pressure pulse in every vessel but the veins (at rest at
+    9 kPa), and settings for 15 steps."""
     law = PowerLaw(C=4e4, R0=3e-3, beta=2.0)
-    wiring = {
-        "A": ("in", "j1"), "B": ("j1", "j2"), "C": ("j1", "j3"), "D": ("j2", "t1"),
-        "E": ("j2", "t2"), "F": ("j2", "t2"), "G": ("j3", "oG"), "H": ("j3", "oH"),
-        "V1": ("t1", "o1"), "V2": ("t2", "o2"),
-    }
     vessels = {
         vid: Vessel(id=vid, n_cells=12, x0_node=x0, x1_node=x1, tube_law=law, alpha=1.1)
         for vid, (x0, x1) in wiring.items()
-    }
-
-    def branching(nid, parent, *children):
-        return Branching(nid, (BranchAttachment(parent, "x1", 1e-4),)
-                         + tuple(BranchAttachment(c, "x0", 1e-4) for c in children))
-
-    def transitional(nid, arteries, vein):
-        return Transitional(nid, tuple(TransAttachment(a, 2e7) for a in arteries),
-                            (TransAttachment(vein, 2e7),), R_C=4e7, C1=2e-10, C2=2e-10,
-                            P_C1_init=12000.0, P_C2_init=9000.0)
-
-    nodes = {
-        "in": ExternalPressure("in", SineSignal(mean=12000.0, amplitude=800.0, frequency=5.0)),
-        "j1": branching("j1", "A", "B", "C"),
-        "j2": branching("j2", "B", "D", "E", "F"),
-        "j3": branching("j3", "C", "G", "H"),
-        "t1": transitional("t1", ("D",), "V1"),
-        "t2": transitional("t2", ("E", "F"), "V2"),
-        "oG": ExternalPressure("oG", ConstantSignal(12000.0)),
-        "oH": ExternalFlow("oH", ConstantSignal(0.0)),
-        "o1": ExternalPressure("o1", ConstantSignal(9000.0)),
-        "o2": ExternalPressure("o2", ConstantSignal(9000.0)),
     }
 
     def pulse(x):
@@ -382,9 +367,56 @@ def mixed_junction_case():
 
     init = InitSpec(
         default=VesselInit(P=pulse, Q=0.0),
-        per_vessel={v: VesselInit(P=9000.0, Q=0.0) for v in ("V1", "V2")},
+        per_vessel={v: VesselInit(P=9000.0, Q=0.0) for v in veins},
     )
     return Network(vessels=vessels, nodes=nodes), init, SimConfig(dt=2e-3, t_end=0.03, check_every=5)
+
+
+def mixed_junction_case():
+    """Three- and four-way branching nodes and transitional nodes with
+    one and two arteries: four junction groups, one holding two nodes."""
+    wiring = {
+        "A": ("in", "j1"), "B": ("j1", "j2"), "C": ("j1", "j3"), "D": ("j2", "t1"),
+        "E": ("j2", "t2"), "F": ("j2", "t2"), "G": ("j3", "oG"), "H": ("j3", "oH"),
+        "V1": ("t1", "o1"), "V2": ("t2", "o2"),
+    }
+    nodes = {
+        "in": ExternalPressure("in", SineSignal(mean=12000.0, amplitude=800.0, frequency=5.0)),
+        "j1": branching_node("j1", "A", "B", "C"),
+        "j2": branching_node("j2", "B", "D", "E", "F"),
+        "j3": branching_node("j3", "C", "G", "H"),
+        "t1": transitional_node("t1", ("D",), ("V1",)),
+        "t2": transitional_node("t2", ("E", "F"), ("V2",)),
+        "oG": ExternalPressure("oG", ConstantSignal(12000.0)),
+        "oH": ExternalFlow("oH", ConstantSignal(0.0)),
+        "o1": ExternalPressure("o1", ConstantSignal(9000.0)),
+        "o2": ExternalPressure("o2", ConstantSignal(9000.0)),
+    }
+    return junction_case(wiring, nodes, veins=("V1", "V2"))
+
+
+def varied_pattern_case():
+    """Two three-way branching nodes and two three-end transitional
+    nodes, each pair one group whose nodes differ in end pattern: j1
+    lists its incoming end first and j2 last (its incoming vessel Z
+    sorts after its children), tA has two arteries and a vein, tB a vein,
+    an artery and a vein."""
+    wiring = {
+        "A": ("in", "j1"), "B": ("j1", "tA"), "C": ("j1", "tA"), "W": ("tA", "oW"),
+        "Z": ("in2", "j2"), "Ka": ("j2", "tB"), "L": ("j2", "oL"), "Jv": ("tB", "oJ"),
+        "Mv": ("tB", "oM"),
+    }
+    nodes = {
+        "in": ExternalPressure("in", SineSignal(mean=12000.0, amplitude=800.0, frequency=5.0)),
+        "in2": ExternalPressure("in2", SineSignal(mean=12000.0, amplitude=-600.0, frequency=7.0)),
+        "j1": branching_node("j1", "A", "B", "C"),
+        "j2": branching_node("j2", "Z", "Ka", "L"),
+        "tA": transitional_node("tA", ("B", "C"), ("W",)),
+        "tB": transitional_node("tB", ("Ka",), ("Jv", "Mv")),
+        "oL": ExternalPressure("oL", ConstantSignal(12000.0)),
+        **{o: ExternalPressure(o, ConstantSignal(9000.0)) for o in ("oW", "oJ", "oM")},
+    }
+    return junction_case(wiring, nodes, veins=("W", "Jv", "Mv"))
 
 
 def run_against_closure_oracle(monkeypatch, net, init, cfg):
@@ -485,6 +517,24 @@ def test_batched_closures_equal_per_node_oracle_on_mixed_groups(monkeypatch):
     # flow runs through every junction (pulse flows are about 1e-6 m^3/s)
     final = report.final_state.fields
     assert all(abs(final[v].Q[0]) > 1e-8 for v in ("B", "C", "D", "E", "G", "H", "V1", "V2"))
+
+
+def test_batched_closures_equal_per_node_oracle_on_varied_end_patterns(monkeypatch):
+    from vesselflow.compiled import compile_network
+
+    net, init, cfg = varied_pattern_case()
+    groups = compile_network(net).junctions.groups
+    assert sorted((g.kind.__name__, g.node_ids) for g in groups) == [
+        ("Branching", ("j1", "j2")), ("Transitional", ("tA", "tB")),
+    ]
+    # within each group the nodes' in/out (artery/vein) patterns differ
+    assert all(len({tuple(row) for row in g.sign}) == 2 for g in groups)
+    report, seen, _ = run_against_closure_oracle(monkeypatch, net, init, cfg)
+    assert report.steps == 15 and report.picard_total > report.steps
+    assert seen["passes"] == report.picard_total
+    assert seen["nodes"] == 4 * report.picard_total
+    final = report.final_state.fields
+    assert all(abs(final[v].Q[0]) > 1e-8 for v in net.vessels)
 
 
 def test_report_records_closure_residual_and_junction_condition():
