@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compiled import CompiledNetwork, layout_coefficients
+from .compiled import CompiledNetwork, check_coefficients, layout_coefficients
 from .constitutive import CoefficientSet, EigenData, eigen
 from .errors import CFLViolation, HyperbolicityViolation
 
@@ -112,8 +112,11 @@ def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
     return out * (0.5 * layout.cells)
 
 
-def _build_level(layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float) -> LevelData:
-    cs = layout_coefficients(layout, t, P, Q, epsilon0)
+def _build_level(
+    layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float, cs=None
+) -> LevelData:
+    cs = layout_coefficients(layout, t, P, Q) if cs is None else cs
+    check_coefficients(layout, P, cs, epsilon0)
     try:
         e = eigen(cs)
     except HyperbolicityViolation as exc:
@@ -124,12 +127,15 @@ def _build_level(layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray
     lam = np.array((e.lambda_R, e.lambda_L))
     # d_x of lambda_L, lambda_R and a
     d_x = _ddx(layout, np.array((e.lambda_L, e.lambda_R, cs.a)))
-    return LevelData(
-        t=t, coeffs=cs, eig=e, P=P, Q=Q, lam=lam,
-        base=cs.a * cs.g - lam[::-1] * cs.f,
-        adv_lam=lam * d_x[:2],
-        adv_a=lam * d_x[2],
-    )
+    # an overflow here is a non-finite travel or determinant, which the
+    # kernel's guards classify
+    with np.errstate(over="ignore"):
+        return LevelData(
+            t=t, coeffs=cs, eig=e, P=P, Q=Q, lam=lam,
+            base=cs.a * cs.g - lam[::-1] * cs.f,
+            adv_lam=lam * d_x[:2],
+            adv_a=lam * d_x[2],
+        )
 
 
 def freeze_step(
@@ -142,24 +148,31 @@ def freeze_step(
     Q_new: np.ndarray,
     epsilon0: float,
     old_level: LevelData | None = None,
+    old_coeffs: CoefficientSet | None = None,
 ) -> FrozenStep:
     """Freeze the coefficient fields of every vessel of a layout at both
     time levels (P and Q are flat arrays in layout order) and precompute
     the characteristic source terms. Passing a previously built
     old_level skips rebuilding it (it does not change across fixed-point
-    iterations within a step)."""
+    iterations within a step), and old_coeffs (its `NetworkState.coeffs`)
+    skips evaluating its coefficients. Both levels must pass
+    `check_coefficients`."""
     dt = t_new - t_old
     if dt <= 0:
         raise ValueError("t_new must exceed t_old")
     P_old, Q_old, P_new, Q_new = (np.asarray(v, dtype=float) for v in (P_old, Q_old, P_new, Q_new))
-    old = old_level if old_level is not None else _build_level(layout, t_old, P_old, Q_old, epsilon0)
+    old = old_level
+    if old is None:
+        old = _build_level(layout, t_old, P_old, Q_old, epsilon0, old_coeffs)
     new = _build_level(layout, t_new, P_new, Q_new, epsilon0)
 
-    # g_P = -(lam_t + adv_lam) and g_Q = a_t + adv_a at either level
-    lam_t = (new.lam[::-1] - old.lam[::-1]) / dt  # d_t lambda_L, d_t lambda_R
-    a_t = (new.coeffs.a - old.coeffs.a) / dt
-    F = old.base - (lam_t + old.adv_lam) * old.P + (a_t + old.adv_a) * old.Q
-    return FrozenStep(layout, dt, old, new, F, -(lam_t + new.adv_lam), a_t + new.adv_a)
+    # g_P = -(lam_t + adv_lam) and g_Q = a_t + adv_a at either level; a
+    # non-finite entry fails the kernel's guards or the next level's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_t = (new.lam[::-1] - old.lam[::-1]) / dt  # d_t lambda_L, d_t lambda_R
+        a_t = (new.coeffs.a - old.coeffs.a) / dt
+        F = old.base - (lam_t + old.adv_lam) * old.P + (a_t + old.adv_a) * old.Q
+        return FrozenStep(layout, dt, old, new, F, -(lam_t + new.adv_lam), a_t + new.adv_a)
 
 
 # --- tracing ------------------------------------------------------------

@@ -5,19 +5,22 @@ array, so the characteristics kernel runs once per fixed-point
 iteration on all grid points instead of once per vessel. Vessels with a
 power tube law come first (sorted by id) and share per-point parameter
 arrays; vessels with a tabulated law or synthetic coefficients follow
-(sorted by id); `layout_coefficients` evaluates the coefficients of
-every point, or of a sorted subset of points, for the solver, the
-checker and the output alike. The node part lists every vessel end
-attached to a node once, in node order and `endpoints_by_node` order
-within a node, with its grid point; external nodes keep their single
-end, and junction nodes are grouped by kind and size into the
-`junctions.junction_layout` groups, each holding its nodes' end
-indices and parameters for the stacked solve.
+(sorted by id). `layout_coefficients` evaluates the coefficients of
+every point, unchecked, once per time level: each fixed-point iterate,
+and each accepted `NetworkState`, whose cache the checker, the output
+and the next step read. `check_coefficients` raises for the first
+failing point of a physical vessel in the kernel's levels, the initial
+state and the output. The node part lists every vessel end attached to a node
+once, in node order and `endpoints_by_node` order within a node, with
+its grid point; external nodes keep their single end, and junction
+nodes are grouped by kind and size into the `junctions.junction_layout`
+groups, each holding its nodes' end indices and parameters for the
+stacked solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,53 +189,33 @@ def compile_network(net: Network) -> CompiledNetwork:
 _FIELDS = ("a", "b", "c", "f", "g", "A")
 
 
-def layout_coefficients(
-    cn: CompiledNetwork,
-    t: float,
-    P: np.ndarray,
-    Q: np.ndarray,
-    epsilon0: float,
-    checked: bool = True,
-    points: np.ndarray | None = None,
-) -> CoefficientSet:
+def layout_coefficients(cn: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray) -> CoefficientSet:
     """Coefficients at every grid point of the layout (P and Q in layout
-    order), or only at `points` (ascending point indices): one closed
-    form over the power-law prefix, one `coefficients` call per
-    tabulated or synthetic segment. Unevaluable points come back as NaN;
-    with checked=True the first failing point in layout order raises,
-    naming its vessel (synthetic segments stay unchecked)."""
-    k0 = len(cn.vessels) - len(cn.fills)  # the first fill segment
-    x, params, f, cuts = cn.x, cn.power, cn.zeros, cn.offsets
-    if points is not None:
-        x, P, Q, f = x[points], P[points], Q[points], np.zeros(points.size)
-        cuts = np.searchsorted(points, cn.offsets)
-        params = PowerLawParams(
-            **{fd.name: getattr(params, fd.name)[points[: cuts[k0]]] for fd in fields(params)}
-        )
-
-    def owner(k):
-        return cn.vessel_at(k if points is None else points[k])
-
-    n = int(cuts[k0])
-    if n:
-        cs = power_law_coefficients(params, P[:n], Q[:n])
-        if checked:
-            err = coefficient_failure(P[:n], cs.A, cs.a, epsilon0, owner)
-            if err is not None:
-                raise err
-        if not cn.fills:
-            return CoefficientSet(cs.a, cs.b, cs.c, f, cs.g, cs.A)
+    order), unchecked: one closed form over the power-law prefix, one
+    `coefficients` call per tabulated or synthetic segment. Unevaluable
+    points come back as NaN; `check_coefficients` raises for them."""
+    n = cn.n_power
+    cs = power_law_coefficients(cn.power, P[:n], Q[:n])
+    if not cn.fills:
+        return CoefficientSet(cs.a, cs.b, cs.c, cn.zeros, cs.g, cs.A)
     out = {name: np.empty(P.size) for name in _FIELDS}
-    if n:
-        for name in _FIELDS:
-            out[name][:n] = getattr(cs, name)
-    for k, vessel in enumerate(cn.fills, start=k0):
-        at = slice(int(cuts[k]), int(cuts[k + 1]))
-        if at.start == at.stop:
-            continue
-        seg = coefficients(
-            vessel, x[at], t, PrimitiveState(P[at], Q[at]), epsilon0=epsilon0, checked=checked
-        )
+    for name in _FIELDS:
+        out[name][:n] = getattr(cs, name)
+    for vessel in cn.fills:
+        at = cn.slices[vessel.id]
+        seg = coefficients(vessel, cn.x[at], t, PrimitiveState(P[at], Q[at]), checked=False)
         for name in _FIELDS:
             out[name][at] = getattr(seg, name)
     return CoefficientSet(**out)
+
+
+def check_coefficients(cn: CompiledNetwork, P: np.ndarray, cs: CoefficientSet, epsilon0: float) -> None:
+    """Raise the `coefficient_failure` of the first failing grid point of
+    a physical vessel, in layout order, naming its vessel; synthetic
+    coefficients are taken as given."""
+    # the power prefix (if any), then each tabulated segment
+    spans = [slice(0, cn.n_power)] if cn.n_power else []
+    for at in spans + [cn.slices[v.id] for v in cn.fills if v.synthetic is None]:
+        err = coefficient_failure(P[at], cs.A[at], cs.a[at], epsilon0, lambda k: cn.vessel_at(at.start + k))
+        if err is not None:
+            raise err

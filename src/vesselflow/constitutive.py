@@ -212,10 +212,12 @@ class PowerLawParams:
 
     @classmethod
     def of(cls, C, R0, beta, alpha, nu, rho) -> "PowerLawParams":
-        return cls(
-            C=C, beta=beta, A0=np.pi * R0 * R0, alpha=alpha,
-            visc=4.0 * np.pi * nu * alpha / (alpha - 1.0), rho=rho,
-        )
+        # an overflow gives infinite coefficients, which the checks classify
+        with np.errstate(over="ignore"):
+            return cls(
+                C=C, beta=beta, A0=np.pi * R0 * R0, alpha=alpha,
+                visc=4.0 * np.pi * nu * alpha / (alpha - 1.0), rho=rho,
+            )
 
     @classmethod
     def for_vessel(cls, vessel: Vessel) -> "PowerLawParams":
@@ -230,10 +232,11 @@ def power_law_coefficients(p: PowerLawParams, P, Q) -> CoefficientSet:
         A = A0 (1 + P/C)^(2/beta),  a = dP/dA = beta (C + P) / (2A).
 
     The law is x-independent, so g has only its viscous part. Unchecked:
-    P <= -C gives NaN (or zero area); see `coefficient_failure`. f is the
+    P <= -C gives NaN (or zero area) and an overflow infinite or NaN
+    fields; see `coefficient_failure` and the kernel's guards. f is the
     scalar 0.0.
     """
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         A = p.A0 * np.exp((2.0 / p.beta) * np.log1p(P / p.C))
         a = p.beta * (p.C + P) / (2.0 * A)
         Q_over_A = Q / A

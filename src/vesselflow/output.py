@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .compiled import layout_coefficients
+from .compiled import check_coefficients
 from .errors import ConfigError
 from .network import Branching, Network, Transitional
 
@@ -142,36 +142,24 @@ def validate_probes(net: Network, probes) -> None:
                     raise ConfigError(f"{q} probe needs a transitional node, got {p.node!r}")
 
 
-def _station_values(P: float, Q: float, A: float | None) -> dict[str, float]:
-    """The vessel quantities at one grid station; A, R and V need the
-    station's area A."""
-    if A is None:
-        return {"P": P, "Q": Q}
+def _station_values(P: float, Q: float, A: float) -> dict[str, float]:
+    """The vessel quantities at one grid station of area A."""
     return {"P": P, "Q": Q, "A": A, "R": float(np.sqrt(A / np.pi)), "V": Q / A}
 
 
 def emit_probes(sink, net: Network, state, probes, epsilon0: float) -> None:
-    """Emit one record per probe quantity for the current state. Areas
-    come from one coefficient evaluation at the points of the probes
-    that ask for A, R or V, and none if no probe does."""
+    """Emit one record per probe quantity for the current state. A, R
+    and V read `state.coeffs` (in a run, already evaluated by the checks);
+    a failing point of a physical vessel raises, as in `check_coefficients`."""
     cn = state.layout
-    points = [
-        None if p.vessel is None
-        else cn.slices[p.vessel].start + resolve_probe_index(p, net.vessels[p.vessel].n_cells)
-        for p in probes
-    ]
-    need = sorted({
-        k for p, k in zip(probes, points) if k is not None and not {"P", "Q"} >= set(p.quantities)
-    })
-    area = {}
-    if need:
-        cs = layout_coefficients(cn, state.t, state.P, state.Q, epsilon0, points=np.array(need))
-        area = dict(zip(need, cs.A.tolist()))
+    check_coefficients(cn, state.P, state.coeffs, epsilon0)
+    A = state.coeffs.A
     junction, transitional = state.junction_pressures, state.transitional
-    for p, k in zip(probes, points):
+    for p in probes:
         if p.vessel is not None:
+            k = cn.slices[p.vessel].start + resolve_probe_index(p, net.vessels[p.vessel].n_cells)
             kind, pid, x = "vessel", p.vessel, float(cn.x[k])
-            values = _station_values(float(state.P[k]), float(state.Q[k]), area.get(k))
+            values = _station_values(float(state.P[k]), float(state.Q[k]), float(A[k]))
         elif isinstance(net.nodes[p.node], Branching):
             kind, pid, x, values = "node", p.node, None, {"P_junc": junction[p.node]}
         else:
@@ -185,10 +173,12 @@ def emit_probes(sink, net: Network, state, probes, epsilon0: float) -> None:
 
 def emit_snapshot(sink, net: Network, state, epsilon0: float) -> None:
     """Emit the full field of every vessel (all stations, all vessel
-    quantities) at the current time level, from one coefficient
-    evaluation over the layout."""
+    quantities) at the current time level, from the state's
+    coefficients; a failing point of a physical vessel raises, as in
+    `check_coefficients`."""
     cn = state.layout
-    A = layout_coefficients(cn, state.t, state.P, state.Q, epsilon0).A.tolist()
+    check_coefficients(cn, state.P, state.coeffs, epsilon0)
+    A = state.coeffs.A.tolist()
     P, Q, x = state.P.tolist(), state.Q.tolist(), cn.x.tolist()
     for vid in sorted(net.vessels):
         sl = cn.slices[vid]

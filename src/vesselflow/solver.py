@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .characteristics import VesselField, freeze_step, interior_update
-from .compiled import CompiledNetwork, compile_network, layout_coefficients
-from .constitutive import RiemannPair, from_riemann
+from .compiled import CompiledNetwork, check_coefficients, compile_network, layout_coefficients
+from .constitutive import CoefficientSet, RiemannPair, from_riemann
 from .errors import (
     CFLViolation,
     PicardDivergence,
@@ -94,7 +95,8 @@ class NetworkState:
     in layout order, the capacitor pressures over
     `layout.junctions.transitional` and the junction pressures over
     `layout.junctions.branching` (NaN until a step closes the nodes).
-    Build one from per-vessel arrays with `from_fields`."""
+    Build one from per-vessel arrays with `from_fields`. The arrays are
+    read-only, so `coeffs`, evaluated on first read, stays current."""
 
     t: float
     layout: CompiledNetwork
@@ -103,6 +105,16 @@ class NetworkState:
     P_C1: np.ndarray
     P_C2: np.ndarray
     P_junc: np.ndarray
+
+    def __post_init__(self):
+        for v in (self.P, self.Q, self.P_C1, self.P_C2, self.P_junc):
+            v.setflags(write=False)
+
+    @cached_property
+    def coeffs(self) -> CoefficientSet:
+        """This level's `layout_coefficients`, unchecked: the one evaluation
+        the next step's old level, the condition checks and the output read."""
+        return layout_coefficients(self.layout, self.t, self.P, self.Q)
 
     @classmethod
     def from_fields(
@@ -300,7 +312,8 @@ def initial_state(
     state = NetworkState.from_fields(net, 0.0, fields, transitional)
     cn = state.layout
     # raises CollapsedVesselError if the area floor is violated
-    A = layout_coefficients(cn, 0.0, state.P, state.Q, cfg.epsilon0).A[cn.end_point]
+    check_coefficients(cn, state.P, state.coeffs, cfg.epsilon0)
+    A = state.coeffs.A[cn.end_point]
     end_area = dict(zip(zip(cn.end_vessel_id, cn.end_name), A.tolist()))
 
     diags: list[Diagnostic] = []
@@ -324,7 +337,9 @@ def initial_state(
             # implied node pressure minimizing the initial momentum residuals
             weights = [end_area[(att.vessel, att.end)] / att.rho_j for att in node.attachments]
             pressures = [end_val("P", att.vessel, att.end) for att in node.attachments]
-            pj = float(np.dot(weights, pressures) / np.sum(weights))
+            # an overflow leaves a non-finite residual, reported as any other
+            with np.errstate(over="ignore"):
+                pj = float(np.dot(weights, pressures) / np.sum(weights))
             spread = max(abs(p - pj) for p in pressures)
             _residual_diag(diags, nid, "pressure continuity", spread,
                            scale=max(1.0, max(abs(p) for p in pressures)))
@@ -406,7 +421,7 @@ def picard_step(
     for iteration in range(1, cfg.picard_max_iters + 1):
         frozen = freeze_step(
             cn, state_prev.t, P_prev, Q_prev, t_new, cur[0], cur[1], cfg.epsilon0,
-            old_level=old_level,
+            old_level=old_level, old_coeffs=state_prev.coeffs,
         )
         old_level = frozen.old
         upd = interior_update(frozen, cfg.cfl_max)

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .compiled import layout_coefficients
 from .constitutive import CoefficientSet, PrimitiveState, coefficients, eigen
 from .junctions import condition_estimates
 from .network import Network
@@ -192,16 +191,13 @@ def check_state(
     build every junction system once, from the coefficients at its
     vessel ends, to record its condition estimate.
     With endpoints_only=True only the (cheap) per-end checks run.
-    All vessels are evaluated together, into the report's arrays over
-    the layout's vessels; a vessel with an unevaluable point reports no
-    condition rows.
+    All vessels are evaluated together, from `state.coeffs`, into the
+    report's arrays over the layout's vessels; a vessel with an
+    unevaluable point reports no condition rows.
     """
-    cn, P, Q = state.layout, state.P, state.Q
+    cn, cs = state.layout, state.coeffs
     K = len(cn.vessel_ids)
-    cs = layout_coefficients(
-        cn, state.t, P, Q, cfg.epsilon0, checked=False, points=cn.ends if endpoints_only else None
-    )
-    a, b, c, A = cs.a, cs.b, cs.c, cs.A
+    a, b, c, A = (v[cn.ends] if endpoints_only else v for v in (cs.a, cs.b, cs.c, cs.A))
     ab = a * b
     if endpoints_only:
         # the two ends of each vessel, interleaved: all four conditions
@@ -237,26 +233,24 @@ def check_state(
     )
     if endpoints_only or not report.passed or not cn.junctions.groups:
         return report
-    estimates = _junction_estimates(state, cfg, a, b, c, A)
+    estimates = _junction_estimates(state, cfg)
     return replace(report, junction_nodes=cn.junctions.nodes, junction_estimates=estimates)
 
 
-def _junction_estimates(state, cfg, a, b, c, A):
+def _junction_estimates(state, cfg):
     """Condition estimates of every junction system, in node id order,
     built from the endpoint coefficients the first closure of the next
     step starts from: (x_end, t + dt, P, Q); only synthetic coefficients
     depend on t, so only their ends are evaluated again."""
-    cn, P, Q, pts = state.layout, state.P, state.Q, state.layout.end_point
-    a, b, c, A = a[pts], b[pts], c[pts], A[pts]
+    cn, P, Q, pts, cs = state.layout, state.P, state.Q, state.layout.end_point, state.coeffs
+    a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
     k0 = len(cn.vessel_ids) - len(cn.fills)
     for k, vessel in enumerate(cn.fills, start=k0):
         at = np.flatnonzero(cn.end_vessel == k)
         if vessel.synthetic is None or not at.size:
             continue
         p = pts[at]
-        seg = coefficients(
-            vessel, cn.x[p], state.t + cfg.dt, PrimitiveState(P[p], Q[p]), epsilon0=cfg.epsilon0
-        )
+        seg = coefficients(vessel, cn.x[p], state.t + cfg.dt, PrimitiveState(P[p], Q[p]))
         a[at], b[at], c[at], A[at] = seg.a, seg.b, seg.c, seg.A
     eig = eigen(CoefficientSet(a, b, c, 0.0, 0.0, A))
     lam = np.where(cn.end_x1, eig.lambda_L, eig.lambda_R)

@@ -398,14 +398,7 @@ def test_layout_coefficients_equal_per_vessel_coefficients():
     layout, P, Q = mixed_layout()
     assert layout.vessel_ids == ("p1", "p2", "s", "t1", "t2")
     t = 0.3
-    every = layout_coefficients(layout, t, P, Q, EPS0)
-    ends = layout_coefficients(layout, t, P, Q, EPS0, points=layout.ends)
-    # a subset that skips whole segments (p2, t1) and takes one point of s
-    subset = np.array([1, 3, layout.slices["s"].start + 2, layout.slices["t2"].start,
-                       layout.size - 1])
-    some = layout_coefficients(layout, t, P, Q, EPS0, points=subset)
-    for name in ("a", "b", "c", "f", "g", "A"):
-        assert getattr(some, name).tobytes() == getattr(every, name)[subset].tobytes()
+    every = layout_coefficients(layout, t, P, Q)
     for k, v in enumerate(layout.vessels):
         sl = layout.slices[v.id]
         want = coefficients(v, v.grid, t, PrimitiveState(P[sl], Q[sl]), epsilon0=EPS0)
@@ -413,7 +406,7 @@ def test_layout_coefficients_equal_per_vessel_coefficients():
             got = getattr(every, name)[sl]
             assert np.broadcast_to(getattr(want, name), got.shape).tobytes() == got.tobytes()
             at_ends = np.broadcast_to(getattr(want, name), got.shape)[[0, -1]]
-            assert getattr(ends, name)[2 * k : 2 * k + 2].tobytes() == at_ends.tobytes()
+            assert getattr(every, name)[layout.ends[2 * k : 2 * k + 2]].tobytes() == at_ends.tobytes()
 
 
 @pytest.mark.parametrize("vid, point, value, error", [
@@ -422,17 +415,47 @@ def test_layout_coefficients_equal_per_vessel_coefficients():
     ("t2", 2, 5e4, "TubeLawError"),  # above the table at both stations
 ])
 def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, value, error):
+    # the one check, and every level that must be evaluable: both levels
+    # of the kernel (the old one also from cached coefficients), the
+    # initial state, a snapshot and a probe of the point
     import vesselflow
-    from vesselflow.compiled import layout_coefficients
+    from vesselflow.characteristics import VesselField
+    from vesselflow.compiled import check_coefficients, layout_coefficients
+    from vesselflow.output import ListSink, ProbeSpec, emit_probes, emit_snapshot
+    from vesselflow.solver import InitSpec, NetworkState, SimConfig, VesselInit, initial_state
 
     layout, P, Q = mixed_layout()
+    _, good, _ = mixed_layout()
     sl = layout.slices[vid]
     at = (sl.start if point >= 0 else sl.stop) + point
     P[at] = value
     # a later failing point must not decide the error
     P[layout.slices["t2"].stop - 1] = 5e4
-    for points in (None, layout.ends):
-        with pytest.raises(getattr(vesselflow, error), match=f"vessel '{vid}'"):
-            layout_coefficients(layout, 0.0, P, Q, EPS0, points=points)
-    unchecked = layout_coefficients(layout, 0.0, P, Q, EPS0, checked=False)
+    unchecked = layout_coefficients(layout, 0.0, P, Q)
     assert not unchecked.A[at] >= EPS0
+    raises = pytest.raises(getattr(vesselflow, error), match=f"vessel '{vid}'")
+    with raises:
+        check_coefficients(layout, P, unchecked, EPS0)
+    with raises:
+        freeze_step(layout, 0.0, good, Q, 0.01, P, Q, EPS0)
+    with raises:
+        freeze_step(layout, 0.0, P, Q, 0.01, good, Q, EPS0)
+    with raises:
+        freeze_step(layout, 0.0, P, Q, 0.01, good, Q, EPS0, old_coeffs=unchecked)
+    net = layout.network
+    fields = {k: VesselField(k, 0.0, P[s], Q[s]) for k, s in layout.slices.items()}
+    init = InitSpec(per_vessel={k: VesselInit(P=f.P, Q=f.Q) for k, f in fields.items()})
+    with raises:
+        initial_state(net, init, SimConfig(dt=0.01, t_end=0.01, epsilon0=EPS0))
+    state = NetworkState.from_fields(net, 0.0, fields)
+    with raises:
+        emit_snapshot(ListSink(), net, state, EPS0)
+    probe = ProbeSpec(("A",), vessel=vid, x_index=at - sl.start)
+    with raises:
+        emit_probes(ListSink(), net, state, [probe], EPS0)
+
+    # synthetic coefficients are taken as given, whatever their area
+    cs = layout_coefficients(layout, 0.0, good, Q)
+    A = cs.A.copy()
+    A[layout.slices["s"]] = 0.0
+    check_coefficients(layout, good, dataclasses.replace(cs, A=A), EPS0)

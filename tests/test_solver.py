@@ -1,6 +1,7 @@
 """Driver tests: fixed-point stepping, time loop, initial state."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -824,3 +825,47 @@ def test_constant_start_after_every_dt_change(monkeypatch):
     assert calls[8:17] == [(h, True)] * 9
     assert calls[17:19] == [(cfg.dt, False), (cfg.dt, True)]
     assert report.extrapolated_steps == sum(started for _, started in calls) - 1
+
+
+# --- one coefficient evaluation per time level ------------------------------
+
+BIFURCATION = Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json"
+
+
+def test_one_coefficient_evaluation_per_time_level(monkeypatch):
+    # each fixed-point iterate is evaluated once, and each accepted level
+    # once more: its checks, its probes and the next step's old level
+    # read the level's cached coefficients
+    import sys
+
+    import vesselflow.compiled as compiled
+    from vesselflow.config import load_config
+    from vesselflow.output import ListSink
+
+    real, calls = compiled.layout_coefficients, []
+
+    def counted(*args, **kw):
+        calls.append(args[1])
+        return real(*args, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vesselflow") and getattr(module, "layout_coefficients", None) is real:
+            monkeypatch.setattr(module, "layout_coefficients", counted)
+    loaded = load_config(BIFURCATION)
+    state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+    report = run(loaded.net, state, loaded.sim, probes=loaded.probes, sink=ListSink())
+    assert report.steps == 1000 and not report.extrapolation_retries and not report.dt_adjustments
+    assert len(calls) == report.picard_total + report.steps + 1
+
+
+def test_network_state_arrays_are_read_only():
+    from vesselflow.config import load_config
+
+    loaded = load_config(BIFURCATION)
+    state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+    state = picard_step(state, loaded.sim)[0]
+    for name in ("P", "Q", "P_C1", "P_C2", "P_junc"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(state, name)[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.fields["parent"].P[0] = 1.0
