@@ -295,7 +295,7 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     # endpoint nodes: the companion family usually exited there, so the
     # 2x2 entries are not usable. Hand the exact split to the closures,
     # and evaluate the coupling at the frozen iterate for the fields.
-    at = layout.ends + layout.size * (layout.ends_local == 0)  # s at x=0, r at x=1
+    at = layout.ends + layout.size * ~layout.end_x1  # s at x=0, r at x=1
     ends = EndpointRow(known.take(at), half_dt * frozen.g_P.take(at), half_dt * frozen.g_Q.take(at))
     rs.put(at, ends.value(new.P[layout.ends], new.Q[layout.ends]))
     return InteriorUpdate(rs=rs, ends=ends)

@@ -10,12 +10,13 @@ every point, unchecked, once per time level: each fixed-point iterate,
 and each accepted `NetworkState`, whose cache the checker, the output
 and the next step read. `check_coefficients` raises for the first
 failing point of a physical vessel in the kernel's levels, the initial
-state and the output. The node part lists every vessel end attached to a node
-once, in node order and `endpoints_by_node` order within a node, with
-its grid point; external nodes keep their single end, and junction
-nodes are grouped by kind and size into the `junctions.junction_layout`
-groups, each holding its nodes' end indices and parameters for the
-stacked solve.
+state and the output. Vessel ends have one numbering, e = 2k + x1 for
+the x=0 (x1 = 0) and x=1 (x1 = 1) end of segment k, the order of
+`ends` and of the kernel's endpoint rows. Each node lists its ends in
+`endpoints_by_node` order: external nodes keep their single end, and
+junction nodes are grouped by kind and size into the
+`junctions.junction_layout` groups, each holding its nodes' end indices
+and parameters for the stacked solve.
 """
 
 from __future__ import annotations
@@ -65,9 +66,12 @@ class CompiledNetwork:
     first: np.ndarray  # x=0 point of each segment
     last: np.ndarray  # x=1 point of each segment
     counts: np.ndarray  # points of each segment
-    ends: np.ndarray  # first and last point of each segment, interleaved
-    ends_local: np.ndarray  # local grid index of each entry of ends: 0, n_cells, ...
-    pair_starts: np.ndarray  # position of each segment's pair in ends: 0, 2, 4, ...
+    # per vessel end e = 2k + x1 of segment k, x1 = 1 at its x=1 end:
+    # the one numbering of vessel ends
+    ends: np.ndarray  # grid point: first and last point of each segment, interleaved
+    end_x1: np.ndarray  # True for x=1 ends: False, True, False, ...
+    ends_local: np.ndarray  # local grid index: 0, n_cells, ...
+    pair_starts: np.ndarray  # each segment's first end: 0, 2, 4, ...
     # per point
     x: np.ndarray  # position on the vessel's unit interval
     j: np.ndarray  # local grid index (float)
@@ -78,12 +82,6 @@ class CompiledNetwork:
     power: PowerLawParams  # per-point arrays over the power prefix
     n_power: int  # points with a power law: the prefix [0, n_power)
     fills: tuple[Vessel, ...]  # tabulated and synthetic segments, after the power prefix
-    # per attached vessel end
-    end_vessel_id: tuple[str, ...]
-    end_name: tuple[str, ...]  # "x0" | "x1"
-    end_vessel: np.ndarray  # segment index
-    end_x1: np.ndarray  # True for x=1 ends
-    end_point: np.ndarray  # grid point
     pressure_ends: ExternalEnds  # the ExternalPressure nodes
     flow_ends: ExternalEnds  # the ExternalFlow nodes
     junctions: JunctionLayout
@@ -122,31 +120,28 @@ def compile_network(net: Network) -> CompiledNetwork:
         rho=per_point([v.rho_blood for v in pw]),
     )
 
-    end_vid, end_name, end_vessel, end_param, plans = [], [], [], [], []
     seg = {vid: k for k, vid in enumerate(order)}
+    end_param, plans = [None] * (2 * len(order)), []
     ends_by_node = endpoints_by_node(net)
     for nid in sorted(net.nodes):
         node = net.nodes[nid]
         node_params = {(vid, end): p for vid, end, p in node_attachments(node)}
         ends = []
         for vid, end, _orient in ends_by_node[nid]:
-            ends.append(len(end_vid))
-            end_vid.append(vid)
-            end_name.append(end)
-            end_vessel.append(seg[vid])
-            end_param.append(node_params.get((vid, end)))
+            e = 2 * seg[vid] + (end == "x1")
+            ends.append(e)
+            end_param[e] = node_params.get((vid, end))
         plans.append((node, tuple(ends)))
-    end_vessel = np.array(end_vessel, dtype=np.intp)
-    end_x1 = np.array([e == "x1" for e in end_name], dtype=bool)
+    end_x1 = np.tile([False, True], len(order))
     first, last = offsets[:-1], offsets[1:] - 1
 
     def external(kind):
         outer = [(node, ends[0]) for node, ends in plans if isinstance(node, kind)]
         return ExternalEnds(
             nodes=tuple(node for node, _ in outer),
-            ends=np.array([k for _, k in outer], dtype=np.intp),
-            vessel_ids=tuple(end_vid[k] for _, k in outer),
-            end_names=tuple(end_name[k] for _, k in outer),
+            ends=np.array([e for _, e in outer], dtype=np.intp),
+            vessel_ids=tuple(order[e // 2] for _, e in outer),
+            end_names=tuple(f"x{e % 2}" for _, e in outer),
         )
 
     base = np.repeat(first, counts)
@@ -164,6 +159,7 @@ def compile_network(net: Network) -> CompiledNetwork:
         last=last,
         counts=counts,
         ends=np.stack((first, last), axis=1).ravel(),
+        end_x1=end_x1,
         ends_local=np.stack((np.zeros_like(counts), counts - 1), axis=1).ravel(),
         pair_starts=np.arange(0, 2 * len(counts), 2),
         x=np.concatenate([v.grid for v in vessels]) if vessels else np.zeros(0),
@@ -175,11 +171,6 @@ def compile_network(net: Network) -> CompiledNetwork:
         power=params,
         n_power=n_power,
         fills=tuple(net.vessels[vid] for vid in others),
-        end_vessel_id=tuple(end_vid),
-        end_name=tuple(end_name),
-        end_vessel=end_vessel,
-        end_x1=end_x1,
-        end_point=np.where(end_x1, last[end_vessel], first[end_vessel]).astype(np.intp),
         pressure_ends=external(ExternalPressure),
         flow_ends=external(ExternalFlow),
         junctions=junction_layout(plans, end_x1, end_param),
@@ -203,7 +194,7 @@ def layout_coefficients(cn: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndar
         out[name][:n] = getattr(cs, name)
     for vessel in cn.fills:
         at = cn.slices[vessel.id]
-        seg = coefficients(vessel, cn.x[at], t, PrimitiveState(P[at], Q[at]), checked=False)
+        seg = coefficients(vessel, cn.x[at], t, PrimitiveState(P[at], Q[at]))
         for name in _FIELDS:
             out[name][at] = getattr(seg, name)
     return CoefficientSet(**out)

@@ -33,8 +33,6 @@ from .errors import (
 )
 from .network import PowerLaw, TabulatedLaw, TubeLaw, Vessel
 
-DEFAULT_EPSILON0 = 1e-10  # area floor (m^2)
-
 _NEWTON_MAX_ITERS = 100
 
 
@@ -265,25 +263,17 @@ def coefficient_failure(P, A, a, epsilon0: float, owner) -> SimulationError | No
     return TubeLawError(f"vessel {owner(k)!r}: nonpositive slope dP/dA")
 
 
-def coefficients(
-    vessel: Vessel,
-    x,
-    t: float,
-    state: PrimitiveState,
-    epsilon0: float = DEFAULT_EPSILON0,
-    checked: bool = True,
-) -> CoefficientSet:
+def coefficients(vessel: Vessel, x, t: float, state: PrimitiveState) -> CoefficientSet:
     """Coefficients (a, b, c, f, g, A) of the wave system at (x, t, P, Q).
 
     For physical vessels the state's pressure is inverted through the
     tube law to recover area. Points where the law cannot be evaluated
     (pressure outside its range, or outside a tabulated law's table at a
-    station of dA/dx) come back as NaN in every field but f. With
-    checked=True (the solver path) `coefficient_failure` raises for the
-    first such point, a collapsed area (A < epsilon0) or a nonpositive
-    slope a; with checked=False callers report them (the
-    condition-checker path). Synthetic coefficients are returned as
-    given, unchecked.
+    station of dA/dx) come back as NaN in every field but f. Unchecked:
+    `coefficient_failure` names such a point, a collapsed area or a
+    nonpositive slope a (the solver raises it through
+    `compiled.check_coefficients`). Synthetic coefficients are returned
+    as given.
 
     x and the state fields may be aligned arrays; scalars in give
     scalars out.
@@ -321,10 +311,6 @@ def coefficients(
             g = alpha * Q**2 / A**2 * dAdx - (
                 4.0 * np.pi * vessel.nu * alpha / (alpha - 1.0)
             ) * Q / A
-    if checked:
-        err = coefficient_failure(P, A, a, epsilon0, lambda k: vessel.id)
-        if err is not None:
-            raise err
     if P.ndim == 0 and np.ndim(x) == 0:
         return CoefficientSet(float(a), float(b), float(c), 0.0, float(g), float(A))
     return CoefficientSet(a, b, c, np.zeros_like(a), g, A)

@@ -203,7 +203,9 @@ class JunctionGroup:
     # (N,) positions of the nodes in the layout's arrays over nodes of
     # their kind: P_junc over `branching`, P_C1/P_C2 over `transitional`
     slots: np.ndarray
-    ends: np.ndarray  # (N, mu) vessel end indices, in each node's end order
+    # (N, mu) vessel ends in the layout's numbering e = 2k + x1 (segment
+    # k, x1 = 1 at x=1), in each node's end order
+    ends: np.ndarray
     sign: np.ndarray  # (N, mu) +1 at x=1 (incoming) ends, -1 at x=0
     template: np.ndarray  # (N, n, n) static entries: +-1, R, -1/R_C
     rho: np.ndarray | None  # (N, mu) rho_j in branching groups

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import product
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -313,8 +314,8 @@ def initial_state(
     cn = state.layout
     # raises CollapsedVesselError if the area floor is violated
     check_coefficients(cn, state.P, state.coeffs, cfg.epsilon0)
-    A = state.coeffs.A[cn.end_point]
-    end_area = dict(zip(zip(cn.end_vessel_id, cn.end_name), A.tolist()))
+    # the area at each vessel end, keyed (vessel id, end) in end order
+    end_area = dict(zip(product(cn.vessel_ids, ("x0", "x1")), state.coeffs.A[cn.ends].tolist()))
 
     diags: list[Diagnostic] = []
     ends_by_node = endpoints_by_node(net)
@@ -408,7 +409,7 @@ def picard_step(
         np.array([eval_signal(node.signal, t_new) for node in bc.nodes])
         for bc in (cn.pressure_ends, cn.flow_ends)
     )
-    q_prev = Q_prev[cn.end_point]
+    q_prev = Q_prev[cn.ends]
     systems = [
         group.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2) for group in cn.junctions.groups
     ]
@@ -464,21 +465,19 @@ def _close_nodes(
     (`JunctionGroup.step`), which each pass fills in place.
     Returns the largest junction residual over its gate scale.
     """
-    x1, points = cn.end_x1, cn.end_point
-    row = 2 * cn.end_vessel + x1  # each end's entry of upd.ends
-    char = upd.ends.known[row]
+    points, char = cn.ends, upd.ends.known
     if not np.all(np.isfinite(char)):
-        k = int(np.argmin(np.isfinite(char)))
+        e = int(np.argmin(np.isfinite(char)))
         raise WellPosednessFailure(
-            f"vessel {cn.end_vessel_id[k]!r} end {cn.end_name[k]}: the interior-determined "
+            f"vessel {cn.vessel_ids[e // 2]!r} end x{e % 2}: the interior-determined "
             "characteristic left the domain; endpoint split condition violated",
             t=t_new,
         )
     cs, eig = frozen.new.coeffs, frozen.new.eig
-    lam = np.where(x1, eig.lambda_L[points], eig.lambda_R[points])
+    lam = np.where(cn.end_x1, eig.lambda_L[points], eig.lambda_R[points])
     a = cs.a[points]
-    cp = -lam - upd.ends.kP[row]
-    cq = a - upd.ends.kQ[row]
+    cp = -lam - upd.ends.kP
+    cq = a - upd.ends.kQ
 
     # prescribed pressures, then prescribed flows, each raising for its
     # first failing end
@@ -611,6 +610,8 @@ def run(
             report.dt_adjustments += 1
             continue
 
+        # the levels kept for the extrapolation need only their arrays
+        vars(state).pop("coeffs", None)
         state = state_new
         report.record_step(iters, hist)
         report.extrapolated_steps += start is not None

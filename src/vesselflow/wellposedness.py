@@ -242,13 +242,13 @@ def _junction_estimates(state, cfg):
     built from the endpoint coefficients the first closure of the next
     step starts from: (x_end, t + dt, P, Q); only synthetic coefficients
     depend on t, so only their ends are evaluated again."""
-    cn, P, Q, pts, cs = state.layout, state.P, state.Q, state.layout.end_point, state.coeffs
+    cn, P, Q, pts, cs = state.layout, state.P, state.Q, state.layout.ends, state.coeffs
     a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
     k0 = len(cn.vessel_ids) - len(cn.fills)
     for k, vessel in enumerate(cn.fills, start=k0):
-        at = np.flatnonzero(cn.end_vessel == k)
-        if vessel.synthetic is None or not at.size:
+        if vessel.synthetic is None:
             continue
+        at = slice(2 * k, 2 * k + 2)
         p = pts[at]
         seg = coefficients(vessel, cn.x[p], state.t + cfg.dt, PrimitiveState(P[p], Q[p]))
         a[at], b[at], c[at], A[at] = seg.a, seg.b, seg.c, seg.A
@@ -291,13 +291,8 @@ def check_envelope(
     for k, vid in enumerate(vessel_ids):
         vessel = net.vessels[vid]
         m = vessel.grid.size
-        cs = coefficients(
-            vessel,
-            np.repeat(vessel.grid, P_row.size),
-            0.0,
-            PrimitiveState(np.tile(P_row, m), np.tile(Q_row, m)),
-            checked=False,
-        )
+        state = PrimitiveState(np.tile(P_row, m), np.tile(Q_row, m))
+        cs = coefficients(vessel, np.repeat(vessel.grid, P_row.size), 0.0, state)
         a, b, c, A = (v.reshape(m, -1) for v in (cs.a, cs.b, cs.c, cs.A))
         ok = np.isfinite(a)
         unevaluable[k] = np.count_nonzero(~ok)

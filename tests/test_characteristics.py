@@ -401,7 +401,7 @@ def test_layout_coefficients_equal_per_vessel_coefficients():
     every = layout_coefficients(layout, t, P, Q)
     for k, v in enumerate(layout.vessels):
         sl = layout.slices[v.id]
-        want = coefficients(v, v.grid, t, PrimitiveState(P[sl], Q[sl]), epsilon0=EPS0)
+        want = coefficients(v, v.grid, t, PrimitiveState(P[sl], Q[sl]))
         for name in ("a", "b", "c", "f", "g", "A"):
             got = getattr(every, name)[sl]
             assert np.broadcast_to(getattr(want, name), got.shape).tobytes() == got.tobytes()

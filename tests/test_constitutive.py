@@ -19,6 +19,7 @@ from vesselflow import (
     radius_from_pressure,
     to_riemann,
 )
+from vesselflow.constitutive import coefficient_failure
 
 LAW = PowerLaw(C=1e4, R0=1e-3, beta=2.0)
 
@@ -170,16 +171,15 @@ def test_viscous_part_of_g():
 
 def test_area_floor_error():
     v = make_vessel()
-    with pytest.raises(CollapsedVesselError):
-        coefficients(v, 0.0, 0.0, PrimitiveState(P=0.0, Q=0.0), epsilon0=1e-2)
+    cs = coefficients(v, 0.0, 0.0, PrimitiveState(P=0.0, Q=0.0))
+    with pytest.raises(CollapsedVesselError, match="vessel 'v'"):
+        raise coefficient_failure(0.0, cs.A, cs.a, 1e-2, lambda k: v.id)
 
 
 def test_unchecked_mode_returns_nan():
     v = make_vessel()
     cs = coefficients(
-        v, np.array([0.0, 1.0]), 0.0,
-        PrimitiveState(P=np.array([-2e4, 0.0]), Q=np.zeros(2)),
-        checked=False,
+        v, np.array([0.0, 1.0]), 0.0, PrimitiveState(P=np.array([-2e4, 0.0]), Q=np.zeros(2))
     )
     assert np.isnan(cs.a[0]) and np.isfinite(cs.a[1])
 
@@ -191,13 +191,13 @@ def test_unchecked_mode_returns_nan():
     # above the table at x=0.25; above it everywhere; inside at x=0.5 but
     # above the x=0 station that dA/dx differences against
     P = np.array([0.0, 5e4, 1e4, 7e4, 4e4])
-    cs = coefficients(v, x, 0.0, PrimitiveState(P=P, Q=np.full(5, 1e-7)), checked=False)
+    cs = coefficients(v, x, 0.0, PrimitiveState(P=P, Q=np.full(5, 1e-7)))
     bad = np.array([False, True, False, True, True])
     for name in ("a", "b", "c", "g", "A"):
         values = getattr(cs, name)
         assert np.all(np.isnan(values[bad])) and np.all(np.isfinite(values[~bad])), name
     with pytest.raises(TubeLawError, match="vessel 'v'"):
-        coefficients(v, x, 0.0, PrimitiveState(P=P, Q=np.full(5, 1e-7)))
+        raise coefficient_failure(P, cs.A, cs.a, 1e-10, lambda k: v.id)
 
 
 # --- eigenstructure ------------------------------------------------------

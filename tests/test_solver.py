@@ -869,3 +869,48 @@ def test_network_state_arrays_are_read_only():
             getattr(state, name)[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         state.fields["parent"].P[0] = 1.0
+
+
+def test_only_the_newest_level_keeps_its_coefficients():
+    # run keeps earlier accepted levels for the extrapolated start, but
+    # only the newest level's cached coefficients are read again
+    import weakref
+
+    from vesselflow.config import load_config
+
+    loaded = load_config(BIFURCATION)
+    state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+    cfg = dataclasses.replace(loaded.sim, t_end=20 * loaded.sim.dt)
+    accepted, cached = [weakref.ref(state)], []
+
+    def on_step(new):
+        assert "coeffs" in vars(new)
+        earlier = [ref() for ref in accepted]
+        cached.extend(s.t for s in earlier if s is not None and "coeffs" in vars(s))
+        accepted.append(weakref.ref(new))
+
+    report = run(loaded.net, state, cfg, on_step=on_step)
+    assert report.steps == 20 and report.extrapolated_steps
+    assert cached == []
+
+
+def test_closure_names_the_first_end_in_layout_order_whose_characteristic_left():
+    # a = 1, b = -1, c = 2 is hyperbolic, but both speeds are positive, so
+    # the interior-determined s leaves the domain at x=0 of both vessels;
+    # the nodes of 'b' come first in node order, 'a' first in layout order
+    vessels = {
+        vid: Vessel(
+            id=vid, n_cells=10, x0_node=f"{node}_in", x1_node=f"{node}_out",
+            synthetic=SyntheticCoefficients(a=1.0, b=-1.0, c=2.0),
+        )
+        for vid, node in (("a", "z"), ("b", "y"))
+    }
+    nodes = {
+        nid: ExternalPressure(nid, ConstantSignal(0.0))
+        for nid in ("y_in", "y_out", "z_in", "z_out")
+    }
+    cfg = SimConfig(dt=0.01, t_end=0.01)
+    state, _ = initial_state(Network(vessels=vessels, nodes=nodes), InitSpec(default=VesselInit()), cfg)
+    assert state.layout.vessel_ids == ("a", "b")
+    with pytest.raises(WellPosednessFailure, match="vessel 'a' end x0: the interior-determined"):
+        picard_step(state, cfg)

@@ -224,8 +224,7 @@ def reference_vessel_checks(net, state, cfg, endpoints_only):
     for vid in sorted(net.vessels):
         v, f = net.vessels[vid], state.fields[vid]
         idx = np.array([0, v.n_cells]) if endpoints_only else np.arange(v.n_cells + 1)
-        cs = coefficients(v, v.grid[idx], state.t, PrimitiveState(f.P[idx], f.Q[idx]),
-                          epsilon0=cfg.epsilon0, checked=False)
+        cs = coefficients(v, v.grid[idx], state.t, PrimitiveState(f.P[idx], f.Q[idx]))
         a, b, c, A = (np.asarray(q, dtype=float) for q in (cs.a, cs.b, cs.c, cs.A))
         if not np.all(np.isfinite(a)):
             unevaluable.append(vid)
