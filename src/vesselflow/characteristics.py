@@ -112,10 +112,12 @@ def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
     return out * (0.5 * layout.cells)
 
 
-def _build_level(
-    layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float, cs=None
+def build_level(
+    layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float, cs: CoefficientSet
 ) -> LevelData:
-    cs = layout_coefficients(layout, t, P, Q) if cs is None else cs
+    """One level's frozen data from cs, the `layout_coefficients` of P
+    and Q (flat in layout order). The level must pass `check_coefficients`
+    and have real, finite speeds (else the error names the vessel)."""
     check_coefficients(layout, P, cs, epsilon0)
     try:
         e = eigen(cs)
@@ -139,32 +141,19 @@ def _build_level(
 
 
 def freeze_step(
-    layout: CompiledNetwork,
-    t_old: float,
-    P_old: np.ndarray,
-    Q_old: np.ndarray,
-    t_new: float,
-    P_new: np.ndarray,
-    Q_new: np.ndarray,
+    layout: CompiledNetwork, old: LevelData, t_new: float, P_new: np.ndarray, Q_new: np.ndarray,
     epsilon0: float,
-    old_level: LevelData | None = None,
-    old_coeffs: CoefficientSet | None = None,
 ) -> FrozenStep:
-    """Freeze the coefficient fields of every vessel of a layout at both
-    time levels (P and Q are flat arrays in layout order) and precompute
-    the characteristic source terms. Passing a previously built
-    old_level skips rebuilding it (it does not change across fixed-point
-    iterations within a step), and old_coeffs (its `NetworkState.coeffs`)
-    skips evaluating its coefficients. Both levels must pass
-    `check_coefficients`."""
-    dt = t_new - t_old
+    """Freeze the coefficients of every vessel of a layout at the new
+    level (P_new and Q_new flat in layout order) from one
+    `layout_coefficients` evaluation, and precompute the step's source
+    terms. The old level, which the fixed-point iterations of a step
+    share, comes built (`build_level`)."""
+    dt = t_new - old.t
     if dt <= 0:
-        raise ValueError("t_new must exceed t_old")
-    P_old, Q_old, P_new, Q_new = (np.asarray(v, dtype=float) for v in (P_old, Q_old, P_new, Q_new))
-    old = old_level
-    if old is None:
-        old = _build_level(layout, t_old, P_old, Q_old, epsilon0, old_coeffs)
-    new = _build_level(layout, t_new, P_new, Q_new, epsilon0)
+        raise ValueError("t_new must exceed the old level's t")
+    cs = layout_coefficients(layout, t_new, P_new, Q_new)
+    new = build_level(layout, t_new, P_new, Q_new, epsilon0, cs)
 
     # g_P = -(lam_t + adv_lam) and g_Q = a_t + adv_a at either level; a
     # non-finite entry fails the kernel's guards or the next level's check
@@ -247,10 +236,12 @@ class EndpointRow:
 class InteriorUpdate:
     """New-level characteristic fields (r, s) as a (2, N) stack in
     layout order; NaN entries are unresolved feet (they exited the
-    vessel) awaiting a node closure, which reads `ends`."""
+    vessel) awaiting a node closure, which reads `ends`. `inside` marks,
+    in the same stack, the feet that stayed inside their vessel."""
 
     rs: np.ndarray
     ends: EndpointRow
+    inside: np.ndarray
 
 
 def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
@@ -269,8 +260,11 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     half_dt = 0.5 * frozen.dt
     xi = _trace(frozen, cfl_max)
     foot = _stencil(layout, xi)
-    part = _at(old.rs, foot) + half_dt * (_at(frozen.F, foot) + new.base)
-    known = np.where((xi >= 0.0) & (xi <= layout.cells), part, np.nan)
+    # an overflow fails the node closures at an end, the deviation inside
+    with np.errstate(over="ignore", invalid="ignore"):
+        part = _at(old.rs, foot) + half_dt * (_at(frozen.F, foot) + new.base)
+    inside = (xi >= 0.0) & (xi <= layout.cells)
+    known = np.where(inside, part, np.nan)
 
     # state coupling of the new-level source, mapped to (r, s) through
     # the inverse characteristic transform: each family's new value is
@@ -298,4 +292,4 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     at = layout.ends + layout.size * ~layout.end_x1  # s at x=0, r at x=1
     ends = EndpointRow(known.take(at), half_dt * frozen.g_P.take(at), half_dt * frozen.g_Q.take(at))
     rs.put(at, ends.value(new.P[layout.ends], new.Q[layout.ends]))
-    return InteriorUpdate(rs=rs, ends=ends)
+    return InteriorUpdate(rs=rs, ends=ends, inside=inside)

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .characteristics import VesselField, freeze_step, interior_update
+from .characteristics import VesselField, build_level, freeze_step, interior_update
 from .compiled import CompiledNetwork, check_coefficients, compile_network, layout_coefficients
 from .constitutive import CoefficientSet, RiemannPair, from_riemann
 from .errors import (
@@ -367,18 +367,18 @@ def _residual_diag(diags, nid, what, res, scale):
 
 def _deviation(cn: CompiledNetwork, new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> float:
     """Relative sup-norm distance between iterates (P, Q, P_C1, P_C2):
-    max |new - old| / (1 + max |new|) over each vessel segment of P and
-    Q, and |new - old| / (1 + |new|) at each capacitor."""
+    the largest of max |new - old| / (1 + max |new|) over each vessel
+    segment of P and Q and |new - old| / (1 + |new|) at each capacitor.
+    A non-finite iterate gives NaN, which never passes the tolerance."""
     starts = cn.offsets[:-1]
-    dev = 0.0
+    ratios = []
     for x_new, x_old in zip(new[:2], old[:2]):
         scale = 1.0 + np.maximum.reduceat(np.abs(x_new), starts)
-        diff = np.maximum.reduceat(np.abs(x_new - x_old), starts)
-        dev = max(dev, float(np.max(diff / scale)))
+        ratios.append(np.maximum.reduceat(np.abs(x_new - x_old), starts) / scale)
     if cn.junctions.transitional:
         for x_new, x_old in zip(new[2:], old[2:]):
-            dev = max(dev, float(np.max(np.abs(x_new - x_old) / (1.0 + np.abs(x_new)))))
-    return dev
+            ratios.append(np.abs(x_new - x_old) / (1.0 + np.abs(x_new)))
+    return float(np.max(np.concatenate(ratios)))
 
 
 def picard_step(
@@ -391,40 +391,35 @@ def picard_step(
     """Advance one time level of the state's layout by fixed-point
     iteration.
 
+    Build the old level once, from the state's cached coefficients.
     Starting from the arrays of `start` (the first iterate of the new
-    level) or, without one, from the previous level (constant-in-time
-    extrapolation), repeatedly freeze the coefficients at the iterate,
-    run the linear characteristics update on all vessels at once, close
-    every node, and stop when the relative sup deviation between
-    iterates drops below cfg.picard_tol. Returns the converged state,
-    the number of iterations used, and the deviation history. A given
-    report collects the closure residuals.
+    level) or, without one, from the previous level, repeatedly freeze
+    the coefficients at the iterate, run the linear characteristics
+    update on all vessels at once, close every node, and stop when the
+    relative sup deviation between iterates drops below cfg.picard_tol.
+    Returns the converged state, the number of iterations used, and the
+    deviation history. A given report collects the closure residuals.
     """
     cn = state_prev.layout
     dt = cfg.dt if dt is None else dt
     t_new = state_prev.t + dt
 
-    P_prev, Q_prev = state_prev.P, state_prev.Q
     boundary = tuple(
         np.array([eval_signal(node.signal, t_new) for node in bc.nodes])
         for bc in (cn.pressure_ends, cn.flow_ends)
     )
-    q_prev = Q_prev[cn.ends]
+    q_prev = state_prev.Q[cn.ends]
     systems = [
         group.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2) for group in cn.junctions.groups
     ]
     start = state_prev if start is None else start
     cur = (start.P, start.Q, start.P_C1, start.P_C2)
     P_junc = np.empty(len(cn.junctions.branching))
+    old = build_level(cn, state_prev.t, state_prev.P, state_prev.Q, cfg.epsilon0, state_prev.coeffs)
 
     history: list[float] = []
-    old_level = None
     for iteration in range(1, cfg.picard_max_iters + 1):
-        frozen = freeze_step(
-            cn, state_prev.t, P_prev, Q_prev, t_new, cur[0], cur[1], cfg.epsilon0,
-            old_level=old_level, old_coeffs=state_prev.coeffs,
-        )
-        old_level = frozen.old
+        frozen = freeze_step(cn, old, t_new, cur[0], cur[1], cfg.epsilon0)
         upd = interior_update(frozen, cfg.cfl_max)
         # NaN at unresolved endpoint entries propagates and is
         # overwritten by the node closures below
@@ -467,7 +462,14 @@ def _close_nodes(
     """
     points, char = cn.ends, upd.ends.known
     if not np.all(np.isfinite(char)):
-        e = int(np.argmin(np.isfinite(char)))
+        unresolved = ~np.isfinite(char)
+        # a foot inside the vessel resolved a value that then overflowed
+        overflowed = unresolved & upd.inside.take(points + cn.size * ~cn.end_x1)
+        if np.any(overflowed):
+            e = int(np.argmax(overflowed))
+            raise SimulationError(f"vessel {cn.vessel_ids[e // 2]!r} family {'LR'[e % 2]}: "
+                                  "characteristic value is not finite")
+        e = int(np.argmax(unresolved))
         raise WellPosednessFailure(
             f"vessel {cn.vessel_ids[e // 2]!r} end x{e % 2}: the interior-determined "
             "characteristic left the domain; endpoint split condition violated",

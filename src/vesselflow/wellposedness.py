@@ -199,15 +199,17 @@ def check_state(
     K = len(cn.vessel_ids)
     a, b, c, A = (v[cn.ends] if endpoints_only else v for v in (cs.a, cs.b, cs.c, cs.A))
     ab = a * b
+    with np.errstate(over="ignore"):  # eigen classifies an overflow
+        disc = c**2 + ab
     if endpoints_only:
         # the two ends of each vessel, interleaved: all four conditions
         # share the segments
         starts, local = cn.pair_starts, cn.ends_local
-        worst, first = _segment_min(np.stack((a, A, c**2 + ab, ab)), starts, 2)
+        worst, first = _segment_min(np.stack((a, A, disc, ab)), starts, 2)
         x_index = local[first]
     else:
         starts, local = cn.first, cn.local
-        worst, first = _segment_min(np.stack((a, A, c**2 + ab)), starts, cn.counts)
+        worst, first = _segment_min(np.stack((a, A, disc)), starts, cn.counts)
         end_worst, end_first = _segment_min(ab[cn.ends], cn.pair_starts, 2)
         worst = np.concatenate((worst, end_worst[None]))
         x_index = np.concatenate((local[first], cn.ends_local[end_first][None]))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from vesselflow import CFLViolation, Network, PowerLaw, SyntheticCoefficients, Vessel
-from vesselflow.characteristics import _trace, freeze_step, interior_update
-from vesselflow.compiled import compile_network
+from vesselflow.characteristics import _trace, build_level, freeze_step, interior_update
+from vesselflow.compiled import compile_network, layout_coefficients
 from vesselflow.constitutive import PrimitiveState
 
 EPS0 = 1e-10
@@ -24,10 +24,17 @@ def layout_of(*vessels):
     return compile_network(Network(vessels={v.id: v for v in vessels}))
 
 
+def freeze(layout, t0, P0, Q0, t1, P1, Q1, cs=None):
+    """The step from (t0, P0, Q0) to (t1, P1, Q1), its old level built
+    from cs (by default the coefficients of P0 and Q0) as a step does."""
+    cs = layout_coefficients(layout, t0, P0, Q0) if cs is None else cs
+    return freeze_step(layout, build_level(layout, t0, P0, Q0, EPS0, cs), t1, P1, Q1, EPS0)
+
+
 def frozen_for(vessel, P0, Q0, dt, P1=None, Q1=None, t0=0.0):
     P1 = P0 if P1 is None else P1
     Q1 = Q0 if Q1 is None else Q1
-    return freeze_step(layout_of(vessel), t0, P0, Q0, t0 + dt, P1, Q1, EPS0)
+    return freeze(layout_of(vessel), t0, P0, Q0, t0 + dt, P1, Q1)
 
 
 def feet(frozen, cfl_max=0.9):
@@ -90,7 +97,7 @@ def test_trace_cfl_violation():
     fast = synthetic_vessel(50, vid="fast")  # dx = 0.02, travel 0.05 > 0.018
     layout = layout_of(slow, fast)
     z = np.zeros(layout.size)
-    fr = freeze_step(layout, 0.0, z, z, 0.05, z, z, EPS0)
+    fr = freeze(layout, 0.0, z, z, 0.05, z, z)
     with pytest.raises(CFLViolation, match="'fast' family R"):
         _trace(fr, 0.9)
 
@@ -102,7 +109,7 @@ def test_trace_cfl_violation_in_the_left_going_family_alone():
     left = synthetic_vessel(20, c=-0.5, vid="left")
     layout = layout_of(calm, left)
     z = np.zeros(layout.size)
-    fr = freeze_step(layout, 0.0, z, z, 0.04, z, z, EPS0)
+    fr = freeze(layout, 0.0, z, z, 0.04, z, z)
     assert np.all(np.abs(0.04 * fr.new.lam[0] * layout.cells) <= 0.9)
     with pytest.raises(CFLViolation, match="^vessel 'left' family L: characteristic travels 6.472e-02"):
         _trace(fr, 0.9)
@@ -201,7 +208,7 @@ def test_source_terms_manufactured_field():
     )
     P = 1.0 + 0.5 * np.sin(2 * np.pi * x)
     Q = 0.3 * np.cos(2 * np.pi * x)
-    fr = freeze_step(layout_of(v), 0.0, P, Q, dt, P, Q, EPS0)
+    fr = freeze(layout_of(v), 0.0, P, Q, dt, P, Q)
 
     # analytic directional derivatives at t = 0 (old level)
     a = a_fun(x, 0.0)
@@ -354,7 +361,7 @@ def test_segments_are_isolated_in_the_compiled_kernel():
         Q0 = np.concatenate([fields(layout.vessels[k], 0.0)[1] for k in range(len(layout.vessels))])
         P1 = np.concatenate([fields(layout.vessels[k], 0.3)[0] for k in range(len(layout.vessels))])
         Q1 = np.concatenate([fields(layout.vessels[k], 0.3)[1] for k in range(len(layout.vessels))])
-        fr = freeze_step(layout, 0.0, P0, Q0, dt, P1, Q1, EPS0)
+        fr = freeze(layout, 0.0, P0, Q0, dt, P1, Q1)
         upd = interior_update(fr)
         out = (*upd.rs, *_trace(fr, 0.9))  # r, s and the feet of both families
         return {vid: [arr[layout.slices[vid]] for arr in out] for vid in layout.vessel_ids}
@@ -437,11 +444,11 @@ def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, valu
     with raises:
         check_coefficients(layout, P, unchecked, EPS0)
     with raises:
-        freeze_step(layout, 0.0, good, Q, 0.01, P, Q, EPS0)
+        freeze(layout, 0.0, good, Q, 0.01, P, Q)
     with raises:
-        freeze_step(layout, 0.0, P, Q, 0.01, good, Q, EPS0)
+        freeze(layout, 0.0, P, Q, 0.01, good, Q)
     with raises:
-        freeze_step(layout, 0.0, P, Q, 0.01, good, Q, EPS0, old_coeffs=unchecked)
+        freeze(layout, 0.0, P, Q, 0.01, good, Q, cs=unchecked)
     net = layout.network
     fields = {k: VesselField(k, 0.0, P[s], Q[s]) for k, s in layout.slices.items()}
     init = InitSpec(per_vessel={k: VesselInit(P=f.P, Q=f.Q) for k, f in fields.items()})

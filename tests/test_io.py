@@ -294,6 +294,7 @@ def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, solver, args, mes
 
 
 BIFURCATION = Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json"
+SYNTHETIC = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
 
 
 @pytest.mark.parametrize(
@@ -588,13 +589,15 @@ def mutated(doc, path, value):
     return doc
 
 
-def test_cli_classifies_the_whole_mutation_corpus(tmp_path, capsys):
-    # every mutation of the shipped bifurcation, each run for two steps of
-    # its own dt: every one ends with a documented exit code and, for
-    # exit 3, a classified last line, never an unexpected error.
-    doc = json.loads(BIFURCATION.read_text())
+@pytest.mark.parametrize("config, size", [(BIFURCATION, 1764), (SYNTHETIC, 492)],
+                         ids=["bifurcation", "synthetic"])
+def test_cli_classifies_the_whole_mutation_corpus(tmp_path, capsys, config, size):
+    # every mutation of a shipped config, each run for two steps of its
+    # own dt: every one ends with a documented exit code and, for exit 3,
+    # a classified last line, never an unexpected error.
+    doc = json.loads(config.read_text())
     cases = corpus_cases(doc)
-    assert len(cases) > 1000
+    assert len(cases) == size
     codes = []
     for k, (path, value) in enumerate(cases):
         config = write_json(tmp_path, mutated(doc, path, value))
@@ -614,21 +617,43 @@ def test_cli_classifies_the_whole_mutation_corpus(tmp_path, capsys):
     assert set(codes) == {0, 1, 2, 3}
 
 
-@pytest.mark.parametrize("path, value, code, last", [
-    (("vessels", 0, "nu"), 1e300, 3, "solver failure: "),
-    (("vessels", 0, "tube_law", "C"), 1e300, 3, "solver failure: "),
-    (("vessels", 0, "tube_law", "R0"), 1e300, 3, "initial state error: "),
-    (("vessels", 0, "tube_law", "beta"), 1e300, 2, "solvability failure: "),
-    (("vessels", 0, "tube_law", "beta"), 1e-300, 3, "initial state error: "),
-    (("initial", "default", "P"), 1e300, 3, "aborting: initial state violates node compatibility"),
-    (("initial", "default", "Q"), 1e300, 3, "aborting: initial state violates node compatibility"),
-    (("initial", "default", "Q"), -1e300, 3, "aborting: initial state violates node compatibility"),
-], ids=["nu", "C", "R0", "beta", "beta-tiny", "P", "Q", "Q-negative"])
-def test_cli_overflowing_inputs_end_classified_without_warnings(tmp_path, capsys, path, value, code, last):
+NOT_FINITE = "characteristic value is not finite"
+SYN = ("vessels", 0, "coefficients")
+
+
+@pytest.mark.parametrize("config, path, value, code, last", [
+    (BIFURCATION, ("vessels", 0, "nu"), 1e300, 3, "solver failure: "),
+    (BIFURCATION, ("vessels", 0, "tube_law", "C"), 1e300, 3, "solver failure: "),
+    (BIFURCATION, ("vessels", 0, "tube_law", "R0"), 1e300, 3, "initial state error: "),
+    (BIFURCATION, ("vessels", 0, "tube_law", "beta"), 1e300, 2, "solvability failure: "),
+    (BIFURCATION, ("vessels", 0, "tube_law", "beta"), 1e-300, 3, "initial state error: "),
+    (BIFURCATION, ("initial", "default", "P"), 1e300, 3,
+     "aborting: initial state violates node compatibility"),
+    (BIFURCATION, ("initial", "default", "Q"), 1e300, 3,
+     "aborting: initial state violates node compatibility"),
+    (BIFURCATION, ("initial", "default", "Q"), -1e300, 3,
+     "aborting: initial state violates node compatibility"),
+    # the source sum overflows at an end whose foot stayed in the vessel
+    (BIFURCATION, ("vessels", 2, "nu"), 1e300, 3,
+     f"solver failure: vessel 'branch_b' family R: {NOT_FINITE}"),
+    (BIFURCATION, ("vessels", 3, "nu"), 1e300, 3,
+     f"solver failure: vessel 'vein' family L: {NOT_FINITE}"),
+    (SYNTHETIC, SYN + ("g",), 1e308, 3, f"solver failure: vessel 'v' family L: {NOT_FINITE}"),
+    (SYNTHETIC, SYN + ("g",), -1e308, 3, f"solver failure: vessel 'v' family L: {NOT_FINITE}"),
+    (SYNTHETIC, SYN + ("f",), 1e308, 3, f"solver failure: vessel 'v' family L: {NOT_FINITE}"),
+    (SYNTHETIC, SYN + ("f",), -1e308, 3, f"solver failure: vessel 'v' family L: {NOT_FINITE}"),
+    (SYNTHETIC, SYN + ("c",), 1e300, 3, "solver failure: vessel 'v': c^2 + a*b must be positive"),
+    (SYNTHETIC, SYN + ("c",), -1e300, 3, "solver failure: vessel 'v': c^2 + a*b must be positive"),
+], ids=["nu", "C", "R0", "beta", "beta-tiny", "P", "Q", "Q-negative", "nu-branch_b", "nu-vein",
+        "synthetic-g", "synthetic-g-negative", "synthetic-f", "synthetic-f-negative",
+        "synthetic-c", "synthetic-c-negative"])
+def test_cli_overflowing_inputs_end_classified_without_warnings(
+    tmp_path, capsys, config, path, value, code, last
+):
     # numpy overflows on these inputs; under the error filter for
     # RuntimeWarning a warning escaping its source would end the run as
     # an unexpected error instead of the classified failure
-    doc = json.loads(BIFURCATION.read_text())
+    doc = json.loads(config.read_text())
     config = write_json(tmp_path, mutated(doc, path, value))
     argv = ["simulate", config, "--output", str(tmp_path / "o"), "--t-end", "0.002"]
     assert main(argv) == code

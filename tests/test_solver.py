@@ -80,6 +80,28 @@ def test_linear_problem_two_iterations():
     assert hist[1] <= cfg.picard_tol
 
 
+def test_a_non_finite_iterate_never_converges(monkeypatch):
+    # one NaN pressure inside the vessel makes the deviation NaN, which
+    # must fail the tolerance instead of passing as zero change
+    import vesselflow.solver as solver_mod
+    from vesselflow import PicardDivergence
+
+    real = solver_mod.from_riemann
+
+    def poisoned(*args):
+        st = real(*args)
+        st.P[5] = np.nan
+        return st
+
+    monkeypatch.setattr(solver_mod, "from_riemann", poisoned)
+    net = single_net(linear_vessel(n_cells=10))
+    cfg = SimConfig(dt=1e-3, t_end=1.0, picard_max_iters=3)
+    state0, _ = initial_state(net, InitSpec(default=VesselInit()), cfg)
+    with pytest.raises(PicardDivergence) as exc:
+        picard_step(state0, cfg)
+    assert len(exc.value.deviations) == 3 and np.all(np.isnan(exc.value.deviations))
+
+
 def test_t_end_zero_echoes_initial_state():
     v = linear_vessel()
     net = single_net(v)
@@ -835,27 +857,37 @@ BIFURCATION = Path(__file__).resolve().parents[1] / "configs" / "bifurcation.jso
 def test_one_coefficient_evaluation_per_time_level(monkeypatch):
     # each fixed-point iterate is evaluated once, and each accepted level
     # once more: its checks, its probes and the next step's old level
-    # read the level's cached coefficients
+    # read the level's cached coefficients. Each step builds its old
+    # level once and each iterate its new level once.
     import sys
 
+    import vesselflow.characteristics as characteristics
     import vesselflow.compiled as compiled
     from vesselflow.config import load_config
     from vesselflow.output import ListSink
 
     real, calls = compiled.layout_coefficients, []
+    real_level, levels = characteristics.build_level, []
 
     def counted(*args, **kw):
         calls.append(args[1])
         return real(*args, **kw)
 
+    def counted_level(*args):
+        levels.append(args[1])
+        return real_level(*args)
+
     for name, module in list(sys.modules.items()):
         if name.startswith("vesselflow") and getattr(module, "layout_coefficients", None) is real:
             monkeypatch.setattr(module, "layout_coefficients", counted)
+        if name.startswith("vesselflow") and getattr(module, "build_level", None) is real_level:
+            monkeypatch.setattr(module, "build_level", counted_level)
     loaded = load_config(BIFURCATION)
     state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
     report = run(loaded.net, state, loaded.sim, probes=loaded.probes, sink=ListSink())
     assert report.steps == 1000 and not report.extrapolation_retries and not report.dt_adjustments
     assert len(calls) == report.picard_total + report.steps + 1
+    assert len(levels) == report.picard_total + report.steps
 
 
 def test_network_state_arrays_are_read_only():
