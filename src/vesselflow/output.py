@@ -11,7 +11,7 @@ two identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -172,18 +172,12 @@ def emit_probes(sink, net: Network, state, probes, epsilon0: float) -> None:
 
 
 def emit_snapshot(sink, net: Network, state, epsilon0: float) -> None:
-    """Emit the full field of every vessel (all stations, all vessel
-    quantities) at the current time level, from the state's
-    coefficients; a failing point of a physical vessel raises, as in
-    `check_coefficients`."""
-    cn = state.layout
-    check_coefficients(cn, state.P, state.coeffs, epsilon0)
-    A = state.coeffs.A.tolist()
-    P, Q, x = state.P.tolist(), state.Q.tolist(), cn.x.tolist()
-    for vid in sorted(net.vessels):
-        sl = cn.slices[vid]
-        for k in range(sl.start, sl.stop):
-            values = _station_values(P[k], Q[k], A[k])
-            for q in VESSEL_QUANTITIES:
-                rec = ProbeRecord(t=state.t, kind="vessel", id=vid, x=x[k], quantity=q, value=values[q])
-                sink.emit(rec)
+    """Emit the full field of every vessel at the current time level:
+    `emit_probes` over one probe of every vessel quantity at each grid
+    station, vessels in id order, stations in grid order."""
+    probes = [
+        ProbeSpec(VESSEL_QUANTITIES, vessel=vid, x_index=k)
+        for vid in sorted(net.vessels)
+        for k in range(net.vessels[vid].n_cells + 1)
+    ]
+    emit_probes(sink, net, state, probes, epsilon0)

@@ -381,6 +381,20 @@ def _deviation(cn: CompiledNetwork, new: Sequence[np.ndarray], old: Sequence[np.
     return float(np.max(np.concatenate(ratios)))
 
 
+def _non_finite_site(cn: CompiledNetwork, P, Q, P_C1, P_C2) -> str:
+    """Where an iterate first holds a non-finite value: the vessel and
+    local x-index of its first such P or Q point in layout order, else
+    the transitional node of its first such capacitor pressure."""
+    bad = ~(np.isfinite(P) & np.isfinite(Q))
+    if bad.any():
+        k = int(np.argmax(bad))
+        return f" in vessel {cn.vessel_at(k)!r} at x-index {int(cn.local[k])}"
+    bad = ~(np.isfinite(P_C1) & np.isfinite(P_C2))
+    if bad.any():
+        return f" at transitional node {cn.junctions.transitional[int(np.argmax(bad))]!r}"
+    return ""
+
+
 def picard_step(
     state_prev: NetworkState,
     cfg: SimConfig,
@@ -396,9 +410,11 @@ def picard_step(
     level) or, without one, from the previous level, repeatedly freeze
     the coefficients at the iterate, run the linear characteristics
     update on all vessels at once, close every node, and stop when the
-    relative sup deviation between iterates drops below cfg.picard_tol.
-    Returns the converged state, the number of iterations used, and the
-    deviation history. A given report collects the closure residuals.
+    relative sup deviation between iterates drops below cfg.picard_tol;
+    a non-finite iterate raises `PicardDivergence` on the pass that
+    makes it, naming its first non-finite point. Returns the converged
+    state, the number of iterations used, and the deviation history. A
+    given report collects the closure residuals.
     """
     cn = state_prev.layout
     dt = cfg.dt if dt is None else dt
@@ -432,6 +448,12 @@ def picard_step(
 
         dev = _deviation(cn, nxt, cur)
         history.append(dev)
+        if math.isnan(dev):  # a non-finite iterate never passes the tolerance
+            raise PicardDivergence(
+                f"fixed-point iterate is not finite{_non_finite_site(cn, *nxt)} "
+                f"at t = {t_new:.6g} (iteration {iteration}); reduce dt",
+                deviations=history,
+            )
         cur = nxt
         if dev <= cfg.picard_tol:
             return NetworkState(t_new, cn, *cur, P_junc), iteration, history

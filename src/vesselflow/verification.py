@@ -33,7 +33,7 @@ from .constitutive import CoefficientSet, EigenData
 from .errors import SimulationError
 from .junctions import TransitionalState, junction_layout, solve_systems
 from .network import Branching, Network, Transitional
-from .solver import InitSpec, NetworkState, SimConfig, initial_state, run
+from .solver import InitSpec, NetworkState, SimConfig, _sample, initial_state, run
 
 
 # --- constant-coefficient traveling waves --------------------------------
@@ -393,20 +393,17 @@ def perturb_initial_pressure_sine(scenario: Scenario, eps: float, cycles: float 
     base_init = scenario.init
     scale = 1.0
     for vid, v in scenario.net.vessels.items():
-        spec = base_init.for_vessel(vid)
-        x = v.grid
-        P = spec.P(x) if callable(spec.P) else np.broadcast_to(np.asarray(spec.P, float), x.shape)
+        P = _sample(base_init.for_vessel(vid).P, v.grid, f"{vid}.P")
         scale = max(scale, float(np.max(np.abs(P))))
 
-    def perturbed(spec_P):
-        def f(x, _spec=spec_P):
-            P = _spec(x) if callable(_spec) else np.broadcast_to(np.asarray(_spec, float), x.shape)
-            return P + eps * scale * np.sin(2.0 * np.pi * cycles * x)
+    def perturbed(spec_P, what):
+        def f(x):
+            return _sample(spec_P, x, what) + eps * scale * np.sin(2.0 * np.pi * cycles * x)
 
         return f
 
     per_vessel = {}
     for vid in scenario.net.vessels:
         spec = base_init.for_vessel(vid)
-        per_vessel[vid] = replace(spec, P=perturbed(spec.P))
+        per_vessel[vid] = replace(spec, P=perturbed(spec.P, f"{vid}.P"))
     return replace(scenario, init=InitSpec(default=None, per_vessel=per_vessel))

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .compiled import layout_coefficients
 from .constitutive import CoefficientSet, PrimitiveState, coefficients, eigen
 from .junctions import condition_estimates
 from .network import Network
@@ -186,33 +187,34 @@ def check_state(
     """Evaluate every solvability condition on a network state, on the
     compiled layout it holds.
 
-    Full sweeps check a > 0, the area floor, and hyperbolicity at every
-    grid node plus the endpoint split at both ends of each vessel, and
-    build every junction system once, from the coefficients at its
-    vessel ends, to record its condition estimate.
-    With endpoints_only=True only the (cheap) per-end checks run.
-    All vessels are evaluated together, from `state.coeffs`, into the
-    report's arrays over the layout's vessels; a vessel with an
-    unevaluable point reports no condition rows.
+    Both sweeps take one segment minimum per vessel of a > 0, the area
+    floor, hyperbolicity and the endpoint split `a*b`, from
+    `state.coeffs`, into the report's arrays over the layout's vessels.
+    A full sweep runs over every grid point, with the split read at the
+    two vessel ends only (+inf elsewhere), and builds every junction
+    system once, from the coefficients at its vessel ends, to record its
+    condition estimate. With endpoints_only=True it runs over the two
+    ends of each vessel only. A vessel with an unevaluable point reports
+    no condition rows.
     """
     cn, cs = state.layout, state.coeffs
     K = len(cn.vessel_ids)
-    a, b, c, A = (v[cn.ends] if endpoints_only else v for v in (cs.a, cs.b, cs.c, cs.A))
+    if endpoints_only:
+        # the two ends of each vessel, interleaved
+        pts, starts, counts, local = cn.ends, cn.pair_starts, 2, cn.ends_local
+    else:
+        pts, starts, counts, local = slice(None), cn.first, cn.counts, cn.local
+    a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
     ab = a * b
     with np.errstate(over="ignore"):  # eigen classifies an overflow
         disc = c**2 + ab
     if endpoints_only:
-        # the two ends of each vessel, interleaved: all four conditions
-        # share the segments
-        starts, local = cn.pair_starts, cn.ends_local
-        worst, first = _segment_min(np.stack((a, A, disc, ab)), starts, 2)
-        x_index = local[first]
+        split = ab
     else:
-        starts, local = cn.first, cn.local
-        worst, first = _segment_min(np.stack((a, A, disc)), starts, cn.counts)
-        end_worst, end_first = _segment_min(ab[cn.ends], cn.pair_starts, 2)
-        worst = np.concatenate((worst, end_worst[None]))
-        x_index = np.concatenate((local[first], cn.ends_local[end_first][None]))
+        split = np.full(ab.size, np.inf)
+        split[cn.ends] = ab[cn.ends]
+    worst, first = _segment_min(np.stack((a, A, disc, split)), starts, counts)
+    x_index = local[first]
     margin = worst.copy()
     margin[1] -= cfg.epsilon0
 
@@ -242,19 +244,16 @@ def check_state(
 def _junction_estimates(state, cfg):
     """Condition estimates of every junction system, in node id order,
     built from the endpoint coefficients the first closure of the next
-    step starts from: (x_end, t + dt, P, Q); only synthetic coefficients
-    depend on t, so only their ends are evaluated again."""
-    cn, P, Q, pts, cs = state.layout, state.P, state.Q, state.layout.ends, state.coeffs
-    a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
-    k0 = len(cn.vessel_ids) - len(cn.fills)
-    for k, vessel in enumerate(cn.fills, start=k0):
-        if vessel.synthetic is None:
-            continue
-        at = slice(2 * k, 2 * k + 2)
-        p = pts[at]
-        seg = coefficients(vessel, cn.x[p], state.t + cfg.dt, PrimitiveState(P[p], Q[p]))
-        a[at], b[at], c[at], A[at] = seg.a, seg.b, seg.c, seg.A
-    eig = eigen(CoefficientSet(a, b, c, 0.0, 0.0, A))
+    step starts from, at (x_end, t + dt, P, Q): `state.coeffs`, or, on a
+    layout with a synthetic vessel (the only coefficients that depend on
+    t), one `layout_coefficients` evaluation at t + dt."""
+    cn, pts = state.layout, state.layout.ends
+    if any(v.synthetic is not None for v in cn.fills):
+        cs = layout_coefficients(cn, state.t + cfg.dt, state.P, state.Q)
+    else:
+        cs = state.coeffs
+    a, A = cs.a[pts], cs.A[pts]
+    eig = eigen(CoefficientSet(a, cs.b[pts], cs.c[pts], 0.0, 0.0, A))
     lam = np.where(cn.end_x1, eig.lambda_L, eig.lambda_R)
     layout = cn.junctions
     zeros = np.zeros(pts.size)  # the right-hand sides are not needed

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vesselflow import (
@@ -422,6 +423,17 @@ def test_cli_writes_the_initial_state_as_a_snapshot_at_t_0(tmp_path, capsys):
         for name in ("P", "Q"):
             got = [float(row[5]) for row in rows if row[2] == vid and row[4] == name]
             assert got == getattr(field, name).tolist()
+    # one row per vessel quantity at each station: vessels in id order,
+    # then stations, then P, Q, A, R, V
+    assert len(state0.fields) > 1
+    expected = []
+    for vid, field in state0.fields.items():
+        A = state0.coeffs.A[state0.layout.slices[vid]]
+        for x, P, Q, a in zip(loaded.net.vessels[vid].grid, field.P, field.Q, A):
+            R, V = np.sqrt(a / np.pi), Q / a
+            expected += [("vessel", vid, x, name, value) for name, value in zip("PQARV", (P, Q, a, R, V))]
+    got = [(row[1], row[2], float(row[3]), row[4], float(row[5])) for row in rows]
+    assert got == expected
 
 
 def test_cli_reports_an_output_directory_that_cannot_be_made(tmp_path, capsys):

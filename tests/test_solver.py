@@ -1,6 +1,7 @@
 """Driver tests: fixed-point stepping, time loop, initial state."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,35 @@ def test_a_non_finite_iterate_never_converges(monkeypatch):
     state0, _ = initial_state(net, InitSpec(default=VesselInit()), cfg)
     with pytest.raises(PicardDivergence) as exc:
         picard_step(state0, cfg)
-    assert len(exc.value.deviations) == 3 and np.all(np.isnan(exc.value.deviations))
+    assert len(exc.value.deviations) == 1 and np.all(np.isnan(exc.value.deviations))
+
+
+def test_a_non_finite_iterate_fails_on_its_first_pass(monkeypatch):
+    # g = 1e308 inside the vessel overflows the source sum; the first
+    # NaN deviation ends each step, so the run fails after one pass per
+    # dt halving and names the first non-finite point
+    import vesselflow.solver as solver_mod
+    from vesselflow import SimulationError
+
+    passes = []
+    real = solver_mod._deviation
+
+    def counted(*args):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver_mod, "_deviation", counted)
+    g = lambda x, t: np.where((x > 0.3) & (x < 0.7), 1e308, 0.0)  # noqa: E731
+    net = single_net(linear_vessel(n_cells=20, g=g))
+    cfg = SimConfig(dt=1e-3, t_end=0.01)
+    state0, _ = initial_state(net, InitSpec(default=VesselInit()), cfg)
+    with pytest.raises(SimulationError, match=r"after 10 dt halvings") as exc:
+        run(net, state0, cfg)
+    assert len(passes) == 11
+    assert "vessel 'v'" in str(exc.value)
+    # the first non-finite point lies where g overflows, 0.3 < x < 0.7
+    at = re.search(r"x-index (\d+)", str(exc.value))
+    assert at and 0.3 < net.vessels["v"].grid[int(at.group(1))] < 0.7
 
 
 def test_t_end_zero_echoes_initial_state():
