@@ -35,7 +35,7 @@ import numpy as np
 
 from .compiled import CompiledNetwork, check_coefficients, layout_coefficients
 from .constitutive import CoefficientSet, EigenData, eigen
-from .errors import CFLViolation, HyperbolicityViolation
+from .errors import CFLViolation, HyperbolicityViolation, SimulationError, WellPosednessFailure
 
 
 @dataclass
@@ -228,20 +228,18 @@ class EndpointRow:
     kP: np.ndarray
     kQ: np.ndarray
 
-    def value(self, P, Q):
-        return self.known + self.kP * P + self.kQ * Q
-
 
 @dataclass
 class InteriorUpdate:
     """New-level characteristic fields (r, s) as a (2, N) stack in
-    layout order; NaN entries are unresolved feet (they exited the
-    vessel) awaiting a node closure, which reads `ends`. `inside` marks,
-    in the same stack, the feet that stayed inside their vessel."""
+    layout order. NaN entries are unresolved feet (they exited the
+    vessel). rs holds no resolved value at a vessel end: it is NaN there
+    wherever either family's foot left the vessel, and the node
+    closures, which overwrite every end, read the resolved value from
+    `ends`."""
 
     rs: np.ndarray
     ends: EndpointRow
-    inside: np.ndarray
 
 
 def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
@@ -254,6 +252,12 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     at interior nodes. Nodes whose foot leaves the vessel stay
     unresolved for the node closures, which receive the resolved
     family's value split as known part + endpoint-state coupling.
+
+    After the Courant and stiffness guards, a resolved value at a vessel
+    end that is not finite raises: `SimulationError` naming the vessel
+    and family where the foot stayed inside the vessel (the source sum
+    overflowed), else the endpoint-split `WellPosednessFailure` naming
+    the vessel and end (the foot left the vessel).
     """
     layout = frozen.layout
     old, new = frozen.old, frozen.new
@@ -287,9 +291,21 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
         rs = np.array((d_s * known[0] + ks[0] * known[1], kr[1] * known[0] + d_r * known[1])) / det
 
     # endpoint nodes: the companion family usually exited there, so the
-    # 2x2 entries are not usable. Hand the exact split to the closures,
-    # and evaluate the coupling at the frozen iterate for the fields.
+    # 2x2 entries are not usable. Hand the exact split to the closures.
     at = layout.ends + layout.size * ~layout.end_x1  # s at x=0, r at x=1
     ends = EndpointRow(known.take(at), half_dt * frozen.g_P.take(at), half_dt * frozen.g_Q.take(at))
-    rs.put(at, ends.value(new.P[layout.ends], new.Q[layout.ends]))
-    return InteriorUpdate(rs=rs, ends=ends, inside=inside)
+    unresolved = ~np.isfinite(ends.known)
+    if np.any(unresolved):
+        # a foot inside the vessel resolved a value that then overflowed
+        overflowed = unresolved & inside.take(at)
+        if np.any(overflowed):
+            e = int(np.argmax(overflowed))
+            raise SimulationError(f"vessel {layout.vessel_ids[e // 2]!r} family {'LR'[e % 2]}: "
+                                  "characteristic value is not finite")
+        e = int(np.argmax(unresolved))
+        raise WellPosednessFailure(
+            f"vessel {layout.vessel_ids[e // 2]!r} end x{e % 2}: the interior-determined "
+            "characteristic left the domain; endpoint split condition violated",
+            t=new.t,
+        )
+    return InteriorUpdate(rs=rs, ends=ends)

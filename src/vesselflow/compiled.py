@@ -186,12 +186,14 @@ def layout_coefficients(cn: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndar
     `coefficients` call per tabulated or synthetic segment. Unevaluable
     points come back as NaN; `check_coefficients` raises for them."""
     n = cn.n_power
-    cs = power_law_coefficients(cn.power, P[:n], Q[:n])
     if not cn.fills:
+        cs = power_law_coefficients(cn.power, P, Q)
         return CoefficientSet(cs.a, cs.b, cs.c, cn.zeros, cs.g, cs.A)
     out = {name: np.empty(P.size) for name in _FIELDS}
-    for name in _FIELDS:
-        out[name][:n] = getattr(cs, name)
+    if n:  # a layout without power-law vessels skips the empty prefix
+        cs = power_law_coefficients(cn.power, P[:n], Q[:n])
+        for name in _FIELDS:
+            out[name][:n] = getattr(cs, name)
     for vessel in cn.fills:
         at = cn.slices[vessel.id]
         seg = coefficients(vessel, cn.x[at], t, PrimitiveState(P[at], Q[at]))

@@ -15,8 +15,9 @@ Characteristic speeds are lambda_R = c + u and lambda_L = c - u with
 u = sqrt(c^2 + a b); the characteristic variables are
 r = -lambda_L P + a Q and s = -lambda_R P + a Q.
 
-All operations are pure and accept either scalars or aligned numpy
-arrays in the state/position arguments.
+All operations are pure and take aligned numpy arrays in the
+state/position arguments; scalar inputs take the same array path and
+give 0-d results (a NumPy scalar or a 0-d array) of the same value.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ def _tabulated(law: TabulatedLaw, x, R, curves):
     return (1.0 - w) * lo + w * hi
 
 
-def _scalar_or_array(out):
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
-
-
 def pressure_from_radius(law: TubeLaw, x, R):
     """Evaluate the tube law P(x, R). Strictly increasing in R."""
     if isinstance(law, PowerLaw):
@@ -98,19 +94,19 @@ def pressure_from_radius(law: TubeLaw, x, R):
         if np.any(R <= 0):
             raise TubeLawError("radius must be positive")
         # expm1/log1p form avoids cancellation near R = R0
-        return _scalar_or_array(law.C * np.expm1(law.beta * np.log(R / law.R0)))
+        return law.C * np.expm1(law.beta * np.log(R / law.R0))
     if isinstance(law, TabulatedLaw):
         R_arr = np.asarray(R, dtype=float)
         if np.any(R_arr < law.radii[0]) or np.any(R_arr > law.radii[-1]):
             raise TubeLawError(
                 f"radius outside tabulated range [{law.radii[0]}, {law.radii[-1]}]"
             )
-        return _scalar_or_array(_tabulated(law, x, R_arr, law._interp))
+        return _tabulated(law, x, R_arr, law._interp)
     raise TypeError(f"not a tube law: {law!r}")
 
 
 def _dP_dR(law: TabulatedLaw, x, R):
-    return _scalar_or_array(_tabulated(law, x, R, law._dinterp))
+    return _tabulated(law, x, R, law._dinterp)
 
 
 def radius_from_pressure(law: TubeLaw, x, P):
@@ -125,12 +121,12 @@ def radius_from_pressure(law: TubeLaw, x, P):
         P = np.asarray(P, dtype=float)
         if np.any(P / law.C <= -1.0):
             raise TubeLawError(f"pressure below power-law range (need P > {-law.C})")
-        return _scalar_or_array(law.R0 * np.exp(np.log1p(P / law.C) / law.beta))
+        return law.R0 * np.exp(np.log1p(P / law.C) / law.beta)
     if isinstance(law, TabulatedLaw):
         R = _invert_tabulated(law, x, P)
         if np.any(np.isnan(R)):
             raise TubeLawError("pressure outside tabulated range")
-        return _scalar_or_array(R)
+        return R
     raise TypeError(f"not a tube law: {law!r}")
 
 
@@ -171,7 +167,7 @@ def _dA_dx_fixed_P(law: TabulatedLaw, x, P):
     finite differences across stations, zero for a single station; NaN
     where P lies outside the table at a station of the difference."""
     if law.x_stations.size == 1:
-        return np.zeros_like(np.asarray(P, dtype=float)) if np.ndim(P) else 0.0
+        return np.zeros_like(np.asarray(P, dtype=float))
     xs = law.x_stations
     x, P = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(P, dtype=float))
     i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
@@ -180,7 +176,7 @@ def _dA_dx_fixed_P(law: TabulatedLaw, x, P):
     x_hi = xs[i + 1]
     R_lo = _invert_tabulated(law, x_lo, P)
     R_hi = _invert_tabulated(law, x_hi, P)
-    return _scalar_or_array(np.pi * (R_hi**2 - R_lo**2) / (x_hi - x_lo))
+    return np.pi * (R_hi**2 - R_lo**2) / (x_hi - x_lo)
 
 
 # --- coefficient mapping ------------------------------------------------
@@ -188,11 +184,8 @@ def _dA_dx_fixed_P(law: TabulatedLaw, x, P):
 
 def _eval_synthetic(spec, x, t):
     if callable(spec):
-        out = np.asarray(spec(x, t), dtype=float)
-        return np.broadcast_to(out, np.shape(x)).astype(float) if np.ndim(x) else float(out)
-    if np.ndim(x):
-        return np.full(np.shape(x), float(spec))
-    return float(spec)
+        return np.broadcast_to(np.asarray(spec(x, t), dtype=float), np.shape(x)).astype(float)
+    return np.full(np.shape(x), float(spec))
 
 
 @dataclass(frozen=True)
@@ -275,20 +268,18 @@ def coefficients(vessel: Vessel, x, t: float, state: PrimitiveState) -> Coeffici
     `compiled.check_coefficients`). Synthetic coefficients are returned
     as given.
 
-    x and the state fields may be aligned arrays; scalars in give
-    scalars out.
+    x and the state fields may be aligned arrays; scalar inputs give
+    0-d results (a NumPy scalar or a 0-d array) of the same value.
     """
     syn = vessel.synthetic
     if syn is not None:
-        shape = np.shape(x)
-        A = np.full(shape, syn.area) if shape else syn.area
         return CoefficientSet(
             a=_eval_synthetic(syn.a, x, t),
             b=_eval_synthetic(syn.b, x, t),
             c=_eval_synthetic(syn.c, x, t),
             f=_eval_synthetic(syn.f, x, t),
             g=_eval_synthetic(syn.g, x, t),
-            A=A,
+            A=np.full(np.shape(x), syn.area),
         )
 
     law = vessel.tube_law
@@ -311,8 +302,6 @@ def coefficients(vessel: Vessel, x, t: float, state: PrimitiveState) -> Coeffici
             g = alpha * Q**2 / A**2 * dAdx - (
                 4.0 * np.pi * vessel.nu * alpha / (alpha - 1.0)
             ) * Q / A
-    if P.ndim == 0 and np.ndim(x) == 0:
-        return CoefficientSet(float(a), float(b), float(c), 0.0, float(g), float(A))
     return CoefficientSet(a, b, c, np.zeros_like(a), g, A)
 
 

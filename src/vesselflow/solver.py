@@ -231,15 +231,8 @@ class SimReport:
         """Median of the per-step iteration counts (as numpy.median)."""
         if not self.steps:
             return float("nan")
-
-        def at(rank):
-            seen = 0
-            for iters in sorted(self.iteration_histogram):
-                seen += self.iteration_histogram[iters]
-                if rank < seen:
-                    return iters
-
-        return 0.5 * (at((self.steps - 1) // 2) + at(self.steps // 2))
+        hist = self.iteration_histogram
+        return float(np.median(np.repeat(list(hist), list(hist.values()))))
 
 
 # --- initial state -------------------------------------------------------
@@ -442,7 +435,7 @@ def picard_step(
         with np.errstate(invalid="ignore"):
             st = from_riemann(frozen.new.coeffs, frozen.new.eig, RiemannPair(*upd.rs))
         nxt = (st.P, st.Q, np.empty_like(cur[2]), np.empty_like(cur[3]))
-        residual = _close_nodes(cn, frozen, upd, boundary, systems, t_new, *nxt, P_junc)
+        residual = _close_nodes(cn, frozen, upd, boundary, systems, *nxt, P_junc)
         if report is not None:
             report.worst_closure_residual = max(report.worst_closure_residual, residual)
 
@@ -466,15 +459,16 @@ def picard_step(
 
 
 def _close_nodes(
-    cn: CompiledNetwork, frozen, upd, boundary, systems, t_new, P, Q, P_C1, P_C2, P_junc,
+    cn: CompiledNetwork, frozen, upd, boundary, systems, P, Q, P_C1, P_C2, P_junc,
 ) -> float:
     """Close every node at the new time level, writing the endpoint
     states into the flat P and Q, the capacitor pressures into P_C1 and
     P_C2 and the junction pressures into P_junc.
 
-    The resolved characteristic value at each end carries a linear
-    coupling to the endpoint state (from the new-level source term of
-    the trapezoidal rule); each closure folds it into its characteristic
+    The resolved characteristic value at each end (finite:
+    `interior_update` raises for any other) carries a linear coupling
+    to the endpoint state (from the new-level source term of the
+    trapezoidal rule); each closure folds it into its characteristic
     row cp P + cq Q = char, so one solve satisfies the closure and the
     coupling exactly. The external ends of each kind are solved in
     closed form, elementwise; the junction nodes of each kind and size
@@ -483,20 +477,6 @@ def _close_nodes(
     Returns the largest junction residual over its gate scale.
     """
     points, char = cn.ends, upd.ends.known
-    if not np.all(np.isfinite(char)):
-        unresolved = ~np.isfinite(char)
-        # a foot inside the vessel resolved a value that then overflowed
-        overflowed = unresolved & upd.inside.take(points + cn.size * ~cn.end_x1)
-        if np.any(overflowed):
-            e = int(np.argmax(overflowed))
-            raise SimulationError(f"vessel {cn.vessel_ids[e // 2]!r} family {'LR'[e % 2]}: "
-                                  "characteristic value is not finite")
-        e = int(np.argmax(unresolved))
-        raise WellPosednessFailure(
-            f"vessel {cn.vessel_ids[e // 2]!r} end x{e % 2}: the interior-determined "
-            "characteristic left the domain; endpoint split condition violated",
-            t=t_new,
-        )
     cs, eig = frozen.new.coeffs, frozen.new.eig
     lam = np.where(cn.end_x1, eig.lambda_L[points], eig.lambda_R[points])
     a = cs.a[points]

@@ -37,6 +37,14 @@ def frozen_for(vessel, P0, Q0, dt, P1=None, Q1=None, t0=0.0):
     return freeze(layout_of(vessel), t0, P0, Q0, t0 + dt, P1, Q1)
 
 
+def end_values(frozen, upd):
+    """The resolved characteristic value at every vessel end (s at x=0,
+    r at x=1, in `layout.ends` order), its coupling evaluated at the
+    frozen iterate."""
+    ends = frozen.layout.ends
+    return upd.ends.known + upd.ends.kP * frozen.new.P[ends] + upd.ends.kQ * frozen.new.Q[ends]
+
+
 def feet(frozen, cfl_max=0.9):
     """Foot positions x of the characteristics through every grid node,
     row 0 the right-going family and row 1 the left-going one."""
@@ -285,8 +293,8 @@ def test_interior_zero_state_fixed():
     z = np.zeros(21)
     fr = frozen_for(v, z, z, dt=0.01)
     upd = interior_update(fr)
-    assert np.all(upd.rs[0, 1:] == 0.0)
-    assert np.all(upd.rs[1, :-1] == 0.0)
+    assert np.all(upd.rs[:, 1:-1] == 0.0)
+    assert np.all(end_values(fr, upd) == 0.0)
 
 
 def test_interior_pure_source_integration():
@@ -296,8 +304,8 @@ def test_interior_pure_source_integration():
     dt = 0.01
     fr = frozen_for(v, z, z, dt)
     upd = interior_update(fr)
-    assert np.allclose(upd.rs[0, 1:], dt, rtol=0, atol=0)
-    assert np.allclose(upd.rs[1, :-1], dt, rtol=0, atol=0)
+    assert np.allclose(upd.rs[:, 1:-1], dt, rtol=0, atol=0)
+    assert np.allclose(end_values(fr, upd), dt, rtol=0, atol=0)
 
 
 def test_exactness_on_constants_bit_for_bit():
@@ -308,8 +316,9 @@ def test_exactness_on_constants_bit_for_bit():
     upd = interior_update(fr)
     r0 = float(fr.old.rs[0, 0])
     s0 = float(fr.old.rs[1, 0])
-    assert np.all(upd.rs[0, 1:] == r0)
-    assert np.all(upd.rs[1, :-1] == s0)
+    assert np.all(upd.rs[0, 1:-1] == r0)
+    assert np.all(upd.rs[1, 1:-1] == s0)
+    assert np.array_equal(end_values(fr, upd), [s0, r0])  # s at x=0, r at x=1
 
 
 def test_one_step_convergence_order():
@@ -364,14 +373,16 @@ def test_segments_are_isolated_in_the_compiled_kernel():
         fr = freeze(layout, 0.0, P0, Q0, dt, P1, Q1)
         upd = interior_update(fr)
         out = (*upd.rs, *_trace(fr, 0.9))  # r, s and the feet of both families
-        return {vid: [arr[layout.slices[vid]] for arr in out] for vid in layout.vessel_ids}
+        ends = end_values(fr, upd)
+        return {vid: [arr[layout.slices[vid]] for arr in out] + [ends[2 * k : 2 * k + 2]]
+                for k, vid in enumerate(layout.vessel_ids)}
 
     together = advance(layout_of(*vessels))
     for v in vessels:
         alone = advance(layout_of(v))[v.id]
         for got, want in zip(together[v.id], alone):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, equal_nan=True)
-        assert np.isfinite(together[v.id][0][-1]) and np.isfinite(together[v.id][1][0])
+        assert np.all(np.isfinite(together[v.id][-1]))  # s at x=0, r at x=1
 
 
 def mixed_layout():
@@ -414,6 +425,27 @@ def test_layout_coefficients_equal_per_vessel_coefficients():
             assert np.broadcast_to(getattr(want, name), got.shape).tobytes() == got.tobytes()
             at_ends = np.broadcast_to(getattr(want, name), got.shape)[[0, -1]]
             assert getattr(every, name)[layout.ends[2 * k : 2 * k + 2]].tobytes() == at_ends.tobytes()
+
+
+def test_layout_coefficients_skip_an_empty_power_prefix(monkeypatch):
+    import vesselflow.compiled as compiled_mod
+    from vesselflow.constitutive import coefficients
+
+    def refuse(*args):
+        raise AssertionError("power_law_coefficients called without a power-law vessel")
+
+    monkeypatch.setattr(compiled_mod, "power_law_coefficients", refuse)
+    vessels = (synthetic_vessel(6, c=0.2, vid="s1"),
+               synthetic_vessel(9, a=2.0, g=lambda x, t: x * t, vid="s2"))
+    layout = layout_of(*vessels)
+    assert layout.n_power == 0
+    P, Q = np.linspace(0.0, 1.0, layout.size), np.linspace(0.5, -0.5, layout.size)
+    every = compiled_mod.layout_coefficients(layout, 0.3, P, Q)
+    for v in vessels:
+        sl = layout.slices[v.id]
+        want = coefficients(v, v.grid, 0.3, PrimitiveState(P[sl], Q[sl]))
+        for name in ("a", "b", "c", "f", "g", "A"):
+            assert getattr(every, name)[sl].tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("vid, point, value, error", [

@@ -9,6 +9,7 @@ from vesselflow import (
     HyperbolicityViolation,
     PowerLaw,
     PrimitiveState,
+    SyntheticCoefficients,
     TabulatedLaw,
     TubeLawError,
     Vessel,
@@ -314,6 +315,38 @@ def test_tabulated_station_weights_per_point():
     # and agrees with scalar evaluation point by point
     for x, p in zip((0.0, 1.0, 0.5), out):
         assert pressure_from_radius(law, x, 2e-3) == p
+
+    # a scalar call takes the array path: its 0-d result equals the
+    # matching element of the array call bit for bit, for every kind of
+    # vessel and for the inverse law
+    def same_bits(scalar, element):
+        return np.ndim(scalar) == 0 and np.asarray(scalar, dtype=float).tobytes() == element.tobytes()
+
+    def synthetic(**given):
+        return Vessel(id="s", n_cells=10, x0_node="a", x1_node="b",
+                      synthetic=SyntheticCoefficients(**given))
+
+    vessels = {
+        "power": make_vessel(),
+        "tabulated, one station": make_vessel(law=tab_law()),
+        "tabulated, two stations": make_vessel(law=law),
+        "synthetic, constant": synthetic(a=2.0, b=1.5, c=0.2, f=0.1, g=0.5, area=2e-6),
+        "synthetic, callable": synthetic(
+            a=lambda x, t: 2.0 + x, b=lambda x, t: 1.0 + x + t, c=lambda x, t: 0.2 * x,
+            f=lambda x, t: x * t, g=lambda x, t: np.sin(x + t)),
+    }
+    x = np.array([0.0, 0.3, 0.5, 1.0])
+    P = np.array([1000.0, 3000.0, 5000.0, 7000.0])
+    Q = np.array([1e-7, -2e-7, 3e-7, 0.0])
+    for kind, v in vessels.items():
+        cs = coefficients(v, x, 0.25, PrimitiveState(P, Q))
+        R = None if v.synthetic else radius_from_pressure(v.tube_law, x, P)
+        for k, (xk, Pk, Qk) in enumerate(zip(x.tolist(), P.tolist(), Q.tolist())):
+            one = coefficients(v, xk, 0.25, PrimitiveState(Pk, Qk))
+            for name in ("a", "b", "c", "f", "g", "A"):
+                assert same_bits(getattr(one, name), getattr(cs, name)[k]), (kind, name, k)
+            if R is not None:
+                assert same_bits(radius_from_pressure(v.tube_law, xk, Pk), R[k]), (kind, k)
 
 
 def test_tabulated_inverse_and_area_gradient_on_arrays():

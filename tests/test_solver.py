@@ -213,6 +213,71 @@ def test_branching_compatibility_residual():
     assert any("pressure continuity" in d.message for d in diags)
 
 
+def test_median_iterations_is_the_median_of_the_histogram():
+    from vesselflow.solver import SimReport
+
+    report = SimReport()
+    assert np.isnan(report.median_iterations())  # no steps, and no empty-slice warning
+    for iters in (3, 1, 3, 2):
+        report.record_step(iters, [])
+    assert report.median_iterations() == 2.5 == np.median([3, 1, 3, 2])
+    report.record_step(1, [])
+    assert report.median_iterations() == 2.0
+
+
+def joined_net(node):
+    """Synthetic vessels 'a' (in -> node) and 'v' (node -> out) joined
+    at a branching or transitional node, zero pressure at both outer ends."""
+    return Network(
+        vessels={
+            "a": Vessel(id="a", n_cells=8, x0_node="in", x1_node=node.id,
+                        synthetic=SyntheticCoefficients()),
+            "v": Vessel(id="v", n_cells=8, x0_node=node.id, x1_node="out",
+                        synthetic=SyntheticCoefficients()),
+        },
+        nodes={
+            "in": ExternalPressure("in", ConstantSignal(0.0)),
+            node.id: node,
+            "out": ExternalPressure("out", ConstantSignal(0.0)),
+        },
+    )
+
+
+def compatibility_cases():
+    from vesselflow import TransAttachment, Transitional
+
+    fork = joined_net(Branching("j", (BranchAttachment("a", "x1", 1e-3),
+                                      BranchAttachment("v", "x0", 1e-3))))
+    bed = joined_net(Transitional("t", arteries=(TransAttachment("a", 10.0),),
+                                  veins=(TransAttachment("v", 10.0),), R_C=1e3, C1=1e-3, C2=1e-3))
+    inflow = single_net(linear_vessel(n_cells=8), inlet=ExternalFlow("in", ConstantSignal(0.0)))
+
+    def init(Q_a, Q_v=0.0):
+        return InitSpec(per_vessel={"a": VesselInit(Q=Q_a), "v": VesselInit(Q=Q_v)})
+
+    # each initial state breaks one compatibility relation and no other;
+    # a relative residual of 1e-2 or more is an error, of 1e-6 or more a warning
+    return [
+        (fork, init(1.0), "error", "j", "initial flow balance residual 1.000e+00"),
+        (fork, init(1e-4), "warning", "j", "initial flow balance residual 1.000e-04"),
+        # artery: R Q = P - P_C1 at x=1, with P_C1 seeded from the artery's P
+        (bed, init(0.5), "error", "t", "initial artery a resistive relation residual 5.000e+00"),
+        # vein: R Q = P_C2 - P at x=0
+        (bed, init(0.0, 1e-5), "warning", "t", "initial vein v resistive relation residual 1.000e-04"),
+        (inflow, InitSpec(default=VesselInit(Q=0.02)), "error", "in",
+         "initial boundary flow residual 2.000e-02"),
+    ]
+
+
+@pytest.mark.parametrize("net, init, severity, subject, message", compatibility_cases(),
+                         ids=["flow-balance", "flow-balance-warning", "artery-resistive",
+                              "vein-resistive-warning", "boundary-flow"])
+def test_initial_state_reports_each_compatibility_residual(net, init, severity, subject, message):
+    _, diags = initial_state(net, init, SimConfig(dt=1e-3, t_end=1.0))
+    assert [(d.severity, d.subject) for d in diags] == [(severity, subject)]
+    assert diags[0].message == message
+
+
 def test_run_aborts_on_endpoint_condition():
     v = linear_vessel(a=1.0, b=-0.5, c=1.0)  # hyperbolic interior, ab < 0
     net = single_net(v)
