@@ -14,11 +14,12 @@ solvability checks on the configured cadence, emits probe records, and
 adapts dt (halve, retry, restore) when a step fails on the Courant
 bound or fails to converge. It starts each fixed-point loop from a
 polynomial extrapolation in time through the last accepted levels that
-share the step's dt: constant from one level, linear from two,
-quadratic from three. Any dt change restarts that history from the
-current level, and a step that fails from an extrapolated start is
-retried once from the constant start before dt is halved, so the start
-decides how many iterations a step takes, never whether it succeeds.
+share the step's dt: constant from one level, up to quartic from five.
+Any dt change restarts that history from the current level (a last step
+short of dt only by the rounding of t is no change), and a step that
+fails from an extrapolated start is retried once from the constant
+start before dt is halved, so the start decides how many iterations a
+step takes, never whether it succeeds.
 
 A `NetworkState` holds a time level as flat arrays in the layout order
 of its compiled network, so levels pass between the kernels, the
@@ -186,7 +187,7 @@ class SimReport:
     non_contracting_pairs: int = 0
     worst_contraction_ratio: float = 0.0
     dt_adjustments: int = 0
-    # accepted steps started from a linear or quadratic extrapolation, and
+    # accepted steps started from a linear to quartic extrapolation, and
     # steps whose extrapolated start failed and were retried from the
     # previous level
     extrapolated_steps: int = 0
@@ -521,22 +522,28 @@ def _close_nodes(
 
 
 _EXTRAPOLATED = ("P", "Q", "P_C1", "P_C2")
+# accepted levels kept for the extrapolated start: up to quartic
+_LEVELS = 5
 
 
 def _extrapolate(levels: Sequence[NetworkState]) -> NetworkState | None:
-    """First iterate of the next level (its P, Q, P_C1 and P_C2) from
-    the last accepted levels at equal spacing, oldest first: None (start
-    from the last level) for one level, linear 2 X1 - X0 for two,
-    quadratic 3 X2 - 3 X1 + X0 for three."""
-    if len(levels) == 2:
-        x0, x1 = levels
-        return replace(x1, **{k: 2.0 * getattr(x1, k) - getattr(x0, k) for k in _EXTRAPOLATED})
-    if len(levels) == 3:
-        x0, x1, x2 = levels
-        return replace(x2, **{
-            k: 3.0 * (getattr(x2, k) - getattr(x1, k)) + getattr(x0, k) for k in _EXTRAPOLATED
-        })
-    return None
+    """First iterate of the next level (its P, Q, P_C1 and P_C2): the
+    polynomial of degree n - 1 through the last n accepted levels at
+    equal spacing, oldest first, in backward differences
+    X_n + dX_n + d^2 X_n + ... + d^(n-1) X_n; None (start from the last
+    level) for one level. Constant levels return the last level's values
+    exactly."""
+    if len(levels) < 2:
+        return None
+    start = {}
+    for k in _EXTRAPOLATED:
+        diffs = [getattr(level, k) for level in levels]
+        value = diffs[-1]
+        while len(diffs) > 1:
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            value = value + diffs[-1]
+        start[k] = value
+    return replace(levels[-1], **start)
 
 
 def run(
@@ -590,7 +597,8 @@ def run(
     levels, spacing = [state], None
     while state.t < cfg.t_end - tiny:
         dt_step = min(cur_dt, cfg.t_end - state.t)
-        if dt_step != spacing:
+        # a last step short of dt only by the rounding of t keeps the history
+        if spacing is None or abs(dt_step - spacing) > tiny:
             levels, spacing = levels[-1:], dt_step
         start = _extrapolate(levels)
         try:
@@ -619,7 +627,7 @@ def run(
         state = state_new
         report.record_step(iters, hist)
         report.extrapolated_steps += start is not None
-        levels = levels[-2:] + [state]
+        levels = levels[1 - _LEVELS :] + [state]
 
         if depth:
             clean_streak += 1

@@ -796,10 +796,11 @@ def test_extrapolated_start_cuts_iterations(monkeypatch):
     constant = constant_start_run(monkeypatch, net, init, cfg)
     assert shipped.steps == constant.steps == 1000
     assert shipped.dt_adjustments == constant.dt_adjustments == 0
-    assert shipped.picard_total <= 0.75 * constant.picard_total
-    assert shipped.picard_total <= 2.6 * shipped.steps
-    # every step but the first (one level) and the last, shorter one
-    assert shipped.extrapolated_steps == shipped.steps - 2
+    assert shipped.picard_total <= 0.45 * constant.picard_total
+    assert shipped.picard_total <= 1.6 * shipped.steps
+    # every step but the first (one level): the last step is short of dt
+    # only by the rounding of t, so it keeps the history
+    assert shipped.extrapolated_steps == shipped.steps - 1
     assert shipped.extrapolation_retries == 0
     assert constant.extrapolated_steps == constant.extrapolation_retries == 0
     assert shipped.non_contracting_pairs == 0 and shipped.median_iterations() <= 5
@@ -931,16 +932,88 @@ def test_constant_start_after_every_dt_change(monkeypatch):
     report = run(net, initial_state(net, init, cfg)[0], cfg)
     h = cfg.dt / 2
     assert report.dt_adjustments == 1 and report.extrapolation_retries == 1
-    # constant, linear, then quadratic after every dt change
-    assert levels_used[:8] == [1, 2, 3, 3, 3, 3, 1, 2]
-    assert levels_used[8:19] == [3] * 8 + [1, 2, 3]
+    # constant, linear, quadratic, cubic, then quartic after every dt change
+    assert levels_used[:8] == [1, 2, 3, 4, 5, 5, 1, 2]
+    assert levels_used[8:19] == [3, 4, 5, 5, 5, 5, 5, 5, 1, 2, 3]
     assert calls[:5] == [(cfg.dt, False), (cfg.dt, True), (cfg.dt, True), (cfg.dt, True), (cfg.dt, True)]
-    # the failing step from its quadratic start, its retry from the
+    # the failing step from its quartic start, its retry from the
     # constant start, then ten clean steps at dt/2 and the restored dt
     assert calls[5:8] == [(cfg.dt, True), (cfg.dt, False), (h, False)]
     assert calls[8:17] == [(h, True)] * 9
     assert calls[17:19] == [(cfg.dt, False), (cfg.dt, True)]
     assert report.extrapolated_steps == sum(started for _, started in calls) - 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_extrapolation_through_n_levels_is_exact_to_degree_n_minus_one(n):
+    # levels sampled at equal spacing from a polynomial of degree n - 1 in
+    # t give its next value; the bifurcation's transitional node carries
+    # the capacitor pressures
+    from vesselflow.solver import _EXTRAPOLATED, _extrapolate
+
+    net, init, cfg = bifurcation_case()
+    base = initial_state(net, init, cfg)[0]
+    assert base.P_C1.size == base.P_C2.size == 1
+    rng = np.random.default_rng(n)
+    coef = {k: 1e4 * rng.uniform(-1.0, 1.0, (n, getattr(base, k).size)) for k in _EXTRAPOLATED}
+
+    def sample(t):
+        return {k: np.polynomial.polynomial.polyval(t, c) for k, c in coef.items()}
+
+    times = 0.2 + 0.25 * np.arange(n + 1)
+    levels = [dataclasses.replace(base, t=t, **sample(t)) for t in times[:-1]]
+    got, expected = _extrapolate(levels), sample(times[-1])
+    for k in _EXTRAPOLATED:
+        assert np.max(np.abs(getattr(got, k) - expected[k])) <= 1e-12 * np.max(np.abs(expected[k])), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_extrapolation_of_constant_levels_is_the_last_level(n):
+    from vesselflow.solver import _EXTRAPOLATED, _extrapolate
+
+    net, init, cfg = bifurcation_case()
+    state = picard_step(initial_state(net, init, cfg)[0], cfg)[0]
+    levels = [dataclasses.replace(state, t=state.t + i * cfg.dt) for i in range(n)]
+    got = _extrapolate(levels)
+    assert all(same_bits(getattr(got, k), getattr(state, k)) for k in _EXTRAPOLATED)
+    # one level gives no extrapolated start
+    assert _extrapolate(levels[:1]) is None
+
+
+def test_run_extrapolates_through_at_most_five_equally_spaced_levels(monkeypatch):
+    # a last step short of dt by half restarts the history
+    import vesselflow.solver as solver_mod
+
+    net, init, cfg = bifurcation_case()
+    cfg = dataclasses.replace(cfg, t_end=12.5 * cfg.dt)
+    real_extrapolate, seen = solver_mod._extrapolate, []
+
+    def recording(levels):
+        seen.append([level.t for level in levels])
+        return real_extrapolate(levels)
+
+    monkeypatch.setattr(solver_mod, "_extrapolate", recording)
+    report = run(net, initial_state(net, init, cfg)[0], cfg)
+    assert report.steps == 13 and report.extrapolated_steps == 11
+    assert [len(ts) for ts in seen] == [1, 2, 3, 4] + [5] * 8 + [1]
+    for ts in seen:
+        assert np.allclose(np.diff(ts), cfg.dt, rtol=1e-9, atol=0.0)
+
+
+def test_a_converged_start_is_accepted_after_one_pass():
+    from vesselflow.solver import SimReport
+
+    net, init, cfg = bifurcation_case()
+    state1 = picard_step(initial_state(net, init, cfg)[0], cfg)[0]
+    converged, iters, _ = picard_step(state1, cfg)
+    assert iters > 1
+    _, iters, hist = picard_step(state1, cfg, start=converged)
+    assert iters == 1 and len(hist) == 1 and hist[0] <= cfg.picard_tol
+    report = SimReport()
+    report.record_step(iters, hist)
+    assert report.iteration_histogram == {1: 1}
+    assert report.contraction_pairs == report.non_contracting_pairs == 0
+    assert report.worst_contraction_ratio == 0.0
 
 
 # --- one coefficient evaluation per time level ------------------------------
