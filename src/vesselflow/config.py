@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ConfigError
 from .network import (
@@ -66,18 +65,27 @@ def _require(mapping, key, path, types=None, default=_REQUIRED):
     return val
 
 
+def _out_of_range(path, digits):
+    return ConfigError(f"{path}: expected a number in the float range, got an integer of {digits} digits")
+
+
 def _as_number(val, path, integer=False, finite=True):
     """val as a float, or with integer=True as an int (whole numbers
-    only); raises ConfigError naming the field path otherwise, and for
-    NaN or an infinity unless finite=False."""
+    only); raises ConfigError naming the field path otherwise, for an
+    integer outside the float range, and for NaN or an infinity unless
+    finite=False."""
     ok = isinstance(val, (int, float)) and not isinstance(val, bool)
     if ok and integer:
         ok = isinstance(val, int) or val.is_integer()
     if not ok:
         raise ConfigError(f"{path}: expected {'an integer' if integer else 'a number'}, got {val!r}")
-    if finite and not math.isfinite(val):
+    try:
+        x = float(val)
+    except OverflowError:
+        raise _out_of_range(path, len(str(abs(val)))) from None
+    if finite and not math.isfinite(x):
         raise ConfigError(f"{path}: expected a finite number, got {val!r}")
-    return int(val) if integer else float(val)
+    return int(val) if integer else x
 
 
 def _number(mapping, key, path, default=_REQUIRED, integer=False, finite=True):
@@ -87,17 +95,30 @@ def _number(mapping, key, path, default=_REQUIRED, integer=False, finite=True):
     return _as_number(val, f"{path}.{key}", integer, finite) if key in mapping else val
 
 
+# the JSON keys that differ from the field they fill
+_KEYS = {"rho_blood": "rho", "P_C1_init": "P_C1", "P_C2_init": "P_C2"}
+
+
+def _numbers(cls, mapping, path, names=None, finite=True) -> dict:
+    """Keyword arguments for dataclass cls: each of its fields (or those in
+    names) read by _number under its JSON key, as an integer where the field
+    is an int (annotations are strings) and as its default where absent."""
+    return {
+        f.name: _number(
+            mapping, _KEYS.get(f.name, f.name), path,
+            _REQUIRED if f.default is MISSING else f.default,
+            integer=f.type == "int", finite=finite,
+        )
+        for f in fields(cls) if names is None or f.name in names
+    }
+
+
 def _parse_signal(d, path) -> BoundarySignal:
     kind = _require(d, "kind", path, str)
     if kind == "constant":
-        return ConstantSignal(_number(d, "value", path))
+        return ConstantSignal(**_numbers(ConstantSignal, d, path))
     if kind == "sine":
-        return SineSignal(
-            mean=_number(d, "mean", path),
-            amplitude=_number(d, "amplitude", path),
-            frequency=_number(d, "frequency", path),
-            phase=_number(d, "phase", path, 0.0),
-        )
+        return SineSignal(**_numbers(SineSignal, d, path))
     if kind == "table":
         pts = _require(d, "points", path, list)
         if not all(isinstance(p, list) and len(p) == 2 for p in pts):
@@ -112,14 +133,13 @@ def _parse_signal(d, path) -> BoundarySignal:
 
 
 def _signal_dict(sig: BoundarySignal) -> dict:
-    if isinstance(sig, ConstantSignal):
-        return {"kind": "constant", "value": sig.value}
-    if isinstance(sig, SineSignal):
-        return {
-            "kind": "sine", "mean": sig.mean, "amplitude": sig.amplitude,
-            "frequency": sig.frequency, "phase": sig.phase,
-        }
-    return {"kind": "table", "points": [[t, v] for t, v in zip(sig.times, sig.values)]}
+    if isinstance(sig, TableSignal):
+        return {"kind": "table", "points": [[t, v] for t, v in zip(sig.times, sig.values)]}
+    return {"kind": "sine" if isinstance(sig, SineSignal) else "constant", **asdict(sig)}
+
+
+_VESSEL_NUMBERS = ("alpha", "nu", "rho_blood")  # optional; dumped for tube-law vessels only
+_CIRCUIT = ("R_C", "C1", "C2", "P_C1_init", "P_C2_init")  # a transitional node's numbers
 
 
 def _parse_vessel(d, path) -> Vessel:
@@ -129,10 +149,8 @@ def _parse_vessel(d, path) -> Vessel:
         n_cells=_number(d, "n_cells", path, integer=True),
         x0_node=str(_require(d, "x0", path)),
         x1_node=str(_require(d, "x1", path)),
+        **_numbers(Vessel, d, path, _VESSEL_NUMBERS),
     )
-    for name, key in (("alpha", "alpha"), ("nu", "nu"), ("rho_blood", "rho")):
-        if key in d:
-            kwargs[name] = _number(d, key, path)
     has_law = "tube_law" in d
     has_syn = "coefficients" in d
     if has_law == has_syn:
@@ -141,45 +159,33 @@ def _parse_vessel(d, path) -> Vessel:
         law, law_path = d["tube_law"], f"{path}.tube_law"
         lk = _require(law, "kind", law_path, str)
         if lk == "power":
-            kwargs["tube_law"] = PowerLaw(
-                C=_number(law, "C", law_path),
-                R0=_number(law, "R0", law_path),
-                beta=_number(law, "beta", law_path),
-            )
+            kwargs["tube_law"] = PowerLaw(**_numbers(PowerLaw, law, law_path))
         elif lk == "tabulated":
             radii = _require(law, "radii", law_path, list)
             pressures = _require(law, "pressures", law_path, list)
             try:
                 kwargs["tube_law"] = TabulatedLaw(radii, pressures, law.get("x_stations", (0.0,)))
-            except (TypeError, ValueError) as exc:  # a malformed or rejected table
+            except (TypeError, ValueError, OverflowError) as exc:  # a malformed or rejected table
                 raise ConfigError(f"{law_path}: {exc}") from exc
         else:
             raise ConfigError(f"{path}.tube_law.kind: unknown law kind {lk!r}")
     else:
         syn, syn_path = d["coefficients"], f"{path}.coefficients"
-        kwargs["synthetic"] = SyntheticCoefficients(
-            a=_number(syn, "a", syn_path, 1.0),
-            b=_number(syn, "b", syn_path, 1.0),
-            c=_number(syn, "c", syn_path, 0.0),
-            f=_number(syn, "f", syn_path, 0.0),
-            g=_number(syn, "g", syn_path, 0.0),
-            area=_number(syn, "area", syn_path, 1.0),
-        )
+        kwargs["synthetic"] = SyntheticCoefficients(**_numbers(SyntheticCoefficients, syn, syn_path))
     return Vessel(**kwargs)
 
 
 def _vessel_dict(v: Vessel) -> dict:
     d = {"id": v.id, "n_cells": v.n_cells, "x0": v.x0_node, "x1": v.x1_node}
     if v.synthetic is not None:
-        s = v.synthetic
-        if any(callable(c) for c in (s.a, s.b, s.c, s.f, s.g)):
+        if any(callable(c) for c in vars(v.synthetic).values()):
             raise ConfigError(f"vessel {v.id!r}: callable coefficients are not serializable")
-        d["coefficients"] = {"a": s.a, "b": s.b, "c": s.c, "f": s.f, "g": s.g, "area": s.area}
+        d["coefficients"] = asdict(v.synthetic)
         return d
-    d.update(alpha=v.alpha, nu=v.nu, rho=v.rho_blood)
+    d.update((_KEYS.get(name, name), getattr(v, name)) for name in _VESSEL_NUMBERS)
     law = v.tube_law
     if isinstance(law, PowerLaw):
-        d["tube_law"] = {"kind": "power", "C": law.C, "R0": law.R0, "beta": law.beta}
+        d["tube_law"] = {"kind": "power", **asdict(law)}
     else:
         d["tube_law"] = {
             "kind": "tabulated",
@@ -226,14 +232,7 @@ def _parse_node(d, vessels, path) -> Node:
                         f"{'x=1' if want_end == 'x1' else 'x=0'}"
                     )
                 out.append(TransAttachment(vid, _number(a, "resistance", f"{path}.{group}[{k}]")))
-        return Transitional(
-            nid, tuple(arts), tuple(veins),
-            R_C=_number(d, "R_C", path),
-            C1=_number(d, "C1", path),
-            C2=_number(d, "C2", path),
-            P_C1_init=_number(d, "P_C1", path, None),
-            P_C2_init=_number(d, "P_C2", path, None),
-        )
+        return Transitional(nid, tuple(arts), tuple(veins), **_numbers(Transitional, d, path, _CIRCUIT))
     raise ConfigError(f"{path}.kind: unknown node kind {kind!r}")
 
 
@@ -249,15 +248,23 @@ def _node_dict(n: Node) -> dict:
         }
     d = {
         "id": n.id, "kind": "transitional",
-        "arteries": [{"vessel": a.vessel, "resistance": a.resistance} for a in n.arteries],
-        "veins": [{"vessel": a.vessel, "resistance": a.resistance} for a in n.veins],
-        "R_C": n.R_C, "C1": n.C1, "C2": n.C2,
+        "arteries": [asdict(a) for a in n.arteries],
+        "veins": [asdict(a) for a in n.veins],
     }
-    if n.P_C1_init is not None:
-        d["P_C1"] = n.P_C1_init
-    if n.P_C2_init is not None:
-        d["P_C2"] = n.P_C2_init
+    # the capacitor seeds are optional: an unseeded one is left out
+    d.update((_KEYS.get(name, name), getattr(n, name)) for name in _CIRCUIT if getattr(n, name) is not None)
     return d
+
+
+def _parse_init(d, path) -> VesselInit:
+    return VesselInit(**{
+        f.name: _parse_init_field(_require(d, f.name, path, default=f.default), f"{path}.{f.name}")
+        for f in fields(VesselInit)
+    })
+
+
+def _init_dict(vi: VesselInit) -> dict:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(vi).items()}
 
 
 def _parse_init_field(v, path):
@@ -285,16 +292,8 @@ def _parse_probe(d, path) -> ProbeSpec:
 
 
 def _probe_dict(p: ProbeSpec) -> dict:
-    d = {"quantities": list(p.quantities)}
-    if p.vessel is not None:
-        d["vessel"] = p.vessel
-        if p.x_index is not None:
-            d["x_index"] = p.x_index
-        else:
-            d["x_fraction"] = p.x_fraction
-    else:
-        d["node"] = p.node
-    return d
+    # a probe sets one anchor and, on a vessel, one position: the rest are None
+    return {k: list(v) if k == "quantities" else v for k, v in asdict(p).items() if v is not None}
 
 
 def load_config(path) -> LoadedConfig:
@@ -303,12 +302,41 @@ def load_config(path) -> LoadedConfig:
     collected on the returned object."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+            text = fh.read()
+        doc = json.loads(text)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError:  # an integer literal longer than Python's int-string limit
+        _reject_long_ints(json.loads(text, parse_int=_parse_int), "")
+        raise
     return parse_config(doc)
+
+
+class _LongInt(str):
+    """The digits of an integer literal longer than Python's int-string
+    limit, and so far outside the float range."""
+
+
+def _parse_int(literal):
+    try:
+        return int(literal)
+    except ValueError:
+        return _LongInt(literal.lstrip("-"))
+
+
+def _reject_long_ints(node, path):
+    """Raise the range error naming the field path of the first _LongInt
+    in a document read with parse_int=_parse_int."""
+    if isinstance(node, _LongInt):
+        raise _out_of_range(path or "config", len(node))
+    if isinstance(node, dict):
+        for key, child in node.items():
+            _reject_long_ints(child, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            _reject_long_ints(child, f"{path}[{k}]")
 
 
 def parse_config(doc: dict) -> LoadedConfig:
@@ -337,37 +365,21 @@ def parse_config(doc: dict) -> LoadedConfig:
             "invalid network: " + "; ".join(f"{d.subject}: {d.message}" for d in errors)
         )
 
-    # non-finite solver settings are left to SimConfig, which names them
-    s = _require(doc, "solver", "config", dict)
-    settings = dict(
-        dt=_number(s, "dt", "solver", finite=False),
-        t_end=_number(s, "t_end", "solver", finite=False),
-        cfl_max=_number(s, "cfl_max", "solver", 0.9, finite=False),
-        picard_tol=_number(s, "picard_tol", "solver", 1e-10, finite=False),
-        picard_max_iters=_number(s, "picard_max_iters", "solver", 50, integer=True),
-        epsilon0=_number(s, "epsilon0", "solver", 1e-10, finite=False),
-        check_every=_number(s, "check_every", "solver", 1, integer=True),
-    )
+    # non-finite solver settings are left to SimConfig, which names them;
+    # read outside the try: a ConfigError is a ValueError too
+    settings = _numbers(SimConfig, _require(doc, "solver", "config", dict), "solver", finite=False)
     try:
         sim = SimConfig(**settings)
     except ValueError as exc:  # a rejected setting
         raise ConfigError(f"solver: {exc}") from exc
 
     init_doc = _require(doc, "initial", "config", dict, {})
-    dd = _require(init_doc, "default", "initial", dict, {})
-    default = VesselInit(
-        P=_parse_init_field(dd.get("P", 0.0), "initial.default.P"),
-        Q=_parse_init_field(dd.get("Q", 0.0), "initial.default.Q"),
-    )
+    default = _parse_init(_require(init_doc, "default", "initial", dict, {}), "initial.default")
     per_vessel = {}
     for vid, vd in _require(init_doc, "vessels", "initial", dict, {}).items():
         if vid not in vessels:
             raise ConfigError(f"initial.vessels: unknown vessel {vid!r}")
-        vpath = f"initial.vessels.{vid}"
-        per_vessel[vid] = VesselInit(
-            P=_parse_init_field(_require(vd, "P", vpath, default=0.0), f"{vpath}.P"),
-            Q=_parse_init_field(_require(vd, "Q", vpath, default=0.0), f"{vpath}.Q"),
-        )
+        per_vessel[vid] = _parse_init(vd, f"initial.vessels.{vid}")
     init = InitSpec(default=default, per_vessel=per_vessel)
 
     probes = [_parse_probe(p, f"probes[{k}]") for k, p in enumerate(_require(doc, "probes", "config", list, []))]
@@ -379,8 +391,8 @@ def parse_config(doc: dict) -> LoadedConfig:
         sim=sim,
         init=init,
         probes=probes,
-        output_dir=_require(out, "directory", "output", str, "."),
-        timeseries=_require(out, "timeseries", "output", str, "timeseries.csv"),
+        output_dir=_require(out, "directory", "output", str, LoadedConfig.output_dir),
+        timeseries=_require(out, "timeseries", "output", str, LoadedConfig.timeseries),
         warnings=[d for d in diags if d.severity == "warning"],
     )
 
@@ -391,29 +403,11 @@ def dump_config(cfg: LoadedConfig) -> dict:
     doc = {
         "vessels": [_vessel_dict(cfg.net.vessels[k]) for k in sorted(cfg.net.vessels)],
         "nodes": [_node_dict(cfg.net.nodes[k]) for k in sorted(cfg.net.nodes)],
-        "solver": {
-            "dt": cfg.sim.dt, "t_end": cfg.sim.t_end, "cfl_max": cfg.sim.cfl_max,
-            "picard_tol": cfg.sim.picard_tol, "picard_max_iters": cfg.sim.picard_max_iters,
-            "epsilon0": cfg.sim.epsilon0, "check_every": cfg.sim.check_every,
-        },
-        "initial": {},
+        "solver": asdict(cfg.sim),
+        "initial": {"default": _init_dict(cfg.init.default or VesselInit())},
         "probes": [_probe_dict(p) for p in cfg.probes],
         "output": {"directory": cfg.output_dir, "timeseries": cfg.timeseries},
     }
-
-    def init_field_doc(v):
-        return list(v) if isinstance(v, tuple) else v
-
-    if cfg.init.default is not None:
-        doc["initial"]["default"] = {
-            "P": init_field_doc(cfg.init.default.P),
-            "Q": init_field_doc(cfg.init.default.Q),
-        }
-    else:
-        doc["initial"]["default"] = {"P": 0.0, "Q": 0.0}
     if cfg.init.per_vessel:
-        doc["initial"]["vessels"] = {
-            vid: {"P": init_field_doc(vi.P), "Q": init_field_doc(vi.Q)}
-            for vid, vi in sorted(cfg.init.per_vessel.items())
-        }
+        doc["initial"]["vessels"] = {vid: _init_dict(vi) for vid, vi in sorted(cfg.init.per_vessel.items())}
     return doc

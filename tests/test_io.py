@@ -1,5 +1,6 @@
 """Signal evaluation, config parsing/round-trip, CSV output, CLI tests."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,17 +10,23 @@ import pytest
 
 from vesselflow import (
     ConfigError,
+    InitSpec,
     ListSink,
+    PowerLaw,
     ProbeRecord,
     ProbeSpec,
+    SimConfig,
     SineSignal,
+    SyntheticCoefficients,
     TableSignal,
+    Vessel,
+    VesselInit,
     eval_signal,
     initial_state,
     write_records,
 )
 from vesselflow.cli import main
-from vesselflow.config import dump_config, load_config, parse_config
+from vesselflow.config import LoadedConfig, dump_config, load_config, parse_config
 
 
 # --- signals ---------------------------------------------------------------
@@ -83,6 +90,62 @@ def test_minimal_config_loads_with_defaults(tmp_path):
     assert loaded.sim.check_every == 1
     assert loaded.net.vessels["v1"].alpha == 1.1
     assert loaded.timeseries == "timeseries.csv"
+
+
+def test_every_optional_field_takes_its_class_default_and_dumps_in_order():
+    power = {"kind": "power", "C": 1e4, "R0": 1e-3, "beta": 2.0}
+    constant = {"kind": "constant", "value": 0.0}
+    doc = {
+        "vessels": [
+            {"id": "a", "n_cells": 4, "x0": "in", "x1": "micro", "tube_law": power},
+            {"id": "v", "n_cells": 4, "x0": "micro", "x1": "out", "tube_law": power},
+            {"id": "s", "n_cells": 4, "x0": "left", "x1": "right", "coefficients": {}},
+        ],
+        "nodes": [
+            {"id": "in", "kind": "pressure",
+             "signal": {"kind": "sine", "mean": 0.0, "amplitude": 1.0, "frequency": 1.0}},
+            {"id": "micro", "kind": "transitional", "arteries": [{"vessel": "a", "resistance": 1e7}],
+             "veins": [{"vessel": "v", "resistance": 1e7}], "R_C": 4e7, "C1": 2e-10, "C2": 2e-10},
+            {"id": "out", "kind": "flow", "signal": constant},
+            {"id": "left", "kind": "pressure", "signal": constant},
+            {"id": "right", "kind": "pressure", "signal": constant},
+        ],
+        "solver": {"dt": 1e-3, "t_end": 1e-2},
+    }
+    loaded = parse_config(doc)
+    net = loaded.net
+    assert net.vessels["a"] == Vessel("a", 4, "in", "micro", tube_law=PowerLaw(1e4, 1e-3, 2.0))
+    assert net.vessels["s"].synthetic == SyntheticCoefficients()
+    assert net.nodes["in"].signal == SineSignal(mean=0.0, amplitude=1.0, frequency=1.0)
+    assert net.nodes["micro"].P_C1_init is None and net.nodes["micro"].P_C2_init is None
+    assert loaded.sim == SimConfig(dt=1e-3, t_end=1e-2)
+    assert loaded.init == InitSpec(default=VesselInit())
+    assert loaded.probes == []
+    assert (loaded.output_dir, loaded.timeseries) == (LoadedConfig.output_dir, LoadedConfig.timeseries)
+
+    net.nodes["micro"] = dataclasses.replace(net.nodes["micro"], P_C1_init=1.0, P_C2_init=2.0)
+    dumped = dump_config(loaded)
+    assert list(dumped) == ["vessels", "nodes", "solver", "initial", "probes", "output"]
+    a, s, _ = dumped["vessels"]
+    assert list(a) == ["id", "n_cells", "x0", "x1", "alpha", "nu", "rho", "tube_law"]
+    assert list(a["tube_law"]) == ["kind", "C", "R0", "beta"]
+    assert list(s) == ["id", "n_cells", "x0", "x1", "coefficients"]
+    assert list(s["coefficients"]) == ["a", "b", "c", "f", "g", "area"]
+    assert [list(n) for n in dumped["nodes"]] == [
+        ["id", "kind", "signal"],
+        ["id", "kind", "signal"],
+        ["id", "kind", "arteries", "veins", "R_C", "C1", "C2", "P_C1", "P_C2"],
+        ["id", "kind", "signal"],
+        ["id", "kind", "signal"],
+    ]
+    assert [list(n["signal"]) for n in dumped["nodes"] if "signal" in n] == [
+        ["kind", "mean", "amplitude", "frequency", "phase"]] + [["kind", "value"]] * 3
+    assert list(dumped["solver"]) == [
+        "dt", "t_end", "cfl_max", "picard_tol", "picard_max_iters", "epsilon0", "check_every"]
+    assert list(dumped["initial"]) == ["default"] and list(dumped["initial"]["default"]) == ["P", "Q"]
+    assert list(dumped["output"]) == ["directory", "timeseries"]
+    reloaded = parse_config(dumped)
+    assert (reloaded.net, reloaded.sim, reloaded.init) == (net, loaded.sim, loaded.init)
 
 
 def test_duplicate_vessel_id_rejected(tmp_path):
@@ -296,6 +359,8 @@ def test_cli_rejects_invalid_solver_settings(tmp_path, capsys, solver, args, mes
 
 BIFURCATION = Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json"
 SYNTHETIC = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
+BIG = 10**400  # an integer literal beyond the float range
+OUT_OF_RANGE = "expected a number in the float range, got an integer of 401 digits"
 
 
 @pytest.mark.parametrize(
@@ -315,10 +380,19 @@ SYNTHETIC = Path(__file__).resolve().parents[1] / "configs" / "synthetic.json"
         (("output",), "x", "config.output: expected <class 'dict'>, got str"),
         (("output", "timeseries"), [], "output.timeseries: expected <class 'str'>, got list"),
         (("output", "directory"), None, "output.directory: expected <class 'str'>, got NoneType"),
+        (("vessels", 0, "tube_law", "C"), BIG, f"vessels[0].tube_law.C: {OUT_OF_RANGE}"),
+        (("solver", "dt"), BIG, f"solver.dt: {OUT_OF_RANGE}"),
+        (("vessels", 0, "n_cells"), -BIG, f"vessels[0].n_cells: {OUT_OF_RANGE}"),
+        (("nodes", 0, "signal"), {"kind": "table", "points": [[0.0, 1.0], [BIG, 2.0]]},
+         f"nodes[0].signal.points[1]: {OUT_OF_RANGE}"),
+        (("initial", "default", "P"), [12000.0, BIG], f"initial.default.P[1]: {OUT_OF_RANGE}"),
+        (("vessels", 0, "tube_law"), {"kind": "tabulated", "radii": [1e-3, BIG], "pressures": [[0.0, 1.0]]},
+         "vessels[0].tube_law: int too large to convert to float"),
     ],
     ids=["n_cells-string", "n_cells-fraction", "alpha-string", "tube-law-C-list", "table-string", "rho_j-null",
          "signal-value-string", "probe-x_index-string", "initial-string", "output-string",
-         "timeseries-list", "directory-null"],
+         "timeseries-list", "directory-null", "tube-law-C-huge", "dt-huge", "n_cells-huge",
+         "table-time-huge", "initial-P-entry-huge", "tabulated-radius-huge"],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, keys, value, message):
     assert_config_error(tmp_path, capsys, keys, value, message)
@@ -339,6 +413,30 @@ def test_cli_rejects_malformed_config_values(tmp_path, capsys, keys, value, mess
 def test_cli_rejects_non_finite_config_values(tmp_path, capsys, keys, value):
     path = keys[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys[1:])
     assert_config_error(tmp_path, capsys, keys, value, f"{path}: expected a finite number, got {value!r}")
+
+
+@pytest.mark.parametrize("keys, field", [(("vessels", 0, "n_cells"), "vessels[0].n_cells"),
+                                         (("vessels", 0, "x0"), "vessels[0].x0"),
+                                         (("initial", "default", "Q"), "initial.default.Q")],
+                         ids=["n_cells", "x0", "initial-Q"])
+def test_cli_rejects_an_integer_literal_over_the_int_string_limit(tmp_path, capsys, keys, field):
+    # Python's json cannot read an integer literal of more than 4300
+    # digits; the field path still comes with the error
+    doc = mutated(json.loads(BIFURCATION.read_text()), keys, "<long literal>")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc).replace('"<long literal>"', "-" + "7" * 5001))
+    message = f"{field}: expected a number in the float range, got an integer of 5001 digits"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(path)
+    assert main(["simulate", str(path), "--check-only"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"vessels": "\xff"}')
+    assert main(["simulate", str(path), "--check-only"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def assert_config_error(tmp_path, capsys, keys, value, message):
@@ -564,7 +662,7 @@ def test_output_evaluates_coefficients_once_per_call(monkeypatch):
 
 # --- mutation corpus -------------------------------------------------------
 
-CORPUS_VALUES = (0, -1, 1e300, -1e300, 1e-300, 0.5, "x", None, [], {}, True)
+CORPUS_VALUES = (0, -1, 1e300, -1e300, 1e-300, 0.5, "x", None, [], {}, True, BIG)
 DELETED = object()
 CLASSIFIED_EXIT_3 = (
     "solver failure: ", "initial state error: ", "output error: ",
@@ -601,7 +699,7 @@ def mutated(doc, path, value):
     return doc
 
 
-@pytest.mark.parametrize("config, size", [(BIFURCATION, 1764), (SYNTHETIC, 492)],
+@pytest.mark.parametrize("config, size", [(BIFURCATION, 1911), (SYNTHETIC, 533)],
                          ids=["bifurcation", "synthetic"])
 def test_cli_classifies_the_whole_mutation_corpus(tmp_path, capsys, config, size):
     # every mutation of a shipped config, each run for two steps of its
