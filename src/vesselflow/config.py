@@ -301,6 +301,14 @@ def load_config(path) -> LoadedConfig:
     offending field path; network validation errors abort, warnings are
     collected on the returned object."""
     try:
+        doc = _read_document(path)
+    except RecursionError as exc:  # nested deeper than the reader's recursion limit
+        raise ConfigError(f"config parse error: {exc}") from exc
+    return parse_config(doc)
+
+
+def _read_document(path):
+    try:
         with open(path) as fh:
             text = fh.read()
         doc = json.loads(text)
@@ -311,7 +319,7 @@ def load_config(path) -> LoadedConfig:
     except ValueError:  # an integer literal longer than Python's int-string limit
         _reject_long_ints(json.loads(text, parse_int=_parse_int), "")
         raise
-    return parse_config(doc)
+    return doc
 
 
 class _LongInt(str):

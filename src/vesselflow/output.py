@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .compiled import check_coefficients
+from .compiled import CompiledNetwork, check_coefficients
 from .errors import ConfigError
 from .network import Branching, Network, Transitional
 
@@ -142,42 +142,80 @@ def validate_probes(net: Network, probes) -> None:
                     raise ConfigError(f"{q} probe needs a transitional node, got {p.node!r}")
 
 
-def _station_values(P: float, Q: float, A: float) -> dict[str, float]:
-    """The vessel quantities at one grid station of area A."""
-    return {"P": P, "Q": Q, "A": A, "R": float(np.sqrt(A / np.pi)), "V": Q / A}
+@dataclass(frozen=True)
+class PlanEntry:
+    """One record a probe plan emits per level: the record's kind, id, x
+    and quantity, and where its value is read: a grid point in layout
+    order, a `P_junc` slot or a transitional slot, whose node's R_C the
+    entry carries."""
+
+    kind: str
+    id: str
+    x: float | None
+    quantity: str
+    index: int
+    R_C: float | None = None
 
 
-def emit_probes(sink, net: Network, state, probes, epsilon0: float) -> None:
-    """Emit one record per probe quantity for the current state. A, R
-    and V read `state.coeffs` (in a run, already evaluated by the checks);
-    a failing point of a physical vessel raises, as in `check_coefficients`."""
-    cn = state.layout
-    check_coefficients(cn, state.P, state.coeffs, epsilon0)
-    A = state.coeffs.A
-    junction, transitional = state.junction_pressures, state.transitional
+# each quantity at index k of a level s whose areas are A
+_READ = {
+    "P": lambda s, A, k, R_C: float(s.P[k]),
+    "Q": lambda s, A, k, R_C: float(s.Q[k]),
+    "A": lambda s, A, k, R_C: float(A[k]),
+    "R": lambda s, A, k, R_C: float(np.sqrt(float(A[k]) / np.pi)),
+    "V": lambda s, A, k, R_C: float(s.Q[k]) / float(A[k]),
+    "P_junc": lambda s, A, k, R_C: float(s.P_junc[k]),
+    "P_C1": lambda s, A, k, R_C: float(s.P_C1[k]),
+    "P_C2": lambda s, A, k, R_C: float(s.P_C2[k]),
+    "Q_C": lambda s, A, k, R_C: (float(s.P_C1[k]) - float(s.P_C2[k])) / R_C,
+}
+
+
+def probe_plan(layout: CompiledNetwork, probes) -> tuple[PlanEntry, ...]:
+    """Resolve probes on a compiled layout once: one entry per probe
+    quantity, in record order. Raises ConfigError for probes that
+    `validate_probes` rejects on the layout's network."""
+    validate_probes(layout.network, probes)
+    return tuple(_plan_entries(layout, probes))
+
+
+def _plan_entries(layout: CompiledNetwork, probes) -> Iterator[PlanEntry]:
+    """The entries of probes valid on the layout's network, in record order."""
+    net, junctions = layout.network, layout.junctions
     for p in probes:
+        R_C = None
         if p.vessel is not None:
-            k = cn.slices[p.vessel].start + resolve_probe_index(p, net.vessels[p.vessel].n_cells)
-            kind, pid, x = "vessel", p.vessel, float(cn.x[k])
-            values = _station_values(float(state.P[k]), float(state.Q[k]), float(A[k]))
+            k = layout.slices[p.vessel].start + resolve_probe_index(p, net.vessels[p.vessel].n_cells)
+            kind, pid, x = "vessel", p.vessel, float(layout.x[k])
         elif isinstance(net.nodes[p.node], Branching):
-            kind, pid, x, values = "node", p.node, None, {"P_junc": junction[p.node]}
+            kind, pid, x, k = "node", p.node, None, junctions.branching.index(p.node)
         else:
-            kind, pid, x = "node", p.node, None
-            ts = transitional[p.node]
-            Q_C = (ts.P_C1 - ts.P_C2) / net.nodes[p.node].R_C
-            values = {"P_C1": ts.P_C1, "P_C2": ts.P_C2, "Q_C": Q_C}
+            kind, pid, x, k = "node", p.node, None, junctions.transitional.index(p.node)
+            R_C = net.nodes[p.node].R_C
         for q in p.quantities:
-            sink.emit(ProbeRecord(t=state.t, kind=kind, id=pid, x=x, quantity=q, value=values[q]))
+            yield PlanEntry(kind, pid, x, q, k, R_C)
+
+
+def emit_probes(sink, plan: Iterable[PlanEntry], state, epsilon0: float) -> None:
+    """Emit the records of a `probe_plan` for a state on the plan's
+    layout. A, R and V read `state.coeffs` (in a run, already evaluated
+    by the checks); a failing point of a physical vessel raises, as in
+    `check_coefficients`."""
+    check_coefficients(state.layout, state.P, state.coeffs, epsilon0)
+    A, t = state.coeffs.A, state.t
+    for e in plan:
+        value = _READ[e.quantity](state, A, e.index, e.R_C)
+        sink.emit(ProbeRecord(t, e.kind, e.id, e.x, e.quantity, value))
 
 
 def emit_snapshot(sink, net: Network, state, epsilon0: float) -> None:
     """Emit the full field of every vessel at the current time level:
     `emit_probes` over one probe of every vessel quantity at each grid
-    station, vessels in id order, stations in grid order."""
-    probes = [
+    station, vessels in id order, stations in grid order. The entries
+    are made as they are emitted, so a snapshot holds no plan."""
+    probes = (
         ProbeSpec(VESSEL_QUANTITIES, vessel=vid, x_index=k)
         for vid in sorted(net.vessels)
         for k in range(net.vessels[vid].n_cells + 1)
-    ]
-    emit_probes(sink, net, state, probes, epsilon0)
+    )
+    emit_probes(sink, _plan_entries(state.layout, probes), state, epsilon0)

@@ -10,16 +10,19 @@ solve; for the physical vessel model the iteration contracts for small
 enough dt.
 
 The outer loop advances these steps over [0, t_end], runs the
-solvability checks on the configured cadence, emits probe records, and
-adapts dt (halve, retry, restore) when a step fails on the Courant
-bound or fails to converge. It starts each fixed-point loop from a
-polynomial extrapolation in time through the last accepted levels that
-share the step's dt: constant from one level, up to quartic from five.
-Any dt change restarts that history from the current level (a last step
-short of dt only by the rounding of t is no change), and a step that
-fails from an extrapolated start is retried once from the constant
-start before dt is halved, so the start decides how many iterations a
-step takes, never whether it succeeds.
+solvability checks on the configured cadence, emits probe records from
+a plan it resolves once, and adapts dt (halve, retry, restore) when a
+step fails on the Courant bound or fails to converge. It starts each
+fixed-point loop from a polynomial extrapolation in time through the
+last accepted levels that share the step's dt: constant from one level,
+up to quartic from five. The loop carries the backward differences of
+those levels in one preallocated table, updated in place as each level
+is accepted, and keeps no earlier level. Any dt change restarts that
+table from the current level (a last step short of dt only by the
+rounding of t is no change), and a step that fails from an extrapolated
+start is retried once from the constant start before dt is halved, so
+the start decides how many iterations a step takes, never whether it
+succeeds.
 
 A `NetworkState` holds a time level as flat arrays in the layout order
 of its compiled network, so levels pass between the kernels, the
@@ -29,7 +32,7 @@ condition checks, the extrapolation and the output without conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping, Sequence
@@ -61,7 +64,7 @@ from .network import (
     endpoints_by_node,
     validate_network,
 )
-from .output import ProbeSpec, emit_probes
+from .output import ProbeSpec, emit_probes, probe_plan
 from .signals import eval_signal
 from .wellposedness import ConditionReport, check_state
 
@@ -521,29 +524,60 @@ def _close_nodes(
 # --- outer time loop -----------------------------------------------------
 
 
-_EXTRAPOLATED = ("P", "Q", "P_C1", "P_C2")
-# accepted levels kept for the extrapolated start: up to quartic
+_EXTRAPOLATED = ("P", "Q", "P_C1", "P_C2")  # a level's flat order in the table
+# accepted levels the extrapolated start reaches back over: up to quartic
 _LEVELS = 5
 
 
-def _extrapolate(levels: Sequence[NetworkState]) -> NetworkState | None:
-    """First iterate of the next level (its P, Q, P_C1 and P_C2): the
-    polynomial of degree n - 1 through the last n accepted levels at
-    equal spacing, oldest first, in backward differences
-    X_n + dX_n + d^2 X_n + ... + d^(n-1) X_n; None (start from the last
-    level) for one level. Constant levels return the last level's values
-    exactly."""
-    if len(levels) < 2:
+class _DifferenceTable:
+    """The backward differences of the current level X = [P | Q | P_C1 |
+    P_C2] over the last `n` accepted levels at one spacing: `rows[k]`
+    holds the k-th difference of X for k < n. The rows are those of one
+    preallocated (_LEVELS, X.size) table, so accepting a level takes one
+    subtraction per order in place and no level is kept."""
+
+    def __init__(self, state: NetworkState):
+        ends = np.cumsum([getattr(state, k).size for k in _EXTRAPOLATED]).tolist()
+        self.rows = list(np.empty((_LEVELS, ends[-1])))
+        self._parts = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self.n = 0
+        self.push(state)
+
+    def push(self, state: NetworkState) -> None:
+        """Make `state` the current level, one spacing after the last."""
+        # the last row is unused or holds the order the new level drops
+        new = self.rows[-1]
+        np.concatenate([getattr(state, k) for k in _EXTRAPOLATED], out=new)
+        lower = new
+        for row in self.rows[: min(self.n, _LEVELS - 1)]:
+            # the next order: this order at the new level minus it at the last
+            np.subtract(lower, row, out=row)
+            lower = row
+        self.rows = [new] + self.rows[:-1]
+        self.n = min(self.n + 1, _LEVELS)
+
+    def start(self, state: NetworkState) -> NetworkState | None:
+        """`_extrapolate` of the rows as the arrays of the current level
+        `state`, or None."""
+        x = _extrapolate(self.rows[: self.n])
+        if x is None:
+            return None
+        return NetworkState(state.t, state.layout, *(x[part] for part in self._parts), state.P_junc)
+
+
+def _extrapolate(diffs: Sequence[np.ndarray]) -> np.ndarray | None:
+    """First iterate of the next level, flat: the polynomial of degree
+    n - 1 through the last n accepted levels at equal spacing, from the
+    backward differences of the current level X as
+    X + dX + d^2 X + ... + d^(n-1) X; None (start from the current
+    level) for one level. Constant levels return the current level's
+    values exactly."""
+    if len(diffs) < 2:
         return None
-    start = {}
-    for k in _EXTRAPOLATED:
-        diffs = [getattr(level, k) for level in levels]
-        value = diffs[-1]
-        while len(diffs) > 1:
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            value = value + diffs[-1]
-        start[k] = value
-    return replace(levels[-1], **start)
+    value = diffs[0] + diffs[1]
+    for row in diffs[2:]:
+        value += row
+    return value
 
 
 def run(
@@ -577,6 +611,7 @@ def run(
     if init.layout.network is not net:
         raise ValueError("the initial state was not built on this network")
 
+    plan = probe_plan(init.layout, probes) if sink is not None else ()
     report = SimReport()
     state = init
     pre = check_state(state, cfg)
@@ -593,14 +628,14 @@ def run(
     clean_streak = 0
     tiny = 1e-12 * max(1.0, cfg.t_end)
 
-    # accepted levels spaced by `spacing`, oldest first, the current one last
-    levels, spacing = [state], None
+    # differences of the accepted levels spaced by `spacing`
+    table, spacing = _DifferenceTable(state), None
     while state.t < cfg.t_end - tiny:
         dt_step = min(cur_dt, cfg.t_end - state.t)
         # a last step short of dt only by the rounding of t keeps the history
         if spacing is None or abs(dt_step - spacing) > tiny:
-            levels, spacing = levels[-1:], dt_step
-        start = _extrapolate(levels)
+            table.n, spacing = 1, dt_step
+        start = table.start(state)
         try:
             try:
                 state_new, iters, hist = picard_step(state, cfg, dt_step, report=report, start=start)
@@ -622,12 +657,10 @@ def run(
             report.dt_adjustments += 1
             continue
 
-        # the levels kept for the extrapolation need only their arrays
-        vars(state).pop("coeffs", None)
         state = state_new
         report.record_step(iters, hist)
         report.extrapolated_steps += start is not None
-        levels = levels[1 - _LEVELS :] + [state]
+        table.push(state)
 
         if depth:
             clean_streak += 1
@@ -648,8 +681,8 @@ def run(
         report.full_checks += full
         report.record_junctions(rep)
 
-        if sink is not None and probes:
-            emit_probes(sink, net, state, probes, epsilon0=cfg.epsilon0)
+        if plan:
+            emit_probes(sink, plan, state, epsilon0=cfg.epsilon0)
         if on_step is not None:
             on_step(state)
 

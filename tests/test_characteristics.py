@@ -460,7 +460,7 @@ def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, valu
     import vesselflow
     from vesselflow.characteristics import VesselField
     from vesselflow.compiled import check_coefficients, layout_coefficients
-    from vesselflow.output import ListSink, ProbeSpec, emit_probes, emit_snapshot
+    from vesselflow.output import ListSink, ProbeSpec, emit_probes, emit_snapshot, probe_plan
     from vesselflow.solver import InitSpec, NetworkState, SimConfig, VesselInit, initial_state
 
     layout, P, Q = mixed_layout()
@@ -491,7 +491,7 @@ def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, valu
         emit_snapshot(ListSink(), net, state, EPS0)
     probe = ProbeSpec(("A",), vessel=vid, x_index=at - sl.start)
     with raises:
-        emit_probes(ListSink(), net, state, [probe], EPS0)
+        emit_probes(ListSink(), probe_plan(state.layout, [probe]), state, EPS0)
 
     # synthetic coefficients are taken as given, whatever their area
     cs = layout_coefficients(layout, 0.0, good, Q)

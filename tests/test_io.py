@@ -439,6 +439,19 @@ def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("before", ["", '"n": 1' + "0" * 5000 + ", "], ids=["nested", "long-literal-first"])
+def test_cli_rejects_a_config_nested_past_the_recursion_limit(tmp_path, capsys, before):
+    # 100000 deep; an integer literal over the int-string limit is read
+    # first, and the second read, which keeps it, meets the nesting
+    path = tmp_path / "config.json"
+    path.write_text("{" + before + '"vessels": ' + "[" * 100000 + "]" * 100000 + "}")
+    with pytest.raises(ConfigError, match="^config parse error: maximum recursion depth exceeded"):
+        load_config(path)
+    assert main(["simulate", str(path), "--check-only"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config parse error: ") and "unexpected error" not in err
+
+
 def assert_config_error(tmp_path, capsys, keys, value, message):
     """The shipped bifurcation config with one field replaced is a
     config error with this message, from load_config and the CLI."""
@@ -645,7 +658,7 @@ def test_output_evaluates_coefficients_once_per_call(monkeypatch):
               ProbeSpec(quantities=("V", "A", "R", "P"), vessel="v1", x_index=4),
               ProbeSpec(quantities=("Q", "A"), vessel="v1", x_index=6)]
     sink = ListSink()
-    output.emit_probes(sink, net, state, probes, sim.epsilon0)
+    output.emit_probes(sink, output.probe_plan(state.layout, probes), state, sim.epsilon0)
     assert len(calls) == 1  # the probes read the level's evaluation
     assert [r.quantity for r in sink.records] == ["P", "Q", "V", "A", "R", "P", "Q", "A"]
     by_x = {}
@@ -656,8 +669,52 @@ def test_output_evaluates_coefficients_once_per_call(monkeypatch):
     ]
     assert [r.x for r in sink.records] == [0.25] * 2 + [0.5] * 4 + [0.75] * 2
 
-    output.emit_probes(ListSink(), net, state, probes[:1], sim.epsilon0)
+    output.emit_probes(ListSink(), output.probe_plan(state.layout, probes[:1]), state, sim.epsilon0)
     assert len(calls) == 1
+
+
+def test_run_emits_each_probe_quantity_of_every_accepted_level():
+    # one probe of every quantity, in declaration order, each value bit
+    # for bit as recomputed from the level passed to on_step
+    from vesselflow.constitutive import PrimitiveState, coefficients
+    from vesselflow.solver import run
+
+    loaded = load_config(BIFURCATION)
+    net = loaded.net
+    sim = dataclasses.replace(loaded.sim, t_end=6 * loaded.sim.dt)
+    probes = [
+        ProbeSpec(("V", "P", "R", "Q", "A"), vessel="branch_a", x_index=7),
+        ProbeSpec(("Q_C", "P_C2", "P_C1"), node="micro"),
+        ProbeSpec(("P_junc",), node="fork"),
+        ProbeSpec(("A",), vessel="parent", x_fraction=1.0),
+    ]
+    sink, states = ListSink(), []
+    state0 = initial_state(net, loaded.init, sim)[0]
+    report = run(net, state0, sim, probes=probes, sink=sink, on_step=states.append)
+    assert report.steps == len(states) == 6
+
+    def station(s, vid, k):
+        x = net.vessels[vid].grid[k]
+        at = s.layout.slices[vid].start + k
+        P, Q = float(s.P[at]), float(s.Q[at])
+        A = float(coefficients(net.vessels[vid], x, s.t, PrimitiveState(P, Q)).A)
+        return x, {"P": P, "Q": Q, "A": A, "R": float(np.sqrt(A / np.pi)), "V": Q / A}
+
+    expected = []
+    for s in states:
+        x, values = station(s, "branch_a", 7)
+        expected += [(s.t, "vessel", "branch_a", x, q, values[q]) for q in probes[0].quantities]
+        i = s.layout.junctions.transitional.index("micro")
+        P_C1, P_C2 = float(s.P_C1[i]), float(s.P_C2[i])
+        values = {"P_C1": P_C1, "P_C2": P_C2, "Q_C": (P_C1 - P_C2) / net.nodes["micro"].R_C}
+        expected += [(s.t, "node", "micro", None, q, values[q]) for q in probes[1].quantities]
+        j = s.layout.junctions.branching.index("fork")
+        expected.append((s.t, "node", "fork", None, "P_junc", float(s.P_junc[j])))
+        x, values = station(s, "parent", 40)
+        expected.append((s.t, "vessel", "parent", x, "A", values["A"]))
+    got = [(r.t, r.kind, r.id, r.x, r.quantity, r.value) for r in sink.records]
+    assert [g[:5] for g in got] == [e[:5] for e in expected]
+    assert [g[5].hex() for g in got] == [e[5].hex() for e in expected]
 
 
 # --- mutation corpus -------------------------------------------------------

@@ -366,7 +366,7 @@ def test_capillary_flow_from_capacitor_gap():
     from vesselflow import ListSink, Network, ProbeSpec, PowerLaw, Vessel
     from vesselflow import ConstantSignal, ExternalPressure
     from vesselflow.characteristics import VesselField
-    from vesselflow.output import emit_probes
+    from vesselflow.output import emit_probes, probe_plan
     from vesselflow.solver import NetworkState
 
     law = PowerLaw(C=1e4, R0=1e-3, beta=2.0)
@@ -392,7 +392,7 @@ def test_capillary_flow_from_capacitor_gap():
         transitional={"t": TransitionalState(10.0, 4.0)},
     )
     sink = ListSink()
-    emit_probes(sink, net, state, [ProbeSpec(quantities=("Q_C",), node="t")], 1e-10)
+    emit_probes(sink, probe_plan(state.layout, [ProbeSpec(quantities=("Q_C",), node="t")]), state, 1e-10)
     assert sink.records[0].value == 3.0
 
 

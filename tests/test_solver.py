@@ -775,7 +775,7 @@ def constant_start_run(monkeypatch, net, init, cfg):
     import vesselflow.solver as solver_mod
 
     with monkeypatch.context() as m:
-        m.setattr(solver_mod, "_extrapolate", lambda levels: None)
+        m.setattr(solver_mod, "_extrapolate", lambda diffs: None)
         return run(net, initial_state(net, init, cfg)[0], cfg)
 
 
@@ -891,13 +891,16 @@ def test_extrapolation_outside_the_tube_law_is_retried_from_the_constant_start(m
 
     net, init, cfg = bifurcation_case(steps=50)
     constant = constant_start_run(monkeypatch, net, init, cfg)
+    state = initial_state(net, init, cfg)[0]
 
-    def outside(levels):
+    def outside(diffs):
         # below P = -C the power law has no radius
-        return dataclasses.replace(levels[-1], P=np.full_like(levels[-1].P, -1e6))
+        start = diffs[0].copy()
+        start[: state.P.size] = -1e6
+        return start
 
     monkeypatch.setattr(solver_mod, "_extrapolate", outside)
-    report = run(net, initial_state(net, init, cfg)[0], cfg)
+    report = run(net, state, cfg)
     assert report.steps == constant.steps == 50
     assert report.extrapolation_retries == report.steps
     assert report.extrapolated_steps == 0
@@ -909,28 +912,63 @@ def test_extrapolation_outside_the_tube_law_is_retried_from_the_constant_start(m
     assert report.final_state.transitional == constant.final_state.transitional
 
 
+def rebuilt_start(levels):
+    """The extrapolated start from the accepted levels, oldest first, by
+    rebuilding their whole backward-difference table."""
+    diffs = [np.concatenate((s.P, s.Q, s.P_C1, s.P_C2)) for s in levels]
+    value = diffs[-1]
+    while len(diffs) > 1:
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        value = value + diffs[-1]
+    return value
+
+
 def test_constant_start_after_every_dt_change(monkeypatch):
+    # a forced dt halving, the restore, and a last step short by half a dt
     import vesselflow.solver as solver_mod
     from vesselflow import CFLViolation
 
     net, init, cfg = bifurcation_case(steps=30)
+    cfg = dataclasses.replace(cfg, t_end=cfg.t_end - cfg.dt / 2)
     real_step, real_extrapolate = solver_mod.picard_step, solver_mod._extrapolate
-    calls, levels_used = [], []
+    calls, levels_used, steps = [], [], []
 
     def failing_once_at_base_dt(state_prev, cfg_, dt, **kw):
         calls.append((dt, kw.get("start") is not None))
+        steps.append((state_prev, dt, kw.get("start")))
         if abs(state_prev.t - 5 * cfg.dt) < 1e-9 and dt == cfg.dt:
             raise CFLViolation("forced")
         return real_step(state_prev, cfg_, dt, **kw)
 
-    def counting_extrapolate(levels):
-        levels_used.append(len(levels))
-        return real_extrapolate(levels)
+    def counting_extrapolate(diffs):
+        levels_used.append(len(diffs))
+        return real_extrapolate(diffs)
 
     monkeypatch.setattr(solver_mod, "picard_step", failing_once_at_base_dt)
     monkeypatch.setattr(solver_mod, "_extrapolate", counting_extrapolate)
-    report = run(net, initial_state(net, init, cfg)[0], cfg)
+    state0 = initial_state(net, init, cfg)[0]
+    accepted = [state0]
+    report = run(net, state0, cfg, on_step=accepted.append)
     h = cfg.dt / 2
+    assert report.steps == 35  # ten steps at dt/2 for five at dt
+    # every start against the rebuilt table of the last accepted levels
+    # spaced by the step's dt, at most five: bit for bit
+    tiny, retries, last = 1e-12 * max(1.0, cfg.t_end), 0, None
+    for state_prev, dt, start in steps:
+        i = next(k for k, s in enumerate(accepted) if s is state_prev)
+        n = 1
+        while n < 5 and n <= i and abs(accepted[i - n + 1].t - accepted[i - n].t - dt) <= tiny:
+            n += 1
+        if start is None:
+            retry = last is not None and last[0] is state_prev and last[1] == dt and last[2] is not None
+            assert n == 1 or retry
+            retries += retry
+        else:
+            got = np.concatenate((start.P, start.Q, start.P_C1, start.P_C2))
+            assert n > 1 and same_bits(got, rebuilt_start(accepted[i - n + 1 : i + 1]))
+        last = (state_prev, dt, start)
+    assert retries == report.extrapolation_retries
+    assert levels_used[-1] == 1 and calls[-1] == (pytest.approx(h, rel=1e-9), False)
     assert report.dt_adjustments == 1 and report.extrapolation_retries == 1
     # constant, linear, quadratic, cubic, then quartic after every dt change
     assert levels_used[:8] == [1, 2, 3, 4, 5, 5, 1, 2]
@@ -944,12 +982,23 @@ def test_constant_start_after_every_dt_change(monkeypatch):
     assert report.extrapolated_steps == sum(started for _, started in calls) - 1
 
 
+def carried_start(levels):
+    """The extrapolated start of a difference table carried through the
+    levels, oldest first."""
+    from vesselflow.solver import _DifferenceTable
+
+    table = _DifferenceTable(levels[0])
+    for level in levels[1:]:
+        table.push(level)
+    return table.start(levels[-1])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_extrapolation_through_n_levels_is_exact_to_degree_n_minus_one(n):
     # levels sampled at equal spacing from a polynomial of degree n - 1 in
     # t give its next value; the bifurcation's transitional node carries
     # the capacitor pressures
-    from vesselflow.solver import _EXTRAPOLATED, _extrapolate
+    from vesselflow.solver import _EXTRAPOLATED
 
     net, init, cfg = bifurcation_case()
     base = initial_state(net, init, cfg)[0]
@@ -962,22 +1011,22 @@ def test_extrapolation_through_n_levels_is_exact_to_degree_n_minus_one(n):
 
     times = 0.2 + 0.25 * np.arange(n + 1)
     levels = [dataclasses.replace(base, t=t, **sample(t)) for t in times[:-1]]
-    got, expected = _extrapolate(levels), sample(times[-1])
+    got, expected = carried_start(levels), sample(times[-1])
     for k in _EXTRAPOLATED:
         assert np.max(np.abs(getattr(got, k) - expected[k])) <= 1e-12 * np.max(np.abs(expected[k])), k
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_extrapolation_of_constant_levels_is_the_last_level(n):
-    from vesselflow.solver import _EXTRAPOLATED, _extrapolate
+    from vesselflow.solver import _EXTRAPOLATED
 
     net, init, cfg = bifurcation_case()
     state = picard_step(initial_state(net, init, cfg)[0], cfg)[0]
     levels = [dataclasses.replace(state, t=state.t + i * cfg.dt) for i in range(n)]
-    got = _extrapolate(levels)
+    got = carried_start(levels)
     assert all(same_bits(getattr(got, k), getattr(state, k)) for k in _EXTRAPOLATED)
     # one level gives no extrapolated start
-    assert _extrapolate(levels[:1]) is None
+    assert carried_start(levels[:1]) is None
 
 
 def test_run_extrapolates_through_at_most_five_equally_spaced_levels(monkeypatch):
@@ -988,16 +1037,20 @@ def test_run_extrapolates_through_at_most_five_equally_spaced_levels(monkeypatch
     cfg = dataclasses.replace(cfg, t_end=12.5 * cfg.dt)
     real_extrapolate, seen = solver_mod._extrapolate, []
 
-    def recording(levels):
-        seen.append([level.t for level in levels])
-        return real_extrapolate(levels)
+    def recording(diffs):
+        seen.append(len(diffs))
+        return real_extrapolate(diffs)
 
     monkeypatch.setattr(solver_mod, "_extrapolate", recording)
-    report = run(net, initial_state(net, init, cfg)[0], cfg)
+    state0 = initial_state(net, init, cfg)[0]
+    accepted = [state0]
+    report = run(net, state0, cfg, on_step=accepted.append)
     assert report.steps == 13 and report.extrapolated_steps == 11
-    assert [len(ts) for ts in seen] == [1, 2, 3, 4] + [5] * 8 + [1]
-    for ts in seen:
-        assert np.allclose(np.diff(ts), cfg.dt, rtol=1e-9, atol=0.0)
+    assert seen == [1, 2, 3, 4] + [5] * 8 + [1]
+    # step k starts from level k, through the levels it reaches back over
+    for k, n in enumerate(seen):
+        ts = [level.t for level in accepted[k - n + 1 : k + 1]]
+        assert len(ts) == n and np.allclose(np.diff(ts), cfg.dt, rtol=1e-9, atol=0.0)
 
 
 def test_a_converged_start_is_accepted_after_one_pass():
@@ -1070,9 +1123,10 @@ def test_network_state_arrays_are_read_only():
         state.fields["parent"].P[0] = 1.0
 
 
-def test_only_the_newest_level_keeps_its_coefficients():
-    # run keeps earlier accepted levels for the extrapolated start, but
-    # only the newest level's cached coefficients are read again
+def test_run_keeps_no_earlier_level():
+    # the extrapolated start reads a carried difference table, so run
+    # releases each accepted level when the next is accepted; only the
+    # newest holds its cached coefficients
     import weakref
 
     from vesselflow.config import load_config
@@ -1080,17 +1134,16 @@ def test_only_the_newest_level_keeps_its_coefficients():
     loaded = load_config(BIFURCATION)
     state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
     cfg = dataclasses.replace(loaded.sim, t_end=20 * loaded.sim.dt)
-    accepted, cached = [weakref.ref(state)], []
+    accepted, alive = [], []
 
     def on_step(new):
         assert "coeffs" in vars(new)
-        earlier = [ref() for ref in accepted]
-        cached.extend(s.t for s in earlier if s is not None and "coeffs" in vars(s))
+        alive.extend(ref().t for ref in accepted if ref() is not None)
         accepted.append(weakref.ref(new))
 
     report = run(loaded.net, state, cfg, on_step=on_step)
     assert report.steps == 20 and report.extrapolated_steps
-    assert cached == []
+    assert alive == []
 
 
 def test_closure_names_the_first_end_in_layout_order_whose_characteristic_left():
