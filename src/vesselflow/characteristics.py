@@ -24,6 +24,16 @@ Every foot lies within cfl_max cells of its target, so the foot values
 come from a two-point stencil inside the target's own vessel, clamped
 at the vessel's ends. Grid nodes whose foot leaves the vessel are left
 unresolved (NaN); the node closures complete them.
+
+Every array that lives only within a fixed-point pass is written into a
+`Workspace`, one per run (a kernel call without one makes its own):
+both levels' `LevelArrays` (the old level's rebuilt once per step, the
+new level's once per pass), the new level's coefficients, the frozen
+step's F, g_P and g_Q, and the scratch of the trace, the stencils and
+the update. Each formula is evaluated with `out=` and in-place ufuncs
+in its written order of operations, so its bits equal those of
+evaluating it into new arrays. What outlives a pass is new and never
+aliases the workspace: the update's rs and endpoint rows.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compiled import CompiledNetwork, check_coefficients, layout_coefficients
+from .compiled import CompiledNetwork, check_coefficients, coefficient_arrays, layout_coefficients
 from .constitutive import CoefficientSet, EigenData, eigen
 from .errors import CFLViolation, HyperbolicityViolation, SimulationError, WellPosednessFailure
 
@@ -58,6 +68,43 @@ class VesselField:
         return self.P.size - 1
 
 
+class LevelArrays:
+    """The arrays one `LevelData` is built into: the speed stack
+    (lambda_R, lambda_L, a) that `_ddx` differentiates, whose first two
+    rows are the level's lam, with u, base, adv_lam, adv_a, and r, s.
+    d_x and tmp are the build's scratch (d_x may be given, to share it
+    between levels); tmp then holds a Q for r, s."""
+
+    def __init__(self, n: int, d_x: np.ndarray | None = None):
+        self.speeds = np.empty((3, n))
+        self.d_x = np.empty((3, n)) if d_x is None else d_x
+        self.u, self.tmp = np.empty((2, n))
+        self.base, self.adv_lam, self.adv_a, self.rs = np.empty((4, 2, n))
+
+
+class Workspace:
+    """Every array of one layout that a fixed-point pass writes and that
+    dies within the pass: the old level's arrays (built once per step)
+    and the new level's (once per pass), the new level's coefficients,
+    the frozen step's F, g_P and g_Q, and the scratch of `build_level`,
+    `_trace`, `_stencil`, `interior_update` and the solver's iterate
+    deviation. The scratch is shared: each stage reuses arrays whose
+    values are dead by then, and `_trace`'s output xi lives until
+    `interior_update` has found the feet inside their vessels."""
+
+    def __init__(self, layout: CompiledNetwork):
+        n = layout.size
+        scratch = np.empty((12, n))
+        self.pair_a, self.pair_b, self.pair_c, self.pair_d, self.xi = scratch[:10].reshape(5, 2, n)
+        self.row_a, self.row_b = scratch[10:]
+        # a level's d_x is dead once the level is built
+        self.old, self.new = LevelArrays(n, scratch[:3]), LevelArrays(n, scratch[:3])
+        self.coeffs = coefficient_arrays(layout)
+        self.F, self.g_P, self.g_Q = np.empty((3, 2, n))
+        self.lo, self.hi = np.empty((2, 2, n), dtype=np.intp)
+        self.inside, self.outside = np.empty((2, 2, n), dtype=bool)
+
+
 @dataclass(frozen=True)
 class LevelData:
     """Frozen data of every grid point of the layout at one time level,
@@ -76,11 +123,13 @@ class LevelData:
     # family's speed: lambda_R d_x lambda_L, lambda_L d_x lambda_R ...
     adv_lam: np.ndarray
     adv_a: np.ndarray  # ... and lambda_R d_x a, lambda_L d_x a
+    arrays: LevelArrays  # where the level is stored
 
     # the characteristic variables r, s, computed on first use (the old level's only)
     @cached_property
     def rs(self) -> np.ndarray:
-        return -self.lam[::-1] * self.P + self.coeffs.a * self.Q
+        rs = np.multiply(np.negative(self.lam[::-1], out=self.arrays.rs), self.P, out=self.arrays.rs)
+        return np.add(rs, np.multiply(self.coeffs.a, self.Q, out=self.arrays.tmp), out=rs)
 
 
 @dataclass(frozen=True)
@@ -90,7 +139,8 @@ class FrozenStep:
     g_P = -d_R lambda_L and g_Q = d_R a, with d_R the derivative along
     lambda_R; for s the mirror): the old level's F, read at the feet,
     and the new level's state couplings, solved implicitly at the
-    targets."""
+    targets. The arrays live in work, which the step's
+    `interior_update` also writes."""
 
     layout: CompiledNetwork
     dt: float
@@ -99,92 +149,118 @@ class FrozenStep:
     F: np.ndarray
     g_P: np.ndarray
     g_Q: np.ndarray
+    work: Workspace
 
 
-def _ddx(layout: CompiledNetwork, f: np.ndarray) -> np.ndarray:
+def _ddx(layout: CompiledNetwork, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Centered differences inside each segment, second-order one-sided
-    at its two ends, along the last axis."""
-    out = np.empty_like(f)
-    out[..., 1:-1] = f[..., 2:] - f[..., :-2]
-    i, k = layout.first, layout.last
-    out[..., i] = -3.0 * f[..., i] + 4.0 * f[..., i + 1] - f[..., i + 2]
-    out[..., k] = 3.0 * f[..., k] - 4.0 * f[..., k - 1] + f[..., k - 2]
-    return out * (0.5 * layout.cells)
+    at its two ends, along the last axis, into out."""
+    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    # each end's weighted stencil summed left to right: -3 f0 + 4 f1 +
+    # (-1) f2 has the bits of -3 f0 + 4 f1 - f2 (and 3, -4, 1 at x=1)
+    g = f[..., layout.end_stencil]
+    np.multiply(g, layout.end_weights, out=g)
+    total = np.add(g[..., 0, :], g[..., 1, :], out=g[..., 0, :])
+    out[..., layout.ends] = np.add(total, g[..., 2, :], out=total)
+    return np.multiply(out, layout.half_cells, out=out)
 
 
 def build_level(
-    layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float, cs: CoefficientSet
+    layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float, cs: CoefficientSet,
+    arrays: LevelArrays | None = None,
 ) -> LevelData:
     """One level's frozen data from cs, the `layout_coefficients` of P
-    and Q (flat in layout order). The level must pass `check_coefficients`
-    and have real, finite speeds (else the error names the vessel)."""
+    and Q (flat in layout order), stored in arrays (new ones without
+    them). The level must pass `check_coefficients` and have real,
+    finite speeds (else the error names the vessel)."""
     check_coefficients(layout, P, cs, epsilon0)
+    arrays = LevelArrays(layout.size) if arrays is None else arrays
+    speeds = arrays.speeds
+    lam = speeds[:2]
     try:
-        e = eigen(cs)
+        e = eigen(cs, EigenData(lambda_R=speeds[0], lambda_L=speeds[1], u=arrays.u))
     except HyperbolicityViolation as exc:
         with np.errstate(over="ignore"):
             disc = cs.c * cs.c + cs.a * cs.b
         first = int(np.argmin((disc > 0) & (disc < np.inf)))
         raise HyperbolicityViolation(f"vessel {layout.vessel_at(first)!r}: {exc}") from exc
-    lam = np.array((e.lambda_R, e.lambda_L))
-    # d_x of lambda_L, lambda_R and a
-    d_x = _ddx(layout, np.array((e.lambda_L, e.lambda_R, cs.a)))
+    speeds[2] = cs.a
+    d_x = _ddx(layout, speeds, arrays.d_x)  # d_x of lambda_R, lambda_L and a
     # an overflow here is a non-finite travel or determinant, which the
     # kernel's guards classify
     with np.errstate(over="ignore"):
+        base = np.multiply(lam[::-1], cs.f, out=arrays.base)
+        np.subtract(np.multiply(cs.a, cs.g, out=arrays.tmp), base, out=base)
         return LevelData(
-            t=t, coeffs=cs, eig=e, P=P, Q=Q, lam=lam,
-            base=cs.a * cs.g - lam[::-1] * cs.f,
-            adv_lam=lam * d_x[:2],
-            adv_a=lam * d_x[2],
+            t=t, coeffs=cs, eig=e, P=P, Q=Q, lam=lam, base=base,
+            adv_lam=np.multiply(lam, d_x[1::-1], out=arrays.adv_lam),
+            adv_a=np.multiply(lam, d_x[2], out=arrays.adv_a),
+            arrays=arrays,
         )
 
 
 def freeze_step(
     layout: CompiledNetwork, old: LevelData, t_new: float, P_new: np.ndarray, Q_new: np.ndarray,
-    epsilon0: float,
+    epsilon0: float, work: Workspace | None = None,
 ) -> FrozenStep:
     """Freeze the coefficients of every vessel of a layout at the new
     level (P_new and Q_new flat in layout order) from one
     `layout_coefficients` evaluation, and precompute the step's source
-    terms. The old level, which the fixed-point iterations of a step
-    share, comes built (`build_level`)."""
+    terms, into work (a new workspace without one). The old level,
+    which the fixed-point iterations of a step share, comes built
+    (`build_level`)."""
     dt = t_new - old.t
     if dt <= 0:
         raise ValueError("t_new must exceed the old level's t")
-    cs = layout_coefficients(layout, t_new, P_new, Q_new)
-    new = build_level(layout, t_new, P_new, Q_new, epsilon0, cs)
+    work = Workspace(layout) if work is None else work
+    cs = layout_coefficients(layout, t_new, P_new, Q_new, work.coeffs)
+    new = build_level(layout, t_new, P_new, Q_new, epsilon0, cs, work.new)
 
     # g_P = -(lam_t + adv_lam) and g_Q = a_t + adv_a at either level; a
     # non-finite entry fails the kernel's guards or the next level's check
     with np.errstate(over="ignore", invalid="ignore"):
-        lam_t = (new.lam[::-1] - old.lam[::-1]) / dt  # d_t lambda_L, d_t lambda_R
-        a_t = (new.coeffs.a - old.coeffs.a) / dt
-        F = old.base - (lam_t + old.adv_lam) * old.P + (a_t + old.adv_a) * old.Q
-        return FrozenStep(layout, dt, old, new, F, -(lam_t + new.adv_lam), a_t + new.adv_a)
+        # d_t lambda_L, d_t lambda_R and d_t a
+        lam_t = np.divide(np.subtract(new.lam[::-1], old.lam[::-1], out=work.pair_a), dt, out=work.pair_a)
+        a_t = np.divide(np.subtract(new.coeffs.a, old.coeffs.a, out=work.row_a), dt, out=work.row_a)
+        # F = old.base - (lam_t + old.adv_lam) P + (a_t + old.adv_a) Q,
+        # the last term in g_P, which is written after it
+        F = np.multiply(np.add(lam_t, old.adv_lam, out=work.F), old.P, out=work.F)
+        np.subtract(old.base, F, out=F)
+        np.add(F, np.multiply(np.add(a_t, old.adv_a, out=work.g_P), old.Q, out=work.g_P), out=F)
+        g_P = np.negative(np.add(lam_t, new.adv_lam, out=work.g_P), out=work.g_P)
+        g_Q = np.add(a_t, new.adv_a, out=work.g_Q)
+    return FrozenStep(layout, dt, old, new, F, g_P, g_Q, work)
 
 
 # --- tracing ------------------------------------------------------------
 
 
-def _stencil(layout: CompiledNetwork, xi: np.ndarray):
+def _stencil(layout: CompiledNetwork, xi: np.ndarray, work: Workspace):
     """Two-point linear-interpolation stencil at the (2, N) local
     positions xi (in cells from each point's segment start), clamped to
     the segment as np.interp clamps: a position at or beyond an end
-    reads that end. The indices are flat into a (2, N) stack."""
-    xi = np.minimum(np.maximum(xi, 0.0), layout.cells)
-    k = xi.astype(np.intp)  # floor, xi >= 0
-    lo = layout.base + k
-    hi = np.minimum(lo + 1, layout.size - 1)
-    lo[1] += layout.size
-    hi[1] += layout.size
-    return lo, hi, xi - k
+    reads that end. The indices are flat into a (2, N) stack. Written
+    into work's lo, hi and pair_a."""
+    lo, hi, w = work.lo, work.hi, work.pair_a
+    n = layout.size
+    xi = np.minimum(np.maximum(xi, 0.0, out=w), layout.cells, out=w)
+    lo[...] = xi  # floor, xi >= 0
+    np.subtract(xi, lo, out=w)
+    np.add(layout.base, lo, out=lo)
+    np.minimum(np.add(lo, 1, out=hi), n - 1, out=hi)
+    lo[1] += n
+    hi[1] += n
+    return lo, hi, w
 
 
-def _at(f: np.ndarray, stencil) -> np.ndarray:
+def _at(f: np.ndarray, stencil, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """f interpolated on a stencil, into out; tmp is scratch."""
     lo, hi, w = stencil
-    f_lo = f.take(lo)
-    return f_lo + w * (f.take(hi) - f_lo)
+    # the clamped stencil's indices lie inside f, so "clip" never clips;
+    # it lets take write into out without an internal buffer
+    f_lo = f.take(lo, out=out, mode="clip")
+    d = np.subtract(f.take(hi, out=tmp, mode="clip"), f_lo, out=tmp)
+    return np.add(f_lo, np.multiply(w, d, out=d), out=out)
 
 
 def _trace(frozen: FrozenStep, cfl_max: float) -> np.ndarray:
@@ -192,23 +268,26 @@ def _trace(frozen: FrozenStep, cfl_max: float) -> np.ndarray:
     at t+dt, by the explicit midpoint rule on the frozen speed fields,
     as a (2, N) stack of local positions in cells (the foot of node j
     of a vessel with n cells lies at x = xi/n; it left the vessel if
-    xi < 0 or xi > n). Raises CFLViolation naming the vessel and family
-    of the longest (or a non-finite) travel beyond cfl_max cells."""
-    layout = frozen.layout
-    courant = frozen.dt * layout.cells  # dt/dx per point
-    half = _stencil(layout, layout.j - 0.5 * courant * frozen.new.lam)
+    xi < 0 or xi > n), in the workspace's xi. Raises CFLViolation
+    naming the vessel and family of the longest (or a non-finite)
+    travel beyond cfl_max cells."""
+    layout, work = frozen.layout, frozen.work
+    courant = np.multiply(frozen.dt, layout.cells, out=work.row_a)  # dt/dx per point
+    xi = np.multiply(np.multiply(0.5, courant, out=work.row_b), frozen.new.lam, out=work.xi)
+    half = _stencil(layout, np.subtract(layout.j, xi, out=xi), work)
     # interpolating the level average equals averaging the interpolants
-    lam_mid = _at(0.5 * (frozen.old.lam + frozen.new.lam), half)
-    travel = np.abs(courant * lam_mid)  # in cells
+    mid = np.add(frozen.old.lam, frozen.new.lam, out=work.pair_b)
+    lam_mid = _at(np.multiply(0.5, mid, out=mid), half, work.pair_c, work.pair_d)
+    travel = np.abs(np.multiply(courant, lam_mid, out=work.pair_d), out=work.pair_d)  # in cells
     # a NaN travel fails this comparison, and argmax finds it first
-    if not np.all(travel <= cfl_max):
+    if not np.maximum.reduce(travel, axis=None) <= cfl_max:
         family, k = divmod(int(np.argmax(travel)), layout.size)
         raise CFLViolation(
             f"vessel {layout.vessel_at(k)!r} family {'RL'[family]}: characteristic travels "
             f"{abs(frozen.dt * lam_mid[family, k]):.3e} > cfl_max*dx = {cfl_max / layout.cells[k]:.3e}; "
             "reduce dt"
         )
-    return layout.j - courant * lam_mid
+    return np.subtract(layout.j, np.multiply(courant, lam_mid, out=xi), out=xi)
 
 
 @dataclass(frozen=True)
@@ -259,40 +338,53 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     overflowed), else the endpoint-split `WellPosednessFailure` naming
     the vessel and end (the foot left the vessel).
     """
-    layout = frozen.layout
+    layout, work = frozen.layout, frozen.work
     old, new = frozen.old, frozen.new
     half_dt = 0.5 * frozen.dt
     xi = _trace(frozen, cfl_max)
-    foot = _stencil(layout, xi)
+    foot = _stencil(layout, xi, work)
+    tmp = work.pair_d
     # an overflow fails the node closures at an end, the deviation inside
     with np.errstate(over="ignore", invalid="ignore"):
-        part = _at(old.rs, foot) + half_dt * (_at(frozen.F, foot) + new.base)
-    inside = (xi >= 0.0) & (xi <= layout.cells)
-    known = np.where(inside, part, np.nan)
+        known = _at(old.rs, foot, work.pair_b, tmp)
+        src = np.add(_at(frozen.F, foot, work.pair_c, tmp), new.base, out=work.pair_c)
+        np.add(known, np.multiply(half_dt, src, out=src), out=known)
+    inside = np.greater_equal(xi, 0.0, out=work.inside)
+    np.bitwise_and(inside, np.less_equal(xi, layout.cells, out=work.outside), out=inside)
+    known[np.logical_not(inside, out=work.outside)] = np.nan
 
     # state coupling of the new-level source, mapped to (r, s) through
     # the inverse characteristic transform: each family's new value is
     # its known part + kr r + ks s, a 2x2 system per node solved by
     # Cramer's rule
-    u2 = 2.0 * new.eig.u
-    ua2 = u2 * new.coeffs.a
-    kr = half_dt * (frozen.g_P / u2 + frozen.g_Q * new.eig.lambda_R / ua2)
-    ks = half_dt * (-frozen.g_P / u2 - frozen.g_Q * new.eig.lambda_L / ua2)
-    d_r, d_s = 1.0 - kr[0], 1.0 - ks[1]
-    det = d_r * d_s - ks[0] * kr[1]
+    u2 = np.multiply(2.0, new.eig.u, out=work.row_a)
+    ua2 = np.multiply(u2, new.coeffs.a, out=work.row_b)
+    # kr = half_dt (g_P / u2 + g_Q lambda_R / ua2),
+    # ks = half_dt (-g_P / u2 - g_Q lambda_L / ua2)
+    kr = np.divide(frozen.g_P, u2, out=work.pair_c)
+    np.add(kr, np.divide(np.multiply(frozen.g_Q, new.eig.lambda_R, out=tmp), ua2, out=tmp), out=kr)
+    np.multiply(half_dt, kr, out=kr)
+    ks = np.divide(np.negative(frozen.g_P, out=work.pair_a), u2, out=work.pair_a)
+    np.subtract(ks, np.divide(np.multiply(frozen.g_Q, new.eig.lambda_L, out=tmp), ua2, out=tmp), out=ks)
+    np.multiply(half_dt, ks, out=ks)
+    d_r, d_s = np.subtract(1.0, kr[0], out=xi[0]), np.subtract(1.0, ks[1], out=xi[1])
+    det = np.subtract(np.multiply(d_r, d_s, out=tmp[0]), np.multiply(ks[0], kr[1], out=tmp[1]), out=tmp[0])
     # a NaN determinant fails this comparison too
-    solvable = np.abs(det) >= 0.5
-    if not np.all(solvable):
+    if not np.minimum.reduce(np.abs(det, out=tmp[1]), axis=None) >= 0.5:
         raise CFLViolation(
-            f"vessel {layout.vessel_at(int(np.argmin(solvable)))!r}: "
+            f"vessel {layout.vessel_at(int(np.argmin(np.abs(det) >= 0.5)))!r}: "
             "source coupling too stiff for this dt"
         )
+    # a new array: the iterate is read from it
+    rs = np.empty((2, layout.size))
     with np.errstate(invalid="ignore"):
-        rs = np.array((d_s * known[0] + ks[0] * known[1], kr[1] * known[0] + d_r * known[1])) / det
+        np.add(np.multiply(d_s, known[0], out=rs[0]), np.multiply(ks[0], known[1], out=tmp[1]), out=rs[0])
+        np.add(np.multiply(kr[1], known[0], out=rs[1]), np.multiply(d_r, known[1], out=tmp[1]), out=rs[1])
+        np.divide(rs, det, out=rs)
 
     # endpoint nodes: the companion family usually exited there, so the
     # 2x2 entries are not usable. Hand the exact split to the closures.
-    at = layout.ends + layout.size * ~layout.end_x1  # s at x=0, r at x=1
+    at = layout.end_families  # s at x=0, r at x=1
     ends = EndpointRow(known.take(at), half_dt * frozen.g_P.take(at), half_dt * frozen.g_Q.take(at))
     unresolved = ~np.isfinite(ends.known)
     if np.any(unresolved):

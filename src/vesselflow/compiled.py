@@ -7,12 +7,13 @@ power tube law come first (sorted by id) and share per-point parameter
 arrays; vessels with a tabulated law or synthetic coefficients follow
 (sorted by id). `layout_coefficients` evaluates the coefficients of
 every point, unchecked, once per time level: each fixed-point iterate,
-and each accepted `NetworkState`, whose cache the checker, the output
-and the next step read. `check_coefficients` raises for the first
-failing point of a physical vessel in the kernel's levels, the initial
-state and the output. Vessel ends have one numbering, e = 2k + x1 for
-the x=0 (x1 = 0) and x=1 (x1 = 1) end of segment k, the order of
-`ends` and of the kernel's endpoint rows. Each node lists its ends in
+into the run's workspace, and each accepted `NetworkState`, into new
+arrays, whose cache the checker, the output and the next step read.
+`check_coefficients` raises for the first failing point of a physical
+vessel in the kernel's levels, the initial state and the output. Vessel
+ends have one numbering, e = 2k + x1 for the x=0 (x1 = 0) and x=1
+(x1 = 1) end of segment k, the order of `ends` and of the kernel's
+endpoint rows. Each node lists its ends in
 `endpoints_by_node` order: external nodes keep their single end, and
 junction nodes are grouped by kind and size into the
 `junctions.junction_layout` groups, each holding its nodes' end indices
@@ -70,6 +71,14 @@ class CompiledNetwork:
     # the one numbering of vessel ends
     ends: np.ndarray  # grid point: first and last point of each segment, interleaved
     end_x1: np.ndarray  # True for x=1 ends: False, True, False, ...
+    # each end's three-point one-sided difference: its points (3, 2K)
+    # from the end inward and their weights, -3, 4, -1 at x=0 and 3, -4,
+    # 1 at x=1
+    end_stencil: np.ndarray
+    end_weights: np.ndarray
+    # each end's resolved family in a flat (2, N) family stack: s (row 1)
+    # at x=0, r (row 0) at x=1
+    end_families: np.ndarray
     ends_local: np.ndarray  # local grid index: 0, n_cells, ...
     pair_starts: np.ndarray  # each segment's first end: 0, 2, 4, ...
     # per point
@@ -77,6 +86,7 @@ class CompiledNetwork:
     j: np.ndarray  # local grid index (float)
     local: np.ndarray  # local grid index
     cells: np.ndarray  # n_cells of the owning vessel (float)
+    half_cells: np.ndarray  # 0.5 * cells
     base: np.ndarray  # offset of the owning segment
     zeros: np.ndarray
     power: PowerLawParams  # per-point arrays over the power prefix
@@ -148,6 +158,9 @@ def compile_network(net: Network) -> CompiledNetwork:
     local = np.arange(base.size) - base
     zeros = np.zeros(int(offsets[-1]))
     zeros.setflags(write=False)
+    ends = np.stack((first, last), axis=1).ravel()
+    inward = np.where(end_x1, -1, 1)
+    cells = per_point([v.n_cells for v in vessels])
 
     return CompiledNetwork(
         network=net,
@@ -158,14 +171,18 @@ def compile_network(net: Network) -> CompiledNetwork:
         first=first,
         last=last,
         counts=counts,
-        ends=np.stack((first, last), axis=1).ravel(),
+        ends=ends,
         end_x1=end_x1,
+        end_stencil=ends + np.arange(3)[:, None] * inward,
+        end_weights=np.array([-3.0, 4.0, -1.0])[:, None] * inward,
+        end_families=ends + zeros.size * ~end_x1,
         ends_local=np.stack((np.zeros_like(counts), counts - 1), axis=1).ravel(),
         pair_starts=np.arange(0, 2 * len(counts), 2),
         x=np.concatenate([v.grid for v in vessels]) if vessels else np.zeros(0),
         j=local.astype(float),
         local=local,
-        cells=per_point([v.n_cells for v in vessels]),
+        cells=cells,
+        half_cells=0.5 * cells,
         base=base,
         zeros=zeros,
         power=params,
@@ -180,26 +197,35 @@ def compile_network(net: Network) -> CompiledNetwork:
 _FIELDS = ("a", "b", "c", "f", "g", "A")
 
 
-def layout_coefficients(cn: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray) -> CoefficientSet:
+def coefficient_arrays(cn: CompiledNetwork) -> CoefficientSet:
+    """Arrays for one `layout_coefficients` evaluation of every grid
+    point. f is the layout's zeros on a power-law-only layout, else
+    zeros that the tabulated and synthetic segments overwrite."""
+    n = cn.size
+    a, b, c, g, A = (np.empty(n) for _ in range(5))
+    return CoefficientSet(a, b, c, np.zeros(n) if cn.fills else cn.zeros, g, A)
+
+
+def layout_coefficients(
+    cn: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, out: CoefficientSet | None = None
+) -> CoefficientSet:
     """Coefficients at every grid point of the layout (P and Q in layout
     order), unchecked: one closed form over the power-law prefix, one
     `coefficients` call per tabulated or synthetic segment. Unevaluable
-    points come back as NaN; `check_coefficients` raises for them."""
+    points come back as NaN; `check_coefficients` raises for them. The
+    result is written into out, a `coefficient_arrays` set of the
+    layout, or into a new one without it."""
+    out = coefficient_arrays(cn) if out is None else out
     n = cn.n_power
-    if not cn.fills:
-        cs = power_law_coefficients(cn.power, P, Q)
-        return CoefficientSet(cs.a, cs.b, cs.c, cn.zeros, cs.g, cs.A)
-    out = {name: np.empty(P.size) for name in _FIELDS}
     if n:  # a layout without power-law vessels skips the empty prefix
-        cs = power_law_coefficients(cn.power, P[:n], Q[:n])
-        for name in _FIELDS:
-            out[name][:n] = getattr(cs, name)
+        prefix = CoefficientSet(*(getattr(out, name)[:n] for name in _FIELDS)) if cn.fills else out
+        power_law_coefficients(cn.power, P[:n], Q[:n], prefix)
     for vessel in cn.fills:
         at = cn.slices[vessel.id]
         seg = coefficients(vessel, cn.x[at], t, PrimitiveState(P[at], Q[at]))
         for name in _FIELDS:
-            out[name][at] = getattr(seg, name)
-    return CoefficientSet(**out)
+            getattr(out, name)[at] = getattr(seg, name)
+    return out
 
 
 def check_coefficients(cn: CompiledNetwork, P: np.ndarray, cs: CoefficientSet, epsilon0: float) -> None:

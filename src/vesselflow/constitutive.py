@@ -216,7 +216,7 @@ class PowerLawParams:
         return cls.of(law.C, law.R0, law.beta, vessel.alpha, vessel.nu, vessel.rho_blood)
 
 
-def power_law_coefficients(p: PowerLawParams, P, Q) -> CoefficientSet:
+def power_law_coefficients(p: PowerLawParams, P, Q, out: CoefficientSet | None = None) -> CoefficientSet:
     """Coefficients of the physical model under a power tube law, in
     closed form: with 1 + P/C = (R/R0)^beta,
 
@@ -225,15 +225,31 @@ def power_law_coefficients(p: PowerLawParams, P, Q) -> CoefficientSet:
     The law is x-independent, so g has only its viscous part. Unchecked:
     P <= -C gives NaN (or zero area) and an overflow infinite or NaN
     fields; see `coefficient_failure` and the kernel's guards. f is the
-    scalar 0.0.
+    scalar 0.0. a, b, c, g and A are written into the arrays of out
+    (its f is not read), or into new arrays without one.
     """
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(P), np.shape(Q), np.shape(p.C))
+        a, b, c, g, A = (np.empty(shape) for _ in range(5))
+    else:
+        a, b, c, g, A = out.a, out.b, out.c, out.g, out.A
+    # each formula's operations in their written order, the outputs not
+    # yet computed holding the intermediates
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        A = p.A0 * np.exp((2.0 / p.beta) * np.log1p(P / p.C))
-        a = p.beta * (p.C + P) / (2.0 * A)
-        Q_over_A = Q / A
-        c = p.alpha * Q_over_A
-        b = A / p.rho - c * Q_over_A / a
-        g = -p.visc * Q_over_A
+        np.divide(P, p.C, out=A)
+        np.log1p(A, out=A)
+        np.multiply(np.divide(2.0, p.beta, out=a), A, out=A)
+        np.exp(A, out=A)
+        np.multiply(p.A0, A, out=A)
+        np.multiply(p.beta, np.add(p.C, P, out=a), out=a)
+        np.divide(a, np.multiply(2.0, A, out=c), out=a)
+        Q_over_A = np.divide(Q, A, out=c)
+        # b = A / rho - c Q_over_A / a, with c = alpha Q_over_A
+        np.multiply(np.multiply(p.alpha, Q_over_A, out=b), Q_over_A, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(np.divide(A, p.rho, out=g), b, out=b)
+        np.multiply(np.negative(p.visc, out=g), Q_over_A, out=g)
+        np.multiply(p.alpha, Q_over_A, out=c)
     return CoefficientSet(a, b, c, 0.0, g, A)
 
 
@@ -308,19 +324,28 @@ def coefficients(vessel: Vessel, x, t: float, state: PrimitiveState) -> Coeffici
 # --- eigenstructure and characteristic variables ------------------------
 
 
-def eigen(cs: CoefficientSet) -> EigenData:
+def eigen(cs: CoefficientSet, out: EigenData | None = None) -> EigenData:
     """Characteristic speeds of the wave system; requires c^2 + a b > 0
-    and finite (an overflow would give infinite or NaN speeds)."""
+    and finite (an overflow would give infinite or NaN speeds). The
+    speeds and u are written into the arrays of out, or into new arrays
+    without one."""
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(cs.a), np.shape(cs.b), np.shape(cs.c))
+        out = EigenData(*(np.empty(shape) for _ in range(3)))
+    u = out.u
     with np.errstate(over="ignore"):
-        disc = cs.c * cs.c + cs.a * cs.b
-    lo, hi = np.min(disc), np.max(disc)
+        disc = np.add(np.multiply(cs.c, cs.c, out=u), np.multiply(cs.a, cs.b, out=out.lambda_L), out=u)
+    # the ufunc reductions: np.min's dispatch costs as much on small layouts
+    lo, hi = np.minimum.reduce(disc, axis=None), np.maximum.reduce(disc, axis=None)
     # a NaN also fails these comparisons
     if not (lo > 0 and hi < np.inf):
         raise HyperbolicityViolation(
             f"c^2 + a*b must be positive and finite, worst value {float(hi if lo > 0 else lo):.6e}"
         )
-    u = np.sqrt(disc)
-    return EigenData(lambda_R=cs.c + u, lambda_L=cs.c - u, u=u)
+    np.sqrt(disc, out=u)
+    np.add(cs.c, u, out=out.lambda_R)
+    np.subtract(cs.c, u, out=out.lambda_L)
+    return out
 
 
 def to_riemann(cs: CoefficientSet, e: EigenData, st: PrimitiveState) -> RiemannPair:

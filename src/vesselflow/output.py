@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,11 @@ class ProbeSpec:
             raise ConfigError("probe needs at least one quantity")
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
+    """One probe value at one time level. A named tuple: the solver
+    builds one per probe quantity per step, and a tuple is the cheapest
+    immutable record to build."""
+
     t: float
     kind: str  # "vessel" | "node"
     id: str

@@ -27,6 +27,15 @@ succeeds.
 A `NetworkState` holds a time level as flat arrays in the layout order
 of its compiled network, so levels pass between the kernels, the
 condition checks, the extrapolation and the output without conversion.
+
+`run` makes one `characteristics.Workspace` for its layout and passes
+it to every `picard_step`, which writes every array that lives only
+within a pass into it, the iterate deviation's scratch included. A warm
+pass allocates only what outlives it, each a new array that never
+aliases the workspace: the interior update's characteristic fields and
+`from_riemann`'s P and Q, which become the next iterate and, accepted,
+a read-only `NetworkState`; once per step, the accepted level's
+`coeffs` and the extrapolated start.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .characteristics import VesselField, build_level, freeze_step, interior_update
+from .characteristics import VesselField, Workspace, build_level, freeze_step, interior_update
 from .compiled import CompiledNetwork, check_coefficients, compile_network, layout_coefficients
 from .constitutive import CoefficientSet, RiemannPair, from_riemann
 from .errors import (
@@ -362,16 +371,20 @@ def _residual_diag(diags, nid, what, res, scale):
 # --- one time level ------------------------------------------------------
 
 
-def _deviation(cn: CompiledNetwork, new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> float:
+def _deviation(
+    cn: CompiledNetwork, new: Sequence[np.ndarray], old: Sequence[np.ndarray], scratch: np.ndarray
+) -> float:
     """Relative sup-norm distance between iterates (P, Q, P_C1, P_C2):
     the largest of max |new - old| / (1 + max |new|) over each vessel
     segment of P and Q and |new - old| / (1 + |new|) at each capacitor.
-    A non-finite iterate gives NaN, which never passes the tolerance."""
+    A non-finite iterate gives NaN, which never passes the tolerance.
+    scratch is one array of the layout's points."""
     starts = cn.offsets[:-1]
     ratios = []
     for x_new, x_old in zip(new[:2], old[:2]):
-        scale = 1.0 + np.maximum.reduceat(np.abs(x_new), starts)
-        ratios.append(np.maximum.reduceat(np.abs(x_new - x_old), starts) / scale)
+        scale = 1.0 + np.maximum.reduceat(np.abs(x_new, out=scratch), starts)
+        change = np.abs(np.subtract(x_new, x_old, out=scratch), out=scratch)
+        ratios.append(np.maximum.reduceat(change, starts) / scale)
     if cn.junctions.transitional:
         for x_new, x_old in zip(new[2:], old[2:]):
             ratios.append(np.abs(x_new - x_old) / (1.0 + np.abs(x_new)))
@@ -398,6 +411,7 @@ def picard_step(
     dt: float | None = None,
     report: SimReport | None = None,
     start: NetworkState | None = None,
+    work: Workspace | None = None,
 ) -> tuple[NetworkState, int, list[float]]:
     """Advance one time level of the state's layout by fixed-point
     iteration.
@@ -411,9 +425,11 @@ def picard_step(
     a non-finite iterate raises `PicardDivergence` on the pass that
     makes it, naming its first non-finite point. Returns the converged
     state, the number of iterations used, and the deviation history. A
-    given report collects the closure residuals.
+    given report collects the closure residuals. The passes write into
+    work, a `Workspace` of the state's layout (a new one without it).
     """
     cn = state_prev.layout
+    work = Workspace(cn) if work is None else work
     dt = cfg.dt if dt is None else dt
     t_new = state_prev.t + dt
 
@@ -428,11 +444,11 @@ def picard_step(
     start = state_prev if start is None else start
     cur = (start.P, start.Q, start.P_C1, start.P_C2)
     P_junc = np.empty(len(cn.junctions.branching))
-    old = build_level(cn, state_prev.t, state_prev.P, state_prev.Q, cfg.epsilon0, state_prev.coeffs)
+    old = build_level(cn, state_prev.t, state_prev.P, state_prev.Q, cfg.epsilon0, state_prev.coeffs, work.old)
 
     history: list[float] = []
     for iteration in range(1, cfg.picard_max_iters + 1):
-        frozen = freeze_step(cn, old, t_new, cur[0], cur[1], cfg.epsilon0)
+        frozen = freeze_step(cn, old, t_new, cur[0], cur[1], cfg.epsilon0, work)
         upd = interior_update(frozen, cfg.cfl_max)
         # NaN at unresolved endpoint entries propagates and is
         # overwritten by the node closures below
@@ -443,7 +459,7 @@ def picard_step(
         if report is not None:
             report.worst_closure_residual = max(report.worst_closure_residual, residual)
 
-        dev = _deviation(cn, nxt, cur)
+        dev = _deviation(cn, nxt, cur, work.row_a)
         history.append(dev)
         if math.isnan(dev):  # a non-finite iterate never passes the tolerance
             raise PicardDivergence(
@@ -630,6 +646,7 @@ def run(
 
     # differences of the accepted levels spaced by `spacing`
     table, spacing = _DifferenceTable(state), None
+    work = Workspace(state.layout)
     while state.t < cfg.t_end - tiny:
         dt_step = min(cur_dt, cfg.t_end - state.t)
         # a last step short of dt only by the rounding of t keeps the history
@@ -638,14 +655,16 @@ def run(
         start = table.start(state)
         try:
             try:
-                state_new, iters, hist = picard_step(state, cfg, dt_step, report=report, start=start)
+                state_new, iters, hist = picard_step(
+                    state, cfg, dt_step, report=report, start=start, work=work
+                )
             except SimulationError:
                 if start is None:
                     raise
                 # only the retry from the previous level counts
                 report.extrapolation_retries += 1
                 start = None
-                state_new, iters, hist = picard_step(state, cfg, dt_step, report=report)
+                state_new, iters, hist = picard_step(state, cfg, dt_step, report=report, work=work)
         except (CFLViolation, PicardDivergence) as exc:
             if depth >= _MAX_HALVINGS:
                 raise SimulationError(

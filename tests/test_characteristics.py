@@ -255,6 +255,27 @@ def test_levels_are_frozen_and_the_new_level_riemann_values_unread():
             setattr(obj, name, None)
 
 
+def test_kernel_calls_without_a_workspace_leave_earlier_results_alone():
+    # a call without a workspace makes its own, so a second step changes
+    # nothing the first returned
+    v = synthetic_vessel(20, c=lambda x, t: 0.2 + 0.1 * x, g=0.5)
+    x = v.grid
+    results = []
+    for k in range(2):
+        fr = frozen_for(v, 1.0 + np.sin(3 * x + k), 0.3 * x, dt=0.01 * (k + 1))
+        upd = interior_update(fr)
+        arrays = [fr.F, fr.g_P, fr.g_Q, upd.rs, upd.ends.known, upd.ends.kP, upd.ends.kQ]
+        for level in (fr.old, fr.new):
+            arrays += [level.lam, level.base, level.adv_lam, level.adv_a, level.eig.u]
+            arrays += vars(level.coeffs).values()
+        arrays.append(fr.old.rs)
+        results.append((arrays, [np.array(a, copy=True) for a in arrays]))
+    (first, kept), (second, _) = results
+    assert not any(np.shares_memory(a, b) for a in first for b in second if a.flags.writeable)
+    for a, b in zip(first, kept):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
 # --- interior update -----------------------------------------------------
 
 

@@ -1166,3 +1166,90 @@ def test_closure_names_the_first_end_in_layout_order_whose_characteristic_left()
     assert state.layout.vessel_ids == ("a", "b")
     with pytest.raises(WellPosednessFailure, match="vessel 'a' end x0: the interior-determined"):
         picard_step(state, cfg)
+
+
+# --- the kernel's workspace -------------------------------------------------
+
+
+def workspace_arrays(work):
+    """Every array a `Workspace` writes: its own, its levels' and its
+    coefficient set's (the layout's read-only zeros excluded)."""
+    parts = [vars(work), vars(work.old), vars(work.new), vars(work.coeffs)]
+    return [a for part in parts for a in part.values() if isinstance(a, np.ndarray) and a.flags.writeable]
+
+
+def test_a_pass_allocates_no_point_arrays_beyond_its_results():
+    # every array that dies within a pass lives in the run's workspace,
+    # so a warm step allocates only what it returns: the iterates, their
+    # characteristic fields and the accepted level's coefficients. The
+    # per-pass temporaries took about 70 point-arrays per step; now about
+    # 10 (tracemalloc counts numpy's allocations, deterministically,
+    # unlike the page faults the glibc heap trim causes)
+    import tracemalloc
+
+    n = 3200
+    v = Vessel(id="v", n_cells=n, x0_node="in", x1_node="out",
+               tube_law=PowerLaw(C=4e4, R0=1e-3, beta=2.0), alpha=1.1)
+    net = single_net(v, inlet=ExternalPressure("in", ConstantSignal(8000.0)),
+                     outlet=ExternalPressure("out", ConstantSignal(8000.0)))
+    dt = 0.5 / (n * 7.2)  # CFL 0.5
+    cfg = SimConfig(dt=dt, t_end=8 * dt, check_every=1000)
+    bump = lambda x: np.where((x > 0.2) & (x < 0.6), np.sin(np.pi * (x - 0.2) / 0.4) ** 2, 0.0)  # noqa: E731
+    state0, _ = initial_state(net, InitSpec(default=VesselInit(P=lambda x: 8000.0 + 1500.0 * bump(x))), cfg)
+    peaks = []
+
+    def on_step(state):
+        peaks.append(tracemalloc.get_traced_memory()[1] - on_step.start)
+        tracemalloc.reset_peak()
+        on_step.start = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        on_step.start = tracemalloc.get_traced_memory()[0]
+        report = run(net, state0, cfg, on_step=on_step)
+    finally:
+        tracemalloc.stop()
+    assert report.steps == 8 and report.picard_total > report.steps
+    # the first step includes the workspace itself
+    assert max(peaks[1:]) < 16 * 8 * (n + 1)
+
+
+def test_accepted_levels_share_no_memory_with_the_workspace(monkeypatch):
+    import vesselflow.solver as solver_mod
+    from vesselflow.config import load_config
+
+    real, made = solver_mod.Workspace, []
+
+    def recorded(layout):
+        made.append(real(layout))
+        return made[-1]
+
+    monkeypatch.setattr(solver_mod, "Workspace", recorded)
+    loaded = load_config(BIFURCATION)
+    state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+    cfg = dataclasses.replace(loaded.sim, t_end=30 * loaded.sim.dt)
+    shared = []
+
+    def on_step(new):
+        arrays = [new.P, new.Q, new.P_C1, new.P_C2, new.P_junc, *vars(new.coeffs).values()]
+        shared.extend(new.t for a in arrays for w in workspace_arrays(made[0]) if np.shares_memory(a, w))
+
+    report = run(loaded.net, state, cfg, on_step=on_step)
+    assert report.steps == 30 and len(made) == 1 and shared == []
+
+
+def test_runs_back_to_back_give_the_same_bits():
+    # one workspace per run: a run reads nothing a run before it left,
+    # on the same layout or another
+    net, init, cfg = bifurcation_case(steps=60)
+
+    def bifurcation():
+        report = run(net, initial_state(net, init, cfg)[0], cfg)
+        s = report.final_state
+        return report.picard_total, np.concatenate((s.P, s.Q, s.P_C1, s.P_C2, s.P_junc))
+
+    first, second = bifurcation(), bifurcation()
+    pulse_run(LAW, n=40, t_end=0.002)
+    third = bifurcation()
+    for other in (second, third):
+        assert other[0] == first[0] and same_bits(other[1], first[1])
