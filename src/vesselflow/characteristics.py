@@ -25,21 +25,25 @@ come from a two-point stencil inside the target's own vessel, clamped
 at the vessel's ends. Grid nodes whose foot leaves the vessel are left
 unresolved (NaN); the node closures complete them.
 
-Every array that lives only within a fixed-point pass is written into a
-`Workspace`, one per run (a kernel call without one makes its own):
-both levels' `LevelArrays` (the old level's rebuilt once per step, the
-new level's once per pass), the new level's coefficients, the frozen
-step's F, g_P and g_Q, and the scratch of the trace, the stencils and
-the update. Each formula is evaluated with `out=` and in-place ufuncs
-in its written order of operations, so its bits equal those of
-evaluating it into new arrays. What outlives a pass is new and never
-aliases the workspace: the update's rs and endpoint rows.
+A fixed-point pass's state is one `Workspace` per run (a kernel call
+without one makes its own): its two `Level`s, each filled in place by
+`build_level` (the old level once per step, with its r and s; the new
+level once per pass), the new level's coefficients, the step's dt and
+source terms F, g_P and g_Q, which `freeze_step` forms, and the scratch
+of the trace, the stencils and the update. Each formula is evaluated
+with `out=` and in-place ufuncs in its written order of operations, so
+its bits equal those of evaluating it into new arrays. What outlives a
+pass is new and never aliases the workspace: the update's rs and
+endpoint rows.
+
+`build_level`, `freeze_step` and `interior_update` set no floating-point
+policy of their own: a pass runs under `solver.picard_step`'s, which
+names the guard that classifies each non-finite value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,88 +72,59 @@ class VesselField:
         return self.P.size - 1
 
 
-class LevelArrays:
-    """The arrays one `LevelData` is built into: the speed stack
-    (lambda_R, lambda_L, a) that `_ddx` differentiates, whose first two
-    rows are the level's lam, with u, base, adv_lam, adv_a, and r, s.
-    d_x and tmp are the build's scratch (d_x may be given, to share it
-    between levels); tmp then holds a Q for r, s."""
+class Level:
+    """Every grid point of the layout at one time level, filled in place
+    by `build_level`: t, the coefficients coeffs, P and Q (flat in layout
+    order), the speed stack (lambda_R, lambda_L, a) that `_ddx`
+    differentiates, whose first two rows are lam (and, with u, the eigen
+    data eig), and the parts of the source terms that depend on this
+    level alone. The family fields are (2, N) stacks: row 0 right-going,
+    row 1 left-going. A level made with rs (an old level, the one the
+    update reads at the feet) also holds r, s. d_x and tmp are the
+    build's scratch (d_x may be given, to share it between levels)."""
 
-    def __init__(self, n: int, d_x: np.ndarray | None = None):
+    def __init__(self, n: int, d_x: np.ndarray | None = None, rs: bool = True):
+        self.t = self.coeffs = self.P = self.Q = None  # set by build_level
         self.speeds = np.empty((3, n))
+        self.lam = self.speeds[:2]  # each family's speed: lambda_R, lambda_L
         self.d_x = np.empty((3, n)) if d_x is None else d_x
         self.u, self.tmp = np.empty((2, n))
-        self.base, self.adv_lam, self.adv_a, self.rs = np.empty((4, 2, n))
+        self.eig = EigenData(lambda_R=self.speeds[0], lambda_L=self.speeds[1], u=self.u)
+        # base: a g - lambda_L f, a g - lambda_R f; the advective parts of
+        # the directional derivatives along each family's speed: adv_lam,
+        # lambda_R d_x lambda_L and lambda_L d_x lambda_R, and adv_a,
+        # lambda_R d_x a and lambda_L d_x a
+        self.base, self.adv_lam, self.adv_a = np.empty((3, 2, n))
+        self.rs = np.empty((2, n)) if rs else None
 
 
 class Workspace:
-    """Every array of one layout that a fixed-point pass writes and that
-    dies within the pass: the old level's arrays (built once per step)
-    and the new level's (once per pass), the new level's coefficients,
-    the frozen step's F, g_P and g_Q, and the scratch of `build_level`,
+    """The state of one layout's fixed-point pass, every array of which
+    dies within the pass: the old level (built once per step) and the
+    new level (once per pass, without rs), the new level's coefficients,
+    the step's dt and source terms F = base + g_P P + g_Q Q as (2, N)
+    stacks (for r: g_P = -d_R lambda_L and g_Q = d_R a, with d_R the
+    derivative along lambda_R; for s the mirror): the old level's F,
+    read at the feet, and the new level's state couplings, solved
+    implicitly at the targets. `freeze_step` fills it; `_trace` and
+    `interior_update` read it. The rest is the scratch of `build_level`,
     `_trace`, `_stencil`, `interior_update` and the solver's iterate
-    deviation. The scratch is shared: each stage reuses arrays whose
-    values are dead by then, and `_trace`'s output xi lives until
-    `interior_update` has found the feet inside their vessels."""
+    deviation, shared: each stage reuses arrays whose values are dead by
+    then, and `_trace`'s output xi lives until `interior_update` has
+    found the feet inside their vessels."""
 
     def __init__(self, layout: CompiledNetwork):
         n = layout.size
+        self.layout, self.dt = layout, np.nan  # dt set by freeze_step
         scratch = np.empty((12, n))
         self.pair_a, self.pair_b, self.pair_c, self.pair_d, self.xi = scratch[:10].reshape(5, 2, n)
         self.row_a, self.row_b = scratch[10:]
         # a level's d_x is dead once the level is built
-        self.old, self.new = LevelArrays(n, scratch[:3]), LevelArrays(n, scratch[:3])
+        self.old, self.new = Level(n, scratch[:3]), Level(n, scratch[:3], rs=False)
         self.coeffs = coefficient_arrays(layout)
         self.F, self.g_P, self.g_Q = np.empty((3, 2, n))
         self.lo, self.hi = np.empty((2, 2, n), dtype=np.intp)
         self.inside, self.outside = np.empty((2, 2, n), dtype=bool)
-
-
-@dataclass(frozen=True)
-class LevelData:
-    """Frozen data of every grid point of the layout at one time level,
-    with the parts of the source terms that depend on this level alone.
-    The family fields are (2, N) stacks: row 0 right-going, row 1
-    left-going."""
-
-    t: float
-    coeffs: CoefficientSet
-    eig: EigenData
-    P: np.ndarray
-    Q: np.ndarray
-    lam: np.ndarray  # each family's speed: lambda_R, lambda_L
-    base: np.ndarray  # a g - lambda_L f, a g - lambda_R f
-    # the advective parts of the directional derivatives along each
-    # family's speed: lambda_R d_x lambda_L, lambda_L d_x lambda_R ...
-    adv_lam: np.ndarray
-    adv_a: np.ndarray  # ... and lambda_R d_x a, lambda_L d_x a
-    arrays: LevelArrays  # where the level is stored
-
-    # the characteristic variables r, s, computed on first use (the old level's only)
-    @cached_property
-    def rs(self) -> np.ndarray:
-        rs = np.multiply(np.negative(self.lam[::-1], out=self.arrays.rs), self.P, out=self.arrays.rs)
-        return np.add(rs, np.multiply(self.coeffs.a, self.Q, out=self.arrays.tmp), out=rs)
-
-
-@dataclass(frozen=True)
-class FrozenStep:
-    """Both time levels of one step of a layout, with each family's
-    source term F = base + g_P P + g_Q Q as (2, N) stacks (for r:
-    g_P = -d_R lambda_L and g_Q = d_R a, with d_R the derivative along
-    lambda_R; for s the mirror): the old level's F, read at the feet,
-    and the new level's state couplings, solved implicitly at the
-    targets. The arrays live in work, which the step's
-    `interior_update` also writes."""
-
-    layout: CompiledNetwork
-    dt: float
-    old: LevelData
-    new: LevelData
-    F: np.ndarray
-    g_P: np.ndarray
-    g_Q: np.ndarray
-    work: Workspace
 
 
 def _ddx(layout: CompiledNetwork, f: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -167,69 +142,65 @@ def _ddx(layout: CompiledNetwork, f: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def build_level(
     layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float, cs: CoefficientSet,
-    arrays: LevelArrays | None = None,
-) -> LevelData:
-    """One level's frozen data from cs, the `layout_coefficients` of P
-    and Q (flat in layout order), stored in arrays (new ones without
-    them). The level must pass `check_coefficients` and have real,
+    level: Level | None = None,
+) -> Level:
+    """Fill level (a new one without it) with the level at t of P and Q
+    (flat in layout order) from cs, their `layout_coefficients`, and
+    return it. The level must pass `check_coefficients` and have real,
     finite speeds (else the error names the vessel)."""
     check_coefficients(layout, P, cs, epsilon0)
-    arrays = LevelArrays(layout.size) if arrays is None else arrays
-    speeds = arrays.speeds
-    lam = speeds[:2]
+    level = Level(layout.size) if level is None else level
     try:
-        e = eigen(cs, EigenData(lambda_R=speeds[0], lambda_L=speeds[1], u=arrays.u))
+        eigen(cs, level.eig)
     except HyperbolicityViolation as exc:
         with np.errstate(over="ignore"):
             disc = cs.c * cs.c + cs.a * cs.b
         first = int(np.argmin((disc > 0) & (disc < np.inf)))
         raise HyperbolicityViolation(f"vessel {layout.vessel_at(first)!r}: {exc}") from exc
-    speeds[2] = cs.a
-    d_x = _ddx(layout, speeds, arrays.d_x)  # d_x of lambda_R, lambda_L and a
-    # an overflow here is a non-finite travel or determinant, which the
-    # kernel's guards classify
-    with np.errstate(over="ignore"):
-        base = np.multiply(lam[::-1], cs.f, out=arrays.base)
-        np.subtract(np.multiply(cs.a, cs.g, out=arrays.tmp), base, out=base)
-        return LevelData(
-            t=t, coeffs=cs, eig=e, P=P, Q=Q, lam=lam, base=base,
-            adv_lam=np.multiply(lam, d_x[1::-1], out=arrays.adv_lam),
-            adv_a=np.multiply(lam, d_x[2], out=arrays.adv_a),
-            arrays=arrays,
-        )
+    level.t, level.coeffs, level.P, level.Q = t, cs, P, Q
+    lam = level.lam
+    level.speeds[2] = cs.a
+    d_x = _ddx(layout, level.speeds, level.d_x)  # d_x of lambda_R, lambda_L and a
+    base = np.multiply(lam[::-1], cs.f, out=level.base)
+    np.subtract(np.multiply(cs.a, cs.g, out=level.tmp), base, out=base)
+    np.multiply(lam, d_x[1::-1], out=level.adv_lam)
+    np.multiply(lam, d_x[2], out=level.adv_a)
+    if level.rs is not None:
+        rs = np.multiply(np.negative(lam[::-1], out=level.rs), P, out=level.rs)
+        np.add(rs, np.multiply(cs.a, Q, out=level.tmp), out=rs)
+    return level
 
 
 def freeze_step(
-    layout: CompiledNetwork, old: LevelData, t_new: float, P_new: np.ndarray, Q_new: np.ndarray,
+    layout: CompiledNetwork, old: Level, t_new: float, P_new: np.ndarray, Q_new: np.ndarray,
     epsilon0: float, work: Workspace | None = None,
-) -> FrozenStep:
+) -> Workspace:
     """Freeze the coefficients of every vessel of a layout at the new
     level (P_new and Q_new flat in layout order) from one
-    `layout_coefficients` evaluation, and precompute the step's source
-    terms, into work (a new workspace without one). The old level,
-    which the fixed-point iterations of a step share, comes built
+    `layout_coefficients` evaluation, and form the step's source terms,
+    into work (a new workspace without one), which it returns. The old
+    level, which the fixed-point iterations of a step share, comes built
     (`build_level`)."""
     dt = t_new - old.t
     if dt <= 0:
         raise ValueError("t_new must exceed the old level's t")
     work = Workspace(layout) if work is None else work
+    work.dt, work.old = dt, old
     cs = layout_coefficients(layout, t_new, P_new, Q_new, work.coeffs)
     new = build_level(layout, t_new, P_new, Q_new, epsilon0, cs, work.new)
 
-    # g_P = -(lam_t + adv_lam) and g_Q = a_t + adv_a at either level; a
-    # non-finite entry fails the kernel's guards or the next level's check
-    with np.errstate(over="ignore", invalid="ignore"):
-        # d_t lambda_L, d_t lambda_R and d_t a
-        lam_t = np.divide(np.subtract(new.lam[::-1], old.lam[::-1], out=work.pair_a), dt, out=work.pair_a)
-        a_t = np.divide(np.subtract(new.coeffs.a, old.coeffs.a, out=work.row_a), dt, out=work.row_a)
-        # F = old.base - (lam_t + old.adv_lam) P + (a_t + old.adv_a) Q,
-        # the last term in g_P, which is written after it
-        F = np.multiply(np.add(lam_t, old.adv_lam, out=work.F), old.P, out=work.F)
-        np.subtract(old.base, F, out=F)
-        np.add(F, np.multiply(np.add(a_t, old.adv_a, out=work.g_P), old.Q, out=work.g_P), out=F)
-        g_P = np.negative(np.add(lam_t, new.adv_lam, out=work.g_P), out=work.g_P)
-        g_Q = np.add(a_t, new.adv_a, out=work.g_Q)
-    return FrozenStep(layout, dt, old, new, F, g_P, g_Q, work)
+    # g_P = -(lam_t + adv_lam) and g_Q = a_t + adv_a at either level, with
+    # lam_t = (d_t lambda_L, d_t lambda_R) and a_t = d_t a
+    lam_t = np.divide(np.subtract(new.lam[::-1], old.lam[::-1], out=work.pair_a), dt, out=work.pair_a)
+    a_t = np.divide(np.subtract(new.coeffs.a, old.coeffs.a, out=work.row_a), dt, out=work.row_a)
+    # F = old.base - (lam_t + old.adv_lam) P + (a_t + old.adv_a) Q,
+    # the last term in g_P, which is written after it
+    F = np.multiply(np.add(lam_t, old.adv_lam, out=work.F), old.P, out=work.F)
+    np.subtract(old.base, F, out=F)
+    np.add(F, np.multiply(np.add(a_t, old.adv_a, out=work.g_P), old.Q, out=work.g_P), out=F)
+    np.negative(np.add(lam_t, new.adv_lam, out=work.g_P), out=work.g_P)
+    np.add(a_t, new.adv_a, out=work.g_Q)
+    return work
 
 
 # --- tracing ------------------------------------------------------------
@@ -263,7 +234,7 @@ def _at(f: np.ndarray, stencil, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return np.add(f_lo, np.multiply(w, d, out=d), out=out)
 
 
-def _trace(frozen: FrozenStep, cfl_max: float) -> np.ndarray:
+def _trace(work: Workspace, cfl_max: float) -> np.ndarray:
     """Feet of both families' characteristics through every grid node
     at t+dt, by the explicit midpoint rule on the frozen speed fields,
     as a (2, N) stack of local positions in cells (the foot of node j
@@ -271,12 +242,12 @@ def _trace(frozen: FrozenStep, cfl_max: float) -> np.ndarray:
     xi < 0 or xi > n), in the workspace's xi. Raises CFLViolation
     naming the vessel and family of the longest (or a non-finite)
     travel beyond cfl_max cells."""
-    layout, work = frozen.layout, frozen.work
-    courant = np.multiply(frozen.dt, layout.cells, out=work.row_a)  # dt/dx per point
-    xi = np.multiply(np.multiply(0.5, courant, out=work.row_b), frozen.new.lam, out=work.xi)
+    layout = work.layout
+    courant = np.multiply(work.dt, layout.cells, out=work.row_a)  # dt/dx per point
+    xi = np.multiply(np.multiply(0.5, courant, out=work.row_b), work.new.lam, out=work.xi)
     half = _stencil(layout, np.subtract(layout.j, xi, out=xi), work)
     # interpolating the level average equals averaging the interpolants
-    mid = np.add(frozen.old.lam, frozen.new.lam, out=work.pair_b)
+    mid = np.add(work.old.lam, work.new.lam, out=work.pair_b)
     lam_mid = _at(np.multiply(0.5, mid, out=mid), half, work.pair_c, work.pair_d)
     travel = np.abs(np.multiply(courant, lam_mid, out=work.pair_d), out=work.pair_d)  # in cells
     # a NaN travel fails this comparison, and argmax finds it first
@@ -284,7 +255,7 @@ def _trace(frozen: FrozenStep, cfl_max: float) -> np.ndarray:
         family, k = divmod(int(np.argmax(travel)), layout.size)
         raise CFLViolation(
             f"vessel {layout.vessel_at(k)!r} family {'RL'[family]}: characteristic travels "
-            f"{abs(frozen.dt * lam_mid[family, k]):.3e} > cfl_max*dx = {cfl_max / layout.cells[k]:.3e}; "
+            f"{abs(work.dt * lam_mid[family, k]):.3e} > cfl_max*dx = {cfl_max / layout.cells[k]:.3e}; "
             "reduce dt"
         )
     return np.subtract(layout.j, np.multiply(courant, lam_mid, out=xi), out=xi)
@@ -321,7 +292,7 @@ class InteriorUpdate:
     ends: EndpointRow
 
 
-def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
+def interior_update(work: Workspace, cfl_max: float = 0.9) -> InteriorUpdate:
     """Advance r and s one time level on every vessel of the layout.
 
     The trapezoidal source integral evaluates the new-level source at
@@ -338,17 +309,14 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     overflowed), else the endpoint-split `WellPosednessFailure` naming
     the vessel and end (the foot left the vessel).
     """
-    layout, work = frozen.layout, frozen.work
-    old, new = frozen.old, frozen.new
-    half_dt = 0.5 * frozen.dt
-    xi = _trace(frozen, cfl_max)
+    layout, old, new = work.layout, work.old, work.new
+    half_dt = 0.5 * work.dt
+    xi = _trace(work, cfl_max)
     foot = _stencil(layout, xi, work)
     tmp = work.pair_d
-    # an overflow fails the node closures at an end, the deviation inside
-    with np.errstate(over="ignore", invalid="ignore"):
-        known = _at(old.rs, foot, work.pair_b, tmp)
-        src = np.add(_at(frozen.F, foot, work.pair_c, tmp), new.base, out=work.pair_c)
-        np.add(known, np.multiply(half_dt, src, out=src), out=known)
+    known = _at(old.rs, foot, work.pair_b, tmp)
+    src = np.add(_at(work.F, foot, work.pair_c, tmp), new.base, out=work.pair_c)
+    np.add(known, np.multiply(half_dt, src, out=src), out=known)
     inside = np.greater_equal(xi, 0.0, out=work.inside)
     np.bitwise_and(inside, np.less_equal(xi, layout.cells, out=work.outside), out=inside)
     known[np.logical_not(inside, out=work.outside)] = np.nan
@@ -361,11 +329,11 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
     ua2 = np.multiply(u2, new.coeffs.a, out=work.row_b)
     # kr = half_dt (g_P / u2 + g_Q lambda_R / ua2),
     # ks = half_dt (-g_P / u2 - g_Q lambda_L / ua2)
-    kr = np.divide(frozen.g_P, u2, out=work.pair_c)
-    np.add(kr, np.divide(np.multiply(frozen.g_Q, new.eig.lambda_R, out=tmp), ua2, out=tmp), out=kr)
+    kr = np.divide(work.g_P, u2, out=work.pair_c)
+    np.add(kr, np.divide(np.multiply(work.g_Q, new.eig.lambda_R, out=tmp), ua2, out=tmp), out=kr)
     np.multiply(half_dt, kr, out=kr)
-    ks = np.divide(np.negative(frozen.g_P, out=work.pair_a), u2, out=work.pair_a)
-    np.subtract(ks, np.divide(np.multiply(frozen.g_Q, new.eig.lambda_L, out=tmp), ua2, out=tmp), out=ks)
+    ks = np.divide(np.negative(work.g_P, out=work.pair_a), u2, out=work.pair_a)
+    np.subtract(ks, np.divide(np.multiply(work.g_Q, new.eig.lambda_L, out=tmp), ua2, out=tmp), out=ks)
     np.multiply(half_dt, ks, out=ks)
     d_r, d_s = np.subtract(1.0, kr[0], out=xi[0]), np.subtract(1.0, ks[1], out=xi[1])
     det = np.subtract(np.multiply(d_r, d_s, out=tmp[0]), np.multiply(ks[0], kr[1], out=tmp[1]), out=tmp[0])
@@ -377,15 +345,14 @@ def interior_update(frozen: FrozenStep, cfl_max: float = 0.9) -> InteriorUpdate:
         )
     # a new array: the iterate is read from it
     rs = np.empty((2, layout.size))
-    with np.errstate(invalid="ignore"):
-        np.add(np.multiply(d_s, known[0], out=rs[0]), np.multiply(ks[0], known[1], out=tmp[1]), out=rs[0])
-        np.add(np.multiply(kr[1], known[0], out=rs[1]), np.multiply(d_r, known[1], out=tmp[1]), out=rs[1])
-        np.divide(rs, det, out=rs)
+    np.add(np.multiply(d_s, known[0], out=rs[0]), np.multiply(ks[0], known[1], out=tmp[1]), out=rs[0])
+    np.add(np.multiply(kr[1], known[0], out=rs[1]), np.multiply(d_r, known[1], out=tmp[1]), out=rs[1])
+    np.divide(rs, det, out=rs)
 
     # endpoint nodes: the companion family usually exited there, so the
     # 2x2 entries are not usable. Hand the exact split to the closures.
     at = layout.end_families  # s at x=0, r at x=1
-    ends = EndpointRow(known.take(at), half_dt * frozen.g_P.take(at), half_dt * frozen.g_Q.take(at))
+    ends = EndpointRow(known.take(at), half_dt * work.g_P.take(at), half_dt * work.g_Q.take(at))
     unresolved = ~np.isfinite(ends.known)
     if np.any(unresolved):
         # a foot inside the vessel resolved a value that then overflowed

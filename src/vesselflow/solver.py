@@ -29,13 +29,18 @@ of its compiled network, so levels pass between the kernels, the
 condition checks, the extrapolation and the output without conversion.
 
 `run` makes one `characteristics.Workspace` for its layout and passes
-it to every `picard_step`, which writes every array that lives only
-within a pass into it, the iterate deviation's scratch included. A warm
-pass allocates only what outlives it, each a new array that never
-aliases the workspace: the interior update's characteristic fields and
+it to every `picard_step`. The workspace is a pass's state: the step's
+old `characteristics.Level`, which `picard_step` builds into it once,
+the new level, which each pass's `freeze_step` builds into it with the
+step's source terms, and every other array that lives only within a
+pass, the iterate deviation's scratch included. A warm pass allocates
+only what outlives it, each a new array that never aliases the
+workspace: the interior update's characteristic fields and
 `from_riemann`'s P and Q, which become the next iterate and, accepted,
 a read-only `NetworkState`; once per step, the accepted level's
-`coeffs` and the extrapolated start.
+`coeffs` and the extrapolated start. `picard_step` sets the one
+floating-point policy the kernel runs under and says which guard
+classifies each non-finite value.
 """
 
 from __future__ import annotations
@@ -427,59 +432,74 @@ def picard_step(
     state, the number of iterations used, and the deviation history. A
     given report collects the closure residuals. The passes write into
     work, a `Workspace` of the state's layout (a new one without it).
+
+    The step runs under one floating-point policy: an overflow or an
+    invalid operation leaves its inf or NaN without a warning, and a
+    guard downstream classifies it. A non-finite coefficient, area or
+    slope fails `check_coefficients`, and a non-finite speed `eigen`,
+    when a level is built; a non-finite travel fails the Courant guard
+    and a non-finite source coupling the stiffness guard of
+    `interior_update`, which also raises for a non-finite resolved value
+    at a vessel end; NaN at a foot that left its vessel is overwritten
+    by the node closures, whose junction solves fail a non-finite
+    residual; any other non-finite iterate makes the deviation NaN,
+    which raises `PicardDivergence`. `power_law_coefficients` and
+    `eigen` set their own policy, which they need when called alone.
     """
-    cn = state_prev.layout
-    work = Workspace(cn) if work is None else work
-    dt = cfg.dt if dt is None else dt
-    t_new = state_prev.t + dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        cn = state_prev.layout
+        work = Workspace(cn) if work is None else work
+        dt = cfg.dt if dt is None else dt
+        t_new = state_prev.t + dt
 
-    boundary = tuple(
-        np.array([eval_signal(node.signal, t_new) for node in bc.nodes])
-        for bc in (cn.pressure_ends, cn.flow_ends)
-    )
-    q_prev = state_prev.Q[cn.ends]
-    systems = [
-        group.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2) for group in cn.junctions.groups
-    ]
-    start = state_prev if start is None else start
-    cur = (start.P, start.Q, start.P_C1, start.P_C2)
-    P_junc = np.empty(len(cn.junctions.branching))
-    old = build_level(cn, state_prev.t, state_prev.P, state_prev.Q, cfg.epsilon0, state_prev.coeffs, work.old)
+        boundary = tuple(
+            np.array([eval_signal(node.signal, t_new) for node in bc.nodes])
+            for bc in (cn.pressure_ends, cn.flow_ends)
+        )
+        q_prev = state_prev.Q[cn.ends]
+        systems = [
+            group.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2) for group in cn.junctions.groups
+        ]
+        start = state_prev if start is None else start
+        cur = (start.P, start.Q, start.P_C1, start.P_C2)
+        P_junc = np.empty(len(cn.junctions.branching))
+        old = build_level(
+            cn, state_prev.t, state_prev.P, state_prev.Q, cfg.epsilon0, state_prev.coeffs, work.old
+        )
 
-    history: list[float] = []
-    for iteration in range(1, cfg.picard_max_iters + 1):
-        frozen = freeze_step(cn, old, t_new, cur[0], cur[1], cfg.epsilon0, work)
-        upd = interior_update(frozen, cfg.cfl_max)
-        # NaN at unresolved endpoint entries propagates and is
-        # overwritten by the node closures below
-        with np.errstate(invalid="ignore"):
-            st = from_riemann(frozen.new.coeffs, frozen.new.eig, RiemannPair(*upd.rs))
-        nxt = (st.P, st.Q, np.empty_like(cur[2]), np.empty_like(cur[3]))
-        residual = _close_nodes(cn, frozen, upd, boundary, systems, *nxt, P_junc)
-        if report is not None:
-            report.worst_closure_residual = max(report.worst_closure_residual, residual)
+        history: list[float] = []
+        for iteration in range(1, cfg.picard_max_iters + 1):
+            freeze_step(cn, old, t_new, cur[0], cur[1], cfg.epsilon0, work)
+            upd = interior_update(work, cfg.cfl_max)
+            # NaN at unresolved endpoint entries propagates and is
+            # overwritten by the node closures below
+            st = from_riemann(work.new.coeffs, work.new.eig, RiemannPair(*upd.rs))
+            nxt = (st.P, st.Q, np.empty_like(cur[2]), np.empty_like(cur[3]))
+            residual = _close_nodes(cn, work, upd, boundary, systems, *nxt, P_junc)
+            if report is not None:
+                report.worst_closure_residual = max(report.worst_closure_residual, residual)
 
-        dev = _deviation(cn, nxt, cur, work.row_a)
-        history.append(dev)
-        if math.isnan(dev):  # a non-finite iterate never passes the tolerance
-            raise PicardDivergence(
-                f"fixed-point iterate is not finite{_non_finite_site(cn, *nxt)} "
-                f"at t = {t_new:.6g} (iteration {iteration}); reduce dt",
-                deviations=history,
-            )
-        cur = nxt
-        if dev <= cfg.picard_tol:
-            return NetworkState(t_new, cn, *cur, P_junc), iteration, history
+            dev = _deviation(cn, nxt, cur, work.row_a)
+            history.append(dev)
+            if math.isnan(dev):  # a non-finite iterate never passes the tolerance
+                raise PicardDivergence(
+                    f"fixed-point iterate is not finite{_non_finite_site(cn, *nxt)} "
+                    f"at t = {t_new:.6g} (iteration {iteration}); reduce dt",
+                    deviations=history,
+                )
+            cur = nxt
+            if dev <= cfg.picard_tol:
+                return NetworkState(t_new, cn, *cur, P_junc), iteration, history
 
-    raise PicardDivergence(
-        f"fixed-point iteration did not converge in {cfg.picard_max_iters} iterations "
-        f"at t = {t_new:.6g} (deviations {history[-3:]}); reduce dt",
-        deviations=history,
-    )
+        raise PicardDivergence(
+            f"fixed-point iteration did not converge in {cfg.picard_max_iters} iterations "
+            f"at t = {t_new:.6g} (deviations {history[-3:]}); reduce dt",
+            deviations=history,
+        )
 
 
 def _close_nodes(
-    cn: CompiledNetwork, frozen, upd, boundary, systems, P, Q, P_C1, P_C2, P_junc,
+    cn: CompiledNetwork, work, upd, boundary, systems, P, Q, P_C1, P_C2, P_junc,
 ) -> float:
     """Close every node at the new time level, writing the endpoint
     states into the flat P and Q, the capacitor pressures into P_C1 and
@@ -497,7 +517,7 @@ def _close_nodes(
     Returns the largest junction residual over its gate scale.
     """
     points, char = cn.ends, upd.ends.known
-    cs, eig = frozen.new.coeffs, frozen.new.eig
+    cs, eig = work.new.coeffs, work.new.eig
     lam = np.where(cn.end_x1, eig.lambda_L[points], eig.lambda_R[points])
     a = cs.a[points]
     cp = -lam - upd.ends.kP

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vesselflow import CFLViolation, Network, PowerLaw, SyntheticCoefficients, Vessel
-from vesselflow.characteristics import _trace, build_level, freeze_step, interior_update
+from vesselflow.characteristics import Workspace, _trace, build_level, freeze_step, interior_update
 from vesselflow.compiled import compile_network, layout_coefficients
 from vesselflow.constitutive import PrimitiveState
 
@@ -130,14 +130,13 @@ def test_kernel_guards_reject_nan():
     v = synthetic_vessel(10, vid="v")
     z = np.zeros(11)
     fr = frozen_for(v, z, z, dt=0.05)
-    lam = fr.old.lam.copy()
-    lam[1, 4] = np.nan
+    fr.old.lam[1, 4] = np.nan
     with pytest.raises(CFLViolation, match="^vessel 'v' family L: characteristic travels nan"):
-        _trace(dataclasses.replace(fr, old=dataclasses.replace(fr.old, lam=lam)), 0.9)
-    g_P = fr.g_P.copy()
-    g_P[0, 4] = np.nan
+        _trace(fr, 0.9)
+    fr = frozen_for(v, z, z, dt=0.05)
+    fr.g_P[0, 4] = np.nan
     with pytest.raises(CFLViolation, match="^vessel 'v': source coupling too stiff"):
-        interior_update(dataclasses.replace(fr, g_P=g_P))
+        interior_update(fr)
 
 
 def test_trace_clamps_at_segment_ends_like_interp():
@@ -244,15 +243,43 @@ def test_source_terms_manufactured_field():
     assert np.max(np.abs(fr.F[1] - F_L_exact)) <= 1e-6 * scale
 
 
-def test_levels_are_frozen_and_the_new_level_riemann_values_unread():
+def test_only_the_old_level_holds_its_riemann_values():
+    # the update reads r and s of the old level alone, built with it
+    # by the written formula; the new level has no buffer for them
     v = synthetic_vessel(20, c=0.2, g=0.5)
-    fr = frozen_for(v, np.full(21, 1.5), np.full(21, 0.3), dt=0.01)
-    interior_update(fr)
-    assert "rs" in vars(fr.old)
-    assert "rs" not in vars(fr.new)
-    for obj, name in ((fr, "F"), (fr.old, "base"), (fr.new, "P")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, name, None)
+    P = np.where(np.arange(21) % 3 == 0, -0.0, 1.5)
+    Q = np.where(np.arange(21) % 2 == 0, -0.0, 0.3)
+    fr = frozen_for(v, P, Q, dt=0.01)
+    old = fr.old
+    assert (-old.lam[::-1] * P + old.coeffs.a * Q).tobytes() == old.rs.tobytes()
+    # where P and Q are -0.0: r = -lambda_L (-0.0) + a (-0.0) = -0.0 and
+    # s = -lambda_R (-0.0) + a (-0.0) = +0.0
+    assert np.signbit(old.rs[0, ::6]).all() and not np.signbit(old.rs[1, ::6]).any()
+    assert Workspace(fr.layout).new.rs is None
+    assert fr.new.rs is None
+
+
+def test_a_pass_sets_no_floating_point_policy_of_its_own(monkeypatch):
+    # the kernel runs under picard_step's one np.errstate: of the calls
+    # one pass makes, only power_law_coefficients and eigen, which other
+    # code calls on their own, enter one
+    import sys
+
+    entered = []
+
+    class Counted(np.errstate):
+        def __enter__(self):
+            entered.append(sys._getframe(1).f_code.co_name)
+            return super().__enter__()
+
+    v = Vessel(id="v", n_cells=12, x0_node="A", x1_node="B", alpha=1.1,
+               tube_law=PowerLaw(C=4e4, R0=1e-3, beta=2.0))
+    layout = layout_of(v)
+    P, Q = 13000.0 + 500.0 * np.sin(3.0 * v.grid), 1e-6 * np.cos(v.grid)
+    old = build_level(layout, 0.0, P, Q, EPS0, layout_coefficients(layout, 0.0, P, Q))
+    monkeypatch.setattr(np, "errstate", Counted)
+    interior_update(freeze_step(layout, old, 2e-4, P, Q, EPS0))
+    assert sorted(entered) == ["eigen", "power_law_coefficients"]
 
 
 def test_kernel_calls_without_a_workspace_leave_earlier_results_alone():

@@ -1173,9 +1173,15 @@ def test_closure_names_the_first_end_in_layout_order_whose_characteristic_left()
 
 def workspace_arrays(work):
     """Every array a `Workspace` writes: its own, its levels' and its
-    coefficient set's (the layout's read-only zeros excluded)."""
-    parts = [vars(work), vars(work.old), vars(work.new), vars(work.coeffs)]
-    return [a for part in parts for a in part.values() if isinstance(a, np.ndarray) and a.flags.writeable]
+    coefficient set's (the layout's read-only zeros excluded), not the
+    iterate's P and Q and the old level's coefficients, which a `Level`
+    also references."""
+    own = [work.pair_a, work.pair_b, work.pair_c, work.pair_d, work.xi, work.row_a, work.row_b,
+           work.F, work.g_P, work.g_Q, work.lo, work.hi, work.inside, work.outside,
+           *vars(work.coeffs).values()]
+    for level in (work.old, work.new):
+        own += [level.speeds, level.d_x, level.u, level.tmp, level.base, level.adv_lam, level.adv_a, level.rs]
+    return [a for a in own if isinstance(a, np.ndarray) and a.flags.writeable]
 
 
 def test_a_pass_allocates_no_point_arrays_beyond_its_results():
