@@ -354,7 +354,7 @@ def interior_update(work: Workspace, cfl_max: float = 0.9) -> InteriorUpdate:
     at = layout.end_families  # s at x=0, r at x=1
     ends = EndpointRow(known.take(at), half_dt * work.g_P.take(at), half_dt * work.g_Q.take(at))
     unresolved = ~np.isfinite(ends.known)
-    if np.any(unresolved):
+    if np.logical_or.reduce(unresolved):
         # a foot inside the vessel resolved a value that then overflowed
         overflowed = unresolved & inside.take(at)
         if np.any(overflowed):

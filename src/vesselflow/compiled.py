@@ -79,6 +79,9 @@ class CompiledNetwork:
     # each end's resolved family in a flat (2, N) family stack: s (row 1)
     # at x=0, r (row 0) at x=1
     end_families: np.ndarray
+    # each end's incoming family, the one its node closes, in the same
+    # stack: r (row 0) at x=0, s (row 1) at x=1
+    end_incoming: np.ndarray
     ends_local: np.ndarray  # local grid index: 0, n_cells, ...
     pair_starts: np.ndarray  # each segment's first end: 0, 2, 4, ...
     # per point
@@ -176,6 +179,7 @@ def compile_network(net: Network) -> CompiledNetwork:
         end_stencil=ends + np.arange(3)[:, None] * inward,
         end_weights=np.array([-3.0, 4.0, -1.0])[:, None] * inward,
         end_families=ends + zeros.size * ~end_x1,
+        end_incoming=ends + zeros.size * end_x1,
         ends_local=np.stack((np.zeros_like(counts), counts - 1), axis=1).ravel(),
         pair_starts=np.arange(0, 2 * len(counts), 2),
         x=np.concatenate([v.grid for v in vessels]) if vessels else np.zeros(0),

@@ -61,7 +61,7 @@ def flow_at_pressure_end(vessel_ids, a, cp, cq, char, P_B) -> np.ndarray:
     indexed like vessel_ids. Requires a > 0 at every end; raises
     SingularJunction naming the first end where it fails."""
     bad = a <= 0
-    if bad.any():
+    if np.logical_or.reduce(bad):
         raise SingularJunction(
             f"vessel {vessel_ids[int(bad.argmax())]!r}: coefficient a must be positive at the boundary"
         )
@@ -75,7 +75,7 @@ def pressure_at_flow_end(vessel_ids, ends, lam, u, cp, cq, char, Q_B) -> np.ndar
     speed lam of the incoming family at every end; raises
     SingularJunction naming the first end where it vanishes."""
     bad = np.abs(lam) <= 1e-14 * np.fmax(1.0, np.abs(u))
-    if bad.any():
+    if np.logical_or.reduce(bad):
         k = int(bad.argmax())
         raise SingularJunction(
             f"vessel {vessel_ids[k]!r} end {ends[k]}: characteristic speed vanishes "
@@ -87,20 +87,24 @@ def pressure_at_flow_end(vessel_ids, ends, lam, u, cp, cq, char, Q_B) -> np.ndar
 # --- solving -------------------------------------------------------------
 
 
-def _equilibrate(M: np.ndarray, node_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row then column scaling of a stack of node matrices (N, n, n)."""
-    row = np.abs(M).max(axis=2)
+# The reductions here call the ufuncs' own reduce: `.max()`, `.sum()` and
+# `.all()` run the same loops behind numpy's Python-level wrappers, whose
+# calls cost as much as the arithmetic on systems of a few unknowns.
+def _equilibrate(M: np.ndarray, abs_M: np.ndarray, node_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row then column scaling of a stack of node matrices (N, n, n),
+    given abs_M = |M|."""
+    row = np.maximum.reduce(abs_M, axis=2)
     _require_nonzero(row, node_ids, "row")
     dr = 1.0 / row
     As = dr[..., None] * M
-    col = np.abs(As).max(axis=1)
+    col = np.maximum.reduce(np.abs(As), axis=1)
     _require_nonzero(col, node_ids, "column")
     dc = 1.0 / col
     return As * dc[:, None, :], dr, dc
 
 
 def _require_nonzero(scales: np.ndarray, node_ids, what: str) -> None:
-    if scales.all():
+    if np.logical_and.reduce(scales, axis=None):
         return
     nid = node_ids[int((scales == 0).any(axis=1).argmax())]
     raise SingularJunction(
@@ -142,7 +146,8 @@ def solve_systems(M: np.ndarray, b: np.ndarray, node_ids) -> tuple[np.ndarray, n
     without the 1e-10 (at most 1e-10 on return). Raises SingularJunction
     naming the first failing node, with its condition estimate.
     """
-    As, dr, dc = _equilibrate(M, node_ids)
+    abs_M = np.abs(M)
+    As, dr, dc = _equilibrate(M, abs_M, node_ids)
     try:
         x = dc * _solve(As, dr * b)
         x = x + dc * _solve(As, dr * (b - _apply(M, x)))
@@ -157,10 +162,12 @@ def solve_systems(M: np.ndarray, b: np.ndarray, node_ids) -> tuple[np.ndarray, n
                     condition_estimate=float(_condition(As[k : k + 1])[0]),
                 ) from exc
         raise
-    scale = np.abs(M).sum(axis=2).max(axis=1) * np.maximum(np.abs(x).max(axis=1), 1e-300)
-    resid = np.abs(b - _apply(M, x)).max(axis=1)
+    row_sums = np.add.reduce(abs_M, axis=2)
+    x_max = np.maximum.reduce(np.abs(x), axis=1)
+    scale = np.maximum.reduce(row_sums, axis=1) * np.maximum(x_max, 1e-300)
+    resid = np.maximum.reduce(np.abs(b - _apply(M, x)), axis=1)
     ok = (resid <= _RESIDUAL_TOL * scale) & np.isfinite(resid)
-    if not ok.all():
+    if not np.logical_and.reduce(ok):
         k = int(ok.argmin())
         raise SingularJunction(
             f"node {node_ids[k]!r}: solve residual {resid[k]:.3e} exceeds "
@@ -175,7 +182,7 @@ def condition_estimates(M: np.ndarray, node_ids) -> np.ndarray:
     """Condition numbers of a stack of row/column-equilibrated node
     matrices (the raw matrices mix Pa- and m^3/s-scaled rows, so their
     condition numbers mostly measure units)."""
-    return _condition(_equilibrate(M, node_ids)[0])
+    return _condition(_equilibrate(M, np.abs(M), node_ids)[0])
 
 
 # --- batched closures ----------------------------------------------------

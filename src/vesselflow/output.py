@@ -11,6 +11,7 @@ two identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -75,17 +76,54 @@ class ListSink:
         self.records.append(rec)
 
 
+class _Lines(list):
+    """A list that a csv.writer writes its lines into."""
+
+    write = list.append
+
+
 class CsvSink:
-    """Streams records to a CSV file with the standard header."""
+    """Streams records to a CSV file with the standard header.
+
+    Every row is the bytes `csv.writer` writes for `_format_row`. The
+    records of the first level (the records sharing the first t) are
+    written by that writer as they come. From the second level on, the
+    sink's own writer formats the constant columns (kind, id, x,
+    quantity) of each record key once and keeps them, t is formatted
+    once per level, and a row adds repr(value): the reprs of floats
+    never need quoting, so the parts join to the writer's row. A sink of
+    one level, a snapshot, keeps no keys. kind, id and quantity are
+    strings."""
 
     def __init__(self, path):
         self.path = path
         self._fh = open(path, "w", newline="")
         self._writer = csv.writer(self._fh)
         self._writer.writerow(CSV_HEADER)
+        self._lines = _Lines()
+        self._format = csv.writer(self._lines).writerow
+        self._middle: dict[tuple, str] = {}  # record key -> ",kind,id,x,quantity,"
+        self._t = self._t_text = None
+        self._keyed = False
 
     def emit(self, rec: ProbeRecord) -> None:
-        self._writer.writerow(_format_row(rec))
+        t, x = rec.t, rec.x
+        if t is not self._t:  # a level's records share its t
+            self._t_text = repr(float(t))
+            self._keyed, self._t = self._t is not None, t
+        if not self._keyed:
+            self._writer.writerow(_format_row(rec))
+            return
+        key = rec[1:5]
+        if x == 0:  # 0.0 and -0.0 are equal keys but print apart
+            key += (math.copysign(1.0, x),)
+        middle = self._middle.get(key)
+        if middle is None:
+            self._format(("", rec.kind, rec.id, "" if x is None else repr(float(x)), rec.quantity, ""))
+            middle = self._lines.pop()[:-2]  # less the writer's "\r\n"
+            if x == x:  # a NaN x is never found again
+                self._middle[key] = middle
+        self._fh.write(f"{self._t_text}{middle}{float(rec.value)!r}\r\n")
 
     def close(self) -> None:
         self._fh.close()
@@ -145,12 +183,12 @@ def validate_probes(net: Network, probes) -> None:
                     raise ConfigError(f"{q} probe needs a transitional node, got {p.node!r}")
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     """One record a probe plan emits per level: the record's kind, id, x
     and quantity, and where its value is read: a grid point in layout
     order, a `P_junc` slot or a transitional slot, whose node's R_C the
-    entry carries."""
+    entry carries. A named tuple, like `ProbeRecord`: a snapshot builds
+    one per grid point and quantity."""
 
     kind: str
     id: str

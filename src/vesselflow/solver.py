@@ -393,7 +393,7 @@ def _deviation(
     if cn.junctions.transitional:
         for x_new, x_old in zip(new[2:], old[2:]):
             ratios.append(np.abs(x_new - x_old) / (1.0 + np.abs(x_new)))
-    return float(np.max(np.concatenate(ratios)))
+    return float(np.maximum.reduce(np.concatenate(ratios)))
 
 
 def _non_finite_site(cn: CompiledNetwork, P, Q, P_C1, P_C2) -> str:
@@ -518,7 +518,7 @@ def _close_nodes(
     """
     points, char = cn.ends, upd.ends.known
     cs, eig = work.new.coeffs, work.new.eig
-    lam = np.where(cn.end_x1, eig.lambda_L[points], eig.lambda_R[points])
+    lam = work.new.lam.take(cn.end_incoming)
     a = cs.a[points]
     cp = -lam - upd.ends.kP
     cq = a - upd.ends.kQ
@@ -544,7 +544,7 @@ def _close_nodes(
     for group, (M, b) in zip(cn.junctions.groups, systems):
         group.fill(M, b, cp, cq, char, A)
         x, ratio = solve_systems(M, b, group.node_ids)
-        residual = max(residual, float(np.max(ratio)))
+        residual = max(residual, float(np.maximum.reduce(ratio)))
         at = points[group.ends]
         mu = at.shape[1]
         P[at] = x[:, 0 : 2 * mu : 2]

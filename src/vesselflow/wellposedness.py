@@ -91,10 +91,12 @@ class ConditionReport:
 
     @cached_property
     def passed(self) -> bool:
+        # the ufuncs' own reduce: `.all()` and `.any()` add numpy's
+        # Python-level wrappers to a check that runs every step
         return bool(
-            (self.margin > 0).all()
-            and not self.unevaluable_count.any()
-            and (self.junction_estimates < _JUNCTION_COND_MAX).all()
+            np.logical_and.reduce(self.margin > 0, axis=None)
+            and not np.logical_or.reduce(self.unevaluable_count)
+            and np.logical_and.reduce(self.junction_estimates < _JUNCTION_COND_MAX)
         )
 
     @cached_property
@@ -201,25 +203,32 @@ def check_state(
     K = len(cn.vessel_ids)
     if endpoints_only:
         # the two ends of each vessel, interleaved
-        pts, starts, counts, local = cn.ends, cn.pair_starts, 2, cn.ends_local
+        pts, starts, local = cn.ends, cn.pair_starts, cn.ends_local
     else:
-        pts, starts, counts, local = slice(None), cn.first, cn.counts, cn.local
+        pts, starts, local = slice(None), cn.first, cn.local
     a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
     ab = a * b
     with np.errstate(over="ignore"):  # eigen classifies an overflow
         disc = c**2 + ab
     if endpoints_only:
-        split = ab
+        values = np.stack((a, A, disc, ab))
+        # the lesser of each pair of ends, by the full sweep's reduction:
+        # np.minimum of the two columns would keep the sign of a NaN at
+        # x=0, which the reduction drops
+        worst = np.minimum.reduceat(values, starts, axis=-1)
+        # the x=0 end on a tie or where it is NaN, as in np.argmin
+        x0 = values[:, 0::2]
+        first = starts + ~((x0 == worst) | np.isnan(x0))
     else:
         split = np.full(ab.size, np.inf)
         split[cn.ends] = ab[cn.ends]
-    worst, first = _segment_min(np.stack((a, A, disc, split)), starts, counts)
+        worst, first = _segment_min(np.stack((a, A, disc, split)), starts, cn.counts)
     x_index = local[first]
     margin = worst.copy()
     margin[1] -= cfg.epsilon0
 
     bad = ~np.isfinite(a)
-    if np.any(bad):
+    if np.logical_or.reduce(bad):
         skip = np.add.reduceat(bad, starts, dtype=np.intp)
         at = np.minimum.reduceat(np.where(bad, np.arange(a.size), a.size), starts)
         first_bad = np.where(skip > 0, local[np.minimum(at, a.size - 1)], 0)

@@ -1259,3 +1259,38 @@ def test_runs_back_to_back_give_the_same_bits():
     third = bifurcation()
     for other in (second, third):
         assert other[0] == first[0] and same_bits(other[1], first[1])
+
+
+def test_a_warm_step_calls_no_python_level_numpy_reduction(tmp_path):
+    # `.max()`, `.all()`, np.max and the like reach the ufuncs' reduce
+    # through numpy's Python-level wrappers, which cost a step on a small
+    # network more than the arithmetic; the step calls the reduce itself
+    import sys
+
+    from vesselflow import CsvSink
+    from vesselflow.config import load_config
+
+    wrappers = {
+        "_methods": {"_amax", "_amin", "_sum", "_all", "_any"},
+        "fromnumeric": {"max", "amax", "min", "amin", "sum", "any", "all"},
+    }
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            if module.startswith("numpy.") and frame.f_code.co_name in wrappers.get(module.rsplit(".", 1)[-1], ()):
+                called.append(f"{module}.{frame.f_code.co_name}")
+
+    loaded = load_config(BIFURCATION)
+    state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+    cfg = dataclasses.replace(loaded.sim, t_end=5 * loaded.sim.dt)
+    try:
+        with CsvSink(str(tmp_path / "probes.csv")) as sink:
+            # counted from the end of the first step on
+            report = run(loaded.net, state, cfg, probes=loaded.probes, sink=sink,
+                         on_step=lambda s: sys.setprofile(profile))
+    finally:
+        sys.setprofile(None)
+    assert report.steps == 5 and report.full_checks == 1  # the sweep at t=0 only
+    assert called == []

@@ -1,5 +1,9 @@
 """Solvability condition checker tests."""
 
+import dataclasses
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -444,19 +448,24 @@ def test_report_lists_follow_the_arrays(endpoints_only):
     assert report.checks is report.checks
 
 
-def test_tree_run_builds_no_check_objects(tmp_path, monkeypatch):
-    import importlib.util
-    from pathlib import Path
+ROOT = Path(__file__).resolve().parents[1]
 
+
+def bench_workloads():
+    """The benchmark's workload generator, `bench/workloads.py`."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_tree_run_builds_no_check_objects(tmp_path, monkeypatch):
     import vesselflow.wellposedness as wp
     from vesselflow import run
     from vesselflow.config import parse_config
     from vesselflow.solver import initial_state
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     doc, _ = workloads.tree_doc(workloads.draw(0), "smoke", str(tmp_path))
     loaded = parse_config(doc)
 
@@ -478,3 +487,87 @@ def test_tree_run_builds_no_check_objects(tmp_path, monkeypatch):
     rep = check_state(report.final_state, loaded.sim)
     assert len(rep.checks) == 4 * 63 and len(rep.junction_checks) == 31
     assert len(built) == 4 * 63 + 31
+
+
+def _endpoint_reference(state, cfg):
+    """The endpoint sweep's report arrays (value, margin, x_index,
+    unevaluable_count, unevaluable_first) through `_segment_min`, the
+    full sweep's segment minimum, over the pairs of ends; the
+    unevaluable ends counted vessel by vessel."""
+    from vesselflow.wellposedness import _segment_min
+
+    cn, cs = state.layout, state.coeffs
+    a, b, c, A = (getattr(cs, name)[cn.ends] for name in ("a", "b", "c", "A"))
+    ab = a * b
+    value, first = _segment_min(np.stack((a, A, c**2 + ab, ab)), cn.pair_starts, 2)
+    margin = value.copy()
+    margin[1] -= cfg.epsilon0
+    x_index = cn.ends_local[first]
+    count = np.zeros(len(cn.vessel_ids), dtype=np.intp)
+    first_bad = np.zeros_like(count)
+    for k in range(count.size):
+        bad = [not np.isfinite(a[2 * k]), not np.isfinite(a[2 * k + 1])]
+        if any(bad):
+            count[k], first_bad[k] = sum(bad), cn.ends_local[2 * k + bad.index(True)]
+            x_index[:, k] = -1
+    return value, margin, x_index, count, first_bad
+
+
+def _assert_endpoint_sweep_equals_reference(state, cfg):
+    report = check_state(state, cfg, endpoints_only=True)
+    observed = (report.value, report.margin, report.x_index,
+                report.unevaluable_count, report.unevaluable_first)
+    for ours, ref in zip(observed, _endpoint_reference(state, cfg)):
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()  # bit for bit, NaN signs included
+
+
+def _workload_configs(tmp_path):
+    """The shipped bifurcation, and tree-63 and pulse-refine at their
+    smoke sizes, as loaded configs."""
+    from vesselflow.config import load_config, parse_config
+
+    workloads = bench_workloads()
+    params = workloads.draw(0)
+    docs = [workloads.tree_doc(params, "smoke", str(tmp_path))[0]]
+    docs += workloads.pulse_docs(params, "smoke", str(tmp_path))
+    return [load_config(ROOT / "configs" / "bifurcation.json")] + [parse_config(d) for d in docs]
+
+
+def test_endpoint_sweep_equals_segment_minimum_on_the_workload_states(tmp_path):
+    from vesselflow import run
+    from vesselflow.solver import initial_state
+
+    for loaded in _workload_configs(tmp_path):
+        state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+        cfg = dataclasses.replace(loaded.sim, t_end=min(loaded.sim.t_end, 30 * loaded.sim.dt))
+        _assert_endpoint_sweep_equals_reference(state, cfg)
+        report = run(loaded.net, state, cfg,
+                     on_step=lambda s: _assert_endpoint_sweep_equals_reference(s, cfg))
+        assert report.steps > 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_endpoint_sweep_equals_segment_minimum_on_random_coefficients(tmp_path, seed):
+    # NaN of either sign at either end, ties, signed zeros and infinities
+    from vesselflow.constitutive import CoefficientSet
+    from vesselflow.solver import initial_state
+
+    rng = np.random.default_rng(seed)
+    pool = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.0, 5e-324])
+    for loaded in _workload_configs(tmp_path)[:2]:  # 4 and 63 vessels
+        state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+        n = state.layout.size
+
+        def draw():
+            x = rng.standard_normal(n)
+            tied = rng.random(n) < 0.7
+            x[tied] = rng.choice(pool, np.count_nonzero(tied))
+            return x
+
+        random_state = dataclasses.replace(state)
+        random_state.__dict__["coeffs"] = CoefficientSet(draw(), draw(), draw(), 0.0, 0.0, draw())
+        # products like inf * 0 are NaN; the comparison is of what the
+        # sweep makes of them
+        with np.errstate(invalid="ignore", over="ignore"):
+            _assert_endpoint_sweep_equals_reference(random_state, loaded.sim)
