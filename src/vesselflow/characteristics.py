@@ -29,12 +29,13 @@ A fixed-point pass's state is one `Workspace` per run (a kernel call
 without one makes its own): its two `Level`s, each filled in place by
 `build_level` (the old level once per step, with its r and s; the new
 level once per pass), the new level's coefficients, the step's dt and
-source terms F, g_P and g_Q, which `freeze_step` forms, and the scratch
-of the trace, the stencils and the update. Each formula is evaluated
-with `out=` and in-place ufuncs in its written order of operations, so
-its bits equal those of evaluating it into new arrays. What outlives a
-pass is new and never aliases the workspace: the update's rs and
-endpoint rows.
+source terms F, g_P and g_Q, which `freeze_step` forms, the update's
+results, which `interior_update` writes, and the scratch of the trace,
+the stencils and the update. Each formula is evaluated with `out=` and
+in-place ufuncs in its written order of operations, so its bits equal
+those of evaluating it into new arrays. The update's results live
+until the next pass overwrites them: what outlives a pass is formed
+from them into new arrays that never alias the workspace.
 
 `build_level`, `freeze_step` and `interior_update` set no floating-point
 policy of their own: a pass runs under `solver.picard_step`'s, which
@@ -100,18 +101,25 @@ class Level:
 
 class Workspace:
     """The state of one layout's fixed-point pass, every array of which
-    dies within the pass: the old level (built once per step) and the
+    dies by the next pass: the old level (built once per step) and the
     new level (once per pass, without rs), the new level's coefficients,
     the step's dt and source terms F = base + g_P P + g_Q Q as (2, N)
     stacks (for r: g_P = -d_R lambda_L and g_Q = d_R a, with d_R the
     derivative along lambda_R; for s the mirror): the old level's F,
     read at the feet, and the new level's state couplings, solved
-    implicitly at the targets. `freeze_step` fills it; `_trace` and
-    `interior_update` read it. The rest is the scratch of `build_level`,
-    `_trace`, `_stencil`, `interior_update` and the solver's iterate
-    deviation, shared: each stage reuses arrays whose values are dead by
-    then, and `_trace`'s output xi lives until `interior_update` has
-    found the feet inside their vessels."""
+    implicitly at the targets. `freeze_step` fills these. The update's
+    results, which `interior_update` writes: rs, the new (r, s) stack,
+    NaN wherever a foot left its vessel (the node closures overwrite
+    every vessel end), and per end in `layout.ends` order the resolved
+    value (s at x=0, r at x=1) split into a known part and its coupling
+    to the endpoint state, char = known + kP * P_end + kQ * Q_end (from
+    the trapezoidal rule's new-level source; zero for constant
+    coefficients), which the closures fold into their characteristic
+    rows. The rest is the scratch of `build_level`, `_trace`,
+    `_stencil`, `interior_update` and the solver's iterate deviation,
+    shared: each stage reuses arrays whose values are dead by then, and
+    `_trace`'s output xi lives until `interior_update` has found the
+    feet inside their vessels."""
 
     def __init__(self, layout: CompiledNetwork):
         n = layout.size
@@ -125,6 +133,8 @@ class Workspace:
         self.F, self.g_P, self.g_Q = np.empty((3, 2, n))
         self.lo, self.hi = np.empty((2, 2, n), dtype=np.intp)
         self.inside, self.outside = np.empty((2, 2, n), dtype=bool)
+        self.rs = np.empty((2, n))
+        self.known, self.kP, self.kQ = np.empty((3, layout.ends.size))
 
 
 def _ddx(layout: CompiledNetwork, f: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -153,8 +163,7 @@ def build_level(
     try:
         eigen(cs, level.eig)
     except HyperbolicityViolation as exc:
-        with np.errstate(over="ignore"):
-            disc = cs.c * cs.c + cs.a * cs.b
+        disc = level.u  # eigen leaves c^2 + a b there when it raises
         first = int(np.argmin((disc > 0) & (disc < np.inf)))
         raise HyperbolicityViolation(f"vessel {layout.vessel_at(first)!r}: {exc}") from exc
     level.t, level.coeffs, level.P, level.Q = t, cs, P, Q
@@ -261,39 +270,9 @@ def _trace(work: Workspace, cfl_max: float) -> np.ndarray:
     return np.subtract(layout.j, np.multiply(courant, lam_mid, out=xi), out=xi)
 
 
-@dataclass(frozen=True)
-class EndpointRow:
-    """The resolved characteristic value at both ends of every vessel,
-    in `layout.ends` order (x=0 then x=1 per segment: s at x=0, r at
-    x=1), split into its known part and its linear coupling to the
-    endpoint state:
-
-        char = known + kP * P_end + kQ * Q_end
-
-    (the coupling comes from the new-level source evaluation of the
-    trapezoidal rule; zero for constant coefficients). Node closures fold
-    the coupling into their characteristic rows and solve it exactly."""
-
-    known: np.ndarray
-    kP: np.ndarray
-    kQ: np.ndarray
-
-
-@dataclass
-class InteriorUpdate:
-    """New-level characteristic fields (r, s) as a (2, N) stack in
-    layout order. NaN entries are unresolved feet (they exited the
-    vessel). rs holds no resolved value at a vessel end: it is NaN there
-    wherever either family's foot left the vessel, and the node
-    closures, which overwrite every end, read the resolved value from
-    `ends`."""
-
-    rs: np.ndarray
-    ends: EndpointRow
-
-
-def interior_update(work: Workspace, cfl_max: float = 0.9) -> InteriorUpdate:
-    """Advance r and s one time level on every vessel of the layout.
+def interior_update(work: Workspace, cfl_max: float = 0.9) -> Workspace:
+    """Advance r and s one time level on every vessel of the layout,
+    into work's rs and endpoint rows (known, kP, kQ), and return work.
 
     The trapezoidal source integral evaluates the new-level source at
     the target node, where it is linear in the unknown state; that
@@ -343,17 +322,19 @@ def interior_update(work: Workspace, cfl_max: float = 0.9) -> InteriorUpdate:
             f"vessel {layout.vessel_at(int(np.argmin(np.abs(det) >= 0.5)))!r}: "
             "source coupling too stiff for this dt"
         )
-    # a new array: the iterate is read from it
-    rs = np.empty((2, layout.size))
+    rs = work.rs
     np.add(np.multiply(d_s, known[0], out=rs[0]), np.multiply(ks[0], known[1], out=tmp[1]), out=rs[0])
     np.add(np.multiply(kr[1], known[0], out=rs[1]), np.multiply(d_r, known[1], out=tmp[1]), out=rs[1])
     np.divide(rs, det, out=rs)
 
     # endpoint nodes: the companion family usually exited there, so the
-    # 2x2 entries are not usable. Hand the exact split to the closures.
+    # 2x2 entries are not usable. Hand the exact split to the closures
+    # ("clip", as in _at, never clips).
     at = layout.end_families  # s at x=0, r at x=1
-    ends = EndpointRow(known.take(at), half_dt * work.g_P.take(at), half_dt * work.g_Q.take(at))
-    unresolved = ~np.isfinite(ends.known)
+    ends = known.take(at, out=work.known, mode="clip")
+    np.multiply(half_dt, work.g_P.take(at, out=work.kP, mode="clip"), out=work.kP)
+    np.multiply(half_dt, work.g_Q.take(at, out=work.kQ, mode="clip"), out=work.kQ)
+    unresolved = ~np.isfinite(ends)
     if np.logical_or.reduce(unresolved):
         # a foot inside the vessel resolved a value that then overflowed
         overflowed = unresolved & inside.take(at)
@@ -367,4 +348,4 @@ def interior_update(work: Workspace, cfl_max: float = 0.9) -> InteriorUpdate:
             "characteristic left the domain; endpoint split condition violated",
             t=new.t,
         )
-    return InteriorUpdate(rs=rs, ends=ends)
+    return work

@@ -18,7 +18,7 @@ import sys
 from .config import load_config
 from .errors import ConfigError, SimulationError, WellPosednessFailure
 from .output import CsvSink, emit_snapshot
-from .solver import initial_state, run
+from .solver import initial_state, run, time_tolerance
 from .wellposedness import check_state
 
 EXIT_OK = 0
@@ -137,9 +137,10 @@ def _simulate_classified(args) -> int:
     csv_path = os.path.join(out_dir, loaded.timeseries)
     pending = list(snapshot_times)
     snap_count = [0]
+    tiny = time_tolerance(sim.t_end)
 
     def on_step(state):
-        while pending and state.t >= pending[0] - 1e-12:
+        while pending and state.t >= pending[0] - tiny:
             pending.pop(0)
             path = os.path.join(out_dir, f"snapshot_{snap_count[0]:03d}.csv")
             with CsvSink(path) as snap:

@@ -224,15 +224,15 @@ def power_law_coefficients(p: PowerLawParams, P, Q, out: CoefficientSet | None =
 
     The law is x-independent, so g has only its viscous part. Unchecked:
     P <= -C gives NaN (or zero area) and an overflow infinite or NaN
-    fields; see `coefficient_failure` and the kernel's guards. f is the
-    scalar 0.0. a, b, c, g and A are written into the arrays of out
-    (its f is not read), or into new arrays without one.
+    fields; see `coefficient_failure` and the kernel's guards. a, b, c, g
+    and A are written into the arrays of out (its f is neither read nor
+    written), or into a new set whose f is the scalar 0.0; the set is
+    returned.
     """
     if out is None:
         shape = np.broadcast_shapes(np.shape(P), np.shape(Q), np.shape(p.C))
-        a, b, c, g, A = (np.empty(shape) for _ in range(5))
-    else:
-        a, b, c, g, A = out.a, out.b, out.c, out.g, out.A
+        out = CoefficientSet(*(np.empty(shape) for _ in range(3)), 0.0, np.empty(shape), np.empty(shape))
+    a, b, c, g, A = out.a, out.b, out.c, out.g, out.A
     # each formula's operations in their written order, the outputs not
     # yet computed holding the intermediates
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -250,7 +250,7 @@ def power_law_coefficients(p: PowerLawParams, P, Q, out: CoefficientSet | None =
         np.subtract(np.divide(A, p.rho, out=g), b, out=b)
         np.multiply(np.negative(p.visc, out=g), Q_over_A, out=g)
         np.multiply(p.alpha, Q_over_A, out=c)
-    return CoefficientSet(a, b, c, 0.0, g, A)
+    return out
 
 
 def coefficient_failure(P, A, a, epsilon0: float, owner) -> SimulationError | None:
@@ -328,7 +328,8 @@ def eigen(cs: CoefficientSet, out: EigenData | None = None) -> EigenData:
     """Characteristic speeds of the wave system; requires c^2 + a b > 0
     and finite (an overflow would give infinite or NaN speeds). The
     speeds and u are written into the arrays of out, or into new arrays
-    without one."""
+    without one. When it raises HyperbolicityViolation, out.u holds
+    c^2 + a b, so a caller can find the failing points."""
     if out is None:
         shape = np.broadcast_shapes(np.shape(cs.a), np.shape(cs.b), np.shape(cs.c))
         out = EigenData(*(np.empty(shape) for _ in range(3)))

@@ -33,12 +33,12 @@ it to every `picard_step`. The workspace is a pass's state: the step's
 old `characteristics.Level`, which `picard_step` builds into it once,
 the new level, which each pass's `freeze_step` builds into it with the
 step's source terms, and every other array that lives only within a
-pass, the iterate deviation's scratch included. A warm pass allocates
-only what outlives it, each a new array that never aliases the
-workspace: the interior update's characteristic fields and
-`from_riemann`'s P and Q, which become the next iterate and, accepted,
-a read-only `NetworkState`; once per step, the accepted level's
-`coeffs` and the extrapolated start. `picard_step` sets the one
+pass, the interior update's results and the iterate deviation's scratch
+included. A warm pass allocates only what outlives it, each a new array
+that never aliases the workspace: `from_riemann`'s P and Q, which
+become the next iterate and, accepted, a read-only `NetworkState`, and
+the capacitor and junction pressures; once per step, the accepted
+level's `coeffs` and the extrapolated start. `picard_step` sets the one
 floating-point policy the kernel runs under and says which guard
 classifies each non-finite value.
 """
@@ -470,12 +470,12 @@ def picard_step(
         history: list[float] = []
         for iteration in range(1, cfg.picard_max_iters + 1):
             freeze_step(cn, old, t_new, cur[0], cur[1], cfg.epsilon0, work)
-            upd = interior_update(work, cfg.cfl_max)
+            interior_update(work, cfg.cfl_max)
             # NaN at unresolved endpoint entries propagates and is
             # overwritten by the node closures below
-            st = from_riemann(work.new.coeffs, work.new.eig, RiemannPair(*upd.rs))
+            st = from_riemann(work.new.coeffs, work.new.eig, RiemannPair(*work.rs))
             nxt = (st.P, st.Q, np.empty_like(cur[2]), np.empty_like(cur[3]))
-            residual = _close_nodes(cn, work, upd, boundary, systems, *nxt, P_junc)
+            residual = _close_nodes(cn, work, boundary, systems, *nxt, P_junc)
             if report is not None:
                 report.worst_closure_residual = max(report.worst_closure_residual, residual)
 
@@ -499,29 +499,29 @@ def picard_step(
 
 
 def _close_nodes(
-    cn: CompiledNetwork, work, upd, boundary, systems, P, Q, P_C1, P_C2, P_junc,
+    cn: CompiledNetwork, work, boundary, systems, P, Q, P_C1, P_C2, P_junc,
 ) -> float:
     """Close every node at the new time level, writing the endpoint
     states into the flat P and Q, the capacitor pressures into P_C1 and
     P_C2 and the junction pressures into P_junc.
 
-    The resolved characteristic value at each end (finite:
-    `interior_update` raises for any other) carries a linear coupling
-    to the endpoint state (from the new-level source term of the
-    trapezoidal rule); each closure folds it into its characteristic
-    row cp P + cq Q = char, so one solve satisfies the closure and the
-    coupling exactly. The external ends of each kind are solved in
+    The resolved characteristic value at each end, work's `known`
+    (finite: `interior_update` raises for any other), carries a linear
+    coupling `kP`, `kQ` to the endpoint state (from the new-level source
+    term of the trapezoidal rule); each closure folds it into its
+    characteristic row cp P + cq Q = char, so one solve satisfies the
+    closure and the coupling exactly. The external ends of each kind are solved in
     closed form, elementwise; the junction nodes of each kind and size
     are solved as one stack, in the group's systems of this step
     (`JunctionGroup.step`), which each pass fills in place.
     Returns the largest junction residual over its gate scale.
     """
-    points, char = cn.ends, upd.ends.known
+    points, char = cn.ends, work.known
     cs, eig = work.new.coeffs, work.new.eig
     lam = work.new.lam.take(cn.end_incoming)
     a = cs.a[points]
-    cp = -lam - upd.ends.kP
-    cq = a - upd.ends.kQ
+    cp = -lam - work.kP
+    cq = a - work.kQ
 
     # prescribed pressures, then prescribed flows, each raising for its
     # first failing end
@@ -616,6 +616,14 @@ def _extrapolate(diffs: Sequence[np.ndarray]) -> np.ndarray | None:
     return value
 
 
+def time_tolerance(t_end: float) -> float:
+    """How far short of a time a level may fall and still have reached
+    it, on a run to t_end: the rounding that summing steps leaves in t.
+    `run` stops at the first level that reaches t_end, and the CLI
+    writes each snapshot at the first level that reaches its time."""
+    return 1e-12 * max(1.0, t_end)
+
+
 def run(
     net: Network,
     init: NetworkState,
@@ -662,7 +670,7 @@ def run(
     cur_dt = base_dt
     depth = 0  # halving depth below the base step
     clean_streak = 0
-    tiny = 1e-12 * max(1.0, cfg.t_end)
+    tiny = time_tolerance(cfg.t_end)
 
     # differences of the accepted levels spaced by `spacing`
     table, spacing = _DifferenceTable(state), None

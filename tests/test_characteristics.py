@@ -42,7 +42,7 @@ def end_values(frozen, upd):
     r at x=1, in `layout.ends` order), its coupling evaluated at the
     frozen iterate."""
     ends = frozen.layout.ends
-    return upd.ends.known + upd.ends.kP * frozen.new.P[ends] + upd.ends.kQ * frozen.new.Q[ends]
+    return upd.known + upd.kP * frozen.new.P[ends] + upd.kQ * frozen.new.Q[ends]
 
 
 def feet(frozen, cfl_max=0.9):
@@ -291,7 +291,7 @@ def test_kernel_calls_without_a_workspace_leave_earlier_results_alone():
     for k in range(2):
         fr = frozen_for(v, 1.0 + np.sin(3 * x + k), 0.3 * x, dt=0.01 * (k + 1))
         upd = interior_update(fr)
-        arrays = [fr.F, fr.g_P, fr.g_Q, upd.rs, upd.ends.known, upd.ends.kP, upd.ends.kQ]
+        arrays = [fr.F, fr.g_P, fr.g_Q, upd.rs, upd.known, upd.kP, upd.kQ]
         for level in (fr.old, fr.new):
             arrays += [level.lam, level.base, level.adv_lam, level.adv_a, level.eig.u]
             arrays += vars(level.coeffs).values()
@@ -301,6 +301,47 @@ def test_kernel_calls_without_a_workspace_leave_earlier_results_alone():
     assert not any(np.shares_memory(a, b) for a in first for b in second if a.flags.writeable)
     for a, b in zip(first, kept):
         assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_a_warm_pass_builds_no_result_records(monkeypatch):
+    # a pass's results live in its workspace: into a warm one, freeze_step
+    # and interior_update build no coefficient set and allocate no array
+    # of the layout's points (tracemalloc counts numpy's allocations; the
+    # buffers numpy gives a broadcasting ufunc hold up to bufsize
+    # elements, so a small bufsize keeps them below one point-array)
+    import tracemalloc
+
+    from vesselflow.constitutive import CoefficientSet
+
+    v = Vessel(id="v", n_cells=3200, x0_node="A", x1_node="B", alpha=1.1,
+               tube_law=PowerLaw(C=4e4, R0=1e-3, beta=2.0))
+    layout = layout_of(v)
+    n = layout.size
+    assert n == 3201
+    P, Q = 13000.0 + 500.0 * np.sin(3.0 * v.grid), 1e-6 * np.cos(v.grid)
+    dt = 0.5 / (3200 * 7.2)  # CFL about 0.5
+    old = build_level(layout, 0.0, P, Q, EPS0, layout_coefficients(layout, 0.0, P, Q))
+    work = Workspace(layout)
+    interior_update(freeze_step(layout, old, dt, P, Q, EPS0, work))
+    P_next, built, real_init = P + 1.0, [], CoefficientSet.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoefficientSet, "__init__", counted)
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = interior_update(freeze_step(layout, old, dt, P_next, Q, EPS0, work))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert not built
+    assert peak < 8 * n
+    assert result is work
 
 
 # --- interior update -----------------------------------------------------
@@ -333,7 +374,7 @@ def test_interior_translation_one_step():
     err = np.max(np.abs(upd.rs[0, interior] - exact[interior]))
     assert err <= 1e-3
     assert np.isnan(upd.rs[0, 0])  # foot exited left, closure pending
-    assert np.isfinite(upd.ends.known[1]) and np.isfinite(upd.ends.known[0])  # r at x=1, s at x=0
+    assert np.isfinite(upd.known[1]) and np.isfinite(upd.known[0])  # r at x=1, s at x=0
 
 
 def test_interior_zero_state_fixed():

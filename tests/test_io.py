@@ -568,6 +568,22 @@ def test_cli_writes_a_snapshot_at_t_end(tmp_path):
     assert (tmp_path / "o" / "snapshot_000.csv").exists()
 
 
+def test_cli_writes_a_snapshot_at_a_t_end_the_summed_steps_fall_short_of(tmp_path, capsys):
+    # 930 steps of 0.1 sum to 92.99999999999899: short of t_end = 93 by
+    # less than run's end tolerance, but by more than 1e-12, so the last
+    # level reaches t_end and must take the snapshot requested there
+    doc = json.loads(SYNTHETIC.read_text())
+    doc["vessels"][0]["n_cells"] = 4
+    doc["solver"].update(dt=0.1, t_end=93.0)
+    out = tmp_path / "o"
+    code = main(["simulate", write_json(tmp_path, doc), "--snapshot", "93", "--output", str(out)])
+    printed = capsys.readouterr().out
+    assert code == 0
+    assert "done: 930 steps to t=92.99999999999899" in printed
+    assert f"snapshot at t=92.99999999999899 -> {out / 'snapshot_000.csv'}" in printed
+    assert (out / "snapshot_000.csv").exists()
+
+
 def test_cli_writes_the_initial_state_as_a_snapshot_at_t_0(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["simulate", str(BIFURCATION), "--t-end", "0.003", "--snapshot", "0", "--output", str(out)])

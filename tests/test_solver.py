@@ -559,9 +559,9 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
         step.update(prev=state_prev, dt=dt)
         return real_step(state_prev, cfg, dt, **kw)
 
-    def checked_close(cn, frozen, upd, *args):
+    def checked_close(cn, frozen, *args):
         P, Q, P_C1, P_C2, P_junc = args[-5:]
-        residual = real_close(cn, frozen, upd, *args)
+        residual = real_close(cn, frozen, *args)
         pressures = dict(zip(cn.junctions.branching, P_junc))
         trans = {nid: (p1, p2) for nid, p1, p2 in zip(cn.junctions.transitional, P_C1, P_C2)}
         prev, dt = step["prev"], step["dt"]
@@ -572,16 +572,16 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
             for vid, end, _ in ends_by_node[nid]:
                 k = cn.vessel_ids.index(vid)
                 pt = int(cn.last[k] if end == "x1" else cn.first[k])
-                row = 2 * k + (end == "x1")  # the end's entry of upd.ends
+                row = 2 * k + (end == "x1")  # the end's entry of the endpoint rows
                 at = {name: float(np.asarray(getattr(cs, name))[pt]) for name in "abcfgA"}
                 inputs.append(EndpointClosureInput(
                     vessel_id=vid, end=end, coeffs=CoefficientSet(**at),
                     eig=EigenData(float(eig.lambda_R[pt]), float(eig.lambda_L[pt]), float(eig.u[pt])),
-                    char_value=float(upd.ends.known[row]),
+                    char_value=float(frozen.known[row]),
                     q_prev=float(prev.fields[vid].Q[-1 if end == "x1" else 0]),
                     rho_j=params[(vid, end)] if isinstance(node, Branching) else None,
                     resistance=None if isinstance(node, Branching) else params[(vid, end)],
-                    kP=float(upd.ends.kP[row]), kQ=float(upd.ends.kQ[row]),
+                    kP=float(frozen.kP[row]), kQ=float(frozen.kQ[row]),
                 ))
                 points.append((vid, end, pt))
             if isinstance(node, Branching):
@@ -1178,7 +1178,7 @@ def workspace_arrays(work):
     also references."""
     own = [work.pair_a, work.pair_b, work.pair_c, work.pair_d, work.xi, work.row_a, work.row_b,
            work.F, work.g_P, work.g_Q, work.lo, work.hi, work.inside, work.outside,
-           *vars(work.coeffs).values()]
+           work.rs, work.known, work.kP, work.kQ, *vars(work.coeffs).values()]
     for level in (work.old, work.new):
         own += [level.speeds, level.d_x, level.u, level.tmp, level.base, level.adv_lam, level.adv_a, level.rs]
     return [a for a in own if isinstance(a, np.ndarray) and a.flags.writeable]
@@ -1186,8 +1186,8 @@ def workspace_arrays(work):
 
 def test_a_pass_allocates_no_point_arrays_beyond_its_results():
     # every array that dies within a pass lives in the run's workspace,
-    # so a warm step allocates only what it returns: the iterates, their
-    # characteristic fields and the accepted level's coefficients. The
+    # so a warm step allocates only what it returns: the iterates and the
+    # accepted level's coefficients. The
     # per-pass temporaries took about 70 point-arrays per step; now about
     # 10 (tracemalloc counts numpy's allocations, deterministically,
     # unlike the page faults the glibc heap trim causes)
