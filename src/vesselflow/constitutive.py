@@ -196,9 +196,10 @@ class PowerLawParams:
 
     C: float | np.ndarray
     beta: float | np.ndarray
+    two_over_beta: float | np.ndarray  # the area exponent 2 / beta
     A0: float | np.ndarray  # reference area pi R0^2
     alpha: float | np.ndarray
-    visc: float | np.ndarray  # 4 pi nu alpha / (alpha - 1)
+    neg_visc: float | np.ndarray  # -4 pi nu alpha / (alpha - 1), g = neg_visc Q / A
     rho: float | np.ndarray
 
     @classmethod
@@ -206,8 +207,8 @@ class PowerLawParams:
         # an overflow gives infinite coefficients, which the checks classify
         with np.errstate(over="ignore"):
             return cls(
-                C=C, beta=beta, A0=np.pi * R0 * R0, alpha=alpha,
-                visc=4.0 * np.pi * nu * alpha / (alpha - 1.0), rho=rho,
+                C=C, beta=beta, two_over_beta=np.divide(2.0, beta), A0=np.pi * R0 * R0,
+                alpha=alpha, neg_visc=np.negative(4.0 * np.pi * nu * alpha / (alpha - 1.0)), rho=rho,
             )
 
     @classmethod
@@ -238,7 +239,7 @@ def power_law_coefficients(p: PowerLawParams, P, Q, out: CoefficientSet | None =
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         np.divide(P, p.C, out=A)
         np.log1p(A, out=A)
-        np.multiply(np.divide(2.0, p.beta, out=a), A, out=A)
+        np.multiply(p.two_over_beta, A, out=A)
         np.exp(A, out=A)
         np.multiply(p.A0, A, out=A)
         np.multiply(p.beta, np.add(p.C, P, out=a), out=a)
@@ -248,7 +249,7 @@ def power_law_coefficients(p: PowerLawParams, P, Q, out: CoefficientSet | None =
         np.multiply(np.multiply(p.alpha, Q_over_A, out=b), Q_over_A, out=b)
         np.divide(b, a, out=b)
         np.subtract(np.divide(A, p.rho, out=g), b, out=b)
-        np.multiply(np.negative(p.visc, out=g), Q_over_A, out=g)
+        np.multiply(p.neg_visc, Q_over_A, out=g)
         np.multiply(p.alpha, Q_over_A, out=c)
     return out
 

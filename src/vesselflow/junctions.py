@@ -21,15 +21,30 @@ closed form, elementwise over every end of one kind
 The solver closes all junction nodes of one kind and size together:
 `junction_layout` groups them, and each `JunctionGroup` keeps its own
 per-node arrays (end indices, signs, rho_j or C1, C2, 1/R_C) and a
-static matrix template. `JunctionGroup.step` builds the group's
-(N, n, n) stack with every entry fixed within a time step,
-`JunctionGroup.fill` writes each closure pass's entries into it in
-place, and `solve_systems` solves the stack. This is the only assembly
-the program runs. The node-by-node assembly in `vesselflow.verification`
-builds the same systems without these groups and serves as their
-oracle; it solves them with `solve_systems` too, so the two paths can
+static matrix template. `JunctionGroup.step` builds the group's stack
+with every entry fixed within a time step, `JunctionGroup.fill` writes
+each closure pass's entries into it in place, and `solve_systems`
+solves the stack. This is the only assembly the program runs. The
+node-by-node assembly in `vesselflow.verification` builds the same
+systems without these groups and serves as their oracle; it solves
+them with `solve_systems` too (a one-node stack), so the two paths can
 be compared bit for bit. The step-response harness there drives a
 group on purpose, to test the solver's own transitional closure.
+
+A group's stack is node-minor: the matrices of its N nodes with n
+unknowns each are one C-contiguous (n, n, N) array, the right-hand
+sides and solutions (n, N), and per-end arrays (mu, N). Entry (i, j)
+of every node's system is one contiguous row over the nodes, so the
+equilibration's row and column maxima and the residual gate's maxima
+reduce whole rows at once; LAPACK reads the same (N, n, n) values
+through a view, and the residual products read a C-ordered copy.
+
+`condition_estimates` reports, per node, the 1-norm condition number
+kappa_1 = ||A||_1 ||A^-1||_1 of the row/column-equilibrated matrix A,
+from one stacked inverse (the quantity LAPACK's gecon estimates; Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, ch. 15). It lies
+within a factor n of the 2-norm condition number: kappa_2 / n <=
+kappa_1 <= n kappa_2. A singular or non-finite system reads inf.
 """
 
 from __future__ import annotations
@@ -87,26 +102,30 @@ def pressure_at_flow_end(vessel_ids, ends, lam, u, cp, cq, char, Q_B) -> np.ndar
 # --- solving -------------------------------------------------------------
 
 
-# The reductions here call the ufuncs' own reduce: `.max()`, `.sum()` and
-# `.all()` run the same loops behind numpy's Python-level wrappers, whose
-# calls cost as much as the arithmetic on systems of a few unknowns.
+# The stacks here are node-minor (see the module docstring). The
+# reductions call the ufuncs' own reduce: `.max()`, `.sum()` and `.all()`
+# run the same loops behind numpy's Python-level wrappers, whose calls
+# cost as much as the arithmetic on systems of a few unknowns.
+
+
 def _equilibrate(M: np.ndarray, abs_M: np.ndarray, node_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row then column scaling of a stack of node matrices (N, n, n),
-    given abs_M = |M|."""
-    row = np.maximum.reduce(abs_M, axis=2)
+    """Row then column scaling of a node-minor stack M (n, n, N), given
+    abs_M = |M|: the scaled stack, and the row and column scales (n, N)."""
+    row = np.maximum.reduce(abs_M, axis=1)
     _require_nonzero(row, node_ids, "row")
     dr = 1.0 / row
-    As = dr[..., None] * M
-    col = np.maximum.reduce(np.abs(As), axis=1)
+    As = dr[:, None] * M
+    col = np.maximum.reduce(np.abs(As), axis=0)
     _require_nonzero(col, node_ids, "column")
     dc = 1.0 / col
-    return As * dc[:, None, :], dr, dc
+    As *= dc
+    return As, dr, dc
 
 
 def _require_nonzero(scales: np.ndarray, node_ids, what: str) -> None:
     if np.logical_and.reduce(scales, axis=None):
         return
-    nid = node_ids[int((scales == 0).any(axis=1).argmax())]
+    nid = node_ids[int((scales == 0).any(axis=0).argmax())]
     raise SingularJunction(
         f"node {nid!r}: junction system is singular (zero {what} in junction matrix)",
         node_id=nid,
@@ -115,28 +134,45 @@ def _require_nonzero(scales: np.ndarray, node_ids, what: str) -> None:
 
 
 def _condition(As: np.ndarray) -> np.ndarray:
-    """2-norm condition numbers of a stack of equilibrated matrices
-    (infinite where the SVD fails on non-finite entries)."""
+    """1-norm condition numbers ||As||_1 ||As^-1||_1 of a node-minor
+    stack of equilibrated matrices (n, n, N), from one stacked inverse:
+    the quantity LAPACK's gecon estimates, computed in full. Infinite
+    where a system is singular or not finite."""
     try:
-        return np.linalg.cond(As)
+        inv = np.linalg.inv(As.transpose(2, 0, 1))
     except np.linalg.LinAlgError:
-        if len(As) == 1:
+        if As.shape[2] == 1:
             return np.array([np.inf])
-        return np.concatenate([_condition(m[None]) for m in As])
+        return np.concatenate([_condition(As[..., k : k + 1]) for k in range(As.shape[2])])
+    # np.linalg.norm(., 1): the largest column sum, summed over i in row
+    # order, here over node-minor rows
+    inv = np.ascontiguousarray(inv.transpose(1, 2, 0))
+    with np.errstate(over="ignore"):  # an overflow is an infinite estimate
+        kappa = _norm1(np.abs(As)) * _norm1(np.abs(inv, out=inv))
+    kappa[np.isnan(kappa)] = np.inf
+    return kappa
 
 
-def _solve(As: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(As, rhs[..., None])[..., 0]
+def _norm1(abs_A: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce(np.add.reduce(abs_A, axis=0), axis=0)
 
 
-def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # stacked matmul runs the same BLAS product per system as M @ x does
-    # for one, so a stack reproduces the one-system results bit for bit
-    return np.matmul(M, x[..., None])[..., 0]
+def _solve(As3: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # As3 (N, n, n), rhs (n, N); the solution as an (n, N) view
+    return np.linalg.solve(As3, rhs.T[..., None])[..., 0].T
+
+
+def _apply(M3: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # M3 a C-contiguous (N, n, n), x (n, N): stacked matmul runs the same
+    # BLAS product per system as M @ x does for one, so a stack
+    # reproduces the one-system results bit for bit (on a strided M3
+    # numpy leaves BLAS and the bits change)
+    return np.matmul(M3, x.T[..., None])[..., 0].T
 
 
 def solve_systems(M: np.ndarray, b: np.ndarray, node_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a stack of node systems M x = b, M (N, n, n), b (N, n).
+    """Solve a node-minor stack of node systems M x = b: M (n, n, N),
+    b and x (n, N), one column per node of node_ids.
 
     Each system is row/column equilibrated, solved directly, and
     refined once in the original scaling (which pushes the row
@@ -148,24 +184,30 @@ def solve_systems(M: np.ndarray, b: np.ndarray, node_ids) -> tuple[np.ndarray, n
     """
     abs_M = np.abs(M)
     As, dr, dc = _equilibrate(M, abs_M, node_ids)
+    if M.shape[2] == 1:  # one system: (1, n, n) views in C order
+        As3, M3, abs_M3 = As[None, ..., 0], M[None, ..., 0], abs_M[None, ..., 0]
+    else:  # BLAS's matmul and the row sums' summation order need C order
+        As3 = As.transpose(2, 0, 1)
+        M3 = M.transpose(2, 0, 1).copy()
+        abs_M3 = np.abs(M3)
     try:
-        x = dc * _solve(As, dr * b)
-        x = x + dc * _solve(As, dr * (b - _apply(M, x)))
+        x = dc * _solve(As3, dr * b)
+        x = x + dc * _solve(As3, dr * (b - _apply(M3, x)))
     except np.linalg.LinAlgError:
         for k, nid in enumerate(node_ids):
             try:
-                _solve(As[k : k + 1], b[k : k + 1])
+                _solve(As3[k : k + 1], b[:, k : k + 1])
             except np.linalg.LinAlgError as exc:
                 raise SingularJunction(
                     f"node {nid!r}: junction system is singular ({exc})",
                     node_id=nid,
-                    condition_estimate=float(_condition(As[k : k + 1])[0]),
+                    condition_estimate=float(_condition(As[..., k : k + 1])[0]),
                 ) from exc
         raise
-    row_sums = np.add.reduce(abs_M, axis=2)
-    x_max = np.maximum.reduce(np.abs(x), axis=1)
+    row_sums = np.add.reduce(abs_M3, axis=2)
+    x_max = np.maximum.reduce(np.abs(x), axis=0)
     scale = np.maximum.reduce(row_sums, axis=1) * np.maximum(x_max, 1e-300)
-    resid = np.maximum.reduce(np.abs(b - _apply(M, x)), axis=1)
+    resid = np.maximum.reduce(np.abs(b - _apply(M3, x)), axis=0)
     ok = (resid <= _RESIDUAL_TOL * scale) & np.isfinite(resid)
     if not np.logical_and.reduce(ok):
         k = int(ok.argmin())
@@ -173,15 +215,16 @@ def solve_systems(M: np.ndarray, b: np.ndarray, node_ids) -> tuple[np.ndarray, n
             f"node {node_ids[k]!r}: solve residual {resid[k]:.3e} exceeds "
             f"{_RESIDUAL_TOL:.0e} * {scale[k]:.3e}",
             node_id=node_ids[k],
-            condition_estimate=float(_condition(As[k : k + 1])[0]),
+            condition_estimate=float(_condition(As[..., k : k + 1])[0]),
         )
     return x, resid / scale
 
 
 def condition_estimates(M: np.ndarray, node_ids) -> np.ndarray:
-    """Condition numbers of a stack of row/column-equilibrated node
-    matrices (the raw matrices mix Pa- and m^3/s-scaled rows, so their
-    condition numbers mostly measure units)."""
+    """1-norm condition numbers of a node-minor stack (n, n, N) of
+    row/column-equilibrated node matrices, one per node of node_ids (the
+    raw matrices mix Pa- and m^3/s-scaled rows, so their condition
+    numbers mostly measure units)."""
     return _condition(_equilibrate(M, np.abs(M), node_ids)[0])
 
 
@@ -190,19 +233,21 @@ def condition_estimates(M: np.ndarray, node_ids) -> np.ndarray:
 
 def _bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Writable views of the main, upper and lower diagonals of a
-    C-contiguous stack of matrices (N, n, n): (N, n), (N, n-1), (N, n-1)."""
-    N, n, _ = M.shape
-    flat = M.reshape(N, n * n)
-    return flat[:, :: n + 1], flat[:, 1 :: n + 1], flat[:, n :: n + 1]
+    C-contiguous node-minor stack (n, n, N): (n, N), (n-1, N), (n-1, N)."""
+    n, _, N = M.shape
+    flat = M.reshape(n * n, N)
+    return flat[:: n + 1], flat[1 :: n + 1], flat[n :: n + 1]
 
 
 @dataclass(frozen=True)
 class JunctionGroup:
-    """Junction nodes of one kind and end count mu, solved as one stack.
-    Each system's unknowns are (P, Q) per end in the node's end order,
-    then P_junc (branching) or P_C1, P_C2 (transitional); end i owns
-    rows 2i (its characteristic row) and 2i + 1 (its momentum ODE or
-    resistive leg), the last rows are flow balance or the capacitors."""
+    """Junction nodes of one kind and end count mu, solved as one
+    node-minor stack. Each system's unknowns are (P, Q) per end in the
+    node's end order, then P_junc (branching) or P_C1, P_C2
+    (transitional); end i owns rows 2i (its characteristic row) and
+    2i + 1 (its momentum ODE or resistive leg), the last rows are flow
+    balance or the capacitors. Per-end arrays are (mu, N), one row per
+    end position over the group's N nodes."""
 
     kind: type  # Branching | Transitional
     node_ids: tuple[str, ...]
@@ -210,34 +255,34 @@ class JunctionGroup:
     # (N,) positions of the nodes in the layout's arrays over nodes of
     # their kind: P_junc over `branching`, P_C1/P_C2 over `transitional`
     slots: np.ndarray
-    # (N, mu) vessel ends in the layout's numbering e = 2k + x1 (segment
+    # (mu, N) vessel ends in the layout's numbering e = 2k + x1 (segment
     # k, x1 = 1 at x=1), in each node's end order
     ends: np.ndarray
-    sign: np.ndarray  # (N, mu) +1 at x=1 (incoming) ends, -1 at x=0
-    template: np.ndarray  # (N, n, n) static entries: +-1, R, -1/R_C
-    rho: np.ndarray | None  # (N, mu) rho_j in branching groups
+    sign: np.ndarray  # (mu, N) +1 at x=1 (incoming) ends, -1 at x=0
+    template: np.ndarray  # (n, n, N) static entries: +-1, R, -1/R_C
+    rho: np.ndarray | None  # (mu, N) rho_j in branching groups
     C1: np.ndarray | None  # (N,) in transitional groups
     C2: np.ndarray | None
     g_C: np.ndarray | None  # 1 / R_C
 
     def step(self, dt: float, q_prev, P_C1, P_C2) -> tuple[np.ndarray, np.ndarray]:
-        """The (N, n, n) matrices and (N, n) right-hand sides with every
+        """The (n, n, N) matrices and (n, N) right-hand sides with every
         entry fixed within a time step: the template, then rho_j/dt and
         the momentum right-hand side rho_j q_prev/dt per branching end,
         or C/dt + 1/R_C and C P_C/dt per capacitor. q_prev is indexed by
         vessel end, P_C1 and P_C2 over the layout's transitional nodes."""
         M = self.template.copy()
-        b = np.zeros(M.shape[:2])
+        b = np.zeros(M.shape[1:])
         if self.kind is Branching:
             rho_dt = self.rho / dt
-            _bands(M)[0][:, 1::2] = rho_dt  # the Q rows
-            b[:, 1::2] = rho_dt * q_prev[self.ends]
+            _bands(M)[0][1::2] = rho_dt  # the Q rows
+            b[1::2] = rho_dt * q_prev[self.ends]
         else:
             c1, c2 = self.C1 / dt, self.C2 / dt
-            M[:, -2, -2] = c1 + self.g_C
-            M[:, -1, -1] = c2 + self.g_C
-            b[:, -2] = c1 * P_C1[self.slots]
-            b[:, -1] = c2 * P_C2[self.slots]
+            M[-2, -2] = c1 + self.g_C
+            M[-1, -1] = c2 + self.g_C
+            b[-2] = c1 * P_C1[self.slots]
+            b[-1] = c2 * P_C2[self.slots]
         return M, b
 
     def fill(self, M: np.ndarray, b: np.ndarray, cp, cq, char, A) -> None:
@@ -247,15 +292,15 @@ class JunctionGroup:
         every end, and +-A of the momentum ODE at branching ends. Every
         pass overwrites all of them."""
         ends = self.ends
-        P_rows = slice(0, 2 * ends.shape[1], 2)
+        P_rows = slice(0, 2 * ends.shape[0], 2)
         diag, upper, lower = _bands(M)
-        diag[:, P_rows] = cp[ends]
-        upper[:, P_rows] = cq[ends]
-        b[:, P_rows] = char[ends]
+        diag[P_rows] = cp[ends]
+        upper[P_rows] = cq[ends]
+        b[P_rows] = char[ends]
         if self.kind is Branching:
             signed_A = self.sign * A[ends]
-            lower[:, P_rows] = -signed_A
-            M[:, 1::2, -1] = signed_A
+            lower[P_rows] = -signed_A
+            M[1::2, -1] = signed_A
 
 
 @dataclass(frozen=True)
@@ -284,27 +329,27 @@ def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
 
     groups = []
     for (kind, mu), members in keyed.items():
-        ends = np.array([e for _, e in members], dtype=np.intp)
+        ends = np.array([e for _, e in members], dtype=np.intp).T.copy()
         inflow = incoming[ends]
         sign = np.where(inflow, 1.0, -1.0)
         param = np.array([[params[e] for e in row] for row in ends], dtype=float)
         n = 2 * mu + (1 if kind is Branching else 2)
-        template = np.zeros((len(members), n, n))
+        template = np.zeros((n, n, len(members)))
         Q_rows = slice(1, 2 * mu, 2)
         rho = C1 = C2 = g_C = None
         if kind is Branching:  # flow balance: sum_in Q - sum_out Q = 0
-            template[:, -1, Q_rows] = sign
+            template[-1, Q_rows] = sign
             rho = param
         else:  # artery: R Q = P - P_C1; vein: R Q = P_C2 - P
             diag, _, lower = _bands(template)
-            diag[:, Q_rows] = param
-            lower[:, 0 : 2 * mu : 2] = -sign
-            template[:, Q_rows, -2] = np.where(inflow, 1.0, 0.0)
-            template[:, Q_rows, -1] = np.where(inflow, 0.0, -1.0)
-            template[:, -2, Q_rows] = np.where(inflow, -1.0, 0.0)
-            template[:, -1, Q_rows] = np.where(inflow, 0.0, 1.0)
+            diag[Q_rows] = param
+            lower[0 : 2 * mu : 2] = -sign
+            template[Q_rows, -2] = np.where(inflow, 1.0, 0.0)
+            template[Q_rows, -1] = np.where(inflow, 0.0, -1.0)
+            template[-2, Q_rows] = np.where(inflow, -1.0, 0.0)
+            template[-1, Q_rows] = np.where(inflow, 0.0, 1.0)
             g_C = np.array([1.0 / node.R_C for node, _ in members])
-            template[:, -2, -1] = template[:, -1, -2] = -g_C
+            template[-2, -1] = template[-1, -2] = -g_C
             C1 = np.array([node.C1 for node, _ in members], dtype=float)
             C2 = np.array([node.C2 for node, _ in members], dtype=float)
         template.setflags(write=False)

@@ -546,14 +546,14 @@ def _close_nodes(
         x, ratio = solve_systems(M, b, group.node_ids)
         residual = max(residual, float(np.maximum.reduce(ratio)))
         at = points[group.ends]
-        mu = at.shape[1]
-        P[at] = x[:, 0 : 2 * mu : 2]
-        Q[at] = x[:, 1 : 2 * mu : 2]
+        mu = at.shape[0]
+        P[at] = x[0 : 2 * mu : 2]
+        Q[at] = x[1 : 2 * mu : 2]
         if group.kind is Branching:
-            P_junc[group.slots] = x[:, -1]
+            P_junc[group.slots] = x[-1]
         else:
-            P_C1[group.slots] = x[:, -2]
-            P_C2[group.slots] = x[:, -1]
+            P_C1[group.slots] = x[-2]
+            P_C2[group.slots] = x[-1]
     return residual
 
 

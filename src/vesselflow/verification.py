@@ -11,7 +11,8 @@ between an oracle and the solver is evidence rather than tautology:
   reference for the solver's batched junction groups
   (`junctions.junction_layout`, `JunctionGroup.step` and `fill`). It
   shares only the stacked solve `junctions.solve_systems` with the
-  solver, so both assemblies can be compared bit for bit,
+  solver (`solve_node` hands it one node's system), so both assemblies
+  can be compared bit for bit,
 - the empirical continuity-of-dependence experiment (how much the final
   state moves per unit of initial/boundary/forcing perturbation).
 
@@ -187,6 +188,13 @@ def assemble_branching(
     return M, b
 
 
+def solve_node(M: np.ndarray, b: np.ndarray, node_id: str) -> np.ndarray:
+    """Solution of one node's system M (n, n), b (n,) of `assemble_*`,
+    through the solver's stacked solve as a one-node stack (which the
+    node-minor layout stores like M itself)."""
+    return solve_systems(M[..., None], b[:, None], (node_id,))[0][:, 0]
+
+
 def branching_derivative_matrix(inputs: list[EndpointClosureInput]) -> np.ndarray:
     """The mu x mu coefficient block multiplying (ds_i/dt at x=1 ends,
     dr_i/dt at x=0 ends) when the junction relations are reduced to an
@@ -307,7 +315,7 @@ def transitional_step_response(
     for _ in range(n_steps):
         M, b = group.step(dt, np.zeros(2), np.array([state.P_C1]), np.array([state.P_C2]))
         group.fill(M, b, cp, cq, char, A)
-        x = solve_systems(M, b, group.node_ids)[0][0]
+        x = solve_systems(M, b, group.node_ids)[0][:, 0]
         state = TransitionalState(float(x[-2]), float(x[-1]))
         out.append(state)
     return out

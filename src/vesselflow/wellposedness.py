@@ -7,7 +7,10 @@ characteristic enters the vessel and one leaves ("endpoint split").
 The endpoint condition may fail in the interior without harm. On top
 of these, coefficients must satisfy a > 0 and the area must stay above
 the configured floor, and every junction system must be solvably
-conditioned.
+conditioned: its estimate, the 1-norm condition number kappa_1 of the
+row/column-equilibrated junction matrix (`junctions.condition_estimates`,
+within kappa_2 / n <= kappa_1 <= n kappa_2 of the 2-norm one for n
+unknowns), must stay below 1e12.
 
 The checker only reports; callers decide whether to abort.
 """
@@ -66,9 +69,10 @@ class ConditionReport:
     `unevaluable_count` counts the points where the coefficients could
     not be evaluated and `unevaluable_first` is the x-index of the first
     one (0 from `check_envelope`, whose unevaluable points are samples,
-    not grid points). `junction_estimates` holds the equilibrated
-    condition estimate of each node in `junction_nodes` (node id order);
-    a node passes below 1e12. `passed` is one test over these arrays.
+    not grid points). `junction_estimates` holds the 1-norm condition
+    number of each equilibrated junction matrix of `junction_nodes` (node
+    id order; inf where singular or not finite); a node passes below
+    1e12. `passed` is one test over these arrays.
 
     `checks`, `junction_checks`, `unevaluable` and `failures()` are built
     from the arrays when first read, in vessel id order, and kept.

@@ -16,6 +16,7 @@ from vesselflow import (
 from vesselflow.constitutive import CoefficientSet, EigenData
 from vesselflow.junctions import (
     TransitionalState,
+    condition_estimates,
     flow_at_pressure_end,
     junction_layout,
     pressure_at_flow_end,
@@ -27,6 +28,7 @@ from vesselflow.verification import (
     assemble_branching,
     assemble_transitional,
     branching_derivative_matrix,
+    solve_node,
     transitional_reduced_diagonals,
 )
 
@@ -70,7 +72,7 @@ def close_flow_end(inp, Q_B):
 
 def solve(M, b, node_id="n"):
     """Solution vector of one node system, through the stacked solve."""
-    return solve_systems(M[None], b[None], (node_id,))[0][0]
+    return solve_node(M, b, node_id)
 
 
 def layout_systems(node, inputs, dt, state_prev=None):
@@ -88,7 +90,7 @@ def layout_systems(node, inputs, dt, state_prev=None):
     M, b = group.step(dt, q_prev, np.array(P_C1, float), np.array(P_C2, float))
     cp, cq, char = np.array([_char_row(inp) for inp in inputs]).T
     group.fill(M, b, cp, cq, char, np.array([inp.coeffs.A for inp in inputs]))
-    return M[0], b[0]
+    return M[..., 0], b[:, 0]
 
 
 # The closure properties below must hold for the reference assembly and
@@ -446,6 +448,8 @@ def test_singular_junction_detected():
 
 
 def _branching_stack(rng, count=6, mu=3):
+    """Random branching systems as a node-minor stack: M (n, n, count),
+    b (n, count), the node ids, and each node's (M, b)."""
     systems = []
     for k in range(count):
         inputs = random_branching_inputs(rng, mu=mu)
@@ -453,9 +457,37 @@ def _branching_stack(rng, count=6, mu=3):
             f"n{k}", tuple(BranchAttachment(i.vessel_id, i.end, i.rho_j) for i in inputs)
         )
         systems.append(assemble_branching(node, inputs, dt=1e-3))
-    M = np.stack([Mk for Mk, _ in systems])
-    b = np.stack([bk for _, bk in systems])
+    M = np.stack([Mk for Mk, _ in systems], axis=-1)
+    b = np.stack([bk for _, bk in systems], axis=-1)
     return M, b, tuple(f"n{k}" for k in range(count)), systems
+
+
+def _transitional_stack(rng, count=5, arteries=2, veins=1):
+    """Random transitional systems as a node-minor stack, like
+    `_branching_stack`."""
+    systems = []
+    for k in range(count):
+        inputs = [
+            make_input("x1" if i < arteries else "x0", a=rng.uniform(0.2, 5),
+                       b=rng.uniform(0.1, 5), c=rng.uniform(-0.5, 0.5), A=rng.uniform(0.5, 2),
+                       char_value=rng.uniform(-5, 5), resistance=rng.uniform(0.1, 10), vid=f"v{i}")
+            for i in range(arteries + veins)
+        ]
+        legs = [TransAttachment(i.vessel_id, i.resistance) for i in inputs]
+        node = Transitional(f"t{k}", tuple(legs[:arteries]), tuple(legs[arteries:]),
+                            R_C=rng.uniform(0.5, 5), C1=rng.uniform(0.1, 2), C2=rng.uniform(0.1, 2))
+        prev = TransitionalState(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        systems.append(assemble_transitional(node, inputs, prev, dt=1e-2))
+    M = np.stack([Mk for Mk, _ in systems], axis=-1)
+    b = np.stack([bk for _, bk in systems], axis=-1)
+    return M, b, tuple(f"t{k}" for k in range(count)), systems
+
+
+def equilibrated(A):
+    """Row then column scaling of one 2D matrix with plain numpy calls."""
+    row = np.max(np.abs(A), axis=1)
+    As = (1.0 / row)[:, None] * A
+    return As * (1.0 / np.max(np.abs(As), axis=0))[None, :]
 
 
 def per_matrix_solve(A, b):
@@ -470,29 +502,62 @@ def per_matrix_solve(A, b):
     return x + dc * np.linalg.solve(As, dr * (b - A @ x))
 
 
+def check_stacked_solve(M, b, ids, systems):
+    x, ratio = solve_systems(M, b, ids)
+    assert np.all((ratio >= 0) & (ratio <= 1e-10))
+    for k, (Mk, bk) in enumerate(systems):
+        assert per_matrix_solve(Mk, bk).tobytes() == x[:, k].tobytes()
+        x_k, ratio_k = solve_systems(Mk[..., None], bk[:, None], (ids[k],))
+        assert x_k[:, 0].tobytes() == x[:, k].tobytes()
+        assert ratio_k.tobytes() == ratio[k : k + 1].tobytes()
+
+
 def test_stacked_solve_equals_per_matrix_arithmetic():
     for seed, mu in ((8, 3), (10, 5)):
-        M, b, ids, systems = _branching_stack(np.random.default_rng(seed), mu=mu)
-        x, ratio = solve_systems(M, b, ids)
-        assert np.all((ratio >= 0) & (ratio <= 1e-10))
-        for k, (Mk, bk) in enumerate(systems):
-            assert per_matrix_solve(Mk, bk).tobytes() == x[k].tobytes()
-            assert solve(Mk, bk, ids[k]).tobytes() == x[k].tobytes()
+        check_stacked_solve(*_branching_stack(np.random.default_rng(seed), mu=mu))
 
 
-@pytest.mark.parametrize("defect", ["zero row", "nan entry", "repeated row"])
+def test_stacked_transitional_solve_equals_per_matrix_arithmetic():
+    # n = 8 and 10 unknowns: row sums of 8 or more terms are summed pairwise
+    for seed, arteries in ((8, 2), (10, 3)):
+        check_stacked_solve(*_transitional_stack(np.random.default_rng(seed), arteries=arteries))
+
+
+@pytest.mark.parametrize("defect", ["zero row", "zero column", "nan entry", "repeated row"])
 def test_singular_node_inside_a_batch_is_named(defect):
     M, b, ids, _ = _branching_stack(np.random.default_rng(9))
     bad = 3
     if defect == "zero row":
-        M[bad, 2, :] = 0.0
+        M[2, :, bad] = 0.0
+    elif defect == "zero column":
+        M[:, 2, bad] = 0.0
     elif defect == "nan entry":
-        M[bad, 0, 1] = np.nan
+        M[0, 1, bad] = np.nan
     else:  # exactly singular without a zero row or column
-        M[bad, 2, :] = M[bad, 0, :]
+        M[2, :, bad] = M[0, :, bad]
     with pytest.raises(SingularJunction) as err:
         solve_systems(M, b, ids)
     assert err.value.node_id == ids[bad]
-    assert err.value.condition_estimate is not None
-    assert err.value.condition_estimate > 1e12 or not np.isfinite(err.value.condition_estimate)
     assert repr(ids[bad]) in str(err.value)
+    if defect == "repeated row":
+        assert err.value.condition_estimate > 1e12
+    else:
+        assert err.value.condition_estimate == np.inf
+
+
+@pytest.mark.parametrize("stack", [_branching_stack, _transitional_stack])
+def test_condition_estimates_are_one_norm_condition_numbers(stack):
+    M, _, ids, systems = stack(np.random.default_rng(21))
+    est = condition_estimates(M, ids)
+    want = np.array([np.linalg.cond(equilibrated(Mk), 1) for Mk, _ in systems])
+    assert est.tobytes() == want.tobytes()
+    # a strided node-minor view of a node-major copy: the same bits
+    view = np.ascontiguousarray(M.transpose(2, 0, 1)).transpose(1, 2, 0)
+    assert not view.flags.c_contiguous
+    assert condition_estimates(view, ids).tobytes() == est.tobytes()
+    # a singular or non-finite node reads inf, and the others are unchanged
+    M[2, :, 1] = M[0, :, 1]
+    M[0, 1, 3] = np.nan
+    bad = condition_estimates(M, ids)
+    assert bad[1] == bad[3] == np.inf
+    assert bad[[0, 2, 4]].tobytes() == est[[0, 2, 4]].tobytes()

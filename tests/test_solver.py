@@ -536,17 +536,39 @@ def varied_pattern_case():
     return junction_case(wiring, nodes, veins=("W", "Jv", "Mv"))
 
 
+def binary_tree_case():
+    """A depth-3 binary tree: its three branching nodes form one group of
+    N = 3, and two of its four leaves end at transitional nodes, a group
+    of N = 2."""
+    wiring = {
+        "r": ("in", "j"), "r0": ("j", "j0"), "r1": ("j", "j1"), "r00": ("j0", "t00"),
+        "r01": ("j0", "t01"), "r10": ("j1", "o10"), "r11": ("j1", "o11"),
+        "V00": ("t00", "oV00"), "V01": ("t01", "oV01"),
+    }
+    nodes = {
+        "in": ExternalPressure("in", SineSignal(mean=12000.0, amplitude=800.0, frequency=5.0)),
+        "j": branching_node("j", "r", "r0", "r1"),
+        "j0": branching_node("j0", "r0", "r00", "r01"),
+        "j1": branching_node("j1", "r1", "r10", "r11"),
+        "t00": transitional_node("t00", ("r00",), ("V00",)),
+        "t01": transitional_node("t01", ("r01",), ("V01",)),
+        **{o: ExternalPressure(o, ConstantSignal(12000.0)) for o in ("o10", "o11")},
+        **{o: ExternalPressure(o, ConstantSignal(9000.0)) for o in ("oV00", "oV01")},
+    }
+    return junction_case(wiring, nodes, veins=("V00", "V01"))
+
+
 def run_against_closure_oracle(monkeypatch, net, init, cfg):
     """Run, checking every closure pass against the per-node oracle
-    solve_systems(assemble_*(...)) built from the same frozen data.
+    solve_node(assemble_*(...)) built from the same frozen data.
     Returns the report and the closure passes, nodes and values checked."""
     import vesselflow.solver as solver_mod
     from vesselflow.constitutive import CoefficientSet, EigenData
-    from vesselflow.junctions import solve_systems
     from vesselflow.verification import (
         EndpointClosureInput,
         assemble_branching,
         assemble_transitional,
+        solve_node,
     )
     from vesselflow.network import Transitional, endpoints_by_node, node_attachments
 
@@ -590,7 +612,7 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
             else:
                 M, b = assemble_transitional(node, inputs, prev.transitional[nid], dt)
                 batched.extend(trans[nid])
-            x = solve_systems(M[None], b[None], (nid,))[0][0].tolist()
+            x = solve_node(M, b, nid).tolist()
             oracle.extend(x[2 * len(points):])  # P_junc, or P_C1 and P_C2
             for k, (vid, end, pt) in enumerate(points):
                 batched.extend((P[pt], Q[pt]))
@@ -624,7 +646,7 @@ def test_batched_closures_equal_per_node_oracle_on_mixed_groups(monkeypatch):
 
     net, init, cfg = mixed_junction_case()
     groups = compile_network(net).junctions.groups
-    assert sorted((g.kind.__name__, len(g.node_ids), g.ends.shape[1]) for g in groups) == [
+    assert sorted((g.kind.__name__, len(g.node_ids), g.ends.shape[0]) for g in groups) == [
         ("Branching", 1, 4), ("Branching", 2, 3), ("Transitional", 1, 2), ("Transitional", 1, 3),
     ]
     report, seen, _ = run_against_closure_oracle(monkeypatch, net, init, cfg)
@@ -645,11 +667,28 @@ def test_batched_closures_equal_per_node_oracle_on_varied_end_patterns(monkeypat
         ("Branching", ("j1", "j2")), ("Transitional", ("tA", "tB")),
     ]
     # within each group the nodes' in/out (artery/vein) patterns differ
-    assert all(len({tuple(row) for row in g.sign}) == 2 for g in groups)
+    assert all(len({tuple(col) for col in g.sign.T}) == 2 for g in groups)
     report, seen, _ = run_against_closure_oracle(monkeypatch, net, init, cfg)
     assert report.steps == 15 and report.picard_total > report.steps
     assert seen["passes"] == report.picard_total
     assert seen["nodes"] == 4 * report.picard_total
+    final = report.final_state.fields
+    assert all(abs(final[v].Q[0]) > 1e-8 for v in net.vessels)
+
+
+def test_batched_closures_equal_per_node_oracle_on_binary_tree(monkeypatch):
+    from vesselflow.compiled import compile_network
+
+    net, init, cfg = binary_tree_case()
+    groups = compile_network(net).junctions.groups
+    assert sorted((g.kind.__name__, g.node_ids) for g in groups) == [
+        ("Branching", ("j", "j0", "j1")), ("Transitional", ("t00", "t01")),
+    ]
+    report, seen, values = run_against_closure_oracle(monkeypatch, net, init, cfg)
+    assert report.steps == 15 and report.picard_total > report.steps
+    assert seen["passes"] == report.picard_total
+    assert seen["nodes"] == 5 * report.picard_total
+    assert values == (3 * 7 + 2 * 6) * report.picard_total
     final = report.final_state.fields
     assert all(abs(final[v].Q[0]) > 1e-8 for v in net.vessels)
 

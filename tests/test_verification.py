@@ -17,7 +17,7 @@ from vesselflow import (
     VesselInit,
 )
 from vesselflow.constitutive import CoefficientSet, EigenData
-from vesselflow.junctions import TransitionalState, solve_systems
+from vesselflow.junctions import TransitionalState
 from vesselflow.verification import (
     EndpointClosureInput,
     RCParams,
@@ -29,6 +29,7 @@ from vesselflow.verification import (
     perturb_initial_pressure_sine,
     rc_system,
     run_scenario,
+    solve_node,
     transitional_step_response,
 )
 
@@ -184,7 +185,7 @@ def test_step_response_equals_the_reference_assembly(dt):
     expected = []
     for _ in range(60):
         M, b = assemble_transitional(node, inputs, state, dt)
-        x = solve_systems(M[None], b[None], (node.id,))[0][0]
+        x = solve_node(M, b, node.id)
         state = TransitionalState(float(x[-2]), float(x[-1]))
         expected.append(state)
     got = np.array([(s.P_C1, s.P_C2) for s in traj])

@@ -398,7 +398,7 @@ def test_junction_estimates_equal_per_node_reference():
             ))
         M, _ = (assemble_branching(node, inputs, CFG.dt) if isinstance(node, Branching)
                 else assemble_transitional(node, inputs, TransitionalState(0.0, 0.0), CFG.dt))
-        reference[nid] = float(condition_estimates(M[None], (nid,))[0])
+        reference[nid] = float(condition_estimates(M[..., None], (nid,))[0])
     assert [j.node for j in report.junction_checks] == ["j", "k", "t"]
     for j in report.junction_checks:
         assert j.passed
