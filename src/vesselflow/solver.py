@@ -9,29 +9,17 @@ iterate reproduces the first, so the step degenerates to one linear
 solve; for the physical vessel model the iteration contracts for small
 enough dt.
 
-The outer loop advances these steps over [0, t_end], runs the
-solvability checks on the configured cadence, emits probe records from
-a plan it resolves once, and adapts dt (halve, retry, restore) when a
-step fails on the Courant bound or fails to converge. It starts each
-fixed-point loop from a polynomial extrapolation in time through the
-last accepted levels that share the step's dt: constant from one level,
-up to quartic from five. The loop carries the backward differences of
-those levels in one preallocated table, updated in place as each level
-is accepted, and keeps no earlier level. Any dt change restarts that
-table from the current level (a last step short of dt only by the
-rounding of t is no change), and a step that fails from an extrapolated
-start is retried once from the constant start before dt is halved, so
-the start decides how many iterations a step takes, never whether it
-succeeds.
-
 A `NetworkState` holds a time level as flat arrays in the layout order
 of its compiled network, so levels pass between the kernels, the
 condition checks, the extrapolation and the output without conversion.
+A `Stepper` advances one state level by level, adapting dt and choosing
+each step's first iterate; `run` drives one to t_end, runs the
+solvability checks on the configured cadence and emits probe records.
 
-`run` makes one `characteristics.Workspace` for its layout and passes
-it to every `picard_step`. The workspace is a pass's state: the step's
-old `characteristics.Level`, which `picard_step` builds into it once,
-the new level, which each pass's `freeze_step` builds into it with the
+The stepper passes its one `characteristics.Workspace` to every
+`picard_step`. The workspace is a pass's state: the step's old
+`characteristics.Level`, which `picard_step` builds into it once, the
+new level, which each pass's `freeze_step` builds into it with the
 step's source terms, and every other array that lives only within a
 pass, the interior update's results and the iterate deviation's scratch
 included. A warm pass allocates only what outlives it, each a new array
@@ -624,6 +612,70 @@ def time_tolerance(t_end: float) -> float:
     return 1e-12 * max(1.0, t_end)
 
 
+class Stepper:
+    """Advances `state` by one accepted time level per `advance()`, the
+    last one ending at cfg.t_end, counting steps, dt halvings and
+    extrapolated starts into `report`.
+
+    Each step starts from a polynomial extrapolation in time through the
+    last accepted levels that share its dt: constant from one level, up
+    to quartic from five (`_extrapolate`). Their backward differences
+    live in one `_DifferenceTable`, updated in place as each level is
+    accepted and restarted from the current level on any dt change (a
+    last step short of dt only by the rounding of t is no change). A step
+    that raises from an extrapolated start is retried once from the
+    constant start, and only the retry counts, so the start decides how
+    many iterations a step takes, never whether it succeeds. Only a
+    `CFLViolation` or `PicardDivergence` from the constant start halves
+    dt, which climbs back one rung per `_RESTORE_AFTER` clean steps; past
+    `_MAX_HALVINGS` halvings the step raises `SimulationError`.
+    """
+
+    def __init__(self, state: NetworkState, cfg: SimConfig, report: SimReport):
+        self.state, self.cfg, self.report = state, cfg, report
+        self._dt, self._depth, self._clean = cfg.dt, 0, 0  # depth: halvings below cfg.dt
+        self._tiny = time_tolerance(cfg.t_end)
+        # differences of the accepted levels spaced by `_spacing`
+        self._table, self._spacing = _DifferenceTable(state), None
+        self._work = Workspace(state.layout)
+
+    def advance(self) -> NetworkState:
+        state, cfg, report = self.state, self.cfg, self.report
+        retry = False
+        while True:
+            dt = min(self._dt, cfg.t_end - state.t)
+            # a last step short of dt only by the rounding of t keeps the history
+            if self._spacing is None or abs(dt - self._spacing) > self._tiny:
+                self._table.n, self._spacing = 1, dt
+            start = None if retry else self._table.start(state)
+            try:
+                new, iters, hist = picard_step(state, cfg, dt, report=report, start=start, work=self._work)
+                break
+            except SimulationError as exc:
+                retry = start is not None
+                if retry:
+                    report.extrapolation_retries += 1
+                    continue
+                if not isinstance(exc, (CFLViolation, PicardDivergence)):
+                    raise
+                if self._depth >= _MAX_HALVINGS:
+                    raise SimulationError(
+                        f"step failed at t = {state.t:.6g} after {self._depth} dt halvings: {exc}"
+                    ) from exc
+                self._depth, self._clean, self._dt = self._depth + 1, 0, 0.5 * self._dt
+                report.dt_adjustments += 1
+
+        self.state = new
+        report.record_step(iters, hist)
+        report.extrapolated_steps += start is not None
+        self._table.push(new)
+        if self._depth:
+            self._clean += 1
+            if self._clean >= _RESTORE_AFTER:
+                self._depth, self._clean, self._dt = self._depth - 1, 0, min(cfg.dt, 2.0 * self._dt)
+        return new
+
+
 def run(
     net: Network,
     init: NetworkState,
@@ -632,20 +684,13 @@ def run(
     sink=None,
     on_step: Callable[[NetworkState], None] | None = None,
 ) -> SimReport:
-    """Advance the network from the initial state to cfg.t_end, on the
-    layout `init` was built on (`initial_state` or
+    """Advance the network from the initial state to cfg.t_end with a
+    `Stepper`, on the layout `init` was built on (`initial_state` or
     `NetworkState.from_fields` with the same `net`; ValueError if not).
-
-    Emits one probe record per probe quantity per completed step, runs
-    the condition checks on the configured cadence (full sweep every
-    cfg.check_every steps, endpoint checks every step), and halves dt
-    on Courant or convergence failures, restoring the base step after
-    ten clean steps. Each step starts from the extrapolation of the last
-    accepted levels at its dt (see `_extrapolate`); a step that raises
-    from an extrapolated start is retried once from the previous level,
-    and only that retry counts. Raises if a condition check fails or dt
-    would drop below dt / 2**10.
-    """
+    Runs the condition checks on the configured cadence (full sweep every
+    cfg.check_every steps, endpoint checks every step) and emits one probe
+    record per probe quantity per step. Raises if a check fails, or as
+    `Stepper.advance` does."""
     errors = [d for d in validate_network(net) if d.severity == "error"]
     if errors:
         raise WellPosednessFailure(
@@ -666,57 +711,10 @@ def run(
     report.full_checks += 1
     report.record_junctions(pre)
 
-    base_dt = cfg.dt
-    cur_dt = base_dt
-    depth = 0  # halving depth below the base step
-    clean_streak = 0
-    tiny = time_tolerance(cfg.t_end)
-
-    # differences of the accepted levels spaced by `spacing`
-    table, spacing = _DifferenceTable(state), None
-    work = Workspace(state.layout)
-    while state.t < cfg.t_end - tiny:
-        dt_step = min(cur_dt, cfg.t_end - state.t)
-        # a last step short of dt only by the rounding of t keeps the history
-        if spacing is None or abs(dt_step - spacing) > tiny:
-            table.n, spacing = 1, dt_step
-        start = table.start(state)
-        try:
-            try:
-                state_new, iters, hist = picard_step(
-                    state, cfg, dt_step, report=report, start=start, work=work
-                )
-            except SimulationError:
-                if start is None:
-                    raise
-                # only the retry from the previous level counts
-                report.extrapolation_retries += 1
-                start = None
-                state_new, iters, hist = picard_step(state, cfg, dt_step, report=report, work=work)
-        except (CFLViolation, PicardDivergence) as exc:
-            if depth >= _MAX_HALVINGS:
-                raise SimulationError(
-                    f"step failed at t = {state.t:.6g} after {depth} dt halvings: {exc}"
-                ) from exc
-            depth += 1
-            clean_streak = 0
-            cur_dt *= 0.5
-            report.dt_adjustments += 1
-            continue
-
-        state = state_new
-        report.record_step(iters, hist)
-        report.extrapolated_steps += start is not None
-        table.push(state)
-
-        if depth:
-            clean_streak += 1
-            if clean_streak >= _RESTORE_AFTER:
-                # climb back one rung per ten clean steps
-                depth -= 1
-                cur_dt = min(base_dt, 2.0 * cur_dt)
-                clean_streak = 0
-
+    stepper = Stepper(state, cfg, report)
+    t_stop = cfg.t_end - time_tolerance(cfg.t_end)
+    while state.t < t_stop:
+        state = stepper.advance()
         full = report.steps % cfg.check_every == 0
         rep = check_state(state, cfg, endpoints_only=not full)
         if not rep.passed:
@@ -725,9 +723,9 @@ def run(
                 report=rep,
                 t=state.t,
             )
-        report.full_checks += full
-        report.record_junctions(rep)
-
+        if full:  # an endpoint-only report carries no junction estimates
+            report.full_checks += 1
+            report.record_junctions(rep)
         if plan:
             emit_probes(sink, plan, state, epsilon0=cfg.epsilon0)
         if on_step is not None:

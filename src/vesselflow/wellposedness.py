@@ -286,9 +286,10 @@ def check_envelope(
 ) -> ConditionReport:
     """Static pre-flight sweep: sample a (P, Q) tensor grid at every
     grid station of every vessel and report the worst margin of each
-    condition over the envelope. Unevaluable points (outside a law's
-    range) are counted but excluded from the margins; a condition with
-    no evaluable station is not reported."""
+    condition over the envelope. The area_floor margin is the smallest
+    area itself, no floor subtracted (check_state's is A - epsilon0).
+    Unevaluable points (outside a law's range) are counted but excluded
+    from the margins; a condition with no evaluable station is not reported."""
     if samples < 2:
         raise ValueError("need at least 2 samples per axis")
     if not (np.isfinite(P_range).all() and np.isfinite(Q_range).all()):

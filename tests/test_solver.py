@@ -756,7 +756,9 @@ def tabulated_from_power(law, radii, stations=(0.0,)):
     return TabulatedLaw(radii=radii, pressures=[row] * len(stations), x_stations=stations)
 
 
-def pulse_run(law, n=40, t_end=0.01, P0=8000.0):
+def pulse_case(law, n=40, t_end=0.01, P0=8000.0):
+    """A nonlinear pressure pulse in one vessel: the network, its initial
+    state and settings at Courant number 0.5."""
     v = Vessel(id="v", n_cells=n, x0_node="in", x1_node="out", tube_law=law, alpha=1.1)
     net = single_net(
         v,
@@ -771,7 +773,11 @@ def pulse_run(law, n=40, t_end=0.01, P0=8000.0):
     init = InitSpec(default=VesselInit(P=lambda x: P0 + 1500.0 * bump(x), Q=0.0))
     state0, diags = initial_state(net, init, cfg)
     assert not [d for d in diags if d.severity == "error"]
-    return run(net, state0, cfg)
+    return net, state0, cfg
+
+
+def pulse_run(law, n=40, t_end=0.01, P0=8000.0):
+    return run(*pulse_case(law, n, t_end, P0))
 
 
 @pytest.mark.parametrize("stations", [(0.0,), (0.0, 1.0)])
@@ -949,6 +955,64 @@ def test_extrapolation_outside_the_tube_law_is_retried_from_the_constant_start(m
     new, old = flat_fields(report.final_state), flat_fields(constant.final_state)
     assert all(same_bits(new[vid], old[vid]) for vid in old)
     assert report.final_state.transitional == constant.final_state.transitional
+
+
+def test_two_steppers_in_lockstep_equal_their_solo_runs():
+    # two layouts advanced alternately, as dependence and ensemble runs
+    # need: the bifurcation at 4 ms halves dt, restores it and restarts
+    # the table; the pulse's last step is short
+    from vesselflow.solver import SimReport, Stepper, time_tolerance
+
+    net, init, cfg = bifurcation_case()
+    cfg = dataclasses.replace(cfg, dt=0.004, t_end=0.1)
+    cases = [(net, initial_state(net, init, cfg)[0], cfg), pulse_case(LAW)]
+    solo = [run(*case) for case in cases]
+    steppers = [Stepper(state, cfg_, SimReport()) for _, state, cfg_ in cases]
+    while True:
+        moving = [s for s in steppers if s.state.t < s.cfg.t_end - time_tolerance(s.cfg.t_end)]
+        if not moving:
+            break
+        for s in moving:
+            s.advance()
+    assert solo[0].dt_adjustments == 5 and solo[1].final_state.t == cases[1][2].t_end
+    # the condition sweeps are run's, not the stepper's
+    unchecked = {"full_checks", "worst_junction_condition", "worst_junction_node", "final_state"}
+    for s, ref in zip(steppers, solo):
+        got, want = s.state, ref.final_state
+        assert got.t == want.t
+        for name in ("P", "Q", "P_C1", "P_C2", "P_junc"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        for f in dataclasses.fields(SimReport):
+            if f.name not in unchecked:
+                assert getattr(s.report, f.name) == getattr(ref, f.name), f.name
+
+
+def test_a_non_ladder_error_from_the_retry_propagates(monkeypatch):
+    # the extrapolated start and its retry from the constant start both
+    # raise an error that does not halve dt
+    import vesselflow.solver as solver_mod
+    from vesselflow.solver import SimReport, Stepper
+
+    net, init, cfg = bifurcation_case()
+    real_step, calls = solver_mod.picard_step, []
+
+    def failing_after_three_levels(state_prev, cfg_, dt, **kw):
+        calls.append((state_prev, dt, kw["start"] is not None))
+        if state_prev.t > 2.5 * cfg.dt:
+            raise WellPosednessFailure("forced")
+        return real_step(state_prev, cfg_, dt, **kw)
+
+    monkeypatch.setattr(solver_mod, "picard_step", failing_after_three_levels)
+    stepper = Stepper(initial_state(net, init, cfg)[0], cfg, SimReport())
+    for _ in range(3):
+        stepper.advance()
+    assert stepper.report.extrapolation_retries == 0
+    del calls[:]
+    with pytest.raises(WellPosednessFailure, match="forced"):
+        stepper.advance()
+    assert calls == [(stepper.state, cfg.dt, True), (stepper.state, cfg.dt, False)]
+    assert stepper.report.extrapolation_retries == 1 and stepper.report.dt_adjustments == 0
+    assert stepper.report.steps == 3
 
 
 def rebuilt_start(levels):
