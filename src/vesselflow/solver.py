@@ -445,9 +445,7 @@ def picard_step(
             for bc in (cn.pressure_ends, cn.flow_ends)
         )
         q_prev = state_prev.Q[cn.ends]
-        systems = [
-            group.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2) for group in cn.junctions.groups
-        ]
+        systems = cn.junctions.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2)
         start = state_prev if start is None else start
         cur = (start.P, start.Q, start.P_C1, start.P_C2)
         P_junc = np.empty(len(cn.junctions.branching))
@@ -498,10 +496,10 @@ def _close_nodes(
     coupling `kP`, `kQ` to the endpoint state (from the new-level source
     term of the trapezoidal rule); each closure folds it into its
     characteristic row cp P + cq Q = char, so one solve satisfies the
-    closure and the coupling exactly. The external ends of each kind are solved in
-    closed form, elementwise; the junction nodes of each kind and size
-    are solved as one stack, in the group's systems of this step
-    (`JunctionGroup.step`), which each pass fills in place.
+    closure and the coupling exactly. The external ends of each kind are
+    solved in closed form, elementwise; every junction node is solved in
+    one stack, the layout's systems of this step (`JunctionLayout.step`),
+    which each pass fills in place group by group.
     Returns the largest junction residual over its gate scale.
     """
     points, char = cn.ends, work.known
@@ -527,22 +525,17 @@ def _close_nodes(
         )
         Q[at] = Q_B
 
-    residual = 0.0
-    A = cs.A[points]
-    for group, (M, b) in zip(cn.junctions.groups, systems):
-        group.fill(M, b, cp, cq, char, A)
-        x, ratio = solve_systems(M, b, group.node_ids)
-        residual = max(residual, float(np.maximum.reduce(ratio)))
-        at = points[group.ends]
-        mu = at.shape[0]
-        P[at] = x[0 : 2 * mu : 2]
-        Q[at] = x[1 : 2 * mu : 2]
-        if group.kind is Branching:
-            P_junc[group.slots] = x[-1]
-        else:
-            P_C1[group.slots] = x[-2]
-            P_C2[group.slots] = x[-1]
-    return residual
+    jl = cn.junctions
+    if not jl.groups:
+        return 0.0
+    M, b = systems
+    jl.fill(M, b, cp, cq, char, cs.A[points])
+    x, ratio = solve_systems(M, b, jl.node_ids)
+    at = points[jl.ends]
+    P[at], Q[at] = x.take(jl.x_PQ)
+    P_C1[:], P_C2[:] = x.take(jl.x_C)
+    x.take(jl.x_junc, out=P_junc)
+    return float(np.maximum.reduce(ratio))
 
 
 # --- outer time loop -----------------------------------------------------
@@ -640,7 +633,11 @@ class Stepper:
         self._work = Workspace(state.layout)
 
     def advance(self) -> NetworkState:
+        """The next accepted level. Raises ValueError, before any step,
+        once the state has reached cfg.t_end (within `time_tolerance`)."""
         state, cfg, report = self.state, self.cfg, self.report
+        if state.t >= cfg.t_end - self._tiny:
+            raise ValueError(f"the state at t = {state.t!r} has reached t_end = {cfg.t_end!r}")
         retry = False
         while True:
             dt = min(self._dt, cfg.t_end - state.t)

@@ -8,18 +8,18 @@ between an oracle and the solver is evidence rather than tautology:
 - the matrix-exponential solution of the two-capacitor lumped circuit,
 - the node-by-node assembly of the junction systems from per-end
   closure inputs (`assemble_branching`, `assemble_transitional`), the
-  reference for the solver's batched junction groups
-  (`junctions.junction_layout`, `JunctionGroup.step` and `fill`). It
-  shares only the stacked solve `junctions.solve_systems` with the
-  solver (`solve_node` hands it one node's system), so both assemblies
-  can be compared bit for bit,
+  reference for the solver's junction stack (`junctions.junction_layout`,
+  `JunctionLayout.step` and `fill`). It shares only the stacked solve
+  `junctions.solve_systems` with the solver (`solve_node` hands it one
+  node's system, padded to the stack's size as the layout pads it), so
+  both assemblies can be compared bit for bit,
 - the empirical continuity-of-dependence experiment (how much the final
   state moves per unit of initial/boundary/forcing perturbation).
 
 The transitional step-response harness is the exception, on purpose:
-it closes the node through the solver's own junction group (its
-`step` and `fill`) and `solve_systems`, so its agreement with the lumped-circuit oracle tests
-the closure the solver runs.
+it closes the node through the solver's own junction layout (its `step`
+and `fill`) and `solve_systems`, so its agreement with the
+lumped-circuit oracle tests the closure the solver runs.
 """
 
 from __future__ import annotations
@@ -188,11 +188,16 @@ def assemble_branching(
     return M, b
 
 
-def solve_node(M: np.ndarray, b: np.ndarray, node_id: str) -> np.ndarray:
+def solve_node(M: np.ndarray, b: np.ndarray, node_id: str, size: int | None = None) -> np.ndarray:
     """Solution of one node's system M (n, n), b (n,) of `assemble_*`,
     through the solver's stacked solve as a one-node stack (which the
-    node-minor layout stores like M itself)."""
-    return solve_systems(M[..., None], b[:, None], (node_id,))[0][:, 0]
+    node-minor layout stores like M itself). Given a size > n, the
+    system is padded to size unknowns as a junction layout pads it:
+    identity rows and columns at its tail and a zero right-hand side."""
+    n = M.shape[0]
+    padded, rhs = np.eye(size or n), np.zeros(size or n)
+    padded[:n, :n], rhs[:n] = M, b
+    return solve_systems(padded[..., None], rhs[:, None], (node_id,))[0][:n, 0]
 
 
 def branching_derivative_matrix(inputs: list[EndpointClosureInput]) -> np.ndarray:
@@ -299,13 +304,13 @@ def transitional_step_response(
     """Drive one transitional node with ideal endpoint sources: the
     artery delivers exactly q_step and the vein sees the fixed venous
     pressure. Each step closes the node through the solver's junction
-    group and `solve_systems`, so the trajectory is the backward-Euler
-    integration of the lumped circuit as the production code performs
-    it."""
+    layout, a one-node stack, and `solve_systems`, so the trajectory is
+    the backward-Euler integration of the lumped circuit as the
+    production code performs it."""
     if len(node.arteries) != 1 or len(node.veins) != 1:
         raise ValueError("step-response harness expects one artery and one vein")
     resistances = (node.arteries[0].resistance, node.veins[0].resistance)
-    (group,) = junction_layout([(node, (0, 1))], np.array([True, False]), resistances).groups
+    layout = junction_layout([(node, (0, 1))], np.array([True, False]), resistances)
     # Degenerate characteristic rows cp P + cq Q = char at the artery
     # (end 0) and the vein (end 1) turn the relations into Q = q_step and
     # P = p_vein.
@@ -313,9 +318,9 @@ def transitional_step_response(
     out = []
     state = state0
     for _ in range(n_steps):
-        M, b = group.step(dt, np.zeros(2), np.array([state.P_C1]), np.array([state.P_C2]))
-        group.fill(M, b, cp, cq, char, A)
-        x = solve_systems(M, b, group.node_ids)[0][:, 0]
+        M, b = layout.step(dt, np.zeros(2), np.array([state.P_C1]), np.array([state.P_C2]))
+        layout.fill(M, b, cp, cq, char, A)
+        x = solve_systems(M, b, layout.node_ids)[0][:, 0]
         state = TransitionalState(float(x[-2]), float(x[-1]))
         out.append(state)
     return out

@@ -256,10 +256,11 @@ def check_state(
 
 def _junction_estimates(state, cfg):
     """Condition estimates of every junction system, in node id order,
-    built from the endpoint coefficients the first closure of the next
-    step starts from, at (x_end, t + dt, P, Q): `state.coeffs`, or, on a
-    layout with a synthetic vessel (the only coefficients that depend on
-    t), one `layout_coefficients` evaluation at t + dt."""
+    from the layout's one stack, built from the endpoint coefficients
+    the first closure of the next step starts from, at (x_end, t + dt,
+    P, Q): `state.coeffs`, or, on a layout with a synthetic vessel (the
+    only coefficients that depend on t), one `layout_coefficients`
+    evaluation at t + dt."""
     cn, pts = state.layout, state.layout.ends
     if any(v.synthetic is not None for v in cn.fills):
         cs = layout_coefficients(cn, state.t + cfg.dt, state.P, state.Q)
@@ -270,11 +271,10 @@ def _junction_estimates(state, cfg):
     lam = np.where(cn.end_x1, eig.lambda_L, eig.lambda_R)
     layout = cn.junctions
     zeros = np.zeros(pts.size)  # the right-hand sides are not needed
+    M, b = layout.step(cfg.dt, zeros, state.P_C1, state.P_C2)
+    layout.fill(M, b, -lam, a, zeros, A)
     estimates = np.empty(len(layout.nodes))
-    for group in layout.groups:
-        M, b = group.step(cfg.dt, zeros, state.P_C1, state.P_C2)
-        group.fill(M, b, -lam, a, zeros, A)
-        estimates[group.ranks] = condition_estimates(M, group.node_ids)
+    estimates[layout.ranks] = condition_estimates(M, layout.node_ids)
     return estimates
 
 

@@ -77,19 +77,19 @@ def solve(M, b, node_id="n"):
 
 def layout_systems(node, inputs, dt, state_prev=None):
     """Matrix and right-hand side of one junction node as the solver
-    assembles them: a one-node `junction_layout` and its group's
-    `step` and `fill`, in the unknown order of `assemble_*`."""
+    assembles them: a one-node `junction_layout` and its `step` and
+    `fill`, in the unknown order of `assemble_*`."""
     if isinstance(node, Branching):
         params, P_C1, P_C2 = [inp.rho_j for inp in inputs], [], []
     else:
         params = [inp.resistance for inp in inputs]
         P_C1, P_C2 = [state_prev.P_C1], [state_prev.P_C2]
     incoming = np.array([inp.incoming for inp in inputs])
-    (group,) = junction_layout([(node, tuple(range(len(inputs))))], incoming, params).groups
+    layout = junction_layout([(node, tuple(range(len(inputs))))], incoming, params)
     q_prev = np.array([inp.q_prev for inp in inputs])
-    M, b = group.step(dt, q_prev, np.array(P_C1, float), np.array(P_C2, float))
+    M, b = layout.step(dt, q_prev, np.array(P_C1, float), np.array(P_C2, float))
     cp, cq, char = np.array([_char_row(inp) for inp in inputs]).T
-    group.fill(M, b, cp, cq, char, np.array([inp.coeffs.A for inp in inputs]))
+    layout.fill(M, b, cp, cq, char, np.array([inp.coeffs.A for inp in inputs]))
     return M[..., 0], b[:, 0]
 
 

@@ -560,7 +560,8 @@ def binary_tree_case():
 
 def run_against_closure_oracle(monkeypatch, net, init, cfg):
     """Run, checking every closure pass against the per-node oracle
-    solve_node(assemble_*(...)) built from the same frozen data.
+    solve_node(assemble_*(...)) built from the same frozen data and
+    padded to the layout's stack size.
     Returns the report and the closure passes, nodes and values checked."""
     import vesselflow.solver as solver_mod
     from vesselflow.constitutive import CoefficientSet, EigenData
@@ -612,7 +613,7 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
             else:
                 M, b = assemble_transitional(node, inputs, prev.transitional[nid], dt)
                 batched.extend(trans[nid])
-            x = solve_node(M, b, nid).tolist()
+            x = solve_node(M, b, nid, size=cn.junctions.size).tolist()
             oracle.extend(x[2 * len(points):])  # P_junc, or P_C1 and P_C2
             for k, (vid, end, pt) in enumerate(points):
                 batched.extend((P[pt], Q[pt]))
@@ -691,6 +692,94 @@ def test_batched_closures_equal_per_node_oracle_on_binary_tree(monkeypatch):
     assert values == (3 * 7 + 2 * 6) * report.picard_total
     final = report.final_state.fields
     assert all(abs(final[v].Q[0]) > 1e-8 for v in net.vessels)
+
+
+def test_one_stacked_solve_per_closure_pass_on_mixed_groups(monkeypatch):
+    # four groups of 6 to 9 unknowns, one padded (9, 9, 5) stack
+    import vesselflow.solver as solver_mod
+
+    net, init, cfg = mixed_junction_case()
+    state0, _ = initial_state(net, init, cfg)
+    layout = state0.layout.junctions
+    assert sorted(g.size for g in layout.groups) == [6, 7, 8, 9] and layout.size == 9
+    real_solve, real_close, shapes, passes = solver_mod.solve_systems, solver_mod._close_nodes, [], []
+
+    def counted_solve(M, b, node_ids):
+        shapes.append((M.shape, node_ids))
+        return real_solve(M, b, node_ids)
+
+    def counted_close(*args):
+        passes.append(len(shapes))
+        return real_close(*args)
+
+    monkeypatch.setattr(solver_mod, "solve_systems", counted_solve)
+    monkeypatch.setattr(solver_mod, "_close_nodes", counted_close)
+    report = run(net, state0, cfg)
+    assert report.picard_total > report.steps == 15
+    # each pass solves once, after the pass before it
+    assert passes == list(range(report.picard_total))
+    assert shapes == [((9, 9, 5), ("j1", "j3", "j2", "t1", "t2"))] * report.picard_total
+
+
+def test_singular_nodes_in_two_groups_name_the_earlier_groups_node(monkeypatch):
+    # the stack holds its groups in order, so the node named is the
+    # earlier group's, though the later group's sorts first by id
+    from vesselflow import SingularJunction
+    from vesselflow.junctions import JunctionLayout
+
+    net, init, cfg = mixed_junction_case()
+    state0, _ = initial_state(net, init, cfg)
+    earlier, later = state0.layout.junctions.groups[:2]
+    assert (earlier.node_ids[-1], later.node_ids[0]) == ("j3", "j2")
+    real_fill = JunctionLayout.fill
+
+    def fill_with_zero_rows(self, M, b, *args):
+        real_fill(self, M, b, *args)
+        M[0, :, earlier.cols.stop - 1] = 0.0
+        M[0, :, later.cols.start] = 0.0
+
+    monkeypatch.setattr(JunctionLayout, "fill", fill_with_zero_rows)
+    with pytest.raises(SingularJunction, match="^node 'j3': .*zero row") as err:
+        picard_step(state0, cfg)
+    assert err.value.node_id == "j3"
+
+
+def test_junction_estimates_on_mixed_groups_equal_per_node_reference():
+    # the padded stack's estimates against each node's own unpadded system
+    from vesselflow.constitutive import CoefficientSet, eigen
+    from vesselflow.junctions import TransitionalState, condition_estimates
+    from vesselflow.network import endpoints_by_node, node_attachments
+    from vesselflow.verification import (
+        EndpointClosureInput,
+        assemble_branching,
+        assemble_transitional,
+    )
+    from vesselflow.wellposedness import check_state
+
+    net, init, cfg = mixed_junction_case()
+    state = run(net, initial_state(net, init, cfg)[0], cfg).final_state
+    report = check_state(state, cfg)
+    cn, cs = state.layout, state.coeffs
+    assert report.passed and [j.node for j in report.junction_checks] == list(cn.junctions.nodes)
+    ends_by_node = endpoints_by_node(net)
+    for j in report.junction_checks:
+        node = net.nodes[j.node]
+        branching = isinstance(node, Branching)
+        params = {(vid, end): p for vid, end, p in node_attachments(node)}
+        inputs = []
+        for vid, end, _ in ends_by_node[j.node]:
+            k = cn.vessel_ids.index(vid)
+            pt = int(cn.last[k] if end == "x1" else cn.first[k])
+            at = CoefficientSet(**{name: float(np.asarray(getattr(cs, name))[pt]) for name in "abcfgA"})
+            inputs.append(EndpointClosureInput(
+                vessel_id=vid, end=end, coeffs=at, eig=eigen(at), char_value=0.0,
+                rho_j=params[(vid, end)] if branching else None,
+                resistance=None if branching else params[(vid, end)],
+            ))
+        M, _ = (assemble_branching(node, inputs, cfg.dt) if branching
+                else assemble_transitional(node, inputs, TransitionalState(0.0, 0.0), cfg.dt))
+        reference = float(condition_estimates(M[..., None], (j.node,))[0])
+        assert j.passed and j.condition_estimate == pytest.approx(reference, rel=1e-8)
 
 
 def test_report_records_closure_residual_and_junction_condition():
@@ -1013,6 +1102,28 @@ def test_a_non_ladder_error_from_the_retry_propagates(monkeypatch):
     assert calls == [(stepper.state, cfg.dt, True), (stepper.state, cfg.dt, False)]
     assert stepper.report.extrapolation_retries == 1 and stepper.report.dt_adjustments == 0
     assert stepper.report.steps == 3
+
+
+def test_advance_at_t_end_raises_before_any_step():
+    # a level that has reached t_end leaves no step: advance() says so
+    # before any arithmetic with dt = t_end - t <= 0
+    import warnings
+
+    from vesselflow.solver import SimReport, Stepper
+
+    net, init, cfg = bifurcation_case(steps=3)
+    state0 = initial_state(net, init, cfg)[0]
+    stepper = Stepper(state0, cfg, SimReport())
+    for _ in range(3):
+        stepper.advance()
+    at_end = stepper.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(f"has reached t_end = {cfg.t_end!r}")):
+            stepper.advance()
+        with pytest.raises(ValueError, match="has reached t_end = 0.0"):
+            Stepper(state0, dataclasses.replace(cfg, t_end=0.0), SimReport()).advance()
+    assert stepper.state is at_end and stepper.report.steps == 3
 
 
 def rebuilt_start(levels):
