@@ -15,10 +15,9 @@ ends have one numbering, e = 2k + x1 for the x=0 (x1 = 0) and x=1
 (x1 = 1) end of segment k, the order of `ends` and of the kernel's
 endpoint rows. Each node lists its ends in
 `endpoints_by_node` order: external nodes keep their single end, and
-junction nodes are grouped by kind and size into the groups of
-`junctions.junction_layout`, each holding its nodes' end indices and
-parameters, and stacked into its one padded stack for the stacked
-solve.
+junction nodes are laid by `junctions.junction_layout`, in node id
+order, into one padded stack for the stacked solve, whose flat tables
+hold their end indices and parameters.
 """
 
 from __future__ import annotations

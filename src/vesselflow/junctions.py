@@ -19,21 +19,25 @@ closed form, elementwise over every end of one kind
 (`flow_at_pressure_end`, `pressure_at_flow_end`).
 
 The solver closes every junction node of a network in one stack:
-`junction_layout` groups the nodes by kind and size and lays the groups'
-systems side by side, group after group, in one `JunctionLayout`. Each
-`JunctionGroup` keeps its own per-node arrays (end indices, signs,
-rho_j or C1, C2, 1/R_C) and owns a range of the stack's columns; the
-layout keeps the static matrix template and the indices that scatter a
-solution back. `JunctionLayout.step` builds the stack with every entry
-fixed within a time step, `JunctionLayout.fill` writes each closure
-pass's entries into every group's columns in place, and one
-`solve_systems` call per pass solves the whole stack. This is the only
-assembly the program runs. The node-by-node assembly in
-`vesselflow.verification` builds the same systems without these groups
-and serves as their oracle; it solves them with `solve_systems` too (a
-one-node stack, padded as the layout pads it), so the two paths can be
-compared bit for bit. The step-response harness there drives a layout
-on purpose, to test the solver's own transitional closure.
+`junction_layout` lays the nodes' systems side by side in node id
+order, column k of the stack holding node k, in one `JunctionLayout`.
+The layout keeps the static matrix template and flat tables of
+positions into the stack, built once: per end, its characteristic
+row's entries and its unknowns; per branching end, its sign and its
++-A entries; per entry fixed within a step, its weight (rho_j, C1 or
+C2), its additive 1/R_C and its places in the matrices and right-hand
+sides. `JunctionLayout.step` builds the stack with every entry fixed
+within a time step, `JunctionLayout.fill` writes each closure pass's
+entries in place, one `put` per kind of entry, and one `solve_systems`
+call per pass solves the whole stack and names the first failing node
+in stack order, which is node id order, as the condition report orders
+its nodes. This is the only assembly the program runs. The node-by-node
+assembly in `vesselflow.verification` builds the same systems without
+these tables and serves as their oracle; it solves them with
+`solve_systems` too (a one-node stack, padded as the layout pads it),
+so the two paths can be compared bit for bit. The step-response
+harness there drives a layout on purpose, to test the solver's own
+transitional closure.
 
 The stack has the size n of its largest system (2 mu + 1 unknowns for
 a branching node, 2 mu + 2 for a transitional one). A smaller system
@@ -47,11 +51,11 @@ round a padded system differently from the system alone.
 
 The stack is node-minor: the matrices of its N nodes with n unknowns
 each are one C-contiguous (n, n, N) array, the right-hand sides and
-solutions (n, N), and each group's per-end arrays (mu, N). Entry (i, j)
-of every node's system is one contiguous row over the nodes, so the
-equilibration's row and column maxima and the residual gate's maxima
-reduce whole rows at once; LAPACK reads the same (N, n, n) values
-through a view, and the residual products read a C-ordered copy.
+solutions (n, N). Entry (i, j) of every node's system is one
+contiguous row over the nodes, so the equilibration's row and column
+maxima and the residual gate's maxima reduce whole rows at once; LAPACK
+reads the same (N, n, n) values through a view, and the residual
+products read a C-ordered copy.
 
 `condition_estimates` reports, per node, the 1-norm condition number
 kappa_1 = ||A||_1 ||A^-1||_1 of the row/column-equilibrated matrix A,
@@ -201,12 +205,10 @@ def solve_systems(M: np.ndarray, b: np.ndarray, node_ids) -> tuple[np.ndarray, n
     """
     abs_M = np.abs(M)
     As, dr, dc = _equilibrate(M, abs_M, node_ids)
-    if M.shape[2] == 1:  # one system: (1, n, n) views in C order
-        As3, M3, abs_M3 = As[None, ..., 0], M[None, ..., 0], abs_M[None, ..., 0]
-    else:  # BLAS's matmul and the row sums' summation order need C order
-        As3 = As.transpose(2, 0, 1)
-        M3 = M.transpose(2, 0, 1).copy()
-        abs_M3 = np.abs(M3)
+    # BLAS's matmul and the row sums' summation order need C order
+    As3 = As.transpose(2, 0, 1)
+    M3 = M.transpose(2, 0, 1).copy()
+    abs_M3 = np.abs(M3)
     try:
         x = dc * _solve(As3, dr * b)
         x = x + dc * _solve(As3, dr * (b - _apply(M3, x)))
@@ -245,103 +247,54 @@ def condition_estimates(M: np.ndarray, node_ids) -> np.ndarray:
     return _condition(_equilibrate(M, np.abs(M), node_ids)[0])
 
 
-# --- batched closures ----------------------------------------------------
-
-
-def _bands(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Writable views of the main, upper and lower diagonals of a
-    C-contiguous node-minor stack (n, n, N): (n, N), (n-1, N), (n-1, N)."""
-    n, _, N = M.shape
-    flat = M.reshape(n * n, N)
-    return flat[:: n + 1], flat[1 :: n + 1], flat[n :: n + 1]
-
-
-@dataclass(frozen=True)
-class JunctionGroup:
-    """Junction nodes of one kind and end count mu: the columns `cols`
-    of their layout's stack. Each system's `size` unknowns are (P, Q)
-    per end in the node's end order, then P_junc (branching, 2 mu + 1)
-    or P_C1, P_C2 (transitional, 2 mu + 2); end i owns rows 2i (its
-    characteristic row) and 2i + 1 (its momentum ODE or resistive leg),
-    the rows after them up to `size` are flow balance or the capacitors,
-    and any later rows of the stack are padding. Per-end arrays are
-    (mu, N), one row per end position over the group's N nodes."""
-
-    kind: type  # Branching | Transitional
-    node_ids: tuple[str, ...]
-    cols: slice  # the group's columns of the layout's stack
-    size: int
-    # (N,) positions of the nodes in the layout's arrays over nodes of
-    # their kind: P_junc over `branching`, P_C1/P_C2 over `transitional`
-    slots: np.ndarray
-    # (mu, N) vessel ends in the layout's numbering e = 2k + x1 (segment
-    # k, x1 = 1 at x=1), in each node's end order
-    ends: np.ndarray
-    sign: np.ndarray  # (mu, N) +1 at x=1 (incoming) ends, -1 at x=0
-    rho: np.ndarray | None  # (mu, N) rho_j in branching groups
-    C1: np.ndarray | None  # (N,) in transitional groups
-    C2: np.ndarray | None
-    g_C: np.ndarray | None  # 1 / R_C
-
-    def step(self, M: np.ndarray, b: np.ndarray, dt: float, q_prev, P_C1, P_C2) -> None:
-        """Write the group's entries that are fixed within a time step
-        into its columns of a layout's stack M (n, n, N), b (n, N):
-        rho_j/dt and the momentum right-hand side rho_j q_prev/dt per
-        branching end, or C/dt + 1/R_C and C P_C/dt per capacitor. q_prev
-        is indexed by vessel end, P_C1 and P_C2 over the layout's
-        transitional nodes."""
-        cols, s = self.cols, self.size
-        if self.kind is Branching:
-            Q_rows = slice(1, 2 * self.ends.shape[0], 2)
-            rho_dt = self.rho / dt
-            _bands(M)[0][Q_rows, cols] = rho_dt
-            b[Q_rows, cols] = rho_dt * q_prev[self.ends]
-        else:
-            c1, c2 = self.C1 / dt, self.C2 / dt
-            M[s - 2, s - 2, cols] = c1 + self.g_C
-            M[s - 1, s - 1, cols] = c2 + self.g_C
-            b[s - 2, cols] = c1 * P_C1[self.slots]
-            b[s - 1, cols] = c2 * P_C2[self.slots]
-
-    def fill(self, M: np.ndarray, b: np.ndarray, cp, cq, char, A) -> None:
-        """Write the entries of one closure pass into the group's columns
-        of a step's M and b in place, from the characteristic rows
-        cp P + cq Q = char and the areas A (all indexed by vessel end):
-        the characteristic row of every end, and +-A of the momentum ODE
-        at branching ends. Every pass overwrites all of them."""
-        ends, cols = self.ends, self.cols
-        mu = ends.shape[0]
-        P_rows = slice(0, 2 * mu, 2)
-        diag, upper, lower = _bands(M)
-        diag[P_rows, cols] = cp[ends]
-        upper[P_rows, cols] = cq[ends]
-        b[P_rows, cols] = char[ends]
-        if self.kind is Branching:
-            signed_A = self.sign * A[ends]
-            lower[P_rows, cols] = -signed_A
-            M[1 : 2 * mu : 2, self.size - 1, cols] = signed_A
+# --- the junction stack --------------------------------------------------
 
 
 @dataclass(frozen=True)
 class JunctionLayout:
     """Every junction node of a network as one node-minor stack of N
-    systems with n unknowns, n the largest system's size: its groups'
-    columns, group after group. A smaller system keeps its own unknown
-    order and is padded at its tail with identity rows and columns, a
-    zero right-hand side and so a zero solution."""
+    systems with n unknowns, n the largest system's size: column k holds
+    node k of `nodes`. A system's unknowns are (P, Q) per end in the
+    node's end order, then P_junc (branching, 2 mu + 1) or P_C1, P_C2
+    (transitional, 2 mu + 2); end i owns rows 2i (its characteristic
+    row) and 2i + 1 (its momentum ODE or resistive leg), the rows after
+    them up to the system's size are flow balance or the capacitors, and
+    any later rows are padding: identity rows and columns, a zero
+    right-hand side and so a zero solution.
+
+    The tables hold flat indices into a stack's matrices M (n, n, N) and
+    its right-hand sides b and solutions x (n, N), where entry (i, j) of
+    node k is M.flat[(i n + j) N + k] and row i is b.flat[i N + k]."""
 
     nodes: tuple[str, ...]  # every junction node id, in node id order
-    branching: tuple[str, ...]  # branching node ids, in node order
-    transitional: tuple[str, ...]  # transitional node ids, in node order
-    groups: tuple[JunctionGroup, ...]
-    node_ids: tuple[str, ...]  # the stack's nodes, column by column
-    ranks: np.ndarray  # (N,) positions of the stack's nodes in `nodes`
+    branching: tuple[str, ...]  # branching node ids, in node id order
+    transitional: tuple[str, ...]  # transitional node ids, in node id order
     template: np.ndarray  # (n, n, N) static entries: +-1, R, -1/R_C, padding
-    # every junction's vessel ends, and flat indices into a stack
-    # solution (n, N): of their P and Q (2, E), of P_junc over
-    # `branching` and of P_C1 and P_C2 over `transitional` (2, T)
+    # every junction end, node after node in each node's end order, by
+    # its vessel end e = 2k + x1 (segment k, x1 = 1 at x=1); the M
+    # positions of its characteristic row's cp and cq, and the x
+    # positions of its P and Q (2, E), P's also its char's in b
     ends: np.ndarray
+    at_cp: np.ndarray
+    at_cq: np.ndarray
     x_PQ: np.ndarray
+    # the branching ends among them, their signs (+1 at x=1, incoming
+    # ends, -1 at x=0) and the M positions of -sign A and +sign A in
+    # their momentum rows
+    br_ends: np.ndarray
+    sign: np.ndarray
+    at_minus_A: np.ndarray
+    at_plus_A: np.ndarray
+    # the entries fixed within a step: rho_j of each branching end, then
+    # C1, then C2 of each transitional node; M holds w/dt + g (g = 1/R_C
+    # on a capacitor's diagonal, else 0) at at_w, and b w/dt times the
+    # end's q_prev or the capacitor's pressure at at_wb
+    w: np.ndarray
+    g: np.ndarray
+    at_w: np.ndarray
+    at_wb: np.ndarray
+    # x positions of P_junc over `branching` and of P_C1 and P_C2 over
+    # `transitional` (2, T), the latter also the capacitor rows' in b
     x_junc: np.ndarray
     x_C: np.ndarray
 
@@ -352,101 +305,95 @@ class JunctionLayout:
 
     def step(self, dt: float, q_prev, P_C1, P_C2) -> tuple[np.ndarray, np.ndarray]:
         """The (n, n, N) matrices and (n, N) right-hand sides with every
-        entry fixed within a time step: the template and each group's
-        `JunctionGroup.step`."""
+        entry fixed within a time step: the template, rho_j/dt and
+        rho_j q_prev/dt per branching end, and C/dt + 1/R_C and C P_C/dt
+        per capacitor. q_prev is indexed by vessel end, P_C1 and P_C2
+        over `transitional`."""
         M = self.template.copy()
         b = np.zeros(M.shape[1:])
-        for group in self.groups:
-            group.step(M, b, dt, q_prev, P_C1, P_C2)
+        w_dt = self.w / dt
+        M.put(self.at_w, w_dt + self.g)
+        b.put(self.at_wb, w_dt * np.concatenate((q_prev[self.br_ends], P_C1, P_C2)))
         return M, b
 
     def fill(self, M: np.ndarray, b: np.ndarray, cp, cq, char, A) -> None:
-        """Each group's `JunctionGroup.fill` of one closure pass."""
-        for group in self.groups:
-            group.fill(M, b, cp, cq, char, A)
+        """Write the entries of one closure pass into a step's M and b in
+        place, from the characteristic rows cp P + cq Q = char and the
+        areas A (all indexed by vessel end): the characteristic row of
+        every end, and -+A of the momentum ODE at branching ends. Every
+        pass overwrites all of them."""
+        ends = self.ends
+        M.put(self.at_cp, cp[ends])
+        M.put(self.at_cq, cq[ends])
+        b.put(self.x_PQ[0], char[ends])
+        signed_A = self.sign * A[self.br_ends]
+        M.put(self.at_minus_A, -signed_A)
+        M.put(self.at_plus_A, signed_A)
 
 
 def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
     """Stack the junction nodes among plans, a sequence of (node, end
-    indices), grouped by kind and size in order of first appearance;
-    incoming and params (rho_j or resistance, None at external ends) are
-    indexed by vessel end."""
-    trans = [node for node, _ in plans if isinstance(node, Transitional)]
-    branch = [node for node, _ in plans if isinstance(node, Branching)]
-    nodes = tuple(sorted(node.id for node in branch + trans))
-    rank = {nid: k for k, nid in enumerate(nodes)}
-    slot = {node.id: k for nodes in (branch, trans) for k, node in enumerate(nodes)}
-    keyed: dict[tuple[type, int], list] = {}
-    for node, ends in plans:
-        if isinstance(node, (Branching, Transitional)):
-            keyed.setdefault((type(node), len(ends)), []).append((node, ends))
-
-    sizes = {key: 2 * key[1] + (1 if key[0] is Branching else 2) for key in keyed}
-    n, N = max(sizes.values(), default=0), len(nodes)
-    template = np.zeros((n, n, N))
-    _bands(template)[0][:] = 1.0  # the padding; each group overwrites its own block
-    x_junc, x_C1 = np.empty(len(branch), np.intp), np.empty(len(trans), np.intp)
-    groups, all_ends, x_P, start = [], [], [], 0
-    for (kind, mu), members in keyed.items():
-        cols, s = slice(start, start + len(members)), sizes[kind, mu]
-        start = cols.stop
-        columns = np.arange(cols.start, cols.stop)
-        ends = np.array([e for _, e in members], dtype=np.intp).T.copy()
-        inflow = incoming[ends]
-        sign = np.where(inflow, 1.0, -1.0)
-        param = np.array([[params[e] for e in row] for row in ends], dtype=float)
-        slots = np.array([slot[node.id] for node, _ in members], dtype=np.intp)
-        block = np.zeros((s, s, len(members)))
-        Q_rows = slice(1, 2 * mu, 2)
-        rho = C1 = C2 = g_C = None
-        if kind is Branching:  # flow balance: sum_in Q - sum_out Q = 0
-            block[-1, Q_rows] = sign
-            rho = param
-            x_junc[slots] = (s - 1) * N + columns
-        else:  # artery: R Q = P - P_C1; vein: R Q = P_C2 - P
-            diag, _, lower = _bands(block)
-            diag[Q_rows] = param
-            lower[0 : 2 * mu : 2] = -sign
-            block[Q_rows, -2] = np.where(inflow, 1.0, 0.0)
-            block[Q_rows, -1] = np.where(inflow, 0.0, -1.0)
-            block[-2, Q_rows] = np.where(inflow, -1.0, 0.0)
-            block[-1, Q_rows] = np.where(inflow, 0.0, 1.0)
-            g_C = np.array([1.0 / node.R_C for node, _ in members])
-            block[-2, -1] = block[-1, -2] = -g_C
-            C1 = np.array([node.C1 for node, _ in members], dtype=float)
-            C2 = np.array([node.C2 for node, _ in members], dtype=float)
-            x_C1[slots] = (s - 2) * N + columns
-        template[:s, :s, cols] = block
-        all_ends.extend(ends.ravel().tolist())
-        x_P.extend((2 * N * np.arange(mu)[:, None] + columns).ravel().tolist())
-        groups.append(
-            JunctionGroup(
-                kind=kind,
-                node_ids=tuple(node.id for node, _ in members),
-                cols=cols,
-                size=s,
-                slots=slots,
-                ends=ends,
-                sign=sign,
-                rho=rho,
-                C1=C1,
-                C2=C2,
-                g_C=g_C,
-            )
-        )
+    indices), in node id order; incoming and params (rho_j or resistance,
+    None at external ends) are indexed by vessel end."""
+    plans = sorted(
+        (plan for plan in plans if isinstance(plan[0], (Branching, Transitional))),
+        key=lambda plan: plan[0].id,
+    )
+    sizes = [2 * len(ends) + (1 if isinstance(node, Branching) else 2) for node, ends in plans]
+    n, N = max(sizes, default=0), len(plans)
+    template = np.repeat(np.eye(n)[..., None], N, axis=2)  # the padding
+    # per end: vessel end, column, characteristic row 2i, the node's last
+    # row, branching; per branching node: P_junc's x position; per
+    # transitional node: column and P_C1's row, and C1, C2, 1/R_C
+    end_rows, x_junc, cap_rows, cap_values = [], [], [], []
+    for k, ((node, node_ends), s) in enumerate(zip(plans, sizes)):
+        block = template[:s, :s, k]  # a view: the node's own block
+        block[:] = 0.0
+        branching = isinstance(node, Branching)
+        for i, e in enumerate(node_ends):
+            P, Q, sign = 2 * i, 2 * i + 1, 1.0 if incoming[e] else -1.0
+            end_rows.append((e, k, P, s - 1, branching))
+            if branching:  # flow balance: sum_in Q - sum_out Q = 0
+                block[s - 1, Q] = sign
+            else:  # artery: R Q = P - P_C1; vein: R Q = P_C2 - P
+                C = s - 2 if incoming[e] else s - 1
+                block[Q, Q], block[Q, P] = params[e], -sign
+                block[Q, C], block[C, Q] = sign, -sign
+        if branching:
+            x_junc.append((s - 1) * N + k)
+        else:
+            g_C = 1.0 / node.R_C
+            block[s - 2, s - 1] = block[s - 1, s - 2] = -g_C
+            cap_rows.append((k, s - 2))
+            cap_values.append((node.C1, node.C2, g_C))
     template.setflags(write=False)
-    node_ids = tuple(nid for group in groups for nid in group.node_ids)
-    x_P = np.array(x_P, dtype=np.intp)
+
+    def at(i, j, k):  # flat positions in M (n, n, N) of entries (i, j) of columns k
+        return (i * n + j) * N + k
+
+    e, k, P, last, br = np.array(end_rows, dtype=np.intp).reshape(-1, 5).T.copy()
+    br, Q = br.astype(bool), P + 1
+    kC, C = np.array(cap_rows, dtype=np.intp).reshape(-1, 2).T
+    C1, C2, g_C = np.array(cap_values, dtype=float).reshape(-1, 3).T
+    rho = np.array([params[end] for end in e[br]], dtype=float)
+    x_P, x_C = P * N + k, np.stack([C * N + kC, (C + 1) * N + kC])
     return JunctionLayout(
-        nodes=nodes,
-        branching=tuple(node.id for node in branch),
-        transitional=tuple(node.id for node in trans),
-        groups=tuple(groups),
-        node_ids=node_ids,
-        ranks=np.array([rank[nid] for nid in node_ids], dtype=np.intp),
+        nodes=tuple(node.id for node, _ in plans),
+        branching=tuple(node.id for node, _ in plans if isinstance(node, Branching)),
+        transitional=tuple(node.id for node, _ in plans if isinstance(node, Transitional)),
         template=template,
-        ends=np.array(all_ends, dtype=np.intp),
+        ends=e,
+        at_cp=at(P, P, k),
+        at_cq=at(P, Q, k),
         x_PQ=np.stack([x_P, x_P + N]),
-        x_junc=x_junc,
-        x_C=np.stack([x_C1, x_C1 + N]),
+        br_ends=e[br],
+        sign=np.where(incoming[e[br]], 1.0, -1.0),
+        at_minus_A=at(Q, P, k)[br],
+        at_plus_A=at(Q, last, k)[br],
+        w=np.concatenate([rho, C1, C2]),
+        g=np.concatenate([np.zeros(rho.size), g_C, g_C]),
+        at_w=np.concatenate([at(Q, Q, k)[br], at(C, C, kC), at(C + 1, C + 1, kC)]),
+        at_wb=np.concatenate([(x_P + N)[br], x_C.ravel()]),
+        x_junc=np.array(x_junc, dtype=np.intp),
+        x_C=x_C,
     )

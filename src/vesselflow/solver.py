@@ -499,7 +499,7 @@ def _close_nodes(
     closure and the coupling exactly. The external ends of each kind are
     solved in closed form, elementwise; every junction node is solved in
     one stack, the layout's systems of this step (`JunctionLayout.step`),
-    which each pass fills in place group by group.
+    which each pass fills in place (`JunctionLayout.fill`).
     Returns the largest junction residual over its gate scale.
     """
     points, char = cn.ends, work.known
@@ -526,11 +526,11 @@ def _close_nodes(
         Q[at] = Q_B
 
     jl = cn.junctions
-    if not jl.groups:
+    if not jl.nodes:
         return 0.0
     M, b = systems
     jl.fill(M, b, cp, cq, char, cs.A[points])
-    x, ratio = solve_systems(M, b, jl.node_ids)
+    x, ratio = solve_systems(M, b, jl.nodes)
     at = points[jl.ends]
     P[at], Q[at] = x.take(jl.x_PQ)
     P_C1[:], P_C2[:] = x.take(jl.x_C)

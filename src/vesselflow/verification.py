@@ -9,10 +9,13 @@ between an oracle and the solver is evidence rather than tautology:
 - the node-by-node assembly of the junction systems from per-end
   closure inputs (`assemble_branching`, `assemble_transitional`), the
   reference for the solver's junction stack (`junctions.junction_layout`,
+  whose column k is junction node k in node id order, and
   `JunctionLayout.step` and `fill`). It shares only the stacked solve
   `junctions.solve_systems` with the solver (`solve_node` hands it one
   node's system, padded to the stack's size as the layout pads it), so
-  both assemblies can be compared bit for bit,
+  both assemblies can be compared bit for bit; a failing one-node stack
+  names its node, the layout's stack the first failing node in node id
+  order,
 - the empirical continuity-of-dependence experiment (how much the final
   state moves per unit of initial/boundary/forcing perturbation).
 
@@ -320,7 +323,7 @@ def transitional_step_response(
     for _ in range(n_steps):
         M, b = layout.step(dt, np.zeros(2), np.array([state.P_C1]), np.array([state.P_C2]))
         layout.fill(M, b, cp, cq, char, A)
-        x = solve_systems(M, b, layout.node_ids)[0][:, 0]
+        x = solve_systems(M, b, layout.nodes)[0][:, 0]
         state = TransitionalState(float(x[-2]), float(x[-1]))
         out.append(state)
     return out

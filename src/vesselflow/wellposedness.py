@@ -248,7 +248,7 @@ def check_state(
         unevaluable_count=skip,
         unevaluable_first=first_bad,
     )
-    if endpoints_only or not report.passed or not cn.junctions.groups:
+    if endpoints_only or not report.passed or not cn.junctions.nodes:
         return report
     estimates = _junction_estimates(state, cfg)
     return replace(report, junction_nodes=cn.junctions.nodes, junction_estimates=estimates)
@@ -273,9 +273,7 @@ def _junction_estimates(state, cfg):
     zeros = np.zeros(pts.size)  # the right-hand sides are not needed
     M, b = layout.step(cfg.dt, zeros, state.P_C1, state.P_C2)
     layout.fill(M, b, -lam, a, zeros, A)
-    estimates = np.empty(len(layout.nodes))
-    estimates[layout.ranks] = condition_estimates(M, layout.node_ids)
-    return estimates
+    return condition_estimates(M, layout.nodes)
 
 
 def check_envelope(

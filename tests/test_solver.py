@@ -491,7 +491,8 @@ def junction_case(wiring, nodes, veins):
 
 def mixed_junction_case():
     """Three- and four-way branching nodes and transitional nodes with
-    one and two arteries: four junction groups, one holding two nodes."""
+    one and two arteries: junction systems of 6 to 9 unknowns, two of
+    them (j1, j3) of one kind and size."""
     wiring = {
         "A": ("in", "j1"), "B": ("j1", "j2"), "C": ("j1", "j3"), "D": ("j2", "t1"),
         "E": ("j2", "t2"), "F": ("j2", "t2"), "G": ("j3", "oG"), "H": ("j3", "oH"),
@@ -514,7 +515,7 @@ def mixed_junction_case():
 
 def varied_pattern_case():
     """Two three-way branching nodes and two three-end transitional
-    nodes, each pair one group whose nodes differ in end pattern: j1
+    nodes, each pair of one kind and size but of two end patterns: j1
     lists its incoming end first and j2 last (its incoming vessel Z
     sorts after its children), tA has two arteries and a vein, tB a vein,
     an artery and a vein."""
@@ -537,9 +538,9 @@ def varied_pattern_case():
 
 
 def binary_tree_case():
-    """A depth-3 binary tree: its three branching nodes form one group of
-    N = 3, and two of its four leaves end at transitional nodes, a group
-    of N = 2."""
+    """A depth-3 binary tree: three three-way branching nodes, and two
+    of its four leaves end at transitional nodes of one artery and one
+    vein."""
     wiring = {
         "r": ("in", "j"), "r0": ("j", "j0"), "r1": ("j", "j1"), "r00": ("j0", "t00"),
         "r01": ("j0", "t01"), "r10": ("j1", "o10"), "r11": ("j1", "o11"),
@@ -556,6 +557,19 @@ def binary_tree_case():
         **{o: ExternalPressure(o, ConstantSignal(9000.0)) for o in ("oV00", "oV01")},
     }
     return junction_case(wiring, nodes, veins=("V00", "V01"))
+
+
+def stacked_nodes(net):
+    """(node id, kind, end count, incoming flag per end) of each junction
+    node of net, in the order of its layout's stack."""
+    from vesselflow.compiled import compile_network
+    from vesselflow.network import endpoints_by_node
+
+    ends = endpoints_by_node(net)
+    return [
+        (nid, type(net.nodes[nid]).__name__, len(ends[nid]), tuple(end == "x1" for _, end, _ in ends[nid]))
+        for nid in compile_network(net).junctions.nodes
+    ]
 
 
 def run_against_closure_oracle(monkeypatch, net, init, cfg):
@@ -643,12 +657,10 @@ def test_batched_closures_equal_per_node_oracle_on_bifurcation(monkeypatch):
 
 
 def test_batched_closures_equal_per_node_oracle_on_mixed_groups(monkeypatch):
-    from vesselflow.compiled import compile_network
-
     net, init, cfg = mixed_junction_case()
-    groups = compile_network(net).junctions.groups
-    assert sorted((g.kind.__name__, len(g.node_ids), g.ends.shape[0]) for g in groups) == [
-        ("Branching", 1, 4), ("Branching", 2, 3), ("Transitional", 1, 2), ("Transitional", 1, 3),
+    assert [node[:3] for node in stacked_nodes(net)] == [
+        ("j1", "Branching", 3), ("j2", "Branching", 4), ("j3", "Branching", 3),
+        ("t1", "Transitional", 2), ("t2", "Transitional", 3),
     ]
     report, seen, _ = run_against_closure_oracle(monkeypatch, net, init, cfg)
     assert report.steps == 15 and report.picard_total > report.steps
@@ -660,15 +672,14 @@ def test_batched_closures_equal_per_node_oracle_on_mixed_groups(monkeypatch):
 
 
 def test_batched_closures_equal_per_node_oracle_on_varied_end_patterns(monkeypatch):
-    from vesselflow.compiled import compile_network
-
     net, init, cfg = varied_pattern_case()
-    groups = compile_network(net).junctions.groups
-    assert sorted((g.kind.__name__, g.node_ids) for g in groups) == [
-        ("Branching", ("j1", "j2")), ("Transitional", ("tA", "tB")),
+    stacked = stacked_nodes(net)
+    assert [node[:3] for node in stacked] == [
+        ("j1", "Branching", 3), ("j2", "Branching", 3),
+        ("tA", "Transitional", 3), ("tB", "Transitional", 3),
     ]
-    # within each group the nodes' in/out (artery/vein) patterns differ
-    assert all(len({tuple(col) for col in g.sign.T}) == 2 for g in groups)
+    # nodes of one kind and size differ in their in/out (artery/vein) patterns
+    assert stacked[0][3] != stacked[1][3] and stacked[2][3] != stacked[3][3]
     report, seen, _ = run_against_closure_oracle(monkeypatch, net, init, cfg)
     assert report.steps == 15 and report.picard_total > report.steps
     assert seen["passes"] == report.picard_total
@@ -678,12 +689,10 @@ def test_batched_closures_equal_per_node_oracle_on_varied_end_patterns(monkeypat
 
 
 def test_batched_closures_equal_per_node_oracle_on_binary_tree(monkeypatch):
-    from vesselflow.compiled import compile_network
-
     net, init, cfg = binary_tree_case()
-    groups = compile_network(net).junctions.groups
-    assert sorted((g.kind.__name__, g.node_ids) for g in groups) == [
-        ("Branching", ("j", "j0", "j1")), ("Transitional", ("t00", "t01")),
+    assert [node[:3] for node in stacked_nodes(net)] == [
+        ("j", "Branching", 3), ("j0", "Branching", 3), ("j1", "Branching", 3),
+        ("t00", "Transitional", 2), ("t01", "Transitional", 2),
     ]
     report, seen, values = run_against_closure_oracle(monkeypatch, net, init, cfg)
     assert report.steps == 15 and report.picard_total > report.steps
@@ -695,13 +704,13 @@ def test_batched_closures_equal_per_node_oracle_on_binary_tree(monkeypatch):
 
 
 def test_one_stacked_solve_per_closure_pass_on_mixed_groups(monkeypatch):
-    # four groups of 6 to 9 unknowns, one padded (9, 9, 5) stack
+    # five systems of 6 to 9 unknowns, one padded (9, 9, 5) stack
     import vesselflow.solver as solver_mod
 
     net, init, cfg = mixed_junction_case()
     state0, _ = initial_state(net, init, cfg)
-    layout = state0.layout.junctions
-    assert sorted(g.size for g in layout.groups) == [6, 7, 8, 9] and layout.size == 9
+    sizes = [2 * mu + (1 if kind == "Branching" else 2) for _, kind, mu, _ in stacked_nodes(net)]
+    assert sizes == [7, 9, 7, 6, 8] and state0.layout.junctions.size == 9
     real_solve, real_close, shapes, passes = solver_mod.solve_systems, solver_mod._close_nodes, [], []
 
     def counted_solve(M, b, node_ids):
@@ -718,30 +727,29 @@ def test_one_stacked_solve_per_closure_pass_on_mixed_groups(monkeypatch):
     assert report.picard_total > report.steps == 15
     # each pass solves once, after the pass before it
     assert passes == list(range(report.picard_total))
-    assert shapes == [((9, 9, 5), ("j1", "j3", "j2", "t1", "t2"))] * report.picard_total
+    assert shapes == [((9, 9, 5), ("j1", "j2", "j3", "t1", "t2"))] * report.picard_total
 
 
-def test_singular_nodes_in_two_groups_name_the_earlier_groups_node(monkeypatch):
-    # the stack holds its groups in order, so the node named is the
-    # earlier group's, though the later group's sorts first by id
+def test_singular_nodes_in_one_pass_name_the_first_in_node_id_order(monkeypatch):
+    # column k of the stack is node k in node id order, so of two nodes
+    # failing in one pass the one named sorts first, as in ConditionReport
     from vesselflow import SingularJunction
     from vesselflow.junctions import JunctionLayout
 
     net, init, cfg = mixed_junction_case()
     state0, _ = initial_state(net, init, cfg)
-    earlier, later = state0.layout.junctions.groups[:2]
-    assert (earlier.node_ids[-1], later.node_ids[0]) == ("j3", "j2")
+    nodes = state0.layout.junctions.nodes
     real_fill = JunctionLayout.fill
 
     def fill_with_zero_rows(self, M, b, *args):
         real_fill(self, M, b, *args)
-        M[0, :, earlier.cols.stop - 1] = 0.0
-        M[0, :, later.cols.start] = 0.0
+        M[0, :, nodes.index("j3")] = 0.0
+        M[0, :, nodes.index("j2")] = 0.0
 
     monkeypatch.setattr(JunctionLayout, "fill", fill_with_zero_rows)
-    with pytest.raises(SingularJunction, match="^node 'j3': .*zero row") as err:
+    with pytest.raises(SingularJunction, match="^node 'j2': .*zero row") as err:
         picard_step(state0, cfg)
-    assert err.value.node_id == "j3"
+    assert err.value.node_id == "j2"
 
 
 def test_junction_estimates_on_mixed_groups_equal_per_node_reference():
