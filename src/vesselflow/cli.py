@@ -4,8 +4,8 @@
                         [--check-only] [--snapshot t1,t2,...]
 
 Exit codes: 0 success, 1 usage or config error, 2 solvability-condition
-failure, 3 solver failure or any other unexpected error (reported in
-one line, without a traceback).
+failure, 3 solver failure (running out of memory included) or any other
+unexpected error (reported in one line, without a traceback).
 """
 
 from __future__ import annotations
@@ -53,7 +53,10 @@ def _simulate(args) -> int:
         return _simulate_classified(args)
     except Exception as exc:  # anything the steps below do not classify
         message = " ".join(str(exc).split()) or "no message"
-        print(f"unexpected error: {type(exc).__name__}: {message}", file=sys.stderr)
+        if isinstance(exc, MemoryError):
+            print(f"solver failure: out of memory ({message})", file=sys.stderr)
+        else:
+            print(f"unexpected error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -1,14 +1,12 @@
 """Flat structure-of-arrays layout of a vessel network.
 
 `compile_network` lays every vessel grid end to end in one concatenated
-array, so the characteristics kernel runs once per fixed-point
-iteration on all grid points instead of once per vessel. Vessels with a
-power tube law come first (sorted by id) and share per-point parameter
-arrays; vessels with a tabulated law or synthetic coefficients follow
-(sorted by id). `layout_coefficients` evaluates the coefficients of
-every point, unchecked, once per time level: each fixed-point iterate,
-into the run's workspace, and each accepted `NetworkState`, into new
-arrays, whose cache the checker, the output and the next step read.
+array, in vessel id order, so the characteristics kernel runs once per
+fixed-point iteration on all grid points instead of once per vessel.
+`layout_coefficients` evaluates the coefficients of every point,
+unchecked, once per time level: each fixed-point iterate, into the
+run's workspace, and each accepted `NetworkState`, into new arrays,
+whose cache the checker, the output and the next step read.
 `check_coefficients` raises for the first failing point of a physical
 vessel in the kernel's levels, the initial state and the output. Vessel
 ends have one numbering, e = 2k + x1 for the x=0 (x1 = 0) and x=1
@@ -23,6 +21,7 @@ hold their end indices and parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,7 +59,7 @@ class ExternalEnds:
 @dataclass(frozen=True)
 class CompiledNetwork:
     network: Network  # the network this layout was compiled from
-    vessel_ids: tuple[str, ...]  # layout order
+    vessel_ids: tuple[str, ...]  # vessel id order, the layout's order
     vessels: tuple[Vessel, ...]
     offsets: np.ndarray  # segment k holds points offsets[k] .. offsets[k+1]-1
     slices: dict[str, slice]  # vessel id -> its points
@@ -92,9 +91,11 @@ class CompiledNetwork:
     half_cells: np.ndarray  # 0.5 * cells
     base: np.ndarray  # offset of the owning segment
     zeros: np.ndarray
-    power: PowerLawParams  # per-point arrays over the power prefix
-    n_power: int  # points with a power law: the prefix [0, n_power)
-    fills: tuple[Vessel, ...]  # tabulated and synthetic segments, after the power prefix
+    # the power-law parameters at every point, NaN on points of other
+    # vessels; None without a power-law vessel
+    power: PowerLawParams | None
+    fills: tuple[Vessel, ...]  # tabulated and synthetic segments
+    physical: tuple[slice, ...]  # the runs of points of non-synthetic vessels
     pressure_ends: ExternalEnds  # the ExternalPressure nodes
     flow_ends: ExternalEnds  # the ExternalFlow nodes
     junctions: JunctionLayout
@@ -110,28 +111,28 @@ class CompiledNetwork:
 
 def compile_network(net: Network) -> CompiledNetwork:
     """Build the flat layout of a (validated) network once per run."""
-    power = sorted(vid for vid, v in net.vessels.items() if isinstance(v.tube_law, PowerLaw))
-    others = sorted(vid for vid in net.vessels if vid not in set(power))
-    order = tuple(power + others)
+    order = tuple(sorted(net.vessels))
     vessels = tuple(net.vessels[vid] for vid in order)
     counts = np.array([v.n_cells + 1 for v in vessels], dtype=np.intp)
     offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
     slices = {vid: slice(int(offsets[k]), int(offsets[k + 1])) for k, vid in enumerate(order)}
-    n_power = int(offsets[len(power)])
 
     def per_point(values):
         """Repeat one value per vessel over that vessel's grid points."""
-        return np.repeat(np.asarray(values, dtype=float), counts[: len(values)])
+        return np.repeat(np.asarray(values, dtype=float), counts)
 
-    pw = vessels[: len(power)]
-    params = PowerLawParams.of(
-        C=per_point([v.tube_law.C for v in pw]),
-        R0=per_point([v.tube_law.R0 for v in pw]),
-        beta=per_point([v.tube_law.beta for v in pw]),
-        alpha=per_point([v.alpha for v in pw]),
-        nu=per_point([v.nu for v in pw]),
-        rho=per_point([v.rho_blood for v in pw]),
-    )
+    is_power = [isinstance(v.tube_law, PowerLaw) for v in vessels]
+
+    def power_point(name):
+        """One power-law parameter at every point, NaN off the power-law vessels."""
+        return per_point([attrgetter(name)(v) if p else np.nan for v, p in zip(vessels, is_power)])
+
+    params = PowerLawParams.of(  # C, R0, beta, alpha, nu, rho
+        power_point("tube_law.C"), power_point("tube_law.R0"), power_point("tube_law.beta"),
+        power_point("alpha"), power_point("nu"), power_point("rho_blood"),
+    ) if any(is_power) else None
+    # each run of non-synthetic segments: where a flag steps up and down
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], [v.synthetic is None for v in vessels], [0]))))
 
     seg = {vid: k for k, vid in enumerate(order)}
     end_param, plans = [None] * (2 * len(order)), []
@@ -190,8 +191,8 @@ def compile_network(net: Network) -> CompiledNetwork:
         base=base,
         zeros=zeros,
         power=params,
-        n_power=n_power,
-        fills=tuple(net.vessels[vid] for vid in others),
+        fills=tuple(v for v, p in zip(vessels, is_power) if not p),
+        physical=tuple(slice(int(offsets[a]), int(offsets[b])) for a, b in zip(edges[::2], edges[1::2])),
         pressure_ends=external(ExternalPressure),
         flow_ends=external(ExternalFlow),
         junctions=junction_layout(plans, end_x1, end_param),
@@ -214,16 +215,14 @@ def layout_coefficients(
     cn: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, out: CoefficientSet | None = None
 ) -> CoefficientSet:
     """Coefficients at every grid point of the layout (P and Q in layout
-    order), unchecked: one closed form over the power-law prefix, one
-    `coefficients` call per tabulated or synthetic segment. Unevaluable
-    points come back as NaN; `check_coefficients` raises for them. The
-    result is written into out, a `coefficient_arrays` set of the
-    layout, or into a new one without it."""
+    order), unchecked: one closed form over every point, then one
+    `coefficients` call per tabulated or synthetic segment over its own
+    points. Unevaluable points come back as NaN; `check_coefficients`
+    raises for them. The result is written into out, a
+    `coefficient_arrays` set of the layout, or into a new one without it."""
     out = coefficient_arrays(cn) if out is None else out
-    n = cn.n_power
-    if n:  # a layout without power-law vessels skips the empty prefix
-        prefix = CoefficientSet(*(getattr(out, name)[:n] for name in _FIELDS)) if cn.fills else out
-        power_law_coefficients(cn.power, P[:n], Q[:n], prefix)
+    if cn.power is not None:  # a layout without power-law vessels skips the closed form
+        power_law_coefficients(cn.power, P, Q, out)
     for vessel in cn.fills:
         at = cn.slices[vessel.id]
         seg = coefficients(vessel, cn.x[at], t, PrimitiveState(P[at], Q[at]))
@@ -234,11 +233,9 @@ def layout_coefficients(
 
 def check_coefficients(cn: CompiledNetwork, P: np.ndarray, cs: CoefficientSet, epsilon0: float) -> None:
     """Raise the `coefficient_failure` of the first failing grid point of
-    a physical vessel, in layout order, naming its vessel; synthetic
+    a physical vessel, in vessel id order, naming its vessel; synthetic
     coefficients are taken as given."""
-    # the power prefix (if any), then each tabulated segment
-    spans = [slice(0, cn.n_power)] if cn.n_power else []
-    for at in spans + [cn.slices[v.id] for v in cn.fills if v.synthetic is None]:
+    for at in cn.physical:
         err = coefficient_failure(P[at], cs.A[at], cs.a[at], epsilon0, lambda k: cn.vessel_at(at.start + k))
         if err is not None:
             raise err

@@ -10,8 +10,9 @@ solve; for the physical vessel model the iteration contracts for small
 enough dt.
 
 A `NetworkState` holds a time level as flat arrays in the layout order
-of its compiled network, so levels pass between the kernels, the
-condition checks, the extrapolation and the output without conversion.
+of its compiled network, vessel id order, so levels pass between the
+kernels, the condition checks, the extrapolation and the output without
+conversion.
 A `Stepper` advances one state level by level, adapting dt and choosing
 each step's first iterate; `run` drives one to t_end, runs the
 solvability checks on the configured cadence and emits probe records.
@@ -164,7 +165,7 @@ class NetworkState:
     @property
     def fields(self) -> dict[str, VesselField]:
         """Per-vessel views into P and Q, in vessel id order."""
-        items = sorted(self.layout.slices.items())
+        items = self.layout.slices.items()
         return {vid: VesselField(vid, self.t, self.P[sl], self.Q[sl]) for vid, sl in items}
 
     @property
@@ -337,8 +338,9 @@ def initial_state(
             # implied node pressure minimizing the initial momentum residuals
             weights = [end_area[(att.vessel, att.end)] / att.rho_j for att in node.attachments]
             pressures = [end_val("P", att.vessel, att.end) for att in node.attachments]
-            # an overflow leaves a non-finite residual, reported as any other
-            with np.errstate(over="ignore"):
+            # an overflow gives an infinite spread, reported as any other
+            # residual, or a NaN one (inf / inf), which reports nothing
+            with np.errstate(over="ignore", invalid="ignore"):
                 pj = float(np.dot(weights, pressures) / np.sum(weights))
             spread = max(abs(p - pj) for p in pressures)
             _residual_diag(diags, nid, "pressure continuity", spread,
@@ -386,7 +388,7 @@ def _deviation(
 
 def _non_finite_site(cn: CompiledNetwork, P, Q, P_C1, P_C2) -> str:
     """Where an iterate first holds a non-finite value: the vessel and
-    local x-index of its first such P or Q point in layout order, else
+    local x-index of its first such P or Q point in vessel id order, else
     the transitional node of its first such capacitor pressure."""
     bad = ~(np.isfinite(P) & np.isfinite(Q))
     if bad.any():

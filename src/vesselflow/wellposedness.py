@@ -62,10 +62,10 @@ class ConditionReport:
     """Outcome of a condition sweep, held as arrays.
 
     Row i of `value`, `margin` and `x_index` belongs to `conditions[i]`,
-    column k to `vessel_ids[k]`: the worst value of that condition over
-    the vessel's checked points, its slack (a check passes when the
-    margin is > 0) and the vessel-local grid index of the worst point,
-    -1 where the condition was not evaluated. Per vessel,
+    column k to `vessel_ids[k]`, in vessel id order: the worst value of
+    that condition over the vessel's checked points, its slack (a check
+    passes when the margin is > 0) and the vessel-local grid index of the
+    worst point, -1 where the condition was not evaluated. Per vessel,
     `unevaluable_count` counts the points where the coefficients could
     not be evaluated and `unevaluable_first` is the x-index of the first
     one (0 from `check_envelope`, whose unevaluable points are samples,
@@ -75,7 +75,7 @@ class ConditionReport:
     1e12. `passed` is one test over these arrays.
 
     `checks`, `junction_checks`, `unevaluable` and `failures()` are built
-    from the arrays when first read, in vessel id order, and kept.
+    from the arrays when first read, in their column order, and kept.
     """
 
     vessel_ids: tuple[str, ...]
@@ -107,7 +107,7 @@ class ConditionReport:
     def checks(self) -> list[ConditionCheck]:
         value, margin, x_index = (v.tolist() for v in (self.value, self.margin, self.x_index))
         out = []
-        for k in sorted(range(len(self.vessel_ids)), key=self.vessel_ids.__getitem__):
+        for k, vid in enumerate(self.vessel_ids):
             for i, condition in enumerate(self.conditions):
                 x, m = x_index[i][k], margin[i][k]
                 if x < 0:
@@ -115,7 +115,7 @@ class ConditionReport:
                 failed_end = condition == COND_ENDPOINT and not m > 0
                 out.append(
                     ConditionCheck(
-                        subject=self.vessel_ids[k],
+                        subject=vid,
                         condition=condition,
                         passed=m > 0,
                         margin=m,
@@ -137,9 +137,9 @@ class ConditionReport:
     def unevaluable(self) -> list[str]:
         counts, first = self.unevaluable_count.tolist(), self.unevaluable_first.tolist()
         return [
-            self.unevaluable_format.format(vessel=self.vessel_ids[k], count=counts[k], first=first[k])
-            for k in sorted(range(len(self.vessel_ids)), key=self.vessel_ids.__getitem__)
-            if counts[k]
+            self.unevaluable_format.format(vessel=vid, count=n, first=x)
+            for vid, n, x in zip(self.vessel_ids, counts, first)
+            if n
         ]
 
     def failures(self) -> list[str]:
@@ -207,26 +207,17 @@ def check_state(
     K = len(cn.vessel_ids)
     if endpoints_only:
         # the two ends of each vessel, interleaved
-        pts, starts, local = cn.ends, cn.pair_starts, cn.ends_local
+        pts, starts, counts, local = cn.ends, cn.pair_starts, 2, cn.ends_local
     else:
-        pts, starts, local = slice(None), cn.first, cn.local
+        pts, starts, counts, local = slice(None), cn.first, cn.counts, cn.local
     a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
-    ab = a * b
+    split = ab = a * b
     with np.errstate(over="ignore"):  # eigen classifies an overflow
         disc = c**2 + ab
-    if endpoints_only:
-        values = np.stack((a, A, disc, ab))
-        # the lesser of each pair of ends, by the full sweep's reduction:
-        # np.minimum of the two columns would keep the sign of a NaN at
-        # x=0, which the reduction drops
-        worst = np.minimum.reduceat(values, starts, axis=-1)
-        # the x=0 end on a tie or where it is NaN, as in np.argmin
-        x0 = values[:, 0::2]
-        first = starts + ~((x0 == worst) | np.isnan(x0))
-    else:
+    if not endpoints_only:  # the split is read at the two vessel ends only
         split = np.full(ab.size, np.inf)
         split[cn.ends] = ab[cn.ends]
-        worst, first = _segment_min(np.stack((a, A, disc, split)), starts, cn.counts)
+    worst, first = _segment_min(np.stack((a, A, disc, split)), starts, counts)
     x_index = local[first]
     margin = worst.copy()
     margin[1] -= cfg.epsilon0
@@ -260,7 +251,8 @@ def _junction_estimates(state, cfg):
     the first closure of the next step starts from, at (x_end, t + dt,
     P, Q): `state.coeffs`, or, on a layout with a synthetic vessel (the
     only coefficients that depend on t), one `layout_coefficients`
-    evaluation at t + dt."""
+    evaluation at t + dt. An entry that overflows or is invalid gives its
+    node an infinite estimate."""
     cn, pts = state.layout, state.layout.ends
     if any(v.synthetic is not None for v in cn.fills):
         cs = layout_coefficients(cn, state.t + cfg.dt, state.P, state.Q)
@@ -271,9 +263,10 @@ def _junction_estimates(state, cfg):
     lam = np.where(cn.end_x1, eig.lambda_L, eig.lambda_R)
     layout = cn.junctions
     zeros = np.zeros(pts.size)  # the right-hand sides are not needed
-    M, b = layout.step(cfg.dt, zeros, state.P_C1, state.P_C2)
-    layout.fill(M, b, -lam, a, zeros, A)
-    return condition_estimates(M, layout.nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M, b = layout.step(cfg.dt, zeros, state.P_C1, state.P_C2)
+        layout.fill(M, b, -lam, a, zeros, A)
+        return condition_estimates(M, layout.nodes)
 
 
 def check_envelope(

@@ -474,9 +474,10 @@ def test_segments_are_isolated_in_the_compiled_kernel():
         assert np.all(np.isfinite(together[v.id][-1]))  # s at x=0, r at x=1
 
 
-def mixed_layout():
+def mixed_layout(names=None):
     """Power-law, tabulated (one and two stations) and synthetic vessels
-    with a smooth in-range state, in layout order."""
+    with a smooth in-range state, in layout order; names maps a vessel's
+    default id (p1, p2, t1, t2, s) to another."""
     from vesselflow import TabulatedLaw
 
     radii = np.linspace(0.9e-3, 1.4e-3, 26)
@@ -490,6 +491,8 @@ def mixed_layout():
         "s": dict(synthetic=SyntheticCoefficients(
             a=2.0, b=lambda x, t: 1.0 + x + t, c=0.2, f=lambda x, t: x * t, g=0.5)),
     }
+    names = names or {}
+    kinds = {names.get(vid, vid): kw for vid, kw in kinds.items()}
     vessels = [Vessel(id=vid, n_cells=6 + k, x0_node=f"{vid}0", x1_node=f"{vid}1", **kw)
                for k, (vid, kw) in enumerate(kinds.items())]
     layout = layout_of(*vessels)
@@ -502,18 +505,24 @@ def test_layout_coefficients_equal_per_vessel_coefficients():
     from vesselflow.compiled import layout_coefficients
     from vesselflow.constitutive import coefficients
 
-    layout, P, Q = mixed_layout()
-    assert layout.vessel_ids == ("p1", "p2", "s", "t1", "t2")
     t = 0.3
-    every = layout_coefficients(layout, t, P, Q)
-    for k, v in enumerate(layout.vessels):
-        sl = layout.slices[v.id]
-        want = coefficients(v, v.grid, t, PrimitiveState(P[sl], Q[sl]))
-        for name in ("a", "b", "c", "f", "g", "A"):
-            got = getattr(every, name)[sl]
-            assert np.broadcast_to(getattr(want, name), got.shape).tobytes() == got.tobytes()
-            at_ends = np.broadcast_to(getattr(want, name), got.shape)[[0, -1]]
-            assert getattr(every, name)[layout.ends[2 * k : 2 * k + 2]].tobytes() == at_ends.tobytes()
+    for names, order in (
+        (None, ("p1", "p2", "s", "t1", "t2")),
+        # a tabulated id sorts first and a power-law one last
+        ({"t1": "a_tab", "p1": "b_pow", "t2": "c_tab", "s": "d_syn", "p2": "z_pow"},
+         ("a_tab", "b_pow", "c_tab", "d_syn", "z_pow")),
+    ):
+        layout, P, Q = mixed_layout(names)
+        assert layout.vessel_ids == order
+        every = layout_coefficients(layout, t, P, Q)
+        for k, v in enumerate(layout.vessels):
+            sl = layout.slices[v.id]
+            want = coefficients(v, v.grid, t, PrimitiveState(P[sl], Q[sl]))
+            for name in ("a", "b", "c", "f", "g", "A"):
+                got = getattr(every, name)[sl]
+                assert np.broadcast_to(getattr(want, name), got.shape).tobytes() == got.tobytes()
+                at_ends = np.broadcast_to(getattr(want, name), got.shape)[[0, -1]]
+                assert getattr(every, name)[layout.ends[2 * k : 2 * k + 2]].tobytes() == at_ends.tobytes()
 
 
 def test_layout_coefficients_skip_an_empty_power_prefix(monkeypatch):
@@ -527,7 +536,7 @@ def test_layout_coefficients_skip_an_empty_power_prefix(monkeypatch):
     vessels = (synthetic_vessel(6, c=0.2, vid="s1"),
                synthetic_vessel(9, a=2.0, g=lambda x, t: x * t, vid="s2"))
     layout = layout_of(*vessels)
-    assert layout.n_power == 0
+    assert layout.power is None
     P, Q = np.linspace(0.0, 1.0, layout.size), np.linspace(0.5, -0.5, layout.size)
     every = compiled_mod.layout_coefficients(layout, 0.3, P, Q)
     for v in vessels:
@@ -587,3 +596,20 @@ def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, valu
     A = cs.A.copy()
     A[layout.slices["s"]] = 0.0
     check_coefficients(layout, good, dataclasses.replace(cs, A=A), EPS0)
+
+
+def test_the_first_failing_vessel_in_vessel_id_order_is_named():
+    # a tabulated vessel above its table and a power-law vessel below
+    # P = -C both fail; a_tab sorts first, so it is named, by the one
+    # coefficient check and by the iterate's non-finite guard
+    from vesselflow import TubeLawError
+    from vesselflow.compiled import check_coefficients
+    from vesselflow.solver import _non_finite_site
+
+    layout, P, Q = mixed_layout({"t1": "a_tab", "p1": "z_pow"})
+    P[layout.slices["a_tab"].start + 2] = 5e4
+    P[layout.slices["z_pow"].start + 1] = -5e4
+    with pytest.raises(TubeLawError, match="vessel 'a_tab': pressure 50000.0 outside"):
+        check_coefficients(layout, P, layout_coefficients(layout, 0.0, P, Q), EPS0)
+    bad = np.where(np.isin(P, (5e4, -5e4)), np.nan, P)
+    assert _non_finite_site(layout, bad, Q, np.zeros(0), np.zeros(0)) == " in vessel 'a_tab' at x-index 2"

@@ -644,6 +644,22 @@ def test_cli_unexpected_error_exit_3_one_line(tmp_path, capsys, monkeypatch):
     assert err == "unexpected error: RuntimeError: kernel exploded\n"
 
 
+@pytest.mark.parametrize("step", ["initial_state", "run"])
+def test_cli_out_of_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch, step):
+    import vesselflow.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 305. MiB\nfor an array")
+
+    monkeypatch.setattr(cli, step, exhausted)
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["output"] = {"directory": str(tmp_path / "o")}
+    code = main(["simulate", write_json(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "solver failure: out of memory (Unable to allocate 305. MiB for an array)\n"
+
+
 def test_cli_runs_a_tabulated_vessel(tmp_path):
     radii = [1.2e-3 + k * 2.4e-5 for k in range(26)]  # P from 4.4 to 22.4 kPa
     doc = json.loads(json.dumps(MINIMAL))
@@ -782,7 +798,7 @@ def test_run_emits_each_probe_quantity_of_every_accepted_level():
 
 # --- mutation corpus -------------------------------------------------------
 
-CORPUS_VALUES = (0, -1, 1e300, -1e300, 1e-300, 0.5, "x", None, [], {}, True, BIG)
+CORPUS_VALUES = (0, -1, 1e300, -1e300, 1e-300, 1e308, 5e-324, 0.5, "x", None, [], {}, True, BIG)
 DELETED = object()
 CLASSIFIED_EXIT_3 = (
     "solver failure: ", "initial state error: ", "output error: ",
@@ -819,7 +835,7 @@ def mutated(doc, path, value):
     return doc
 
 
-@pytest.mark.parametrize("config, size", [(BIFURCATION, 1911), (SYNTHETIC, 533)],
+@pytest.mark.parametrize("config, size", [(BIFURCATION, 2205), (SYNTHETIC, 615)],
                          ids=["bifurcation", "synthetic"])
 def test_cli_classifies_the_whole_mutation_corpus(tmp_path, capsys, config, size):
     # every mutation of a shipped config, each run for two steps of its
@@ -874,9 +890,15 @@ SYN = ("vessels", 0, "coefficients")
     (SYNTHETIC, SYN + ("f",), -1e308, 3, f"solver failure: vessel 'v' family L: {NOT_FINITE}"),
     (SYNTHETIC, SYN + ("c",), 1e300, 3, "solver failure: vessel 'v': c^2 + a*b must be positive"),
     (SYNTHETIC, SYN + ("c",), -1e300, 3, "solver failure: vessel 'v': c^2 + a*b must be positive"),
+    # the junction stack of the condition check overflows, or 1/R_C does
+    # and meets a zero: the node's estimate reads inf
+    (BIFURCATION, ("nodes", 1, "attachments", 0, "rho_j"), 1e308, 2,
+     "solvability failure: solvability check failed at t=0: fork: junction condition estimate inf"),
+    (BIFURCATION, ("nodes", 3, "R_C"), 5e-324, 2,
+     "solvability failure: solvability check failed at t=0: micro: junction condition estimate inf"),
 ], ids=["nu", "C", "R0", "beta", "beta-tiny", "P", "Q", "Q-negative", "nu-branch_b", "nu-vein",
         "synthetic-g", "synthetic-g-negative", "synthetic-f", "synthetic-f-negative",
-        "synthetic-c", "synthetic-c-negative"])
+        "synthetic-c", "synthetic-c-negative", "rho_j", "R_C-tiny"])
 def test_cli_overflowing_inputs_end_classified_without_warnings(
     tmp_path, capsys, config, path, value, code, last
 ):

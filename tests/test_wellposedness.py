@@ -261,8 +261,8 @@ def observed_vessel_checks(report):
 
 
 def mixed_failing_case(bad_stations=1):
-    """Power-law, tabulated and synthetic vessels whose ids sort apart
-    from the layout order (power-law vessels first): one interior
+    """Power-law, tabulated and synthetic vessels, their kinds mixed in
+    vessel id order (a power-law vessel sorts last): one interior
     hyperbolicity failure, endpoint failures worst at x=0 and at x=1,
     unevaluable points on a tabulated law of 1 or 2 stations, and tied
     minima."""
