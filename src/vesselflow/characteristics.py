@@ -116,10 +116,11 @@ class Workspace:
     the trapezoidal rule's new-level source; zero for constant
     coefficients), which the closures fold into their characteristic
     rows. The rest is the scratch of `build_level`, `_trace`,
-    `_stencil`, `interior_update` and the solver's iterate deviation,
+    `_stencil`, `interior_update` and the solver's inversion of rs,
     shared: each stage reuses arrays whose values are dead by then, and
     `_trace`'s output xi lives until `interior_update` has found the
-    feet inside their vessels."""
+    feet inside their vessels. `deviation` is the solver's iterate
+    deviation's scratch, one level vector of the layout's `parts`."""
 
     def __init__(self, layout: CompiledNetwork):
         n = layout.size
@@ -135,6 +136,7 @@ class Workspace:
         self.inside, self.outside = np.empty((2, 2, n), dtype=bool)
         self.rs = np.empty((2, n))
         self.known, self.kP, self.kQ = np.empty((3, layout.ends.size))
+        self.deviation = np.empty(layout.parts[-1].stop)
 
 
 def _ddx(layout: CompiledNetwork, f: np.ndarray, out: np.ndarray) -> np.ndarray:

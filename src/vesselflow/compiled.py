@@ -15,7 +15,11 @@ endpoint rows. Each node lists its ends in
 `endpoints_by_node` order: external nodes keep their single end, and
 junction nodes are laid by `junctions.junction_layout`, in node id
 order, into one padded stack for the stacked solve, whose flat tables
-hold their end indices and parameters.
+hold their end indices and parameters. A time level is one flat vector
+X = [P | Q | P_C1 | P_C2]: P and Q at every point, then the capacitor
+pressures of the transitional nodes; `parts` slices it into the four,
+and `segments` starts its segments, each vessel's P, each vessel's Q
+and each capacitor, for one `reduceat` over a level.
 """
 
 from __future__ import annotations
@@ -99,6 +103,10 @@ class CompiledNetwork:
     pressure_ends: ExternalEnds  # the ExternalPressure nodes
     flow_ends: ExternalEnds  # the ExternalFlow nodes
     junctions: JunctionLayout
+    # per level vector X: P, Q, P_C1 and P_C2 in it, and the start of each
+    # segment (each vessel's P, each vessel's Q, each capacitor)
+    parts: tuple[slice, slice, slice, slice]
+    segments: np.ndarray
 
     @property
     def size(self) -> int:
@@ -165,6 +173,9 @@ def compile_network(net: Network) -> CompiledNetwork:
     ends = np.stack((first, last), axis=1).ravel()
     inward = np.where(end_x1, -1, 1)
     cells = per_point([v.n_cells for v in vessels])
+    junctions = junction_layout(plans, end_x1, end_param)
+    n, caps = zeros.size, 2 * len(junctions.transitional)
+    cuts = (0, n, 2 * n, 2 * n + caps // 2, 2 * n + caps)
 
     return CompiledNetwork(
         network=net,
@@ -195,7 +206,9 @@ def compile_network(net: Network) -> CompiledNetwork:
         physical=tuple(slice(int(offsets[a]), int(offsets[b])) for a, b in zip(edges[::2], edges[1::2])),
         pressure_ends=external(ExternalPressure),
         flow_ends=external(ExternalFlow),
-        junctions=junction_layout(plans, end_x1, end_param),
+        junctions=junctions,
+        parts=tuple(slice(a, b) for a, b in zip(cuts, cuts[1:])),
+        segments=np.concatenate((first, n + first, np.arange(2 * n, 2 * n + caps))),
     )
 
 

@@ -358,9 +358,19 @@ def to_riemann(cs: CoefficientSet, e: EigenData, st: PrimitiveState) -> RiemannP
     )
 
 
-def from_riemann(cs: CoefficientSet, e: EigenData, rp: RiemannPair) -> PrimitiveState:
+def from_riemann(
+    cs: CoefficientSet, e: EigenData, rp: RiemannPair,
+    out: PrimitiveState | None = None, tmp: np.ndarray | None = None,
+) -> PrimitiveState:
     """Invert the characteristic transform:
-    P = (r - s)/(2u), Q = (lambda_R r - lambda_L s)/(2 u a)."""
-    P = (rp.r - rp.s) / (2.0 * e.u)
-    Q = (e.lambda_R * rp.r - e.lambda_L * rp.s) / (2.0 * e.u * cs.a)
+    P = (r - s)/(2u), Q = (lambda_R r - lambda_L s)/(2 u a).
+    Given out, a state of arrays, and tmp, one more array of their shape,
+    write P and Q into out's arrays, with tmp as the only scratch, and
+    return out's arrays; without them, return new values."""
+    P_out, Q_out = (None, None) if out is None else (out.P, out.Q)
+    num = np.multiply(e.lambda_R, rp.r, out=Q_out)
+    num = np.subtract(num, np.multiply(e.lambda_L, rp.s, out=tmp), out=Q_out)
+    u2 = np.multiply(2.0, e.u, out=tmp)
+    P = np.divide(np.subtract(rp.r, rp.s, out=P_out), u2, out=P_out)
+    Q = np.divide(num, np.multiply(u2, cs.a, out=tmp), out=Q_out)
     return PrimitiveState(P=P, Q=Q)

@@ -9,10 +9,11 @@ iterate reproduces the first, so the step degenerates to one linear
 solve; for the physical vessel model the iteration contracts for small
 enough dt.
 
-A `NetworkState` holds a time level as flat arrays in the layout order
-of its compiled network, vessel id order, so levels pass between the
-kernels, the condition checks, the extrapolation and the output without
-conversion.
+A `NetworkState` holds a time level as one flat vector X = [P | Q |
+P_C1 | P_C2] in the layout order of its compiled network, vessel id
+order, with read-only views P, Q, P_C1 and P_C2 into it, so levels pass
+between the kernels, the condition checks, the extrapolation and the
+output without conversion.
 A `Stepper` advances one state level by level, adapting dt and choosing
 each step's first iterate; `run` drives one to t_end, runs the
 solvability checks on the configured cadence and emits probe records.
@@ -23,11 +24,12 @@ The stepper passes its one `characteristics.Workspace` to every
 new level, which each pass's `freeze_step` builds into it with the
 step's source terms, and every other array that lives only within a
 pass, the interior update's results and the iterate deviation's scratch
-included. A warm pass allocates only what outlives it, each a new array
-that never aliases the workspace: `from_riemann`'s P and Q, which
-become the next iterate and, accepted, a read-only `NetworkState`, and
-the capacitor and junction pressures; once per step, the accepted
-level's `coeffs` and the extrapolated start. `picard_step` sets the one
+included. A warm pass allocates one point-sized array, the next
+iterate's level vector X, which never aliases the workspace:
+`from_riemann` writes its P and Q and the node closures scatter into
+its views, and, accepted, it becomes a read-only `NetworkState`. Once
+per step the accepted level's `coeffs`, the junction pressures and the
+extrapolated start are allocated too. `picard_step` sets the one
 floating-point policy the kernel runs under and says which guard
 classifies each non-finite value.
 """
@@ -44,7 +46,7 @@ import numpy as np
 
 from .characteristics import VesselField, Workspace, build_level, freeze_step, interior_update
 from .compiled import CompiledNetwork, check_coefficients, compile_network, layout_coefficients
-from .constitutive import CoefficientSet, RiemannPair, from_riemann
+from .constitutive import CoefficientSet, PrimitiveState, RiemannPair, from_riemann
 from .errors import (
     CFLViolation,
     PicardDivergence,
@@ -99,24 +101,29 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class NetworkState:
-    """One time level on a compiled layout: P and Q at every grid point
-    in layout order, the capacitor pressures over
-    `layout.junctions.transitional` and the junction pressures over
-    `layout.junctions.branching` (NaN until a step closes the nodes).
-    Build one from per-vessel arrays with `from_fields`. The arrays are
-    read-only, so `coeffs`, evaluated on first read, stays current."""
+    """One time level on a compiled layout: its level vector X, P and Q
+    at every grid point in layout order, then the capacitor pressures
+    P_C1 and P_C2 over `layout.junctions.transitional`, and the junction
+    pressures over `layout.junctions.branching` (NaN until a step closes
+    the nodes). P, Q, P_C1 and P_C2 are views into X, its
+    `layout.parts`. Build one from per-vessel arrays with `from_fields`.
+    The arrays are read-only, so `coeffs`, evaluated on first read,
+    stays current."""
 
     t: float
     layout: CompiledNetwork
-    P: np.ndarray
-    Q: np.ndarray
-    P_C1: np.ndarray
-    P_C2: np.ndarray
+    X: np.ndarray
     P_junc: np.ndarray
+    P: np.ndarray = field(init=False, repr=False)
+    Q: np.ndarray = field(init=False, repr=False)
+    P_C1: np.ndarray = field(init=False, repr=False)
+    P_C2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for v in (self.P, self.Q, self.P_C1, self.P_C2, self.P_junc):
-            v.setflags(write=False)
+        self.X.setflags(write=False)
+        self.P_junc.setflags(write=False)
+        for name, part in zip(("P", "Q", "P_C1", "P_C2"), self.layout.parts):
+            object.__setattr__(self, name, self.X[part])
 
     @cached_property
     def coeffs(self) -> CoefficientSet:
@@ -134,8 +141,11 @@ class NetworkState:
     ) -> "NetworkState":
         """The state of net at time t from one field (P and Q on the
         vessel grid) per vessel and one capacitor state per transitional
-        node. Raises ValueError naming the vessel or node whose entry is
-        missing, unknown or of the wrong length."""
+        node. Raises ValueError for a network without vessels, or naming
+        the vessel or node whose entry is missing, unknown or of the wrong
+        length."""
+        if not net.vessels:
+            raise ValueError("the network has no vessels")
         layout = compile_network(net)
         transitional = {} if transitional is None else transitional
         for what, kind, given, expected in (
@@ -152,15 +162,13 @@ class NetworkState:
             if size != n:
                 raise ValueError(f"vessel {vid!r}: field of {size} points, expected n_cells + 1 = {n}")
         trans = [transitional[nid] for nid in layout.junctions.transitional]
-        return cls(
-            t=t,
-            layout=layout,
-            P=np.concatenate([fields[vid].P for vid in layout.vessel_ids], dtype=float),
-            Q=np.concatenate([fields[vid].Q for vid in layout.vessel_ids], dtype=float),
-            P_C1=np.array([ts.P_C1 for ts in trans], dtype=float),
-            P_C2=np.array([ts.P_C2 for ts in trans], dtype=float),
-            P_junc=np.full(len(layout.junctions.branching), np.nan),
+        X = np.concatenate(
+            [fields[vid].P for vid in layout.vessel_ids]
+            + [fields[vid].Q for vid in layout.vessel_ids]
+            + [[ts.P_C1 for ts in trans], [ts.P_C2 for ts in trans]],
+            dtype=float,
         )
+        return cls(t, layout, X, np.full(len(layout.junctions.branching), np.nan))
 
     @property
     def fields(self) -> dict[str, VesselField]:
@@ -366,24 +374,15 @@ def _residual_diag(diags, nid, what, res, scale):
 # --- one time level ------------------------------------------------------
 
 
-def _deviation(
-    cn: CompiledNetwork, new: Sequence[np.ndarray], old: Sequence[np.ndarray], scratch: np.ndarray
-) -> float:
-    """Relative sup-norm distance between iterates (P, Q, P_C1, P_C2):
-    the largest of max |new - old| / (1 + max |new|) over each vessel
-    segment of P and Q and |new - old| / (1 + |new|) at each capacitor.
+def _deviation(cn: CompiledNetwork, new: np.ndarray, old: np.ndarray, scratch: np.ndarray) -> float:
+    """Relative sup-norm distance between iterates, two level vectors:
+    the largest of max |new - old| / (1 + max |new|) over each segment
+    of the layout's `segments`, each vessel's P and Q and each capacitor.
     A non-finite iterate gives NaN, which never passes the tolerance.
-    scratch is one array of the layout's points."""
-    starts = cn.offsets[:-1]
-    ratios = []
-    for x_new, x_old in zip(new[:2], old[:2]):
-        scale = 1.0 + np.maximum.reduceat(np.abs(x_new, out=scratch), starts)
-        change = np.abs(np.subtract(x_new, x_old, out=scratch), out=scratch)
-        ratios.append(np.maximum.reduceat(change, starts) / scale)
-    if cn.junctions.transitional:
-        for x_new, x_old in zip(new[2:], old[2:]):
-            ratios.append(np.abs(x_new - x_old) / (1.0 + np.abs(x_new)))
-    return float(np.maximum.reduce(np.concatenate(ratios)))
+    scratch is one level vector."""
+    scale = 1.0 + np.maximum.reduceat(np.abs(new, out=scratch), cn.segments)
+    change = np.abs(np.subtract(new, old, out=scratch), out=scratch)
+    return float(np.maximum.reduce(np.maximum.reduceat(change, cn.segments) / scale))
 
 
 def _non_finite_site(cn: CompiledNetwork, P, Q, P_C1, P_C2) -> str:
@@ -449,7 +448,7 @@ def picard_step(
         q_prev = state_prev.Q[cn.ends]
         systems = cn.junctions.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2)
         start = state_prev if start is None else start
-        cur = (start.P, start.Q, start.P_C1, start.P_C2)
+        cur, P, Q = start.X, start.P, start.Q
         P_junc = np.empty(len(cn.junctions.branching))
         old = build_level(
             cn, state_prev.t, state_prev.P, state_prev.Q, cfg.epsilon0, state_prev.coeffs, work.old
@@ -457,27 +456,29 @@ def picard_step(
 
         history: list[float] = []
         for iteration in range(1, cfg.picard_max_iters + 1):
-            freeze_step(cn, old, t_new, cur[0], cur[1], cfg.epsilon0, work)
+            freeze_step(cn, old, t_new, P, Q, cfg.epsilon0, work)
             interior_update(work, cfg.cfl_max)
+            X = np.empty(cur.size)  # the next iterate
+            P, Q, P_C1, P_C2 = (X[part] for part in cn.parts)
             # NaN at unresolved endpoint entries propagates and is
             # overwritten by the node closures below
-            st = from_riemann(work.new.coeffs, work.new.eig, RiemannPair(*work.rs))
-            nxt = (st.P, st.Q, np.empty_like(cur[2]), np.empty_like(cur[3]))
-            residual = _close_nodes(cn, work, boundary, systems, *nxt, P_junc)
+            rp = RiemannPair(*work.rs)
+            from_riemann(work.new.coeffs, work.new.eig, rp, PrimitiveState(P, Q), work.row_a)
+            residual = _close_nodes(cn, work, boundary, systems, P, Q, P_C1, P_C2, P_junc)
             if report is not None:
                 report.worst_closure_residual = max(report.worst_closure_residual, residual)
 
-            dev = _deviation(cn, nxt, cur, work.row_a)
+            dev = _deviation(cn, X, cur, work.deviation)
             history.append(dev)
             if math.isnan(dev):  # a non-finite iterate never passes the tolerance
                 raise PicardDivergence(
-                    f"fixed-point iterate is not finite{_non_finite_site(cn, *nxt)} "
+                    f"fixed-point iterate is not finite{_non_finite_site(cn, P, Q, P_C1, P_C2)} "
                     f"at t = {t_new:.6g} (iteration {iteration}); reduce dt",
                     deviations=history,
                 )
-            cur = nxt
+            cur = X
             if dev <= cfg.picard_tol:
-                return NetworkState(t_new, cn, *cur, P_junc), iteration, history
+                return NetworkState(t_new, cn, X, P_junc), iteration, history
 
         raise PicardDivergence(
             f"fixed-point iteration did not converge in {cfg.picard_max_iters} iterations "
@@ -543,22 +544,19 @@ def _close_nodes(
 # --- outer time loop -----------------------------------------------------
 
 
-_EXTRAPOLATED = ("P", "Q", "P_C1", "P_C2")  # a level's flat order in the table
 # accepted levels the extrapolated start reaches back over: up to quartic
 _LEVELS = 5
 
 
 class _DifferenceTable:
-    """The backward differences of the current level X = [P | Q | P_C1 |
-    P_C2] over the last `n` accepted levels at one spacing: `rows[k]`
-    holds the k-th difference of X for k < n. The rows are those of one
-    preallocated (_LEVELS, X.size) table, so accepting a level takes one
+    """The backward differences of the current level vector X over the
+    last `n` accepted levels at one spacing: `rows[k]` holds the k-th
+    difference of X for k < n. The rows are those of one preallocated
+    (_LEVELS, X.size) table, so accepting a level takes one copy and one
     subtraction per order in place and no level is kept."""
 
     def __init__(self, state: NetworkState):
-        ends = np.cumsum([getattr(state, k).size for k in _EXTRAPOLATED]).tolist()
-        self.rows = list(np.empty((_LEVELS, ends[-1])))
-        self._parts = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self.rows = list(np.empty((_LEVELS, state.X.size)))
         self.n = 0
         self.push(state)
 
@@ -566,7 +564,7 @@ class _DifferenceTable:
         """Make `state` the current level, one spacing after the last."""
         # the last row is unused or holds the order the new level drops
         new = self.rows[-1]
-        np.concatenate([getattr(state, k) for k in _EXTRAPOLATED], out=new)
+        np.copyto(new, state.X)
         lower = new
         for row in self.rows[: min(self.n, _LEVELS - 1)]:
             # the next order: this order at the new level minus it at the last
@@ -576,12 +574,10 @@ class _DifferenceTable:
         self.n = min(self.n + 1, _LEVELS)
 
     def start(self, state: NetworkState) -> NetworkState | None:
-        """`_extrapolate` of the rows as the arrays of the current level
-        `state`, or None."""
-        x = _extrapolate(self.rows[: self.n])
-        if x is None:
-            return None
-        return NetworkState(state.t, state.layout, *(x[part] for part in self._parts), state.P_junc)
+        """`_extrapolate` of the rows as the level vector of the current
+        level `state`, or None."""
+        X = _extrapolate(self.rows[: self.n])
+        return None if X is None else NetworkState(state.t, state.layout, X, state.P_junc)
 
 
 def _extrapolate(diffs: Sequence[np.ndarray]) -> np.ndarray | None:

@@ -12,14 +12,18 @@ row/column-equilibrated junction matrix (`junctions.condition_estimates`,
 within kappa_2 / n <= kappa_1 <= n kappa_2 of the 2-norm one for n
 unknowns), must stay below 1e12.
 
+`check_state` runs every step, so it decides `passed` from whole-sweep
+minima, one reduction per condition over every checked point, and
+builds a report's per-vessel arrays only when they are first read.
+
 The checker only reports; callers decide whether to abort.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +61,16 @@ class JunctionConditionCheck:
     passed: bool
 
 
+class SweepArrays(NamedTuple):
+    """A condition sweep's per-vessel arrays (see `ConditionReport`)."""
+
+    value: np.ndarray
+    margin: np.ndarray
+    x_index: np.ndarray
+    unevaluable_count: np.ndarray
+    unevaluable_first: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Outcome of a condition sweep, held as arrays.
@@ -72,19 +86,19 @@ class ConditionReport:
     not grid points). `junction_estimates` holds the 1-norm condition
     number of each equilibrated junction matrix of `junction_nodes` (node
     id order; inf where singular or not finite); a node passes below
-    1e12. `passed` is one test over these arrays.
+    1e12. `passed` is one test over these arrays: `vessels_passed`,
+    which the sweep decides (every margin > 0 and no unevaluable point),
+    and every junction estimate below 1e12.
 
-    `checks`, `junction_checks`, `unevaluable` and `failures()` are built
-    from the arrays when first read, in their column order, and kept.
+    The arrays are built by `sweep` when first read, and `checks`,
+    `junction_checks`, `unevaluable` and `failures()` from them, in their
+    column order; each is kept.
     """
 
     vessel_ids: tuple[str, ...]
     conditions: tuple[str, ...]
-    value: np.ndarray
-    margin: np.ndarray
-    x_index: np.ndarray
-    unevaluable_count: np.ndarray
-    unevaluable_first: np.ndarray
+    vessels_passed: bool
+    sweep: Callable[[], SweepArrays]
     junction_nodes: tuple[str, ...] = ()
     junction_estimates: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # message for a vessel with unevaluable points (format fields:
@@ -95,13 +109,33 @@ class ConditionReport:
 
     @cached_property
     def passed(self) -> bool:
-        # the ufuncs' own reduce: `.all()` and `.any()` add numpy's
-        # Python-level wrappers to a check that runs every step
         return bool(
-            np.logical_and.reduce(self.margin > 0, axis=None)
-            and not np.logical_or.reduce(self.unevaluable_count)
-            and np.logical_and.reduce(self.junction_estimates < _JUNCTION_COND_MAX)
+            self.vessels_passed and np.logical_and.reduce(self.junction_estimates < _JUNCTION_COND_MAX)
         )
+
+    @cached_property
+    def arrays(self) -> SweepArrays:
+        return self.sweep()
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.arrays.value
+
+    @property
+    def margin(self) -> np.ndarray:
+        return self.arrays.margin
+
+    @property
+    def x_index(self) -> np.ndarray:
+        return self.arrays.x_index
+
+    @property
+    def unevaluable_count(self) -> np.ndarray:
+        return self.arrays.unevaluable_count
+
+    @property
+    def unevaluable_first(self) -> np.ndarray:
+        return self.arrays.unevaluable_first
 
     @cached_property
     def checks(self) -> list[ConditionCheck]:
@@ -193,34 +227,62 @@ def check_state(
     """Evaluate every solvability condition on a network state, on the
     compiled layout it holds.
 
-    Both sweeps take one segment minimum per vessel of a > 0, the area
-    floor, hyperbolicity and the endpoint split `a*b`, from
-    `state.coeffs`, into the report's arrays over the layout's vessels.
-    A full sweep runs over every grid point, with the split read at the
-    two vessel ends only (+inf elsewhere), and builds every junction
-    system once, from the coefficients at its vessel ends, to record its
-    condition estimate. With endpoints_only=True it runs over the two
-    ends of each vessel only. A vessel with an unevaluable point reports
-    no condition rows.
+    Both sweeps check a > 0, the area floor, hyperbolicity and the
+    endpoint split `a*b`, from `state.coeffs`. A full sweep runs over
+    every grid point, with the split read at the two vessel ends only,
+    and, if the vessels pass, builds every junction system once, from
+    the coefficients at its vessel ends, to record its condition
+    estimate. With endpoints_only=True it runs over the two ends of each
+    vessel only.
+
+    The vessels pass when the whole sweep's minima do: min a > 0,
+    max a < inf, min A - epsilon0 > 0, min(c^2 + ab) > 0 and min ab at
+    the vessel ends > 0 (a NaN fails them all). That is the test over
+    the report's arrays, which `_sweep_arrays` builds when first read:
+    one segment minimum per vessel of each condition, the split +inf off
+    the vessel ends. A vessel with an unevaluable point reports no
+    condition rows.
     """
     cn, cs = state.layout, state.coeffs
-    K = len(cn.vessel_ids)
     if endpoints_only:
         # the two ends of each vessel, interleaved
         pts, starts, counts, local = cn.ends, cn.pair_starts, 2, cn.ends_local
     else:
         pts, starts, counts, local = slice(None), cn.first, cn.counts, cn.local
     a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
-    split = ab = a * b
+    ab = a * b
     with np.errstate(over="ignore"):  # eigen classifies an overflow
         disc = c**2 + ab
-    if not endpoints_only:  # the split is read at the two vessel ends only
-        split = np.full(ab.size, np.inf)
-        split[cn.ends] = ab[cn.ends]
+    split = ab if endpoints_only else ab[cn.ends]
+    least = np.minimum.reduce
+    passed = bool(
+        least(a) > 0
+        and np.maximum.reduce(a) < np.inf
+        and least(A) - cfg.epsilon0 > 0
+        and least(disc) > 0
+        and least(split) > 0
+    )
+    ends = None if endpoints_only else cn.ends
+    sweep = partial(_sweep_arrays, a, A, disc, ab, ends, starts, counts, local, cfg.epsilon0)
+    nodes, estimates = (), np.zeros(0)
+    if not endpoints_only and passed and cn.junctions.nodes:
+        nodes, estimates = cn.junctions.nodes, _junction_estimates(state, cfg)
+    return ConditionReport(cn.vessel_ids, _STATE_CONDITIONS, passed, sweep, nodes, estimates)
+
+
+def _sweep_arrays(a, A, disc, ab, ends, starts, counts, local, epsilon0) -> SweepArrays:
+    """`check_state`'s per-vessel arrays from a, A, c^2 + ab and ab over
+    the swept points: the split is ab at `ends` (every point for
+    ends=None) and +inf elsewhere; segments start at `starts` and hold
+    `counts` points, whose vessel-local indices are `local`."""
+    split = ab
+    if ends is not None:  # the split is read at the two vessel ends only
+        split = np.full(a.size, np.inf)
+        split[ends] = ab[ends]
     worst, first = _segment_min(np.stack((a, A, disc, split)), starts, counts)
     x_index = local[first]
     margin = worst.copy()
-    margin[1] -= cfg.epsilon0
+    margin[1] -= epsilon0
 
     bad = ~np.isfinite(a)
     if np.logical_or.reduce(bad):
@@ -229,20 +291,8 @@ def check_state(
         first_bad = np.where(skip > 0, local[np.minimum(at, a.size - 1)], 0)
         x_index[:, skip > 0] = -1
     else:
-        skip = first_bad = np.zeros(K, dtype=np.intp)
-    report = ConditionReport(
-        vessel_ids=cn.vessel_ids,
-        conditions=_STATE_CONDITIONS,
-        value=worst,
-        margin=margin,
-        x_index=x_index,
-        unevaluable_count=skip,
-        unevaluable_first=first_bad,
-    )
-    if endpoints_only or not report.passed or not cn.junctions.nodes:
-        return report
-    estimates = _junction_estimates(state, cfg)
-    return replace(report, junction_nodes=cn.junctions.nodes, junction_estimates=estimates)
+        skip = first_bad = np.zeros(worst.shape[1], dtype=np.intp)
+    return SweepArrays(worst, margin, x_index, skip, first_bad)
 
 
 def _junction_estimates(state, cfg):
@@ -312,13 +362,11 @@ def check_envelope(
             v = np.where(ok[stations], values[stations], np.inf)
             j = int(np.argmin(v))
             value[i, k], x_index[i, k] = v.flat[j], stations[j // v.shape[1]]
+    arrays = SweepArrays(value, value, x_index, unevaluable, np.zeros(len(vessel_ids), dtype=np.intp))
     return ConditionReport(
         vessel_ids=vessel_ids,
         conditions=_ENVELOPE_CONDITIONS,
-        value=value,
-        margin=value,
-        x_index=x_index,
-        unevaluable_count=unevaluable,
-        unevaluable_first=np.zeros(len(vessel_ids), dtype=np.intp),
+        vessels_passed=bool((value > 0).all() and not unevaluable.any()),
+        sweep=lambda: arrays,
         unevaluable_format="{vessel}: {count} envelope point(s) outside the tube law's range",
     )

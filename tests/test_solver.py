@@ -1020,6 +1020,23 @@ def test_from_fields_rejects_malformed_states(case, message):
         NetworkState.from_fields(net, state.t, fields, transitional)
 
 
+def test_from_fields_rejects_a_network_without_vessels(tmp_path, capsys):
+    # the CLI reports it as a config error, exit 1
+    import json
+
+    from vesselflow import NetworkState
+    from vesselflow.cli import main
+
+    with pytest.raises(ValueError, match="^the network has no vessels$"):
+        NetworkState.from_fields(Network(vessels={}, nodes={}), 0.0, {})
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json").read_text())
+    doc.update(vessels=[], nodes=[], initial={"default": {"P": 0.0, "Q": 0.0}}, probes=[])
+    (tmp_path / "empty.json").write_text(json.dumps(doc))
+    for extra in (["--check-only"], ["--output", str(tmp_path / "out")]):
+        assert main(["simulate", str(tmp_path / "empty.json"), *extra]) == 1
+        assert capsys.readouterr().err == "config error: the network has no vessels\n"
+
+
 def test_run_rejects_a_state_built_on_another_network():
     net, init, cfg = bifurcation_case()
     state = initial_state(net, init, cfg)[0]
@@ -1204,6 +1221,9 @@ def test_constant_start_after_every_dt_change(monkeypatch):
     assert report.extrapolated_steps == sum(started for _, started in calls) - 1
 
 
+PARTS = ("P", "Q", "P_C1", "P_C2")  # a level vector's parts, in order
+
+
 def carried_start(levels):
     """The extrapolated start of a difference table carried through the
     levels, oldest first."""
@@ -1220,33 +1240,31 @@ def test_extrapolation_through_n_levels_is_exact_to_degree_n_minus_one(n):
     # levels sampled at equal spacing from a polynomial of degree n - 1 in
     # t give its next value; the bifurcation's transitional node carries
     # the capacitor pressures
-    from vesselflow.solver import _EXTRAPOLATED
-
     net, init, cfg = bifurcation_case()
     base = initial_state(net, init, cfg)[0]
     assert base.P_C1.size == base.P_C2.size == 1
     rng = np.random.default_rng(n)
-    coef = {k: 1e4 * rng.uniform(-1.0, 1.0, (n, getattr(base, k).size)) for k in _EXTRAPOLATED}
+    # each part's coefficients drawn in turn, side by side in the level vector
+    coef = np.concatenate([1e4 * rng.uniform(-1.0, 1.0, (n, getattr(base, k).size)) for k in PARTS], axis=1)
 
     def sample(t):
-        return {k: np.polynomial.polynomial.polyval(t, c) for k, c in coef.items()}
+        return np.polynomial.polynomial.polyval(t, coef)
 
     times = 0.2 + 0.25 * np.arange(n + 1)
-    levels = [dataclasses.replace(base, t=t, **sample(t)) for t in times[:-1]]
+    levels = [dataclasses.replace(base, t=t, X=sample(t)) for t in times[:-1]]
     got, expected = carried_start(levels), sample(times[-1])
-    for k in _EXTRAPOLATED:
-        assert np.max(np.abs(getattr(got, k) - expected[k])) <= 1e-12 * np.max(np.abs(expected[k])), k
+    for k, part in zip(PARTS, base.layout.parts):
+        assert np.max(np.abs(getattr(got, k) - expected[part])) <= 1e-12 * np.max(np.abs(expected[part])), k
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_extrapolation_of_constant_levels_is_the_last_level(n):
-    from vesselflow.solver import _EXTRAPOLATED
-
     net, init, cfg = bifurcation_case()
     state = picard_step(initial_state(net, init, cfg)[0], cfg)[0]
     levels = [dataclasses.replace(state, t=state.t + i * cfg.dt) for i in range(n)]
     got = carried_start(levels)
-    assert all(same_bits(getattr(got, k), getattr(state, k)) for k in _EXTRAPOLATED)
+    assert same_bits(got.X, state.X)
+    assert all(same_bits(getattr(got, k), getattr(state, k)) for k in PARTS)
     # one level gives no extrapolated start
     assert carried_start(levels[:1]) is None
 
@@ -1400,10 +1418,24 @@ def workspace_arrays(work):
     also references."""
     own = [work.pair_a, work.pair_b, work.pair_c, work.pair_d, work.xi, work.row_a, work.row_b,
            work.F, work.g_P, work.g_Q, work.lo, work.hi, work.inside, work.outside,
-           work.rs, work.known, work.kP, work.kQ, *vars(work.coeffs).values()]
+           work.rs, work.known, work.kP, work.kQ, work.deviation, *vars(work.coeffs).values()]
     for level in (work.old, work.new):
         own += [level.speeds, level.d_x, level.u, level.tmp, level.base, level.adv_lam, level.adv_a, level.rs]
     return [a for a in own if isinstance(a, np.ndarray) and a.flags.writeable]
+
+
+def bump_case(n):
+    """A pressure bump on one power-law vessel of n cells, 8 steps at
+    Courant number 0.5 and no full check after t = 0."""
+    v = Vessel(id="v", n_cells=n, x0_node="in", x1_node="out",
+               tube_law=PowerLaw(C=4e4, R0=1e-3, beta=2.0), alpha=1.1)
+    net = single_net(v, inlet=ExternalPressure("in", ConstantSignal(8000.0)),
+                     outlet=ExternalPressure("out", ConstantSignal(8000.0)))
+    dt = 0.5 / (n * 7.2)  # CFL 0.5
+    cfg = SimConfig(dt=dt, t_end=8 * dt, check_every=1000)
+    bump = lambda x: np.where((x > 0.2) & (x < 0.6), np.sin(np.pi * (x - 0.2) / 0.4) ** 2, 0.0)  # noqa: E731
+    state0, _ = initial_state(net, InitSpec(default=VesselInit(P=lambda x: 8000.0 + 1500.0 * bump(x))), cfg)
+    return net, state0, cfg
 
 
 def test_a_pass_allocates_no_point_arrays_beyond_its_results():
@@ -1416,14 +1448,7 @@ def test_a_pass_allocates_no_point_arrays_beyond_its_results():
     import tracemalloc
 
     n = 3200
-    v = Vessel(id="v", n_cells=n, x0_node="in", x1_node="out",
-               tube_law=PowerLaw(C=4e4, R0=1e-3, beta=2.0), alpha=1.1)
-    net = single_net(v, inlet=ExternalPressure("in", ConstantSignal(8000.0)),
-                     outlet=ExternalPressure("out", ConstantSignal(8000.0)))
-    dt = 0.5 / (n * 7.2)  # CFL 0.5
-    cfg = SimConfig(dt=dt, t_end=8 * dt, check_every=1000)
-    bump = lambda x: np.where((x > 0.2) & (x < 0.6), np.sin(np.pi * (x - 0.2) / 0.4) ** 2, 0.0)  # noqa: E731
-    state0, _ = initial_state(net, InitSpec(default=VesselInit(P=lambda x: 8000.0 + 1500.0 * bump(x))), cfg)
+    net, state0, cfg = bump_case(n)
     peaks = []
 
     def on_step(state):
@@ -1440,6 +1465,81 @@ def test_a_pass_allocates_no_point_arrays_beyond_its_results():
     assert report.steps == 8 and report.picard_total > report.steps
     # the first step includes the workspace itself
     assert max(peaks[1:]) < 16 * 8 * (n + 1)
+
+
+def test_a_warm_pass_allocates_one_level_vector():
+    # a warm pass writes the next iterate into one new level vector X:
+    # from_riemann and the closures fill its views, and the deviation
+    # reduces it in the workspace. Besides X a pass allocates less than
+    # one more point-array. tracemalloc counts numpy's allocations; a
+    # small bufsize keeps a broadcasting ufunc's buffers below one
+    # point-array
+    import tracemalloc
+
+    from vesselflow.characteristics import Workspace
+
+    net, state0, cfg = bump_case(3200)
+    n = state0.layout.size
+    assert n == 3201
+    work = Workspace(state0.layout)
+    state1 = picard_step(state0, cfg, work=work)[0]  # warms the workspace
+    state1.coeffs  # the old level's coefficients, built before the step
+    one_pass = dataclasses.replace(cfg, picard_tol=1.0)
+    bufsize = np.setbufsize(1024)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        state2, iterations, _ = picard_step(state1, one_pass, work=work)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(bufsize)
+    assert iterations == 1
+    assert state2.X.size == 2 * n and state2.P.base is state2.X
+    assert state2.X.nbytes <= peak < state2.X.nbytes + 8 * n
+
+
+def per_part_deviation(cn, new, old):
+    """The iterate deviation part by part: P and Q per vessel segment,
+    then each capacitor, as computed before a level was one vector."""
+    starts = cn.offsets[:-1]
+    ratios = []
+    for part in cn.parts[:2]:
+        scale = 1.0 + np.maximum.reduceat(np.abs(new[part]), starts)
+        ratios.append(np.maximum.reduceat(np.abs(new[part] - old[part]), starts) / scale)
+    if cn.junctions.transitional:
+        for part in cn.parts[2:]:
+            ratios.append(np.abs(new[part] - old[part]) / (1.0 + np.abs(new[part])))
+    return float(np.maximum.reduce(np.concatenate(ratios)))
+
+
+def test_the_flat_deviation_equals_the_per_part_reference():
+    # bit for bit, on the bifurcation's layout (with capacitors) and on
+    # one without a transitional node, with NaN in P and in P_C2
+    from vesselflow.solver import _deviation
+
+    net, init, cfg = bifurcation_case()
+    bifurcation = picard_step(initial_state(net, init, cfg)[0], cfg)[0]
+    assert bifurcation.P_C2.size == 1
+    no_capacitors = bump_case(40)[1]
+    assert no_capacitors.P_C1.size == no_capacitors.P_C2.size == 0
+    rng = np.random.default_rng(5)
+    for state in (bifurcation, no_capacitors):
+        cn, old = state.layout, state.X
+        cases = []
+        for scale in (0.0, 1e-12, 1e-6, 1.0, 1e3):
+            new = old * (1.0 + scale * rng.standard_normal(old.size))
+            new[rng.random(old.size) < 0.1] = old[0]  # ties of the segment maxima
+            cases.append(new)
+        for part in cn.parts:
+            if part.stop > part.start:
+                new = cases[2].copy()
+                new[part.stop - 1] = np.nan
+                cases.append(new)
+        for new in cases:
+            got = _deviation(cn, new, old, np.empty(new.size))
+            assert np.float64(got).tobytes() == np.float64(per_part_deviation(cn, new, old)).tobytes()
+        assert np.isnan(got)  # the last case: NaN in P_C2, or in Q without capacitors
 
 
 def test_accepted_levels_share_no_memory_with_the_workspace(monkeypatch):

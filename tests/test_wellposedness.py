@@ -334,16 +334,11 @@ def test_layout_sweep_equals_per_vessel_reference(endpoints_only, bad_stations):
     assert [c.subject for c in report.checks] == sorted(c.subject for c in report.checks)
 
 
-def test_junction_estimates_equal_per_node_reference():
+def mixed_junction_case():
+    """Power-law, tabulated and synthetic vessels joined by two branching
+    nodes and a transitional node, in a passing state."""
     from vesselflow import BranchAttachment, Branching, TabulatedLaw, TransAttachment, Transitional
-    from vesselflow.constitutive import PrimitiveState, coefficients, eigen
-    from vesselflow.junctions import TransitionalState, condition_estimates
-    from vesselflow.verification import (
-        EndpointClosureInput,
-        assemble_branching,
-        assemble_transitional,
-    )
-    from vesselflow.network import endpoints_by_node, node_attachments
+    from vesselflow.junctions import TransitionalState
 
     radii = np.linspace(0.9e-3, 1.4e-3, 26)
     table = TabulatedLaw(radii=radii, pressures=[4e4 * ((radii / 1e-3) ** 2 - 1.0)],
@@ -375,6 +370,22 @@ def test_junction_estimates_equal_per_node_reference():
         vid: VesselField(vid, 0.1, 11000.0 + 3000.0 * rng.random(11), 1e-6 * rng.standard_normal(11))
         for vid in vessels
     }, transitional={"t": TransitionalState(0.0, 0.0)})
+    return net, state
+
+
+def test_junction_estimates_equal_per_node_reference():
+    from vesselflow import Branching
+    from vesselflow.constitutive import PrimitiveState, coefficients, eigen
+    from vesselflow.junctions import TransitionalState, condition_estimates
+    from vesselflow.verification import (
+        EndpointClosureInput,
+        assemble_branching,
+        assemble_transitional,
+    )
+    from vesselflow.network import endpoints_by_node, node_attachments
+
+    net, state = mixed_junction_case()
+    vessels, nodes = net.vessels, net.nodes
     report = check_state(state, CFG)
     assert report.passed
     assert observed_vessel_checks(report) == reference_vessel_checks(net, state, CFG, False)
@@ -571,3 +582,128 @@ def test_endpoint_sweep_equals_segment_minimum_on_random_coefficients(tmp_path, 
         # sweep makes of them
         with np.errstate(invalid="ignore", over="ignore"):
             _assert_endpoint_sweep_equals_reference(random_state, loaded.sim)
+
+
+# --- the reduced verdict and the lazy arrays against the eager sweep ----------
+
+
+def _eager_segment_min(values, starts, counts):
+    """Minimum of each segment of each row and the position of its first
+    occurrence (a NaN counts as the minimum)."""
+    mins = np.minimum.reduceat(values, starts, axis=-1)
+    hit = (values == np.repeat(mins, counts, axis=-1)) | np.isnan(values)
+    n = values.shape[-1]
+    return mins, np.minimum.reduceat(np.where(hit, np.arange(n), n), starts, axis=-1)
+
+
+def eager_sweep(state, cfg, endpoints_only):
+    """The report's arrays (value, margin, x_index, unevaluable_count,
+    unevaluable_first) as the sweep built them on every call before it
+    decided the verdict from whole-sweep minima."""
+    cn, cs = state.layout, state.coeffs
+    if endpoints_only:
+        pts, starts, counts, local = cn.ends, cn.pair_starts, 2, cn.ends_local
+    else:
+        pts, starts, counts, local = slice(None), cn.first, cn.counts, cn.local
+    a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
+    split = ab = a * b
+    disc = c**2 + ab
+    if not endpoints_only:
+        split = np.full(ab.size, np.inf)
+        split[cn.ends] = ab[cn.ends]
+    worst, first = _eager_segment_min(np.stack((a, A, disc, split)), starts, counts)
+    x_index = local[first]
+    margin = worst.copy()
+    margin[1] -= cfg.epsilon0
+    bad = ~np.isfinite(a)
+    if bad.any():
+        skip = np.add.reduceat(bad, starts, dtype=np.intp)
+        at = np.minimum.reduceat(np.where(bad, np.arange(a.size), a.size), starts)
+        first_bad = np.where(skip > 0, local[np.minimum(at, a.size - 1)], 0)
+        x_index[:, skip > 0] = -1
+    else:
+        skip = first_bad = np.zeros(len(cn.vessel_ids), dtype=np.intp)
+    return worst, margin, x_index, skip, first_bad
+
+
+@pytest.fixture(scope="module")
+def corruptible_states():
+    """The shipped bifurcation's initial state and the mixed junction
+    network's state, each with its coefficients evaluated."""
+    from vesselflow.config import load_config
+    from vesselflow.solver import initial_state
+
+    loaded = load_config(ROOT / "configs" / "bifurcation.json")
+    states = [initial_state(loaded.net, loaded.init, loaded.sim)[0], mixed_junction_case()[1]]
+    return [(state, state.coeffs) for state in states]
+
+
+_CORRUPTIONS = {
+    # coefficient, where, values: each value fails its condition
+    "a": ("a", "anywhere", (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, -5e-324)),
+    "A": ("A", "anywhere", (CFG.epsilon0, np.nextafter(CFG.epsilon0, 0.0), 0.0, -1e-3)),
+    # b <= 0 where c = 0 and a > 0: c^2 + ab <= 0
+    "disc": ("b", "inside", (0.0, -0.0, -1.0, -1e-300)),
+    "ab_x0": ("b", "x0", (0.0, -0.0, -1.0, -1e-300)),
+    "ab_x1": ("b", "x1", (0.0, -0.0, -1.0, -1e-300)),
+}
+
+
+def _corrupted(state, coeffs, corruptions):
+    from vesselflow.constitutive import CoefficientSet
+
+    cn = state.layout
+    a, b, c, A = (getattr(coeffs, k).copy() for k in ("a", "b", "c", "A"))
+    arrays = {"a": a, "b": b, "c": c, "A": A}
+    for kind, vessel, point, choice in corruptions:
+        name, where, values = _CORRUPTIONS[kind]
+        k = vessel % len(cn.vessel_ids)
+        first, last = int(cn.first[k]), int(cn.last[k])
+        at = {"anywhere": first + point % (last - first + 1), "inside": first + 1 + point % (last - first - 1),
+              "x0": first, "x1": last}[where]
+        arrays[name][at] = values[choice % len(values)]
+        if kind == "disc":
+            c[at] = 0.0
+    corrupted = dataclasses.replace(state)
+    corrupted.__dict__["coeffs"] = CoefficientSet(a, b, c, coeffs.f, coeffs.g, A)
+    return corrupted
+
+
+def test_the_reduced_verdict_and_lazy_arrays_equal_the_eager_sweep(corruptible_states):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from vesselflow.wellposedness import _junction_estimates
+
+    corruption = st.tuples(st.sampled_from(sorted(_CORRUPTIONS)), st.integers(0, 99),
+                           st.integers(0, 999), st.integers(0, 9))
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(st.integers(0, 1), st.lists(corruption, max_size=3))
+    def check(which, corruptions):
+        state = _corrupted(*corruptible_states[which], corruptions)
+        for endpoints_only in (False, True):
+            # products like inf * 0 are NaN; the comparison is of what the
+            # sweeps make of them
+            with np.errstate(invalid="ignore", over="ignore"):
+                report = check_state(state, CFG, endpoints_only=endpoints_only)
+                reference = eager_sweep(state, CFG, endpoints_only)
+            observed = (report.value, report.margin, report.x_index,
+                        report.unevaluable_count, report.unevaluable_first)
+            for ours, ref in zip(observed, reference):
+                assert ours.dtype == ref.dtype and ours.shape == ref.shape
+                assert ours.tobytes() == ref.tobytes()  # bit for bit, NaN signs included
+            vessels_pass = bool((report.margin > 0).all() and not report.unevaluable_count.any())
+            assert report.passed == (vessels_pass and bool((report.junction_estimates < 1e12).all()))
+            if vessels_pass and not endpoints_only:
+                assert report.junction_nodes == state.layout.junctions.nodes
+                expected = _junction_estimates(state, CFG)
+                assert report.junction_estimates.tobytes() == expected.tobytes()
+            else:
+                assert report.junction_nodes == () and report.junction_estimates.size == 0
+            if not corruptions:
+                assert report.passed
+            elif not endpoints_only:
+                assert not report.passed  # every corruption fails some condition
+
+    check()
