@@ -147,7 +147,7 @@ def _simulate_classified(args) -> int:
             pending.pop(0)
             path = os.path.join(out_dir, f"snapshot_{snap_count[0]:03d}.csv")
             with CsvSink(path) as snap:
-                emit_snapshot(snap, loaded.net, state, sim.epsilon0)
+                emit_snapshot(snap, state, sim.epsilon0)
             print(f"snapshot at t={state.t!r} -> {path}")
             snap_count[0] += 1
 

@@ -66,9 +66,8 @@ class CompiledNetwork:
     vessel_ids: tuple[str, ...]  # vessel id order, the layout's order
     vessels: tuple[Vessel, ...]
     offsets: np.ndarray  # segment k holds points offsets[k] .. offsets[k+1]-1
-    slices: dict[str, slice]  # vessel id -> its points
+    slices: dict[str, slice]  # vessel id -> its points, in layout order
     first: np.ndarray  # x=0 point of each segment
-    last: np.ndarray  # x=1 point of each segment
     counts: np.ndarray  # points of each segment
     # per vessel end e = 2k + x1 of segment k, x1 = 1 at its x=1 end:
     # the one numbering of vessel ends
@@ -184,7 +183,6 @@ def compile_network(net: Network) -> CompiledNetwork:
         offsets=offsets,
         slices=slices,
         first=first,
-        last=last,
         counts=counts,
         ends=ends,
         end_x1=end_x1,

@@ -74,16 +74,15 @@ class RiemannPair:
 # --- tube-law evaluation ------------------------------------------------
 
 
-def _tabulated(law: TabulatedLaw, x, R, curves):
-    """Blend per-station curves (pressure or slope interpolants) between
-    the stations bracketing each x; x and R broadcast against each other."""
-    x, R = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(R, dtype=float))
-    vals = np.stack([curve(R) for curve in curves])
-    if len(curves) == 1:
-        return vals[0]
-    i, w = law._station_weights(x)
-    lo = np.take_along_axis(vals, i[None], axis=0)[0]
-    hi = np.take_along_axis(vals, i[None] + 1, axis=0)[0]
+def _tabulated(weights, rows):
+    """Blend the station rows (m, ...) of one interpolant evaluation
+    between the stations bracketing each point, by the points'
+    `TabulatedLaw._station_weights`."""
+    if weights is None:
+        return rows[0]
+    i, w = weights
+    lo = np.take_along_axis(rows, i[None], axis=0)[0]
+    hi = np.take_along_axis(rows, i[None] + 1, axis=0)[0]
     return (1.0 - w) * lo + w * hi
 
 
@@ -96,17 +95,13 @@ def pressure_from_radius(law: TubeLaw, x, R):
         # expm1/log1p form avoids cancellation near R = R0
         return law.C * np.expm1(law.beta * np.log(R / law.R0))
     if isinstance(law, TabulatedLaw):
-        R_arr = np.asarray(R, dtype=float)
-        if np.any(R_arr < law.radii[0]) or np.any(R_arr > law.radii[-1]):
+        x, R = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(R, dtype=float))
+        if np.any(R < law.radii[0]) or np.any(R > law.radii[-1]):
             raise TubeLawError(
                 f"radius outside tabulated range [{law.radii[0]}, {law.radii[-1]}]"
             )
-        return _tabulated(law, x, R_arr, law._interp)
+        return _tabulated(law._station_weights(x), law._interp(R))
     raise TypeError(f"not a tube law: {law!r}")
-
-
-def _dP_dR(law: TabulatedLaw, x, R):
-    return _tabulated(law, x, R, law._dinterp)
 
 
 def radius_from_pressure(law: TubeLaw, x, P):
@@ -134,15 +129,16 @@ def _invert_tabulated(law: TabulatedLaw, x, P) -> np.ndarray:
     """Radius at (x, P) under a tabulated law; NaN where P lies outside
     the table's pressure range at x (or is NaN)."""
     x, P = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(P, dtype=float))
+    weights = law._station_weights(x)
     lo = np.full(P.shape, law.radii[0])
     hi = np.full(P.shape, law.radii[-1])
-    p_lo = pressure_from_radius(law, x, lo)
-    p_hi = pressure_from_radius(law, x, hi)
+    p_lo = _tabulated(weights, law._interp(lo))
+    p_hi = _tabulated(weights, law._interp(hi))
     tol = 1e-14 * np.maximum(1.0, np.abs(P))
     # a NaN radius keeps its residual NaN, so it never turns active
     R = np.where((P >= p_lo) & (P <= p_hi), 0.5 * (lo + hi), np.nan)
     for _ in range(_NEWTON_MAX_ITERS):
-        res = pressure_from_radius(law, x, R) - P
+        res = _tabulated(weights, law._interp(R)) - P
         # converged, or the bracket is exhausted at float resolution
         # (interpolant evaluation noise bounds the residual below)
         active = (np.abs(res) > tol) & (hi - lo > 4.0 * np.spacing(hi))
@@ -150,7 +146,7 @@ def _invert_tabulated(law: TabulatedLaw, x, P) -> np.ndarray:
             return R
         hi = np.where(active & (res > 0), R, hi)
         lo = np.where(active & (res <= 0), R, lo)
-        slope = _dP_dR(law, x, R)
+        slope = _tabulated(weights, law._dinterp(R))
         with np.errstate(divide="ignore", invalid="ignore"):
             R_new = R - np.where(slope > 0, res / slope, np.inf)
         # Newton left the bracket: bisect
@@ -162,21 +158,24 @@ def _invert_tabulated(law: TabulatedLaw, x, P) -> np.ndarray:
     )
 
 
-def _dA_dx_fixed_P(law: TabulatedLaw, x, P):
-    """x-derivative of area at fixed pressure under a tabulated law:
-    finite differences across stations, zero for a single station; NaN
-    where P lies outside the table at a station of the difference."""
-    if law.x_stations.size == 1:
-        return np.zeros_like(np.asarray(P, dtype=float))
+def _radius_and_dA_dx(law: TabulatedLaw, x, P):
+    """Radius at (x, P) under a tabulated law, and the x-derivative of area
+    at fixed pressure by finite differences across stations (zero for a
+    single station), from one inversion over the positions stacked as
+    (x_lo, x_hi, x). dA/dx is NaN where P lies outside the table at a
+    station of the difference, R there and where it lies outside at x."""
     xs = law.x_stations
+    if xs.size == 1:
+        R = _invert_tabulated(law, x, P)
+        return R, np.zeros_like(R)
     x, P = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(P, dtype=float))
-    i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
+    i, _ = law._station_weights(x)
     centered = np.isclose(x, xs[i]) & (i > 0)
-    x_lo = np.where(centered, xs[np.maximum(i - 1, 0)], xs[i])
+    x_lo = np.where(centered, xs[i - 1], xs[i])
     x_hi = xs[i + 1]
-    R_lo = _invert_tabulated(law, x_lo, P)
-    R_hi = _invert_tabulated(law, x_hi, P)
-    return np.pi * (R_hi**2 - R_lo**2) / (x_hi - x_lo)
+    R_lo, R_hi, R = _invert_tabulated(law, np.stack((x_lo, x_hi, x)), np.stack((P, P, P)))
+    dAdx = np.pi * (R_hi**2 - R_lo**2) / (x_hi - x_lo)
+    return np.where(np.isnan(dAdx), np.nan, R), dAdx
 
 
 # --- coefficient mapping ------------------------------------------------
@@ -307,10 +306,9 @@ def coefficients(vessel: Vessel, x, t: float, state: PrimitiveState) -> Coeffici
         cs = power_law_coefficients(PowerLawParams.for_vessel(vessel), P, Q)
         a, b, c, g, A = cs.a, cs.b, cs.c, cs.g, cs.A
     else:
-        dAdx = _dA_dx_fixed_P(law, x, P)
-        R = np.where(np.isnan(dAdx), np.nan, _invert_tabulated(law, x, P))
+        R, dAdx = _radius_and_dA_dx(law, x, P)
         A = np.pi * R**2
-        dPdR = _dP_dR(law, x, R)
+        dPdR = _tabulated(law._station_weights(np.broadcast_to(x, R.shape)), law._dinterp(R))
         with np.errstate(invalid="ignore", divide="ignore"):
             a = dPdR / (2.0 * np.pi * R)
             alpha = vessel.alpha

@@ -73,8 +73,9 @@ class TabulatedLaw:
         # it is most of the package's import time
         from scipy.interpolate import PchipInterpolator
 
-        self._interp = [PchipInterpolator(self.radii, row) for row in self.pressures]
-        self._dinterp = [ip.derivative() for ip in self._interp]
+        # one interpolant over the station rows: at radii R it gives (m, *R.shape)
+        self._interp = PchipInterpolator(self.radii, self.pressures, axis=1)
+        self._dinterp = self._interp.derivative()
 
     def __eq__(self, other):
         return (
@@ -86,8 +87,10 @@ class TabulatedLaw:
 
     def _station_weights(self, x):
         """Lower bracketing station index and interpolation weight toward
-        the next station, elementwise in x (only for >= 2 stations)."""
+        the next station, elementwise in x; None for a single station."""
         xs = self.x_stations
+        if xs.size == 1:
+            return None
         i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
         w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
         return i, w

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -217,12 +217,8 @@ def probe_plan(layout: CompiledNetwork, probes) -> tuple[PlanEntry, ...]:
     quantity, in record order. Raises ConfigError for probes that
     `validate_probes` rejects on the layout's network."""
     validate_probes(layout.network, probes)
-    return tuple(_plan_entries(layout, probes))
-
-
-def _plan_entries(layout: CompiledNetwork, probes) -> Iterator[PlanEntry]:
-    """The entries of probes valid on the layout's network, in record order."""
     net, junctions = layout.network, layout.junctions
+    plan = []
     for p in probes:
         R_C = None
         if p.vessel is not None:
@@ -233,8 +229,8 @@ def _plan_entries(layout: CompiledNetwork, probes) -> Iterator[PlanEntry]:
         else:
             kind, pid, x, k = "node", p.node, None, junctions.transitional.index(p.node)
             R_C = net.nodes[p.node].R_C
-        for q in p.quantities:
-            yield PlanEntry(kind, pid, x, q, k, R_C)
+        plan.extend(PlanEntry(kind, pid, x, q, k, R_C) for q in p.quantities)
+    return tuple(plan)
 
 
 def emit_probes(sink, plan: Iterable[PlanEntry], state, epsilon0: float) -> None:
@@ -249,14 +245,17 @@ def emit_probes(sink, plan: Iterable[PlanEntry], state, epsilon0: float) -> None
         sink.emit(ProbeRecord(t, e.kind, e.id, e.x, e.quantity, value))
 
 
-def emit_snapshot(sink, net: Network, state, epsilon0: float) -> None:
+def emit_snapshot(sink, state, epsilon0: float) -> None:
     """Emit the full field of every vessel at the current time level:
-    `emit_probes` over one probe of every vessel quantity at each grid
-    station, vessels in id order, stations in grid order. The entries
-    are made as they are emitted, so a snapshot holds no plan."""
-    probes = (
-        ProbeSpec(VESSEL_QUANTITIES, vessel=vid, x_index=k)
-        for vid in sorted(net.vessels)
-        for k in range(net.vessels[vid].n_cells + 1)
+    `emit_probes` over one entry per vessel quantity at each point of the
+    layout, vessels in id order (the layout's order), points in grid
+    order. The entries are made as they are emitted, so a snapshot holds
+    no plan."""
+    x = state.layout.x.tolist()
+    entries = (
+        PlanEntry("vessel", vid, x[k], q, k)
+        for vid, points in state.layout.slices.items()
+        for k in range(points.start, points.stop)
+        for q in VESSEL_QUANTITIES
     )
-    emit_probes(sink, _plan_entries(state.layout, probes), state, epsilon0)
+    emit_probes(sink, entries, state, epsilon0)

@@ -75,22 +75,23 @@ class SweepArrays(NamedTuple):
 class ConditionReport:
     """Outcome of a condition sweep, held as arrays.
 
-    Row i of `value`, `margin` and `x_index` belongs to `conditions[i]`,
-    column k to `vessel_ids[k]`, in vessel id order: the worst value of
-    that condition over the vessel's checked points, its slack (a check
-    passes when the margin is > 0) and the vessel-local grid index of the
-    worst point, -1 where the condition was not evaluated. Per vessel,
-    `unevaluable_count` counts the points where the coefficients could
-    not be evaluated and `unevaluable_first` is the x-index of the first
-    one (0 from `check_envelope`, whose unevaluable points are samples,
-    not grid points). `junction_estimates` holds the 1-norm condition
-    number of each equilibrated junction matrix of `junction_nodes` (node
-    id order; inf where singular or not finite); a node passes below
-    1e12. `passed` is one test over these arrays: `vessels_passed`,
-    which the sweep decides (every margin > 0 and no unevaluable point),
-    and every junction estimate below 1e12.
+    Row i of `arrays.value`, `arrays.margin` and `arrays.x_index` belongs
+    to `conditions[i]`, column k to `vessel_ids[k]`, in vessel id order:
+    the worst value of that condition over the vessel's checked points,
+    its slack (a check passes when the margin is > 0) and the vessel-local
+    grid index of the worst point, -1 where the condition was not
+    evaluated. Per vessel, `arrays.unevaluable_count` counts the points
+    where the coefficients could not be evaluated and
+    `arrays.unevaluable_first` is the x-index of the first one (0 from
+    `check_envelope`, whose unevaluable points are samples, not grid
+    points). `junction_estimates` holds the 1-norm condition number of
+    each equilibrated junction matrix of `junction_nodes` (node id order;
+    inf where singular or not finite); a node passes below 1e12. `passed`
+    is one test over these arrays: `vessels_passed`, which the sweep
+    decides (every margin > 0 and no unevaluable point), and every
+    junction estimate below 1e12.
 
-    The arrays are built by `sweep` when first read, and `checks`,
+    `arrays` is built by `sweep` when first read, and `checks`,
     `junction_checks`, `unevaluable` and `failures()` from them, in their
     column order; each is kept.
     """
@@ -117,29 +118,10 @@ class ConditionReport:
     def arrays(self) -> SweepArrays:
         return self.sweep()
 
-    @property
-    def value(self) -> np.ndarray:
-        return self.arrays.value
-
-    @property
-    def margin(self) -> np.ndarray:
-        return self.arrays.margin
-
-    @property
-    def x_index(self) -> np.ndarray:
-        return self.arrays.x_index
-
-    @property
-    def unevaluable_count(self) -> np.ndarray:
-        return self.arrays.unevaluable_count
-
-    @property
-    def unevaluable_first(self) -> np.ndarray:
-        return self.arrays.unevaluable_first
-
     @cached_property
     def checks(self) -> list[ConditionCheck]:
-        value, margin, x_index = (v.tolist() for v in (self.value, self.margin, self.x_index))
+        a = self.arrays
+        value, margin, x_index = (v.tolist() for v in (a.value, a.margin, a.x_index))
         out = []
         for k, vid in enumerate(self.vessel_ids):
             for i, condition in enumerate(self.conditions):
@@ -169,7 +151,7 @@ class ConditionReport:
 
     @cached_property
     def unevaluable(self) -> list[str]:
-        counts, first = self.unevaluable_count.tolist(), self.unevaluable_first.tolist()
+        counts, first = self.arrays.unevaluable_count.tolist(), self.arrays.unevaluable_first.tolist()
         return [
             self.unevaluable_format.format(vessel=vid, count=n, first=x)
             for vid, n, x in zip(self.vessel_ids, counts, first)

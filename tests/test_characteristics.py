@@ -586,7 +586,7 @@ def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, valu
         initial_state(net, init, SimConfig(dt=0.01, t_end=0.01, epsilon0=EPS0))
     state = NetworkState.from_fields(net, 0.0, fields)
     with raises:
-        emit_snapshot(ListSink(), net, state, EPS0)
+        emit_snapshot(ListSink(), state, EPS0)
     probe = ProbeSpec(("A",), vessel=vid, x_index=at - sl.start)
     with raises:
         emit_probes(ListSink(), probe_plan(state.layout, [probe]), state, EPS0)

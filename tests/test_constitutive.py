@@ -356,10 +356,10 @@ def test_tabulated_inverse_and_area_gradient_on_arrays():
     R = radius_from_pressure(law, x, P)
     np.testing.assert_allclose(R, 2e-3, rtol=1e-12)
     np.testing.assert_allclose(pressure_from_radius(law, x, R), P, rtol=1e-12)
-    from vesselflow.constitutive import _dA_dx_fixed_P
+    from vesselflow.constitutive import _radius_and_dA_dx
 
     # at fixed P the stiffer x=1 station holds a smaller area
-    dAdx = _dA_dx_fixed_P(law, x, np.full(3, 5000.0))
+    _, dAdx = _radius_and_dA_dx(law, x, np.full(3, 5000.0))
     R1 = radius_from_pressure(law, 1.0, 5000.0)
     expected = np.pi * (R1**2 - 2e-3**2)
     np.testing.assert_allclose(dAdx, expected, rtol=1e-10)
@@ -372,3 +372,120 @@ def test_tabulated_coefficients_on_a_grid():
     cs = coefficients(v, x, 0.0, PrimitiveState(P=np.full(11, 5000.0), Q=np.full(11, 1e-6)))
     assert np.all(np.isfinite(cs.a)) and np.all(cs.a > 0)
     assert np.all(np.diff(cs.A) < 0)  # stiffer along x at fixed P
+
+
+class PerStationReference:
+    """The per-station tabulated algorithm, kept as the reference: one
+    PCHIP interpolant per station row, evaluated and blended on every
+    call, and separate inversions at x_lo, x_hi and x for dA/dx."""
+
+    def __init__(self, law):
+        from scipy.interpolate import PchipInterpolator
+
+        self.law = law
+        self.interp = [PchipInterpolator(law.radii, row) for row in law.pressures]
+        self.dinterp = [ip.derivative() for ip in self.interp]
+
+    def blend(self, x, R, curves):
+        x, R = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(R, dtype=float))
+        vals = np.stack([curve(R) for curve in curves])
+        if len(curves) == 1:
+            return vals[0]
+        xs = self.law.x_stations
+        i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
+        w = np.clip((x - xs[i]) / (xs[i + 1] - xs[i]), 0.0, 1.0)
+        lo = np.take_along_axis(vals, i[None], axis=0)[0]
+        hi = np.take_along_axis(vals, i[None] + 1, axis=0)[0]
+        return (1.0 - w) * lo + w * hi
+
+    def invert(self, x, P):
+        x, P = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(P, dtype=float))
+        radii = self.law.radii
+        lo, hi = np.full(P.shape, radii[0]), np.full(P.shape, radii[-1])
+        p_lo, p_hi = self.blend(x, lo, self.interp), self.blend(x, hi, self.interp)
+        tol = 1e-14 * np.maximum(1.0, np.abs(P))
+        R = np.where((P >= p_lo) & (P <= p_hi), 0.5 * (lo + hi), np.nan)
+        for _ in range(100):
+            res = self.blend(x, R, self.interp) - P
+            active = (np.abs(res) > tol) & (hi - lo > 4.0 * np.spacing(hi))
+            if not np.any(active):
+                return R
+            hi = np.where(active & (res > 0), R, hi)
+            lo = np.where(active & (res <= 0), R, lo)
+            slope = self.blend(x, R, self.dinterp)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                R_new = R - np.where(slope > 0, res / slope, np.inf)
+            R_new = np.where((lo < R_new) & (R_new < hi), R_new, 0.5 * (lo + hi))
+            R = np.where(active, R_new, R)
+        raise AssertionError("reference inversion did not converge")
+
+    def dA_dx(self, x, P):
+        xs = self.law.x_stations
+        if xs.size == 1:
+            return np.zeros_like(np.asarray(P, dtype=float))
+        x, P = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(P, dtype=float))
+        i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 2)
+        centered = np.isclose(x, xs[i]) & (i > 0)
+        x_lo = np.where(centered, xs[np.maximum(i - 1, 0)], xs[i])
+        x_hi = xs[i + 1]
+        return np.pi * (self.invert(x_hi, P) ** 2 - self.invert(x_lo, P) ** 2) / (x_hi - x_lo)
+
+    def coefficients(self, vessel, x, P, Q):
+        dAdx = self.dA_dx(x, P)
+        R = np.where(np.isnan(dAdx), np.nan, self.invert(x, P))
+        A = np.pi * R**2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = self.blend(x, R, self.dinterp) / (2.0 * np.pi * R)
+            alpha = vessel.alpha
+            b = A / vessel.rho_blood - alpha * Q**2 / (A**2 * a)
+            c = alpha * Q / A
+            g = alpha * Q**2 / A**2 * dAdx - (4.0 * np.pi * vessel.nu * alpha / (alpha - 1.0)) * Q / A
+        return R, dAdx, {"a": a, "b": b, "c": c, "f": np.zeros_like(a), "g": g, "A": A}
+
+
+@pytest.mark.parametrize("stations", [(0.0,), (0.0, 1.0), (0.0, 0.5, 1.0)])
+def test_tabulated_law_matches_per_station_reference(stations):
+    from vesselflow.constitutive import _radius_and_dA_dx
+
+    def same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    # 24 radii sampled from a power law, each station stiffer by 5%
+    radii = np.linspace(0.6e-3, 1.6e-3, 24)
+    row = LAW.C * np.expm1(LAW.beta * np.log(radii / LAW.R0))
+    law = TabulatedLaw(radii=radii, pressures=[row * (1.0 + 0.05 * k) for k in range(len(stations))],
+                       x_stations=stations)
+    ref = PerStationReference(law)
+    v = make_vessel(law=law)
+
+    # between stations, on every station (centered on an interior one),
+    # and at the ends
+    x = np.concatenate((np.linspace(0.0, 1.0, 21), [0.13, 0.5, 0.77]))
+    R = np.linspace(0.65e-3, 1.55e-3, x.size)
+    assert same_bits(pressure_from_radius(law, x, R), ref.blend(x, R, ref.interp))
+    assert same_bits(pressure_from_radius(law, 0.5, 1e-3), ref.blend(0.5, 1e-3, ref.interp))
+    P = np.linspace(-4e3, 9e3, x.size)
+    assert same_bits(radius_from_pressure(law, x, P), ref.invert(x, P))
+
+    # P above the table at x (the last point), and with two or more
+    # stations above it only at the x_lo station of the difference (the
+    # second to last): at x = 0.75 the x_lo station's top pressure is the
+    # lowest of the three
+    m, top = len(stations), row[-1]
+    x = np.concatenate((x, [0.75, 0.75]))
+    P = np.concatenate((P, [top * (1.01 + 0.05 * max(m - 2, 0)), top * (1.0 + 0.05 * m)]))
+    Q = np.linspace(-2e-6, 3e-6, x.size)
+    R_ref, dAdx_ref, fields = ref.coefficients(v, x, P, Q)
+    got_R, got_dAdx = _radius_and_dA_dx(law, x, P)
+    assert same_bits(got_R, R_ref) and same_bits(got_dAdx, dAdx_ref)
+    assert np.isnan(got_R[-2:]).all() and np.isfinite(got_R[:-2]).all()
+    if m > 1:
+        assert np.isfinite(radius_from_pressure(law, 0.75, P[-2]))
+    cs = coefficients(v, x, 0.0, PrimitiveState(P, Q))
+    for name, want in fields.items():
+        assert same_bits(getattr(cs, name), want), name
+    # scalar points take the same path
+    for k in (0, 10, x.size - 2):
+        one = coefficients(v, x[k], 0.0, PrimitiveState(P[k], Q[k]))
+        assert all(same_bits(getattr(one, name), fields[name][k]) for name in fields), k

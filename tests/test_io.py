@@ -721,7 +721,7 @@ def test_output_evaluates_coefficients_once_per_call(monkeypatch):
     # the same level without its cached coefficients
     state = dataclasses.replace(state)
     snap = ListSink()
-    output.emit_snapshot(snap, net, state, sim.epsilon0)
+    output.emit_snapshot(snap, state, sim.epsilon0)
     assert len(calls) == 1  # one evaluation over the layout
     assert len(snap.records) == 5 * (v.n_cells + 1)
     for idx, x in enumerate(v.grid):

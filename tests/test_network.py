@@ -153,6 +153,21 @@ def test_attachment_bijection_count():
     assert total == 2 * len(net.vessels)
 
 
+@pytest.mark.parametrize("attachments, message", [
+    ((("1", "x1"), ("2", "x0"), ("2", "x0"), ("3", "x0")), "vessel end 2:x0 attached twice"),
+    ((("1", "x1"), ("2", "x0"), ("3", "x0"), ("ghost", "x0")),
+     "attachment references unknown vessel end ghost:x0"),
+    ((("1", "x1"), ("2", "x0"), ("3", "x0"), ("2", "x1")),
+     "vessel '2' end x1 references node 'out2', not this node"),
+    ((("1", "x1"), ("2", "x0")), "vessel end 3:x0 not listed among node attachments"),
+])
+def test_attachment_diagnostics(attachments, message):
+    net = y_junction_net()
+    junction = Branching("j", tuple(BranchAttachment(vid, end, 1e-3) for vid, end in attachments))
+    net = dataclasses.replace(net, nodes={**net.nodes, "j": junction})
+    assert [(d.severity, d.subject, d.message) for d in validate_network(net)] == [("error", "j", message)]
+
+
 def test_self_loop_rejected():
     net = Network(
         vessels={"v": make_vessel("v", "j", "j")},

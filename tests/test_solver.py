@@ -608,7 +608,7 @@ def run_against_closure_oracle(monkeypatch, net, init, cfg):
             inputs, points = [], []
             for vid, end, _ in ends_by_node[nid]:
                 k = cn.vessel_ids.index(vid)
-                pt = int(cn.last[k] if end == "x1" else cn.first[k])
+                pt = int(cn.ends[2 * k + 1] if end == "x1" else cn.first[k])
                 row = 2 * k + (end == "x1")  # the end's entry of the endpoint rows
                 at = {name: float(np.asarray(getattr(cs, name))[pt]) for name in "abcfgA"}
                 inputs.append(EndpointClosureInput(
@@ -777,7 +777,7 @@ def test_junction_estimates_on_mixed_groups_equal_per_node_reference():
         inputs = []
         for vid, end, _ in ends_by_node[j.node]:
             k = cn.vessel_ids.index(vid)
-            pt = int(cn.last[k] if end == "x1" else cn.first[k])
+            pt = int(cn.ends[2 * k + 1] if end == "x1" else cn.first[k])
             at = CoefficientSet(**{name: float(np.asarray(getattr(cs, name))[pt]) for name in "abcfgA"})
             inputs.append(EndpointClosureInput(
                 vessel_id=vid, end=end, coeffs=at, eig=eigen(at), char_value=0.0,

@@ -422,31 +422,32 @@ def test_report_lists_follow_the_arrays(endpoints_only):
 
     net, state = mixed_failing_case()
     report = check_state(state, CFG, endpoints_only=endpoints_only)
+    arrays = report.arrays
     K = len(net.vessels)
-    assert report.value.shape == report.margin.shape == report.x_index.shape == (4, K)
+    assert arrays.value.shape == arrays.margin.shape == arrays.x_index.shape == (4, K)
     assert report.conditions == ("a_positive", "area_floor", COND_HYPERBOLIC, COND_ENDPOINT)
     assert report.passed == bool(
-        (report.margin > 0).all() and not report.unevaluable_count.any()
+        (arrays.margin > 0).all() and not arrays.unevaluable_count.any()
     )
     assert not report.passed
 
     expected, unevaluable = [], []
     for vid in sorted(net.vessels):
         k = report.vessel_ids.index(vid)
-        count = int(report.unevaluable_count[k])
+        count = int(arrays.unevaluable_count[k])
         if count:
-            assert (report.x_index[:, k] == -1).all()
+            assert (arrays.x_index[:, k] == -1).all()
             unevaluable.append(f"{vid}: tube law unevaluable at {count} grid point(s), "
-                               f"first at x-index {report.unevaluable_first[k]}")
+                               f"first at x-index {arrays.unevaluable_first[k]}")
             continue
         for i, cond in enumerate(report.conditions):
-            margin, x = float(report.margin[i, k]), int(report.x_index[i, k])
+            margin, x = float(arrays.margin[i, k]), int(arrays.x_index[i, k])
             classification = ""
             if cond == COND_ENDPOINT and not margin > 0:
                 classification = ("under-determined (source end)" if x == 0
                                   else "over-determined (terminal end)")
             expected.append(ConditionCheck(vid, cond, margin > 0, margin, x,
-                                           float(report.value[i, k]), classification))
+                                           float(arrays.value[i, k]), classification))
     assert report.checks == expected
     assert report.unevaluable == unevaluable
     assert report.junction_checks == []
@@ -526,9 +527,7 @@ def _endpoint_reference(state, cfg):
 
 def _assert_endpoint_sweep_equals_reference(state, cfg):
     report = check_state(state, cfg, endpoints_only=True)
-    observed = (report.value, report.margin, report.x_index,
-                report.unevaluable_count, report.unevaluable_first)
-    for ours, ref in zip(observed, _endpoint_reference(state, cfg)):
+    for ours, ref in zip(report.arrays, _endpoint_reference(state, cfg)):
         assert ours.dtype == ref.dtype and ours.shape == ref.shape
         assert ours.tobytes() == ref.tobytes()  # bit for bit, NaN signs included
 
@@ -658,7 +657,7 @@ def _corrupted(state, coeffs, corruptions):
     for kind, vessel, point, choice in corruptions:
         name, where, values = _CORRUPTIONS[kind]
         k = vessel % len(cn.vessel_ids)
-        first, last = int(cn.first[k]), int(cn.last[k])
+        first, last = int(cn.first[k]), int(cn.ends[2 * k + 1])
         at = {"anywhere": first + point % (last - first + 1), "inside": first + 1 + point % (last - first - 1),
               "x0": first, "x1": last}[where]
         arrays[name][at] = values[choice % len(values)]
@@ -688,12 +687,10 @@ def test_the_reduced_verdict_and_lazy_arrays_equal_the_eager_sweep(corruptible_s
             with np.errstate(invalid="ignore", over="ignore"):
                 report = check_state(state, CFG, endpoints_only=endpoints_only)
                 reference = eager_sweep(state, CFG, endpoints_only)
-            observed = (report.value, report.margin, report.x_index,
-                        report.unevaluable_count, report.unevaluable_first)
-            for ours, ref in zip(observed, reference):
+            for ours, ref in zip(report.arrays, reference):
                 assert ours.dtype == ref.dtype and ours.shape == ref.shape
                 assert ours.tobytes() == ref.tobytes()  # bit for bit, NaN signs included
-            vessels_pass = bool((report.margin > 0).all() and not report.unevaluable_count.any())
+            vessels_pass = bool((report.arrays.margin > 0).all() and not report.arrays.unevaluable_count.any())
             assert report.passed == (vessels_pass and bool((report.junction_estimates < 1e12).all()))
             if vessels_pass and not endpoints_only:
                 assert report.junction_nodes == state.layout.junctions.nodes
