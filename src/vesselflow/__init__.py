@@ -11,7 +11,6 @@ from .constitutive import (
     CoefficientSet,
     EigenData,
     PrimitiveState,
-    RiemannPair,
     coefficients,
     eigen,
     from_riemann,

@@ -51,13 +51,12 @@ from .network import (
 
 @dataclass(frozen=True)
 class ExternalEnds:
-    """External nodes of one kind, in node order, and the single vessel
-    end each one closes."""
+    """External nodes of one kind, in node order, and the number e of
+    the single vessel end each one closes, its only name (x{e % 2} of
+    vessel `vessel_ids[e // 2]`)."""
 
     nodes: tuple[ExternalPressure | ExternalFlow, ...]
     ends: np.ndarray  # vessel end indices
-    vessel_ids: tuple[str, ...]
-    end_names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,6 @@ def compile_network(net: Network) -> CompiledNetwork:
         return ExternalEnds(
             nodes=tuple(node for node, _ in outer),
             ends=np.array([e for _, e in outer], dtype=np.intp),
-            vessel_ids=tuple(order[e // 2] for _, e in outer),
-            end_names=tuple(f"x{e % 2}" for _, e in outer),
         )
 
     base = np.repeat(first, counts)

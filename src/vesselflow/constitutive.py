@@ -65,12 +65,6 @@ class EigenData:
     u: float | np.ndarray  # sqrt(c^2 + a b)
 
 
-@dataclass(frozen=True)
-class RiemannPair:
-    r: float | np.ndarray
-    s: float | np.ndarray
-
-
 # --- tube-law evaluation ------------------------------------------------
 
 
@@ -348,27 +342,25 @@ def eigen(cs: CoefficientSet, out: EigenData | None = None) -> EigenData:
     return out
 
 
-def to_riemann(cs: CoefficientSet, e: EigenData, st: PrimitiveState) -> RiemannPair:
-    """Characteristic variables r = -lambda_L P + a Q, s = -lambda_R P + a Q."""
-    return RiemannPair(
-        r=-e.lambda_L * st.P + cs.a * st.Q,
-        s=-e.lambda_R * st.P + cs.a * st.Q,
-    )
+def to_riemann(cs: CoefficientSet, e: EigenData, st: PrimitiveState) -> np.ndarray:
+    """The family stack (r, s): r = -lambda_L P + a Q, s = -lambda_R P + a Q."""
+    aQ = cs.a * st.Q
+    return np.stack((-e.lambda_L * st.P + aQ, -e.lambda_R * st.P + aQ))
 
 
 def from_riemann(
-    cs: CoefficientSet, e: EigenData, rp: RiemannPair,
+    cs: CoefficientSet, e: EigenData, rs: np.ndarray,
     out: PrimitiveState | None = None, tmp: np.ndarray | None = None,
 ) -> PrimitiveState:
-    """Invert the characteristic transform:
+    """Invert the characteristic transform of the family stack rs = (r, s):
     P = (r - s)/(2u), Q = (lambda_R r - lambda_L s)/(2 u a).
     Given out, a state of arrays, and tmp, one more array of their shape,
     write P and Q into out's arrays, with tmp as the only scratch, and
     return out's arrays; without them, return new values."""
     P_out, Q_out = (None, None) if out is None else (out.P, out.Q)
-    num = np.multiply(e.lambda_R, rp.r, out=Q_out)
-    num = np.subtract(num, np.multiply(e.lambda_L, rp.s, out=tmp), out=Q_out)
+    num = np.multiply(e.lambda_R, rs[0], out=Q_out)
+    num = np.subtract(num, np.multiply(e.lambda_L, rs[1], out=tmp), out=Q_out)
     u2 = np.multiply(2.0, e.u, out=tmp)
-    P = np.divide(np.subtract(rp.r, rp.s, out=P_out), u2, out=P_out)
+    P = np.divide(np.subtract(rs[0], rs[1], out=P_out), u2, out=P_out)
     Q = np.divide(num, np.multiply(u2, cs.a, out=tmp), out=Q_out)
     return PrimitiveState(P=P, Q=Q)

@@ -91,30 +91,29 @@ class TransitionalState:
 # --- external ends ------------------------------------------------------
 
 
-def flow_at_pressure_end(vessel_ids, a, cp, cq, char, P_B) -> np.ndarray:
+def flow_at_pressure_end(vessel_ids, ends, a, cp, cq, char, P_B) -> np.ndarray:
     """Q at ends whose pressure is prescribed (P = P_B), from the
     characteristic rows cp P + cq Q = char, elementwise over arrays
-    indexed like vessel_ids. Requires a > 0 at every end; raises
-    SingularJunction naming the first end where it fails."""
+    indexed like ends, vessel-end numbers on vessel_ids. Requires a > 0
+    at every end; raises SingularJunction naming the first end where it fails."""
     bad = a <= 0
     if np.logical_or.reduce(bad):
-        raise SingularJunction(
-            f"vessel {vessel_ids[int(bad.argmax())]!r}: coefficient a must be positive at the boundary"
-        )
+        vid = vessel_ids[ends[int(bad.argmax())] // 2]
+        raise SingularJunction(f"vessel {vid!r}: coefficient a must be positive at the boundary")
     return (char - cp * P_B) / cq
 
 
 def pressure_at_flow_end(vessel_ids, ends, lam, u, cp, cq, char, Q_B) -> np.ndarray:
     """P at ends whose flow is prescribed (Q = Q_B), from the
     characteristic rows cp P + cq Q = char, elementwise over arrays
-    indexed like vessel_ids and ends ("x0" | "x1"). Requires a nonzero
+    indexed like ends, vessel-end numbers on vessel_ids. Requires a nonzero
     speed lam of the incoming family at every end; raises
     SingularJunction naming the first end where it vanishes."""
     bad = np.abs(lam) <= 1e-14 * np.fmax(1.0, np.abs(u))
     if np.logical_or.reduce(bad):
-        k = int(bad.argmax())
+        e = ends[int(bad.argmax())]
         raise SingularJunction(
-            f"vessel {vessel_ids[k]!r} end {ends[k]}: characteristic speed vanishes "
+            f"vessel {vessel_ids[e // 2]!r} end x{e % 2}: characteristic speed vanishes "
             "at the boundary; the end cannot be closed",
         )
     return (char - cq * Q_B) / cp
@@ -201,7 +200,8 @@ def solve_systems(M: np.ndarray, b: np.ndarray, node_ids) -> tuple[np.ndarray, n
     is checked against 1e-10 * (max row sum of |M|) * max|x|. Returns
     the solutions and each system's residual divided by that scale
     without the 1e-10 (at most 1e-10 on return). Raises SingularJunction
-    naming the first failing node, with its condition estimate.
+    naming the first failing node, with its condition estimate (a
+    singular stack: the first node whose `_condition` reads inf).
     """
     abs_M = np.abs(M)
     As, dr, dc = _equilibrate(M, abs_M, node_ids)
@@ -212,17 +212,16 @@ def solve_systems(M: np.ndarray, b: np.ndarray, node_ids) -> tuple[np.ndarray, n
     try:
         x = dc * _solve(As3, dr * b)
         x = x + dc * _solve(As3, dr * (b - _apply(M3, x)))
-    except np.linalg.LinAlgError:
-        for k, nid in enumerate(node_ids):
-            try:
-                _solve(As3[k : k + 1], b[:, k : k + 1])
-            except np.linalg.LinAlgError as exc:
-                raise SingularJunction(
-                    f"node {nid!r}: junction system is singular ({exc})",
-                    node_id=nid,
-                    condition_estimate=float(_condition(As[..., k : k + 1])[0]),
-                ) from exc
-        raise
+    except np.linalg.LinAlgError as exc:
+        kappa = _condition(As)
+        k = int(np.isinf(kappa).argmax())
+        if kappa[k] < np.inf:  # no node to name
+            raise
+        raise SingularJunction(
+            f"node {node_ids[k]!r}: junction system is singular ({exc})",
+            node_id=node_ids[k],
+            condition_estimate=float(kappa[k]),
+        ) from exc
     row_sums = np.add.reduce(abs_M3, axis=2)
     x_max = np.maximum.reduce(np.abs(x), axis=0)
     scale = np.maximum.reduce(row_sums, axis=1) * np.maximum(x_max, 1e-300)
@@ -333,12 +332,9 @@ class JunctionLayout:
 
 def junction_layout(plans, incoming: np.ndarray, params) -> JunctionLayout:
     """Stack the junction nodes among plans, a sequence of (node, end
-    indices), in node id order; incoming and params (rho_j or resistance,
-    None at external ends) are indexed by vessel end."""
-    plans = sorted(
-        (plan for plan in plans if isinstance(plan[0], (Branching, Transitional))),
-        key=lambda plan: plan[0].id,
-    )
+    indices) in node id order, as given; incoming and params (rho_j or
+    resistance, None at external ends) are indexed by vessel end."""
+    plans = [plan for plan in plans if isinstance(plan[0], (Branching, Transitional))]
     sizes = [2 * len(ends) + (1 if isinstance(node, Branching) else 2) for node, ends in plans]
     n, N = max(sizes, default=0), len(plans)
     template = np.repeat(np.eye(n)[..., None], N, axis=2)  # the padding

@@ -46,7 +46,7 @@ import numpy as np
 
 from .characteristics import VesselField, Workspace, build_level, freeze_step, interior_update
 from .compiled import CompiledNetwork, check_coefficients, compile_network, layout_coefficients
-from .constitutive import CoefficientSet, PrimitiveState, RiemannPair, from_riemann
+from .constitutive import CoefficientSet, PrimitiveState, from_riemann
 from .errors import (
     CFLViolation,
     PicardDivergence,
@@ -404,15 +404,15 @@ def picard_step(
     cfg: SimConfig,
     dt: float | None = None,
     report: SimReport | None = None,
-    start: NetworkState | None = None,
+    start: np.ndarray | None = None,
     work: Workspace | None = None,
 ) -> tuple[NetworkState, int, list[float]]:
     """Advance one time level of the state's layout by fixed-point
     iteration.
 
     Build the old level once, from the state's cached coefficients.
-    Starting from the arrays of `start` (the first iterate of the new
-    level) or, without one, from the previous level, repeatedly freeze
+    Starting from the level vector `start` (the first iterate of the new
+    level) or, without one, from the previous level's X, repeatedly freeze
     the coefficients at the iterate, run the linear characteristics
     update on all vessels at once, close every node, and stop when the
     relative sup deviation between iterates drops below cfg.picard_tol;
@@ -447,8 +447,8 @@ def picard_step(
         )
         q_prev = state_prev.Q[cn.ends]
         systems = cn.junctions.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2)
-        start = state_prev if start is None else start
-        cur, P, Q = start.X, start.P, start.Q
+        cur = state_prev.X if start is None else start
+        P, Q = cur[cn.parts[0]], cur[cn.parts[1]]
         P_junc = np.empty(len(cn.junctions.branching))
         old = build_level(
             cn, state_prev.t, state_prev.P, state_prev.Q, cfg.epsilon0, state_prev.coeffs, work.old
@@ -462,8 +462,7 @@ def picard_step(
             P, Q, P_C1, P_C2 = (X[part] for part in cn.parts)
             # NaN at unresolved endpoint entries propagates and is
             # overwritten by the node closures below
-            rp = RiemannPair(*work.rs)
-            from_riemann(work.new.coeffs, work.new.eig, rp, PrimitiveState(P, Q), work.row_a)
+            from_riemann(work.new.coeffs, work.new.eig, work.rs, PrimitiveState(P, Q), work.row_a)
             residual = _close_nodes(cn, work, boundary, systems, P, Q, P_C1, P_C2, P_junc)
             if report is not None:
                 report.worst_closure_residual = max(report.worst_closure_residual, residual)
@@ -519,13 +518,11 @@ def _close_nodes(
     if bc.ends.size:
         k, at = bc.ends, points[bc.ends]
         P[at] = P_B
-        Q[at] = flow_at_pressure_end(bc.vessel_ids, a[k], cp[k], cq[k], char[k], P_B)
+        Q[at] = flow_at_pressure_end(cn.vessel_ids, k, a[k], cp[k], cq[k], char[k], P_B)
     bc = cn.flow_ends
     if bc.ends.size:
         k, at = bc.ends, points[bc.ends]
-        P[at] = pressure_at_flow_end(
-            bc.vessel_ids, bc.end_names, lam[k], eig.u[at], cp[k], cq[k], char[k], Q_B
-        )
+        P[at] = pressure_at_flow_end(cn.vessel_ids, k, lam[k], eig.u[at], cp[k], cq[k], char[k], Q_B)
         Q[at] = Q_B
 
     jl = cn.junctions
@@ -553,7 +550,8 @@ class _DifferenceTable:
     last `n` accepted levels at one spacing: `rows[k]` holds the k-th
     difference of X for k < n. The rows are those of one preallocated
     (_LEVELS, X.size) table, so accepting a level takes one copy and one
-    subtraction per order in place and no level is kept."""
+    subtraction per order in place and no level is kept. Its `start` is a
+    level vector: a `NetworkState` only ever holds an accepted level."""
 
     def __init__(self, state: NetworkState):
         self.rows = list(np.empty((_LEVELS, state.X.size)))
@@ -573,11 +571,10 @@ class _DifferenceTable:
         self.rows = [new] + self.rows[:-1]
         self.n = min(self.n + 1, _LEVELS)
 
-    def start(self, state: NetworkState) -> NetworkState | None:
-        """`_extrapolate` of the rows as the level vector of the current
-        level `state`, or None."""
-        X = _extrapolate(self.rows[: self.n])
-        return None if X is None else NetworkState(state.t, state.layout, X, state.P_junc)
+    def start(self) -> np.ndarray | None:
+        """`_extrapolate` of the rows: the first iterate of the next
+        level as a level vector, or None."""
+        return _extrapolate(self.rows[: self.n])
 
 
 def _extrapolate(diffs: Sequence[np.ndarray]) -> np.ndarray | None:
@@ -642,7 +639,7 @@ class Stepper:
             # a last step short of dt only by the rounding of t keeps the history
             if self._spacing is None or abs(dt - self._spacing) > self._tiny:
                 self._table.n, self._spacing = 1, dt
-            start = None if retry else self._table.start(state)
+            start = None if retry else self._table.start()
             try:
                 new, iters, hist = picard_step(state, cfg, dt, report=report, start=start, work=self._work)
                 break

@@ -227,15 +227,15 @@ def check_state(
     """
     cn, cs = state.layout, state.coeffs
     if endpoints_only:
-        # the two ends of each vessel, interleaved
-        pts, starts, counts, local = cn.ends, cn.pair_starts, 2, cn.ends_local
+        # the two ends of each vessel, interleaved: every swept point is an end
+        pts, ends, starts, counts, local = cn.ends, slice(None), cn.pair_starts, 2, cn.ends_local
     else:
-        pts, starts, counts, local = slice(None), cn.first, cn.counts, cn.local
+        pts, ends, starts, counts, local = slice(None), cn.ends, cn.first, cn.counts, cn.local
     a, b, c, A = cs.a[pts], cs.b[pts], cs.c[pts], cs.A[pts]
     ab = a * b
     with np.errstate(over="ignore"):  # eigen classifies an overflow
         disc = c**2 + ab
-    split = ab if endpoints_only else ab[cn.ends]
+    split = ab[ends]
     least = np.minimum.reduce
     passed = bool(
         least(a) > 0
@@ -244,7 +244,6 @@ def check_state(
         and least(disc) > 0
         and least(split) > 0
     )
-    ends = None if endpoints_only else cn.ends
     sweep = partial(_sweep_arrays, a, A, disc, ab, ends, starts, counts, local, cfg.epsilon0)
     nodes, estimates = (), np.zeros(0)
     if not endpoints_only and passed and cn.junctions.nodes:
@@ -254,13 +253,11 @@ def check_state(
 
 def _sweep_arrays(a, A, disc, ab, ends, starts, counts, local, epsilon0) -> SweepArrays:
     """`check_state`'s per-vessel arrays from a, A, c^2 + ab and ab over
-    the swept points: the split is ab at `ends` (every point for
-    ends=None) and +inf elsewhere; segments start at `starts` and hold
-    `counts` points, whose vessel-local indices are `local`."""
-    split = ab
-    if ends is not None:  # the split is read at the two vessel ends only
-        split = np.full(a.size, np.inf)
-        split[ends] = ab[ends]
+    the swept points: the split is ab at `ends`, an index into them, and
+    +inf elsewhere; segments start at `starts` and hold `counts` points,
+    whose vessel-local indices are `local`."""
+    split = np.full(a.size, np.inf)
+    split[ends] = ab[ends]
     worst, first = _segment_min(np.stack((a, A, disc, split)), starts, counts)
     x_index = local[first]
     margin = worst.copy()

@@ -1,6 +1,7 @@
 """Characteristics kernel tests: tracing, source terms, interior update."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from vesselflow import CFLViolation, Network, PowerLaw, SyntheticCoefficients, Vessel
 from vesselflow.characteristics import Workspace, _trace, build_level, freeze_step, interior_update
 from vesselflow.compiled import compile_network, layout_coefficients
-from vesselflow.constitutive import PrimitiveState
+from vesselflow.config import load_config
+from vesselflow.constitutive import PrimitiveState, to_riemann
+from vesselflow.solver import initial_state, picard_step
 
 EPS0 = 1e-10
 
@@ -252,11 +255,27 @@ def test_only_the_old_level_holds_its_riemann_values():
     fr = frozen_for(v, P, Q, dt=0.01)
     old = fr.old
     assert (-old.lam[::-1] * P + old.coeffs.a * Q).tobytes() == old.rs.tobytes()
+    # the public transform gives the same stack, bit for bit
+    assert to_riemann(old.coeffs, old.eig, PrimitiveState(P, Q)).tobytes() == old.rs.tobytes()
     # where P and Q are -0.0: r = -lambda_L (-0.0) + a (-0.0) = -0.0 and
     # s = -lambda_R (-0.0) + a (-0.0) = +0.0
     assert np.signbit(old.rs[0, ::6]).all() and not np.signbit(old.rs[1, ::6]).any()
     assert Workspace(fr.layout).new.rs is None
     assert fr.new.rs is None
+
+
+def test_the_old_level_of_a_power_law_step_holds_to_riemanns_stack():
+    # the shipped bifurcation's first step: the closed power-law
+    # coefficients, through build_level's in-place formula
+    loaded = load_config(Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json")
+    state0, _ = initial_state(loaded.net, loaded.init, loaded.sim)
+    assert state0.layout.power is not None and not state0.layout.fills
+    work = Workspace(state0.layout)
+    picard_step(state0, loaded.sim, work=work)
+    old = work.old
+    assert old.P is state0.P
+    expected = to_riemann(old.coeffs, old.eig, PrimitiveState(state0.P, state0.Q))
+    assert expected.tobytes() == old.rs.tobytes()
 
 
 def test_a_pass_sets_no_floating_point_policy_of_its_own(monkeypatch):

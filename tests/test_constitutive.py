@@ -251,14 +251,14 @@ def test_to_riemann_example():
     cs = CoefficientSet(a=1.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0)
     e = eigen(cs)
     rp = to_riemann(cs, e, PrimitiveState(P=2.0, Q=3.0))
-    assert (rp.r, rp.s) == (5.0, 1.0)
+    assert (rp[0], rp[1]) == (5.0, 1.0)
 
 
 def test_to_riemann_zero():
     cs = CoefficientSet(a=1.0, b=1.0, c=0.0, f=0.0, g=0.0, A=1.0)
     e = eigen(cs)
     rp = to_riemann(cs, e, PrimitiveState(P=0.0, Q=0.0))
-    assert (rp.r, rp.s) == (0.0, 0.0)
+    assert (rp[0], rp[1]) == (0.0, 0.0)
 
 
 def test_to_riemann_asymmetric_frozen():
@@ -266,8 +266,8 @@ def test_to_riemann_asymmetric_frozen():
     e = eigen(cs)
     rp = to_riemann(cs, e, PrimitiveState(P=1.0, Q=1.0))
     # frozen from an independent arithmetic pass: u = sqrt(3.25)
-    assert rp.r == pytest.approx(2.3027756377319946, rel=1e-15)
-    assert rp.s == pytest.approx(-1.3027756377319946, rel=1e-15)
+    assert rp[0] == pytest.approx(2.3027756377319946, rel=1e-15)
+    assert rp[1] == pytest.approx(-1.3027756377319946, rel=1e-15)
 
 
 def test_from_riemann_example():

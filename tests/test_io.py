@@ -518,6 +518,47 @@ def assert_config_error(tmp_path, capsys, keys, value, message):
         assert not (tmp_path / "o").exists()
 
 
+MICRO_SWAPPED = {  # the bifurcation's transitional node with arteries and veins swapped
+    "id": "micro", "kind": "transitional",
+    "arteries": [{"vessel": "vein", "resistance": 2e7}], "veins": [{"vessel": "branch_b", "resistance": 2e7}],
+    "R_C": 4e7, "C1": 2e-10, "C2": 2e-10,
+}
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("probes", 2, "node"), "micro", "P_junc probe needs a branching node, got 'micro'"),
+        (("probes", 3), {"node": "fork", "quantities": ["Q_C"]}, "Q_C probe needs a transitional node, got 'fork'"),
+    ],
+    ids=["P_junc-on-transitional", "Q_C-on-branching"],
+)
+def test_node_probes_need_their_node_kind(tmp_path, capsys, keys, value, message):
+    assert_config_error(tmp_path, capsys, keys, value, message)
+
+
+def test_transitional_arteries_must_attach_at_x1(tmp_path, capsys):
+    message = "nodes[3].arteries[0]: vessel 'vein' must attach at x=1"
+    assert_config_error(tmp_path, capsys, ("nodes", 3), MICRO_SWAPPED, message)
+
+
+@pytest.mark.parametrize(
+    "law, message",
+    [
+        ({"radii": [1e-3], "pressures": [[0.0]]}, "tabulated law needs >= 2 radius samples"),
+        ({"radii": [2e-3, 1e-3], "pressures": [[0.0, 1.0]]}, "tabulated law radii must be strictly increasing"),
+        ({"radii": [1e-3, 2e-3], "pressures": [[0.0, 1.0, 2.0]]},
+         "tabulated law pressures must be (n_stations, n_radii)"),
+        ({"radii": [1e-3, 2e-3], "pressures": [[0.0, 1.0], [0.0, 2.0]], "x_stations": [0.5, 0.2]},
+         "tabulated law stations must be strictly increasing"),
+    ],
+    ids=["one-radius", "radii-decreasing", "pressures-shape", "stations-decreasing"],
+)
+def test_rejected_tabulated_laws_name_the_vessel(tmp_path, capsys, law, message):
+    law = {"kind": "tabulated", **law}
+    assert_config_error(tmp_path, capsys, ("vessels", 0, "tube_law"), law, f"vessels[0].tube_law: {message}")
+
+
 def test_cli_solver_failure_exit_3(tmp_path):
     # a dt so large the Courant bound is still violated after the ten
     # permitted halvings aborts the run

@@ -47,17 +47,23 @@ def steady_input(end, P, Q, a=1.0, b=1.0, c=0.0, A=1.0, **kw):
     cs = CoefficientSet(a=a, b=b, c=c, f=0.0, g=0.0, A=A)
     e = eigen(cs)
     rp = to_riemann(cs, e, PrimitiveState(P=P, Q=Q))
-    char = rp.r if end == "x1" else rp.s
+    char = rp[0] if end == "x1" else rp[1]
     return EndpointClosureInput(
         vessel_id=kw.pop("vid", "v"), end=end, coeffs=cs, eig=e,
         char_value=float(char), q_prev=Q, **kw,
     )
 
 
+def end_number(inp):
+    """The vessel-end number of inp's end on a one-vessel layout."""
+    return np.array([int(inp.end == "x1")])
+
+
 def close_pressure_end(inp, P_B):
     """One prescribed-pressure end through the elementwise closure."""
     cp, cq, char = _char_row(inp)
-    Q = flow_at_pressure_end((inp.vessel_id,), *np.array([[inp.coeffs.a], [cp], [cq], [char], [P_B]]))
+    values = np.array([[inp.coeffs.a], [cp], [cq], [char], [P_B]])
+    Q = flow_at_pressure_end((inp.vessel_id,), end_number(inp), *values)
     return PrimitiveState(P=P_B, Q=float(Q[0]))
 
 
@@ -66,7 +72,7 @@ def close_flow_end(inp, Q_B):
     cp, cq, char = _char_row(inp)
     lam = inp.eig.lambda_L if inp.incoming else inp.eig.lambda_R
     values = np.array([[lam], [inp.eig.u], [cp], [cq], [char], [Q_B]])
-    P = pressure_at_flow_end((inp.vessel_id,), (inp.end,), *values)
+    P = pressure_at_flow_end((inp.vessel_id,), end_number(inp), *values)
     return PrimitiveState(P=float(P[0]), Q=Q_B)
 
 
@@ -129,7 +135,7 @@ def test_close_pressure_reproduces_characteristic():
         inp = make_input(end, a=a, b=b, c=c, char_value=s_known)
         st = close_pressure_end(inp, P_B)
         rp = to_riemann(inp.coeffs, inp.eig, PrimitiveState(P=st.P, Q=st.Q))
-        got = rp.s if end == "x0" else rp.r
+        got = rp[1] if end == "x0" else rp[0]
         assert got == pytest.approx(s_known, rel=1e-12, abs=1e-12)
 
 
@@ -169,25 +175,25 @@ def test_close_flow_degenerate_speed():
 
 
 def test_pressure_ends_name_the_first_end_with_nonpositive_a():
-    ones = np.ones(3)
+    ones, a = np.ones(3), np.array([1.0, 0.0, -1.0])
     with pytest.raises(SingularJunction, match="^vessel 'q': coefficient a must be positive"):
-        flow_at_pressure_end(("p", "q", "r"), np.array([1.0, 0.0, -1.0]), ones, ones, ones, ones)
+        flow_at_pressure_end(("p", "q", "r"), np.array([0, 2, 4]), a, ones, ones, ones, ones)
 
 
 def test_flow_ends_name_the_first_end_with_vanishing_speed():
     ones = np.ones(3)
     lam = np.array([0.5, 1e-15, 0.0])
     with pytest.raises(SingularJunction, match="^vessel 'q' end x1: characteristic speed vanishes"):
-        pressure_at_flow_end(("p", "q", "r"), ("x0", "x1", "x0"), lam, ones, ones, ones, ones, ones)
+        pressure_at_flow_end(("p", "q", "r"), np.array([0, 3, 4]), lam, ones, ones, ones, ones, ones)
 
 
 def test_external_closures_are_elementwise():
     # many ends at once give, bit for bit, the Python-float closed forms
     rng = np.random.default_rng(5)
     a, lam, cp, cq, char, value = rng.uniform(0.5, 2.0, (6, 6))
-    ids = tuple("abcdef")
-    Q = flow_at_pressure_end(ids, a, cp, cq, char, value).tolist()
-    P = pressure_at_flow_end(ids, ("x0",) * 6, lam, a, cp, cq, char, value).tolist()
+    ids, ends = tuple("abcdef"), np.arange(0, 12, 2)
+    Q = flow_at_pressure_end(ids, ends, a, cp, cq, char, value).tolist()
+    P = pressure_at_flow_end(ids, ends, lam, a, cp, cq, char, value).tolist()
     a, lam, cp, cq, char, value = (v.tolist() for v in (a, lam, cp, cq, char, value))
     assert Q == [(char[k] - cp[k] * value[k]) / cq[k] for k in range(6)]
     assert P == [(char[k] - cq[k] * value[k]) / cp[k] for k in range(6)]
@@ -307,7 +313,7 @@ def test_branching_characteristic_consistency():
             for k, inp in enumerate(inputs):
                 st = PrimitiveState(P=x[2 * k], Q=x[2 * k + 1])
                 rp = to_riemann(inp.coeffs, inp.eig, st)
-                got = rp.r if inp.incoming else rp.s
+                got = rp[0] if inp.incoming else rp[1]
                 assert abs(got - inp.char_value) <= 1e-10 * max(1.0, abs(inp.char_value))
 
 
@@ -543,6 +549,18 @@ def test_singular_node_inside_a_batch_is_named(defect):
         assert err.value.condition_estimate > 1e12
     else:
         assert err.value.condition_estimate == np.inf
+
+
+def test_a_singular_stack_names_its_first_singular_node():
+    # nodes 1 and 3 exactly singular, without a zero row or column: LAPACK
+    # fails the whole stack, and the first node whose estimate reads inf is named
+    M, b, ids, _ = _branching_stack(np.random.default_rng(9))
+    for k in (3, 1):
+        M[2, :, k] = M[0, :, k]
+    with pytest.raises(SingularJunction) as err:
+        solve_systems(M, b, ids)
+    assert str(err.value) == f"node {ids[1]!r}: junction system is singular (Singular matrix)"
+    assert err.value.node_id == ids[1] and err.value.condition_estimate == np.inf
 
 
 @pytest.mark.parametrize("stack", [_branching_stack, _transitional_stack])
