@@ -37,6 +37,19 @@ those of evaluating it into new arrays. The update's results live
 until the next pass overwrites them: what outlives a pass is formed
 from them into new arrays that never alias the workspace.
 
+The tables the trace, the stencils and `_ddx` read per point (the
+layout's j, cells, base, top and half_cells, and the workspace's
+Courant tables) have the shape of the stack they meet, so none of
+their ufuncs broadcasts an operand. numpy runs a ufunc with a
+broadcast (N,) operand, or with a reversed-row view, through a buffer
+of up to 2N elements: at 3201 points such a (2, N) multiply took 6.8 to
+7.2 us against 4.0 us without (numpy 2.4, a 2-core x86-64 host). The
+per-point data that one row holds for both families (u, a and its time
+difference, P and Q of the old level) still broadcast, and the speed
+stack is still read through the reversed view lam[::-1] where each
+family meets the other's speed: a (2, N) copy of each would cost what
+the buffer costs.
+
 `build_level`, `freeze_step` and `interior_update` set no floating-point
 policy of their own: a pass runs under `solver.picard_step`'s, which
 names the guard that classifies each non-finite value.
@@ -103,7 +116,10 @@ class Workspace:
     """The state of one layout's fixed-point pass, every array of which
     dies by the next pass: the old level (built once per step) and the
     new level (once per pass, without rs), the new level's coefficients,
-    the step's dt and source terms F = base + g_P P + g_Q Q as (2, N)
+    the step's dt, its Courant tables courant = dt * cells and
+    half_courant = 0.5 * courant, (2, N) in cells per unit speed, which
+    `freeze_step` refreshes only when dt changes, and the step's source
+    terms F = base + g_P P + g_Q Q as (2, N)
     stacks (for r: g_P = -d_R lambda_L and g_Q = d_R a, with d_R the
     derivative along lambda_R; for s the mirror): the old level's F,
     read at the feet, and the new level's state couplings, solved
@@ -125,6 +141,7 @@ class Workspace:
     def __init__(self, layout: CompiledNetwork):
         n = layout.size
         self.layout, self.dt = layout, np.nan  # dt set by freeze_step
+        self.courant, self.half_courant = np.empty((2, 2, n))  # dt * cells and its half
         scratch = np.empty((12, n))
         self.pair_a, self.pair_b, self.pair_c, self.pair_d, self.xi = scratch[:10].reshape(5, 2, n)
         self.row_a, self.row_b = scratch[10:]
@@ -191,11 +208,14 @@ def freeze_step(
     `layout_coefficients` evaluation, and form the step's source terms,
     into work (a new workspace without one), which it returns. The old
     level, which the fixed-point iterations of a step share, comes built
-    (`build_level`)."""
+    (`build_level`). Raises ValueError unless t_new - old.t > 0."""
     dt = t_new - old.t
-    if dt <= 0:
+    if not dt > 0:  # NaN fails too
         raise ValueError("t_new must exceed the old level's t")
     work = Workspace(layout) if work is None else work
+    if dt != work.dt:  # a new workspace's NaN dt differs from every dt
+        np.multiply(dt, layout.cells, out=work.courant)  # dt/dx per point
+        np.multiply(0.5, work.courant, out=work.half_courant)
     work.dt, work.old = dt, old
     cs = layout_coefficients(layout, t_new, P_new, Q_new, work.coeffs)
     new = build_level(layout, t_new, P_new, Q_new, epsilon0, cs, work.new)
@@ -221,17 +241,17 @@ def _stencil(layout: CompiledNetwork, xi: np.ndarray, work: Workspace):
     """Two-point linear-interpolation stencil at the (2, N) local
     positions xi (in cells from each point's segment start), clamped to
     the segment as np.interp clamps: a position at or beyond an end
-    reads that end. The indices are flat into a (2, N) stack. Written
-    into work's lo, hi and pair_a."""
+    reads that end, with weight 0 on the point after it. The indices
+    are flat into a (2, N) stack, lo = base + floor(xi) and hi = lo + 1
+    clamped to the last point of its row (the layout's base and top),
+    so each stays in its own family's row. Written into work's lo, hi
+    and pair_a."""
     lo, hi, w = work.lo, work.hi, work.pair_a
-    n = layout.size
     xi = np.minimum(np.maximum(xi, 0.0, out=w), layout.cells, out=w)
     lo[...] = xi  # floor, xi >= 0
     np.subtract(xi, lo, out=w)
     np.add(layout.base, lo, out=lo)
-    np.minimum(np.add(lo, 1, out=hi), n - 1, out=hi)
-    lo[1] += n
-    hi[1] += n
+    np.minimum(np.add(lo, 1, out=hi), layout.top, out=hi)
     return lo, hi, w
 
 
@@ -252,24 +272,26 @@ def _trace(work: Workspace, cfl_max: float) -> np.ndarray:
     of a vessel with n cells lies at x = xi/n; it left the vessel if
     xi < 0 or xi > n), in the workspace's xi. Raises CFLViolation
     naming the vessel and family of the longest (or a non-finite)
-    travel beyond cfl_max cells."""
+    travel beyond cfl_max cells. The half stage reads the workspace's
+    half_courant, the full stage its courant, whose product with the
+    midpoint speed serves the Courant check and the feet both."""
     layout = work.layout
-    courant = np.multiply(work.dt, layout.cells, out=work.row_a)  # dt/dx per point
-    xi = np.multiply(np.multiply(0.5, courant, out=work.row_b), work.new.lam, out=work.xi)
+    xi = np.multiply(work.half_courant, work.new.lam, out=work.xi)
     half = _stencil(layout, np.subtract(layout.j, xi, out=xi), work)
     # interpolating the level average equals averaging the interpolants
     mid = np.add(work.old.lam, work.new.lam, out=work.pair_b)
     lam_mid = _at(np.multiply(0.5, mid, out=mid), half, work.pair_c, work.pair_d)
-    travel = np.abs(np.multiply(courant, lam_mid, out=work.pair_d), out=work.pair_d)  # in cells
+    shift = np.multiply(work.courant, lam_mid, out=xi)  # in cells; the half stencil is dead
+    travel = np.abs(shift, out=work.pair_d)
     # a NaN travel fails this comparison, and argmax finds it first
     if not np.maximum.reduce(travel, axis=None) <= cfl_max:
         family, k = divmod(int(np.argmax(travel)), layout.size)
         raise CFLViolation(
             f"vessel {layout.vessel_at(k)!r} family {'RL'[family]}: characteristic travels "
-            f"{abs(work.dt * lam_mid[family, k]):.3e} > cfl_max*dx = {cfl_max / layout.cells[k]:.3e}; "
-            "reduce dt"
+            f"{abs(work.dt * lam_mid[family, k]):.3e} > cfl_max*dx = "
+            f"{cfl_max / layout.cells[family, k]:.3e}; reduce dt"
         )
-    return np.subtract(layout.j, np.multiply(courant, lam_mid, out=xi), out=xi)
+    return np.subtract(layout.j, shift, out=xi)
 
 
 def interior_update(work: Workspace, cfl_max: float = 0.9) -> Workspace:
@@ -300,20 +322,24 @@ def interior_update(work: Workspace, cfl_max: float = 0.9) -> Workspace:
     np.add(known, np.multiply(half_dt, src, out=src), out=known)
     inside = np.greater_equal(xi, 0.0, out=work.inside)
     np.bitwise_and(inside, np.less_equal(xi, layout.cells, out=work.outside), out=inside)
-    known[np.logical_not(inside, out=work.outside)] = np.nan
+    np.copyto(known, np.nan, where=np.logical_not(inside, out=work.outside))
 
     # state coupling of the new-level source, mapped to (r, s) through
     # the inverse characteristic transform: each family's new value is
     # its known part + kr r + ks s, a 2x2 system per node solved by
     # Cramer's rule
+    # u2, ua2 and the speed rows are (N,) and broadcast against the
+    # stacks (see the module docstring)
     u2 = np.multiply(2.0, new.eig.u, out=work.row_a)
     ua2 = np.multiply(u2, new.coeffs.a, out=work.row_b)
     # kr = half_dt (g_P / u2 + g_Q lambda_R / ua2),
     # ks = half_dt (-g_P / u2 - g_Q lambda_L / ua2)
+    # (-g_P) / u2 has the bits of -(g_P / u2) (only a NaN's sign may
+    # differ, and a NaN fails the stiffness guard below)
     kr = np.divide(work.g_P, u2, out=work.pair_c)
+    ks = np.negative(kr, out=work.pair_a)
     np.add(kr, np.divide(np.multiply(work.g_Q, new.eig.lambda_R, out=tmp), ua2, out=tmp), out=kr)
     np.multiply(half_dt, kr, out=kr)
-    ks = np.divide(np.negative(work.g_P, out=work.pair_a), u2, out=work.pair_a)
     np.subtract(ks, np.divide(np.multiply(work.g_Q, new.eig.lambda_L, out=tmp), ua2, out=tmp), out=ks)
     np.multiply(half_dt, ks, out=ks)
     d_r, d_s = np.subtract(1.0, kr[0], out=xi[0]), np.subtract(1.0, ks[1], out=xi[1])

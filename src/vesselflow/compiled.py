@@ -19,7 +19,11 @@ hold their end indices and parameters. A time level is one flat vector
 X = [P | Q | P_C1 | P_C2]: P and Q at every point, then the capacitor
 pressures of the transitional nodes; `parts` slices it into the four,
 and `segments` starts its segments, each vessel's P, each vessel's Q
-and each capacitor, for one `reduceat` over a level.
+and each capacitor, for one `reduceat` over a level. The per-point
+tables of the characteristics kernel (j, cells, base, top and
+half_cells) come in the shape of the (2, N) family stack or the (3, N)
+speed stack they meet, so that none of the kernel's ufuncs broadcasts
+them; `local` is the one (N,) local index.
 """
 
 from __future__ import annotations
@@ -87,12 +91,18 @@ class CompiledNetwork:
     pair_starts: np.ndarray  # each segment's first end: 0, 2, 4, ...
     # per point
     x: np.ndarray  # position on the vessel's unit interval
-    j: np.ndarray  # local grid index (float)
     local: np.ndarray  # local grid index
-    cells: np.ndarray  # n_cells of the owning vessel (float)
-    half_cells: np.ndarray  # 0.5 * cells
-    base: np.ndarray  # offset of the owning segment
     zeros: np.ndarray
+    # the characteristics kernel's per-point tables in the shape of the
+    # stacks they meet, so that none of its ufuncs broadcasts: (2, N), row
+    # 0 right-going and row 1 left-going, and (3, N) for the speed stack
+    j: np.ndarray  # (2, N) local grid index (float)
+    cells: np.ndarray  # (2, N) n_cells of the owning vessel (float)
+    half_cells: np.ndarray  # (3, N) 0.5 * n_cells of the owning vessel
+    # (2, N) flat index into a (2, N) stack of the owning segment's first
+    # point, row 1 offset by N, and of the last point of the point's row
+    base: np.ndarray
+    top: np.ndarray
     # the power-law parameters at every point, NaN on points of other
     # vessels; None without a power-law vessel
     power: PowerLawParams | None
@@ -162,15 +172,16 @@ def compile_network(net: Network) -> CompiledNetwork:
             ends=np.array([e for _, e in outer], dtype=np.intp),
         )
 
-    base = np.repeat(first, counts)
-    local = np.arange(base.size) - base
-    zeros = np.zeros(int(offsets[-1]))
+    start = np.repeat(first, counts)  # each point's segment start
+    local = np.arange(start.size) - start
+    zeros = np.zeros(start.size)
     zeros.setflags(write=False)
     ends = np.stack((first, last), axis=1).ravel()
     inward = np.where(end_x1, -1, 1)
     cells = per_point([v.n_cells for v in vessels])
     junctions = junction_layout(plans, end_x1, end_param)
     n, caps = zeros.size, 2 * len(junctions.transitional)
+    row = np.arange(2)[:, None] * n  # each family row's start in a (2, N) stack
     cuts = (0, n, 2 * n, 2 * n + caps // 2, 2 * n + caps)
 
     return CompiledNetwork(
@@ -190,12 +201,13 @@ def compile_network(net: Network) -> CompiledNetwork:
         ends_local=np.stack((np.zeros_like(counts), counts - 1), axis=1).ravel(),
         pair_starts=np.arange(0, 2 * len(counts), 2),
         x=np.concatenate([v.grid for v in vessels]) if vessels else np.zeros(0),
-        j=local.astype(float),
         local=local,
-        cells=cells,
-        half_cells=0.5 * cells,
-        base=base,
         zeros=zeros,
+        j=np.tile(local.astype(float), (2, 1)),
+        cells=np.tile(cells, (2, 1)),
+        half_cells=np.tile(0.5 * cells, (3, 1)),
+        base=row + start,
+        top=row + np.full(n, n - 1),
         power=params,
         fills=tuple(v for v, p in zip(vessels, is_power) if not p),
         physical=tuple(slice(int(offsets[a]), int(offsets[b])) for a, b in zip(edges[::2], edges[1::2])),

@@ -16,6 +16,7 @@ unit interval, so lengths are absorbed into the coefficient functions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
@@ -257,16 +258,16 @@ def validate_network(net: Network) -> list[Diagnostic]:
         for end in ("x0", "x1"):
             end_owner[(vid, end)] = v.end_node(end)
 
+    ends_at = Counter(end_owner.values())  # each node's vessel ends
     claimed: set[tuple[str, str]] = set()
     for nid, node in sorted(net.nodes.items()):
         if node.id != nid:
             diags.append(_err(nid, "node key does not match node id"))
         atts = node_attachments(node)
         if isinstance(node, (ExternalPressure, ExternalFlow)):
-            refs = [(vid, end) for (vid, end), owner in end_owner.items() if owner == nid]
-            if len(refs) != 1:
+            if ends_at[nid] != 1:
                 diags.append(
-                    _err(nid, f"external node must terminate exactly one vessel end, found {len(refs)}")
+                    _err(nid, f"external node must terminate exactly one vessel end, found {ends_at[nid]}")
                 )
             continue
         if isinstance(node, Branching):

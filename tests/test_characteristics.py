@@ -363,6 +363,117 @@ def test_a_warm_pass_builds_no_result_records(monkeypatch):
     assert result is work
 
 
+@pytest.mark.parametrize("t_new", [np.nan, 0.0, -0.01])
+def test_freeze_step_rejects_a_new_level_not_after_the_old(t_new):
+    # a NaN dt fails the guard too, rather than a Courant check that a
+    # stepper would answer by halving dt
+    v = synthetic_vessel(10)
+    layout, z = layout_of(v), np.zeros(11)
+    old = build_level(layout, 0.0, z, z, EPS0, layout_coefficients(layout, 0.0, z, z))
+    with pytest.raises(ValueError, match="^t_new must exceed the old level's t$"):
+        freeze_step(layout, old, t_new, z, z, EPS0)
+
+
+def test_the_stencil_tables_keep_each_foot_in_its_row_and_vessel():
+    from vesselflow.characteristics import _at, _stencil
+
+    layout = layout_of(synthetic_vessel(4, vid="a"), synthetic_vessel(7, vid="b"),
+                       synthetic_vessel(5, vid="c"))
+    n = layout.size
+    assert n == 19
+    start = np.repeat(layout.first, layout.counts)
+    rows = np.arange(2)[:, None] * n
+    for name, shape in (("j", (2, n)), ("cells", (2, n)), ("half_cells", (3, n)),
+                        ("base", (2, n)), ("top", (2, n))):
+        table = getattr(layout, name)
+        assert table.shape == shape and table.flags.c_contiguous, name
+    assert (layout.j == layout.local).all()
+    cells = np.repeat([4.0, 7.0, 5.0], layout.counts)
+    assert (layout.cells == cells).all() and (layout.half_cells == 0.5 * cells).all()
+    assert (layout.base == rows + start).all() and (layout.top == rows + n - 1).all()
+
+    # feet below 0, at 0, inside, at the end and beyond it, in both rows
+    cases = np.stack([np.full(n, -1.5), np.zeros(n), 0.4 * cells + 0.25, cells, cells + 0.7])
+    pick = (layout.local + np.arange(2)[:, None] * 2) % 5
+    assert all((pick[r, layout.slices[vid]] == c).any()
+               for r in range(2) for c in range(5) for vid in layout.vessel_ids)
+    xi = np.take_along_axis(cases, pick, axis=0)
+    work = Workspace(layout)
+    lo, hi, w = _stencil(layout, xi, work)
+    assert ((rows <= lo) & (lo < rows + n)).all() and ((rows <= hi) & (hi < rows + n)).all()
+    own_first, own_last = rows + start, rows + start + cells.astype(int)
+    assert ((own_first <= lo) & (lo <= own_last)).all()
+    assert ((0.0 <= w) & (w < 1.0)).all()
+    below, beyond = xi <= 0.0, xi >= cells
+    assert (lo[below] == own_first[below]).all() and (lo[beyond] == own_last[beyond]).all()
+    assert (w[below | beyond] == 0.0).all()
+    inside = ~(below | beyond)
+    assert (lo[inside] == own_first[inside] + np.floor(xi[inside])).all()
+    assert (w[inside] == xi[inside] - np.floor(xi[inside])).all()
+    f = 1.0 + np.random.default_rng(3).random((2, n))
+    got = _at(f, (lo, hi, w), np.empty((2, n)), np.empty((2, n)))
+    ends = below | beyond
+    assert (got[ends] == f.ravel()[lo[ends]]).all()
+
+
+def test_the_courant_table_follows_dt_down_the_ladder_and_back():
+    # one workspace through dt, dt/2 and dt again, as a halving ladder
+    # runs: each level equals, byte for byte, one from a fresh workspace
+    loaded = load_config(Path(__file__).resolve().parents[1] / "configs" / "bifurcation.json")
+    cfg = loaded.sim
+    state, _ = initial_state(loaded.net, loaded.init, cfg)
+    for _ in range(20):  # away from rest, so stale feet would read other values
+        state = picard_step(state, cfg)[0]
+    work = Workspace(state.layout)
+    for dt in (cfg.dt, 0.5 * cfg.dt, cfg.dt):
+        reused = picard_step(state, cfg, dt=dt, work=work)[0]
+        fresh = picard_step(state, cfg, dt=dt)[0]
+        assert reused.X.tobytes() == fresh.X.tobytes()
+        assert work.dt == pytest.approx(dt, rel=1e-12)  # t_new - t, as the step forms it
+        assert work.courant.tobytes() == (work.dt * state.layout.cells).tobytes()
+        state = reused
+
+
+def test_the_trace_stencils_and_ddx_broadcast_no_operand(monkeypatch):
+    # each ufunc of _trace, _stencil and _ddx over a family or speed stack
+    # takes operands of the stack's own shape, or scalars: no operand is
+    # broadcast and none is a reversed view (each would make numpy buffer)
+    import sys
+
+    layout, P, Q = mixed_layout()
+    old = build_level(layout, 0.0, P, Q, EPS0, layout_coefficients(layout, 0.0, P, Q))
+    work = Workspace(layout)
+    interior_update(freeze_step(layout, old, 1e-4, P + 1.0, Q, EPS0, work))
+    calls, broadcast = {}, []
+
+    class Counted:
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def __call__(self, *args, **kwargs):
+            out = kwargs.get("out")
+            arrays = [a for a in (*args, *(out if isinstance(out, tuple) else (out,)))
+                      if isinstance(a, np.ndarray) and a.ndim]
+            shape = np.broadcast_shapes(*(a.shape for a in arrays)) if arrays else ()
+            if len(shape) == 2 and shape[1] == layout.size:
+                caller = sys._getframe(1).f_code.co_name
+                calls[caller] = calls.get(caller, 0) + 1
+                if any(a.shape != shape or min(a.strides) < 0 for a in arrays):
+                    broadcast.append((caller, self.ufunc.__name__))
+            return self.ufunc(*args, **kwargs)
+
+        def __getattr__(self, name):  # reduce and the other methods
+            return getattr(self.ufunc, name)
+
+    for name in dir(np):
+        if isinstance(getattr(np, name), np.ufunc):
+            monkeypatch.setattr(np, name, Counted(getattr(np, name)))
+    interior_update(freeze_step(layout, old, 1e-4, P + 2.0, Q, EPS0, work))
+    monkeypatch.undo()
+    assert all(calls.get(name, 0) > 0 for name in ("_trace", "_stencil", "_ddx")), calls
+    assert [c for c in broadcast if c[0] in ("_trace", "_stencil", "_ddx")] == []
+
+
 # --- interior update -----------------------------------------------------
 
 

@@ -205,6 +205,27 @@ def test_external_node_single_end():
     assert any("exactly one vessel end" in d.message for d in errors)
 
 
+def test_external_node_end_counts_pin_the_diagnostics():
+    # "shared" terminates two vessel ends and "lonely" none; the other
+    # external nodes one each. The list is pinned in full, order included.
+    net = Network(
+        vessels={
+            "a": make_vessel("a", "in", "shared"),
+            "b": make_vessel("b", "shared", "out"),
+        },
+        nodes={
+            "in": ExternalPressure("in", ConstantSignal(0.0)),
+            "lonely": ExternalFlow("lonely", ConstantSignal(0.0)),
+            "out": ExternalPressure("out", ConstantSignal(0.0)),
+            "shared": ExternalPressure("shared", ConstantSignal(0.0)),
+        },
+    )
+    assert [dataclasses.astuple(d) for d in validate_network(net)] == [
+        ("error", "lonely", "external node must terminate exactly one vessel end, found 0"),
+        ("error", "shared", "external node must terminate exactly one vessel end, found 2"),
+    ]
+
+
 def test_disconnected_graph_warns():
     net = Network(
         vessels={
