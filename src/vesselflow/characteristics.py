@@ -241,11 +241,11 @@ def _stencil(layout: CompiledNetwork, xi: np.ndarray, work: Workspace):
     """Two-point linear-interpolation stencil at the (2, N) local
     positions xi (in cells from each point's segment start), clamped to
     the segment as np.interp clamps: a position at or beyond an end
-    reads that end, with weight 0 on the point after it. The indices
-    are flat into a (2, N) stack, lo = base + floor(xi) and hi = lo + 1
-    clamped to the last point of its row (the layout's base and top),
-    so each stays in its own family's row. Written into work's lo, hi
-    and pair_a."""
+    reads that end, with weight 0. The indices are flat into a (2, N)
+    stack, lo = base + floor(xi) and hi = lo + 1 clamped to the last
+    point of the segment (the layout's base and top), so each stays in
+    its own vessel and family row: at or beyond the x=1 end, hi = lo.
+    Written into work's lo, hi and pair_a."""
     lo, hi, w = work.lo, work.hi, work.pair_a
     xi = np.minimum(np.maximum(xi, 0.0, out=w), layout.cells, out=w)
     lo[...] = xi  # floor, xi >= 0
@@ -256,13 +256,16 @@ def _stencil(layout: CompiledNetwork, xi: np.ndarray, work: Workspace):
 
 
 def _at(f: np.ndarray, stencil, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """f interpolated on a stencil, into out; tmp is scratch."""
+    """f interpolated on a stencil, into out; tmp is scratch. The form
+    f_lo - w (f_lo - f_hi) has the bits of f_lo + w (f_hi - f_lo) but
+    where f_lo and f_hi are both -0.0, which it keeps: so an x=1 end,
+    where hi = lo, reads its value's sign too."""
     lo, hi, w = stencil
     # the clamped stencil's indices lie inside f, so "clip" never clips;
     # it lets take write into out without an internal buffer
     f_lo = f.take(lo, out=out, mode="clip")
-    d = np.subtract(f.take(hi, out=tmp, mode="clip"), f_lo, out=tmp)
-    return np.add(f_lo, np.multiply(w, d, out=d), out=out)
+    d = np.subtract(f_lo, f.take(hi, out=tmp, mode="clip"), out=tmp)
+    return np.subtract(f_lo, np.multiply(w, d, out=d), out=out)
 
 
 def _trace(work: Workspace, cfl_max: float) -> np.ndarray:

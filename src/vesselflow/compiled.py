@@ -57,10 +57,11 @@ from .network import (
 class ExternalEnds:
     """External nodes of one kind, in node order, and the number e of
     the single vessel end each one closes, its only name (x{e % 2} of
-    vessel `vessel_ids[e // 2]`)."""
+    vessel `vessel_ids[e // 2]`), and that end's grid point."""
 
     nodes: tuple[ExternalPressure | ExternalFlow, ...]
     ends: np.ndarray  # vessel end indices
+    points: np.ndarray  # their grid points
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class CompiledNetwork:
     cells: np.ndarray  # (2, N) n_cells of the owning vessel (float)
     half_cells: np.ndarray  # (3, N) 0.5 * n_cells of the owning vessel
     # (2, N) flat index into a (2, N) stack of the owning segment's first
-    # point, row 1 offset by N, and of the last point of the point's row
+    # and last point, row 1 offset by N
     base: np.ndarray
     top: np.ndarray
     # the power-law parameters at every point, NaN on points of other
@@ -111,6 +112,7 @@ class CompiledNetwork:
     pressure_ends: ExternalEnds  # the ExternalPressure nodes
     flow_ends: ExternalEnds  # the ExternalFlow nodes
     junctions: JunctionLayout
+    junction_points: np.ndarray  # the grid point of each of `junctions.ends`
     # per level vector X: P, Q, P_C1 and P_C2 in it, and the start of each
     # segment (each vessel's P, each vessel's Q, each capacitor)
     parts: tuple[slice, slice, slice, slice]
@@ -166,10 +168,12 @@ def compile_network(net: Network) -> CompiledNetwork:
     first, last = offsets[:-1], offsets[1:] - 1
 
     def external(kind):
-        outer = [(node, ends[0]) for node, ends in plans if isinstance(node, kind)]
+        outer = [(node, node_ends[0]) for node, node_ends in plans if isinstance(node, kind)]
+        end_numbers = np.array([e for _, e in outer], dtype=np.intp)
         return ExternalEnds(
             nodes=tuple(node for node, _ in outer),
-            ends=np.array([e for _, e in outer], dtype=np.intp),
+            ends=end_numbers,
+            points=ends[end_numbers],
         )
 
     start = np.repeat(first, counts)  # each point's segment start
@@ -207,13 +211,14 @@ def compile_network(net: Network) -> CompiledNetwork:
         cells=np.tile(cells, (2, 1)),
         half_cells=np.tile(0.5 * cells, (3, 1)),
         base=row + start,
-        top=row + np.full(n, n - 1),
+        top=row + np.repeat(last, counts),
         power=params,
         fills=tuple(v for v, p in zip(vessels, is_power) if not p),
         physical=tuple(slice(int(offsets[a]), int(offsets[b])) for a, b in zip(edges[::2], edges[1::2])),
         pressure_ends=external(ExternalPressure),
         flow_ends=external(ExternalFlow),
         junctions=junctions,
+        junction_points=ends[junctions.ends],
         parts=tuple(slice(a, b) for a, b in zip(cuts, cuts[1:])),
         segments=np.concatenate((first, n + first, np.arange(2 * n, 2 * n + caps))),
     )
@@ -227,7 +232,7 @@ def coefficient_arrays(cn: CompiledNetwork) -> CoefficientSet:
     point. f is the layout's zeros on a power-law-only layout, else
     zeros that the tabulated and synthetic segments overwrite."""
     n = cn.size
-    a, b, c, g, A = (np.empty(n) for _ in range(5))
+    a, b, c, g, A = [np.empty(n) for _ in range(5)]
     return CoefficientSet(a, b, c, np.zeros(n) if cn.fills else cn.zeros, g, A)
 
 

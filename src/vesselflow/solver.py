@@ -441,9 +441,9 @@ def picard_step(
         dt = cfg.dt if dt is None else dt
         t_new = state_prev.t + dt
 
-        boundary = tuple(
-            np.array([eval_signal(node.signal, t_new) for node in bc.nodes])
-            for bc in (cn.pressure_ends, cn.flow_ends)
+        boundary = (
+            np.array([eval_signal(node.signal, t_new) for node in cn.pressure_ends.nodes]),
+            np.array([eval_signal(node.signal, t_new) for node in cn.flow_ends.nodes]),
         )
         q_prev = state_prev.Q[cn.ends]
         systems = cn.junctions.step(dt, q_prev, state_prev.P_C1, state_prev.P_C2)
@@ -459,7 +459,7 @@ def picard_step(
             freeze_step(cn, old, t_new, P, Q, cfg.epsilon0, work)
             interior_update(work, cfg.cfl_max)
             X = np.empty(cur.size)  # the next iterate
-            P, Q, P_C1, P_C2 = (X[part] for part in cn.parts)
+            P, Q, P_C1, P_C2 = [X[part] for part in cn.parts]
             # NaN at unresolved endpoint entries propagates and is
             # overwritten by the node closures below
             from_riemann(work.new.coeffs, work.new.eig, work.rs, PrimitiveState(P, Q), work.row_a)
@@ -516,12 +516,12 @@ def _close_nodes(
     P_B, Q_B = boundary
     bc = cn.pressure_ends
     if bc.ends.size:
-        k, at = bc.ends, points[bc.ends]
+        k, at = bc.ends, bc.points
         P[at] = P_B
         Q[at] = flow_at_pressure_end(cn.vessel_ids, k, a[k], cp[k], cq[k], char[k], P_B)
     bc = cn.flow_ends
     if bc.ends.size:
-        k, at = bc.ends, points[bc.ends]
+        k, at = bc.ends, bc.points
         P[at] = pressure_at_flow_end(cn.vessel_ids, k, lam[k], eig.u[at], cp[k], cq[k], char[k], Q_B)
         Q[at] = Q_B
 
@@ -531,7 +531,7 @@ def _close_nodes(
     M, b = systems
     jl.fill(M, b, cp, cq, char, cs.A[points])
     x, ratio = solve_systems(M, b, jl.nodes)
-    at = points[jl.ends]
+    at = cn.junction_points
     P[at], Q[at] = x.take(jl.x_PQ)
     P_C1[:], P_C2[:] = x.take(jl.x_C)
     x.take(jl.x_junc, out=P_junc)
@@ -692,7 +692,7 @@ def run(
     if init.layout.network is not net:
         raise ValueError("the initial state was not built on this network")
 
-    plan = probe_plan(init.layout, probes) if sink is not None else ()
+    plan = probe_plan(init.layout, probes) if sink is not None and probes else None
     report = SimReport()
     state = init
     pre = check_state(state, cfg)
@@ -718,7 +718,7 @@ def run(
         if full:  # an endpoint-only report carries no junction estimates
             report.full_checks += 1
             report.record_junctions(rep)
-        if plan:
+        if plan is not None:
             emit_probes(sink, plan, state, epsilon0=cfg.epsilon0)
         if on_step is not None:
             on_step(state)

@@ -180,9 +180,9 @@ class TeeSink:
     def __init__(self, *sinks):
         self.sinks = sinks
 
-    def emit(self, rec):
+    def emit_level(self, t, keys, values):
         for s in self.sinks:
-            s.emit(rec)
+            s.emit_level(t, keys, values)
 
 
 def y_junction_scenario():

@@ -390,7 +390,7 @@ def test_the_stencil_tables_keep_each_foot_in_its_row_and_vessel():
     assert (layout.j == layout.local).all()
     cells = np.repeat([4.0, 7.0, 5.0], layout.counts)
     assert (layout.cells == cells).all() and (layout.half_cells == 0.5 * cells).all()
-    assert (layout.base == rows + start).all() and (layout.top == rows + n - 1).all()
+    assert (layout.base == rows + start).all() and (layout.top == rows + start + cells.astype(int)).all()
 
     # feet below 0, at 0, inside, at the end and beyond it, in both rows
     cases = np.stack([np.full(n, -1.5), np.zeros(n), 0.4 * cells + 0.25, cells, cells + 0.7])
@@ -400,9 +400,8 @@ def test_the_stencil_tables_keep_each_foot_in_its_row_and_vessel():
     xi = np.take_along_axis(cases, pick, axis=0)
     work = Workspace(layout)
     lo, hi, w = _stencil(layout, xi, work)
-    assert ((rows <= lo) & (lo < rows + n)).all() and ((rows <= hi) & (hi < rows + n)).all()
     own_first, own_last = rows + start, rows + start + cells.astype(int)
-    assert ((own_first <= lo) & (lo <= own_last)).all()
+    assert ((own_first <= lo) & (lo <= own_last)).all() and ((own_first <= hi) & (hi <= own_last)).all()
     assert ((0.0 <= w) & (w < 1.0)).all()
     below, beyond = xi <= 0.0, xi >= cells
     assert (lo[below] == own_first[below]).all() and (lo[beyond] == own_last[beyond]).all()
@@ -414,6 +413,23 @@ def test_the_stencil_tables_keep_each_foot_in_its_row_and_vessel():
     got = _at(f, (lo, hi, w), np.empty((2, n)), np.empty((2, n)))
     ends = below | beyond
     assert (got[ends] == f.ravel()[lo[ends]]).all()
+
+
+def test_a_foot_beyond_the_x1_end_reads_only_its_own_vessel():
+    # two 4-cell vessels, every foot 4.5 cells from its segment start: each
+    # reads its own vessel's x=1 end, with no weight on the next vessel
+    from vesselflow.characteristics import _at, _stencil
+
+    layout = layout_of(synthetic_vessel(4, vid="a"), synthetic_vessel(4, vid="b"))
+    n, a, b = layout.size, layout.slices["a"], layout.slices["b"]
+    stencil = _stencil(layout, np.full((2, n), 4.5), Workspace(layout))
+    f = np.ones((2, n))
+    f[:, b.start] = np.inf  # vessel b's first point
+    f[:, a.stop - 1] = -0.0  # vessel a's x=1 end
+    got = _at(f, stencil, np.empty((2, n)), np.empty((2, n)))
+    assert np.isfinite(got[:, a]).all()
+    assert np.signbit(got[:, a]).all() and (got[:, a] == 0.0).all()
+    assert (got[:, b] == 1.0).all()
 
 
 def test_the_courant_table_follows_dt_down_the_ladder_and_back():

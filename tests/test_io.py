@@ -32,7 +32,7 @@ from vesselflow import (
 )
 from vesselflow.cli import main
 from vesselflow.config import LoadedConfig, dump_config, load_config, parse_config
-from vesselflow.output import CSV_HEADER, _format_row
+from vesselflow.output import CSV_HEADER, CsvSink
 
 
 # --- signals ---------------------------------------------------------------
@@ -280,37 +280,43 @@ _FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.
 
 @st.composite
 def levels_of_records(draw):
-    """Records over 1-4 levels of a fixed set of keys: each level emits
-    a subset of the keys, in any order, at that level's t."""
-    keys = draw(st.lists(st.tuples(_TEXT, _TEXT, st.none() | _FLOATS, _TEXT), min_size=1, max_size=5))
-    records = []
+    """1-4 levels over a fixed set of keys, each (t, keys, values): a
+    level's keys are a subset of the set in any order, or the previous
+    level's keys object itself, as a run's plan passes them."""
+    keyset = draw(st.lists(st.tuples(_TEXT, _TEXT, st.none() | _FLOATS, _TEXT), min_size=1, max_size=5))
+    levels, keys = [], None
     for t in draw(st.lists(_FLOATS, min_size=1, max_size=4)):
-        for kind, vid, x, quantity in draw(st.permutations(keys)):
-            if draw(st.booleans()):
-                records.append(ProbeRecord(t, kind, vid, x, quantity, draw(_FLOATS)))
-    return records
+        if keys is None or not draw(st.booleans()):
+            keys = tuple(key for key in draw(st.permutations(keyset)) if draw(st.booleans()))
+        levels.append((t, keys, [draw(_FLOATS) for _ in keys]))
+    return levels
+
+
+_KEYS = tuple(("vessel", "v", x, "P") for x in (0.0, -0.0, math.nan, None))
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(levels_of_records())
-@example([  # 0.0 and -0.0, and a NaN, as x of the same kind, id and quantity
-    ProbeRecord(t, "vessel", "v", x, "P", 1.0)
-    for t in (0.5, 1.0)
-    for x in (0.0, -0.0, math.nan, None)
-])
-def test_csv_sink_writes_the_rows_of_csv_writer(records):
-    # after the first level the sink joins parts formatted once per
-    # record key and once per level; the bytes stay those of csv.writer
-    # over _format_row
+@example([(t, _KEYS, [1.0] * 4) for t in (0.5, 1.0)])  # 0.0, -0.0 and NaN as x of one kind, id and quantity
+def test_csv_sink_writes_the_rows_of_csv_writer(levels):
+    # the sink joins parts formatted once per keys object and once per
+    # level; the bytes stay those of csv.writer over each record's
+    # columns, whether it takes whole levels or single records
+    records = [ProbeRecord(t, *key, value) for t, keys, values in levels for key, value in zip(keys, values)]
     with tempfile.TemporaryDirectory() as d:
-        ours, ref = Path(d) / "sink.csv", Path(d) / "ref.csv"
-        write_records(str(ours), records)
+        by_level, by_record, ref = Path(d) / "levels.csv", Path(d) / "records.csv", Path(d) / "ref.csv"
+        with CsvSink(str(by_level)) as sink:
+            for level in levels:
+                sink.emit_level(*level)
+        write_records(str(by_record), records)
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for rec in records:
-                writer.writerow(_format_row(rec))
-        assert ours.read_bytes() == ref.read_bytes()
+                writer.writerow((repr(float(rec.t)), rec.kind, rec.id,
+                                 "" if rec.x is None else repr(float(rec.x)),
+                                 rec.quantity, repr(float(rec.value))))
+        assert by_level.read_bytes() == by_record.read_bytes() == ref.read_bytes()
 
 
 def test_list_sink_collects():
@@ -835,6 +841,109 @@ def test_run_emits_each_probe_quantity_of_every_accepted_level():
     got = [(r.t, r.kind, r.id, r.x, r.quantity, r.value) for r in sink.records]
     assert [g[:5] for g in got] == [e[:5] for e in expected]
     assert [g[5].hex() for g in got] == [e[5].hex() for e in expected]
+
+
+def _scalar_value(s, k, quantity, R_C=None):
+    """One probe value by the per-record scalar formulas: k a grid point
+    in layout order, or the node's branching or transitional slot."""
+    A = s.coeffs.A
+    return {
+        "P": lambda: float(s.P[k]),
+        "Q": lambda: float(s.Q[k]),
+        "A": lambda: float(A[k]),
+        "R": lambda: float(np.sqrt(float(A[k]) / np.pi)),
+        "V": lambda: float(s.Q[k]) / float(A[k]),
+        "P_junc": lambda: float(s.P_junc[k]),
+        "P_C1": lambda: float(s.P_C1[k]),
+        "P_C2": lambda: float(s.P_C2[k]),
+        "Q_C": lambda: (float(s.P_C1[k]) - float(s.P_C2[k])) / R_C,
+    }[quantity]()
+
+
+def test_the_level_path_reads_all_nine_quantities_with_the_scalar_bits():
+    # a branching and a transitional node; every vessel quantity at both
+    # ends and inside every vessel, in shuffled orders, every node
+    # quantity, and the snapshot: each value bit for bit the scalar form's
+    from vesselflow.output import emit_probes, emit_snapshot, probe_plan
+    from vesselflow.solver import picard_step
+
+    loaded = load_config(BIFURCATION)
+    net, sim = loaded.net, loaded.sim
+    state = initial_state(net, loaded.init, sim)[0]
+    order = ("V", "R", "A", "Q", "P")
+    probes = [ProbeSpec(order[k % 5:] + order[:k % 5], vessel=vid, x_index=i)
+              for k, (vid, i) in enumerate((vid, i) for vid in sorted(net.vessels) for i in (0, 17, 40))]
+    probes += [ProbeSpec(("Q_C", "P_C1", "P_C2"), node="micro"), ProbeSpec(("P_junc",), node="fork"),
+               ProbeSpec(("P_C2", "Q_C", "P_C1"), node="micro")]
+    R_C = net.nodes["micro"].R_C
+    for _ in range(3):
+        state = picard_step(state, sim)[0]  # away from rest, P_junc set
+        lay = state.layout
+        expected = []
+        for p in probes:
+            if p.vessel is not None:
+                k = lay.slices[p.vessel].start + p.x_index
+                expected += [("vessel", p.vessel, float(lay.x[k]), q, _scalar_value(state, k, q))
+                             for q in p.quantities]
+            elif p.node == "fork":
+                k = lay.junctions.branching.index("fork")
+                expected += [("node", "fork", None, q, _scalar_value(state, k, q)) for q in p.quantities]
+            else:
+                k = lay.junctions.transitional.index("micro")
+                expected += [("node", "micro", None, q, _scalar_value(state, k, q, R_C)) for q in p.quantities]
+        assert len({e[3] for e in expected}) == 9
+        plan = probe_plan(lay, probes)
+        values = plan.values(state)
+        assert list(plan.keys) == [e[:4] for e in expected]
+        assert [v.hex() for v in values] == [e[4].hex() for e in expected]
+        sink = ListSink()
+        emit_probes(sink, plan, state, sim.epsilon0)
+        assert sink.records == [ProbeRecord(state.t, *e) for e in expected]
+        assert [r.value.hex() for r in sink.records] == [e[4].hex() for e in expected]
+
+        snap = ListSink()
+        emit_snapshot(snap, state, sim.epsilon0)
+        points = [(vid, k) for vid, at in lay.slices.items() for k in range(at.start, at.stop)]
+        assert [(r.id, r.x, r.quantity) for r in snap.records] == [
+            (vid, float(lay.x[k]), q) for vid, k in points for q in ("P", "Q", "A", "R", "V")]
+        assert [r.value.hex() for r in snap.records] == [
+            _scalar_value(state, k, q).hex() for _, k in points for q in ("P", "Q", "A", "R", "V")]
+
+
+def test_emit_probes_makes_as_many_python_calls_for_1_record_as_for_20(tmp_path):
+    # a level is one gather and one write: the Python calls of an
+    # emit_probes call (sys.setprofile) do not grow with the records
+    import sys
+
+    from vesselflow.output import emit_probes, probe_plan
+    from vesselflow.solver import run
+
+    loaded = load_config(BIFURCATION)
+    state = initial_state(loaded.net, loaded.init, loaded.sim)[0]
+    state = run(loaded.net, state, dataclasses.replace(loaded.sim, t_end=2 * loaded.sim.dt)).final_state
+    one = [ProbeSpec(("P",), vessel="parent", x_index=3)]
+    twenty = [ProbeSpec(("P", "Q", "A", "R", "V"), vessel=vid, x_index=5) for vid in ("parent", "vein")]
+    twenty += [ProbeSpec(("P_C1", "P_C2", "Q_C"), node="micro"), ProbeSpec(("P_junc",), node="fork"),
+               ProbeSpec(("V", "R", "A", "Q", "P", "Q"), vessel="branch_b", x_fraction=1.0)]
+    counts = []
+    for probes, records in ((one, 1), (twenty, 20)):
+        plan = probe_plan(state.layout, probes)
+        assert len(plan.keys) == records
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        with CsvSink(str(tmp_path / "probes.csv")) as sink:
+            emit_probes(sink, plan, state, loaded.sim.epsilon0)  # formats the plan's keys
+            sys.setprofile(profile)
+            try:
+                emit_probes(sink, plan, state, loaded.sim.epsilon0)
+            finally:
+                sys.setprofile(None)
+        counts.append(calls)
+    assert len(counts[0]) == len(counts[1]) and len(counts[0]) < 10, counts
 
 
 # --- mutation corpus -------------------------------------------------------
