@@ -319,12 +319,11 @@ def probe_plan(layout: CompiledNetwork, probes) -> ProbePlan:
     return _compile(layout, entries)
 
 
-def emit_probes(sink, plan: ProbePlan, state, epsilon0: float) -> None:
+def emit_probes(sink, plan: ProbePlan, state) -> None:
     """Emit the level of a `probe_plan` for a state on the plan's layout
-    in one `sink.emit_level` call. A, R and V read `state.coeffs` (in a
-    run, already evaluated by the checks); a failing point of a physical
-    vessel raises, as in `check_coefficients`."""
-    check_coefficients(state.layout, state.P, state.coeffs, epsilon0)
+    in one `sink.emit_level` call. A, R and V read `state.coeffs`
+    unchecked: the caller checks the level (`check_coefficients`), as a
+    run's `Stepper` does when it accepts it."""
     sink.emit_level(state.t, plan.keys, plan.values(state))
 
 

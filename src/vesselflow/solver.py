@@ -14,20 +14,28 @@ P_C1 | P_C2] in the layout order of its compiled network, vessel id
 order, with read-only views P, Q, P_C1 and P_C2 into it, so levels pass
 between the kernels, the condition checks, the extrapolation and the
 output without conversion.
-A `Stepper` advances one state level by level, adapting dt and choosing
-each step's first iterate; `run` drives one to t_end, runs the
-solvability checks on the configured cadence and emits probe records.
+A `Stepper` advances one state level by level, adapting dt, choosing
+each step's first iterate and checking each level it accepts, the
+solvability conditions on the configured cadence included; `run` checks
+the initial level, drives a stepper to t_end and emits probe records.
+
+Each accepted level short of t_end is evaluated once for its check and
+for the next step: the stepper opens the next step's old level into its
+workspace (`characteristics.open_level`), reads the condition verdict
+from the c^2 + ab and ab formed there, checks the level's coefficients,
+and the next `picard_step` finishes that level (`build_level`).
 
 The stepper passes its one `characteristics.Workspace` to every
 `picard_step`. The workspace is a pass's state: the step's old
-`characteristics.Level`, which `picard_step` builds into it once, the
-new level, which each pass's `freeze_step` builds into it with the
-step's source terms, and every other array that lives only within a
-pass, the interior update's results and the iterate deviation's scratch
-included. A warm pass allocates one point-sized array, the next
-iterate's level vector X, which never aliases the workspace:
-`from_riemann` writes its P and Q and the node closures scatter into
-its views, and, accepted, it becomes a read-only `NetworkState`. Once
+`characteristics.Level`, which `picard_step` builds into it once (or
+finishes, if the stepper opened it), the new level, which each pass's
+`freeze_step` builds into it with the step's source terms, and every
+other array that lives only within a pass, the interior update's
+results and the iterate deviation's scratch included. A warm pass
+allocates one point-sized array, the next iterate's level vector X,
+which never aliases the workspace: `from_riemann` writes its P and Q
+and the node closures scatter into its views, and, accepted, it
+becomes a read-only `NetworkState`. Once
 per step the accepted level's `coeffs`, the junction pressures and the
 extrapolated start are allocated too. `picard_step` sets the one
 floating-point policy the kernel runs under and says which guard
@@ -44,7 +52,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .characteristics import VesselField, Workspace, build_level, freeze_step, interior_update
+from .characteristics import VesselField, Workspace, build_level, freeze_step, interior_update, open_level
 from .compiled import CompiledNetwork, check_coefficients, compile_network, layout_coefficients
 from .constitutive import CoefficientSet, PrimitiveState, from_riemann
 from .errors import (
@@ -71,7 +79,7 @@ from .network import (
 )
 from .output import ProbeSpec, emit_probes, probe_plan
 from .signals import eval_signal
-from .wellposedness import ConditionReport, check_state
+from .wellposedness import ConditionReport, check_state, endpoints_pass
 
 _MAX_HALVINGS = 10
 _RESTORE_AFTER = 10
@@ -410,7 +418,9 @@ def picard_step(
     """Advance one time level of the state's layout by fixed-point
     iteration.
 
-    Build the old level once, from the state's cached coefficients.
+    Build the old level once, from the state's cached coefficients, or
+    finish it where a `Stepper` opened and checked it in work when it
+    accepted the state (`characteristics.build_level`).
     Starting from the level vector `start` (the first iterate of the new
     level) or, without one, from the previous level's X, repeatedly freeze
     the coefficients at the iterate, run the linear characteristics
@@ -617,6 +627,13 @@ class Stepper:
     `CFLViolation` or `PicardDivergence` from the constant start halves
     dt, which climbs back one rung per `_RESTORE_AFTER` clean steps; past
     `_MAX_HALVINGS` halvings the step raises `SimulationError`.
+
+    Each accepted level is checked before `advance` returns it
+    (`_classify`): a failing condition raises `WellPosednessFailure`, and
+    coefficients that fail `check_coefficients` raise its error. Levels
+    are swept fully every cfg.check_every steps, counted into report
+    with their junction estimates; the initial level is its caller's to
+    check.
     """
 
     def __init__(self, state: NetworkState, cfg: SimConfig, report: SimReport):
@@ -665,7 +682,43 @@ class Stepper:
             self._clean += 1
             if self._clean >= _RESTORE_AFTER:
                 self._depth, self._clean, self._dt = self._depth - 1, 0, min(cfg.dt, 2.0 * self._dt)
+        self._classify(new)
         return new
+
+    def _classify(self, state: NetworkState) -> None:
+        """Check an accepted level, in the order that classifies it: its
+        coefficients (`state.coeffs`); for a level short of t_end, the
+        first half of the next step's old level, opened into the
+        workspace; the condition verdict, which raises
+        `WellPosednessFailure`: a full `check_state` sweep every
+        cfg.check_every steps, else the ends' `endpoints_pass` on the
+        opened level's c^2 + ab and ab (`check_state` at the ends only
+        for the last level, and for the report of a failure); then
+        `check_coefficients`. The next `picard_step` finishes the opened
+        level (`build_level`), so the rest of its `eigen` runs after the
+        caller's output of this level, as it would without the opening."""
+        cfg, report = self.cfg, self.report
+        layout, cs = state.layout, state.coeffs
+        level = None
+        if state.t < cfg.t_end - self._tiny:
+            # the kernel's policy: eigen classifies an overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                level = open_level(layout, state.t, state.P, state.Q, cs, self._work.old)
+        full = report.steps % cfg.check_every == 0
+        if full or level is None or not endpoints_pass(layout, cs, level.u, level.eig.lambda_L, cfg.epsilon0):
+            rep = check_state(state, cfg, endpoints_only=not full)
+            if not rep.passed:
+                raise WellPosednessFailure(
+                    f"solvability check failed at t = {state.t:.6g}: " + "; ".join(rep.failures()),
+                    report=rep,
+                    t=state.t,
+                )
+            if full:  # an endpoint-only report carries no junction estimates
+                report.full_checks += 1
+                report.record_junctions(rep)
+        check_coefficients(layout, state.P, cs, cfg.epsilon0)
+        if level is not None:
+            level.checked = True
 
 
 def run(
@@ -679,10 +732,11 @@ def run(
     """Advance the network from the initial state to cfg.t_end with a
     `Stepper`, on the layout `init` was built on (`initial_state` or
     `NetworkState.from_fields` with the same `net`; ValueError if not).
-    Runs the condition checks on the configured cadence (full sweep every
-    cfg.check_every steps, endpoint checks every step) and emits one probe
-    record per probe quantity per step. Raises if a check fails, or as
-    `Stepper.advance` does."""
+    Checks the initial level with a full condition sweep; the stepper
+    checks each level it accepts (a full sweep every cfg.check_every
+    steps, the vessel ends otherwise). Emits one probe record per probe
+    quantity per step. Raises if a check fails, or as `Stepper.advance`
+    does."""
     errors = [d for d in validate_network(net) if d.severity == "error"]
     if errors:
         raise WellPosednessFailure(
@@ -706,20 +760,9 @@ def run(
     stepper = Stepper(state, cfg, report)
     t_stop = cfg.t_end - time_tolerance(cfg.t_end)
     while state.t < t_stop:
-        state = stepper.advance()
-        full = report.steps % cfg.check_every == 0
-        rep = check_state(state, cfg, endpoints_only=not full)
-        if not rep.passed:
-            raise WellPosednessFailure(
-                f"solvability check failed at t = {state.t:.6g}: " + "; ".join(rep.failures()),
-                report=rep,
-                t=state.t,
-            )
-        if full:  # an endpoint-only report carries no junction estimates
-            report.full_checks += 1
-            report.record_junctions(rep)
+        state = stepper.advance()  # checked
         if plan is not None:
-            emit_probes(sink, plan, state, epsilon0=cfg.epsilon0)
+            emit_probes(sink, plan, state)
         if on_step is not None:
             on_step(state)
 

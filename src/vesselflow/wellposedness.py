@@ -12,9 +12,13 @@ row/column-equilibrated junction matrix (`junctions.condition_estimates`,
 within kappa_2 / n <= kappa_1 <= n kappa_2 of the 2-norm one for n
 unknowns), must stay below 1e12.
 
-`check_state` runs every step, so it decides `passed` from whole-sweep
-minima, one reduction per condition over every checked point, and
-builds a report's per-vessel arrays only when they are first read.
+Every accepted level is checked, so a sweep decides `passed` from
+whole-sweep minima, one reduction per condition over every checked
+point: `check_state` builds a report's per-vessel arrays only when they
+are first read, and `endpoints_pass`, the verdict of the steps between
+full sweeps, builds no report at all. It reads c^2 + ab and ab where
+the stepper's next old level holds them (`characteristics.open_level`),
+and only a failing level gets a report.
 
 The checker only reports; callers decide whether to abort.
 """
@@ -27,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .compiled import layout_coefficients
+from .compiled import CompiledNetwork, layout_coefficients
 from .constitutive import CoefficientSet, PrimitiveState, coefficients, eigen
 from .junctions import condition_estimates
 from .network import Network
@@ -235,20 +239,38 @@ def check_state(
     ab = a * b
     with np.errstate(over="ignore"):  # eigen classifies an overflow
         disc = c**2 + ab
-    split = ab[ends]
-    least = np.minimum.reduce
-    passed = bool(
-        least(a) > 0
-        and np.maximum.reduce(a) < np.inf
-        and least(A) - cfg.epsilon0 > 0
-        and least(disc) > 0
-        and least(split) > 0
-    )
+    passed = _vessels_pass(a, A, disc, ab[ends], cfg.epsilon0)
     sweep = partial(_sweep_arrays, a, A, disc, ab, ends, starts, counts, local, cfg.epsilon0)
     nodes, estimates = (), np.zeros(0)
     if not endpoints_only and passed and cn.junctions.nodes:
         nodes, estimates = cn.junctions.nodes, _junction_estimates(state, cfg)
     return ConditionReport(cn.vessel_ids, _STATE_CONDITIONS, passed, sweep, nodes, estimates)
+
+
+def _vessels_pass(a, A, disc, split, epsilon0) -> bool:
+    """The vessels' verdict from the whole sweep's minima: min a > 0,
+    max a < inf, min A - epsilon0 > 0, min(c^2 + ab) > 0 and min split
+    > 0 (a NaN fails them all)."""
+    least = np.minimum.reduce
+    return bool(
+        least(a) > 0
+        and np.maximum.reduce(a) < np.inf
+        and least(A) - epsilon0 > 0
+        and least(disc) > 0
+        and least(split) > 0
+    )
+
+
+def endpoints_pass(
+    layout: CompiledNetwork, cs: CoefficientSet, disc: np.ndarray, ab: np.ndarray, epsilon0: float
+) -> bool:
+    """Whether the vessels of a level pass `check_state`'s endpoint sweep,
+    without building its report: from cs, the level's coefficients on
+    layout, and c^2 + ab and ab at every point as `eigen` forms them
+    (`constitutive.discriminant`), each read at the vessel ends. Equal
+    to `check_state(state, cfg, endpoints_only=True).vessels_passed`."""
+    ends = layout.ends
+    return _vessels_pass(cs.a.take(ends), cs.A.take(ends), disc.take(ends), ab.take(ends), epsilon0)
 
 
 def _sweep_arrays(a, A, disc, ab, ends, starts, counts, local, epsilon0) -> SweepArrays:

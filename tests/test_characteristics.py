@@ -700,7 +700,8 @@ def test_layout_coefficients_skip_an_empty_power_prefix(monkeypatch):
 def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, value, error):
     # the one check, and every level that must be evaluable: both levels
     # of the kernel (the old one also from cached coefficients), the
-    # initial state, a snapshot and a probe of the point
+    # initial state and a snapshot; a probe reads the level unchecked,
+    # since its caller checks it (a run's stepper, when it accepts it)
     import vesselflow
     from vesselflow.characteristics import VesselField
     from vesselflow.compiled import check_coefficients, layout_coefficients
@@ -734,8 +735,9 @@ def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, valu
     with raises:
         emit_snapshot(ListSink(), state, EPS0)
     probe = ProbeSpec(("A",), vessel=vid, x_index=at - sl.start)
-    with raises:
-        emit_probes(ListSink(), probe_plan(state.layout, [probe]), state, EPS0)
+    sink = ListSink()
+    emit_probes(sink, probe_plan(state.layout, [probe]), state)
+    np.testing.assert_array_equal([r.value for r in sink.records], unchecked.A[at : at + 1])
 
     # synthetic coefficients are taken as given, whatever their area
     cs = layout_coefficients(layout, 0.0, good, Q)

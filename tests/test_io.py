@@ -784,7 +784,7 @@ def test_output_evaluates_coefficients_once_per_call(monkeypatch):
               ProbeSpec(quantities=("V", "A", "R", "P"), vessel="v1", x_index=4),
               ProbeSpec(quantities=("Q", "A"), vessel="v1", x_index=6)]
     sink = ListSink()
-    output.emit_probes(sink, output.probe_plan(state.layout, probes), state, sim.epsilon0)
+    output.emit_probes(sink, output.probe_plan(state.layout, probes), state)
     assert len(calls) == 1  # the probes read the level's evaluation
     assert [r.quantity for r in sink.records] == ["P", "Q", "V", "A", "R", "P", "Q", "A"]
     by_x = {}
@@ -795,7 +795,7 @@ def test_output_evaluates_coefficients_once_per_call(monkeypatch):
     ]
     assert [r.x for r in sink.records] == [0.25] * 2 + [0.5] * 4 + [0.75] * 2
 
-    output.emit_probes(ListSink(), output.probe_plan(state.layout, probes[:1]), state, sim.epsilon0)
+    output.emit_probes(ListSink(), output.probe_plan(state.layout, probes[:1]), state)
     assert len(calls) == 1
 
 
@@ -897,7 +897,7 @@ def test_the_level_path_reads_all_nine_quantities_with_the_scalar_bits():
         assert list(plan.keys) == [e[:4] for e in expected]
         assert [v.hex() for v in values] == [e[4].hex() for e in expected]
         sink = ListSink()
-        emit_probes(sink, plan, state, sim.epsilon0)
+        emit_probes(sink, plan, state)
         assert sink.records == [ProbeRecord(state.t, *e) for e in expected]
         assert [r.value.hex() for r in sink.records] == [e[4].hex() for e in expected]
 
@@ -936,10 +936,10 @@ def test_emit_probes_makes_as_many_python_calls_for_1_record_as_for_20(tmp_path)
                 calls.append(frame.f_code.co_name)
 
         with CsvSink(str(tmp_path / "probes.csv")) as sink:
-            emit_probes(sink, plan, state, loaded.sim.epsilon0)  # formats the plan's keys
+            emit_probes(sink, plan, state)  # formats the plan's keys
             sys.setprofile(profile)
             try:
-                emit_probes(sink, plan, state, loaded.sim.epsilon0)
+                emit_probes(sink, plan, state)
             finally:
                 sys.setprofile(None)
         counts.append(calls)

@@ -400,7 +400,7 @@ def test_capillary_flow_from_capacitor_gap():
         transitional={"t": TransitionalState(10.0, 4.0)},
     )
     sink = ListSink()
-    emit_probes(sink, probe_plan(state.layout, [ProbeSpec(quantities=("Q_C",), node="t")]), state, 1e-10)
+    emit_probes(sink, probe_plan(state.layout, [ProbeSpec(quantities=("Q_C",), node="t")]), state)
     assert sink.records[0].value == 3.0
 
 

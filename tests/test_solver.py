@@ -1102,7 +1102,8 @@ def test_two_steppers_in_lockstep_equal_their_solo_runs():
         for s in moving:
             s.advance()
     assert solo[0].dt_adjustments == 5 and solo[1].final_state.t == cases[1][2].t_end
-    # the condition sweeps are run's, not the stepper's
+    # the stepper sweeps each level it accepts; the sweep of the initial
+    # level and final_state are run's
     unchecked = {"full_checks", "worst_junction_condition", "worst_junction_node", "final_state"}
     for s, ref in zip(steppers, solo):
         got, want = s.state, ref.final_state
@@ -1112,6 +1113,64 @@ def test_two_steppers_in_lockstep_equal_their_solo_runs():
         for f in dataclasses.fields(SimReport):
             if f.name not in unchecked:
                 assert getattr(s.report, f.name) == getattr(ref, f.name), f.name
+
+
+def test_the_prebuilt_old_level_steps_as_a_fresh_workspace(monkeypatch):
+    # a stepper opens the next step's old level when it accepts a level,
+    # and its picard_step finishes it; the same step on a fresh workspace
+    # builds that level whole. Both give the same bits, or the same error:
+    # on steps whose extrapolated start is retried, through the 4 ms
+    # bifurcation's dt-halving ladder, and for two steppers in lockstep.
+    import vesselflow.solver as solver_mod
+    from vesselflow import SimulationError
+    from vesselflow.solver import SimReport, Stepper, time_tolerance
+
+    real, seen = solver_mod.picard_step, {"prebuilt": 0, "raised": 0}
+
+    def compared(state_prev, cfg_, dt, report=None, start=None, work=None):
+        seen["prebuilt"] += work.old.checked and work.old.P is state_prev.P
+        try:
+            want = real(state_prev, cfg_, dt, start=start)
+        except SimulationError as exc:
+            want = exc
+        try:
+            got = real(state_prev, cfg_, dt, report=report, start=start, work=work)
+        except SimulationError as exc:
+            assert (type(exc), str(exc)) == (type(want), str(want))
+            seen["raised"] += 1
+            raise
+        assert not isinstance(want, SimulationError), want
+        assert got[0].t == want[0].t and got[1:] == want[1:]
+        assert same_bits(got[0].X, want[0].X) and same_bits(got[0].P_junc, want[0].P_junc)
+        return got
+
+    monkeypatch.setattr(solver_mod, "picard_step", compared)
+    net, init, cfg = bifurcation_case(steps=20)
+    state = initial_state(net, init, cfg)[0]
+
+    def outside(diffs):
+        # below P = -C the power law has no radius
+        start = diffs[0].copy()
+        start[: state.P.size] = -1e6
+        return start
+
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "_extrapolate", outside)
+        report = run(net, state, cfg)
+    # the first attempt of each step after the first finishes the opened
+    # level; a retry builds it whole
+    assert report.steps == 20 and report.extrapolation_retries == 20
+    assert seen["prebuilt"] == report.steps - 1 and seen["raised"] == 20
+
+    seen.update(prebuilt=0, raised=0)
+    ladder = dataclasses.replace(cfg, dt=0.004, t_end=0.1)
+    steppers = [Stepper(initial_state(net, init, ladder)[0], ladder, SimReport()),
+                Stepper(*pulse_case(LAW)[1:], SimReport())]
+    while moving := [s for s in steppers if s.state.t < s.cfg.t_end - time_tolerance(s.cfg.t_end)]:
+        for s in moving:
+            s.advance()
+    assert steppers[0].report.dt_adjustments == 5 and seen["raised"] == 5
+    assert seen["prebuilt"] == sum(s.report.steps - 1 for s in steppers)
 
 
 def test_a_non_ladder_error_from_the_retry_propagates(monkeypatch):
@@ -1330,7 +1389,10 @@ def test_one_coefficient_evaluation_per_time_level(monkeypatch):
     # each fixed-point iterate is evaluated once, and each accepted level
     # once more: its checks, its probes and the next step's old level
     # read the level's cached coefficients. Each step builds its old
-    # level once and each iterate its new level once.
+    # level once and each iterate its new level once. The coefficients
+    # of an accepted level are checked once, when the stepper accepts it
+    # (the probes do not check them again, nor does the next step's old
+    # level), besides the initial state and the first old level.
     import sys
 
     import vesselflow.characteristics as characteristics
@@ -1338,28 +1400,152 @@ def test_one_coefficient_evaluation_per_time_level(monkeypatch):
     from vesselflow.config import load_config
     from vesselflow.output import ListSink
 
-    real, calls = compiled.layout_coefficients, []
-    real_level, levels = characteristics.build_level, []
+    counts = {}
 
-    def counted(*args, **kw):
-        calls.append(args[1])
-        return real(*args, **kw)
+    def counting(name, first_arg):
+        real = getattr(compiled if name != "build_level" else characteristics, name)
+        calls = counts.setdefault(name, [])
 
-    def counted_level(*args):
-        levels.append(args[1])
-        return real_level(*args)
+        def counted(*args, **kw):
+            calls.append(args[first_arg])
+            return real(*args, **kw)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("vesselflow") and getattr(module, "layout_coefficients", None) is real:
-            monkeypatch.setattr(module, "layout_coefficients", counted)
-        if name.startswith("vesselflow") and getattr(module, "build_level", None) is real_level:
-            monkeypatch.setattr(module, "build_level", counted_level)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("vesselflow") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+
+    counting("layout_coefficients", 1)
+    counting("build_level", 1)
+    counting("check_coefficients", 1)
     loaded = load_config(BIFURCATION)
     state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
     report = run(loaded.net, state, loaded.sim, probes=loaded.probes, sink=ListSink())
     assert report.steps == 1000 and not report.extrapolation_retries and not report.dt_adjustments
-    assert len(calls) == report.picard_total + report.steps + 1
-    assert len(levels) == report.picard_total + report.steps
+    assert len(counts["layout_coefficients"]) == report.picard_total + report.steps + 1
+    assert len(counts["build_level"]) == report.picard_total + report.steps
+    # 2.451 per step, of which 1.449 are the iterates'
+    assert len(counts["check_coefficients"]) == report.picard_total + report.steps + 2
+
+
+# --- the classification of each accepted level --------------------------------
+
+SYNTHETIC = BIFURCATION.parent / "synthetic.json"
+
+
+def cli_case(monkeypatch, tmp_path, capsys, doc, b=None):
+    """`vesselflow simulate` on doc, whose vessel 'v' takes the synthetic
+    b(x, t) if one is given (a config file holds constants only): the
+    exit code, the last line of stderr and the timeseries rows."""
+    import json
+
+    import vesselflow.cli as cli
+    from vesselflow.config import load_config
+
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    if b is not None:
+        def with_b(p):
+            loaded = load_config(p)
+            v = loaded.net.vessels["v"]
+            v = dataclasses.replace(v, synthetic=dataclasses.replace(v.synthetic, b=b))
+            return dataclasses.replace(loaded, net=dataclasses.replace(loaded.net, vessels={"v": v}))
+
+        monkeypatch.setattr(cli, "load_config", with_b)
+    out = tmp_path / "out"
+    code = cli.main(["simulate", str(path), "--output", str(out)])
+    last = capsys.readouterr().err.splitlines()[-1]
+    return code, last, (out / "timeseries.csv").read_text().splitlines()
+
+
+def synthetic_doc():
+    import json
+
+    doc = json.loads(SYNTHETIC.read_text())
+    doc["solver"].update(t_end=0.1, check_every=5)
+    return doc
+
+
+def zero_rows(levels):
+    """The synthetic config's probe rows (P, Q and A at x = 0.5) for its
+    resting levels 1 .. levels, dt = 0.01, after the header."""
+    t = 0.0
+    rows = ["t,kind,id,x,quantity,value"]
+    for _ in range(levels):
+        t += 0.01
+        rows += [f"{t!r},vessel,v,0.5,{q},{v}" for q, v in (("P", 0.0), ("Q", 0.0), ("A", 1.0))]
+    return rows
+
+
+def test_an_endpoint_split_failure_between_full_sweeps_exits_2(monkeypatch, tmp_path, capsys):
+    # from t = 0.04, step 4 of a sweep every 5, ab = -0.01 at x = 0 only:
+    # c^2 + ab stays positive, so the kernel resolves the step, and the
+    # endpoint verdict of the accepted level fails before its probes
+    def b(x, t):
+        return np.where((x == 0.0) & (t > 0.035), -0.01, 1.0)
+
+    code, last, rows = cli_case(monkeypatch, tmp_path, capsys, synthetic_doc(), b)
+    assert code == 2
+    assert last == (
+        "solvability failure: solvability check failed at t = 0.04: v: endpoint_split fails "
+        "at x-index 0 (margin -1.000000e-02): under-determined (source end)"
+    )
+    assert rows == zero_rows(3)
+
+
+def test_an_interior_hyperbolicity_failure_between_full_sweeps_exits_3(monkeypatch, tmp_path, capsys):
+    # from t = 0.04, c^2 + ab = 0.04 - 0.1 on 0.4 < x < 0.6 only: the
+    # step's first new level fails eigen, from either start
+    def b(x, t):
+        return np.where((np.abs(x - 0.5) < 0.1) & (t > 0.035), -0.1, 1.0)
+
+    code, last, rows = cli_case(monkeypatch, tmp_path, capsys, synthetic_doc(), b)
+    assert code == 3
+    assert last == (
+        "solver failure: vessel 'v': c^2 + a*b must be positive and finite, worst value -6.000000e-02"
+    )
+    assert rows == zero_rows(3)
+
+
+def test_an_interior_area_collapse_between_full_sweeps_exits_3(monkeypatch, tmp_path, capsys):
+    # two pressure troughs travel toward each other and meet mid-vessel
+    # near t = 0.035; the floor lies between the initial smallest area
+    # (6.676e-5) and the one where they meet, and the vessel's ends rest
+    import math
+
+    n = 40
+
+    def trough(centre):
+        return [math.sin(math.pi * (j / n - centre + 0.1) / 0.2) ** 2 if abs(j / n - centre) < 0.1 else 0.0
+                for j in range(n + 1)]
+
+    law = PowerLaw(C=40000.0, R0=0.005, beta=2.0)
+    P = [-6000.0 * (left + right) for left, right in zip(trough(0.3), trough(0.7))]
+    # each a simple wave: Q = +-sqrt(b/a) P at rest, right-going on the left half
+    from vesselflow.constitutive import PrimitiveState, coefficients
+
+    cs = coefficients(Vessel("v", n, "in", "out", tube_law=law), 0.5, 0.0, PrimitiveState(0.0, 0.0))
+    k = float(np.sqrt(cs.b / cs.a))
+    Q = [k * p if j < n // 2 else -k * p for j, p in enumerate(P)]
+    doc = {
+        "vessels": [{"id": "v", "n_cells": n, "x0": "in", "x1": "out",
+                     "tube_law": {"kind": "power", "C": law.C, "R0": law.R0, "beta": law.beta}}],
+        "nodes": [{"id": nid, "kind": "pressure", "signal": {"kind": "constant", "value": 0.0}}
+                  for nid in ("in", "out")],
+        "solver": {"dt": 0.001, "t_end": 0.05, "check_every": 1000, "epsilon0": 6.66e-5},
+        "initial": {"default": {"P": P, "Q": Q}},
+        "probes": [{"vessel": "v", "x_fraction": 0.5, "quantities": ["P", "A"]}],
+    }
+    code, last, rows = cli_case(monkeypatch, tmp_path, capsys, doc)
+    assert code == 3
+    assert last == "solver failure: vessel 'v': area 6.658e-05 m^2 below floor 6.660e-05"
+    # levels 1 .. 31 of dt = 0.001, each P then A at x = 0.5
+    t, keys = 0.0, []
+    for _ in range(31):
+        t += 0.001
+        keys += [f"{t!r},vessel,v,0.5,{q}" for q in ("P", "A")]
+    assert rows[0] == "t,kind,id,x,quantity,value"
+    assert [row.rsplit(",", 1)[0] for row in rows[1:]] == keys
+    assert rows[-1] == "0.03100000000000002,vessel,v,0.5,A,6.682202872319523e-05"
 
 
 def test_network_state_arrays_are_read_only():

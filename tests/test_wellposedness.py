@@ -672,7 +672,8 @@ def test_the_reduced_verdict_and_lazy_arrays_equal_the_eager_sweep(corruptible_s
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from vesselflow.wellposedness import _junction_estimates
+    from vesselflow.characteristics import open_level
+    from vesselflow.wellposedness import _junction_estimates, endpoints_pass
 
     corruption = st.tuples(st.sampled_from(sorted(_CORRUPTIONS)), st.integers(0, 99),
                            st.integers(0, 999), st.integers(0, 9))
@@ -692,6 +693,12 @@ def test_the_reduced_verdict_and_lazy_arrays_equal_the_eager_sweep(corruptible_s
                 assert ours.tobytes() == ref.tobytes()  # bit for bit, NaN signs included
             vessels_pass = bool((report.arrays.margin > 0).all() and not report.arrays.unevaluable_count.any())
             assert report.passed == (vessels_pass and bool((report.junction_estimates < 1e12).all()))
+            if endpoints_only:
+                # the stepper's verdict between full sweeps, from the level it opens
+                with np.errstate(invalid="ignore", over="ignore"):
+                    level = open_level(state.layout, state.t, state.P, state.Q, state.coeffs)
+                ab = level.eig.lambda_L
+                assert endpoints_pass(state.layout, state.coeffs, level.u, ab, CFG.epsilon0) == vessels_pass
             if vessels_pass and not endpoints_only:
                 assert report.junction_nodes == state.layout.junctions.nodes
                 expected = _junction_estimates(state, CFG)
