@@ -27,13 +27,13 @@ unresolved (NaN); the node closures complete them.
 
 A fixed-point pass's state is one `Workspace` per run (a kernel call
 without one makes its own): its two `Level`s, each filled in place by
-`build_level` (the old level once per step, with its r and s, where a
-stepper may have opened it with `open_level` when it accepted that
-level; the new level once per pass), the new level's coefficients, the
-step's dt and source terms F, g_P and g_Q, which `freeze_step` forms,
-the update's results, which `interior_update` writes, and the scratch
-of the trace, the stencils and the update. Each formula is evaluated with `out=` and
-in-place ufuncs in its written order of operations, so its bits equal
+`build_level` (the old level once per step, with its r and s, which
+every attempt at the step reads; the new level once per pass), the new
+level's coefficients, the step's dt and source terms F, g_P and g_Q,
+which `freeze_step` forms, the update's results, which
+`interior_update` writes, and the scratch of the trace, the stencils
+and the update. Each formula is evaluated with `out=` and in-place
+ufuncs in its written order of operations, so its bits equal
 those of evaluating it into new arrays. The update's results live
 until the next pass overwrites them: what outlives a pass is formed
 from them into new arrays that never alias the workspace.
@@ -51,10 +51,12 @@ stack is still read through the reversed view lam[::-1] where each
 family meets the other's speed: a (2, N) copy of each would cost what
 the buffer costs.
 
-`open_level`, `build_level`, `freeze_step` and `interior_update` set no
-floating-point policy of their own: a pass runs under
+`build_level` takes coefficients as given: a caller checks them first
+(`compiled.check_coefficients`), as `freeze_step` does for each iterate.
+`build_level`, `freeze_step` and `interior_update` set no
+floating-point policy of their own: a step runs under
 `solver.picard_step`'s, which names the guard that classifies each
-non-finite value, and a stepper opens a level under the same policy.
+non-finite value.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compiled import CompiledNetwork, check_coefficients, coefficient_arrays, layout_coefficients
-from .constitutive import CoefficientSet, EigenData, discriminant, eigen
+from .constitutive import CoefficientSet, EigenData, eigen
 from .errors import CFLViolation, HyperbolicityViolation, SimulationError, WellPosednessFailure
 
 
@@ -97,14 +99,10 @@ class Level:
     level alone. The family fields are (2, N) stacks: row 0 right-going,
     row 1 left-going. A level made with rs (an old level, the one the
     update reads at the feet) also holds r, s. d_x and tmp are the
-    build's scratch (d_x may be given, to share it between levels).
-    checked is set by the caller of `open_level` once the opened level's
-    coefficients pass `check_coefficients`; `build_level` then finishes
-    it and clears it."""
+    build's scratch (d_x may be given, to share it between levels)."""
 
     def __init__(self, n: int, d_x: np.ndarray | None = None, rs: bool = True):
-        self.t = self.coeffs = self.P = self.Q = None  # set by open_level or build_level
-        self.checked = False
+        self.t = self.coeffs = self.P = self.Q = None  # set by build_level
         self.speeds = np.empty((3, n))
         self.lam = self.speeds[:2]  # each family's speed: lambda_R, lambda_L
         self.d_x = np.empty((3, n)) if d_x is None else d_x
@@ -175,42 +173,19 @@ def _ddx(layout: CompiledNetwork, f: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, layout.half_cells, out=out)
 
 
-def open_level(
-    layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, cs: CoefficientSet,
-    level: Level | None = None,
-) -> Level:
-    """The first half of `build_level`, for a caller that checks the
-    level before the rest is built: hold t, P, Q (flat in layout order)
-    and cs, their `layout_coefficients`, in level (a new one without it)
-    and form c^2 + a b into its u and a b into its lam[1], as `eigen`
-    does (`discriminant`); return it. Once the caller has found the
-    coefficients to pass `check_coefficients` and set level.checked,
-    `build_level` on the same P and cs finishes the level from these
-    without checking or forming them again."""
-    level = Level(layout.size) if level is None else level
-    level.t, level.coeffs, level.P, level.Q, level.checked = t, cs, P, Q, False
-    discriminant(cs, level.eig)
-    return level
-
-
 def build_level(
-    layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, epsilon0: float, cs: CoefficientSet,
+    layout: CompiledNetwork, t: float, P: np.ndarray, Q: np.ndarray, cs: CoefficientSet,
     level: Level | None = None,
 ) -> Level:
     """Fill level (a new one without it) with the level at t of P and Q
     (flat in layout order) from cs, their `layout_coefficients`, and
-    return it. The level must pass `check_coefficients` and have real,
-    finite speeds (else the error names the vessel). A level that
-    `open_level` opened on these P and cs and its caller then checked is
-    finished from its c^2 + a b."""
-    opened = level is not None and level.checked and level.P is P and level.coeffs is cs
-    if not opened:
-        check_coefficients(layout, P, cs, epsilon0)
-        level = Level(layout.size) if level is None else level
-        level.t, level.coeffs, level.P, level.Q = t, cs, P, Q
-    level.checked = False  # a later build of it starts over
+    return it. The coefficients must have passed `check_coefficients`;
+    the speeds must be real and finite (else `HyperbolicityViolation`
+    names the vessel)."""
+    level = Level(layout.size) if level is None else level
+    level.t, level.coeffs, level.P, level.Q = t, cs, P, Q
     try:
-        eigen(cs, level.eig, formed=opened)
+        eigen(cs, level.eig)
     except HyperbolicityViolation as exc:
         disc = level.u  # eigen leaves c^2 + a b there when it raises
         first = int(np.argmin((disc > 0) & (disc < np.inf)))
@@ -237,7 +212,9 @@ def freeze_step(
     `layout_coefficients` evaluation, and form the step's source terms,
     into work (a new workspace without one), which it returns. The old
     level, which the fixed-point iterations of a step share, comes built
-    (`build_level`). Raises ValueError unless t_new - old.t > 0."""
+    (`build_level`). The new coefficients must pass `check_coefficients`,
+    else its error names the vessel; raises ValueError unless
+    t_new - old.t > 0."""
     dt = t_new - old.t
     if not dt > 0:  # NaN fails too
         raise ValueError("t_new must exceed the old level's t")
@@ -247,7 +224,8 @@ def freeze_step(
         np.multiply(0.5, work.courant, out=work.half_courant)
     work.dt, work.old = dt, old
     cs = layout_coefficients(layout, t_new, P_new, Q_new, work.coeffs)
-    new = build_level(layout, t_new, P_new, Q_new, epsilon0, cs, work.new)
+    check_coefficients(layout, P_new, cs, epsilon0)
+    new = build_level(layout, t_new, P_new, Q_new, cs, work.new)
 
     # g_P = -(lam_t + adv_lam) and g_Q = a_t + adv_a at either level, with
     # lam_t = (d_t lambda_L, d_t lambda_R) and a_t = d_t a

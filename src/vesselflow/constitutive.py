@@ -317,35 +317,28 @@ def coefficients(vessel: Vessel, x, t: float, state: PrimitiveState) -> Coeffici
 # --- eigenstructure and characteristic variables ------------------------
 
 
-def discriminant(cs: CoefficientSet, out: EigenData) -> np.ndarray:
-    """`eigen`'s first step: c^2 + a b into out.u, with a b in
-    out.lambda_L, returned. Sets no floating-point policy: an overflow
-    or an invalid product leaves its inf or NaN, which `eigen` rejects."""
-    return np.add(np.multiply(cs.c, cs.c, out=out.u), np.multiply(cs.a, cs.b, out=out.lambda_L), out=out.u)
-
-
-def eigen(cs: CoefficientSet, out: EigenData | None = None, formed: bool = False) -> EigenData:
+def eigen(cs: CoefficientSet, out: EigenData | None = None) -> EigenData:
     """Characteristic speeds of the wave system; requires c^2 + a b > 0
     and finite (an overflow would give infinite or NaN speeds). The
     speeds and u are written into the arrays of out, or into new arrays
-    without one. With formed, out.u already holds `discriminant(cs, out)`,
-    which is not formed again. When it raises HyperbolicityViolation,
-    out.u holds c^2 + a b, so a caller can find the failing points."""
+    without one. It forms c^2 + a b itself, under its own overflow
+    policy, whether called alone or by `characteristics.build_level`.
+    When it raises HyperbolicityViolation, out.u holds c^2 + a b, so a
+    caller can find the failing points."""
     if out is None:
         shape = np.broadcast_shapes(np.shape(cs.a), np.shape(cs.b), np.shape(cs.c))
         out = EigenData(*(np.empty(shape) for _ in range(3)))
-    if not formed:
-        with np.errstate(over="ignore"):
-            discriminant(cs, out)
-    u = out.u  # c^2 + a b until its square root is taken
+    u = out.u
+    with np.errstate(over="ignore"):
+        disc = np.add(np.multiply(cs.c, cs.c, out=u), np.multiply(cs.a, cs.b, out=out.lambda_L), out=u)
     # the ufunc reductions: np.min's dispatch costs as much on small layouts
-    lo, hi = np.minimum.reduce(u, axis=None), np.maximum.reduce(u, axis=None)
+    lo, hi = np.minimum.reduce(disc, axis=None), np.maximum.reduce(disc, axis=None)
     # a NaN also fails these comparisons
     if not (lo > 0 and hi < np.inf):
         raise HyperbolicityViolation(
             f"c^2 + a*b must be positive and finite, worst value {float(hi if lo > 0 else lo):.6e}"
         )
-    np.sqrt(u, out=u)
+    np.sqrt(disc, out=u)
     np.add(cs.c, u, out=out.lambda_R)
     np.subtract(cs.c, u, out=out.lambda_L)
     return out

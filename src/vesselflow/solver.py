@@ -19,27 +19,30 @@ each step's first iterate and checking each level it accepts, the
 solvability conditions on the configured cadence included; `run` checks
 the initial level, drives a stepper to t_end and emits probe records.
 
-Each accepted level short of t_end is evaluated once for its check and
-for the next step: the stepper opens the next step's old level into its
-workspace (`characteristics.open_level`), reads the condition verdict
-from the c^2 + ab and ab formed there, checks the level's coefficients,
-and the next `picard_step` finishes that level (`build_level`).
+A level's coefficients are evaluated once (`NetworkState.coeffs`) and
+checked where a level is accepted or made: `check_coefficients` runs on
+each iterate in `freeze_step`, on each accepted level in the stepper's
+classification, on the level a stepper starts from, and in a
+`picard_step` called without a built old level. There is one way to
+build a level, `build_level`, which takes its coefficients as given.
 
 The stepper passes its one `characteristics.Workspace` to every
 `picard_step`. The workspace is a pass's state: the step's old
-`characteristics.Level`, which `picard_step` builds into it once (or
-finishes, if the stepper opened it), the new level, which each pass's
-`freeze_step` builds into it with the step's source terms, and every
-other array that lives only within a pass, the interior update's
-results and the iterate deviation's scratch included. A warm pass
-allocates one point-sized array, the next iterate's level vector X,
-which never aliases the workspace: `from_riemann` writes its P and Q
-and the node closures scatter into its views, and, accepted, it
-becomes a read-only `NetworkState`. Once
-per step the accepted level's `coeffs`, the junction pressures and the
-extrapolated start are allocated too. `picard_step` sets the one
-floating-point policy the kernel runs under and says which guard
-classifies each non-finite value.
+`characteristics.Level`, which the stepper builds into it once per step
+and every attempt at the step reads (a `picard_step` without it builds
+it there itself), the new level, which each pass's `freeze_step` builds
+into it with the step's source terms, and every other array that lives
+only within a pass, the interior update's results and the iterate
+deviation's scratch included. A warm pass allocates one point-sized
+array, the next iterate's level vector X, which never aliases the
+workspace: `from_riemann` writes its P and Q and the node closures
+scatter into its views, and, accepted, it becomes a read-only
+`NetworkState`. Once per step the accepted level's `coeffs`, the
+junction pressures and the extrapolated start are allocated too.
+`picard_step` sets the one floating-point policy the kernel runs under
+and says which guard classifies each non-finite value; a stepper runs
+its whole step under it, the old level's build and the accepted level's
+checks included.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .characteristics import VesselField, Workspace, build_level, freeze_step, interior_update, open_level
+from .characteristics import Level, VesselField, Workspace, build_level, freeze_step, interior_update
 from .compiled import CompiledNetwork, check_coefficients, compile_network, layout_coefficients
 from .constitutive import CoefficientSet, PrimitiveState, from_riemann
 from .errors import (
@@ -414,36 +417,39 @@ def picard_step(
     report: SimReport | None = None,
     start: np.ndarray | None = None,
     work: Workspace | None = None,
+    old: Level | None = None,
 ) -> tuple[NetworkState, int, list[float]]:
     """Advance one time level of the state's layout by fixed-point
     iteration.
 
-    Build the old level once, from the state's cached coefficients, or
-    finish it where a `Stepper` opened and checked it in work when it
-    accepted the state (`characteristics.build_level`).
-    Starting from the level vector `start` (the first iterate of the new
-    level) or, without one, from the previous level's X, repeatedly freeze
-    the coefficients at the iterate, run the linear characteristics
-    update on all vessels at once, close every node, and stop when the
-    relative sup deviation between iterates drops below cfg.picard_tol;
-    a non-finite iterate raises `PicardDivergence` on the pass that
-    makes it, naming its first non-finite point. Returns the converged
-    state, the number of iterations used, and the deviation history. A
-    given report collects the closure residuals. The passes write into
-    work, a `Workspace` of the state's layout (a new one without it).
+    The step reads old, the state's level built (`build_level`) from its
+    cached coefficients, which a `Stepper` passes to every attempt at a
+    step; without it, check those coefficients (`check_coefficients`)
+    and build the level into work. Starting from the level vector
+    `start` (the first iterate of the new level) or, without one, from
+    the previous level's X, repeatedly freeze the coefficients at the
+    iterate, run the linear characteristics update on all vessels at
+    once, close every node, and stop when the relative sup deviation
+    between iterates drops below cfg.picard_tol; a non-finite iterate
+    raises `PicardDivergence` on the pass that makes it, naming its
+    first non-finite point. Returns the converged state, the number of
+    iterations used, and the deviation history. A given report collects
+    the closure residuals. The passes write into work, a `Workspace` of
+    the state's layout (a new one without it).
 
     The step runs under one floating-point policy: an overflow or an
     invalid operation leaves its inf or NaN without a warning, and a
     guard downstream classifies it. A non-finite coefficient, area or
-    slope fails `check_coefficients`, and a non-finite speed `eigen`,
-    when a level is built; a non-finite travel fails the Courant guard
-    and a non-finite source coupling the stiffness guard of
-    `interior_update`, which also raises for a non-finite resolved value
-    at a vessel end; NaN at a foot that left its vessel is overwritten
-    by the node closures, whose junction solves fail a non-finite
-    residual; any other non-finite iterate makes the deviation NaN,
-    which raises `PicardDivergence`. `power_law_coefficients` and
-    `eigen` set their own policy, which they need when called alone.
+    slope fails `check_coefficients` before a level is built, and a
+    non-finite speed `eigen` when it is; a non-finite travel fails the
+    Courant guard and a non-finite source coupling the stiffness guard
+    of `interior_update`, which also raises for a non-finite resolved
+    value at a vessel end; NaN at a foot that left its vessel is
+    overwritten by the node closures, whose junction solves fail a
+    non-finite residual; any other non-finite iterate makes the
+    deviation NaN, which raises `PicardDivergence`.
+    `power_law_coefficients` and `eigen` set their own policy, which
+    they need when called alone.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cn = state_prev.layout
@@ -460,9 +466,9 @@ def picard_step(
         cur = state_prev.X if start is None else start
         P, Q = cur[cn.parts[0]], cur[cn.parts[1]]
         P_junc = np.empty(len(cn.junctions.branching))
-        old = build_level(
-            cn, state_prev.t, state_prev.P, state_prev.Q, cfg.epsilon0, state_prev.coeffs, work.old
-        )
+        if old is None:
+            check_coefficients(cn, state_prev.P, state_prev.coeffs, cfg.epsilon0)
+            old = build_level(cn, state_prev.t, state_prev.P, state_prev.Q, state_prev.coeffs, work.old)
 
         history: list[float] = []
         for iteration in range(1, cfg.picard_max_iters + 1):
@@ -628,15 +634,23 @@ class Stepper:
     dt, which climbs back one rung per `_RESTORE_AFTER` clean steps; past
     `_MAX_HALVINGS` halvings the step raises `SimulationError`.
 
+    Each step builds the old level of the state it steps from once,
+    before its first attempt, and passes it to every attempt: a retried
+    start and a halved dt reuse it, and a build that fails (`eigen`)
+    raises at once, without a retry. The whole step runs under
+    `picard_step`'s floating-point policy.
+
     Each accepted level is checked before `advance` returns it
     (`_classify`): a failing condition raises `WellPosednessFailure`, and
     coefficients that fail `check_coefficients` raise its error. Levels
     are swept fully every cfg.check_every steps, counted into report
-    with their junction estimates; the initial level is its caller's to
-    check.
+    with their junction estimates. The level a stepper starts from has
+    its coefficients checked when the stepper is made; its conditions
+    are its caller's to check.
     """
 
     def __init__(self, state: NetworkState, cfg: SimConfig, report: SimReport):
+        check_coefficients(state.layout, state.P, state.coeffs, cfg.epsilon0)
         self.state, self.cfg, self.report = state, cfg, report
         self._dt, self._depth, self._clean = cfg.dt, 0, 0  # depth: halvings below cfg.dt
         self._tiny = time_tolerance(cfg.t_end)
@@ -650,62 +664,59 @@ class Stepper:
         state, cfg, report = self.state, self.cfg, self.report
         if state.t >= cfg.t_end - self._tiny:
             raise ValueError(f"the state at t = {state.t!r} has reached t_end = {cfg.t_end!r}")
-        retry = False
-        while True:
-            dt = min(self._dt, cfg.t_end - state.t)
-            # a last step short of dt only by the rounding of t keeps the history
-            if self._spacing is None or abs(dt - self._spacing) > self._tiny:
-                self._table.n, self._spacing = 1, dt
-            start = None if retry else self._table.start()
-            try:
-                new, iters, hist = picard_step(state, cfg, dt, report=report, start=start, work=self._work)
-                break
-            except SimulationError as exc:
-                retry = start is not None
-                if retry:
-                    report.extrapolation_retries += 1
-                    continue
-                if not isinstance(exc, (CFLViolation, PicardDivergence)):
-                    raise
-                if self._depth >= _MAX_HALVINGS:
-                    raise SimulationError(
-                        f"step failed at t = {state.t:.6g} after {self._depth} dt halvings: {exc}"
-                    ) from exc
-                self._depth, self._clean, self._dt = self._depth + 1, 0, 0.5 * self._dt
-                report.dt_adjustments += 1
+        # the step's one floating-point policy, picard_step's
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = build_level(state.layout, state.t, state.P, state.Q, state.coeffs, self._work.old)
+            retry = False
+            while True:
+                dt = min(self._dt, cfg.t_end - state.t)
+                # a last step short of dt only by the rounding of t keeps the history
+                if self._spacing is None or abs(dt - self._spacing) > self._tiny:
+                    self._table.n, self._spacing = 1, dt
+                start = None if retry else self._table.start()
+                try:
+                    new, iters, hist = picard_step(
+                        state, cfg, dt, report=report, start=start, work=self._work, old=old
+                    )
+                    break
+                except SimulationError as exc:
+                    retry = start is not None
+                    if retry:
+                        report.extrapolation_retries += 1
+                        continue
+                    if not isinstance(exc, (CFLViolation, PicardDivergence)):
+                        raise
+                    if self._depth >= _MAX_HALVINGS:
+                        raise SimulationError(
+                            f"step failed at t = {state.t:.6g} after {self._depth} dt halvings: {exc}"
+                        ) from exc
+                    self._depth, self._clean, self._dt = self._depth + 1, 0, 0.5 * self._dt
+                    report.dt_adjustments += 1
 
-        self.state = new
-        report.record_step(iters, hist)
-        report.extrapolated_steps += start is not None
-        self._table.push(new)
-        if self._depth:
-            self._clean += 1
-            if self._clean >= _RESTORE_AFTER:
-                self._depth, self._clean, self._dt = self._depth - 1, 0, min(cfg.dt, 2.0 * self._dt)
-        self._classify(new)
+            self.state = new
+            report.record_step(iters, hist)
+            report.extrapolated_steps += start is not None
+            self._table.push(new)
+            if self._depth:
+                self._clean += 1
+                if self._clean >= _RESTORE_AFTER:
+                    self._depth, self._clean, self._dt = self._depth - 1, 0, min(cfg.dt, 2.0 * self._dt)
+            self._classify(new)
         return new
 
     def _classify(self, state: NetworkState) -> None:
-        """Check an accepted level, in the order that classifies it: its
-        coefficients (`state.coeffs`); for a level short of t_end, the
-        first half of the next step's old level, opened into the
-        workspace; the condition verdict, which raises
-        `WellPosednessFailure`: a full `check_state` sweep every
-        cfg.check_every steps, else the ends' `endpoints_pass` on the
-        opened level's c^2 + ab and ab (`check_state` at the ends only
-        for the last level, and for the report of a failure); then
-        `check_coefficients`. The next `picard_step` finishes the opened
-        level (`build_level`), so the rest of its `eigen` runs after the
-        caller's output of this level, as it would without the opening."""
+        """Check an accepted level, in the order that classifies it: the
+        condition verdict, which raises `WellPosednessFailure` (a full
+        `check_state` sweep every cfg.check_every steps, else
+        `endpoints_pass` on the coefficients at the vessel ends, with
+        `check_state` at the ends only for the report of a failure), then
+        `check_coefficients`. Both read `state.coeffs`, as the caller's
+        output of the level does; the next `advance` builds the level
+        from them, so a failure of its `eigen` comes after that output."""
         cfg, report = self.cfg, self.report
         layout, cs = state.layout, state.coeffs
-        level = None
-        if state.t < cfg.t_end - self._tiny:
-            # the kernel's policy: eigen classifies an overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                level = open_level(layout, state.t, state.P, state.Q, cs, self._work.old)
         full = report.steps % cfg.check_every == 0
-        if full or level is None or not endpoints_pass(layout, cs, level.u, level.eig.lambda_L, cfg.epsilon0):
+        if full or not endpoints_pass(layout, cs, cfg.epsilon0):
             rep = check_state(state, cfg, endpoints_only=not full)
             if not rep.passed:
                 raise WellPosednessFailure(
@@ -717,8 +728,6 @@ class Stepper:
                 report.full_checks += 1
                 report.record_junctions(rep)
         check_coefficients(layout, state.P, cs, cfg.epsilon0)
-        if level is not None:
-            level.checked = True
 
 
 def run(
@@ -733,10 +742,10 @@ def run(
     `Stepper`, on the layout `init` was built on (`initial_state` or
     `NetworkState.from_fields` with the same `net`; ValueError if not).
     Checks the initial level with a full condition sweep; the stepper
-    checks each level it accepts (a full sweep every cfg.check_every
-    steps, the vessel ends otherwise). Emits one probe record per probe
-    quantity per step. Raises if a check fails, or as `Stepper.advance`
-    does."""
+    checks its coefficients, and each level it accepts (a full sweep
+    every cfg.check_every steps, the vessel ends otherwise) before the
+    level's probe records are emitted, one per probe quantity per step.
+    Raises if a check fails, or as `Stepper.advance` does."""
     errors = [d for d in validate_network(net) if d.severity == "error"]
     if errors:
         raise WellPosednessFailure(

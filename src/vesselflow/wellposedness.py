@@ -15,10 +15,9 @@ unknowns), must stay below 1e12.
 Every accepted level is checked, so a sweep decides `passed` from
 whole-sweep minima, one reduction per condition over every checked
 point: `check_state` builds a report's per-vessel arrays only when they
-are first read, and `endpoints_pass`, the verdict of the steps between
-full sweeps, builds no report at all. It reads c^2 + ab and ab where
-the stepper's next old level holds them (`characteristics.open_level`),
-and only a failing level gets a report.
+are first read, and `endpoints_pass`, the verdict of the levels between
+full sweeps, builds no report at all: it forms ab and c^2 + ab from the
+coefficients at the vessel ends, and only a failing level gets a report.
 
 The checker only reports; callers decide whether to abort.
 """
@@ -261,16 +260,18 @@ def _vessels_pass(a, A, disc, split, epsilon0) -> bool:
     )
 
 
-def endpoints_pass(
-    layout: CompiledNetwork, cs: CoefficientSet, disc: np.ndarray, ab: np.ndarray, epsilon0: float
-) -> bool:
+def endpoints_pass(layout: CompiledNetwork, cs: CoefficientSet, epsilon0: float) -> bool:
     """Whether the vessels of a level pass `check_state`'s endpoint sweep,
-    without building its report: from cs, the level's coefficients on
-    layout, and c^2 + ab and ab at every point as `eigen` forms them
-    (`constitutive.discriminant`), each read at the vessel ends. Equal
-    to `check_state(state, cfg, endpoints_only=True).vessels_passed`."""
+    without building its report: from a, b, c and A of cs, the level's
+    coefficients on layout, taken at the vessel ends, and ab and
+    c^2 + ab of those. Equal to `check_state(state, cfg,
+    endpoints_only=True).vessels_passed`. Sets no floating-point policy:
+    an overflow or invalid product warns unless its caller runs it under
+    one, as a `Stepper` does."""
     ends = layout.ends
-    return _vessels_pass(cs.a.take(ends), cs.A.take(ends), disc.take(ends), ab.take(ends), epsilon0)
+    a, b, c, A = cs.a.take(ends), cs.b.take(ends), cs.c.take(ends), cs.A.take(ends)
+    ab = a * b
+    return _vessels_pass(a, A, c * c + ab, ab, epsilon0)
 
 
 def _sweep_arrays(a, A, disc, ab, ends, starts, counts, local, epsilon0) -> SweepArrays:

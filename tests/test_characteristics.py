@@ -27,11 +27,11 @@ def layout_of(*vessels):
     return compile_network(Network(vessels={v.id: v for v in vessels}))
 
 
-def freeze(layout, t0, P0, Q0, t1, P1, Q1, cs=None):
+def freeze(layout, t0, P0, Q0, t1, P1, Q1):
     """The step from (t0, P0, Q0) to (t1, P1, Q1), its old level built
-    from cs (by default the coefficients of P0 and Q0) as a step does."""
-    cs = layout_coefficients(layout, t0, P0, Q0) if cs is None else cs
-    return freeze_step(layout, build_level(layout, t0, P0, Q0, EPS0, cs), t1, P1, Q1, EPS0)
+    from the coefficients of P0 and Q0 as a step does."""
+    cs = layout_coefficients(layout, t0, P0, Q0)
+    return freeze_step(layout, build_level(layout, t0, P0, Q0, cs), t1, P1, Q1, EPS0)
 
 
 def frozen_for(vessel, P0, Q0, dt, P1=None, Q1=None, t0=0.0):
@@ -295,7 +295,7 @@ def test_a_pass_sets_no_floating_point_policy_of_its_own(monkeypatch):
                tube_law=PowerLaw(C=4e4, R0=1e-3, beta=2.0))
     layout = layout_of(v)
     P, Q = 13000.0 + 500.0 * np.sin(3.0 * v.grid), 1e-6 * np.cos(v.grid)
-    old = build_level(layout, 0.0, P, Q, EPS0, layout_coefficients(layout, 0.0, P, Q))
+    old = build_level(layout, 0.0, P, Q, layout_coefficients(layout, 0.0, P, Q))
     monkeypatch.setattr(np, "errstate", Counted)
     interior_update(freeze_step(layout, old, 2e-4, P, Q, EPS0))
     assert sorted(entered) == ["eigen", "power_law_coefficients"]
@@ -339,7 +339,7 @@ def test_a_warm_pass_builds_no_result_records(monkeypatch):
     assert n == 3201
     P, Q = 13000.0 + 500.0 * np.sin(3.0 * v.grid), 1e-6 * np.cos(v.grid)
     dt = 0.5 / (3200 * 7.2)  # CFL about 0.5
-    old = build_level(layout, 0.0, P, Q, EPS0, layout_coefficients(layout, 0.0, P, Q))
+    old = build_level(layout, 0.0, P, Q, layout_coefficients(layout, 0.0, P, Q))
     work = Workspace(layout)
     interior_update(freeze_step(layout, old, dt, P, Q, EPS0, work))
     P_next, built, real_init = P + 1.0, [], CoefficientSet.__init__
@@ -369,7 +369,7 @@ def test_freeze_step_rejects_a_new_level_not_after_the_old(t_new):
     # stepper would answer by halving dt
     v = synthetic_vessel(10)
     layout, z = layout_of(v), np.zeros(11)
-    old = build_level(layout, 0.0, z, z, EPS0, layout_coefficients(layout, 0.0, z, z))
+    old = build_level(layout, 0.0, z, z, layout_coefficients(layout, 0.0, z, z))
     with pytest.raises(ValueError, match="^t_new must exceed the old level's t$"):
         freeze_step(layout, old, t_new, z, z, EPS0)
 
@@ -457,7 +457,7 @@ def test_the_trace_stencils_and_ddx_broadcast_no_operand(monkeypatch):
     import sys
 
     layout, P, Q = mixed_layout()
-    old = build_level(layout, 0.0, P, Q, EPS0, layout_coefficients(layout, 0.0, P, Q))
+    old = build_level(layout, 0.0, P, Q, layout_coefficients(layout, 0.0, P, Q))
     work = Workspace(layout)
     interior_update(freeze_step(layout, old, 1e-4, P + 1.0, Q, EPS0, work))
     calls, broadcast = {}, []
@@ -697,16 +697,21 @@ def test_layout_coefficients_skip_an_empty_power_prefix(monkeypatch):
     ("p2", -1, -2e4, "TubeLawError"),  # P = -C: zero area, outside the law
     ("t2", 2, 5e4, "TubeLawError"),  # above the table at both stations
 ])
-def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, value, error):
-    # the one check, and every level that must be evaluable: both levels
-    # of the kernel (the old one also from cached coefficients), the
-    # initial state and a snapshot; a probe reads the level unchecked,
-    # since its caller checks it (a run's stepper, when it accepts it)
+def test_layout_coefficients_checked_names_first_failing_vessel(monkeypatch, vid, point, value, error):
+    # the one check, and every level that must be evaluable: the kernel's
+    # new level, the old level of a step (from the state's cached
+    # coefficients, by a picard_step that builds it and by a stepper made
+    # on it, each before it builds any level), the initial state and a
+    # snapshot; a probe reads the level unchecked, since its caller checks
+    # it (a run's stepper, when it accepts it)
     import vesselflow
+    import vesselflow.solver as solver_mod
     from vesselflow.characteristics import VesselField
     from vesselflow.compiled import check_coefficients, layout_coefficients
     from vesselflow.output import ListSink, ProbeSpec, emit_probes, emit_snapshot, probe_plan
-    from vesselflow.solver import InitSpec, NetworkState, SimConfig, VesselInit, initial_state
+    from vesselflow.solver import (
+        InitSpec, NetworkState, SimConfig, SimReport, Stepper, VesselInit, initial_state, picard_step,
+    )
 
     layout, P, Q = mixed_layout()
     _, good, _ = mixed_layout()
@@ -722,16 +727,23 @@ def test_layout_coefficients_checked_names_first_failing_vessel(vid, point, valu
         check_coefficients(layout, P, unchecked, EPS0)
     with raises:
         freeze(layout, 0.0, good, Q, 0.01, P, Q)
-    with raises:
-        freeze(layout, 0.0, P, Q, 0.01, good, Q)
-    with raises:
-        freeze(layout, 0.0, P, Q, 0.01, good, Q, cs=unchecked)
     net = layout.network
     fields = {k: VesselField(k, 0.0, P[s], Q[s]) for k, s in layout.slices.items()}
     init = InitSpec(per_vessel={k: VesselInit(P=f.P, Q=f.Q) for k, f in fields.items()})
+    cfg = SimConfig(dt=0.01, t_end=0.01, epsilon0=EPS0)
     with raises:
-        initial_state(net, init, SimConfig(dt=0.01, t_end=0.01, epsilon0=EPS0))
+        initial_state(net, init, cfg)
     state = NetworkState.from_fields(net, 0.0, fields)
+
+    def unbuilt(*args):
+        raise AssertionError("a level was built before the check")
+
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "build_level", unbuilt)
+        with raises:
+            picard_step(state, cfg)
+        with raises:
+            Stepper(state, cfg, SimReport())
     with raises:
         emit_snapshot(ListSink(), state, EPS0)
     probe = ProbeSpec(("A",), vessel=vid, x_index=at - sl.start)

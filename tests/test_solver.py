@@ -1116,25 +1116,27 @@ def test_two_steppers_in_lockstep_equal_their_solo_runs():
 
 
 def test_the_prebuilt_old_level_steps_as_a_fresh_workspace(monkeypatch):
-    # a stepper opens the next step's old level when it accepts a level,
-    # and its picard_step finishes it; the same step on a fresh workspace
-    # builds that level whole. Both give the same bits, or the same error:
-    # on steps whose extrapolated start is retried, through the 4 ms
-    # bifurcation's dt-halving ladder, and for two steppers in lockstep.
+    # a stepper builds each step's old level once, into its workspace,
+    # and passes it to every attempt at the step; the same step on a
+    # fresh workspace without it checks and builds that level itself.
+    # Both give the same bits, or the same error: on steps whose
+    # extrapolated start is retried, through the 4 ms bifurcation's
+    # dt-halving ladder, and for two steppers in lockstep.
     import vesselflow.solver as solver_mod
     from vesselflow import SimulationError
     from vesselflow.solver import SimReport, Stepper, time_tolerance
 
-    real, seen = solver_mod.picard_step, {"prebuilt": 0, "raised": 0}
+    real, seen = solver_mod.picard_step, {"calls": 0, "prebuilt": 0, "raised": 0}
 
-    def compared(state_prev, cfg_, dt, report=None, start=None, work=None):
-        seen["prebuilt"] += work.old.checked and work.old.P is state_prev.P
+    def compared(state_prev, cfg_, dt, report=None, start=None, work=None, old=None):
+        seen["calls"] += 1
+        seen["prebuilt"] += old is work.old and old.t == state_prev.t and old.P is state_prev.P
         try:
             want = real(state_prev, cfg_, dt, start=start)
         except SimulationError as exc:
             want = exc
         try:
-            got = real(state_prev, cfg_, dt, report=report, start=start, work=work)
+            got = real(state_prev, cfg_, dt, report=report, start=start, work=work, old=old)
         except SimulationError as exc:
             assert (type(exc), str(exc)) == (type(want), str(want))
             seen["raised"] += 1
@@ -1157,12 +1159,11 @@ def test_the_prebuilt_old_level_steps_as_a_fresh_workspace(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "_extrapolate", outside)
         report = run(net, state, cfg)
-    # the first attempt of each step after the first finishes the opened
-    # level; a retry builds it whole
+    # every attempt, the retries included, steps from the prebuilt level
     assert report.steps == 20 and report.extrapolation_retries == 20
-    assert seen["prebuilt"] == report.steps - 1 and seen["raised"] == 20
+    assert seen == {"calls": 40, "prebuilt": 40, "raised": 20}
 
-    seen.update(prebuilt=0, raised=0)
+    seen.update(calls=0, prebuilt=0, raised=0)
     ladder = dataclasses.replace(cfg, dt=0.004, t_end=0.1)
     steppers = [Stepper(initial_state(net, init, ladder)[0], ladder, SimReport()),
                 Stepper(*pulse_case(LAW)[1:], SimReport())]
@@ -1170,7 +1171,7 @@ def test_the_prebuilt_old_level_steps_as_a_fresh_workspace(monkeypatch):
         for s in moving:
             s.advance()
     assert steppers[0].report.dt_adjustments == 5 and seen["raised"] == 5
-    assert seen["prebuilt"] == sum(s.report.steps - 1 for s in steppers)
+    assert seen["calls"] == seen["prebuilt"] == sum(s.report.steps for s in steppers) + 5
 
 
 def test_a_non_ladder_error_from_the_retry_propagates(monkeypatch):
@@ -1392,39 +1393,69 @@ def test_one_coefficient_evaluation_per_time_level(monkeypatch):
     # level once and each iterate its new level once. The coefficients
     # of an accepted level are checked once, when the stepper accepts it
     # (the probes do not check them again, nor does the next step's old
-    # level), besides the initial state and the first old level.
+    # level), besides the initial state's and the stepper's first level.
+    # A retried start and a halved dt reuse the step's old level: on 20
+    # steps whose extrapolated start leaves the tube law, and on the 4 ms
+    # bifurcation's ladder.
     import sys
 
     import vesselflow.characteristics as characteristics
     import vesselflow.compiled as compiled
+    import vesselflow.solver as solver_mod
     from vesselflow.config import load_config
     from vesselflow.output import ListSink
 
     counts = {}
 
-    def counting(name, first_arg):
+    def counting(name):
         real = getattr(compiled if name != "build_level" else characteristics, name)
         calls = counts.setdefault(name, [])
 
         def counted(*args, **kw):
-            calls.append(args[first_arg])
+            calls.append(args)
             return real(*args, **kw)
 
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("vesselflow") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
 
-    counting("layout_coefficients", 1)
-    counting("build_level", 1)
-    counting("check_coefficients", 1)
+    def run_counted(net, init, cfg, **kw):
+        for calls in counts.values():
+            del calls[:]
+        accepted = [initial_state(net, init, cfg)[0]]
+        report = run(net, accepted[0], cfg, on_step=accepted.append, **kw)
+        # old levels hold r and s; each is built from the level it steps from
+        old = [args[2] for args in counts["build_level"] if args[-1].rs is not None]
+        assert len(old) == report.steps and all(P is s.P for P, s in zip(old, accepted))
+        checked = [args[1] for args in counts["check_coefficients"]]
+        assert all(sum(P is s.P for P in checked) == 1 for s in accepted[1:])
+        return report
+
+    for name in ("layout_coefficients", "build_level", "check_coefficients"):
+        counting(name)
     loaded = load_config(BIFURCATION)
-    state, _ = initial_state(loaded.net, loaded.init, loaded.sim)
-    report = run(loaded.net, state, loaded.sim, probes=loaded.probes, sink=ListSink())
+    report = run_counted(loaded.net, loaded.init, loaded.sim, probes=loaded.probes, sink=ListSink())
     assert report.steps == 1000 and not report.extrapolation_retries and not report.dt_adjustments
     assert len(counts["layout_coefficients"]) == report.picard_total + report.steps + 1
     assert len(counts["build_level"]) == report.picard_total + report.steps
     # 2.451 per step, of which 1.449 are the iterates'
     assert len(counts["check_coefficients"]) == report.picard_total + report.steps + 2
+
+    net, init, cfg = bifurcation_case(steps=20)
+    points = initial_state(net, init, cfg)[0].P.size
+
+    def outside(diffs):
+        # below P = -C the power law has no radius
+        start = diffs[0].copy()
+        start[:points] = -1e6
+        return start
+
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "_extrapolate", outside)
+        report = run_counted(net, init, cfg)
+    assert report.steps == report.extrapolation_retries == 20
+    report = run_counted(net, init, dataclasses.replace(cfg, dt=0.004, t_end=0.1))
+    assert report.dt_adjustments == 5
 
 
 # --- the classification of each accepted level --------------------------------

@@ -672,7 +672,6 @@ def test_the_reduced_verdict_and_lazy_arrays_equal_the_eager_sweep(corruptible_s
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from vesselflow.characteristics import open_level
     from vesselflow.wellposedness import _junction_estimates, endpoints_pass
 
     corruption = st.tuples(st.sampled_from(sorted(_CORRUPTIONS)), st.integers(0, 99),
@@ -694,11 +693,10 @@ def test_the_reduced_verdict_and_lazy_arrays_equal_the_eager_sweep(corruptible_s
             vessels_pass = bool((report.arrays.margin > 0).all() and not report.arrays.unevaluable_count.any())
             assert report.passed == (vessels_pass and bool((report.junction_estimates < 1e12).all()))
             if endpoints_only:
-                # the stepper's verdict between full sweeps, from the level it opens
+                # the stepper's verdict between full sweeps, under the kernel's policy
                 with np.errstate(invalid="ignore", over="ignore"):
-                    level = open_level(state.layout, state.t, state.P, state.Q, state.coeffs)
-                ab = level.eig.lambda_L
-                assert endpoints_pass(state.layout, state.coeffs, level.u, ab, CFG.epsilon0) == vessels_pass
+                    verdict = endpoints_pass(state.layout, state.coeffs, CFG.epsilon0)
+                assert verdict == report.vessels_passed == vessels_pass
             if vessels_pass and not endpoints_only:
                 assert report.junction_nodes == state.layout.junctions.nodes
                 expected = _junction_estimates(state, CFG)
